@@ -3,22 +3,18 @@
 use crate::args::{ArgError, Args};
 use crate::telemetry;
 use setlearn::prelude::{
-    aggregate_bloom, aggregate_cardinality, aggregate_index, BloomConfig, CardinalityConfig,
-    DeepSetsConfig, DeltaMergeable, DriftMonitor, FallbackReason, GuidedConfig, IndexConfig,
-    IndexStructure, LearnedBloom, LearnedCardinality, LearnedSetIndex, LearnedSetStructure,
-    MonitorConfig, MutableCollection, MutableSink, Precision, QueryOutcome, QueryRequest,
-    QueryResponse, QueryValue, ShardBy, ShardIndexStructure, ShardSpec, ShardedBloom,
-    ShardedCardinality, ShardedCollection, ShardedIndex, ShardedIndexStructure, Wal, WalOp,
-    WireTask,
+    BloomConfig, CardinalityConfig, DeepSetsConfig, DriftMonitor, FallbackReason, GuidedConfig,
+    IndexConfig, IndexStructure, LearnedBloom, LearnedCardinality, LearnedSetIndex,
+    LearnedSetStructure, MonitorConfig, Precision, QueryOutcome, QueryRequest, QueryValue,
+    ShardBy, ShardSpec, ShardedBloom, ShardedCardinality, ShardedCollection, ShardedIndex,
+    ShardedIndexStructure, Wal, WalOp, WireTask,
 };
 use setlearn_data::{ElementSet, GeneratorConfig, SetCollection, SubsetIndex};
 use setlearn_engine::{Engine, SetTable};
 use setlearn_obs::RegistrySnapshot;
 use setlearn_serve::{
-    spawn_compactor, BloomTask, CardinalityTask, CollectionRegistry, CompactorConfig,
-    IndexTask, MutableBackend, NetClient, NetConfig, NetServer, QuotaConfig, RegistryConfig,
-    ServeConfig, ServeError, ServeReport, ServeRuntime, ServeTask, ShardedReport,
-    ShardedRuntime, StatsFormat, StructureTask, WireBackend, WireOutcome,
+    CollectionRegistry, NetClient, NetConfig, NetServer, QuotaConfig, RegistryConfig,
+    ServeConfig, ServeError, StatsFormat, WireBackend, WireOutcome,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -57,9 +53,9 @@ fn load<T: serde::de::DeserializeOwned>(path: &str) -> Result<T, CliError> {
 /// The unified tenant addressing: `--root DIR --collection NAME` names one
 /// collection directory — `DIR/NAME/{collection.json, model.json,
 /// manifest.json, wal/}` — shared by train/query/serve/ingest/sql and the
-/// multi-tenant serving registry. Without `--root`, the old path-valued
-/// flags (`--collection FILE`, `--model FILE`, `--wal-dir DIR`) keep
-/// working as deprecated aliases for one more release.
+/// serving registry. `serve` takes nothing else; on the other verbs the old
+/// path-valued flags (`--collection FILE`, `--model FILE`, `--wal-dir DIR`)
+/// keep working without `--root` as deprecated aliases for one more release.
 struct TenantPaths {
     name: String,
     dir: PathBuf,
@@ -370,8 +366,9 @@ fn check_precision(args: &Args, recorded: Precision) -> Result<(), CliError> {
 ///
 /// With `--shards N` the collection is partitioned by the chosen router and
 /// one model is trained per shard; the persisted artifact is the sharded
-/// aggregate (query/serve must be invoked with the same `--shards`/
-/// `--shard-by` so the partition can be recomputed from the spec).
+/// aggregate (`query` must be invoked with the same `--shards`/`--shard-by`
+/// so the partition can be recomputed from the spec; `serve` reads it from
+/// the manifest `train --root` writes).
 pub fn train(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
         "task", "collection", "root", "out", "compressed", "epochs", "refine-epochs",
@@ -901,17 +898,15 @@ pub fn query(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Feeds a request workload through a [`ServeRuntime`], optionally paced at
-/// a target rate (open loop: requests shed at admission are *not* retried,
-/// that is the backpressure contract), and returns the final accounting plus
-/// the measured completion rate.
-fn drive<T: ServeTask>(
-    task: T,
-    requests: Vec<T::Request>,
-    cfg: ServeConfig,
+/// Feeds the workload through a resolved backend one request at a time,
+/// optionally paced at a target rate (open loop: requests shed at admission
+/// are *not* retried, that is the backpressure contract). Returns the
+/// answered and shed counts plus the measured completion rate.
+fn drive(
+    backend: &dyn WireBackend,
+    requests: Vec<ElementSet>,
     target_qps: f64,
-) -> Result<(ServeReport, f64), CliError> {
-    let runtime = ServeRuntime::start(task, cfg);
+) -> Result<(u64, u64, f64), CliError> {
     let start = std::time::Instant::now();
     let gap = (target_qps > 0.0)
         .then(|| std::time::Duration::from_secs_f64(1.0 / target_qps));
@@ -923,92 +918,21 @@ fn drive<T: ServeTask>(
                 std::thread::sleep(wait);
             }
         }
-        match runtime.submit(request) {
-            Ok(ticket) => tickets.push(ticket),
-            Err(ServeError::Overloaded) => {} // shed: counted by the runtime
-            Err(e) => return Err(format!("serve runtime failed: {e}").into()),
-        }
+        tickets.extend(backend.submit_wire(vec![request]));
     }
+    let (mut answered, mut shed) = (0u64, 0u64);
     for ticket in tickets {
-        ticket.wait().map_err(|e| format!("request lost: {e}"))?;
-    }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    let report = runtime.shutdown();
-    let qps = report.completed as f64 / elapsed;
-    Ok((report, qps))
-}
-
-/// The sharded counterpart of [`drive`]: per-shard worker pools, every
-/// request fanned out to all shards and aggregated. Returns the per-shard
-/// accounting, the number of fully answered fan-out requests, and the
-/// fan-out completion rate.
-fn drive_sharded<T: ServeTask>(
-    tasks: Vec<T>,
-    aggregate: impl Fn(Vec<T::Response>) -> T::Response + Send + Sync + 'static,
-    requests: Vec<T::Request>,
-    cfg: ServeConfig,
-    target_qps: f64,
-) -> Result<(ShardedReport, u64, f64), CliError>
-where
-    T::Request: Clone,
-{
-    let runtime = ShardedRuntime::start(tasks, cfg, aggregate);
-    let start = std::time::Instant::now();
-    let gap = (target_qps > 0.0)
-        .then(|| std::time::Duration::from_secs_f64(1.0 / target_qps));
-    let mut tickets = Vec::with_capacity(requests.len());
-    for (i, request) in requests.into_iter().enumerate() {
-        if let Some(gap) = gap {
-            let due = start + gap.mul_f64(i as f64);
-            if let Some(wait) = due.checked_duration_since(std::time::Instant::now()) {
-                std::thread::sleep(wait);
-            }
-        }
-        match runtime.submit(request) {
-            Ok(ticket) => tickets.push(ticket),
-            // Any shard shedding fails the fan-out; already-admitted
-            // sub-requests still complete and are counted per shard.
-            Err(ServeError::Overloaded) => {}
-            Err(e) => return Err(format!("sharded serve runtime failed: {e}").into()),
+        match ticket() {
+            Ok(_) => answered += 1,
+            Err(ServeError::Overloaded) => shed += 1, // counted by the runtime too
+            Err(e) => return Err(format!("request lost: {e}").into()),
         }
     }
-    let answered = tickets.len() as u64;
-    for ticket in tickets {
-        ticket.wait().map_err(|e| format!("request lost: {e}"))?;
-    }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    let report = runtime.shutdown();
-    let qps = answered as f64 / elapsed;
-    Ok((report, answered, qps))
+    let qps = answered as f64 / start.elapsed().as_secs_f64().max(1e-9);
+    Ok((answered, shed, qps))
 }
 
-/// Binds the `SLP1` TCP front-end on `addr`, prints (and optionally writes
-/// to `addr_file`) the bound address — so scripts can recover the ephemeral
-/// port behind `--listen 127.0.0.1:0` — then serves until the window
-/// elapses or a remote shutdown frame arrives. Drain order is the contract
-/// from [`NetServer::shutdown`]: the listener closes first and every
-/// accepted frame is answered, then the backend runtime is drained.
-fn listen_and_drain<B, R>(
-    backend: Arc<B>,
-    args: &Args,
-    drain: impl FnOnce(B) -> R,
-) -> Result<R, CliError>
-where
-    B: WireBackend + 'static,
-{
-    let addr = args.required("listen")?;
-    let net = net_config_from_args(args)?;
-    let server = NetServer::bind(addr, Arc::clone(&backend) as Arc<dyn WireBackend>, net)
-        .map_err(with_path("listen on", addr))?;
-    serve_until_drained(server, args)?;
-    // The front-end joined all its threads, so this is the last reference.
-    let backend = Arc::try_unwrap(backend)
-        .map_err(|_| "front-end handlers still hold the runtime after shutdown")?;
-    Ok(drain(backend))
-}
-
-/// Builds the [`NetConfig`] shared by the single-tenant and registry
-/// front-ends from the common `serve` flags.
+/// Builds the front-end's [`NetConfig`] from the `serve` flags.
 fn net_config_from_args(args: &Args) -> Result<NetConfig, CliError> {
     // Absent = slow-query log off; an explicit 0 means threshold zero,
     // i.e. record every request (useful for smoke tests and short probes).
@@ -1024,9 +948,10 @@ fn net_config_from_args(args: &Args) -> Result<NetConfig, CliError> {
     })
 }
 
-/// Prints (and optionally writes to `--addr-file`) the bound address, then
-/// blocks until `--serve-for-s` elapses or a remote shutdown arrives, and
-/// drains the front-end.
+/// Prints (and optionally writes to `--addr-file`) the bound address — so
+/// scripts can recover the ephemeral port behind `--listen 127.0.0.1:0` —
+/// then blocks until `--serve-for-s` elapses or a remote shutdown arrives,
+/// and drains the front-end.
 fn serve_until_drained(server: NetServer, args: &Args) -> Result<(), CliError> {
     println!("listening on {}", server.local_addr());
     if let Some(path) = args.optional("addr-file") {
@@ -1051,27 +976,17 @@ fn serve_until_drained(server: NetServer, args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `setlearn serve --root DIR --listen HOST:PORT` (no `--task`): the
-/// multi-tenant front-end. Every collection directory under DIR is
-/// servable; checkpoints load lazily on the first frame that addresses
-/// them (SLP1 v2 length-prefixed collection ids; v1 frames and empty ids
-/// route to `--default-collection`), `--max-resident-bytes` LRU-evicts
-/// idle residents, and `--quota-qps`/`--quota-burst` arm a per-tenant
-/// token bucket that sheds with `TenantOverloaded`.
-fn serve_listen_registry(args: &Args, cfg: ServeConfig) -> Result<(), CliError> {
-    for solo_flag in ["model", "collection", "wal-dir", "shards"] {
-        if args.optional(solo_flag).is_some() {
-            return Err(ArgError(format!(
-                "registry mode (--root without --task) serves every collection under \
-                 --root; --{solo_flag} only applies to solo serving (add --task)"
-            ))
-            .into());
-        }
-    }
-    let root = args.required("root")?;
-    let addr = args.required("listen")?;
-    let mut rcfg = RegistryConfig::new(root);
-    rcfg.serve = cfg;
+/// The registry every `serve` mode resolves its backends through, over
+/// `--root` with the worker-pool, residency, quota and compaction flags.
+fn registry_from_args(args: &Args) -> Result<Arc<CollectionRegistry>, CliError> {
+    let mut rcfg = RegistryConfig::new(args.required("root")?);
+    rcfg.serve = ServeConfig {
+        threads: args.get_or("threads", 2usize)?,
+        max_batch: args.get_or("max-batch", 64usize)?,
+        max_delay: std::time::Duration::from_micros(args.get_or("max-delay-us", 200u64)?),
+        queue_capacity: args.get_or("queue", 1024usize)?,
+    };
+    rcfg.serve.validate().map_err(|e| CliError::from(ArgError(e)))?;
     rcfg.default_collection = args.optional("default-collection").map(str::to_string);
     if args.optional("max-resident-bytes").is_some() {
         rcfg.max_resident_bytes = Some(args.get_or("max-resident-bytes", u64::MAX)?);
@@ -1084,10 +999,26 @@ fn serve_listen_registry(args: &Args, cfg: ServeConfig) -> Result<(), CliError> 
         });
     }
     rcfg.compact_after = args.get_or("compact-after", 0usize)?;
-    let registry = Arc::new(CollectionRegistry::new(rcfg));
+    Ok(Arc::new(CollectionRegistry::new(rcfg)))
+}
+
+/// `serve --root DIR --listen HOST:PORT`: the SLP1 front-end over the
+/// registry. Every collection directory under DIR is servable; checkpoints
+/// load lazily on the first frame that addresses them (v2 length-prefixed
+/// collection ids; v1 frames and empty ids route to `--default-collection`,
+/// which is all a solo server is), a `wal/` makes a tenant mutable,
+/// `--max-resident-bytes` LRU-evicts idle residents, and `--quota-qps`/
+/// `--quota-burst` arm a per-tenant token bucket that sheds with
+/// `TenantOverloaded`.
+fn serve_listen_registry(
+    args: &Args,
+    addr: &str,
+    registry: Arc<CollectionRegistry>,
+) -> Result<(), CliError> {
     let known = registry.list();
     println!(
-        "registry over {root}: {} collection{} discovered ({})",
+        "registry over {}: {} collection{} discovered ({})",
+        registry.root().display(),
         known.len(),
         if known.len() == 1 { "" } else { "s" },
         if known.is_empty() {
@@ -1107,542 +1038,86 @@ fn serve_listen_registry(args: &Args, cfg: ServeConfig) -> Result<(), CliError> 
     Ok(())
 }
 
-/// `setlearn serve --listen HOST:PORT …` — the TCP front-end over the same
-/// runtimes the replay path uses. Remote clients reach the bounded queue,
-/// adaptive micro-batching, and typed shedding through the `SLP1` protocol;
-/// the serve loop runs until `--serve-for-s` elapses or (with
-/// `--allow-remote-shutdown`) a client requests a drain.
-fn serve_listen(
-    args: &Args,
-    task: &str,
-    model_path: &str,
-    cfg: ServeConfig,
-    spec: Option<ShardSpec>,
-    collection_path: Option<&str>,
-) -> Result<(), CliError> {
-    match task {
-        "cardinality" => match spec {
-            None => {
-                let est: LearnedCardinality = load(model_path)?;
-                check_precision(args, est.precision())?;
-                let report = listen_and_drain(
-                    Arc::new(ServeRuntime::start(CardinalityTask::new(est), cfg)),
-                    args,
-                    |rt| rt.shutdown(),
-                )?;
-                print_drained(&report);
-            }
-            Some(spec) => {
-                let est: ShardedCardinality = load(model_path)?;
-                check_shard_spec(est.spec(), spec)?;
-                check_precision(args, est.precision())?;
-                let tasks: Vec<CardinalityTask> =
-                    est.into_shards().into_iter().map(CardinalityTask::new).collect();
-                let report = listen_and_drain(
-                    Arc::new(ShardedRuntime::start(tasks, cfg, aggregate_cardinality)),
-                    args,
-                    |rt| rt.shutdown(),
-                )?;
-                print_drained_sharded(&report);
-            }
-        },
-        "index" => {
-            let collection_path = collection_path
-                .ok_or_else(|| ArgError("missing required option --collection".into()))?;
-            let collection = Arc::new(load_collection(collection_path)?);
-            match spec {
-                None => {
-                    let index: LearnedSetIndex = load(model_path)?;
-                    check_precision(args, index.precision())?;
-                    let structure = IndexStructure { index, collection };
-                    let report = listen_and_drain(
-                        Arc::new(ServeRuntime::start(IndexTask::new(structure), cfg)),
-                        args,
-                        |rt| rt.shutdown(),
-                    )?;
-                    print_drained(&report);
-                }
-                Some(spec) => {
-                    let index: ShardedIndex = load(model_path)?;
-                    check_shard_spec(index.spec(), spec)?;
-                    check_precision(args, index.precision())?;
-                    let sharded = ShardedCollection::partition(&collection, spec)?;
-                    let structure = ShardedIndexStructure::new(index, &sharded);
-                    let target = structure.target();
-                    let tasks: Vec<StructureTask<ShardIndexStructure>> = structure
-                        .shard_structures()
-                        .iter()
-                        .cloned()
-                        .map(StructureTask::new)
-                        .collect();
-                    let report = listen_and_drain(
-                        Arc::new(ShardedRuntime::start(tasks, cfg, move |parts| {
-                            aggregate_index(target, parts)
-                        })),
-                        args,
-                        |rt| rt.shutdown(),
-                    )?;
-                    print_drained_sharded(&report);
-                }
-            }
-        }
-        "bloom" => match spec {
-            None => {
-                let filter: LearnedBloom = load(model_path)?;
-                check_precision(args, filter.precision())?;
-                let report = listen_and_drain(
-                    Arc::new(ServeRuntime::start(BloomTask::new(filter), cfg)),
-                    args,
-                    |rt| rt.shutdown(),
-                )?;
-                print_drained(&report);
-            }
-            Some(spec) => {
-                let filter: ShardedBloom = load(model_path)?;
-                check_shard_spec(filter.spec(), spec)?;
-                check_precision(args, filter.precision())?;
-                let tasks: Vec<BloomTask> =
-                    filter.into_shards().into_iter().map(BloomTask::new).collect();
-                let report = listen_and_drain(
-                    Arc::new(ShardedRuntime::start(tasks, cfg, aggregate_bloom)),
-                    args,
-                    |rt| rt.shutdown(),
-                )?;
-                print_drained_sharded(&report);
-            }
-        },
-        other => {
-            return Err(
-                ArgError(format!("unknown task '{other}' (cardinality|index|bloom)")).into()
-            )
-        }
-    }
-    Ok(())
-}
-
-fn print_drained(report: &ServeReport) {
-    println!(
-        "drained: {} requests completed in {} batches, {} shed at admission, {} panicked batches",
-        report.completed, report.batches, report.shed, report.panicked_batches
-    );
-}
-
-fn print_drained_sharded(report: &ShardedReport) {
-    println!(
-        "drained: {} sub-requests completed across {} shards, {} shed at admission, {} panicked batches",
-        report.completed(),
-        report.per_shard.len(),
-        report.shed(),
-        report.panicked_batches()
-    );
-}
-
-/// Durably checkpoints a compaction (retrained model + merged collection)
-/// next to the WAL *before* the watermark advances. Returning `None` leaves
-/// the delta pending so the compactor retries on the next poll.
-fn persist_compaction<M: serde::Serialize>(
-    wal_dir: &Path,
-    model: &M,
-    merged: &SetCollection,
-) -> Option<()> {
-    for (name, result) in [
-        ("model", setlearn::persist::save_json(model, &wal_dir.join("model.json"))),
-        ("collection", setlearn::persist::save_json(merged, &wal_dir.join("checkpoint.json"))),
-    ] {
-        if let Err(e) = result {
-            eprintln!("warning: compaction checkpoint failed ({name}): {e}");
-            return None;
-        }
-    }
-    Some(())
-}
-
-/// Builds the [`MutableCollection`] around `structure`, reports WAL
-/// recovery, starts the runtime (plus the compaction daemon when
-/// `--compact-after` is set), and runs the SLP1 front-end with ingest
-/// frames routed into the collection.
-fn run_mutable_front<S>(
-    args: &Args,
-    structure: S,
-    base: Arc<SetCollection>,
-    wal_dir: &Path,
-    cfg: ServeConfig,
-    rebuild: impl FnMut(&SetCollection) -> Option<S> + Send + 'static,
-) -> Result<(), CliError>
-where
-    S: DeltaMergeable + Send + Sync + 'static,
-    S::Output: Send + 'static,
-    QueryResponse: From<QueryOutcome<S::Output>>,
-{
-    let (collection, report) = MutableCollection::open(structure, base, wal_dir)?;
-    println!(
-        "WAL recovery: {} records replayed ({} skipped), applied through seq {}, next seq {}{}",
-        report.replayed,
-        report.skipped,
-        report.applied_seq,
-        report.next_seq,
-        if report.truncated { " — damaged tail truncated" } else { "" },
-    );
-    let collection = Arc::new(collection);
-    let runtime =
-        Arc::new(ServeRuntime::start(StructureTask::new(Arc::clone(&collection)), cfg));
-    let compactor = match args.get_or("compact-after", 0usize)? {
-        0 => None,
-        ops => Some(spawn_compactor(
-            Arc::clone(&collection),
-            Arc::clone(runtime.model()),
-            rebuild,
-            CompactorConfig { max_delta_ops: ops, ..CompactorConfig::default() },
-        )),
-    };
-    let backend = Arc::new(MutableBackend::new(
-        Arc::clone(&runtime) as Arc<dyn WireBackend>,
-        collection as Arc<dyn MutableSink>,
-    ));
-    listen_and_drain(backend, args, drop)?;
-    if let Some(compactor) = compactor {
-        println!("compactions completed: {}", compactor.compactions());
-        compactor.stop();
-    }
-    let runtime = Arc::try_unwrap(runtime)
-        .map_err(|_| "front-end handlers still hold the runtime after shutdown")?;
-    print_drained(&runtime.shutdown());
-    Ok(())
-}
-
-/// `setlearn serve --wal-dir DIR --listen …` — the mutable front-end: the
-/// loaded model becomes the frozen base of a [`MutableCollection`] whose
-/// WAL lives in DIR, `client --insert/--delete` frames are fsync'd into it
-/// before they are acknowledged, and queries merge the model's answer with
-/// the exact delta overlay. On startup the base is DIR/checkpoint.json and
-/// the model DIR/model.json when a compaction left them (falling back to
-/// `--collection`/`--model`), and surviving WAL records are replayed — an
-/// acknowledged write is never lost across a crash. `--compact-after N`
-/// starts a background compactor that retrains (with the `train` knobs
-/// given here) once N ops are pending, checkpoints, and hot-swaps.
-fn serve_listen_mutable(
-    args: &Args,
-    task: &str,
-    model_path: &str,
-    cfg: ServeConfig,
-    wal_dir: &Path,
-    collection_path: Option<&str>,
-) -> Result<(), CliError> {
-    let checkpoint = wal_dir.join("checkpoint.json");
-    let base = Arc::new(if checkpoint.exists() {
-        load::<SetCollection>(&checkpoint.to_string_lossy())?
-    } else {
-        let collection_path = collection_path
-            .ok_or_else(|| ArgError("missing required option --collection".into()))?;
-        load_collection(collection_path)?
-    });
-    let compacted_model = wal_dir.join("model.json");
-    let model_file = if compacted_model.exists() {
-        compacted_model.to_string_lossy().into_owned()
-    } else {
-        model_path.to_string()
-    };
-    let vocab = base.num_elements();
-    let wal_dir2 = wal_dir.to_path_buf();
-    match task {
-        "cardinality" => {
-            let est: LearnedCardinality = load(&model_file)?;
-            check_precision(args, est.precision())?;
-            let precision = est.precision();
-            let train_cfg = CardinalityConfig {
-                model: model_from_args(args, vocab)?,
-                guided: guided_from_args(args)?,
-                max_subset_size: args.get_or("max-subset", 3usize)?,
-            };
-            run_mutable_front(args, est, base, wal_dir, cfg, move |merged| {
-                let (mut est, _) = LearnedCardinality::build(merged, &train_cfg);
-                est.set_precision(precision);
-                persist_compaction(&wal_dir2, &est, merged)?;
-                Some(est)
-            })
-        }
-        "index" => {
-            let index: LearnedSetIndex = load(&model_file)?;
-            check_precision(args, index.precision())?;
-            let precision = index.precision();
-            let structure = IndexStructure { index, collection: Arc::clone(&base) };
-            let train_cfg = IndexConfig {
-                model: model_from_args(args, vocab)?,
-                guided: guided_from_args(args)?,
-                max_subset_size: args.get_or("max-subset", 2usize)?,
-                range_length: args.get_or("range", 100.0f64)?,
-                target: if args.has_flag("last") {
-                    setlearn::tasks::PositionTarget::Last
-                } else {
-                    setlearn::tasks::PositionTarget::First
-                },
-            };
-            run_mutable_front(args, structure, base, wal_dir, cfg, move |merged| {
-                let (mut index, _) = LearnedSetIndex::build(merged, &train_cfg);
-                index.set_precision(precision);
-                persist_compaction(&wal_dir2, &index, merged)?;
-                Some(IndexStructure { index, collection: Arc::new(merged.clone()) })
-            })
-        }
-        "bloom" => {
-            let filter: LearnedBloom = load(&model_file)?;
-            check_precision(args, filter.precision())?;
-            let precision = filter.precision();
-            let mut bcfg = BloomConfig::new(model_from_args(args, vocab)?);
-            bcfg.epochs = args.get_or("epochs", 30usize)?;
-            bcfg.learning_rate = args.get_or("lr", 5e-3f32)?;
-            let n = args.get_or("samples", 2_000usize)?;
-            let max_query = args.get_or("max-subset", 4usize)?;
-            run_mutable_front(args, filter, base, wal_dir, cfg, move |merged| {
-                let (mut filter, _) =
-                    LearnedBloom::build_from_collection(merged, n, n, max_query, &bcfg);
-                filter.set_precision(precision);
-                persist_compaction(&wal_dir2, &filter, merged)?;
-                Some(filter)
-            })
-        }
-        other => {
-            Err(ArgError(format!("unknown task '{other}' (cardinality|index|bloom)")).into())
-        }
-    }
-}
-
-/// `setlearn serve --task cardinality|index|bloom --root DIR --collection NAME
-///  [--requests N] [--threads N] [--max-batch N] [--max-delay-us U] [--queue N]
-///  [--target-qps Q] [--max-subset K] [--shards N] [--shard-by hash|range]
-///  [--listen HOST:PORT] [--serve-for-s S] [--addr-file PATH]
-///  [--allow-remote-shutdown] [--telemetry PATH]`
-///
-/// Without `--task`, `--root DIR --listen HOST:PORT` starts the
-/// multi-tenant registry front-end instead (see [`serve_listen_registry`]).
-///
-/// Loads a trained model, enumerates a subset-query workload from the
-/// collection (cycled up to `--requests`), and replays it through the
-/// concurrent [`ServeRuntime`]: a bounded admission queue, a worker pool
-/// with adaptive micro-batching, and load shedding when the queue is full.
-/// `--target-qps` paces submissions open-loop; 0 (the default) submits as
-/// fast as possible. With `--telemetry`, queue-depth, batch-size, and
-/// queue-wait metrics land in the run artifact.
-///
-/// With `--shards N` the model trained with the same spec is split into one
-/// [`ServeRuntime`] per shard (each with its own queue, worker pool,
-/// hot-swap slot, and `shard`-labeled telemetry); every request fans out to
-/// all shards and the per-shard answers are aggregated.
-pub fn serve(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&[
-        "task", "model", "collection", "root", "requests", "threads", "max-batch",
-        "max-delay-us", "queue", "target-qps", "max-subset", "shards", "shard-by",
-        "telemetry", "listen", "serve-for-s", "addr-file", "allow-remote-shutdown",
-        "wal-dir", "compact-after", "slow-query-ms", "drain-grace-ms", "precision",
-        // Registry (multi-tenant) mode.
-        "default-collection", "max-resident-bytes", "quota-qps", "quota-burst",
-        // Retraining knobs, read by the `--compact-after` rebuild closure.
-        "compressed", "epochs", "refine-epochs", "percentile", "neurons", "embedding", "lr",
-        "batch", "seed", "samples", "range", "last",
-    ])?;
-    let sink = telemetry::begin(args)?;
-    let cfg = ServeConfig {
-        threads: args.get_or("threads", 2usize)?,
-        max_batch: args.get_or("max-batch", 64usize)?,
-        max_delay: std::time::Duration::from_micros(args.get_or("max-delay-us", 200u64)?),
-        queue_capacity: args.get_or("queue", 1024usize)?,
-    };
-    cfg.validate().map_err(|e| CliError::from(ArgError(e)))?;
-
-    // `--root DIR` without `--task` is the multi-tenant registry: no model
-    // is loaded up front, collections become resident on first use.
-    if args.optional("root").is_some() && args.optional("task").is_none() {
-        if args.optional("listen").is_none() {
-            return Err(ArgError(
-                "registry mode requires --listen (multi-tenant serving is wire-only); \
-                 pass --task for a single-collection replay"
-                    .into(),
-            )
-            .into());
-        }
-        serve_listen_registry(args, cfg)?;
-        if let Some(sink) = sink {
-            sink.finish()?;
-        }
-        return Ok(());
-    }
-
-    let task = args.required("task")?.to_string();
-    let tenant = tenant_paths(args)?;
-    let model_path = match &tenant {
-        Some(t) => t.model(),
-        None => {
-            if args.optional("model").is_some() {
-                note_legacy_addressing("--model");
-            }
-            args.required("model")?.to_string()
-        }
-    };
-    let model_path = model_path.as_str();
-    // The collection file (needed by index serving, the replay workload,
-    // and as the mutable base) resolves through the same tenant layout.
-    let collection_path = match &tenant {
-        Some(t) => Some(t.collection()),
-        None => {
-            if args.optional("collection").is_some() {
-                note_legacy_addressing("path-valued --collection");
-            }
-            args.optional("collection").map(str::to_string)
-        }
-    };
-    let collection_path = collection_path.as_deref();
-    let target_qps = args.get_or("target-qps", 0.0f64)?;
+/// `serve --root DIR --collection NAME --requests N`: enumerates a
+/// subset-query workload from the tenant's collection (cycled up to
+/// `--requests`) and replays it through the backend the registry resolves
+/// for NAME — sharded, mutable or plain, as its directory says.
+fn serve_replay(args: &Args, registry: Arc<CollectionRegistry>) -> Result<(), CliError> {
+    let tenant = tenant_paths(args)?
+        .ok_or_else(|| ArgError("missing required option --root".into()))?;
     let total = args.get_or("requests", 2_000usize)?;
     let max_subset = args.get_or("max-subset", 2usize)?;
-    let spec = shard_spec_from_args(args)?;
-
-    // Tenant directories carry their WAL implicitly; `--wal-dir` stays as
-    // the explicit legacy spelling.
-    let wal_dir = match (&tenant, args.optional("wal-dir")) {
-        (Some(_), Some(_)) => {
-            return Err(ArgError("--wal-dir cannot be combined with --root".into()).into())
-        }
-        (Some(t), None) => t.wal_dir().exists().then(|| t.wal_dir()),
-        (None, Some(dir)) => {
-            note_legacy_addressing("--wal-dir");
-            Some(PathBuf::from(dir))
-        }
-        (None, None) => None,
-    };
-    if let Some(wal_dir) = wal_dir {
-        if spec.is_some() {
-            return Err(ArgError("--wal-dir cannot be combined with --shards".into()).into());
-        }
-        if args.optional("listen").is_none() {
-            return Err(ArgError(
-                "--wal-dir requires --listen (mutable collections are served over the wire)"
-                    .into(),
-            )
-            .into());
-        }
-        serve_listen_mutable(args, &task, model_path, cfg, &wal_dir, collection_path)?;
-        if let Some(sink) = sink {
-            sink.finish()?;
-        }
-        return Ok(());
-    }
-
-    if args.optional("listen").is_some() {
-        serve_listen(args, &task, model_path, cfg, spec, collection_path)?;
-        if let Some(sink) = sink {
-            sink.finish()?;
-        }
-        return Ok(());
-    }
-
-    let collection_path = collection_path
-        .ok_or_else(|| ArgError("missing required option --collection".into()))?;
-    let collection = Arc::new(load_collection(collection_path)?);
+    let target_qps = args.get_or("target-qps", 0.0f64)?;
+    let collection = load_collection(&tenant.collection())?;
     let pool: Vec<ElementSet> =
         SubsetIndex::build(&collection, max_subset).iter().map(|(s, _)| s.clone()).collect();
     if pool.is_empty() {
         return Err("collection yields no subset queries to serve".into());
     }
     let requests: Vec<ElementSet> = (0..total).map(|i| pool[i % pool.len()].clone()).collect();
-
-    if let Some(spec) = spec {
-        let (report, answered, qps) = match task.as_str() {
-            "cardinality" => {
-                let est: ShardedCardinality = load(model_path)?;
-                check_shard_spec(est.spec(), spec)?;
-                check_precision(args, est.precision())?;
-                let tasks: Vec<CardinalityTask> =
-                    est.into_shards().into_iter().map(CardinalityTask::new).collect();
-                drive_sharded(tasks, aggregate_cardinality, requests, cfg, target_qps)?
-            }
-            "index" => {
-                let index: ShardedIndex = load(model_path)?;
-                check_shard_spec(index.spec(), spec)?;
-                check_precision(args, index.precision())?;
-                let sharded = ShardedCollection::partition(&collection, spec)?;
-                let structure = ShardedIndexStructure::new(index, &sharded);
-                let target = structure.target();
-                let tasks: Vec<StructureTask<ShardIndexStructure>> = structure
-                    .shard_structures()
-                    .iter()
-                    .cloned()
-                    .map(StructureTask::new)
-                    .collect();
-                drive_sharded(
-                    tasks,
-                    move |parts| aggregate_index(target, parts),
-                    requests,
-                    cfg,
-                    target_qps,
-                )?
-            }
-            "bloom" => {
-                let filter: ShardedBloom = load(model_path)?;
-                check_shard_spec(filter.spec(), spec)?;
-                check_precision(args, filter.precision())?;
-                let tasks: Vec<BloomTask> =
-                    filter.into_shards().into_iter().map(BloomTask::new).collect();
-                drive_sharded(tasks, aggregate_bloom, requests, cfg, target_qps)?
-            }
-            other => {
-                return Err(
-                    ArgError(format!("unknown task '{other}' (cardinality|index|bloom)")).into()
-                )
-            }
-        };
-        println!(
-            "served {answered} of {total} fan-out requests across {} shards at {qps:.0} QPS: \
-             {} sub-requests completed, {} shed at admission, {} panicked batches",
-            report.per_shard.len(),
-            report.completed(),
-            report.shed(),
-            report.panicked_batches(),
-        );
-        for (s, r) in report.per_shard.iter().enumerate() {
-            println!(
-                "  shard {s}: {} completed in {} batches, {} shed, {} swaps",
-                r.completed, r.batches, r.shed, r.swaps
-            );
-        }
-        if let Some(sink) = sink {
-            sink.finish()?;
-        }
-        return Ok(());
-    }
-
-    let (report, qps) = match task.as_str() {
-        "cardinality" => {
-            let estimator: LearnedCardinality = load(model_path)?;
-            check_precision(args, estimator.precision())?;
-            drive(CardinalityTask::new(estimator), requests, cfg, target_qps)?
-        }
-        "index" => {
-            let index: LearnedSetIndex = load(model_path)?;
-            check_precision(args, index.precision())?;
-            let structure = IndexStructure { index, collection: Arc::clone(&collection) };
-            drive(IndexTask::new(structure), requests, cfg, target_qps)?
-        }
-        "bloom" => {
-            let filter: LearnedBloom = load(model_path)?;
-            check_precision(args, filter.precision())?;
-            drive(BloomTask::new(filter), requests, cfg, target_qps)?
-        }
-        other => {
-            return Err(
-                ArgError(format!("unknown task '{other}' (cardinality|index|bloom)")).into()
-            )
-        }
-    };
-    let mean_batch = report.completed as f64 / report.batches.max(1) as f64;
+    let resident = registry.resolve(Some(&tenant.name)).map_err(|e| e.to_string())?;
+    let (answered, shed, qps) = drive(resident.backend().as_ref(), requests, target_qps)?;
+    let shards = resident.backend().shards();
     println!(
-        "served {} of {} requests at {qps:.0} QPS: {} batches (mean {mean_batch:.1} \
-         requests/batch), {} shed at admission, {} panicked batches",
-        report.completed,
-        report.completed + report.shed,
-        report.batches,
-        report.shed,
-        report.panicked_batches,
+        "served {answered} of {total} {} requests at {qps:.0} QPS across {shards} shard{}: \
+         {shed} shed at admission",
+        resident.task(),
+        if shards == 1 { "" } else { "s" },
     );
+    // Drain the worker pools before the caller flushes telemetry, so the
+    // last batch's counters are in the artifact.
+    drop(resident);
+    drop(registry);
+    Ok(())
+}
+
+/// `setlearn serve --root DIR (--listen HOST:PORT | --collection NAME)`
+///
+/// One path: every mode resolves its serving backend through the
+/// [`CollectionRegistry`] over `--root`, which reads the task, shard layout
+/// and precision from each collection's manifest and checkpoint.
+///
+/// * `--listen HOST:PORT [--serve-for-s S] [--addr-file PATH]
+///   [--allow-remote-shutdown] [--slow-query-ms N] [--drain-grace-ms N]
+///   [--default-collection NAME] [--max-resident-bytes N]
+///   [--quota-qps Q [--quota-burst B]]` — the SLP1 front-end
+///   ([`serve_listen_registry`]).
+/// * `--collection NAME [--requests N] [--target-qps Q] [--max-subset K]` —
+///   replay a workload through one tenant ([`serve_replay`]);
+///   `--target-qps` paces submissions open-loop, 0 (the default) submits as
+///   fast as possible.
+///
+/// Both take `[--threads N] [--max-batch N] [--max-delay-us U] [--queue N]
+/// [--compact-after N] [--telemetry PATH]`: a bounded admission queue, a
+/// worker pool with adaptive micro-batching, load shedding when the queue
+/// is full, and (for tenants with a `wal/`) background compaction once N
+/// ops are pending.
+pub fn serve(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(&[
+        "root", "listen", "collection", "threads", "max-batch", "max-delay-us", "queue",
+        "compact-after", "telemetry",
+        // Front-end (`--listen`).
+        "serve-for-s", "addr-file", "allow-remote-shutdown", "slow-query-ms", "drain-grace-ms",
+        "default-collection", "max-resident-bytes", "quota-qps", "quota-burst",
+        // Replay (`--collection`).
+        "requests", "target-qps", "max-subset",
+    ])?;
+    let listen = args.optional("listen");
+    if listen.is_some() == args.optional("collection").is_some() {
+        return Err(ArgError(
+            "serve takes exactly one of --listen HOST:PORT (serve every collection under \
+             --root; name a solo tenant with --default-collection) or --collection NAME \
+             (replay a workload through one tenant)"
+                .into(),
+        )
+        .into());
+    }
+    let sink = telemetry::begin(args)?;
+    let registry = registry_from_args(args)?;
+    match listen {
+        Some(addr) => serve_listen_registry(args, addr, registry)?,
+        None => serve_replay(args, registry)?,
+    }
     if let Some(sink) = sink {
         sink.finish()?;
     }
@@ -2125,17 +1600,16 @@ COMMANDS:
   query     --task cardinality|index|bloom --root DIR --collection NAME
             (--query 1,2,3 | [--limit N] [--max-subset K] [--threads N])
             [--shards N] [--shard-by hash|range] [--telemetry PATH]
-  serve     --task cardinality|index|bloom --root DIR --collection NAME
-            [--requests N] [--threads N] [--max-batch N] [--max-delay-us U]
-            [--queue N] [--target-qps Q] [--max-subset K] [--shards N]
-            [--shard-by hash|range] [--telemetry PATH]
-            | --listen HOST:PORT [--serve-for-s S] [--addr-file PATH]
-            [--allow-remote-shutdown]     (SLP1 TCP front-end; port 0 works)
-            [--slow-query-ms N] [--drain-grace-ms N] [--compact-after N]
-            | --root DIR --listen HOST:PORT   (multi-tenant registry: no
-            --task; serves every collection under DIR, loading lazily)
+  serve     --root DIR --listen HOST:PORT   (SLP1 TCP front-end over every
+            collection under DIR, loading lazily; port 0 works)
+            [--serve-for-s S] [--addr-file PATH] [--allow-remote-shutdown]
+            [--slow-query-ms N] [--drain-grace-ms N]
             [--default-collection NAME] [--max-resident-bytes N]
             [--quota-qps Q [--quota-burst B]]
+            | --root DIR --collection NAME   (replay a workload through
+            one tenant) [--requests N] [--target-qps Q] [--max-subset K]
+            both: [--threads N] [--max-batch N] [--max-delay-us U]
+            [--queue N] [--compact-after N] [--telemetry PATH]
   client    --addr HOST:PORT [--collection NAME]
             [--task cardinality|index|bloom] [--query 1,2,3]
             [--batch \"1,2;3,4\"] [--insert \"1,2;3,4\"] [--delete \"1,2\"]
@@ -2154,35 +1628,38 @@ COMMANDS:
 
 Addressing: `--root DIR --collection NAME` names one collection directory
 DIR/NAME/ holding collection.json, model.json, manifest.json, and wal/ —
-shared by train/query/serve/ingest/sql and the multi-tenant registry. The
-old path-valued spellings (--collection FILE, --model FILE, --wal-dir DIR,
---table NAME) still work for one release and print a deprecation note.
+shared by train/query/serve/ingest/sql. `serve` takes nothing else; on
+train/query/ingest/sql the old path-valued spellings (--collection FILE,
+--model FILE, --wal-dir DIR, --table NAME) still work for one release and
+print a deprecation note.
 
 Passing --telemetry PATH raises telemetry to Full (per-query/per-epoch
 spans) and writes PATH.prom, PATH.metrics.json and PATH.jsonl; repeated
 runs against the same PATH accumulate into one artifact.
 
-Passing --shards N partitions the collection (hash by default, range with
---shard-by range), trains one model per shard, and serves every query by
-fanning it out across per-shard worker pools; query and serve must be given
-the same --shards/--shard-by used at training time.
+`train --shards N` partitions the collection (hash by default, range with
+--shard-by range) and trains one model per shard; `query` must be given the
+same --shards/--shard-by. `serve` reads the layout from the manifest and
+fans every query out across per-shard worker pools.
 
-Serving a collection whose directory has a wal/ (or passing the legacy
---wal-dir DIR) serves a *mutable* collection: client inserts/deletes are
-fsync'd to a write-ahead log before they are acknowledged and answered from
-an exact in-memory delta merged with the model, so a kill -9 loses no
-acknowledged write (restart replays the WAL over the checkpoint).
-`--compact-after N` retrains in the background once N ops are pending,
-checkpoints atomically, and hot-swaps the model without dropping requests;
-`train` over the same collection does the same fold offline.
-
-`serve --root DIR --listen` (no --task) is the multi-tenant registry: one
-process serves every collection under DIR over SLP1 v2 frames carrying a
-collection id (plain v1 clients are routed to --default-collection
-bit-for-bit). Collections load lazily on first use, --max-resident-bytes
+`serve` has one path: every collection is resolved through the registry
+over --root, which reads the task, shard layout and serve precision from
+the collection's manifest and checkpoint. `--listen` serves them all over
+SLP1 v2 frames carrying a collection id; plain v1 clients are routed to
+--default-collection bit-for-bit, so a solo server is `--default-collection
+NAME`. Collections load lazily on first use, --max-resident-bytes
 LRU-evicts idle ones, and --quota-qps/--quota-burst arm a per-tenant token
 bucket that sheds with TenantOverloaded. `client --collections/--attach/
 --detach` administer it; all metrics carry a collection label.
+
+A collection whose directory has a wal/ is served *mutable*: client
+inserts/deletes are fsync'd to a write-ahead log before they are
+acknowledged and answered from an exact in-memory delta merged with the
+model, so a kill -9 loses no acknowledged write (restart replays the WAL
+over the checkpoint). `--compact-after N` retrains the served structure
+(same model shape, precision and index target) in the background once N ops
+are pending, checkpoints atomically, and hot-swaps without dropping
+requests; `train` over the same collection does the same fold offline.
 
 The removed verbs estimate/lookup/member are spelled `query --task
 cardinality|index|bloom --query IDS` since this release."
@@ -2483,138 +1960,45 @@ mod tests {
         let _ = std::fs::remove_file(bloom);
     }
 
-    #[test]
-    fn sharded_train_query_serve_pipeline_labels_shards() {
-        let coll = tmp("shard.json");
-        let model = tmp("shard-model.json");
-        let base = tmp("shard-run");
+    /// Generates a collection and trains a cardinality tenant at
+    /// `<root>/<name>/` (plus `extra` train flags); returns the root.
+    fn trained_tenant(tag: &str, name: &str, seed: &str, extra: &[&str]) -> String {
+        let root = tmp(tag);
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = format!("{root}/{name}");
+        std::fs::create_dir_all(&dir).unwrap();
         run(&args(&[
-            "generate", "--dataset", "sd", "--sets", "150", "--seed", "11", "--out", &coll,
+            "generate", "--dataset", "sd", "--sets", "150", "--seed", seed,
+            "--out", &format!("{dir}/collection.json"),
         ]))
         .unwrap();
-        run(&args(&[
-            "train", "--task", "cardinality", "--collection", &coll, "--out", &model,
+        let mut train = vec![
+            "train", "--task", "cardinality", "--root", &root, "--collection", name,
             "--epochs", "2", "--refine-epochs", "1", "--max-subset", "2",
-            "--shards", "3", "--shard-by", "hash",
-        ]))
-        .unwrap();
-        // The sharded model answers through the unified API, sequentially
-        // and in parallel.
-        run(&args(&[
-            "query", "--task", "cardinality", "--model", &model, "--collection", &coll,
-            "--limit", "40", "--max-subset", "2", "--shards", "3",
-        ]))
-        .unwrap();
-        run(&args(&[
-            "query", "--task", "cardinality", "--model", &model, "--collection", &coll,
-            "--limit", "40", "--max-subset", "2", "--shards", "3", "--threads", "2",
-        ]))
-        .unwrap();
-        // A mismatched spec is refused instead of answering nonsense —
-        // wrong shard count and wrong router alike.
-        let err = run(&args(&[
-            "query", "--task", "cardinality", "--model", &model, "--collection", &coll,
-            "--shards", "2",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("3 shards"), "got: {err}");
-        let err = run(&args(&[
-            "query", "--task", "cardinality", "--model", &model, "--collection", &coll,
-            "--shards", "3", "--shard-by", "range",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("--shard-by hash"), "got: {err}");
-        // Fan-out serving works and every shard's telemetry is labeled.
-        run(&args(&[
-            "serve", "--task", "cardinality", "--model", &model, "--collection", &coll,
-            "--requests", "200", "--threads", "3", "--shards", "3",
-            "--telemetry", &base,
-        ]))
-        .unwrap();
-        let prom = std::fs::read_to_string(format!("{base}.prom")).unwrap();
-        setlearn_obs::validate_prometheus(&prom).expect("valid exposition");
-        for shard in ["0", "1", "2"] {
-            assert!(
-                prom.contains(&format!("shard=\"{shard}\"")),
-                "missing shard {shard} label in exposition:\n{prom}"
-            );
-        }
-        for f in [coll, model, format!("{base}.prom"), format!("{base}.metrics.json"),
-                  format!("{base}.jsonl")] {
-            let _ = std::fs::remove_file(f);
-        }
+        ];
+        train.extend_from_slice(extra);
+        run(&args(&train)).unwrap();
+        root
     }
 
-    #[test]
-    fn serve_command_replays_workload_through_the_runtime() {
-        let coll = tmp("serve.json");
-        let model = tmp("serve-model.json");
-        let base = tmp("serve-run");
-        run(&args(&[
-            "generate", "--dataset", "sd", "--sets", "150", "--seed", "4", "--out", &coll,
-        ]))
-        .unwrap();
-        run(&args(&[
-            "train", "--task", "cardinality", "--collection", &coll, "--out", &model,
-            "--epochs", "2", "--refine-epochs", "1", "--max-subset", "2",
-        ]))
-        .unwrap();
-        run(&args(&[
-            "serve", "--task", "cardinality", "--model", &model, "--collection", &coll,
-            "--requests", "300", "--threads", "2", "--max-batch", "32",
-            "--telemetry", &base,
-        ]))
-        .unwrap();
-
-        // The runtime's queue/batch metrics landed in the artifact.
-        let prom = std::fs::read_to_string(format!("{base}.prom")).unwrap();
-        setlearn_obs::validate_prometheus(&prom).expect("valid exposition");
-        assert!(prom.contains("setlearn_serve_batches_total"), "prom:\n{prom}");
-        assert!(prom.contains("setlearn_serve_batch_size_bucket"), "prom:\n{prom}");
-        let snap: RegistrySnapshot = serde_json::from_str(
-            &std::fs::read_to_string(format!("{base}.metrics.json")).unwrap(),
-        )
-        .unwrap();
-        // `>=`: the registry is process-global, so parallel tests may add.
-        let completed = snap
-            .counter_value("setlearn_serve_completed_total", &[("task", "cardinality")])
-            .expect("completed counter");
-        assert!(completed >= 300, "every submitted request completed (saw {completed})");
-
-        for f in [coll, model, format!("{base}.prom"), format!("{base}.metrics.json"),
-                  format!("{base}.jsonl")] {
-            let _ = std::fs::remove_file(f);
-        }
-    }
-
-    #[test]
-    fn serve_listen_answers_the_cli_client() {
-        let coll = tmp("net.json");
-        let model = tmp("net-model.json");
-        let addr_file = tmp("net-addr.txt");
+    /// Runs `serve --root ROOT --listen 127.0.0.1:0 --allow-remote-shutdown`
+    /// (plus `extra`) on a thread and waits for the ephemeral port it
+    /// publishes through --addr-file.
+    fn listen_session(
+        root: &str,
+        extra: &[&str],
+    ) -> (std::thread::JoinHandle<Result<(), String>>, String) {
+        let addr_file = format!("{root}/addr.txt");
         let _ = std::fs::remove_file(&addr_file);
-        run(&args(&[
-            "generate", "--dataset", "sd", "--sets", "150", "--seed", "8", "--out", &coll,
-        ]))
-        .unwrap();
-        run(&args(&[
-            "train", "--task", "cardinality", "--collection", &coll, "--out", &model,
-            "--epochs", "2", "--refine-epochs", "1", "--max-subset", "2",
-        ]))
-        .unwrap();
-        // The serve loop runs until the client requests a drain.
-        let (model2, addr_file2) = (model.clone(), addr_file.clone());
-        let server = std::thread::spawn(move || {
-            run(&args(&[
-                "serve", "--task", "cardinality", "--model", &model2,
-                "--listen", "127.0.0.1:0", "--addr-file", &addr_file2,
-                "--allow-remote-shutdown",
-            ]))
-            // `CliError` is not `Send`; carry the message across the join.
-            .map_err(|e| e.to_string())
-        });
-        // The ephemeral port is published through --addr-file.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let mut tokens = vec![
+            "serve", "--root", root, "--listen", "127.0.0.1:0", "--addr-file", &addr_file,
+            "--allow-remote-shutdown",
+        ];
+        tokens.extend_from_slice(extra);
+        let parsed = args(&tokens);
+        // `CliError` is not `Send`; carry the message across the join.
+        let server = std::thread::spawn(move || run(&parsed).map_err(|e| e.to_string()));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         let addr = loop {
             match std::fs::read_to_string(&addr_file) {
                 Ok(s) if !s.is_empty() => break s,
@@ -2624,15 +2008,153 @@ mod tests {
                 _ => std::thread::sleep(std::time::Duration::from_millis(20)),
             }
         };
+        (server, addr)
+    }
+
+    fn telemetry_snapshot(base: &str) -> RegistrySnapshot {
+        serde_json::from_str(&std::fs::read_to_string(format!("{base}.metrics.json")).unwrap())
+            .unwrap()
+    }
+
+    #[test]
+    fn sharded_train_query_serve_pipeline_labels_shards() {
+        let root =
+            trained_tenant("shard-root", "sharded", "11", &["--shards", "3", "--shard-by", "hash"]);
+        let base = format!("{root}/run");
+        // The sharded model answers through the unified API, sequentially
+        // and in parallel.
+        run(&args(&[
+            "query", "--task", "cardinality", "--root", &root, "--collection", "sharded",
+            "--limit", "40", "--max-subset", "2", "--shards", "3",
+        ]))
+        .unwrap();
+        run(&args(&[
+            "query", "--task", "cardinality", "--root", &root, "--collection", "sharded",
+            "--limit", "40", "--max-subset", "2", "--shards", "3", "--threads", "2",
+        ]))
+        .unwrap();
+        // A mismatched spec is refused instead of answering nonsense —
+        // wrong shard count and wrong router alike.
+        let err = run(&args(&[
+            "query", "--task", "cardinality", "--root", &root, "--collection", "sharded",
+            "--shards", "2",
+        ]))
+        .unwrap_err();
+        assert!(err.to_string().contains("3 shards"), "got: {err}");
+        let err = run(&args(&[
+            "query", "--task", "cardinality", "--root", &root, "--collection", "sharded",
+            "--shards", "3", "--shard-by", "range",
+        ]))
+        .unwrap_err();
+        assert!(err.to_string().contains("--shard-by hash"), "got: {err}");
+        // `serve` reads the layout from the manifest: fan-out serving works
+        // with no shard flags and every shard's telemetry is labeled.
+        run(&args(&[
+            "serve", "--root", &root, "--collection", "sharded", "--requests", "200",
+            "--threads", "3", "--telemetry", &base,
+        ]))
+        .unwrap();
+        let prom = std::fs::read_to_string(format!("{base}.prom")).unwrap();
+        setlearn_obs::validate_prometheus(&prom).expect("valid exposition");
+        let snap = telemetry_snapshot(&base);
+        for shard in ["0", "1", "2"] {
+            assert!(
+                prom.contains(&format!("shard=\"{shard}\"")),
+                "missing shard {shard} label in exposition:\n{prom}"
+            );
+            // Every fan-out request reaches every shard.
+            let completed = snap
+                .counter_value(
+                    "setlearn_serve_completed_total",
+                    &[("task", "cardinality"), ("collection", "sharded"), ("shard", shard)],
+                )
+                .expect("per-shard completed counter");
+            assert!(completed >= 200, "shard {shard} completed {completed}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn serve_command_replays_workload_through_the_runtime() {
+        let root = trained_tenant("serve-root", "replayed", "4", &[]);
+        let base = format!("{root}/run");
+        run(&args(&[
+            "serve", "--root", &root, "--collection", "replayed", "--requests", "300",
+            "--threads", "2", "--max-batch", "32", "--telemetry", &base,
+        ]))
+        .unwrap();
+
+        // The runtime's queue/batch metrics landed in the artifact, labeled
+        // with the tenant the registry resolved.
+        let prom = std::fs::read_to_string(format!("{base}.prom")).unwrap();
+        setlearn_obs::validate_prometheus(&prom).expect("valid exposition");
+        assert!(prom.contains("setlearn_serve_batch_size_bucket"), "prom:\n{prom}");
+        let snap = telemetry_snapshot(&base);
+        let labels = [("task", "cardinality"), ("collection", "replayed")];
+        // `>=`: the registry is process-global, so parallel tests may add.
+        let completed = snap
+            .counter_value("setlearn_serve_completed_total", &labels)
+            .expect("completed counter");
+        assert!(completed >= 300, "every submitted request completed (saw {completed})");
+        let batches =
+            snap.counter_value("setlearn_serve_batches_total", &labels).expect("batch counter");
+        assert!((1..=completed).contains(&batches), "{batches} batches for {completed}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn serve_listen_answers_the_cli_client() {
+        let root = trained_tenant("net-root", "solo", "8", &[]);
+        // A solo server is the registry with a default collection; the serve
+        // loop runs until the client requests a drain.
+        let (server, addr) = listen_session(&root, &["--default-collection", "solo"]);
+        // v2 frames address the tenant by name…
+        run(&args(&[
+            "client", "--addr", &addr, "--task", "cardinality", "--collection", "solo",
+            "--query", "1,2",
+        ]))
+        .unwrap();
+        // …and a plain v1 client rides to the default collection.
         run(&args(&[
             "client", "--addr", &addr, "--task", "cardinality",
             "--ping", "--query", "1,2", "--batch", "1;2,3", "--shutdown",
         ]))
         .unwrap();
         server.join().unwrap().unwrap();
-        for f in [&coll, &model, &addr_file] {
-            let _ = std::fs::remove_file(f);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Every option this release removed from `serve`, and the one invalid
+    /// mode combination, is a typed usage error — never a panic, never a
+    /// silently ignored flag.
+    #[test]
+    fn removed_serve_flags_and_mixed_modes_are_typed_arg_errors() {
+        let valued = [
+            "task", "model", "wal-dir", "shards", "shard-by", "precision", "epochs",
+            "refine-epochs", "percentile", "neurons", "embedding", "lr", "batch", "seed",
+            "samples", "range",
+        ];
+        let mut cases: Vec<Vec<String>> = valued
+            .iter()
+            .map(|flag| vec![format!("--{flag}"), "1".to_string()])
+            .chain(["compressed", "last"].iter().map(|flag| vec![format!("--{flag}")]))
+            .collect();
+        assert_eq!(cases.len(), 18);
+        cases.push(vec!["--collection".to_string(), "solo".to_string()]);
+        for extra in cases {
+            let mut tokens: Vec<String> =
+                ["serve", "--root", "/nonexistent", "--listen", "127.0.0.1:0"]
+                    .iter()
+                    .map(|s| s.to_string())
+                    .collect();
+            tokens.extend(extra.iter().cloned());
+            let err = run(&Args::parse(tokens).unwrap()).unwrap_err();
+            assert!(err.downcast_ref::<ArgError>().is_some(), "{extra:?} gave untyped: {err}");
+            assert!(err.to_string().contains(&extra[0]), "{extra:?} not named in: {err}");
         }
+        // Neither mode is a usage error too.
+        let err = run(&args(&["serve", "--root", "/nonexistent"])).unwrap_err();
+        assert!(err.downcast_ref::<ArgError>().is_some(), "got: {err}");
     }
 
     #[test]
@@ -2676,92 +2198,92 @@ mod tests {
         let _ = std::fs::remove_dir_all(&wal_dir);
     }
 
-    /// End-to-end mutable serving: acknowledged ingest survives a server
-    /// restart (WAL replay), and the background compactor folds the delta
-    /// into an atomic checkpoint while serving.
+    /// End-to-end mutable serving: a tenant with a `wal/` accepts ingest,
+    /// acknowledged writes survive a server restart (WAL replay) with
+    /// read-your-writes answers, and the background compactor folds the
+    /// delta into an atomic checkpoint and publishes while serving.
     #[test]
     fn serve_listen_wal_ingests_recovers_and_compacts() {
-        let coll = tmp("wal-net.json");
-        let model = tmp("wal-net-model.json");
-        let wal_dir = tmp("wal-net-dir");
-        let addr_file = tmp("wal-net-addr.txt");
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        run(&args(&[
-            "generate", "--dataset", "sd", "--sets", "120", "--seed", "7", "--out", &coll,
-        ]))
-        .unwrap();
-        run(&args(&[
-            "train", "--task", "cardinality", "--collection", &coll, "--out", &model,
-            "--epochs", "2", "--refine-epochs", "1", "--max-subset", "2",
-        ]))
-        .unwrap();
-
-        let serve_session = |extra: &[&str]| {
-            let mut tokens = vec![
-                "serve", "--task", "cardinality", "--model", &model, "--collection", &coll,
-                "--listen", "127.0.0.1:0", "--addr-file", &addr_file,
-                "--allow-remote-shutdown", "--wal-dir", &wal_dir,
-            ];
-            tokens.extend_from_slice(extra);
-            let tokens: Vec<String> = tokens.iter().map(|s| s.to_string()).collect();
-            let _ = std::fs::remove_file(&addr_file);
-            std::thread::spawn(move || {
-                run(&Args::parse(tokens).unwrap()).map_err(|e| e.to_string())
-            })
-        };
-        let wait_addr = |server: &std::thread::JoinHandle<Result<(), String>>| {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-            loop {
-                match std::fs::read_to_string(&addr_file) {
-                    Ok(s) if !s.is_empty() => break s,
-                    _ if std::time::Instant::now() > deadline || server.is_finished() => {
-                        panic!("server never published its address")
-                    }
-                    _ => std::thread::sleep(std::time::Duration::from_millis(20)),
-                }
+        let root = trained_tenant("wal-root", "live", "7", &[]);
+        let wal_dir = format!("{root}/live/wal");
+        std::fs::create_dir_all(&wal_dir).unwrap();
+        let base = format!("{root}/run");
+        let query = |addr: &str| {
+            let mut client = NetClient::connect(addr).unwrap();
+            match client.query_batch(WireTask::Cardinality, &[QueryRequest::new(vec![1, 2])])
+                .unwrap()[0]
+                .as_ref()
+                .unwrap()
+                .value
+            {
+                QueryValue::Cardinality(v) => v.to_bits(),
+                ref other => panic!("wrong value kind: {other:?}"),
             }
         };
 
         // Session 1: ingest over the wire, query through the overlay, drain.
-        let server = serve_session(&[]);
-        let addr = wait_addr(&server);
+        let (server, addr) = listen_session(&root, &["--default-collection", "live"]);
+        let before_ingest = query(&addr);
         run(&args(&[
-            "client", "--addr", &addr, "--task", "cardinality",
-            "--insert", "1,2;2,3", "--query", "1,2", "--shutdown",
+            "client", "--addr", &addr, "--task", "cardinality", "--insert", "1,2;1,2,3",
         ]))
         .unwrap();
+        let acknowledged = query(&addr);
+        assert_ne!(acknowledged, before_ingest, "the overlay answers the acknowledged writes");
+        run(&args(&["client", "--addr", &addr, "--shutdown"])).unwrap();
         server.join().unwrap().unwrap();
         let recovery = Wal::open(Path::new(&wal_dir)).unwrap();
         assert_eq!(recovery.records.len(), 2, "acknowledged writes survive the restart");
         drop(recovery);
 
-        // Session 2: recovery replays the pending delta; the compactor
-        // (threshold already crossed) retrains and checkpoints.
-        let server = serve_session(&[
-            "--compact-after", "2", "--epochs", "2", "--refine-epochs", "1",
-            "--max-subset", "2",
-        ]);
-        let addr = wait_addr(&server);
+        // Session 2: recovery replays the pending delta — the restarted
+        // server answers exactly as the one that acknowledged the writes.
+        let (server, addr) =
+            listen_session(&root, &["--default-collection", "live", "--telemetry", &base]);
+        assert_eq!(query(&addr), acknowledged, "read-your-writes across the restart");
+        run(&args(&["client", "--addr", &addr, "--shutdown"])).unwrap();
+        server.join().unwrap().unwrap();
+        let replayed = telemetry_snapshot(&base)
+            .counter_value("setlearn_wal_replayed_records_total", &[])
+            .expect("WAL replay counter");
+        assert!(replayed >= 2, "recovery replayed {replayed} records");
+
+        // Session 3: the compactor (threshold already crossed) retrains the
+        // served structure, checkpoints, and publishes.
+        let (server, addr) = listen_session(
+            &root,
+            &["--default-collection", "live", "--compact-after", "2", "--telemetry", &base],
+        );
+        query(&addr); // first frame makes the tenant resident
         let checkpoint = format!("{wal_dir}/checkpoint.json");
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        while !std::path::Path::new(&checkpoint).exists() {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+        while !Path::new(&checkpoint).exists() {
             assert!(std::time::Instant::now() < deadline, "compaction never checkpointed");
             assert!(!server.is_finished(), "server died before compacting");
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
+        let mut health = NetClient::connect(&addr).unwrap();
+        while health.health_extended().unwrap().compactor_pending > 0 {
+            assert!(std::time::Instant::now() < deadline, "compaction never folded the delta");
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
         run(&args(&["client", "--addr", &addr, "--shutdown"])).unwrap();
         server.join().unwrap().unwrap();
-        let base = load_collection(&coll).unwrap();
+        let collection = load_collection(&format!("{root}/live/collection.json")).unwrap();
         let merged: SetCollection = load(&checkpoint).unwrap();
-        assert_eq!(merged.len(), base.len() + 2, "compaction folded the delta");
+        assert_eq!(merged.len(), collection.len() + 2, "compaction folded the delta");
         assert!(
-            std::path::Path::new(&format!("{wal_dir}/model.json")).exists(),
+            Path::new(&format!("{wal_dir}/model.json")).exists(),
             "compaction persisted the retrained model"
         );
-        for f in [&coll, &model, &addr_file] {
-            let _ = std::fs::remove_file(f);
-        }
-        let _ = std::fs::remove_dir_all(&wal_dir);
+        let swaps = telemetry_snapshot(&base)
+            .counter_value(
+                "setlearn_serve_swaps_total",
+                &[("task", "cardinality"), ("collection", "live")],
+            )
+            .expect("swap counter");
+        assert!(swaps >= 1, "the compaction published through the hot-swap slot");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

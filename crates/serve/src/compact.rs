@@ -1,10 +1,9 @@
 //! Background WAL compaction: a daemon thread that watches a
 //! [`MutableCollection`]'s pending delta and, once it crosses a size or age
 //! threshold, retrains on the merged collection, folds the delta into a new
-//! checkpoint, and publishes through the runtime's [`HotSwap`] slot — the
-//! ingest-side counterpart of the drift-refresh daemon in
-//! [`crate::refresh`], sharing its scheduler shape (interruptible
-//! condvar-timed polling, stop-on-drop handle).
+//! checkpoint, and publishes through the runtime's [`HotSwap`] slot. The
+//! scheduler is interruptible condvar-timed polling behind a stop-on-drop
+//! handle.
 //!
 //! The daemon holds no lock while retraining: mutations and queries keep
 //! flowing, land above the compaction watermark, and survive the swap in
@@ -86,8 +85,9 @@ impl Drop for CompactorHandle {
     }
 }
 
-/// Spawns a compaction daemon over `collection`, publishing each completed
-/// compaction through `slot`.
+/// Spawns the compaction daemon for the collection `name`, publishing each
+/// completed compaction through `slot` (the swap counter it bumps carries a
+/// `collection` label).
 ///
 /// Every `config.poll_interval` the daemon compares
 /// [`MutableCollection::delta_stats`] against the thresholds; when one
@@ -99,43 +99,12 @@ impl Drop for CompactorHandle {
 /// handle through `slot` so serve workers observe the version bump. A
 /// `None` from `rebuild` (declined or failed) leaves the delta pending and
 /// the old model serving; the next poll retries.
-pub fn spawn_compactor<S, F>(
-    collection: Arc<MutableCollection<S>>,
-    slot: Arc<HotSwap<StructureTask<Arc<MutableCollection<S>>>>>,
-    rebuild: F,
-    config: CompactorConfig,
-) -> CompactorHandle
-where
-    S: DeltaMergeable + Send + Sync + 'static,
-    S::Output: Send + 'static,
-    F: FnMut(&SetCollection) -> Option<S> + Send + 'static,
-{
-    spawn_compactor_inner(collection, slot, rebuild, config, None)
-}
-
-/// [`spawn_compactor`] for one named collection in a registry: the swap
-/// counter the daemon bumps on publish carries a `collection` label.
 pub fn spawn_compactor_named<S, F>(
-    collection: Arc<MutableCollection<S>>,
-    slot: Arc<HotSwap<StructureTask<Arc<MutableCollection<S>>>>>,
-    rebuild: F,
-    config: CompactorConfig,
-    name: &str,
-) -> CompactorHandle
-where
-    S: DeltaMergeable + Send + Sync + 'static,
-    S::Output: Send + 'static,
-    F: FnMut(&SetCollection) -> Option<S> + Send + 'static,
-{
-    spawn_compactor_inner(collection, slot, rebuild, config, Some(name))
-}
-
-fn spawn_compactor_inner<S, F>(
     collection: Arc<MutableCollection<S>>,
     slot: Arc<HotSwap<StructureTask<Arc<MutableCollection<S>>>>>,
     mut rebuild: F,
     config: CompactorConfig,
-    name: Option<&str>,
+    name: &str,
 ) -> CompactorHandle
 where
     S: DeltaMergeable + Send + Sync + 'static,
@@ -148,10 +117,7 @@ where
     let stop2 = Arc::clone(&stop);
     let compactions2 = Arc::clone(&compactions);
     let compacting2 = Arc::clone(&compacting);
-    let tele = match name {
-        Some(name) => RuntimeTele::named(S::NAME, name),
-        None => RuntimeTele::new(S::NAME),
-    };
+    let tele = RuntimeTele::named(S::NAME, name);
     let thread = std::thread::spawn(move || {
         let (lock, cvar) = &*stop2;
         loop {
@@ -263,7 +229,7 @@ mod tests {
             MutableCollection::open(ExactCard(Arc::clone(&base)), base, &dir).unwrap();
         let collection = Arc::new(mc);
         let slot = Arc::new(HotSwap::new(StructureTask::new(Arc::clone(&collection))));
-        let handle = spawn_compactor(
+        let handle = spawn_compactor_named(
             Arc::clone(&collection),
             Arc::clone(&slot),
             |merged| Some(ExactCard(Arc::new(SetCollection::new(
@@ -275,6 +241,7 @@ mod tests {
                 max_delta_ops: 2,
                 max_delta_age: None,
             },
+            "test",
         );
         // One op: below threshold, nothing compacts.
         collection.insert(&[2, 3]).unwrap();
@@ -307,7 +274,7 @@ mod tests {
             MutableCollection::open(ExactCard(Arc::clone(&base)), base, &dir).unwrap();
         let collection = Arc::new(mc);
         let slot = Arc::new(HotSwap::new(StructureTask::new(Arc::clone(&collection))));
-        let handle = spawn_compactor(
+        let handle = spawn_compactor_named(
             Arc::clone(&collection),
             slot,
             |merged| Some(ExactCard(Arc::new(SetCollection::new(
@@ -319,6 +286,7 @@ mod tests {
                 max_delta_ops: usize::MAX,
                 max_delta_age: Some(Duration::from_millis(30)),
             },
+            "test",
         );
         collection.insert(&[1, 2]).unwrap();
         assert!(
@@ -337,7 +305,7 @@ mod tests {
             MutableCollection::open(ExactCard(Arc::clone(&base)), base, &dir).unwrap();
         let collection = Arc::new(mc);
         let slot = Arc::new(HotSwap::new(StructureTask::new(Arc::clone(&collection))));
-        let handle = spawn_compactor(
+        let handle = spawn_compactor_named(
             Arc::clone(&collection),
             Arc::clone(&slot),
             |_| None,
@@ -346,6 +314,7 @@ mod tests {
                 max_delta_ops: 1,
                 max_delta_age: None,
             },
+            "test",
         );
         collection.insert(&[1, 2]).unwrap();
         std::thread::sleep(Duration::from_millis(50));
@@ -365,11 +334,12 @@ mod tests {
             MutableCollection::open(ExactCard(Arc::clone(&base)), base, &dir).unwrap();
         let collection = Arc::new(mc);
         let slot = Arc::new(HotSwap::new(StructureTask::new(Arc::clone(&collection))));
-        let handle = spawn_compactor(
+        let handle = spawn_compactor_named(
             collection,
             slot,
             |_| None,
             CompactorConfig { poll_interval: Duration::from_secs(3600), ..Default::default() },
+            "test",
         );
         let started = Instant::now();
         handle.stop();

@@ -1,7 +1,7 @@
 //! Zero-downtime model hot-swap.
 //!
 //! [`HotSwap<T>`] holds the currently published model behind an
-//! atomically-bumped version counter. Writers (the refresh daemon) serialize
+//! atomically-bumped version counter. Writers (the compaction daemon) serialize
 //! through a mutex and publish a fully-built replacement; readers (serve
 //! workers) keep a [`Cached`] snapshot and, on every batch, check a single
 //! atomic version load — only when the version moved do they touch the mutex

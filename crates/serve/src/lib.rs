@@ -14,7 +14,7 @@
 //!   Overloaded ▼            ▼gauge             ▼
 //!      (shed, typed)                 HotSwap<T>::refresh ─▶ serve_batch
 //!                                        ▲                     │
-//!   DriftMonitor ──signal──▶ refresh daemon (retrain+publish)  ▼
+//!   WAL delta ──threshold──▶ compactor (retrain+publish)       ▼
 //!                                                     Ticket::wait (client)
 //! ```
 //!
@@ -24,8 +24,10 @@
 //!   `Arc` snapshots for readers; a swap never tears or stalls a batch.
 //! * [`runtime::ServeRuntime`] — the worker pool with adaptive
 //!   micro-batching and graceful drain on shutdown.
-//! * [`refresh`] — background daemon turning [`setlearn::DriftMonitor`]
-//!   retrain signals into retrain-and-publish cycles.
+//! * [`compact`] — the one background daemon: folds a mutable collection's
+//!   pending WAL delta into a retrained checkpoint and publishes it.
+//! * [`registry`] — [`CollectionRegistry`]: the only place a checkpoint on
+//!   disk becomes a serving backend.
 //! * [`task`] — the [`ServeTask`] trait plus the generic [`StructureTask`]
 //!   adapter over any `setlearn::tasks::LearnedSetStructure` (serve-guard
 //!   fallbacks included).
@@ -42,7 +44,6 @@ pub mod hotswap;
 pub mod net;
 pub mod proto;
 pub mod queue;
-pub mod refresh;
 pub mod registry;
 pub mod request;
 pub mod runtime;
@@ -50,7 +51,7 @@ pub mod sharded;
 pub mod task;
 pub(crate) mod telemetry;
 
-pub use compact::{spawn_compactor, spawn_compactor_named, CompactorConfig, CompactorHandle};
+pub use compact::{spawn_compactor_named, CompactorConfig, CompactorHandle};
 pub use error::ServeError;
 pub use net::{MutableBackend, NetClient, NetConfig, NetError, NetServer, WireBackend};
 pub use proto::{
@@ -58,7 +59,6 @@ pub use proto::{
 };
 pub use hotswap::{Cached, HotSwap};
 pub use queue::BoundedQueue;
-pub use refresh::{spawn_refresh, Rebuilt, RefreshConfig, RefreshHandle};
 pub use registry::{
     AdminError, CollectionRegistry, QuotaConfig, RegistryConfig, ResolveError, Resident,
 };
@@ -122,8 +122,6 @@ const _: () = {
     assert_send_sync::<Resident>();
     // Tracing contexts shared between connection handlers and workers.
     assert_send_sync::<RequestCtx>();
-    // The monitor shared between serve observers and the refresh daemon.
-    assert_send_sync::<std::sync::Mutex<setlearn::DriftMonitor>>();
 };
 
 #[cfg(test)]

@@ -529,9 +529,9 @@ impl CollectionRegistry {
 
     // -- loading ----------------------------------------------------------
 
-    /// Loads one collection's checkpoint into a serving backend, mirroring
-    /// the CLI's single-tenant serve paths (immutable single, immutable
-    /// sharded, mutable WAL-backed).
+    /// Loads one collection's checkpoint into a serving backend — the one
+    /// place that happens: immutable single, immutable sharded, or mutable
+    /// (WAL-backed), as the directory and its manifest say.
     fn load_resident(&self, name: &str) -> Result<Resident, String> {
         let entry = persist::inspect_collection(&self.config.root, name)
             .map_err(|e| e.to_string())?;
@@ -644,7 +644,7 @@ impl CollectionRegistry {
         }
         let wal_dir = entry.dir.join(COLLECTION_WAL);
         // A compaction checkpoint in the WAL dir supersedes the original
-        // model/collection files, exactly as in single-tenant serving.
+        // model/collection files.
         let err = |e: persist::PersistError| e.to_string();
         let checkpoint = wal_dir.join("checkpoint.json");
         let base: Arc<SetCollection> = Arc::new(if checkpoint.exists() {
@@ -656,33 +656,47 @@ impl CollectionRegistry {
         let model =
             if compacted.exists() { compacted } else { entry.dir.join(COLLECTION_MODEL) };
         let wal2 = wal_dir.clone();
+        // Each rebuild retrains the structure it replaces: the served
+        // model's dimensions and encoder, its serve precision, and (index)
+        // its position target carry over, so a compaction changes the data a
+        // tenant was trained on and nothing else about it.
         match task {
             WireTask::Cardinality => {
                 let est: LearnedCardinality = load_json(&model).map_err(err)?;
+                let (served, precision) = (est.model().config().clone(), est.precision());
                 self.start_mutable(name, est, base, &wal_dir, move |merged| {
-                    let cfg =
-                        CardinalityConfig::new(DeepSetsConfig::lsm(merged.num_elements()));
-                    let (est, _) = LearnedCardinality::build(merged, &cfg);
+                    let cfg = CardinalityConfig::new(retrain_config(&served, merged));
+                    let (mut est, _) = LearnedCardinality::build(merged, &cfg);
+                    est.set_precision(precision);
                     persist_compaction(&wal2, &est, merged)?;
                     Some(est)
                 })
             }
             WireTask::Bloom => {
                 let filter: LearnedBloom = load_json(&model).map_err(err)?;
+                let (served, precision) = (filter.model().config().clone(), filter.precision());
                 self.start_mutable(name, filter, base, &wal_dir, move |merged| {
-                    let cfg = BloomConfig::new(DeepSetsConfig::lsm(merged.num_elements()));
-                    let (filter, _) =
+                    // `BloomConfig::new` pins the paper's model widths;
+                    // the served widths win.
+                    let model = retrain_config(&served, merged);
+                    let cfg = BloomConfig { model: model.clone(), ..BloomConfig::new(model) };
+                    let (mut filter, _) =
                         LearnedBloom::build_from_collection(merged, 2_000, 2_000, 4, &cfg);
+                    filter.set_precision(precision);
                     persist_compaction(&wal2, &filter, merged)?;
                     Some(filter)
                 })
             }
             WireTask::Index => {
                 let index: LearnedSetIndex = load_json(&model).map_err(err)?;
+                let (served, precision, target) =
+                    (index.model().config().clone(), index.precision(), index.target());
                 let structure = IndexStructure { index, collection: Arc::clone(&base) };
                 self.start_mutable(name, structure, base, &wal_dir, move |merged| {
-                    let cfg = IndexConfig::new(DeepSetsConfig::lsm(merged.num_elements()));
-                    let (index, _) = LearnedSetIndex::build(merged, &cfg);
+                    let cfg =
+                        IndexConfig { target, ..IndexConfig::new(retrain_config(&served, merged)) };
+                    let (mut index, _) = LearnedSetIndex::build(merged, &cfg);
+                    index.set_precision(precision);
                     persist_compaction(&wal2, &index, merged)?;
                     Some(IndexStructure { index, collection: Arc::new(merged.clone()) })
                 })
@@ -745,6 +759,12 @@ impl fmt::Debug for CollectionRegistry {
     }
 }
 
+/// The served model's hyper-parameters over the merged collection's
+/// vocabulary: what a compaction retrains with.
+fn retrain_config(served: &DeepSetsConfig, merged: &SetCollection) -> DeepSetsConfig {
+    DeepSetsConfig { vocab: merged.num_elements(), ..served.clone() }
+}
+
 fn check_shards(task: &str, have: usize, want: usize) -> Result<(), String> {
     if have == want {
         Ok(())
@@ -776,8 +796,12 @@ fn persist_compaction<M: serde::Serialize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::IngestRequest;
     use setlearn::persist::{save_manifest, CollectionManifest};
-    use setlearn_data::GeneratorConfig;
+    use setlearn::tasks::PositionTarget;
+    use setlearn::wire::QueryValue;
+    use setlearn::{GuidedConfig, Precision};
+    use setlearn_data::{is_subset, ElementSet, GeneratorConfig};
     use std::time::Duration;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -812,23 +836,40 @@ mod tests {
         .generate()
     }
 
-    /// Writes a trained cardinality collection under `root/<name>/`.
-    fn write_cardinality(root: &Path, name: &str, seed: u64) -> LearnedCardinality {
-        let sets = small_collection(seed);
-        let mut cfg = CardinalityConfig::new(DeepSetsConfig::lsm(sets.num_elements()));
-        cfg.guided.warmup_epochs = 1;
-        cfg.guided.rounds = 0;
-        cfg.guided.epochs_per_round = 1;
-        cfg.max_subset_size = 2;
-        let (est, _) = LearnedCardinality::build(&sets, &cfg);
+    /// Persists a trained tenant under `root/<name>/`.
+    fn write_tenant<M: serde::Serialize>(
+        root: &Path,
+        name: &str,
+        task: &str,
+        model: &M,
+        sets: &SetCollection,
+    ) {
         let dir = root.join(name);
         save_manifest(
             &dir,
-            &CollectionManifest { task: "cardinality".into(), shards: None, shard_by: None },
+            &CollectionManifest { task: task.into(), shards: None, shard_by: None },
         )
         .unwrap();
-        persist::save_json(&est, &dir.join(COLLECTION_MODEL)).unwrap();
-        persist::save_json(&sets, &dir.join(COLLECTION_SETS)).unwrap();
+        persist::save_json(model, &dir.join(COLLECTION_MODEL)).unwrap();
+        persist::save_json(sets, &dir.join(COLLECTION_SETS)).unwrap();
+    }
+
+    /// A one-epoch guided schedule: the fixtures need a trained model, not a
+    /// good one.
+    fn quick_guided() -> GuidedConfig {
+        GuidedConfig { warmup_epochs: 1, rounds: 0, epochs_per_round: 1, ..GuidedConfig::default() }
+    }
+
+    /// Writes a trained cardinality collection under `root/<name>/`.
+    fn write_cardinality(root: &Path, name: &str, seed: u64) -> LearnedCardinality {
+        let sets = small_collection(seed);
+        let cfg = CardinalityConfig {
+            guided: quick_guided(),
+            max_subset_size: 2,
+            ..CardinalityConfig::new(DeepSetsConfig::lsm(sets.num_elements()))
+        };
+        let (est, _) = LearnedCardinality::build(&sets, &cfg);
+        write_tenant(root, name, "cardinality", &est, &sets);
         est
     }
 
@@ -941,6 +982,133 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| !r.resident && r.disk_bytes > 0));
         assert_eq!(registry.resident_count(), 0, "listing never loads");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// One answer per query through a resident's backend, submitted in
+    /// batches the test queue admits whole.
+    fn answers(resident: &Resident, queries: &[ElementSet]) -> Vec<QueryValue> {
+        queries
+            .chunks(32)
+            .flat_map(|batch| resident.backend().submit_wire(batch.to_vec()))
+            .map(|ticket| ticket().unwrap().value)
+            .collect()
+    }
+
+    /// A compaction retrains *the structure being served*: the model's
+    /// dimensions, the serve precision and the index's position target carry
+    /// through a forced compaction, and again through one after a reload
+    /// from the compacted checkpoint — with the paper's guarantees (no Bloom
+    /// false negative on a trained positive, exact index positions) intact.
+    #[test]
+    fn compaction_retrains_the_served_structure_across_reload() {
+        let root = tmpdir("fidelity");
+        let sets = small_collection(21);
+        let narrow = DeepSetsConfig {
+            embedding_dim: 5,
+            phi_hidden: vec![12],
+            rho_hidden: vec![12],
+            ..DeepSetsConfig::lsm(sets.num_elements())
+        };
+        let (mut est, _) = LearnedCardinality::build(
+            &sets,
+            &CardinalityConfig {
+                guided: quick_guided(),
+                max_subset_size: 2,
+                ..CardinalityConfig::new(narrow.clone())
+            },
+        );
+        est.set_precision(Precision::Q8);
+        write_tenant(&root, "card", "cardinality", &est, &sets);
+        let (mut index, _) = LearnedSetIndex::build(
+            &sets,
+            &IndexConfig {
+                guided: quick_guided(),
+                max_subset_size: 2,
+                target: PositionTarget::Last,
+                ..IndexConfig::new(narrow.clone())
+            },
+        );
+        index.set_precision(Precision::F16);
+        write_tenant(&root, "index", "index", &index, &sets);
+        let bloom_cfg =
+            BloomConfig { model: narrow.clone(), epochs: 2, ..BloomConfig::new(narrow.clone()) };
+        let (filter, _) = LearnedBloom::build_from_collection(&sets, 200, 200, 3, &bloom_cfg);
+        write_tenant(&root, "bloom", "bloom", &filter, &sets);
+        let tenants = ["card", "index", "bloom"];
+        let wal = |name: &str| root.join(name).join(COLLECTION_WAL);
+        for name in tenants {
+            std::fs::create_dir_all(wal(name)).unwrap();
+        }
+        let same_shape = |model: &setlearn::DeepSets| {
+            let c = model.config();
+            (c.embedding_dim, &c.phi_hidden, &c.rho_hidden)
+                == (narrow.embedding_dim, &narrow.phi_hidden, &narrow.rho_hidden)
+        };
+
+        // Round 0 compacts the trained checkpoint; round 1 reloads what
+        // round 0 wrote and compacts that.
+        for (round, inserted) in [vec![1, 2, 3], vec![2, 3, 4]].into_iter().enumerate() {
+            let mut config = RegistryConfig::new(&root);
+            config.serve = quick_serve();
+            config.compact_after = 1;
+            let registry = CollectionRegistry::new(config);
+            for name in tenants {
+                let resident = registry.resolve(Some(name)).unwrap();
+                resident
+                    .backend()
+                    .submit_ingest(IngestRequest { delete: false, elements: inserted.clone() })
+                    .unwrap();
+                let deadline = Instant::now() + Duration::from_secs(120);
+                while resident.pending_ingest() > 0 || resident.backend().model_version() == 0 {
+                    assert!(Instant::now() < deadline, "{name} never compacted (round {round})");
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            }
+            let merged: SetCollection =
+                load_json(&wal("index").join("checkpoint.json")).unwrap();
+            assert_eq!(merged.len(), sets.len() + round + 1, "the delta was folded");
+
+            let est: LearnedCardinality = load_json(&wal("card").join("model.json")).unwrap();
+            assert!(same_shape(est.model()), "round {round}: cardinality dims drifted");
+            assert_eq!(est.precision(), Precision::Q8, "round {round}");
+            for value in answers(&registry.resolve(Some("card")).unwrap(), merged.sets())
+            {
+                assert!(
+                    matches!(value, QueryValue::Cardinality(v) if v.is_finite() && v >= 0.0),
+                    "round {round}: {value:?}"
+                );
+            }
+
+            let index: LearnedSetIndex = load_json(&wal("index").join("model.json")).unwrap();
+            assert!(same_shape(index.model()), "round {round}: index dims drifted");
+            assert_eq!(index.precision(), Precision::F16, "round {round}");
+            assert_eq!(index.target(), PositionTarget::Last, "round {round}");
+            let pairs: Vec<ElementSet> =
+                merged.sets().iter().map(|s| s[..2].to_vec().into_boxed_slice()).collect();
+            let got = answers(&registry.resolve(Some("index")).unwrap(), &pairs);
+            for (q, value) in pairs.iter().zip(got) {
+                let last = merged.sets().iter().rposition(|s| is_subset(q, s));
+                assert_eq!(
+                    value,
+                    QueryValue::Position(last.map(|p| p as u64)),
+                    "round {round}: {q:?}"
+                );
+            }
+
+            let filter: LearnedBloom = load_json(&wal("bloom").join("model.json")).unwrap();
+            assert!(same_shape(filter.model()), "round {round}: bloom dims drifted");
+            // The positives the rebuild trained on, recomputed from its seed.
+            let positives = setlearn_data::workload::positive_queries(
+                &merged,
+                2_000,
+                BloomConfig::new(narrow.clone()).seed,
+            );
+            let got = answers(&registry.resolve(Some("bloom")).unwrap(), &positives);
+            for (q, value) in positives.iter().zip(got) {
+                assert_eq!(value, QueryValue::Membership(true), "round {round}: {q:?}");
+            }
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 }

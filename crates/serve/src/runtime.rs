@@ -255,17 +255,17 @@ impl<T: ServeTask> ServeRuntime<T> {
     }
 
     /// Starts a runtime over an externally-owned [`HotSwap`] slot, so a
-    /// refresh daemon (or test writer threads) can publish new models while
-    /// the runtime serves.
+    /// background writer (the compaction daemon, test writer threads) can
+    /// publish new models while the runtime serves.
     pub fn start_shared(model: Arc<HotSwap<T>>, config: ServeConfig) -> Self {
-        Self::start_inner(model, config, None, None)
+        Self::start_labeled(model, config, None, None)
     }
 
     /// [`ServeRuntime::start`] for one named collection in a registry:
     /// every metric this runtime records carries a `collection` label
     /// alongside the task label.
     pub fn start_named(task: T, config: ServeConfig, collection: &str) -> Self {
-        Self::start_inner(Arc::new(HotSwap::new(task)), config, None, Some(collection))
+        Self::start_labeled(Arc::new(HotSwap::new(task)), config, None, Some(collection))
     }
 
     /// [`ServeRuntime::start_shared`] over an external slot for one named
@@ -276,28 +276,14 @@ impl<T: ServeTask> ServeRuntime<T> {
         config: ServeConfig,
         collection: &str,
     ) -> Self {
-        Self::start_inner(model, config, None, Some(collection))
+        Self::start_labeled(model, config, None, Some(collection))
     }
 
-    /// [`ServeRuntime::start_shared`] for one shard of a sharded deployment:
-    /// every metric this runtime records carries a `shard` label alongside
-    /// the task label.
-    pub fn start_sharded(model: Arc<HotSwap<T>>, config: ServeConfig, shard: usize) -> Self {
-        Self::start_inner(model, config, Some(shard), None)
-    }
-
-    /// One shard of a named collection's sharded deployment:
-    /// `task` + `collection` + `shard` labels.
-    pub fn start_named_sharded(
-        model: Arc<HotSwap<T>>,
-        config: ServeConfig,
-        collection: &str,
-        shard: usize,
-    ) -> Self {
-        Self::start_inner(model, config, Some(shard), Some(collection))
-    }
-
-    fn start_inner(
+    /// The constructor behind every `start*`: every metric the runtime
+    /// records carries the task label plus `shard` (one shard of a
+    /// [`ShardedRuntime`](crate::sharded::ShardedRuntime)) and `collection`
+    /// (one registry tenant) when given.
+    pub(crate) fn start_labeled(
         model: Arc<HotSwap<T>>,
         config: ServeConfig,
         shard: Option<usize>,
@@ -418,7 +404,7 @@ impl<T: ServeTask> ServeRuntime<T> {
         version
     }
 
-    /// The hot-swap slot (share it with a refresh daemon).
+    /// The hot-swap slot (share it with a background writer).
     pub fn model(&self) -> &Arc<HotSwap<T>> {
         &self.model
     }

@@ -147,15 +147,7 @@ where
             .enumerate()
             .map(|(s, task)| {
                 let slot = Arc::new(HotSwap::new(task));
-                match collection {
-                    Some(name) => ServeRuntime::start_named_sharded(
-                        slot,
-                        per_shard.clone(),
-                        name,
-                        s,
-                    ),
-                    None => ServeRuntime::start_sharded(slot, per_shard.clone(), s),
-                }
+                ServeRuntime::start_labeled(slot, per_shard.clone(), Some(s), collection)
             })
             .collect();
         ShardedRuntime { shards, aggregate }
