@@ -13,7 +13,7 @@ fn main() {
         "scan window (global)",
     ]);
     for d in Dataset::ALL {
-        let r = index::run_structure(d, 1_000, 0.9);
+        let r = index::run_index_structure(d, 1_000, 0.9);
         t.row(vec![
             r.dataset.to_string(),
             format!("{:.0}", r.global_error),

@@ -29,7 +29,7 @@ fn main() {
         print_tab5(&tab5);
         print_tab6(&index::run_compression_factor(1_000));
         let structures: Vec<_> =
-            Dataset::ALL.iter().map(|&d| index::run_structure(d, 1_000, 0.9)).collect();
+            Dataset::ALL.iter().map(|&d| index::run_index_structure(d, 1_000, 0.9)).collect();
         print_tab7(&structures);
         print_tab8(&structures);
 

@@ -1,16 +1,17 @@
 //! Multi-tenant serving acceptance bench: one registry process hosting two
-//! collections must be indistinguishable — in answers — from two dedicated
-//! solo servers, and well-behaved under pressure:
+//! collections must be indistinguishable — in answers — from each
+//! collection's structure queried directly, and well-behaved under pressure:
 //!
 //!   1. every tenant's answers over the registry are bit-identical to its
-//!      solo server;
+//!      structure's own `query_batch`;
 //!   2. a plain v1 client (no collection id) gets the default collection's
 //!      answers bit-identically;
 //!   3. LRU eviction under a byte budget unloads the cold tenant and a
 //!      reload answers bit-identically;
 //!   4. with per-tenant quotas, a tenant hammering past its budget is shed
 //!      typed (`TenantOverloaded`) while the other tenant's p99 stays
-//!      within `MULTITENANT_P99_FACTOR` (default 1.2x) of its solo p99.
+//!      within `MULTITENANT_P99_FACTOR` (default 1.2x) of its p99 on a
+//!      server where it is the only resident tenant.
 //!
 //! `MULTITENANT_REQUESTS` overrides the per-measurement request count for
 //! CI smoke runs. The run prints one greppable `MULTITENANT BENCH OK` line
@@ -19,13 +20,13 @@
 use setlearn::hybrid::GuidedConfig;
 use setlearn::model::DeepSetsConfig;
 use setlearn::persist::{save_manifest, CollectionManifest, COLLECTION_MODEL, COLLECTION_SETS};
-use setlearn::tasks::{CardinalityConfig, LearnedCardinality};
+use setlearn::tasks::{CardinalityConfig, LearnedCardinality, LearnedSetStructure};
 use setlearn::wire::{QueryRequest, QueryValue, WireTask};
-use setlearn_data::GeneratorConfig;
+use setlearn_data::{ElementSet, GeneratorConfig};
 use setlearn_serve::proto::{ErrorCode, ProtoError};
 use setlearn_serve::{
-    CardinalityTask, CollectionRegistry, NetClient, NetConfig, NetError, NetServer,
-    QuotaConfig, RegistryConfig, ServeConfig, ServeRuntime, WireBackend,
+    CollectionRegistry, NetClient, NetConfig, NetError, NetServer, QuotaConfig, RegistryConfig,
+    ServeConfig,
 };
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -74,19 +75,14 @@ fn write_collection(root: &Path, name: &str, seed: u64) {
     setlearn::persist::save_json(&sets, &dir.join(COLLECTION_SETS)).expect("write sets");
 }
 
-fn solo_server(root: &Path, name: &str) -> (NetServer, SocketAddr) {
+/// The reference answers: the persisted structure queried directly, as raw
+/// f64 bits.
+fn direct_bits(root: &Path, name: &str, queries: &[QueryRequest]) -> Vec<u64> {
     let est: LearnedCardinality =
         setlearn::persist::load_json(&root.join(name).join(COLLECTION_MODEL))
             .expect("load model");
-    let runtime = Arc::new(ServeRuntime::start(CardinalityTask::new(est), quick_serve()));
-    let server = NetServer::bind(
-        "127.0.0.1:0",
-        runtime as Arc<dyn WireBackend>,
-        NetConfig::default(),
-    )
-    .expect("bind solo server");
-    let addr = server.local_addr();
-    (server, addr)
+    let sets: Vec<ElementSet> = queries.iter().cloned().map(|q| q.canonicalize()).collect();
+    est.query_batch(&sets).into_iter().map(|o| o.value.to_bits()).collect()
 }
 
 fn registry_server(
@@ -163,11 +159,8 @@ fn main() {
     write_collection(&root, TENANT_B, 22);
     let queries = workload(total);
 
-    // Reference topology: one dedicated server per tenant.
-    let (solo_a, addr_a) = solo_server(&root, TENANT_A);
-    let (solo_b, addr_b) = solo_server(&root, TENANT_B);
-    let want_a = answer_bits(addr_a, None, &queries);
-    let want_b = answer_bits(addr_b, None, &queries);
+    let want_a = direct_bits(&root, TENANT_A, &queries);
+    let want_b = direct_bits(&root, TENANT_B, &queries);
     assert_ne!(want_a, want_b, "tenants trained genuinely different models");
 
     // 1+2: one registry process, both tenants, plus a v1 default client.
@@ -175,9 +168,9 @@ fn main() {
     let got_a = answer_bits(addr, Some(TENANT_A), &queries);
     let got_b = answer_bits(addr, Some(TENANT_B), &queries);
     let got_v1 = answer_bits(addr, None, &queries);
-    assert_eq!(got_a, want_a, "tenant-a diverged from its solo server");
-    assert_eq!(got_b, want_b, "tenant-b diverged from its solo server");
-    assert_eq!(got_v1, want_a, "v1 default routing diverged from the solo server");
+    assert_eq!(got_a, want_a, "tenant-a diverged from its structure");
+    assert_eq!(got_b, want_b, "tenant-b diverged from its structure");
+    assert_eq!(got_v1, want_a, "v1 default routing diverged from tenant-a's structure");
     assert_eq!(registry.resident_count(), 2);
     server.shutdown();
     drop(registry);
@@ -205,8 +198,14 @@ fn main() {
     drop(registry);
 
     // 4: tenant-a hammers past its quota and is shed typed; tenant-b's p99
-    // stays within the configured factor of its solo baseline.
-    let solo_p99_b = p99(addr_b, None, &queries);
+    // stays within the configured factor of its solo baseline — the same
+    // server with tenant-b the default and only resident tenant.
+    let (server, addr, registry) = registry_server(&root, Some(TENANT_B), None, None);
+    let _ = answer_bits(addr, None, &queries[..64]); // pay the lazy load first
+    let solo_p99_b = p99(addr, None, &queries);
+    assert_eq!(registry.resident_count(), 1, "the baseline server holds tenant-b alone");
+    server.shutdown();
+    drop(registry);
     // Every tenant gets the same bucket: big enough that tenant-b's whole
     // measurement fits in the burst, with a refill too slow to matter — so
     // tenant-a's full-speed hammer drains its own bucket almost immediately
@@ -244,8 +243,6 @@ fn main() {
     assert!(shed > 0, "tenant-a never hit its quota — the hammer was not shed");
     server.shutdown();
     drop(registry);
-    solo_a.shutdown();
-    solo_b.shutdown();
 
     // Loopback p99 on a quiet machine is tens of microseconds; a small
     // absolute floor keeps scheduler noise from failing the ratio check.

@@ -8,6 +8,6 @@ fn main() {
     // The paper's Table 7 omits RW-1.5M (its hybrid falls back entirely to
     // the auxiliary structure); we run all five for completeness.
     let results: Vec<_> =
-        Dataset::ALL.iter().map(|&d| index::run_structure(d, 1_000, 0.9)).collect();
+        Dataset::ALL.iter().map(|&d| index::run_index_structure(d, 1_000, 0.9)).collect();
     print_tab7(&results);
 }

@@ -7,6 +7,6 @@ use setlearn_data::Dataset;
 
 fn main() {
     let results: Vec<_> =
-        Dataset::ALL.iter().map(|&d| index::run_structure(d, 1_000, 0.9)).collect();
+        Dataset::ALL.iter().map(|&d| index::run_index_structure(d, 1_000, 0.9)).collect();
     print_tab8(&results);
 }

@@ -186,7 +186,7 @@ pub struct IndexStructureResult {
 }
 
 /// Tables 7 and 8 (plus the local-vs-global §8.3.3 analysis) per dataset.
-pub fn run_structure(dataset: Dataset, num_queries: usize, percentile: f64) -> IndexStructureResult {
+pub fn run_index_structure(dataset: Dataset, num_queries: usize, percentile: f64) -> IndexStructureResult {
     let bench = BenchDataset::load(dataset);
     let collection = &bench.collection;
     let vocab = collection.num_elements();

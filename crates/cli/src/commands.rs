@@ -2,19 +2,19 @@
 
 use crate::args::{ArgError, Args};
 use crate::telemetry;
+use setlearn::persist;
 use setlearn::prelude::{
     BloomConfig, CardinalityConfig, DeepSetsConfig, DriftMonitor, FallbackReason, GuidedConfig,
-    IndexConfig, IndexStructure, LearnedBloom, LearnedCardinality, LearnedSetIndex,
-    LearnedSetStructure, MonitorConfig, Precision, QueryOutcome, QueryRequest, QueryValue,
-    ShardBy, ShardSpec, ShardedBloom, ShardedCardinality, ShardedCollection, ShardedIndex,
-    ShardedIndexStructure, Wal, WalOp, WireTask,
+    IndexConfig, LearnedBloom, LearnedCardinality, LearnedSetIndex, MonitorConfig, Precision,
+    QueryRequest, QueryResponse, QueryValue, ShardBy, ShardSpec, ShardedBloom,
+    ShardedCardinality, ShardedCollection, ShardedIndex, Wal, WalOp, WireTask,
 };
 use setlearn_data::{ElementSet, GeneratorConfig, SetCollection, SubsetIndex};
-use setlearn_engine::{Engine, SetTable};
+use setlearn_engine::{Engine, QueryOutput, SetTable};
 use setlearn_obs::RegistrySnapshot;
 use setlearn_serve::{
-    CollectionRegistry, NetClient, NetConfig, NetServer, QuotaConfig, RegistryConfig,
-    ServeConfig, ServeError, StatsFormat, WireBackend, WireOutcome,
+    CollectionRegistry, ErrorCode, NetClient, NetConfig, NetServer, QuotaConfig, RegistryConfig,
+    Resident, ServeConfig, ServeError, StatsFormat, WireBackend, WireOutcome,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -29,10 +29,6 @@ fn with_path<'a, E: std::fmt::Display>(
     path: &'a str,
 ) -> impl FnOnce(E) -> CliError + 'a {
     move |e| format!("cannot {action} {path}: {e}").into()
-}
-
-fn load_collection(path: &str) -> Result<SetCollection, CliError> {
-    load(path)
 }
 
 fn save<T: serde::Serialize>(value: &T, path: &str) -> Result<(), CliError> {
@@ -50,62 +46,38 @@ fn load<T: serde::de::DeserializeOwned>(path: &str) -> Result<T, CliError> {
     serde_json::from_reader(file).map_err(with_path("parse", path))
 }
 
-/// The unified tenant addressing: `--root DIR --collection NAME` names one
-/// collection directory — `DIR/NAME/{collection.json, model.json,
-/// manifest.json, wal/}` — shared by train/query/serve/ingest/sql and the
-/// serving registry. `serve` takes nothing else; on the other verbs the old
-/// path-valued flags (`--collection FILE`, `--model FILE`, `--wal-dir DIR`)
-/// keep working without `--root` as deprecated aliases for one more release.
+/// The one addressing: `--root DIR --collection NAME` names one collection
+/// directory — `DIR/NAME/{collection.json, model.json, manifest.json, wal/}`
+/// — shared by train/query/serve/ingest/sql and the serving registry.
 struct TenantPaths {
     name: String,
     dir: PathBuf,
 }
 
 impl TenantPaths {
-    fn collection(&self) -> String {
-        self.dir.join(setlearn::persist::COLLECTION_SETS).to_string_lossy().into_owned()
-    }
-
-    fn model(&self) -> String {
-        self.dir.join(setlearn::persist::COLLECTION_MODEL).to_string_lossy().into_owned()
-    }
-
-    fn manifest(&self) -> PathBuf {
-        self.dir.join(setlearn::persist::COLLECTION_MANIFEST)
-    }
-
     fn wal_dir(&self) -> PathBuf {
-        self.dir.join(setlearn::persist::COLLECTION_WAL)
+        self.dir.join(persist::COLLECTION_WAL)
+    }
+
+    /// The sets the tenant's current checkpoint was trained on.
+    fn current_sets(&self) -> Result<SetCollection, CliError> {
+        load(&persist::current_files(&self.dir).sets.to_string_lossy())
     }
 }
 
-/// Resolves `--root DIR --collection NAME` when present; `None` means the
-/// caller should fall back to the old path-valued flags.
-fn tenant_paths(args: &Args) -> Result<Option<TenantPaths>, CliError> {
-    let Some(root) = args.optional("root") else { return Ok(None) };
+/// Resolves `--root DIR --collection NAME`.
+fn tenant_paths(args: &Args) -> Result<TenantPaths, CliError> {
+    let root = args.required("root")?;
     let name = args.required("collection")?;
     if !setlearn::wire::valid_collection_name(name) {
         return Err(ArgError(format!(
             "invalid collection name '{name}' (1-{} chars of [A-Za-z0-9_-]); \
-             with --root, --collection takes a name, not a path",
+             --collection takes a name under --root, not a path",
             setlearn::wire::MAX_COLLECTION_ID_LEN,
         ))
         .into());
     }
-    Ok(Some(TenantPaths { name: name.to_string(), dir: Path::new(root).join(name) }))
-}
-
-/// One-line nudge from an old path-valued flag to the unified addressing;
-/// printed at most once per process so scripted loops stay readable.
-fn note_legacy_addressing(old: &str) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    static NOTED: AtomicBool = AtomicBool::new(false);
-    if !NOTED.swap(true, Ordering::Relaxed) {
-        eprintln!(
-            "note: {old} is a deprecated spelling; prefer `--root DIR --collection NAME` \
-             (one directory per collection)"
-        );
-    }
+    Ok(TenantPaths { name: name.to_string(), dir: Path::new(root).join(name) })
 }
 
 /// `setlearn generate --dataset rw|tweets|sd --sets N [--seed S] --out FILE`
@@ -157,7 +129,7 @@ pub fn import(args: &Args) -> Result<(), CliError> {
 /// `setlearn export --collection FILE --dict FILE --out FILE`
 pub fn export(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["collection", "dict", "out"])?;
-    let collection = load_collection(args.required("collection")?)?;
+    let collection = load::<SetCollection>(args.required("collection")?)?;
     let dict: setlearn_data::Dictionary = load(args.required("dict")?)?;
     let out = args.required("out")?;
     let file = std::fs::File::create(out)?;
@@ -169,7 +141,7 @@ pub fn export(args: &Args) -> Result<(), CliError> {
 /// `setlearn reorder --collection FILE --out FILE --strategy lex|head|random [--seed S]`
 pub fn reorder_cmd(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["collection", "out", "strategy", "seed"])?;
-    let collection = load_collection(args.required("collection")?)?;
+    let collection = load::<SetCollection>(args.required("collection")?)?;
     let out = args.required("out")?;
     let strategy = args.optional("strategy").unwrap_or("lex");
     let (reordered, _) = match strategy {
@@ -193,7 +165,7 @@ pub fn stats(args: &Args) -> Result<(), CliError> {
     if let Some(base) = args.optional("telemetry") {
         return stats_telemetry(base, args.optional("format").unwrap_or("table"));
     }
-    let collection = load_collection(args.required("collection")?)?;
+    let collection = load::<SetCollection>(args.required("collection")?)?;
     let s = collection.stats();
     println!("sets:            {}", s.num_sets);
     println!("unique elements: {}", s.unique_elements);
@@ -273,28 +245,6 @@ fn shard_spec_from_args(args: &Args) -> Result<Option<ShardSpec>, CliError> {
     }
 }
 
-/// A persisted sharded model must be queried with the exact spec it was
-/// trained with — the partition is recomputed from the spec at serve time,
-/// so a different shard count *or* router would silently pair each shard's
-/// model with the wrong sub-collection.
-fn check_shard_spec(trained: ShardSpec, spec: ShardSpec) -> Result<(), CliError> {
-    if trained.shards != spec.shards {
-        return Err(ArgError(format!(
-            "model was trained with {} shards but --shards {} was given",
-            trained.shards, spec.shards
-        ))
-        .into());
-    }
-    if trained.by != spec.by {
-        return Err(ArgError(format!(
-            "model was trained with --shard-by {} but --shard-by {} was given",
-            trained.by, spec.by
-        ))
-        .into());
-    }
-    Ok(())
-}
-
 fn guided_from_args(args: &Args) -> Result<GuidedConfig, CliError> {
     Ok(GuidedConfig {
         warmup_epochs: args.get_or("epochs", 15usize)?,
@@ -342,117 +292,59 @@ fn model_from_args(args: &Args, vocab: u32) -> Result<DeepSetsConfig, CliError> 
     Ok(model)
 }
 
-/// Parses `--precision f32|f16|q8`; `None` keeps whatever the checkpoint
-/// records (fresh training defaults to f32).
-fn precision_from_args(args: &Args) -> Result<Option<Precision>, CliError> {
-    match args.optional("precision") {
-        None => Ok(None),
-        Some(raw) => Ok(Some(raw.parse::<Precision>().map_err(ArgError)?)),
-    }
-}
-
-/// Enforces the checkpoint's recorded precision against `--precision`: a
-/// mismatch fails typed (retrain with the wanted precision) instead of
-/// silently serving at a different accuracy than requested.
-fn check_precision(args: &Args, recorded: Precision) -> Result<(), CliError> {
-    setlearn::kernel::resolve_precision(precision_from_args(args)?, recorded)
-        .map(|_| ())
-        .map_err(|e| CliError::from(e.to_string()))
-}
-
-/// `setlearn train --task cardinality|index|bloom --collection FILE --out FILE
+/// `setlearn train --task cardinality|index|bloom --root DIR --collection NAME
 ///  [--compressed] [--epochs N] [--percentile P] [--neurons N] [--embedding D]
-///  [--shards N] [--shard-by hash|range] [--telemetry PATH]`
+///  [--shards N] [--shard-by hash|range] [--precision f32|f16|q8]
+///  [--telemetry PATH]`
 ///
-/// With `--shards N` the collection is partitioned by the chosen router and
-/// one model is trained per shard; the persisted artifact is the sharded
-/// aggregate (`query` must be invoked with the same `--shards`/`--shard-by`
-/// so the partition can be recomputed from the spec; `serve` reads it from
-/// the manifest `train --root` writes).
+/// Trains over the tenant's current sets and writes the checkpoint plus the
+/// manifest that tells every reader the task and shard layout. With
+/// `--shards N` the collection is partitioned by the chosen router and one
+/// model is trained per shard; the persisted artifact is the sharded
+/// aggregate. A tenant with a `wal/` is mutable: pending WAL records are
+/// folded into the training collection first, and the retrain is published
+/// the way a background compaction publishes one — model, merged sets, then
+/// the WAL watermark — so the next reader serves it.
 pub fn train(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
-        "task", "collection", "root", "out", "compressed", "epochs", "refine-epochs",
-        "percentile", "neurons", "embedding", "max-subset", "lr", "batch", "seed", "range",
-        "last", "samples", "shards", "shard-by", "telemetry", "wal-dir", "precision",
+        "task", "collection", "root", "compressed", "epochs", "refine-epochs", "percentile",
+        "neurons", "embedding", "max-subset", "lr", "batch", "seed", "range", "last", "samples",
+        "shards", "shard-by", "telemetry", "precision",
     ])?;
     let sink = telemetry::begin(args)?;
     let task = args.required("task")?.to_string();
-    // Recorded in the checkpoint; query/serve refuse a conflicting flag.
-    let precision = precision_from_args(args)?.unwrap_or_default();
+    // Recorded in the checkpoint; every reader then serves at it.
+    let precision = args.get_or("precision", Precision::default())?;
     let spec = shard_spec_from_args(args)?;
     let tenant = tenant_paths(args)?;
-    // Unified addressing: the collection file, output model, and WAL all
-    // live under ROOT/NAME; pending WAL records fold in automatically.
-    // Lazy because a WAL checkpoint can stand in for the collection file.
-    let collection_path = match &tenant {
-        Some(t) => Some(t.collection()),
-        None => {
-            if args.optional("collection").is_some() {
-                note_legacy_addressing("path-valued --collection");
-            }
-            args.optional("collection").map(str::to_string)
-        }
-    };
-    let require_collection = || {
-        collection_path
-            .as_deref()
-            .ok_or_else(|| ArgError("missing required option --collection".into()))
-    };
-    let wal_dir_arg = match (&tenant, args.optional("wal-dir")) {
-        (None, Some(dir)) => {
-            note_legacy_addressing("--wal-dir");
-            Some(PathBuf::from(dir))
-        }
-        (Some(t), None) => t.wal_dir().exists().then(|| t.wal_dir()),
-        (Some(_), Some(_)) => {
-            return Err(ArgError("--wal-dir cannot be combined with --root".into()).into())
-        }
-        (None, None) => None,
-    };
-    // With a WAL, pending records are folded into the training collection
-    // first; after a successful train the merged collection is checkpointed
-    // next to the WAL and the log is marked applied.
+    let mut collection = tenant.current_sets()?;
+    let mut out = tenant.dir.join(persist::COLLECTION_MODEL);
     let mut wal_fold: Option<(Wal, u64, PathBuf)> = None;
-    let collection = match wal_dir_arg {
-        None => load_collection(require_collection()?)?,
-        Some(dir) => {
-            if spec.is_some() {
-                return Err(ArgError("--wal-dir cannot be combined with --shards".into()).into());
-            }
-            let dir = dir.as_path();
-            let checkpoint = dir.join("checkpoint.json");
-            let base = if checkpoint.exists() {
-                load::<SetCollection>(&checkpoint.to_string_lossy())?
-            } else {
-                load_collection(require_collection()?)?
-            };
-            let recovery = Wal::open(dir)?;
-            if recovery.truncated {
-                eprintln!("warning: damaged WAL tail was truncated during recovery");
-            }
-            let (merged, skipped) = setlearn::mutable::replay_into(&base, &recovery.records);
-            println!(
-                "folded {} WAL records into the training collection ({} invalid records skipped)",
-                recovery.records.len() - skipped,
-                skipped,
-            );
-            let watermark = recovery.wal.next_seq();
-            wal_fold = Some((recovery.wal, watermark, checkpoint));
-            merged
+    if tenant.wal_dir().is_dir() {
+        if spec.is_some() {
+            return Err(ArgError(
+                "a mutable collection (one with a wal/) cannot be trained with --shards".into(),
+            )
+            .into());
         }
-    };
-    // With --root the model lands in the collection directory by default;
-    // --out still overrides for odd layouts.
-    let out = match (&tenant, args.optional("out")) {
-        (_, Some(out)) => out.to_string(),
-        (Some(t), None) => {
-            std::fs::create_dir_all(&t.dir)
-                .map_err(|e| format!("cannot create {}: {e}", t.dir.display()))?;
-            t.model()
+        let recovery = Wal::open(&tenant.wal_dir())?;
+        if recovery.truncated {
+            eprintln!("warning: damaged WAL tail was truncated during recovery");
         }
-        (None, None) => args.required("out")?.to_string(),
-    };
-    let out = out.as_str();
+        let (merged, skipped) = setlearn::mutable::replay_into(&collection, &recovery.records);
+        println!(
+            "folded {} WAL records into the training collection ({} invalid records skipped)",
+            recovery.records.len() - skipped,
+            skipped,
+        );
+        let retrain = persist::retrain_files(&tenant.dir);
+        let watermark = recovery.wal.next_seq();
+        wal_fold = Some((recovery.wal, watermark, retrain.sets));
+        out = retrain.model;
+        collection = merged;
+    }
+    let out = out.to_string_lossy();
+    let out = &*out;
     let vocab = collection.num_elements();
     let model = model_from_args(args, vocab)?;
     match task.as_str() {
@@ -576,27 +468,22 @@ pub fn train(args: &Args) -> Result<(), CliError> {
             )
         }
     }
-    if let Some(t) = &tenant {
-        // The manifest is what lets a registry serve this directory without
-        // being told the task: record it (and the shard layout) alongside.
-        let manifest = setlearn::persist::CollectionManifest {
-            task: task.clone(),
-            shards: spec.map(|s| s.shards),
-            shard_by: spec.map(|s| {
-                match s.by {
-                    ShardBy::Hash => "hash",
-                    ShardBy::Range => "range",
-                }
-                .to_string()
-            }),
-        };
-        setlearn::persist::save_manifest(&t.dir, &manifest)?;
-        println!("manifest written to {}", t.manifest().display());
-    }
+    // The manifest is what lets every reader open this directory without
+    // being told the task: record it (and the shard layout) alongside.
+    let manifest = persist::CollectionManifest {
+        task: task.clone(),
+        shards: spec.map(|s| s.shards),
+        shard_by: spec.map(|s| s.by.to_string()),
+    };
+    persist::save_manifest(&tenant.dir, &manifest)?;
+    println!(
+        "manifest written to {}",
+        tenant.dir.join(persist::COLLECTION_MANIFEST).display()
+    );
     if let Some((mut wal, watermark, checkpoint)) = wal_fold {
         // Checkpoint before advancing the watermark: a crash in between
         // replays the (already folded) tail again, it never loses it.
-        setlearn::persist::save_json(&collection, &checkpoint)?;
+        persist::save_json(&collection, &checkpoint)?;
         wal.mark_applied(watermark)?;
         println!(
             "checkpoint written to {}; WAL applied through seq {watermark}",
@@ -626,272 +513,116 @@ fn degradation_notes(fallback: &Option<FallbackReason>, bound_miss: bool) -> Str
     }
 }
 
-/// The ad-hoc mode of `query`: `--query 1,2,3` answers one query through
-/// the same [`LearnedSetStructure`] API as workload replay and prints the
-/// typed outcome with its degradation flags. This is the one-shot
-/// counterpart of `client --query` for models not (yet) behind a server.
-fn query_adhoc(
-    args: &Args,
-    task: &str,
-    model_path: &str,
-    collection_path: Option<&str>,
-) -> Result<(), CliError> {
-    let q = QueryRequest::new(args.id_list("query")?).canonicalize();
-    let spec = shard_spec_from_args(args)?;
-    match task {
-        "cardinality" => {
-            let outcome = match spec {
-                None => {
-                    let est: LearnedCardinality = load(model_path)?;
-                    check_precision(args, est.precision())?;
-                    est.query(&q)
-                }
-                Some(spec) => {
-                    let est: ShardedCardinality = load(model_path)?;
-                    check_shard_spec(est.spec(), spec)?;
-                    check_precision(args, est.precision())?;
-                    est.query(&q)
-                }
-            };
-            println!(
-                "cardinality: {:.1}{}",
-                outcome.value,
-                degradation_notes(&outcome.fallback, outcome.bound_miss)
-            );
-        }
-        "index" => {
-            let collection_path = collection_path
-                .ok_or_else(|| ArgError("missing required option --collection".into()))?;
-            let collection = Arc::new(load_collection(collection_path)?);
-            let outcome = match spec {
-                None => {
-                    let index: LearnedSetIndex = load(model_path)?;
-                    check_precision(args, index.precision())?;
-                    IndexStructure { index, collection: Arc::clone(&collection) }.query(&q)
-                }
-                Some(spec) => {
-                    let index: ShardedIndex = load(model_path)?;
-                    check_shard_spec(index.spec(), spec)?;
-                    check_precision(args, index.precision())?;
-                    let sharded = ShardedCollection::partition(&collection, spec)?;
-                    ShardedIndexStructure::new(index, &sharded).query(&q)
-                }
-            };
-            let notes = degradation_notes(&outcome.fallback, outcome.bound_miss);
-            match outcome.value {
-                Some(pos) => println!("position: {pos}{notes}"),
-                None => println!("not found{notes}"),
-            }
-        }
-        "bloom" => {
-            let outcome = match spec {
-                None => {
-                    let filter: LearnedBloom = load(model_path)?;
-                    check_precision(args, filter.precision())?;
-                    filter.query(&q)
-                }
-                Some(spec) => {
-                    let filter: ShardedBloom = load(model_path)?;
-                    check_shard_spec(filter.spec(), spec)?;
-                    check_precision(args, filter.precision())?;
-                    filter.query(&q)
-                }
-            };
-            println!(
-                "{}{}",
-                if outcome.value { "present" } else { "absent" },
-                degradation_notes(&outcome.fallback, outcome.bound_miss)
-            );
-        }
-        other => {
-            return Err(
-                ArgError(format!("unknown task '{other}' (cardinality|index|bloom)")).into()
-            )
-        }
-    }
-    Ok(())
+/// Opens a tenant the one way there is: through the registry, exactly as
+/// `serve` does — current checkpoint, WAL recovery and pending deltas
+/// included — so an offline verb answers what a server over the same
+/// directory would.
+fn resolve_tenant(
+    registry: &CollectionRegistry,
+    tenant: &TenantPaths,
+) -> Result<Arc<Resident>, CliError> {
+    registry
+        .resolve(Some(&tenant.name))
+        .map_err(|e| format!("cannot open {}: {e}", tenant.dir.display()).into())
 }
 
-/// Replays the workload through any [`LearnedSetStructure`]: per query (the
-/// instrumented serve path) at `--threads 1`, or through the structure's
-/// parallel batched path — which answers bit-for-bit identically — above.
-fn run_structure<S: LearnedSetStructure>(
-    structure: &S,
-    queries: &[ElementSet],
-    threads: usize,
-) -> Vec<QueryOutcome<S::Output>> {
-    if threads > 1 {
-        structure.query_batch_parallel(queries, threads)
-    } else {
-        queries.iter().map(|q| structure.query(q)).collect()
-    }
+/// Submits one frame of canonical sets and waits for every answer, as a
+/// connection handler does for a wire frame.
+fn answer(backend: &dyn WireBackend, sets: Vec<ElementSet>) -> Vec<WireOutcome> {
+    backend
+        .submit_wire(sets)
+        .into_iter()
+        .map(|ticket| ticket().map_err(ErrorCode::Serve))
+        .collect()
 }
 
-/// `setlearn query --task cardinality|index|bloom --model FILE --collection FILE
-///  [--query 1,2,3] [--limit N] [--max-subset K] [--threads N] [--shards N]
-///  [--shard-by hash|range] [--telemetry PATH]`
-///
-/// With `--query IDS` a single ad-hoc query is answered instead of a
-/// replayed workload (see [`query_adhoc`]); `--collection` is then only
-/// needed for the index task.
-///
-/// Replays a workload of subset queries enumerated from the collection
-/// against a trained model through the unified [`LearnedSetStructure`] query
-/// API, with a [`DriftMonitor`] watching accuracy and fallbacks. This is the
-/// serving-side counterpart of `train`: run it with `--telemetry` to capture
-/// serve-latency histograms, query/fallback counters, and `serve_query`
-/// spans in the run artifact.
-///
-/// `--threads N` routes the whole workload (any task) through
-/// [`LearnedSetStructure::query_batch_parallel`], which produces answers
-/// identical to the sequential path. `--shards N` loads the sharded model
-/// trained with the same spec and fans each query out across shards.
-pub fn query(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&[
-        "task", "model", "collection", "root", "query", "limit", "max-subset", "threads",
-        "shards", "shard-by", "telemetry", "precision",
-    ])?;
-    let sink = telemetry::begin(args)?;
-    let task = args.required("task")?.to_string();
-    let tenant = tenant_paths(args)?;
-    let model_path = match &tenant {
-        Some(t) => t.model(),
-        None => {
-            if args.optional("model").is_some() {
-                note_legacy_addressing("--model");
-            }
-            args.required("model")?.to_string()
-        }
-    };
-    let model_path = model_path.as_str();
-    if args.optional("query").is_some() {
-        let collection_path = match &tenant {
-            Some(t) => Some(t.collection()),
-            None => args.optional("collection").map(str::to_string),
-        };
-        query_adhoc(args, &task, model_path, collection_path.as_deref())?;
-        if let Some(sink) = sink {
-            sink.finish()?;
-        }
-        return Ok(());
-    }
-    let collection_path = match &tenant {
-        Some(t) => t.collection(),
-        None => args.required("collection")?.to_string(),
-    };
-    let collection = Arc::new(load_collection(&collection_path)?);
+/// Queries per replayed frame: half the default admission queue, so a
+/// replay is never shed, and several micro-batches, so `--threads` shows.
+const REPLAY_FRAME: usize = 512;
+
+/// The replay mode of `query`: enumerates subset queries (with their true
+/// counts) from the tenant's current sets, answers them through `resident`,
+/// and prints the task's summary, with a [`DriftMonitor`] watching accuracy
+/// and fallbacks.
+fn query_replay(args: &Args, tenant: &TenantPaths, resident: &Resident) -> Result<(), CliError> {
     let limit = args.get_or("limit", 500usize)?;
     let max_subset = args.get_or("max-subset", 2usize)?;
-    let threads = args.get_or("threads", 1usize)?;
-    if threads == 0 {
-        return Err(ArgError("--threads must be at least 1".into()).into());
-    }
-    let spec = shard_spec_from_args(args)?;
-    let subsets = SubsetIndex::build(&collection, max_subset);
+    let subsets = SubsetIndex::build(&tenant.current_sets()?, max_subset);
     let (queries, counts): (Vec<ElementSet>, Vec<u64>) =
         subsets.iter().take(limit).map(|(s, i)| (s.clone(), i.count)).unzip();
     let mut monitor = DriftMonitor::try_new(1.0, MonitorConfig::default())?;
-
-    match task.as_str() {
-        "cardinality" => {
-            let outcomes = match spec {
-                None => {
-                    let est: LearnedCardinality = load(model_path)?;
-                    check_precision(args, est.precision())?;
-                    run_structure(&est, &queries, threads)
-                }
-                Some(spec) => {
-                    let est: ShardedCardinality = load(model_path)?;
-                    check_shard_spec(est.spec(), spec)?;
-                    check_precision(args, est.precision())?;
-                    run_structure(&est, &queries, threads)
-                }
-            };
-            let mut fallbacks = 0usize;
-            for (o, count) in outcomes.iter().zip(&counts) {
-                if o.fallback.is_some() {
-                    monitor.record_fallback();
-                    fallbacks += 1;
-                }
-                monitor.observe(o.value, *count as f64);
-            }
-            println!(
-                "served {} cardinality queries: rolling q-error {:.3}, {fallbacks} guard fallbacks",
-                outcomes.len(),
-                monitor.rolling_q_error(),
-            );
+    let (mut hits, mut bound_misses, mut fallbacks) = (0usize, 0usize, 0usize);
+    let backend = resident.backend().as_ref();
+    let outcomes = queries.chunks(REPLAY_FRAME).flat_map(|frame| answer(backend, frame.to_vec()));
+    for (outcome, count) in outcomes.zip(&counts) {
+        let response = outcome.map_err(|code| format!("query failed: {code}"))?;
+        if response.fallback.is_some() {
+            monitor.record_fallback();
+            fallbacks += 1;
         }
-        "index" => {
-            let outcomes = match spec {
-                None => {
-                    let index: LearnedSetIndex = load(model_path)?;
-                    check_precision(args, index.precision())?;
-                    let structure =
-                        IndexStructure { index, collection: Arc::clone(&collection) };
-                    run_structure(&structure, &queries, threads)
-                }
-                Some(spec) => {
-                    let index: ShardedIndex = load(model_path)?;
-                    check_shard_spec(index.spec(), spec)?;
-                    check_precision(args, index.precision())?;
-                    let sharded = ShardedCollection::partition(&collection, spec)?;
-                    let structure = ShardedIndexStructure::new(index, &sharded);
-                    run_structure(&structure, &queries, threads)
-                }
-            };
-            let found = outcomes.iter().filter(|o| o.value.is_some()).count();
-            let mut fallbacks = 0usize;
-            for o in &outcomes {
-                if o.fallback.is_some() {
-                    monitor.record_fallback();
-                    fallbacks += 1;
-                }
-            }
-            println!(
-                "served {} index lookups: {found} found, {} bound misses, {fallbacks} guard fallbacks",
-                outcomes.len(),
-                outcomes.iter().filter(|o| o.bound_miss).count(),
-            );
+        bound_misses += usize::from(response.bound_miss);
+        match response.value {
+            QueryValue::Cardinality(v) => monitor.observe(v, *count as f64),
+            QueryValue::Position(p) => hits += usize::from(p.is_some()),
+            QueryValue::Membership(m) => hits += usize::from(m),
         }
-        "bloom" => {
-            let outcomes = match spec {
-                None => {
-                    let filter: LearnedBloom = load(model_path)?;
-                    check_precision(args, filter.precision())?;
-                    run_structure(&filter, &queries, threads)
-                }
-                Some(spec) => {
-                    let filter: ShardedBloom = load(model_path)?;
-                    check_shard_spec(filter.spec(), spec)?;
-                    check_precision(args, filter.precision())?;
-                    run_structure(&filter, &queries, threads)
-                }
-            };
-            let present = outcomes.iter().filter(|o| o.value).count();
-            let mut fallbacks = 0usize;
-            for o in &outcomes {
-                if o.fallback.is_some() {
-                    monitor.record_fallback();
-                    fallbacks += 1;
-                }
-            }
-            println!(
-                "served {} membership queries: {present} present \
-                 (recall {:.3} — trained subsets must all be present), {fallbacks} guard fallbacks",
-                outcomes.len(),
-                present as f64 / outcomes.len().max(1) as f64,
-            );
-        }
-        other => {
-            return Err(
-                ArgError(format!("unknown task '{other}' (cardinality|index|bloom)")).into()
-            )
-        }
+    }
+    let served = queries.len();
+    match resident.task() {
+        WireTask::Cardinality => println!(
+            "served {served} cardinality queries: rolling q-error {:.3}, {fallbacks} guard fallbacks",
+            monitor.rolling_q_error(),
+        ),
+        WireTask::Index => println!(
+            "served {served} index lookups: {hits} found, {bound_misses} bound misses, \
+             {fallbacks} guard fallbacks",
+        ),
+        WireTask::Bloom => println!(
+            "served {served} membership queries: {hits} present \
+             (recall {:.3} — trained subsets must all be present), {fallbacks} guard fallbacks",
+            hits as f64 / served.max(1) as f64,
+        ),
     }
     monitor.publish_metrics();
     if let Some(reason) = monitor.should_retrain() {
         eprintln!("warning: drift monitor raised the retrain signal ({reason:?})");
     }
+    Ok(())
+}
+
+/// `setlearn query --root DIR --collection NAME
+///  (--query 1,2,3 | [--limit N] [--max-subset K]) [--threads N]
+///  [--telemetry PATH]`
+///
+/// Answers through the backend the registry resolves for the tenant — the
+/// manifest says the task and shard layout, the checkpoint the precision, a
+/// `wal/` that pending deltas are merged in — so this is `client --query`
+/// without a server. `--query IDS` answers one ad-hoc query and prints the
+/// typed outcome with its degradation flags; without it a workload of subset
+/// queries enumerated from the collection is replayed ([`query_replay`]).
+/// `--threads N` sizes the worker pool; answers do not depend on it. With
+/// `--telemetry` the run artifact carries what the server path leaves:
+/// `setlearn_serve_*` counters and histograms and `serve_batch` spans.
+pub fn query(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(&[
+        "root", "collection", "query", "limit", "max-subset", "threads", "telemetry",
+    ])?;
+    let sink = telemetry::begin(args)?;
+    let tenant = tenant_paths(args)?;
+    let registry = registry_from_args(args)?;
+    let resident = resolve_tenant(&registry, &tenant)?;
+    if args.optional("query").is_some() {
+        let set = QueryRequest::new(args.id_list("query")?).canonicalize();
+        for outcome in answer(resident.backend().as_ref(), vec![set.clone()]) {
+            print_wire_outcome(&set, &outcome);
+        }
+    } else {
+        query_replay(args, &tenant, &resident)?;
+    }
+    // Drain the worker pools before the telemetry flush, so the last
+    // batch's counters are in the artifact.
+    drop(resident);
+    drop(registry);
     if let Some(sink) = sink {
         sink.finish()?;
     }
@@ -1043,19 +774,19 @@ fn serve_listen_registry(
 /// `--requests`) and replays it through the backend the registry resolves
 /// for NAME — sharded, mutable or plain, as its directory says.
 fn serve_replay(args: &Args, registry: Arc<CollectionRegistry>) -> Result<(), CliError> {
-    let tenant = tenant_paths(args)?
-        .ok_or_else(|| ArgError("missing required option --root".into()))?;
+    let tenant = tenant_paths(args)?;
     let total = args.get_or("requests", 2_000usize)?;
     let max_subset = args.get_or("max-subset", 2usize)?;
     let target_qps = args.get_or("target-qps", 0.0f64)?;
-    let collection = load_collection(&tenant.collection())?;
-    let pool: Vec<ElementSet> =
-        SubsetIndex::build(&collection, max_subset).iter().map(|(s, _)| s.clone()).collect();
+    let pool: Vec<ElementSet> = SubsetIndex::build(&tenant.current_sets()?, max_subset)
+        .iter()
+        .map(|(s, _)| s.clone())
+        .collect();
     if pool.is_empty() {
         return Err("collection yields no subset queries to serve".into());
     }
     let requests: Vec<ElementSet> = (0..total).map(|i| pool[i % pool.len()].clone()).collect();
-    let resident = registry.resolve(Some(&tenant.name)).map_err(|e| e.to_string())?;
+    let resident = resolve_tenant(&registry, &tenant)?;
     let (answered, shed, qps) = drive(resident.backend().as_ref(), requests, target_qps)?;
     let shards = resident.backend().shards();
     println!(
@@ -1164,35 +895,18 @@ fn id_set_lists(raw: &str, opt: &str) -> Result<Vec<Vec<u32>>, ArgError> {
 }
 
 /// `setlearn ingest --root DIR --collection NAME [--insert "1,2;3,4"]
-///  [--delete "5,6"]` (or the legacy `--wal-dir DIR`)
+///  [--delete "5,6"]`
 ///
 /// Offline durable ingest: appends insert/delete records straight to the
 /// collection's WAL (creating it if needed) without loading a model. Every
 /// record is fsync'd before the command returns. The records are folded in
-/// by the next `train` over the same collection and replayed by mutable
-/// serving. Sets are canonicalized here; ids outside the base vocabulary
-/// are only detectable at replay time, where they are skipped and counted
-/// instead of wedging recovery.
+/// by the next `train` over the same collection and replayed by whoever
+/// opens it next. Sets are canonicalized here; ids outside the base
+/// vocabulary are only detectable at replay time, where they are skipped and
+/// counted instead of wedging recovery.
 pub fn ingest(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["root", "collection", "wal-dir", "insert", "delete"])?;
-    let tenant = tenant_paths(args)?;
-    let dir = match (&tenant, args.optional("wal-dir")) {
-        (Some(_), Some(_)) => {
-            return Err(ArgError("--wal-dir cannot be combined with --root".into()).into())
-        }
-        (Some(t), None) => t.wal_dir(),
-        (None, Some(dir)) => {
-            note_legacy_addressing("--wal-dir");
-            PathBuf::from(dir)
-        }
-        (None, None) => {
-            return Err(ArgError(
-                "missing addressing: pass --root DIR --collection NAME (or --wal-dir DIR)"
-                    .into(),
-            )
-            .into())
-        }
-    };
+    args.reject_unknown(&["root", "collection", "insert", "delete"])?;
+    let dir = tenant_paths(args)?.wal_dir();
     let dir = dir.as_path();
     let mut ops: Vec<WalOp> = Vec::new();
     if let Some(raw) = args.optional("insert") {
@@ -1483,62 +1197,28 @@ pub fn watch(args: &Args) -> Result<(), CliError> {
     }
 }
 
-/// `setlearn sql --root DIR --collection NAME --query "SELECT ..."
-/// [--explain] [--telemetry PATH]` (legacy: `--collection FILE
-/// [--model FILE] [--table NAME]`)
-pub fn sql(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&[
-        "root", "collection", "query", "model", "table", "explain", "telemetry",
-    ])?;
-    let sink = telemetry::begin(args)?;
+/// Plans and runs `sql`'s query over the tenant: the table is the tenant's
+/// current sets under the tenant's name, and a trained cardinality tenant —
+/// opened through the registry like every other reader, pending deltas
+/// included — is the planner's estimator.
+fn run_sql(args: &Args) -> Result<QueryOutput, CliError> {
     let tenant = tenant_paths(args)?;
-    // With --root the tenant directory names everything: the collection
-    // file, the trained estimator (when present), and — unless --table
-    // overrides — the SQL table the query must target.
-    let (collection_path, model_path, expected_table) = match &tenant {
-        Some(t) => {
-            if args.optional("model").is_some() {
-                return Err(ArgError(
-                    "--root/--collection NAME already name the model; drop --model".into(),
-                )
-                .into());
-            }
-            let model = Path::new(&t.model()).exists().then(|| t.model());
-            let table =
-                args.optional("table").map(str::to_string).or_else(|| Some(t.name.clone()));
-            (t.collection(), model, table)
-        }
-        None => {
-            if args.optional("collection").is_some() {
-                note_legacy_addressing("path-valued --collection");
-            }
-            (
-                args.required("collection")?.to_string(),
-                args.optional("model").map(str::to_string),
-                args.optional("table").map(str::to_string),
-            )
-        }
-    };
-    let collection = load_collection(&collection_path)?;
-    let query = args.required("query")?;
-    let engine = Engine::new();
     // The table name comes from the FROM clause; parse first to learn it.
-    let mut parsed = setlearn_engine::parse_query(query)?;
+    let mut parsed = setlearn_engine::parse_query(args.required("query")?)?;
     if args.has_flag("explain") {
         parsed.explain = true;
     }
-    if let Some(expected) = &expected_table {
-        if parsed.table != *expected {
-            return Err(format!(
-                "query targets table '{}' but the collection is '{expected}' \
-                 (override with --table)",
-                parsed.table
-            )
-            .into());
-        }
+    // SQL identifiers have no '-': a collection's table name has '_' there.
+    let table = tenant.name.replace('-', "_");
+    if parsed.table != table {
+        return Err(format!(
+            "query targets table '{}' but collection '{}' is table '{table}'",
+            parsed.table, tenant.name
+        )
+        .into());
     }
-    // One collection file backs one column; every predicate must agree on
-    // its name.
+    // One collection backs one column; every predicate must agree on its
+    // name.
     let columns = parsed.filter.columns();
     let column = *columns.first().ok_or("query references no column")?;
     if let Some(other) = columns.iter().find(|c| **c != column) {
@@ -1548,16 +1228,41 @@ pub fn sql(args: &Args) -> Result<(), CliError> {
         )
         .into());
     }
+    let engine = Engine::new();
     engine.create_table(
-        SetTable::from_collection(parsed.table.clone(), collection),
+        SetTable::from_collection(parsed.table.clone(), tenant.current_sets()?),
         column.to_string(),
     );
     engine.create_index(&parsed.table)?;
-    if let Some(model_path) = &model_path {
-        let est: LearnedCardinality = load(model_path)?;
-        engine.register_estimator(&parsed.table, est)?;
+    // An untrained collection (no manifest yet) still answers exact plans;
+    // only a cardinality tenant is worth opening for the planner.
+    if tenant.dir.join(persist::COLLECTION_MANIFEST).exists()
+        && persist::load_manifest(&tenant.dir)?.task == WireTask::Cardinality.label()
+    {
+        let registry = registry_from_args(args)?;
+        let backend = Arc::clone(resolve_tenant(&registry, &tenant)?.backend());
+        engine.register_estimator_udf(
+            &parsed.table,
+            Arc::new(move |q| {
+                let set = setlearn_data::normalize(q.to_vec());
+                match answer(backend.as_ref(), vec![set]).pop() {
+                    Some(Ok(QueryResponse { value: QueryValue::Cardinality(rows), .. })) => rows,
+                    // A lost request has no estimate; NaN keeps it from
+                    // passing as one.
+                    _ => f64::NAN,
+                }
+            }),
+        )?;
     }
-    let out = engine.run_query(&parsed)?;
+    Ok(engine.run_query(&parsed)?)
+}
+
+/// `setlearn sql --root DIR --collection NAME --query "SELECT ..."
+/// [--explain] [--telemetry PATH]`
+pub fn sql(args: &Args) -> Result<(), CliError> {
+    args.reject_unknown(&["root", "collection", "query", "explain", "telemetry"])?;
+    let sink = telemetry::begin(args)?;
+    let out = run_sql(args)?;
     if let Some(text) = &out.explain {
         print!("{text}");
     }
@@ -1590,16 +1295,18 @@ COMMANDS:
   stats     --collection FILE
             | --telemetry PATH [--format table|prom]   (dump a run artifact)
   train     --task cardinality|index|bloom --root DIR --collection NAME
-            [--out FILE] [--compressed] [--epochs N] [--percentile P]
-            [--neurons N] [--embedding D] [--max-subset K] [--lr F]
-            [--batch N] [--shards N] [--shard-by hash|range]
+            [--compressed] [--epochs N] [--percentile P] [--neurons N]
+            [--embedding D] [--max-subset K] [--lr F] [--batch N]
+            [--shards N] [--shard-by hash|range] [--precision f32|f16|q8]
             [--telemetry PATH]
   ingest    --root DIR --collection NAME [--insert \"1,2;3,4\"]
             [--delete \"5,6\"]
             (offline durable appends; folded in by the next `train`)
-  query     --task cardinality|index|bloom --root DIR --collection NAME
-            (--query 1,2,3 | [--limit N] [--max-subset K] [--threads N])
-            [--shards N] [--shard-by hash|range] [--telemetry PATH]
+  query     --root DIR --collection NAME
+            (--query 1,2,3 | [--limit N] [--max-subset K]) [--threads N]
+            [--telemetry PATH]
+            (answers what `serve` over the same directory would; the
+            manifest names the task)
   serve     --root DIR --listen HOST:PORT   (SLP1 TCP front-end over every
             collection under DIR, loading lazily; port 0 works)
             [--serve-for-s S] [--addr-file PATH] [--allow-remote-shutdown]
@@ -1622,29 +1329,31 @@ COMMANDS:
   sql       --root DIR --collection NAME --query \"[EXPLAIN] SELECT
             COUNT(*) FROM t WHERE tags @> {{1,2}} [AND|OR|NOT ...]
             [USING mode]\" [--explain] [--telemetry PATH]
-            (un-pinned queries are planned on cost; a trained estimator in
-            the collection directory is registered with the planner)
+            (FROM names the collection, '-' spelled '_'; un-pinned queries
+            are planned on cost, with a trained cardinality collection as
+            the planner's estimator)
   help
 
 Addressing: `--root DIR --collection NAME` names one collection directory
-DIR/NAME/ holding collection.json, model.json, manifest.json, and wal/ —
-shared by train/query/serve/ingest/sql. `serve` takes nothing else; on
-train/query/ingest/sql the old path-valued spellings (--collection FILE,
---model FILE, --wal-dir DIR, --table NAME) still work for one release and
-print a deprecation note.
+DIR/NAME/ holding collection.json, model.json, manifest.json, and wal/. It
+is the only way train/query/serve/ingest/sql name a collection, and every
+one of them opens it the way `serve` does: the manifest says the task and
+shard layout, the checkpoint the precision, and a wal/ is recovered and its
+pending deltas merged in. So do not run an offline verb against a directory
+a live server owns.
 
 Passing --telemetry PATH raises telemetry to Full (per-query/per-epoch
 spans) and writes PATH.prom, PATH.metrics.json and PATH.jsonl; repeated
 runs against the same PATH accumulate into one artifact.
 
 `train --shards N` partitions the collection (hash by default, range with
---shard-by range) and trains one model per shard; `query` must be given the
-same --shards/--shard-by. `serve` reads the layout from the manifest and
-fans every query out across per-shard worker pools.
+--shard-by range) and trains one model per shard; every reader takes the
+layout from the manifest and fans each query out across per-shard worker
+pools.
 
-`serve` has one path: every collection is resolved through the registry
-over --root, which reads the task, shard layout and serve precision from
-the collection's manifest and checkpoint. `--listen` serves them all over
+Every collection is resolved through the registry over --root, which reads
+the task, shard layout and serve precision from the collection's manifest
+and checkpoint. `serve --listen` serves them all over
 SLP1 v2 frames carrying a collection id; plain v1 clients are routed to
 --default-collection bit-for-bit, so a solo server is `--default-collection
 NAME`. Collections load lazily on first use, --max-resident-bytes
@@ -1659,10 +1368,11 @@ model, so a kill -9 loses no acknowledged write (restart replays the WAL
 over the checkpoint). `--compact-after N` retrains the served structure
 (same model shape, precision and index target) in the background once N ops
 are pending, checkpoints atomically, and hot-swaps without dropping
-requests; `train` over the same collection does the same fold offline.
+requests; `train` over the same collection does the same fold offline and
+publishes to the same place, so the next reader serves it.
 
-The removed verbs estimate/lookup/member are spelled `query --task
-cardinality|index|bloom --query IDS` since this release."
+The removed verbs estimate/lookup/member are spelled `query --root DIR
+--collection NAME --query IDS`."
     );
 }
 
@@ -1682,17 +1392,11 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         "watch" => watch(args),
         // The old estimate/lookup/member verbs are gone: point straight at
         // the unified replacement instead of a generic "unknown command".
-        removed @ ("estimate" | "lookup" | "member") => {
-            let task = match removed {
-                "estimate" => "cardinality",
-                "lookup" => "index",
-                _ => "bloom",
-            };
-            Err(ArgError(format!(
-                "`{removed}` was removed; use `setlearn query --task {task} --model FILE --query IDS`"
-            ))
-            .into())
-        }
+        removed @ ("estimate" | "lookup" | "member") => Err(ArgError(format!(
+            "`{removed}` was removed; use `setlearn query --root DIR --collection NAME \
+             --query IDS` (the collection's manifest names the task)"
+        ))
+        .into()),
         "sql" => sql(args),
         "help" | "--help" | "-h" => {
             help();
@@ -1717,85 +1421,76 @@ mod tests {
         Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
     }
 
+    /// Generates an `sd` collection at `<root>/<name>/collection.json` in a
+    /// fresh root; returns the root.
+    fn generated_tenant(tag: &str, name: &str, sets: &str, seed: &str) -> String {
+        let root = tmp(tag);
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = format!("{root}/{name}");
+        std::fs::create_dir_all(&dir).unwrap();
+        run(&args(&[
+            "generate", "--dataset", "sd", "--sets", sets, "--seed", seed,
+            "--out", &format!("{dir}/collection.json"),
+        ]))
+        .unwrap();
+        root
+    }
+
+    /// [`generated_tenant`], then trains a cardinality tenant over it (plus
+    /// `extra` train flags).
+    fn trained_tenant(tag: &str, name: &str, seed: &str, extra: &[&str]) -> String {
+        let root = generated_tenant(tag, name, "150", seed);
+        let mut train = vec![
+            "train", "--task", "cardinality", "--root", &root, "--collection", name,
+            "--epochs", "2", "--refine-epochs", "1", "--max-subset", "2",
+        ];
+        train.extend_from_slice(extra);
+        run(&args(&train)).unwrap();
+        root
+    }
+
     #[test]
     fn generate_stats_train_estimate_pipeline() {
-        let coll = tmp("pipe.json");
-        let model = tmp("pipe-model.json");
+        let root = generated_tenant("pipe-root", "pipe", "200", "3");
+        run(&args(&["stats", "--collection", &format!("{root}/pipe/collection.json")])).unwrap();
         run(&args(&[
-            "generate", "--dataset", "sd", "--sets", "200", "--seed", "3", "--out", &coll,
+            "train", "--task", "cardinality", "--root", &root, "--collection", "pipe",
+            "--compressed", "--epochs", "3", "--refine-epochs", "2", "--max-subset", "2",
         ]))
         .unwrap();
-        run(&args(&["stats", "--collection", &coll])).unwrap();
-        run(&args(&[
-            "train",
-            "--task",
-            "cardinality",
-            "--collection",
-            &coll,
-            "--out",
-            &model,
-            "--compressed",
-            "--epochs",
-            "3",
-            "--refine-epochs",
-            "2",
-            "--max-subset",
-            "2",
-        ]))
-        .unwrap();
-        run(&args(&[
-            "query", "--task", "cardinality", "--model", &model, "--query", "1,2",
-        ]))
-        .unwrap();
+        run(&args(&["query", "--root", &root, "--collection", "pipe", "--query", "1,2"]))
+            .unwrap();
         // The removed verb aliases point at the replacement.
-        let err = run(&args(&["estimate", "--model", &model, "--query", "1,2"])).unwrap_err();
-        assert!(err.to_string().contains("query --task cardinality"), "got: {err}");
-        let _ = std::fs::remove_file(coll);
-        let _ = std::fs::remove_file(model);
+        let err = run(&args(&["estimate", "--query", "1,2"])).unwrap_err();
+        assert!(err.to_string().contains("query --root DIR --collection NAME"), "got: {err}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn sql_command_runs_exact_plans() {
-        let coll = tmp("sql.json");
-        run(&args(&[
-            "generate", "--dataset", "rw", "--sets", "300", "--seed", "1", "--out", &coll,
-        ]))
+        // Untrained: a collection file alone answers the exact plans.
+        let root = generated_tenant("sql-root", "web-logs", "300", "1");
+        let sql = |query: &str, extra: &[&str]| {
+            let mut tokens =
+                vec!["sql", "--root", &root, "--collection", "web-logs", "--query", query];
+            tokens.extend_from_slice(extra);
+            run(&args(&tokens))
+        };
+        sql("SELECT COUNT(*) FROM web_logs WHERE tags @> {1} USING index", &[]).unwrap();
+        // Boolean filters and --explain run.
+        sql(
+            "SELECT COUNT(*) FROM web_logs WHERE tags @> {1} AND tags @> {2} OR NOT tags @> {3}",
+            &["--explain"],
+        )
         .unwrap();
-        run(&args(&[
-            "sql",
-            "--collection",
-            &coll,
-            "--query",
-            "SELECT COUNT(*) FROM logs WHERE tags @> {1} USING index",
-        ]))
-        .unwrap();
-        // Boolean filters, --table validation, and --explain all run.
-        run(&args(&[
-            "sql",
-            "--collection",
-            &coll,
-            "--table",
-            "logs",
-            "--explain",
-            "--query",
-            "SELECT COUNT(*) FROM logs WHERE tags @> {1} AND tags @> {2} OR NOT tags @> {3}",
-        ]))
-        .unwrap();
-        // A --table mismatch is an error, as is a second column name (only
-        // one collection file backs the table).
-        let err = run(&args(&[
-            "sql", "--collection", &coll, "--table", "other", "--query",
-            "SELECT COUNT(*) FROM logs WHERE tags @> {1}",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("--table"), "got: {err}");
-        let err = run(&args(&[
-            "sql", "--collection", &coll, "--query",
-            "SELECT COUNT(*) FROM logs WHERE tags @> {1} AND mentions @> {2}",
-        ]))
-        .unwrap_err();
+        // The table is the collection: another FROM is an error, as is a
+        // second column name (one collection backs the table).
+        let err = sql("SELECT COUNT(*) FROM logs WHERE tags @> {1}", &[]).unwrap_err();
+        assert!(err.to_string().contains("is table 'web_logs'"), "got: {err}");
+        let err = sql("SELECT COUNT(*) FROM web_logs WHERE tags @> {1} AND mentions @> {2}", &[])
+            .unwrap_err();
         assert!(err.to_string().contains("one"), "got: {err}");
-        let _ = std::fs::remove_file(coll);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -1828,22 +1523,24 @@ mod tests {
         let err = run(&args(&["stats", "--collection", "/nonexistent/nope.json"])).unwrap_err();
         assert!(err.to_string().contains("/nonexistent/nope.json"), "got: {err}");
         let err = run(&args(&[
-            "query", "--task", "cardinality", "--model", "/nonexistent/m.json", "--query", "1",
+            "query", "--root", "/nonexistent", "--collection", "nope", "--query", "1",
         ]))
         .unwrap_err();
-        assert!(err.to_string().contains("cannot open"), "got: {err}");
+        assert!(err.to_string().contains("cannot open /nonexistent/nope"), "got: {err}");
     }
 
     #[test]
     fn corrupt_model_file_errors_instead_of_panicking() {
-        let path = tmp("garbage-model.json");
-        std::fs::write(&path, b"{ not json ").unwrap();
+        let root = trained_tenant("garbage-root", "garbage", "2", &[]);
+        let model = format!("{root}/garbage/model.json");
+        std::fs::write(&model, b"{ not json ").unwrap();
         let err = run(&args(&[
-            "query", "--task", "cardinality", "--model", &path, "--query", "1",
+            "query", "--root", &root, "--collection", "garbage", "--query", "1",
         ]))
         .unwrap_err();
-        assert!(err.to_string().contains("cannot parse"), "got: {err}");
-        let _ = std::fs::remove_file(path);
+        let msg = err.to_string();
+        assert!(msg.contains(&model) && msg.contains("json error"), "got: {msg}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -1855,7 +1552,7 @@ mod tests {
         assert!(msg.contains("usage: setlearn generate"), "got: {msg}");
         // A typo'd training knob fails instead of silently using defaults.
         let err = run(&args(&[
-            "train", "--task", "bloom", "--collection", "c", "--out", "m", "--epoch", "3",
+            "train", "--task", "bloom", "--root", "r", "--collection", "c", "--epoch", "3",
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("--epoch"), "got: {err}");
@@ -1863,46 +1560,38 @@ mod tests {
 
     #[test]
     fn train_query_stats_telemetry_pipeline() {
-        let coll = tmp("tele.json");
-        let model = tmp("tele-model.json");
-        let base = tmp("tele-run");
+        let root = generated_tenant("tele-root", "tele", "150", "5");
+        let base = format!("{root}/run");
         run(&args(&[
-            "generate", "--dataset", "sd", "--sets", "150", "--seed", "5", "--out", &coll,
-        ]))
-        .unwrap();
-        run(&args(&[
-            "train", "--task", "cardinality", "--collection", &coll, "--out", &model,
+            "train", "--task", "cardinality", "--root", &root, "--collection", "tele",
             "--epochs", "2", "--refine-epochs", "1", "--max-subset", "2",
             "--telemetry", &base,
         ]))
         .unwrap();
         run(&args(&[
-            "query", "--task", "cardinality", "--model", &model, "--collection", &coll,
+            "query", "--root", &root, "--collection", "tele",
             "--limit", "40", "--max-subset", "2", "--telemetry", &base,
         ]))
         .unwrap();
 
-        // The Prometheus export is parseable and holds the serve histogram,
-        // a nonzero query counter, and the train/serve metric families.
+        // The Prometheus export is parseable and holds what the server path
+        // leaves — the batch histogram and a nonzero query counter — beside
+        // the train and monitor families.
         let prom = std::fs::read_to_string(format!("{base}.prom")).unwrap();
         setlearn_obs::validate_prometheus(&prom).expect("valid exposition");
-        assert!(prom.contains("setlearn_serve_latency_seconds_bucket"), "prom:\n{prom}");
+        assert!(prom.contains("setlearn_serve_batch_seconds_bucket"), "prom:\n{prom}");
         assert!(prom.contains("setlearn_serve_queries_total{task=\"cardinality\"}"));
         assert!(prom.contains("setlearn_train_epochs_total"));
         assert!(prom.contains("setlearn_monitor_rolling_q_error"));
 
-        // The trace holds both train-epoch and serve-query spans.
+        // The trace holds both train-epoch and serve-batch spans.
         let trace = std::fs::read_to_string(format!("{base}.jsonl")).unwrap();
         let records = setlearn_obs::parse_jsonl(&trace).expect("parseable trace");
         assert!(records.iter().any(|r| r.name == "train_epoch"), "no train_epoch span");
-        assert!(records.iter().any(|r| r.name == "serve_query"), "no serve_query span");
+        assert!(records.iter().any(|r| r.name == "serve_batch"), "no serve_batch span");
 
         // The metrics snapshot round-trips and the query counter is nonzero.
-        let snap: RegistrySnapshot = serde_json::from_str(
-            &std::fs::read_to_string(format!("{base}.metrics.json")).unwrap(),
-        )
-        .unwrap();
-        let queries = snap
+        let queries = telemetry_snapshot(&base)
             .counter_value("setlearn_serve_queries_total", &[("task", "cardinality")])
             .expect("query counter");
         assert!(queries >= 40, "served {queries}");
@@ -1910,75 +1599,60 @@ mod tests {
         // `stats --telemetry` renders both formats.
         run(&args(&["stats", "--telemetry", &base])).unwrap();
         run(&args(&["stats", "--telemetry", &base, "--format", "prom"])).unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+    }
 
-        for f in [coll, model, format!("{base}.prom"), format!("{base}.metrics.json"),
-                  format!("{base}.jsonl")] {
-            let _ = std::fs::remove_file(f);
-        }
+    /// The answers `query` would print for `sets`, as raw wire outcomes:
+    /// the tenant opened through the same door, the same `answer`.
+    fn offline_answers(tokens: &[&str], sets: &[ElementSet]) -> Vec<WireOutcome> {
+        let parsed = args(tokens);
+        let registry = registry_from_args(&parsed).unwrap();
+        let resident = resolve_tenant(&registry, &tenant_paths(&parsed).unwrap()).unwrap();
+        answer(resident.backend().as_ref(), sets.to_vec())
     }
 
     #[test]
     fn query_threads_serves_the_parallel_path_with_identical_answers() {
-        let coll = tmp("par.json");
-        let model = tmp("par-model.json");
+        let root = trained_tenant("par-root", "par", "9", &[]);
+        // The multi-threaded replay runs end to end…
         run(&args(&[
-            "generate", "--dataset", "sd", "--sets", "150", "--seed", "9", "--out", &coll,
-        ]))
-        .unwrap();
-        run(&args(&[
-            "train", "--task", "cardinality", "--collection", &coll, "--out", &model,
-            "--epochs", "3", "--refine-epochs", "2", "--max-subset", "2",
-        ]))
-        .unwrap();
-        // The multi-threaded query path runs end to end…
-        run(&args(&[
-            "query", "--task", "cardinality", "--model", &model, "--collection", &coll,
+            "query", "--root", &root, "--collection", "par",
             "--limit", "60", "--max-subset", "2", "--threads", "2",
         ]))
         .unwrap();
-        // …and its answers are bit-for-bit the sequential ones.
-        let est: LearnedCardinality = load(&model).unwrap();
-        let collection = load_collection(&coll).unwrap();
+        // …and a wider pool answers bit-for-bit what one worker does, which
+        // is what the structure answers directly.
+        let est: LearnedCardinality = load(&format!("{root}/par/model.json")).unwrap();
+        let collection = load::<SetCollection>(&format!("{root}/par/collection.json")).unwrap();
         let qs: Vec<ElementSet> =
             SubsetIndex::build(&collection, 2).iter().map(|(s, _)| s.clone()).collect();
-        assert_eq!(est.query_batch_parallel(&qs, 2), est.query_batch(&qs));
-        // --threads now reaches every task through the unified structure
-        // API: the bloom parallel path runs end to end too.
-        let bloom = tmp("par-bloom.json");
+        let direct: Vec<WireOutcome> = {
+            use setlearn::prelude::LearnedSetStructure;
+            est.query_batch(&qs).into_iter().map(|o| Ok(o.into())).collect()
+        };
+        for threads in ["1", "3"] {
+            let tokens = ["query", "--root", &root, "--collection", "par", "--threads", threads];
+            assert_eq!(offline_answers(&tokens, &qs), direct, "--threads {threads}");
+        }
+        // --threads reaches every task the same way: a bloom tenant over
+        // the same sets replays on a pool too.
+        std::fs::create_dir_all(format!("{root}/par-bloom")).unwrap();
+        std::fs::copy(
+            format!("{root}/par/collection.json"),
+            format!("{root}/par-bloom/collection.json"),
+        )
+        .unwrap();
         run(&args(&[
-            "train", "--task", "bloom", "--collection", &coll, "--out", &bloom,
+            "train", "--task", "bloom", "--root", &root, "--collection", "par-bloom",
             "--epochs", "2", "--samples", "120", "--max-subset", "2",
         ]))
         .unwrap();
         run(&args(&[
-            "query", "--task", "bloom", "--model", &bloom, "--collection", &coll,
-            "--limit", "40", "--threads", "2",
+            "query", "--root", &root, "--collection", "par-bloom", "--limit", "40",
+            "--threads", "2",
         ]))
         .unwrap();
-        let _ = std::fs::remove_file(coll);
-        let _ = std::fs::remove_file(model);
-        let _ = std::fs::remove_file(bloom);
-    }
-
-    /// Generates a collection and trains a cardinality tenant at
-    /// `<root>/<name>/` (plus `extra` train flags); returns the root.
-    fn trained_tenant(tag: &str, name: &str, seed: &str, extra: &[&str]) -> String {
-        let root = tmp(tag);
         let _ = std::fs::remove_dir_all(&root);
-        let dir = format!("{root}/{name}");
-        std::fs::create_dir_all(&dir).unwrap();
-        run(&args(&[
-            "generate", "--dataset", "sd", "--sets", "150", "--seed", seed,
-            "--out", &format!("{dir}/collection.json"),
-        ]))
-        .unwrap();
-        let mut train = vec![
-            "train", "--task", "cardinality", "--root", &root, "--collection", name,
-            "--epochs", "2", "--refine-epochs", "1", "--max-subset", "2",
-        ];
-        train.extend_from_slice(extra);
-        run(&args(&train)).unwrap();
-        root
     }
 
     /// Runs `serve --root ROOT --listen 127.0.0.1:0 --allow-remote-shutdown`
@@ -2021,32 +1695,19 @@ mod tests {
         let root =
             trained_tenant("shard-root", "sharded", "11", &["--shards", "3", "--shard-by", "hash"]);
         let base = format!("{root}/run");
-        // The sharded model answers through the unified API, sequentially
-        // and in parallel.
+        // `query` takes the layout from the manifest, like every reader: the
+        // sharded tenant answers with no shard flags, on one worker per
+        // shard pool and on two.
         run(&args(&[
-            "query", "--task", "cardinality", "--root", &root, "--collection", "sharded",
-            "--limit", "40", "--max-subset", "2", "--shards", "3",
+            "query", "--root", &root, "--collection", "sharded",
+            "--limit", "40", "--max-subset", "2", "--threads", "1",
         ]))
         .unwrap();
         run(&args(&[
-            "query", "--task", "cardinality", "--root", &root, "--collection", "sharded",
-            "--limit", "40", "--max-subset", "2", "--shards", "3", "--threads", "2",
+            "query", "--root", &root, "--collection", "sharded",
+            "--limit", "40", "--max-subset", "2", "--threads", "2",
         ]))
         .unwrap();
-        // A mismatched spec is refused instead of answering nonsense —
-        // wrong shard count and wrong router alike.
-        let err = run(&args(&[
-            "query", "--task", "cardinality", "--root", &root, "--collection", "sharded",
-            "--shards", "2",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("3 shards"), "got: {err}");
-        let err = run(&args(&[
-            "query", "--task", "cardinality", "--root", &root, "--collection", "sharded",
-            "--shards", "3", "--shard-by", "range",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("--shard-by hash"), "got: {err}");
         // `serve` reads the layout from the manifest: fan-out serving works
         // with no shard flags and every shard's telemetry is labeled.
         run(&args(&[
@@ -2124,78 +1785,185 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// Every option this release removed from `serve`, and the one invalid
-    /// mode combination, is a typed usage error — never a panic, never a
-    /// silently ignored flag.
+    /// Every option removed from `serve`, `train`, `query`, `sql` and
+    /// `ingest`, and both invalid `serve` mode combinations, are typed usage
+    /// errors — never a panic, never a silently ignored flag.
     #[test]
     fn removed_serve_flags_and_mixed_modes_are_typed_arg_errors() {
-        let valued = [
-            "task", "model", "wal-dir", "shards", "shard-by", "precision", "epochs",
-            "refine-epochs", "percentile", "neurons", "embedding", "lr", "batch", "seed",
-            "samples", "range",
-        ];
-        let mut cases: Vec<Vec<String>> = valued
-            .iter()
-            .map(|flag| vec![format!("--{flag}"), "1".to_string()])
-            .chain(["compressed", "last"].iter().map(|flag| vec![format!("--{flag}")]))
-            .collect();
-        assert_eq!(cases.len(), 18);
-        cases.push(vec!["--collection".to_string(), "solo".to_string()]);
-        for extra in cases {
-            let mut tokens: Vec<String> =
-                ["serve", "--root", "/nonexistent", "--listen", "127.0.0.1:0"]
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect();
-            tokens.extend(extra.iter().cloned());
-            let err = run(&Args::parse(tokens).unwrap()).unwrap_err();
-            assert!(err.downcast_ref::<ArgError>().is_some(), "{extra:?} gave untyped: {err}");
-            assert!(err.to_string().contains(&extra[0]), "{extra:?} not named in: {err}");
+        let usage_error = |line: String| {
+            let err = run(&Args::parse(line.split(' ').map(String::from)).unwrap()).unwrap_err();
+            assert!(err.downcast_ref::<ArgError>().is_some(), "`{line}` gave untyped: {err}");
+            err.to_string()
+        };
+        let serve = "serve --root /nonexistent --listen 127.0.0.1:0";
+        let mut removed = 0;
+        for (verb, flags, value) in [
+            (
+                serve,
+                "task model wal-dir shards shard-by precision epochs refine-epochs percentile \
+                 neurons embedding lr batch seed samples range",
+                " 1",
+            ),
+            (serve, "compressed last", ""),
+            // The ten options the offline verbs lost with legacy addressing.
+            ("train --root /nonexistent --collection gone", "out wal-dir", " 1"),
+            (
+                "query --root /nonexistent --collection gone",
+                "task model shards shard-by precision",
+                " 1",
+            ),
+            ("sql --root /nonexistent --collection gone", "model table", " 1"),
+            ("ingest --root /nonexistent --collection gone", "wal-dir", " 1"),
+        ] {
+            for flag in flags.split_whitespace() {
+                let message = usage_error(format!("{verb} --{flag}{value}"));
+                assert!(message.contains(&format!("--{flag}")), "--{flag} not named in: {message}");
+                removed += 1;
+            }
         }
-        // Neither mode is a usage error too.
-        let err = run(&args(&["serve", "--root", "/nonexistent"])).unwrap_err();
-        assert!(err.downcast_ref::<ArgError>().is_some(), "got: {err}");
+        assert_eq!(removed, 18 + 10);
+        // `--collection` beside `--listen`, and neither mode.
+        usage_error(format!("{serve} --collection solo"));
+        usage_error("serve --root /nonexistent".to_string());
     }
 
     #[test]
     fn ingest_then_train_folds_the_wal_into_a_checkpoint() {
-        let coll = tmp("wal-fold.json");
-        let model = tmp("wal-fold-model.json");
-        let wal_dir = tmp("wal-fold-dir");
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        run(&args(&[
-            "generate", "--dataset", "sd", "--sets", "120", "--seed", "6", "--out", &coll,
-        ]))
-        .unwrap();
+        let root = generated_tenant("wal-fold-root", "fold", "120", "6");
+        let dir = format!("{root}/fold");
+        let train = [
+            "train", "--task", "cardinality", "--root", &root, "--collection", "fold",
+            "--epochs", "2", "--refine-epochs", "1", "--max-subset", "2",
+        ];
         // Offline appends: two inserts, then a delete that consumes the
         // freshest matching insert — the net delta is one extra row.
         run(&args(&[
-            "ingest", "--wal-dir", &wal_dir, "--insert", "1,2;2,3", "--delete", "1,2",
+            "ingest", "--root", &root, "--collection", "fold", "--insert", "1,2;2,3",
+            "--delete", "1,2",
         ]))
         .unwrap();
-        run(&args(&[
-            "train", "--task", "cardinality", "--collection", &coll, "--out", &model,
-            "--epochs", "2", "--refine-epochs", "1", "--max-subset", "2",
-            "--wal-dir", &wal_dir,
-        ]))
-        .unwrap();
-        let base = load_collection(&coll).unwrap();
-        let merged: SetCollection =
-            load(&format!("{wal_dir}/checkpoint.json")).unwrap();
+        run(&args(&train)).unwrap();
+        let base = load::<SetCollection>(&format!("{dir}/collection.json")).unwrap();
+        let merged: SetCollection = load(&format!("{dir}/wal/checkpoint.json")).unwrap();
         assert_eq!(merged.len(), base.len() + 1, "net delta folded into the checkpoint");
-        // The fold consumed the log: nothing is pending on reopen, and a
-        // second train starts from the checkpoint without --collection.
-        let recovery = Wal::open(Path::new(&wal_dir)).unwrap();
+        // The fold consumed the log: nothing is pending on reopen, the
+        // retrain is what a reader now opens, and a second train starts
+        // from the checkpoint, not from the original collection file.
+        let recovery = Wal::open(Path::new(&format!("{dir}/wal"))).unwrap();
         assert!(recovery.records.is_empty(), "WAL fully applied");
         drop(recovery);
+        run(&args(&["query", "--root", &root, "--collection", "fold", "--query", "2,3"]))
+            .unwrap();
+        std::fs::remove_file(format!("{dir}/collection.json")).unwrap();
+        run(&args(&train)).unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// One cardinality answer as raw bits, through a v1 client.
+    fn served_bits(addr: &str, ids: &[u32]) -> u64 {
+        let mut client = NetClient::connect(addr).unwrap();
+        let outcomes =
+            client.query_batch(WireTask::Cardinality, &[QueryRequest::new(ids.to_vec())]).unwrap();
+        cardinality_bits(&outcomes[0])
+    }
+
+    fn cardinality_bits(outcome: &WireOutcome) -> u64 {
+        match outcome.as_ref().unwrap().value {
+            QueryValue::Cardinality(v) => v.to_bits(),
+            ref other => panic!("wrong value kind: {other:?}"),
+        }
+    }
+
+    /// Blocks until the live server's compactor has folded every pending op
+    /// into a published checkpoint.
+    fn await_compaction(addr: &str, server: &std::thread::JoinHandle<Result<(), String>>) {
+        let mut health = NetClient::connect(addr).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+        while health.health_extended().unwrap().compactor_pending > 0 {
+            assert!(std::time::Instant::now() < deadline, "compaction never folded the delta");
+            assert!(!server.is_finished(), "server died before compacting");
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+    }
+
+    /// The offline verbs open a tenant the way `serve` does: after writes, a
+    /// background compaction and one more write — model superseded under
+    /// `wal/`, sets checkpointed, a record still pending — `query --query`
+    /// and `sql … USING estimate` answer what the server answered.
+    #[test]
+    fn offline_verbs_answer_what_serve_answers() {
+        let root = trained_tenant("offline-root", "live", "7", &[]);
+        std::fs::create_dir_all(format!("{root}/live/wal")).unwrap();
+        let (server, addr) =
+            listen_session(&root, &["--default-collection", "live", "--compact-after", "3"]);
+        let trained = served_bits(&addr, &[1, 2]);
         run(&args(&[
-            "train", "--task", "cardinality", "--out", &model, "--epochs", "2",
-            "--refine-epochs", "1", "--max-subset", "2", "--wal-dir", &wal_dir,
+            "client", "--addr", &addr, "--task", "cardinality", "--insert", "1,2;1,2,3;1,2,4",
         ]))
         .unwrap();
-        let _ = std::fs::remove_file(coll);
-        let _ = std::fs::remove_file(model);
-        let _ = std::fs::remove_dir_all(&wal_dir);
+        await_compaction(&addr, &server);
+        assert!(Path::new(&format!("{root}/live/wal/model.json")).exists());
+        run(&args(&["client", "--addr", &addr, "--task", "cardinality", "--insert", "1,2,5"]))
+            .unwrap();
+        let served = served_bits(&addr, &[1, 2]);
+        assert_ne!(served, trained, "the retrain and the pending insert moved the answer");
+        run(&args(&["client", "--addr", &addr, "--shutdown"])).unwrap();
+        server.join().unwrap().unwrap();
+
+        let tenant = ["--root", &root, "--collection", "live"];
+        let offline =
+            offline_answers(&[&["query"][..], &tenant].concat(), &[vec![1, 2].into_boxed_slice()]);
+        assert_eq!(cardinality_bits(&offline[0]), served, "query --query diverged from serve");
+        run(&args(&[&["query"][..], &tenant, &["--query", "1,2"]].concat())).unwrap();
+        let out = run_sql(&args(
+            &[
+                &["sql"][..],
+                &tenant,
+                &["--query", "SELECT COUNT(*) FROM live WHERE tags @> {1,2} USING estimate"],
+            ]
+            .concat(),
+        ))
+        .unwrap();
+        assert!(!out.result.exact);
+        assert_eq!(out.result.count.to_bits(), served, "sql USING estimate diverged from serve");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `train` over a tenant that a compaction has already checkpointed
+    /// publishes where the compaction did, so the next reader serves the
+    /// model just trained — not the compacted one it supersedes.
+    #[test]
+    fn train_after_a_compaction_is_what_the_next_reader_serves() {
+        let root = trained_tenant("retrain-root", "live", "8", &[]);
+        std::fs::create_dir_all(format!("{root}/live/wal")).unwrap();
+        let (server, addr) =
+            listen_session(&root, &["--default-collection", "live", "--compact-after", "1"]);
+        run(&args(&["client", "--addr", &addr, "--task", "cardinality", "--insert", "1,2,3"]))
+            .unwrap();
+        await_compaction(&addr, &server);
+        run(&args(&["client", "--addr", &addr, "--shutdown"])).unwrap();
+        server.join().unwrap().unwrap();
+        let compacted: LearnedCardinality = load(&format!("{root}/live/wal/model.json")).unwrap();
+        assert_eq!(compacted.model().config().embedding_dim, 8);
+
+        run(&args(&[
+            "train", "--task", "cardinality", "--root", &root, "--collection", "live",
+            "--epochs", "2", "--refine-epochs", "1", "--max-subset", "2", "--embedding", "5",
+        ]))
+        .unwrap();
+        let current = persist::current_files(Path::new(&format!("{root}/live")));
+        let retrained: LearnedCardinality = load(&current.model.to_string_lossy()).unwrap();
+        assert_eq!(retrained.model().config().embedding_dim, 5, "the reader's model is the new one");
+        let sets = load::<SetCollection>(&current.sets.to_string_lossy()).unwrap();
+        let qs: Vec<ElementSet> =
+            SubsetIndex::build(&sets, 2).iter().map(|(s, _)| s.clone()).collect();
+        let direct: Vec<WireOutcome> = {
+            use setlearn::prelude::LearnedSetStructure;
+            retrained.query_batch(&qs).into_iter().map(|o| Ok(o.into())).collect()
+        };
+        let served = offline_answers(&["query", "--root", &root, "--collection", "live"], &qs);
+        assert_eq!(served, direct, "the served structure is not the one train just wrote");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// End-to-end mutable serving: a tenant with a `wal/` accepts ingest,
@@ -2208,18 +1976,7 @@ mod tests {
         let wal_dir = format!("{root}/live/wal");
         std::fs::create_dir_all(&wal_dir).unwrap();
         let base = format!("{root}/run");
-        let query = |addr: &str| {
-            let mut client = NetClient::connect(addr).unwrap();
-            match client.query_batch(WireTask::Cardinality, &[QueryRequest::new(vec![1, 2])])
-                .unwrap()[0]
-                .as_ref()
-                .unwrap()
-                .value
-            {
-                QueryValue::Cardinality(v) => v.to_bits(),
-                ref other => panic!("wrong value kind: {other:?}"),
-            }
-        };
+        let query = |addr: &str| served_bits(addr, &[1, 2]);
 
         // Session 1: ingest over the wire, query through the overlay, drain.
         let (server, addr) = listen_session(&root, &["--default-collection", "live"]);
@@ -2255,22 +2012,11 @@ mod tests {
             &["--default-collection", "live", "--compact-after", "2", "--telemetry", &base],
         );
         query(&addr); // first frame makes the tenant resident
-        let checkpoint = format!("{wal_dir}/checkpoint.json");
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
-        while !Path::new(&checkpoint).exists() {
-            assert!(std::time::Instant::now() < deadline, "compaction never checkpointed");
-            assert!(!server.is_finished(), "server died before compacting");
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        let mut health = NetClient::connect(&addr).unwrap();
-        while health.health_extended().unwrap().compactor_pending > 0 {
-            assert!(std::time::Instant::now() < deadline, "compaction never folded the delta");
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
+        await_compaction(&addr, &server);
         run(&args(&["client", "--addr", &addr, "--shutdown"])).unwrap();
         server.join().unwrap().unwrap();
-        let collection = load_collection(&format!("{root}/live/collection.json")).unwrap();
-        let merged: SetCollection = load(&checkpoint).unwrap();
+        let collection = load::<SetCollection>(&format!("{root}/live/collection.json")).unwrap();
+        let merged: SetCollection = load(&format!("{wal_dir}/checkpoint.json")).unwrap();
         assert_eq!(merged.len(), collection.len() + 2, "compaction folded the delta");
         assert!(
             Path::new(&format!("{wal_dir}/model.json")).exists(),
@@ -2289,15 +2035,9 @@ mod tests {
     #[test]
     fn unknown_command_and_task_error() {
         assert!(run(&args(&["frobnicate"])).is_err());
-        let coll = tmp("err.json");
-        run(&args(&[
-            "generate", "--dataset", "sd", "--sets", "100", "--seed", "2", "--out", &coll,
-        ]))
-        .unwrap();
-        assert!(run(&args(&[
-            "train", "--task", "nope", "--collection", &coll, "--out", "/dev/null"
-        ]))
-        .is_err());
-        let _ = std::fs::remove_file(coll);
+        let root = generated_tenant("err-root", "err", "100", "2");
+        assert!(run(&args(&["train", "--task", "nope", "--root", &root, "--collection", "err"]))
+            .is_err());
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -182,9 +182,8 @@ pub fn set_kernel_isa(isa: KernelIsa) -> Result<(), String> {
     Ok(())
 }
 
-/// Numeric precision a structure serves at. Recorded in checkpoints; a
-/// `--precision` flag that disagrees with the recorded value fails with a
-/// typed [`PrecisionMismatch`] instead of silently re-quantizing.
+/// Numeric precision a structure serves at. Chosen at `train` time and
+/// recorded in the checkpoint; every reader serves at the recorded value.
 /// Serialized by variant name (`"F32"`/`"F16"`/`"Q8"`) in JSON checkpoints;
 /// the CLI-facing [`FromStr`]/[`fmt::Display`] forms are lowercase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -249,43 +248,6 @@ impl FromStr for Precision {
             "q8" => Ok(Precision::Q8),
             other => Err(format!("unknown precision '{other}' (expected f32, f16 or q8)")),
         }
-    }
-}
-
-/// Typed error for a `--precision` request that disagrees with the precision
-/// recorded in a checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrecisionMismatch {
-    /// What the caller asked for.
-    pub requested: Precision,
-    /// What the checkpoint records.
-    pub recorded: Precision,
-}
-
-impl fmt::Display for PrecisionMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "precision mismatch: checkpoint records {} but {} was requested \
-             (retrain with --precision {} or drop the flag)",
-            self.recorded, self.requested, self.requested
-        )
-    }
-}
-
-impl std::error::Error for PrecisionMismatch {}
-
-/// Resolves an optional requested precision against the one recorded in a
-/// checkpoint: no request serves at the recorded precision; an equal request
-/// is a no-op; a differing request fails typed.
-pub fn resolve_precision(
-    requested: Option<Precision>,
-    recorded: Precision,
-) -> Result<Precision, PrecisionMismatch> {
-    match requested {
-        None => Ok(recorded),
-        Some(p) if p == recorded => Ok(recorded),
-        Some(p) => Err(PrecisionMismatch { requested: p, recorded }),
     }
 }
 
@@ -1298,15 +1260,6 @@ mod tests {
         assert_eq!(Precision::from_byte(9), None);
         // The vendored serde stub serializes unit variants by name.
         assert_eq!(serde_json::to_string(&Precision::Q8).unwrap(), "\"Q8\"");
-    }
-
-    #[test]
-    fn resolve_precision_contract() {
-        assert_eq!(resolve_precision(None, Precision::Q8), Ok(Precision::Q8));
-        assert_eq!(resolve_precision(Some(Precision::Q8), Precision::Q8), Ok(Precision::Q8));
-        let err = resolve_precision(Some(Precision::F16), Precision::Q8).unwrap_err();
-        assert_eq!(err, PrecisionMismatch { requested: Precision::F16, recorded: Precision::Q8 });
-        assert!(err.to_string().contains("precision mismatch"));
     }
 
     /// Every supported ISA must produce bitwise-identical scores: f32 vs the

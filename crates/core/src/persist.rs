@@ -19,9 +19,8 @@
 //!
 //! The checksum covers both the config and every weight byte, so truncation
 //! and bit flips surface as [`PersistError::Corrupt`] instead of silently
-//! loading garbage weights. Revision-1 files (no precision byte) and legacy
-//! `SLW1` files (the revision-1 payload with no version or checksum) still
-//! load and report [`Precision::F32`].
+//! loading garbage weights. Any other magic or revision — the retired `SLW1`
+//! layout and `SLW2` revision 1 included — is a [`PersistError::Format`].
 //!
 //! Saves are atomic: bytes are written to a sibling `*.tmp` file, synced, and
 //! renamed over the destination, so a crash mid-save can never leave a
@@ -74,12 +73,9 @@ impl From<serde_json::Error> for PersistError {
     }
 }
 
-const MAGIC_V2: &[u8; 4] = b"SLW2";
-const MAGIC_V1: &[u8; 4] = b"SLW1";
-/// Revision written by this build (adds the leading precision byte).
+const MAGIC: &[u8; 4] = b"SLW2";
+/// The one revision this build reads and writes (leading precision byte).
 const FORMAT_VERSION: u8 = 2;
-/// Oldest SLW2 revision still readable (no precision byte → f32).
-const FORMAT_VERSION_V1: u8 = 1;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320)
@@ -268,7 +264,7 @@ pub fn encode_weights_with_precision(
     payload.push(precision.to_byte());
     payload.extend_from_slice(&body);
     let mut out = Vec::with_capacity(9 + payload.len());
-    out.extend_from_slice(MAGIC_V2);
+    out.extend_from_slice(MAGIC);
     out.push(FORMAT_VERSION);
     out.extend_from_slice(&crc32(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
@@ -283,9 +279,7 @@ pub fn decode_weights(data: &[u8]) -> Result<DeepSets, PersistError> {
 
 /// Decodes a model and its recorded serve precision from the binary weight
 /// format: verifies the checksum, rebuilds the skeleton from the embedded
-/// config, then overwrites every weight buffer. Revision-1 `SLW2` files and
-/// legacy `SLW1` files (no checksum) are also accepted and report
-/// [`Precision::F32`].
+/// config, then overwrites every weight buffer.
 pub fn decode_weights_with_precision(
     data: &[u8],
 ) -> Result<(DeepSets, Precision), PersistError> {
@@ -293,42 +287,35 @@ pub fn decode_weights_with_precision(
     let magic = cur.take(4, "header").map_err(|_| {
         PersistError::Format(format!("not a weight file: {} bytes, need at least 4", data.len()))
     })?;
-    match magic {
-        m if m == MAGIC_V2 => {
-            let version = cur.u8("format version")?;
-            if version != FORMAT_VERSION && version != FORMAT_VERSION_V1 {
-                return Err(PersistError::Format(format!(
-                    "unsupported SLW2 revision {version} (this build reads revisions \
-                     {FORMAT_VERSION_V1} and {FORMAT_VERSION})"
-                )));
-            }
-            let stored_crc = cur.u32("checksum")?;
-            let payload = &data[cur.pos..];
-            let actual_crc = crc32(payload);
-            if stored_crc != actual_crc {
-                return Err(PersistError::Corrupt(format!(
-                    "checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x} \
-                     (file truncated or bits flipped)"
-                )));
-            }
-            if version == FORMAT_VERSION_V1 {
-                return Ok((decode_payload(payload)?, Precision::F32));
-            }
-            let mut body = Cursor::new(payload);
-            let precision_byte = body.u8("precision")?;
-            let precision = Precision::from_byte(precision_byte).ok_or_else(|| {
-                PersistError::Format(format!(
-                    "unknown precision code {precision_byte} (this build knows f32/f16/q8)"
-                ))
-            })?;
-            Ok((decode_payload(&payload[body.pos..])?, precision))
-        }
-        m if m == MAGIC_V1 => Ok((decode_payload(&data[cur.pos..])?, Precision::F32)),
-        m => Err(PersistError::Format(format!(
+    if magic != MAGIC {
+        return Err(PersistError::Format(format!(
             "bad magic {:?}: not a setlearn weight file",
-            String::from_utf8_lossy(m)
-        ))),
+            String::from_utf8_lossy(magic)
+        )));
     }
+    let version = cur.u8("format version")?;
+    if version != FORMAT_VERSION {
+        return Err(PersistError::Format(format!(
+            "unsupported SLW2 revision {version} (this build reads revision {FORMAT_VERSION})"
+        )));
+    }
+    let stored_crc = cur.u32("checksum")?;
+    let payload = &data[cur.pos..];
+    let actual_crc = crc32(payload);
+    if stored_crc != actual_crc {
+        return Err(PersistError::Corrupt(format!(
+            "checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x} \
+             (file truncated or bits flipped)"
+        )));
+    }
+    let mut body = Cursor::new(payload);
+    let precision_byte = body.u8("precision")?;
+    let precision = Precision::from_byte(precision_byte).ok_or_else(|| {
+        PersistError::Format(format!(
+            "unknown precision code {precision_byte} (this build knows f32/f16/q8)"
+        ))
+    })?;
+    Ok((decode_payload(&payload[body.pos..])?, precision))
 }
 
 /// Saves a model's weights in the `SLW2` binary format (atomic write).
@@ -337,22 +324,12 @@ pub fn save_weights(model: &DeepSets, path: &Path) -> Result<(), PersistError> {
     write_atomic(path, &bytes)
 }
 
-/// Loads a model from the binary weight format (`SLW2` or legacy `SLW1`).
+/// Loads a model from the `SLW2` binary weight format.
 pub fn load_weights(path: &Path) -> Result<DeepSets, PersistError> {
     let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
     let mut data = Vec::new();
     file.read_to_end(&mut data)?;
     decode_weights(&data)
-}
-
-/// Encodes a model in the legacy `SLW1` layout (payload without version or
-/// checksum). Exists for read-compatibility tests; new files are `SLW2`.
-pub fn encode_weights_legacy_v1(model: &DeepSets) -> Result<Vec<u8>, PersistError> {
-    let payload = encode_payload(model)?;
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(MAGIC_V1);
-    out.extend_from_slice(&payload);
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -421,6 +398,38 @@ pub fn load_manifest(dir: &Path) -> Result<CollectionManifest, PersistError> {
 pub fn save_manifest(dir: &Path, manifest: &CollectionManifest) -> Result<(), PersistError> {
     std::fs::create_dir_all(dir)?;
     save_json(manifest, &dir.join(COLLECTION_MANIFEST))
+}
+
+/// The two files that hold a collection's trained state: the structure
+/// checkpoint and the sets it was trained on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CheckpointFiles {
+    /// The structure checkpoint (JSON).
+    pub model: std::path::PathBuf,
+    /// The sets that checkpoint was trained on (JSON).
+    pub sets: std::path::PathBuf,
+}
+
+/// Where a retrain of the mutable collection in `dir` publishes: inside its
+/// `wal/`, next to the log whose records the retrain folded in. Background
+/// compaction and an offline `train` both write here — model first, then
+/// sets, then the WAL watermark.
+pub fn retrain_files(dir: &Path) -> CheckpointFiles {
+    let wal = dir.join(COLLECTION_WAL);
+    CheckpointFiles { model: wal.join("model.json"), sets: wal.join("checkpoint.json") }
+}
+
+/// The files holding the current model and sets of the collection in `dir`:
+/// what the last retrain published ([`retrain_files`]) where it exists, else
+/// the files the collection was first trained into. Every reader — the
+/// serving registry, `train`'s WAL fold, the CLI's workload enumeration —
+/// asks here, so none of them can serve or extend a superseded checkpoint.
+pub fn current_files(dir: &Path) -> CheckpointFiles {
+    let CheckpointFiles { model, sets } = retrain_files(dir);
+    CheckpointFiles {
+        model: if model.exists() { model } else { dir.join(COLLECTION_MODEL) },
+        sets: if sets.exists() { sets } else { dir.join(COLLECTION_SETS) },
+    }
 }
 
 fn dir_file_bytes(dir: &Path) -> u64 {
@@ -534,7 +543,7 @@ mod tests {
         assert!(matches!(decode_weights(b"nope"), Err(PersistError::Format(_))));
         // A valid-looking SLW2 header whose checksum doesn't match.
         assert!(matches!(
-            decode_weights(b"SLW2\x01\xff\xff\xff\xff\x00\x00\x00\x00"),
+            decode_weights(b"SLW2\x02\xff\xff\xff\xff\x00\x00\x00\x00"),
             Err(PersistError::Corrupt(_))
         ));
         let model = DeepSets::new(DeepSetsConfig::lsm(50));
@@ -559,16 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_slw1_files_still_load() {
-        let model = DeepSets::new(DeepSetsConfig::lsm(80));
-        let v1 = encode_weights_legacy_v1(&model).unwrap();
-        assert_eq!(&v1[..4], b"SLW1");
-        let back = decode_weights(&v1).unwrap();
-        assert_eq!(model.predict_one(&[5, 9]), back.predict_one(&[5, 9]));
-    }
-
-    #[test]
-    fn precision_roundtrips_and_old_revisions_report_f32() {
+    fn precision_roundtrips_and_unknown_codes_are_refused() {
         let model = DeepSets::new(DeepSetsConfig::lsm(60));
         for p in Precision::ALL {
             let bytes = encode_weights_with_precision(&model, p).unwrap();
@@ -576,22 +576,8 @@ mod tests {
             assert_eq!(got, p);
             assert_eq!(model.predict_one(&[3, 9]), back.predict_one(&[3, 9]));
         }
-        // A revision-1 file is the same payload without the precision byte
+        // An unknown precision code is refused even when the checksum holds
         // (header is magic 4 + version 1 + crc 4 = 9 bytes).
-        let v2 = encode_weights_with_precision(&model, Precision::Q8).unwrap();
-        let payload = &v2[10..];
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC_V2);
-        v1.push(FORMAT_VERSION_V1);
-        v1.extend_from_slice(&crc32(payload).to_le_bytes());
-        v1.extend_from_slice(payload);
-        let (back, got) = decode_weights_with_precision(&v1).unwrap();
-        assert_eq!(got, Precision::F32);
-        assert_eq!(model.predict_one(&[3, 9]), back.predict_one(&[3, 9]));
-        // Legacy SLW1 also reports f32.
-        let slw1 = encode_weights_legacy_v1(&model).unwrap();
-        assert_eq!(decode_weights_with_precision(&slw1).unwrap().1, Precision::F32);
-        // An unknown precision code is refused even when the checksum holds.
         let mut bad = encode_weights_with_precision(&model, Precision::F32).unwrap();
         bad[9] = 7;
         let crc = crc32(&bad[9..]);
@@ -602,12 +588,28 @@ mod tests {
         ));
     }
 
+    /// Only the revision this build writes is read: a future revision, the
+    /// retired revision 1 (same payload minus the precision byte, valid
+    /// checksum) and the retired checksum-less `SLW1` layout are all typed
+    /// format errors, never a guess at the payload.
     #[test]
     fn unsupported_future_revision_is_refused() {
         let model = DeepSets::new(DeepSetsConfig::lsm(50));
-        let mut bytes = encode_weights(&model).unwrap();
-        bytes[4] = 99;
-        assert!(matches!(decode_weights(&bytes), Err(PersistError::Format(_))));
+        let current = encode_weights(&model).unwrap();
+        let mut future = current.clone();
+        future[4] = 99;
+        let body = &current[10..];
+        let mut rev1 = b"SLW2\x01".to_vec();
+        rev1.extend_from_slice(&crc32(body).to_le_bytes());
+        rev1.extend_from_slice(body);
+        let mut slw1 = b"SLW1".to_vec();
+        slw1.extend_from_slice(body);
+        for (what, bytes) in [("revision 99", future), ("revision 1", rev1), ("SLW1", slw1)] {
+            assert!(
+                matches!(decode_weights(&bytes), Err(PersistError::Format(_))),
+                "{what} was not refused as a format error"
+            );
+        }
     }
 
     #[test]

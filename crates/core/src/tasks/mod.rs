@@ -16,8 +16,6 @@
 pub mod bloom;
 pub mod cardinality;
 pub mod index;
-pub mod partitioned;
-pub mod sandwich;
 pub mod sharded;
 
 pub use bloom::{BloomBuildReport, BloomConfig, LearnedBloom};
@@ -25,8 +23,6 @@ pub use cardinality::{CardinalityBuildReport, CardinalityConfig, LearnedCardinal
 pub use index::{
     IndexBuildReport, IndexConfig, IndexStructure, LearnedSetIndex, LookupProfile, PositionTarget,
 };
-pub use partitioned::{PartitionedBloom, PartitionedConfig};
-pub use sandwich::{SandwichConfig, SandwichedBloom};
 pub use sharded::{
     aggregate_bloom, aggregate_cardinality, aggregate_index, ShardIndexStructure, ShardedBloom,
     ShardedCardinality, ShardedIndex, ShardedIndexStructure,

@@ -324,10 +324,11 @@ where
 // Server
 // ---------------------------------------------------------------------------
 
-/// The TCP front-end: accepts connections and serves `SLP1` frames out of a
-/// [`WireBackend`]. The server borrows the backend (via `Arc`) — it never
-/// owns or drains the runtime, so shutdown ordering stays with the caller:
-/// drain the net server first (accepted frames answered), then the runtime.
+/// The TCP front-end: accepts connections and serves `SLP1` frames out of
+/// the [`WireBackend`]s a [`CollectionRegistry`] resolves. The server shares
+/// the registry (via `Arc`) — it never drains a runtime, so shutdown ordering
+/// stays with the caller: drain the net server first (accepted frames
+/// answered), then drop the registry.
 pub struct NetServer {
     local_addr: SocketAddr,
     shared: Arc<ServerShared>,
@@ -335,21 +336,11 @@ pub struct NetServer {
     handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
-/// What a server routes frames into: one backend, or a whole registry.
-enum Serving {
-    /// Classic single-tenant serving: every query frame goes to this
-    /// backend; frames addressing a named collection are refused.
-    Single(Arc<dyn WireBackend>),
-    /// Multi-tenant serving: frames resolve through the registry by
-    /// collection id (v1 frames route to the registry's default).
-    Registry(Arc<CollectionRegistry>),
-}
-
 /// State shared between the accept loop, every connection handler, and the
-/// [`NetServer`] handle: the serving target, the config, the lifecycle
-/// flags, the slow-query ring, and the cached metric handles.
+/// [`NetServer`] handle: the registry frames resolve through, the config,
+/// the lifecycle flags, the slow-query ring, and the cached metric handles.
 struct ServerShared {
-    serving: Serving,
+    registry: Arc<CollectionRegistry>,
     config: NetConfig,
     /// Hard stop: the accept loop exits and idle handlers disconnect.
     shutdown: AtomicBool,
@@ -367,38 +358,15 @@ impl fmt::Debug for NetServer {
 }
 
 impl NetServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and starts
-    /// the accept loop over `backend`.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        backend: Arc<dyn WireBackend>,
-        config: NetConfig,
-    ) -> io::Result<NetServer> {
-        let tele = NetTele::new(backend.wire_task().label());
-        Self::bind_serving(addr, Serving::Single(backend), config, tele)
-    }
-
-    /// Binds `addr` and serves every collection in `registry`: SLP1 v2
-    /// frames route by their collection id (loading checkpoints lazily),
-    /// v1 frames route to the registry's default collection, and the
-    /// collection admin frames (list/attach/detach) are live.
+    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serves
+    /// every collection in `registry`: SLP1 v2 frames route by their
+    /// collection id (loading checkpoints lazily), v1 frames route to the
+    /// registry's default collection, and the collection admin frames
+    /// (list/attach/detach) are live.
     pub fn bind_registry(
         addr: impl ToSocketAddrs,
         registry: Arc<CollectionRegistry>,
         config: NetConfig,
-    ) -> io::Result<NetServer> {
-        // Connection-level telemetry is not per-collection (a connection
-        // may address many); per-frame latency lands on each resident's
-        // own collection-labeled handles.
-        let tele = NetTele::new("registry");
-        Self::bind_serving(addr, Serving::Registry(registry), config, tele)
-    }
-
-    fn bind_serving(
-        addr: impl ToSocketAddrs,
-        serving: Serving,
-        config: NetConfig,
-        tele: NetTele,
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -408,12 +376,15 @@ impl NetServer {
             slow_log.set_threshold_us(threshold.as_micros().min(u64::MAX as u128) as u64);
         }
         let shared = Arc::new(ServerShared {
-            serving,
+            registry,
             config,
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             slow_log,
-            tele,
+            // Connection-level telemetry is not per-collection (a connection
+            // may address many); per-frame latency lands on each resident's
+            // own collection-labeled handles.
+            tele: NetTele::new("registry"),
         });
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept_thread = {
@@ -665,36 +636,20 @@ fn write_bytes(stream: &mut TcpStream, bytes: Vec<u8>, tele: &NetTele) -> bool {
 /// Computes the health verdict answered to a `KIND_HEALTH` frame.
 ///
 /// Verdict rules (see `DESIGN.md` §13): the server is *not ready* while
-/// draining or while the admission queue is ≥90% saturated (in registry
-/// mode, the most saturated resident queue). WAL tail truncations,
+/// draining or while the most saturated resident admission queue is ≥90%
+/// full. WAL tail truncations,
 /// compactor lag, and a never-swapped model are evidence (reasons) but do
 /// not by themselves flip readiness.
 fn health_report(shared: &ServerShared) -> HealthReport {
-    let (depth, capacity, shards, model_version) = match &shared.serving {
-        Serving::Single(backend) => {
-            let (d, c) = backend.queue_stats();
-            (d, c, backend.shards(), backend.model_version())
-        }
-        Serving::Registry(registry) => {
-            let (d, c) = registry.worst_queue();
-            (d, c, 1, 0)
-        }
-    };
-    let (resident_collections, collection_pending) = match &shared.serving {
-        Serving::Single(_) => (1, Vec::new()),
-        Serving::Registry(registry) => {
-            (registry.resident_count(), registry.collection_pending())
-        }
-    };
+    let registry = &shared.registry;
+    let (depth, capacity) = registry.worst_queue();
+    let collection_pending = registry.collection_pending();
     let draining = shared.draining.load(Ordering::SeqCst)
         || shared.shutdown.load(Ordering::SeqCst);
     let saturated = capacity > 0 && depth * 10 >= capacity * 9;
     let wal_truncations =
         setlearn_obs::metrics().counter_with("setlearn_wal_truncated_tail_total", &[]).get();
-    let compactor_pending = match &shared.serving {
-        Serving::Single(backend) => backend.pending_ingest(),
-        Serving::Registry(_) => collection_pending.iter().map(|(_, n)| n).sum(),
-    };
+    let compactor_pending: u64 = collection_pending.iter().map(|(_, n)| n).sum();
     let mut reasons = Vec::new();
     if draining {
         reasons.push("draining: graceful shutdown in progress".to_string());
@@ -713,40 +668,27 @@ fn health_report(shared: &ServerShared) -> HealthReport {
         draining,
         queue_depth: depth as u64,
         queue_capacity: capacity as u64,
-        shards,
+        // Per-collection facts; the server-wide report has no single value.
+        shards: 1,
         wal_truncations,
         compactor_pending,
-        model_version,
+        model_version: 0,
         reasons,
-        resident_collections,
+        resident_collections: registry.resident_count(),
         collection_pending,
     }
 }
 
-/// A resolved frame target: the backend serving it and, in registry mode,
-/// the resident whose quota and telemetry govern the frame.
-type ResolvedTarget = (Arc<dyn WireBackend>, Option<Arc<Resident>>);
-
-/// Resolves a frame's collection id to the backend serving it (plus, in
-/// registry mode, the resident whose quota and telemetry govern the frame).
+/// Resolves a frame's collection id to the resident serving it — whose
+/// backend answers the frame and whose quota and telemetry govern it.
 fn resolve_target(
-    serving: &Serving,
+    registry: &CollectionRegistry,
     collection: Option<&str>,
-) -> Result<ResolvedTarget, ErrorCode> {
-    match serving {
-        Serving::Single(backend) => match collection {
-            // A single-tenant server has no registry to look names up in.
-            Some(_) => Err(ErrorCode::UnknownCollection),
-            None => Ok((Arc::clone(backend), None)),
-        },
-        Serving::Registry(registry) => match registry.resolve(collection) {
-            Ok(resident) => Ok((Arc::clone(resident.backend()), Some(resident))),
-            Err(ResolveError::Loading(_)) => Err(ErrorCode::CollectionLoading),
-            Err(ResolveError::Unknown(_) | ResolveError::Failed(..)) => {
-                Err(ErrorCode::UnknownCollection)
-            }
-        },
-    }
+) -> Result<Arc<Resident>, ErrorCode> {
+    registry.resolve(collection).map_err(|e| match e {
+        ResolveError::Loading(_) => ErrorCode::CollectionLoading,
+        ResolveError::Unknown(_) | ResolveError::Failed(..) => ErrorCode::UnknownCollection,
+    })
 }
 
 fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
@@ -814,18 +756,16 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
                 }
             }
             KIND_INGEST => {
-                let resolved = resolve_target(&shared.serving, frame.collection.as_deref());
+                let resolved = resolve_target(&shared.registry, frame.collection.as_deref());
                 let payload = match resolved {
                     Err(code) => {
                         tele.record_protocol_error(code);
                         encode_error_response(code)
                     }
-                    Ok((backend, resident)) => match decode_ingest_request(&frame.payload) {
-                        Ok(request) => match backend.submit_ingest(request) {
+                    Ok(resident) => match decode_ingest_request(&frame.payload) {
+                        Ok(request) => match resident.backend().submit_ingest(request) {
                             Ok(ack) => {
-                                let ftele =
-                                    resident.as_ref().map(|r| r.tele()).unwrap_or(tele);
-                                ftele.record_ingest(started.elapsed());
+                                resident.tele().record_ingest(started.elapsed());
                                 encode_ingest_ack(ack)
                             }
                             Err(code) => {
@@ -845,8 +785,11 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
             }
             KIND_SHUTDOWN => {
                 if config.allow_remote_shutdown {
-                    // Ack first, then raise the flag: the requester gets its
-                    // answer before the drain starts closing things.
+                    // Draining is visible before the ack is: a requester that
+                    // has its answer never reads a server that still claims
+                    // to be ready. The hard stop waits until after the ack,
+                    // so the answer is out before the drain closes things.
+                    shared.draining.store(true, Ordering::SeqCst);
                     let ok = write_response_to(
                         &mut stream,
                         &frame,
@@ -854,7 +797,6 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
                         &encode_response_batch(&[]),
                         tele,
                     );
-                    shared.draining.store(true, Ordering::SeqCst);
                     if config.drain_grace.is_zero() {
                         shutdown.store(true, Ordering::SeqCst);
                     } else {
@@ -885,50 +827,36 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
                 }
             }
             KIND_COLLECTIONS => {
-                let payload = match &shared.serving {
-                    Serving::Registry(registry) => encode_collections_reply(&registry.list()),
-                    Serving::Single(_) => {
-                        tele.record_protocol_error(ErrorCode::AdminUnsupported);
-                        encode_error_response(ErrorCode::AdminUnsupported)
-                    }
-                };
+                let payload = encode_collections_reply(&shared.registry.list());
                 if !write_response_to(&mut stream, &frame, KIND_COLLECTIONS, &payload, tele) {
                     break;
                 }
             }
             kind @ (KIND_ATTACH | KIND_DETACH) => {
-                let payload = match &shared.serving {
-                    Serving::Single(_) => {
-                        tele.record_protocol_error(ErrorCode::AdminUnsupported);
-                        encode_error_response(ErrorCode::AdminUnsupported)
+                let payload = match decode_collection_name(&frame.payload) {
+                    Err(_) => {
+                        tele.record_protocol_error(ErrorCode::BadFrame);
+                        encode_error_response(ErrorCode::BadFrame)
                     }
-                    Serving::Registry(registry) => {
-                        match decode_collection_name(&frame.payload) {
-                            Err(_) => {
-                                tele.record_protocol_error(ErrorCode::BadFrame);
-                                encode_error_response(ErrorCode::BadFrame)
+                    Ok(name) => {
+                        let outcome = if kind == KIND_ATTACH {
+                            shared.registry.attach(&name)
+                        } else {
+                            shared.registry.detach(&name)
+                        };
+                        match outcome {
+                            // Status byte 0: the admin ack body.
+                            Ok(()) => vec![0],
+                            Err(AdminError::Unknown(_)) => {
+                                tele.record_protocol_error(ErrorCode::UnknownCollection);
+                                encode_error_response(ErrorCode::UnknownCollection)
                             }
-                            Ok(name) => {
-                                let outcome = if kind == KIND_ATTACH {
-                                    registry.attach(&name)
-                                } else {
-                                    registry.detach(&name)
-                                };
-                                match outcome {
-                                    // Status byte 0: the admin ack body.
-                                    Ok(()) => vec![0],
-                                    Err(AdminError::Unknown(_)) => {
-                                        tele.record_protocol_error(ErrorCode::UnknownCollection);
-                                        encode_error_response(ErrorCode::UnknownCollection)
-                                    }
-                                    // A pinned collection (pending WAL ops or
-                                    // live compaction) refuses detach the same
-                                    // way a closed collection refuses writes.
-                                    Err(AdminError::Busy(_)) => {
-                                        tele.record_protocol_error(ErrorCode::IngestRejected);
-                                        encode_error_response(ErrorCode::IngestRejected)
-                                    }
-                                }
+                            // A busy collection (pending WAL ops or live
+                            // compaction) refuses detach the same way a
+                            // closed collection refuses writes.
+                            Err(AdminError::Busy(_)) => {
+                                tele.record_protocol_error(ErrorCode::IngestRejected);
+                                encode_error_response(ErrorCode::IngestRejected)
                             }
                         }
                     }
@@ -967,9 +895,9 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
                         break;
                     }
                 };
-                let (backend, resident) =
-                    match resolve_target(&shared.serving, frame.collection.as_deref()) {
-                        Ok(resolved) => resolved,
+                let resident =
+                    match resolve_target(&shared.registry, frame.collection.as_deref()) {
+                        Ok(resident) => resident,
                         Err(code) => {
                             tele.record_protocol_error(code);
                             // An addressing mistake (or a still-loading
@@ -987,6 +915,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
                             continue;
                         }
                     };
+                let backend = resident.backend();
                 if task != backend.wire_task() {
                     tele.record_protocol_error(ErrorCode::TaskMismatch);
                     if !write_response_to(
@@ -1019,22 +948,18 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
                 // Per-tenant admission: a token-bucket refusal is a typed
                 // shed distinct from the global queue's Overloaded, so one
                 // tenant burning its budget never reads as server overload.
-                if let Some(resident) = &resident {
-                    if !resident.try_admit(queries.len()) {
-                        resident
-                            .tele()
-                            .record_protocol_error(ErrorCode::TenantOverloaded);
-                        if !write_response_to(
-                            &mut stream,
-                            &frame,
-                            kind,
-                            &encode_error_response(ErrorCode::TenantOverloaded),
-                            tele,
-                        ) {
-                            break;
-                        }
-                        continue;
+                if !resident.try_admit(queries.len()) {
+                    resident.tele().record_protocol_error(ErrorCode::TenantOverloaded);
+                    if !write_response_to(
+                        &mut stream,
+                        &frame,
+                        kind,
+                        &encode_error_response(ErrorCode::TenantOverloaded),
+                        tele,
+                    ) {
+                        break;
                     }
+                    continue;
                 }
                 // The tracing context: client-supplied trace id when the
                 // frame carried one, server-minted (odd) otherwise. Decode
@@ -1047,9 +972,9 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
                     queries.into_iter().map(|q| q.canonicalize()).collect();
                 let set_size = sets.iter().map(|s| s.len()).max().unwrap_or(0) as u32;
                 // Request/stage metrics go to the resident's collection-
-                // labeled telemetry in registry mode; the server-level tele
-                // keeps connection and byte counters either way.
-                let ftele = resident.as_ref().map(|r| r.tele()).unwrap_or(tele);
+                // labeled telemetry; the server-level tele keeps connection
+                // and byte counters.
+                let ftele = resident.tele();
                 let decode = started.elapsed();
                 ctx.record_stage(Stage::Decode, decode);
                 ftele.record_stage(Stage::Decode, decode);
@@ -1352,9 +1277,8 @@ impl NetClient {
         Ok(())
     }
 
-    /// Lists the collections a multi-tenant server knows about — resident
-    /// and cold alike. Single-tenant servers answer
-    /// [`ErrorCode::AdminUnsupported`] (via [`ProtoError::Remote`]).
+    /// Lists the collections the server knows about — resident and cold
+    /// alike.
     pub fn collections(&mut self) -> Result<Vec<CollectionInfo>, NetError> {
         let payload = self.roundtrip(KIND_COLLECTIONS, &[])?;
         Ok(decode_collections_reply(&payload)?)

@@ -38,9 +38,7 @@ use crate::sharded::ShardedRuntime;
 use crate::task::StructureTask;
 use crate::telemetry::NetTele;
 use setlearn::mutable::{DeltaMergeable, MutableCollection, MutableSink};
-use setlearn::persist::{
-    self, load_json, CollectionEntry, COLLECTION_MODEL, COLLECTION_SETS, COLLECTION_WAL,
-};
+use setlearn::persist::{self, load_json, CheckpointFiles, CollectionEntry, COLLECTION_WAL};
 use setlearn::tasks::{
     aggregate_bloom, aggregate_cardinality, aggregate_index, BloomConfig, CardinalityConfig,
     IndexConfig, IndexStructure, LearnedBloom, LearnedCardinality, LearnedSetIndex,
@@ -159,6 +157,9 @@ pub struct Resident {
     /// Logical-clock timestamp of the last resolve, the LRU key.
     last_used: AtomicU64,
     compactor: Option<CompactorHandle>,
+    /// Registered through [`CollectionRegistry::insert`]: there is no
+    /// checkpoint to reload it from, so the byte budget never evicts it.
+    injected: bool,
 }
 
 impl Resident {
@@ -209,11 +210,16 @@ impl Resident {
         }
     }
 
-    /// Pinned collections are never evicted: acknowledged writes not yet
-    /// compacted and in-flight compactions must survive.
-    fn pinned(&self) -> bool {
+    /// Busy collections are neither evicted nor detached: acknowledged
+    /// writes not yet compacted and in-flight compactions must survive.
+    fn busy(&self) -> bool {
         self.backend.pending_ingest() > 0
             || self.compactor.as_ref().is_some_and(|c| c.is_compacting())
+    }
+
+    /// Whether the byte budget must leave this resident alone.
+    fn pinned(&self) -> bool {
+        self.injected || self.busy()
     }
 }
 
@@ -364,6 +370,18 @@ impl CollectionRegistry {
         }
     }
 
+    /// Registers `backend` as the resident serving `name` with no directory
+    /// behind it — how tests and benches put a fake or a hand-built structure
+    /// behind the one front-end. It answers to its name (and as the default,
+    /// when so configured) like a loaded collection, is never evicted or
+    /// reloaded, and [`CollectionRegistry::detach`] removes it for good.
+    pub fn insert(&self, name: &str, backend: Arc<dyn WireBackend>) {
+        let resident = Arc::new(self.resident(name, backend, 0, None, true));
+        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        entries.insert(name.to_string(), Slot::Ready(resident));
+        self.publish_gauges(&entries);
+    }
+
     /// Evicts least-recently-used unpinned collections until the resident
     /// byte total fits the budget. `keep` (the collection just resolved) is
     /// never evicted — a budget smaller than one collection must not evict
@@ -472,11 +490,11 @@ impl CollectionRegistry {
 
     /// Evicts and unregisters a collection: subsequent frames addressing it
     /// get `UnknownCollection` until it is re-attached. Refused while the
-    /// collection is pinned (pending WAL ops or in-flight compaction).
+    /// collection is busy (pending WAL ops or in-flight compaction).
     pub fn detach(&self, name: &str) -> Result<(), AdminError> {
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         match entries.get(name) {
-            Some(Slot::Ready(r)) if r.pinned() => {
+            Some(Slot::Ready(r)) if r.busy() => {
                 return Err(AdminError::Busy(name.to_string()))
             }
             Some(Slot::Loading) => return Err(AdminError::Busy(name.to_string())),
@@ -540,10 +558,11 @@ impl CollectionRegistry {
             .task
             .parse()
             .map_err(|_| format!("manifest names unknown task {:?}", entry.manifest.task))?;
+        let files = persist::current_files(&entry.dir);
         let (backend, compactor) = if entry.has_wal {
-            self.load_mutable(name, task, &entry)?
+            self.load_mutable(name, task, &entry, files)?
         } else {
-            (self.load_immutable(name, task, &entry)?, None)
+            (self.load_immutable(name, task, &entry, files)?, None)
         };
         if backend.wire_task() != task {
             return Err(format!(
@@ -552,7 +571,21 @@ impl CollectionRegistry {
                 task
             ));
         }
-        Ok(Resident {
+        Ok(self.resident(name, backend, entry.disk_bytes, compactor, false))
+    }
+
+    /// Wraps a serving backend with the per-tenant state the front-end
+    /// needs around it: quota bucket, collection-labeled telemetry, LRU key.
+    fn resident(
+        &self,
+        name: &str,
+        backend: Arc<dyn WireBackend>,
+        disk_bytes: u64,
+        compactor: Option<CompactorHandle>,
+        injected: bool,
+    ) -> Resident {
+        let task = backend.wire_task();
+        Resident {
             name: name.to_string(),
             task,
             backend,
@@ -560,10 +593,11 @@ impl CollectionRegistry {
             tele: NetTele::for_collection(task.label(), name),
             tenant_shed: setlearn_obs::metrics()
                 .counter_with("setlearn_serve_tenant_shed_total", &[("collection", name)]),
-            disk_bytes: entry.disk_bytes,
+            disk_bytes,
             last_used: AtomicU64::new(0),
             compactor,
-        })
+            injected,
+        }
     }
 
     fn load_immutable(
@@ -571,44 +605,41 @@ impl CollectionRegistry {
         name: &str,
         task: WireTask,
         entry: &CollectionEntry,
+        CheckpointFiles { model, sets }: CheckpointFiles,
     ) -> Result<Arc<dyn WireBackend>, String> {
         let cfg = self.config.serve.clone();
-        let model = entry.dir.join(COLLECTION_MODEL);
-        let err = |e: persist::PersistError| e.to_string();
         let backend: Arc<dyn WireBackend> = match (task, entry.manifest.shards) {
             (WireTask::Cardinality, None) => {
-                let est: LearnedCardinality = load_json(&model).map_err(err)?;
+                let est: LearnedCardinality = load_checkpoint(&model)?;
                 Arc::new(ServeRuntime::start_named(StructureTask::new(est), cfg, name))
             }
             (WireTask::Cardinality, Some(shards)) => {
-                let est: ShardedCardinality = load_json(&model).map_err(err)?;
+                let est: ShardedCardinality = load_checkpoint(&model)?;
                 check_shards("cardinality", est.spec().shards, shards)?;
                 let tasks: Vec<StructureTask<LearnedCardinality>> =
                     est.into_shards().into_iter().map(StructureTask::new).collect();
                 Arc::new(ShardedRuntime::start_named(tasks, cfg, aggregate_cardinality, name))
             }
             (WireTask::Bloom, None) => {
-                let filter: LearnedBloom = load_json(&model).map_err(err)?;
+                let filter: LearnedBloom = load_checkpoint(&model)?;
                 Arc::new(ServeRuntime::start_named(StructureTask::new(filter), cfg, name))
             }
             (WireTask::Bloom, Some(shards)) => {
-                let filter: ShardedBloom = load_json(&model).map_err(err)?;
+                let filter: ShardedBloom = load_checkpoint(&model)?;
                 check_shards("bloom", filter.spec().shards, shards)?;
                 let tasks: Vec<StructureTask<LearnedBloom>> =
                     filter.into_shards().into_iter().map(StructureTask::new).collect();
                 Arc::new(ShardedRuntime::start_named(tasks, cfg, aggregate_bloom, name))
             }
             (WireTask::Index, None) => {
-                let collection: SetCollection =
-                    load_json(&entry.dir.join(COLLECTION_SETS)).map_err(err)?;
-                let index: LearnedSetIndex = load_json(&model).map_err(err)?;
+                let collection: SetCollection = load_checkpoint(&sets)?;
+                let index: LearnedSetIndex = load_checkpoint(&model)?;
                 let structure = IndexStructure { index, collection: Arc::new(collection) };
                 Arc::new(ServeRuntime::start_named(StructureTask::new(structure), cfg, name))
             }
             (WireTask::Index, Some(shards)) => {
-                let collection: SetCollection =
-                    load_json(&entry.dir.join(COLLECTION_SETS)).map_err(err)?;
-                let index: ShardedIndex = load_json(&model).map_err(err)?;
+                let collection: SetCollection = load_checkpoint(&sets)?;
+                let index: ShardedIndex = load_checkpoint(&model)?;
                 check_shards("index", index.spec().shards, shards)?;
                 // The model's own spec routes the partition, so the manifest
                 // only has to get the count right.
@@ -638,42 +669,32 @@ impl CollectionRegistry {
         name: &str,
         task: WireTask,
         entry: &CollectionEntry,
+        CheckpointFiles { model, sets }: CheckpointFiles,
     ) -> Result<(Arc<dyn WireBackend>, Option<CompactorHandle>), String> {
         if entry.manifest.shards.is_some() {
             return Err("mutable (WAL-backed) collections cannot be sharded".into());
         }
         let wal_dir = entry.dir.join(COLLECTION_WAL);
-        // A compaction checkpoint in the WAL dir supersedes the original
-        // model/collection files.
-        let err = |e: persist::PersistError| e.to_string();
-        let checkpoint = wal_dir.join("checkpoint.json");
-        let base: Arc<SetCollection> = Arc::new(if checkpoint.exists() {
-            load_json(&checkpoint).map_err(err)?
-        } else {
-            load_json(&entry.dir.join(COLLECTION_SETS)).map_err(err)?
-        });
-        let compacted = wal_dir.join("model.json");
-        let model =
-            if compacted.exists() { compacted } else { entry.dir.join(COLLECTION_MODEL) };
-        let wal2 = wal_dir.clone();
+        let base: Arc<SetCollection> = Arc::new(load_checkpoint(&sets)?);
+        let retrain = persist::retrain_files(&entry.dir);
         // Each rebuild retrains the structure it replaces: the served
         // model's dimensions and encoder, its serve precision, and (index)
         // its position target carry over, so a compaction changes the data a
         // tenant was trained on and nothing else about it.
         match task {
             WireTask::Cardinality => {
-                let est: LearnedCardinality = load_json(&model).map_err(err)?;
+                let est: LearnedCardinality = load_checkpoint(&model)?;
                 let (served, precision) = (est.model().config().clone(), est.precision());
                 self.start_mutable(name, est, base, &wal_dir, move |merged| {
                     let cfg = CardinalityConfig::new(retrain_config(&served, merged));
                     let (mut est, _) = LearnedCardinality::build(merged, &cfg);
                     est.set_precision(precision);
-                    persist_compaction(&wal2, &est, merged)?;
+                    persist_compaction(&retrain, &est, merged)?;
                     Some(est)
                 })
             }
             WireTask::Bloom => {
-                let filter: LearnedBloom = load_json(&model).map_err(err)?;
+                let filter: LearnedBloom = load_checkpoint(&model)?;
                 let (served, precision) = (filter.model().config().clone(), filter.precision());
                 self.start_mutable(name, filter, base, &wal_dir, move |merged| {
                     // `BloomConfig::new` pins the paper's model widths;
@@ -683,12 +704,12 @@ impl CollectionRegistry {
                     let (mut filter, _) =
                         LearnedBloom::build_from_collection(merged, 2_000, 2_000, 4, &cfg);
                     filter.set_precision(precision);
-                    persist_compaction(&wal2, &filter, merged)?;
+                    persist_compaction(&retrain, &filter, merged)?;
                     Some(filter)
                 })
             }
             WireTask::Index => {
-                let index: LearnedSetIndex = load_json(&model).map_err(err)?;
+                let index: LearnedSetIndex = load_checkpoint(&model)?;
                 let (served, precision, target) =
                     (index.model().config().clone(), index.precision(), index.target());
                 let structure = IndexStructure { index, collection: Arc::clone(&base) };
@@ -697,7 +718,7 @@ impl CollectionRegistry {
                         IndexConfig { target, ..IndexConfig::new(retrain_config(&served, merged)) };
                     let (mut index, _) = LearnedSetIndex::build(merged, &cfg);
                     index.set_precision(precision);
-                    persist_compaction(&wal2, &index, merged)?;
+                    persist_compaction(&retrain, &index, merged)?;
                     Some(IndexStructure { index, collection: Arc::new(merged.clone()) })
                 })
             }
@@ -759,6 +780,12 @@ impl fmt::Debug for CollectionRegistry {
     }
 }
 
+/// `load_json` with the file named in the error: whoever reads "failed to
+/// load" has to go and find it.
+fn load_checkpoint<T: serde::de::DeserializeOwned>(path: &Path) -> Result<T, String> {
+    load_json(path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
 /// The served model's hyper-parameters over the merged collection's
 /// vocabulary: what a compaction retrains with.
 fn retrain_config(served: &DeepSetsConfig, merged: &SetCollection) -> DeepSetsConfig {
@@ -773,17 +800,17 @@ fn check_shards(task: &str, have: usize, want: usize) -> Result<(), String> {
     }
 }
 
-/// Durably checkpoints a compaction (retrained model + merged collection)
-/// into the WAL dir before the watermark advances; `None` leaves the delta
-/// pending so the compactor retries.
+/// Durably publishes a compaction (retrained model, then merged collection)
+/// before the watermark advances; `None` leaves the delta pending so the
+/// compactor retries.
 fn persist_compaction<M: serde::Serialize>(
-    wal_dir: &Path,
+    retrain: &CheckpointFiles,
     model: &M,
     merged: &SetCollection,
 ) -> Option<()> {
     for (what, result) in [
-        ("model", persist::save_json(model, &wal_dir.join("model.json"))),
-        ("collection", persist::save_json(merged, &wal_dir.join("checkpoint.json"))),
+        ("model", persist::save_json(model, &retrain.model)),
+        ("collection", persist::save_json(merged, &retrain.sets)),
     ] {
         if let Err(e) = result {
             eprintln!("warning: compaction checkpoint failed ({what}): {e}");
@@ -797,7 +824,7 @@ fn persist_compaction<M: serde::Serialize>(
 mod tests {
     use super::*;
     use crate::proto::IngestRequest;
-    use setlearn::persist::{save_manifest, CollectionManifest};
+    use setlearn::persist::{save_manifest, CollectionManifest, COLLECTION_MODEL, COLLECTION_SETS};
     use setlearn::tasks::PositionTarget;
     use setlearn::wire::QueryValue;
     use setlearn::{GuidedConfig, Precision};
@@ -982,6 +1009,39 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| !r.resident && r.disk_bytes > 0));
         assert_eq!(registry.resident_count(), 0, "listing never loads");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn inserted_backend_resolves_lists_survives_the_budget_and_detaches() {
+        let root = tmpdir("insert");
+        let est = write_cardinality(&root, "on-disk", 5);
+        let mut config = RegistryConfig::new(&root);
+        config.serve = quick_serve();
+        config.default_collection = Some("injected".into());
+        // No loaded collection fits: every load sweeps for a victim.
+        config.max_resident_bytes = Some(1);
+        let registry = CollectionRegistry::new(config);
+        // The same structure twice: started by hand, and loaded from disk.
+        let by_hand = ServeRuntime::start(StructureTask::new(est), quick_serve());
+        registry.insert("injected", Arc::new(by_hand));
+
+        let by_name = registry.resolve(Some("injected")).unwrap();
+        assert!(Arc::ptr_eq(&by_name, &registry.resolve(None).unwrap()), "also the default");
+        assert_eq!(by_name.task(), WireTask::Cardinality);
+        // The load blows the 1-byte budget; the only other resident is the
+        // injected one, which has no checkpoint to come back from.
+        let loaded = registry.resolve(Some("on-disk")).unwrap();
+        let query = [setlearn_data::normalize(vec![1, 2])];
+        let injected = registry.resolve(Some("injected")).expect("evicted by the budget");
+        assert_eq!(answers(&injected, &query), answers(&loaded, &query));
+        let rows = registry.list();
+        let row = rows.iter().find(|r| r.name == "injected").expect("listed beside directories");
+        assert!(row.resident && row.task == WireTask::Cardinality && row.disk_bytes == 0);
+
+        registry.detach("injected").unwrap();
+        assert!(matches!(registry.resolve(Some("injected")), Err(ResolveError::Unknown(_))));
+        assert!(registry.list().iter().all(|r| r.name != "injected"));
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -4,9 +4,12 @@
 //! quick (the real-model end-to-end lives in the workspace-level
 //! `net_e2e.rs`).
 
+mod common;
+
+use common::serve_backend;
 use setlearn::tasks::{LearnedSetStructure, QueryOutcome};
 use setlearn::wire::{QueryRequest, QueryValue, WireTask};
-use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer, WireBackend};
+use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer};
 use setlearn_serve::proto::{
     decode_response_batch, encode_frame, encode_request_batch, read_frame, ErrorCode, ProtoError,
     HEADER_LEN, VERSION_V2,
@@ -84,8 +87,7 @@ fn start_server(
     config: NetConfig,
 ) -> (NetServer, Arc<ServeRuntime<StructureTask<MockCard>>>, std::net::SocketAddr) {
     let runtime = Arc::new(ServeRuntime::start(StructureTask::new(MockCard), serve_config()));
-    let backend: Arc<dyn WireBackend> = Arc::clone(&runtime) as _;
-    let server = NetServer::bind("127.0.0.1:0", backend, config).unwrap();
+    let server = serve_backend(Arc::clone(&runtime) as _, config);
     let addr = server.local_addr();
     (server, runtime, addr)
 }
@@ -165,8 +167,7 @@ fn overload_shed_round_trips_as_typed_per_query_errors() {
         StructureTask::new(SlowCard),
         ServeConfig { threads: 1, max_batch: 1, queue_capacity: 1, ..serve_config() },
     ));
-    let backend: Arc<dyn WireBackend> = Arc::clone(&runtime) as _;
-    let server = NetServer::bind("127.0.0.1:0", backend, NetConfig::default()).unwrap();
+    let server = serve_backend(Arc::clone(&runtime) as _, NetConfig::default());
     let mut client = NetClient::connect(server.local_addr()).unwrap();
 
     // One frame of 6 queries against a capacity-1 queue: admission is a
@@ -325,8 +326,7 @@ fn sharded_runtime_serves_over_the_wire() {
             total
         },
     ));
-    let backend: Arc<dyn WireBackend> = Arc::clone(&runtime) as _;
-    let server = NetServer::bind("127.0.0.1:0", backend, NetConfig::default()).unwrap();
+    let server = serve_backend(Arc::clone(&runtime) as _, NetConfig::default());
     let mut client = NetClient::connect(server.local_addr()).unwrap();
     let response =
         client.query(WireTask::Cardinality, QueryRequest::new(vec![10, 20, 30, 40])).unwrap();

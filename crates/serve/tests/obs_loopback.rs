@@ -4,10 +4,13 @@
 //! refusal of admin kinds this server predates, and the drain-grace window
 //! where health flips to *not ready* while frames are still answered.
 
+mod common;
+
+use common::serve_backend;
 use setlearn::tasks::{LearnedSetStructure, QueryOutcome};
 use setlearn::wire::{QueryRequest, QueryValue, WireTask};
 use setlearn_obs::{parse_slow_jsonl, RecordKind};
-use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer, WireBackend};
+use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer};
 use setlearn_serve::proto::{
     decode_response_batch, encode_frame, read_frame, ErrorCode, ProtoError, StatsFormat,
 };
@@ -61,8 +64,7 @@ fn serve_config() -> ServeConfig {
 
 fn start_single(config: NetConfig) -> (NetServer, Arc<ServeRuntime<StructureTask<PacedCard>>>) {
     let runtime = Arc::new(ServeRuntime::start(StructureTask::new(PacedCard), serve_config()));
-    let backend: Arc<dyn WireBackend> = Arc::clone(&runtime) as _;
-    let server = NetServer::bind("127.0.0.1:0", backend, config).unwrap();
+    let server = serve_backend(Arc::clone(&runtime) as _, config);
     (server, runtime)
 }
 
@@ -113,8 +115,7 @@ fn client_trace_id_reaches_slow_log_and_spans_through_sharded_fanout() {
             total
         },
     ));
-    let backend: Arc<dyn WireBackend> = Arc::clone(&runtime) as _;
-    let server = NetServer::bind("127.0.0.1:0", backend, config).unwrap();
+    let server = serve_backend(Arc::clone(&runtime) as _, config);
     let mut client = NetClient::connect(server.local_addr()).unwrap();
 
     setlearn_obs::set_level(setlearn_obs::TelemetryLevel::Full);
@@ -126,7 +127,6 @@ fn client_trace_id_reaches_slow_log_and_spans_through_sharded_fanout() {
             Some(trace_id),
         )
         .unwrap();
-    setlearn_obs::set_level(setlearn_obs::TelemetryLevel::Metrics);
     match outcomes[0].as_ref().unwrap().value {
         QueryValue::Cardinality(v) => assert_eq!(v, 0.0, "fallback answers ride the wire"),
         ref other => panic!("wrong value kind: {other:?}"),
@@ -135,6 +135,10 @@ fn client_trace_id_reaches_slow_log_and_spans_through_sharded_fanout() {
     // The record is retrievable both in-process and over the wire, carries
     // the client's id verbatim, and its breakdown reflects the fan-out.
     let jsonl = client.stats(StatsFormat::SlowQueries).unwrap();
+    // The handler pushes the request's span and slow-log record *after*
+    // writing the reply, and serves this connection's next frame only after
+    // both: the level may drop now, not when the query's reply arrived.
+    setlearn_obs::set_level(setlearn_obs::TelemetryLevel::Metrics);
     let records = parse_slow_jsonl(&jsonl).expect("slow-query JSONL parses");
     let record = records
         .iter()

@@ -4,6 +4,8 @@
 //! manage residency over the wire, and per-tenant quotas shed one tenant
 //! without touching another.
 
+mod common;
+
 use setlearn::model::DeepSetsConfig;
 use setlearn::persist::{
     save_manifest, CollectionManifest, COLLECTION_MODEL, COLLECTION_SETS,
@@ -11,7 +13,7 @@ use setlearn::persist::{
 use setlearn::tasks::{CardinalityConfig, LearnedCardinality};
 use setlearn::wire::{QueryRequest, QueryValue, WireTask};
 use setlearn_data::{GeneratorConfig, SetCollection};
-use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer, WireBackend};
+use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer};
 use setlearn_serve::proto::{ErrorCode, ProtoError};
 use setlearn_serve::{
     CardinalityTask, CollectionRegistry, QuotaConfig, RegistryConfig, ServeConfig,
@@ -68,15 +70,14 @@ fn write_collection(root: &Path, name: &str, seed: u64) {
     setlearn::persist::save_json(&sets, &dir.join(COLLECTION_SETS)).unwrap();
 }
 
-/// A dedicated single-collection server over the model persisted at
-/// `root/<name>/` — the pre-registry serving topology, used as the
-/// bit-identity reference.
+/// A dedicated server for the model persisted at `root/<name>/`, loaded and
+/// started by hand and injected as a registry's only collection — the
+/// bit-identity reference for the loader.
 fn solo_server(root: &Path, name: &str) -> (NetServer, std::net::SocketAddr) {
     let est: LearnedCardinality =
         setlearn::persist::load_json(&root.join(name).join(COLLECTION_MODEL)).unwrap();
     let runtime = Arc::new(ServeRuntime::start(CardinalityTask::new(est), quick_serve()));
-    let backend: Arc<dyn WireBackend> = runtime as _;
-    let server = NetServer::bind("127.0.0.1:0", backend, NetConfig::default()).unwrap();
+    let server = common::serve_backend(runtime, NetConfig::default());
     let addr = server.local_addr();
     (server, addr)
 }

@@ -13,8 +13,8 @@ use setlearn::prelude::{
 use setlearn::model::DeepSetsConfig;
 use setlearn_data::{ElementSet, GeneratorConfig, SetCollection, SubsetIndex};
 use setlearn_serve::{
-    BloomTask, CardinalityTask, IndexTask, NetClient, NetConfig, NetServer, ServeConfig,
-    ServeRuntime, ShardedRuntime, WireBackend, WireOutcome,
+    BloomTask, CardinalityTask, CollectionRegistry, IndexTask, NetClient, NetConfig, NetServer,
+    RegistryConfig, ServeConfig, ServeRuntime, ShardedRuntime, WireBackend, WireOutcome,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,14 +48,20 @@ fn serve_config() -> ServeConfig {
     }
 }
 
-/// Sends `qs` as one wire batch and returns the per-query outcomes.
+/// Sends `qs` as one wire batch to `backend` — injected as the default
+/// collection of a registry rooted nowhere — and returns the per-query
+/// outcomes.
 fn over_the_wire(
     backend: Arc<dyn WireBackend>,
     task: WireTask,
     qs: &[ElementSet],
 ) -> Vec<WireOutcome> {
-    let server =
-        NetServer::bind("127.0.0.1:0", backend, NetConfig::default()).expect("bind loopback");
+    let mut config = RegistryConfig::new("/nonexistent");
+    config.default_collection = Some("solo".into());
+    let registry = Arc::new(CollectionRegistry::new(config));
+    registry.insert("solo", backend);
+    let server = NetServer::bind_registry("127.0.0.1:0", registry, NetConfig::default())
+        .expect("bind loopback");
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     let requests: Vec<QueryRequest> =
         qs.iter().map(|q| QueryRequest::new(q.to_vec())).collect();

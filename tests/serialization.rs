@@ -48,8 +48,7 @@ mod slw2 {
 
     use setlearn::model::{DeepSets, DeepSetsConfig};
     use setlearn::persist::{
-        decode_weights, encode_weights, encode_weights_legacy_v1, load_weights, save_weights,
-        PersistError,
+        decode_weights, encode_weights, load_weights, save_weights, PersistError,
     };
 
     fn model() -> DeepSets {
@@ -110,15 +109,6 @@ mod slw2 {
         bytes[..4].copy_from_slice(b"NOPE");
         assert!(matches!(decode_weights(&bytes), Err(PersistError::Format(_))));
         assert!(matches!(decode_weights(b""), Err(PersistError::Format(_))));
-    }
-
-    #[test]
-    fn legacy_slw1_files_still_load() {
-        let m = model();
-        let v1 = encode_weights_legacy_v1(&m).expect("encode v1");
-        assert_eq!(&v1[..4], b"SLW1");
-        let back = decode_weights(&v1).expect("legacy decode");
-        assert_eq!(m.predict_one(&[7, 8]), back.predict_one(&[7, 8]));
     }
 }
 
