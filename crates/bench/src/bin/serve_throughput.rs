@@ -1,17 +1,16 @@
 //! Serving-throughput scaling: QPS of the concurrent serve runtime over the
 //! cardinality workload, across worker counts and with micro-batching on
 //! (`max_batch = 64`) versus off (`max_batch = 1`), plus a sharded (N = 4)
-//! versus unsharded comparison with a rolling shard-by-shard hot-swap
-//! racing the load.
+//! versus unsharded comparison through the same runtime.
 //!
 //! On small hosts the win comes almost entirely from batching — one queue
 //! round-trip and one model forward pass amortized over dozens of requests —
 //! rather than from parallelism, so the table reports both axes separately.
 //! The sharded win likewise does not come from parallelism: each shard holds
 //! a quarter of the collection and gets a capacity-proportional (≈ quarter
-//! sized) model, so even though every request fans out to all four shards,
-//! the total forward-pass work per request drops below the one big
-//! unsharded model's.
+//! sized) model, so even though every batch visits all four shards, the
+//! total forward-pass work per request drops below the one big unsharded
+//! model's.
 //!
 //! `SERVE_THROUGHPUT_REQUESTS` overrides the per-cell request count (CI
 //! smoke runs use a small value). `--precision <f32|f16|q8>` switches to a
@@ -22,13 +21,13 @@
 use setlearn::hybrid::GuidedConfig;
 use setlearn::kernel::{kernel_isa, FrozenModel, Precision};
 use setlearn::model::{DeepSets, DeepSetsConfig};
-use setlearn::tasks::{
-    aggregate_cardinality, CardinalityConfig, LearnedCardinality, ShardedCardinality,
-};
+use setlearn::tasks::{CardinalityConfig, LearnedCardinality, ShardedCardinality};
 use setlearn::{ShardBy, ShardSpec, ShardedCollection};
 use setlearn_bench::report::Table;
 use setlearn_data::{ElementSet, GeneratorConfig, SubsetIndex};
-use setlearn_serve::{CardinalityTask, HotSwap, ServeConfig, ServeRuntime, ShardedRuntime};
+use setlearn_serve::{
+    CardinalityTask, HotSwap, ServeConfig, ServeRuntime, ServeTask, StructureTask,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,7 +37,12 @@ const SHARDS: usize = 4;
 /// Repetitions per cell; the max is reported (capacity, not scheduler luck).
 const REPS: usize = 3;
 
-fn run(slot: &Arc<HotSwap<CardinalityTask>>, requests: &[ElementSet], threads: usize, max_batch: usize) -> f64 {
+fn run<T: ServeTask<Request = ElementSet>>(
+    slot: &Arc<HotSwap<T>>,
+    requests: &[ElementSet],
+    threads: usize,
+    max_batch: usize,
+) -> f64 {
     let runtime = ServeRuntime::start_shared(
         Arc::clone(slot),
         ServeConfig {
@@ -66,49 +70,6 @@ fn run(slot: &Arc<HotSwap<CardinalityTask>>, requests: &[ElementSet], threads: u
     assert_eq!(report.panicked_batches, 0, "serve batches panicked");
     assert_eq!(report.shed, 0, "sheds in a fully-buffered run");
     report.completed as f64 / elapsed
-}
-
-/// Fan-out QPS of a 4-shard runtime, with a rolling shard-by-shard hot-swap
-/// racing the in-flight workload. Every fan-out must complete and every
-/// shard's accounting must balance exactly — a swap never loses, sheds, or
-/// double-counts a sub-request.
-fn run_sharded(model: &ShardedCardinality, requests: &[ElementSet], threads: usize) -> f64 {
-    let tasks: Vec<CardinalityTask> =
-        model.shards().iter().cloned().map(CardinalityTask::new).collect();
-    let swap_tasks: Vec<CardinalityTask> =
-        model.shards().iter().cloned().map(CardinalityTask::new).collect();
-    let runtime = ShardedRuntime::start(
-        tasks,
-        ServeConfig {
-            threads,
-            max_batch: BATCHED,
-            max_delay: Duration::from_micros(200),
-            queue_capacity: requests.len(),
-        },
-        aggregate_cardinality,
-    );
-    let start = Instant::now();
-    let outcomes = runtime.submit_many(requests);
-    // Replace every shard's model while the whole workload is in flight:
-    // one shard transitions at a time, in-flight batches finish on their
-    // old snapshots, and the collection is never paused.
-    let versions = runtime.rolling_swap(swap_tasks);
-    assert_eq!(versions, vec![1; SHARDS], "one swap per shard");
-    for outcome in outcomes {
-        let ticket = outcome.expect("queues sized for the full workload");
-        ticket.wait().expect("fan-out request lost");
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let report = runtime.shutdown();
-    for (s, r) in report.per_shard.iter().enumerate() {
-        // Zero shed-accounting discrepancies, mid-swap included.
-        assert_eq!(r.completed, r.submitted, "shard {s}: admitted != answered");
-        assert_eq!(r.completed, requests.len() as u64, "shard {s}: sub-requests lost");
-        assert_eq!(r.shed, 0, "shard {s}: sheds in a fully-buffered run");
-        assert_eq!(r.panicked_batches, 0, "shard {s}: panicked batches");
-        assert_eq!(r.swaps, 1, "shard {s}: rolling swap touched it once");
-    }
-    requests.len() as f64 / elapsed
 }
 
 /// Parses an optional `--precision <f32|f16|q8>` CLI argument.
@@ -232,13 +193,12 @@ fn main() {
     // for: a production-sized unsharded model (embedding 64, hidden 2×256)
     // against four capacity-proportional shard models (embedding 16, hidden
     // 2×64 — each shard holds ~1/4 of the collection and needs ~1/4 of the
-    // capacity). Every request still fans out to all four shards, but the
-    // four quarter-sized forward passes together cost far less than the one
-    // big pass, which is what buys the QPS back on a single core. (The
-    // frozen kernels sped both sides up; the model sizes here keep forward
-    // compute — not fan-out bookkeeping — the dominant cost.) Every rep
-    // also performs a rolling shard-by-shard hot-swap while the workload is
-    // in flight and asserts exact per-shard accounting.
+    // capacity). Every batch still visits all four shards, but the four
+    // quarter-sized forward passes together cost far less than the one big
+    // pass, which is what buys the QPS back on a single core. (The frozen
+    // kernels sped both sides up; the model sizes here keep forward compute
+    // — not the per-shard fold — the dominant cost.) Both sides go through
+    // the same `run`, so both are held to zero lost / shed / panicked.
     let mut heavy_cfg = cfg.clone();
     heavy_cfg.model.embedding_dim = 64;
     heavy_cfg.model.phi_hidden = vec![256, 256];
@@ -255,22 +215,23 @@ fn main() {
     shard_cfg.model.rho_hidden = vec![64, 64];
     let (sharded_model, _) =
         ShardedCardinality::build(&sharded_collection, &shard_cfg).expect("sharded build");
+    let sharded_slot = Arc::new(HotSwap::new(StructureTask::new(sharded_model)));
 
     let unsharded_4t = (0..REPS)
         .map(|_| run(&heavy_slot, &requests, 4, BATCHED))
         .fold(0.0, f64::max);
     let sharded_4t = (0..REPS)
-        .map(|_| run_sharded(&sharded_model, &requests, 4))
+        .map(|_| run(&sharded_slot, &requests, 4, BATCHED))
         .fold(0.0, f64::max);
     println!(
-        "\nsharded N={SHARDS} (capacity-proportional shards, rolling swap under load) vs \
-         unsharded, 4 threads, batched:\n  {sharded_4t:.0} vs {unsharded_4t:.0} QPS \
-         ({:.2}x), zero lost/shed/panicked sub-requests",
+        "\nsharded N={SHARDS} (capacity-proportional shards) vs unsharded, 4 threads, \
+         batched:\n  {sharded_4t:.0} vs {unsharded_4t:.0} QPS ({:.2}x), zero \
+         lost/shed/panicked requests",
         sharded_4t / unsharded_4t,
     );
     assert!(
         sharded_4t >= unsharded_4t,
-        "sharded N={SHARDS} fan-out ({sharded_4t:.0} QPS) fell below the unsharded runtime \
+        "sharded N={SHARDS} serving ({sharded_4t:.0} QPS) fell below the unsharded runtime \
          ({unsharded_4t:.0} QPS)"
     );
 

@@ -31,14 +31,6 @@ fn with_path<'a, E: std::fmt::Display>(
     move |e| format!("cannot {action} {path}: {e}").into()
 }
 
-fn save<T: serde::Serialize>(value: &T, path: &str) -> Result<(), CliError> {
-    let file = std::io::BufWriter::new(
-        std::fs::File::create(path).map_err(with_path("create", path))?,
-    );
-    serde_json::to_writer(file, value).map_err(with_path("write", path))?;
-    Ok(())
-}
-
 fn load<T: serde::de::DeserializeOwned>(path: &str) -> Result<T, CliError> {
     let file = std::io::BufReader::new(
         std::fs::File::open(path).map_err(with_path("open", path))?,
@@ -94,7 +86,7 @@ pub fn generate(args: &Args) -> Result<(), CliError> {
         other => return Err(ArgError(format!("unknown dataset '{other}' (rw|tweets|sd)")).into()),
     };
     let collection = cfg.generate();
-    save(&collection, out)?;
+    persist::save_json(&collection, Path::new(out)).map_err(with_path("write", out))?;
     let stats = collection.stats();
     println!(
         "wrote {} sets ({} unique elements, sizes {}-{}) to {out}",
@@ -114,9 +106,10 @@ pub fn import(args: &Args) -> Result<(), CliError> {
     }
     let (collection, dict) =
         setlearn_data::io::read_sets_file(std::path::Path::new(text_path), &format)?;
-    save(&collection, out)?;
+    persist::save_json(&collection, Path::new(out)).map_err(with_path("write", out))?;
     if let Some(dict_path) = args.optional("dict") {
-        save(&dict, dict_path)?;
+        persist::save_json(&dict, Path::new(dict_path))
+            .map_err(with_path("write", dict_path))?;
     }
     let stats = collection.stats();
     println!(
@@ -152,7 +145,7 @@ pub fn reorder_cmd(args: &Args) -> Result<(), CliError> {
             return Err(ArgError(format!("unknown strategy '{other}' (lex|head|random)")).into())
         }
     };
-    save(&reordered, out)?;
+    persist::save_json(&reordered, Path::new(out)).map_err(with_path("write", out))?;
     println!("reordered {} sets ({strategy}) into {out}", reordered.len());
     Ok(())
 }
@@ -358,7 +351,7 @@ pub fn train(args: &Args) -> Result<(), CliError> {
                 None => {
                     let (mut est, report) = LearnedCardinality::build(&collection, &cfg);
                     est.set_precision(precision);
-                    save(&est, out)?;
+                    persist::save_json(&est, Path::new(out)).map_err(with_path("write", out))?;
                     report_training(&report.train);
                     println!(
                         "trained cardinality estimator on {} subsets ({} outliers); saved to {out} ({:.3} MB)",
@@ -371,7 +364,7 @@ pub fn train(args: &Args) -> Result<(), CliError> {
                     let sharded = ShardedCollection::partition(&collection, spec)?;
                     let (mut est, reports) = ShardedCardinality::build(&sharded, &cfg)?;
                     est.set_precision(precision);
-                    save(&est, out)?;
+                    persist::save_json(&est, Path::new(out)).map_err(with_path("write", out))?;
                     report_sharded_training(reports.iter().map(|r| &r.train));
                     println!(
                         "trained sharded cardinality estimator ({} shards, {} subsets, {} outliers); saved to {out} ({:.3} MB)",
@@ -399,7 +392,7 @@ pub fn train(args: &Args) -> Result<(), CliError> {
                 None => {
                     let (mut index, report) = LearnedSetIndex::build(&collection, &cfg);
                     index.set_precision(precision);
-                    save(&index, out)?;
+                    persist::save_json(&index, Path::new(out)).map_err(with_path("write", out))?;
                     report_training(&report.train);
                     println!(
                         "trained set index on {} subsets ({} outliers, global error {:.0}); saved to {out} ({:.3} MB)",
@@ -413,7 +406,7 @@ pub fn train(args: &Args) -> Result<(), CliError> {
                     let sharded = ShardedCollection::partition(&collection, spec)?;
                     let (mut index, reports) = ShardedIndex::build(&sharded, &cfg)?;
                     index.set_precision(precision);
-                    save(&index, out)?;
+                    persist::save_json(&index, Path::new(out)).map_err(with_path("write", out))?;
                     report_sharded_training(reports.iter().map(|r| &r.train));
                     println!(
                         "trained sharded set index ({} shards, {} subsets, worst shard error {:.0}); saved to {out} ({:.3} MB)",
@@ -436,7 +429,7 @@ pub fn train(args: &Args) -> Result<(), CliError> {
                     let (mut filter, report) =
                         LearnedBloom::build_from_collection(&collection, n, n, max_query, &cfg);
                     filter.set_precision(precision);
-                    save(&filter, out)?;
+                    persist::save_json(&filter, Path::new(out)).map_err(with_path("write", out))?;
                     report_training(&report.train);
                     println!(
                         "trained bloom filter (accuracy {:.4}, {} backed-up false negatives); saved to {out} ({:.1} KB)",
@@ -450,7 +443,7 @@ pub fn train(args: &Args) -> Result<(), CliError> {
                     let (mut filter, reports) =
                         ShardedBloom::build_from_collection(&sharded, n, n, max_query, &cfg)?;
                     filter.set_precision(precision);
-                    save(&filter, out)?;
+                    persist::save_json(&filter, Path::new(out)).map_err(with_path("write", out))?;
                     report_sharded_training(reports.iter().map(|r| &r.train));
                     println!(
                         "trained sharded bloom filter ({} shards, worst shard accuracy {:.4}, {} backed-up false negatives); saved to {out} ({:.1} KB)",
@@ -788,7 +781,7 @@ fn serve_replay(args: &Args, registry: Arc<CollectionRegistry>) -> Result<(), Cl
     let requests: Vec<ElementSet> = (0..total).map(|i| pool[i % pool.len()].clone()).collect();
     let resident = resolve_tenant(&registry, &tenant)?;
     let (answered, shed, qps) = drive(resident.backend().as_ref(), requests, target_qps)?;
-    let shards = resident.backend().shards();
+    let shards = persist::load_manifest(&tenant.dir)?.shards.unwrap_or(1);
     println!(
         "served {answered} of {total} {} requests at {qps:.0} QPS across {shards} shard{}: \
          {shed} shed at admission",
@@ -1348,8 +1341,8 @@ runs against the same PATH accumulate into one artifact.
 
 `train --shards N` partitions the collection (hash by default, range with
 --shard-by range) and trains one model per shard; every reader takes the
-layout from the manifest and fans each query out across per-shard worker
-pools.
+layout from the manifest and serves the sharded structure like any other —
+one queue, --threads workers, per-shard answers folded inside each batch.
 
 Every collection is resolved through the registry over --root, which reads
 the task, shard layout and serve precision from the collection's manifest
@@ -1690,26 +1683,14 @@ mod tests {
             .unwrap()
     }
 
+    /// A sharded tenant is served like any other: one runtime, so one metric
+    /// series, each request counted once, and one admission queue.
     #[test]
-    fn sharded_train_query_serve_pipeline_labels_shards() {
+    fn sharded_train_serve_query_pipeline_counts_each_request_once() {
         let root =
             trained_tenant("shard-root", "sharded", "11", &["--shards", "3", "--shard-by", "hash"]);
         let base = format!("{root}/run");
-        // `query` takes the layout from the manifest, like every reader: the
-        // sharded tenant answers with no shard flags, on one worker per
-        // shard pool and on two.
-        run(&args(&[
-            "query", "--root", &root, "--collection", "sharded",
-            "--limit", "40", "--max-subset", "2", "--threads", "1",
-        ]))
-        .unwrap();
-        run(&args(&[
-            "query", "--root", &root, "--collection", "sharded",
-            "--limit", "40", "--max-subset", "2", "--threads", "2",
-        ]))
-        .unwrap();
-        // `serve` reads the layout from the manifest: fan-out serving works
-        // with no shard flags and every shard's telemetry is labeled.
+        // `serve` reads the layout from the manifest: no shard flags.
         run(&args(&[
             "serve", "--root", &root, "--collection", "sharded", "--requests", "200",
             "--threads", "3", "--telemetry", &base,
@@ -1717,21 +1698,28 @@ mod tests {
         .unwrap();
         let prom = std::fs::read_to_string(format!("{base}.prom")).unwrap();
         setlearn_obs::validate_prometheus(&prom).expect("valid exposition");
-        let snap = telemetry_snapshot(&base);
-        for shard in ["0", "1", "2"] {
-            assert!(
-                prom.contains(&format!("shard=\"{shard}\"")),
-                "missing shard {shard} label in exposition:\n{prom}"
-            );
-            // Every fan-out request reaches every shard.
-            let completed = snap
-                .counter_value(
-                    "setlearn_serve_completed_total",
-                    &[("task", "cardinality"), ("collection", "sharded"), ("shard", shard)],
-                )
-                .expect("per-shard completed counter");
-            assert!(completed >= 200, "shard {shard} completed {completed}");
+        assert!(!prom.contains("shard=\""), "per-shard series in the exposition:\n{prom}");
+        let completed = telemetry_snapshot(&base).counter_value(
+            "setlearn_serve_completed_total",
+            &[("task", "cardinality"), ("collection", "sharded")],
+        );
+        assert_eq!(completed, Some(200), "200 requests over 3 shards are 200 requests");
+        // So does `query`, like every reader, at any worker count.
+        for threads in ["1", "2"] {
+            run(&args(&[
+                "query", "--root", &root, "--collection", "sharded",
+                "--limit", "40", "--max-subset", "2", "--threads", threads,
+            ]))
+            .unwrap();
         }
+        // One admission queue of the configured capacity, not one per shard.
+        let (server, addr) =
+            listen_session(&root, &["--default-collection", "sharded", "--queue", "96"]);
+        served_bits(&addr, &[1, 2]);
+        let mut client = NetClient::connect(&addr).unwrap();
+        assert_eq!(client.health().unwrap().queue_capacity, 96);
+        run(&args(&["client", "--addr", &addr, "--shutdown"])).unwrap();
+        server.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(&root);
     }
 

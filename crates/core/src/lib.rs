@@ -79,8 +79,7 @@ pub mod prelude {
         CardinalityConfig, CardinalityEstimator, IndexConfig, IndexStructure, LearnedBloom,
         LearnedCardinality,
         LearnedSetIndex, LearnedSetStructure, PositionTarget, QueryOutcome,
-        ShardIndexStructure, ShardedBloom, ShardedCardinality, ShardedIndex,
-        ShardedIndexStructure,
+        ShardedBloom, ShardedCardinality, ShardedIndex, ShardedIndexStructure,
     };
     pub use crate::mutable::{
         DeltaMergeable, DeltaStats, MutableCollection, MutableSink, MutateError, MutationAck,

@@ -33,8 +33,8 @@
 
 use crate::tasks::{
     aggregate_bloom, aggregate_cardinality, aggregate_index, IndexStructure, LearnedBloom,
-    LearnedCardinality, LearnedSetStructure, PositionTarget, QueryOutcome, ShardIndexStructure,
-    ShardedBloom, ShardedCardinality, ShardedIndexStructure,
+    LearnedCardinality, LearnedSetStructure, PositionTarget, QueryOutcome, ShardedBloom,
+    ShardedCardinality, ShardedIndexStructure,
 };
 use crate::telemetry::wal_tele;
 use crate::wal::{Wal, WalConfig, WalError, WalOp, WalRecord};
@@ -292,16 +292,6 @@ impl DeltaMergeable for IndexStructure {
         delta: &OverlayAnswer,
     ) -> QueryOutcome<Option<usize>> {
         merge_index(self.index.target(), model, delta)
-    }
-}
-
-impl DeltaMergeable for ShardIndexStructure {
-    fn merge_delta(
-        &self,
-        model: QueryOutcome<Option<usize>>,
-        delta: &OverlayAnswer,
-    ) -> QueryOutcome<Option<usize>> {
-        merge_index(self.structure.index.target(), model, delta)
     }
 }
 

@@ -24,8 +24,8 @@ pub use index::{
     IndexBuildReport, IndexConfig, IndexStructure, LearnedSetIndex, LookupProfile, PositionTarget,
 };
 pub use sharded::{
-    aggregate_bloom, aggregate_cardinality, aggregate_index, ShardIndexStructure, ShardedBloom,
-    ShardedCardinality, ShardedIndex, ShardedIndexStructure,
+    aggregate_bloom, aggregate_cardinality, aggregate_index, ShardedBloom, ShardedCardinality,
+    ShardedIndex, ShardedIndexStructure,
 };
 
 use crate::hybrid::FallbackReason;

@@ -43,7 +43,7 @@ pub fn aggregate_bloom(parts: Vec<QueryOutcome<bool>>) -> QueryOutcome<bool> {
 }
 
 /// First/last-fold for per-shard index outcomes **already in global
-/// coordinates** (see [`ShardIndexStructure`]). `bound_miss` survives only
+/// coordinates** (see [`ShardedIndexStructure`]). `bound_miss` survives only
 /// when no shard produced an answer — a miss in a shard that simply does not
 /// hold the subset is expected, not a degradation.
 pub fn aggregate_index(
@@ -129,19 +129,6 @@ impl ShardedCardinality {
     /// The per-shard estimators, in shard order.
     pub fn shards(&self) -> &[LearnedCardinality] {
         &self.shards
-    }
-
-    /// Consumes the aggregate into its per-shard estimators (for per-shard
-    /// serving pools and rolling swaps).
-    pub fn into_shards(self) -> Vec<LearnedCardinality> {
-        self.shards
-    }
-
-    /// Reassembles an aggregate from per-shard estimators trained on the
-    /// partition described by `spec`.
-    pub fn from_shards(shards: Vec<LearnedCardinality>, spec: ShardSpec) -> Self {
-        assert_eq!(shards.len(), spec.shards, "shard count must match the spec");
-        ShardedCardinality { shards, spec }
     }
 
     /// Total structure bytes across shards.
@@ -274,18 +261,6 @@ impl ShardedBloom {
         &self.shards
     }
 
-    /// Consumes the aggregate into its per-shard filters.
-    pub fn into_shards(self) -> Vec<LearnedBloom> {
-        self.shards
-    }
-
-    /// Reassembles an aggregate from per-shard filters trained on the
-    /// partition described by `spec`.
-    pub fn from_shards(shards: Vec<LearnedBloom>, spec: ShardSpec) -> Self {
-        assert_eq!(shards.len(), spec.shards, "shard count must match the spec");
-        ShardedBloom { shards, spec }
-    }
-
     /// Total structure bytes across shards.
     pub fn size_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.size_bytes()).sum()
@@ -410,13 +385,13 @@ impl ShardedIndex {
 
 /// One shard of a sharded index, bound to its shard collection and the
 /// local → global position map: answers arrive in **global** coordinates,
-/// so per-shard serving pools can aggregate them directly.
+/// so [`aggregate_index`] folds them directly.
 #[derive(Debug, Clone)]
-pub struct ShardIndexStructure {
+struct ShardIndexStructure {
     /// The shard-local index bound to the shard's collection.
-    pub structure: IndexStructure,
+    structure: IndexStructure,
     /// Shard-local → global position map.
-    pub globals: Arc<Vec<usize>>,
+    globals: Arc<Vec<usize>>,
 }
 
 impl LearnedSetStructure for ShardIndexStructure {
@@ -478,12 +453,6 @@ impl ShardedIndexStructure {
             })
             .collect();
         ShardedIndexStructure { shards, target }
-    }
-
-    /// The per-shard bound structures, in shard order (for per-shard
-    /// serving pools and rolling swaps).
-    pub fn shard_structures(&self) -> &[ShardIndexStructure] {
-        &self.shards
     }
 
     /// Which occurrence the index targets.

@@ -29,14 +29,12 @@ pub enum Stage {
     BatchWait = 3,
     /// `serve_batch` execution.
     Inference = 4,
-    /// Sharded fan-out answer aggregation (zero for unsharded runtimes).
-    Aggregate = 5,
     /// Response encode + write to the wire.
-    Encode = 6,
+    Encode = 5,
 }
 
 /// Number of stages in [`Stage`].
-pub const STAGE_COUNT: usize = 7;
+pub const STAGE_COUNT: usize = 6;
 
 /// All stages, in pipeline order.
 pub const STAGES: [Stage; STAGE_COUNT] = [
@@ -45,7 +43,6 @@ pub const STAGES: [Stage; STAGE_COUNT] = [
     Stage::QueueWait,
     Stage::BatchWait,
     Stage::Inference,
-    Stage::Aggregate,
     Stage::Encode,
 ];
 
@@ -58,7 +55,6 @@ impl Stage {
             Stage::QueueWait => "queue",
             Stage::BatchWait => "batch_wait",
             Stage::Inference => "inference",
-            Stage::Aggregate => "aggregate",
             Stage::Encode => "encode",
         }
     }
@@ -75,14 +71,12 @@ pub struct StageBreakdown {
     pub decode_us: u64,
     /// Admission into the bounded queue.
     pub admission_us: u64,
-    /// Enqueued → dequeued by a worker (slowest shard when fanned out).
+    /// Enqueued → dequeued by a worker (slowest query of the frame).
     pub queue_us: u64,
     /// Batch head grabbed → batch assembled.
     pub batch_wait_us: u64,
-    /// `serve_batch` execution (slowest shard when fanned out).
+    /// `serve_batch` execution (slowest batch the frame's queries rode).
     pub inference_us: u64,
-    /// Fan-out aggregation (zero when unsharded).
-    pub aggregate_us: u64,
     /// Response encode + wire write.
     pub encode_us: u64,
 }
@@ -96,7 +90,6 @@ impl StageBreakdown {
             Stage::QueueWait => self.queue_us,
             Stage::BatchWait => self.batch_wait_us,
             Stage::Inference => self.inference_us,
-            Stage::Aggregate => self.aggregate_us,
             Stage::Encode => self.encode_us,
         }
     }
@@ -109,7 +102,6 @@ impl StageBreakdown {
             Stage::QueueWait => self.queue_us = us,
             Stage::BatchWait => self.batch_wait_us = us,
             Stage::Inference => self.inference_us = us,
-            Stage::Aggregate => self.aggregate_us = us,
             Stage::Encode => self.encode_us = us,
         }
     }
@@ -126,8 +118,6 @@ pub struct SlowQueryRecord {
     pub total_us: u64,
     /// Canonicalized query set size.
     pub set_size: u32,
-    /// Shards the request fanned out to (1 when unsharded).
-    pub shard_count: u32,
     /// The model answered via its guard fallback.
     pub fallback: bool,
     /// An index answer fell outside the learned bound (exact-path rescue).
@@ -248,7 +238,6 @@ mod tests {
             task: "cardinality".to_string(),
             total_us,
             set_size: 3,
-            shard_count: 1,
             fallback: false,
             bound_miss: false,
             stages: StageBreakdown { queue_us: total_us / 2, ..StageBreakdown::default() },
@@ -295,7 +284,7 @@ mod tests {
         let labels: Vec<&str> = STAGES.iter().map(|s| s.label()).collect();
         assert_eq!(
             labels,
-            vec!["decode", "admission", "queue", "batch_wait", "inference", "aggregate", "encode"]
+            vec!["decode", "admission", "queue", "batch_wait", "inference", "encode"]
         );
         let mut b = StageBreakdown::default();
         for (i, s) in STAGES.iter().enumerate() {

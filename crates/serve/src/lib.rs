@@ -30,9 +30,9 @@
 //!   disk becomes a serving backend.
 //! * [`task`] — the [`ServeTask`] trait plus the generic [`StructureTask`]
 //!   adapter over any `setlearn::tasks::LearnedSetStructure` (serve-guard
-//!   fallbacks included).
-//! * [`sharded`] — [`ShardedRuntime`]: one pool + hot-swap slot per shard,
-//!   fan-out tickets, rolling shard-by-shard swaps.
+//!   fallbacks included). A sharded collection is one such structure — its
+//!   `query_batch` folds the per-shard answers — so it is served by the
+//!   same runtime as any other: one queue, one pool, one hot-swap slot.
 //!
 //! Everything is std-only: threads, mutexes, condvars, atomics, channels.
 
@@ -47,7 +47,6 @@ pub mod queue;
 pub mod registry;
 pub mod request;
 pub mod runtime;
-pub mod sharded;
 pub mod task;
 pub(crate) mod telemetry;
 
@@ -64,7 +63,6 @@ pub use registry::{
 };
 pub use request::RequestCtx;
 pub use runtime::{ServeConfig, ServeReport, ServeRuntime, ServeStats, Ticket};
-pub use sharded::{Aggregator, FanoutTicket, ShardedReport, ShardedRuntime};
 pub use task::{BloomTask, CardinalityTask, IndexTask, ServeTask, StructureTask};
 pub use telemetry::BATCH_BOUNDS;
 
@@ -86,7 +84,6 @@ const _: () = {
     assert_send_sync::<setlearn::tasks::IndexStructure>();
     assert_send_sync::<setlearn::tasks::ShardedCardinality>();
     assert_send_sync::<setlearn::tasks::ShardedBloom>();
-    assert_send_sync::<setlearn::tasks::ShardIndexStructure>();
     assert_send_sync::<setlearn::tasks::ShardedIndexStructure>();
     assert_send_sync::<setlearn::model::DeepSets>();
     assert_send_sync::<setlearn::ServeGuard>();
@@ -96,7 +93,7 @@ const _: () = {
     assert_send_sync::<CardinalityTask>();
     assert_send_sync::<IndexTask>();
     assert_send_sync::<BloomTask>();
-    assert_send_sync::<StructureTask<setlearn::tasks::ShardIndexStructure>>();
+    assert_send_sync::<StructureTask<setlearn::tasks::ShardedIndexStructure>>();
     // Mutable collections shared by the ingest path, serve workers, and the
     // compaction daemon.
     assert_send_sync::<setlearn::mutable::MutableCollection<setlearn::tasks::LearnedCardinality>>();
@@ -114,8 +111,8 @@ const _: () = {
     assert_send_sync::<ServeRuntime<CardinalityTask>>();
     assert_send_sync::<ServeRuntime<IndexTask>>();
     assert_send_sync::<ServeRuntime<BloomTask>>();
-    assert_send_sync::<ShardedRuntime<CardinalityTask>>();
-    assert_send_sync::<ShardedRuntime<BloomTask>>();
+    assert_send_sync::<ServeRuntime<StructureTask<setlearn::tasks::ShardedCardinality>>>();
+    assert_send_sync::<ServeRuntime<StructureTask<setlearn::tasks::ShardedBloom>>>();
     assert_send_sync::<ServeError>();
     // The multi-tenant registry shared across connection handlers.
     assert_send_sync::<CollectionRegistry>();

@@ -7,9 +7,9 @@
 //! Everything is std-only: a nonblocking [`TcpListener`] accept loop polling
 //! a shutdown flag, plus one handler thread per connection. A handler reads
 //! one frame at a time (a frame carries a whole query batch), decodes it,
-//! canonicalizes the query sets, bulk-submits them into the backend
-//! ([`ServeRuntime`] or [`ShardedRuntime`] behind the [`WireBackend`]
-//! trait), waits the tickets in order, and writes one response frame.
+//! canonicalizes the query sets, bulk-submits them into the backend (a
+//! [`ServeRuntime`] behind the [`WireBackend`] trait), waits the tickets in
+//! order, and writes one response frame.
 //! Cross-request batching happens where it always has: in the runtime's
 //! worker pool, across connections.
 //!
@@ -44,7 +44,6 @@ use crate::proto::{
 use crate::registry::{AdminError, CollectionRegistry, ResolveError, Resident};
 use crate::request::RequestCtx;
 use crate::runtime::ServeRuntime;
-use crate::sharded::ShardedRuntime;
 use crate::task::StructureTask;
 use crate::telemetry::NetTele;
 use setlearn::mutable::{MutableSink, MutateError};
@@ -107,16 +106,17 @@ impl Default for NetConfig {
 }
 
 /// A claim on one in-flight remote query: redeem it (once) for the query's
-/// wire response. Boxed so [`ServeRuntime`] and [`ShardedRuntime`] tickets
-/// serve through one object-safe backend.
+/// wire response. Boxed so every task's [`ServeRuntime`] tickets serve
+/// through one object-safe backend.
 pub type WireTicket = Box<dyn FnOnce() -> Result<QueryResponse, ServeError> + Send>;
 
 /// The serving side of the wire: anything that can admit a batch of
 /// canonical query sets and answer them as [`QueryResponse`]s.
 ///
-/// Implemented for [`ServeRuntime`] and [`ShardedRuntime`] over any
-/// [`StructureTask`] whose output is a wire value, so the TCP front-end is
-/// indifferent to sharding.
+/// Implemented for [`ServeRuntime`] over any [`StructureTask`] whose output
+/// is a wire value. A sharded tenant is such a structure (its `query_batch`
+/// folds the per-shard answers), so the TCP front-end is indifferent to
+/// sharding.
 pub trait WireBackend: Send + Sync {
     /// The task this backend serves; frames addressing a different task are
     /// refused with [`ErrorCode::TaskMismatch`].
@@ -128,9 +128,9 @@ pub trait WireBackend: Send + Sync {
     fn submit_wire(&self, sets: Vec<ElementSet>) -> Vec<WireTicket>;
 
     /// Like [`WireBackend::submit_wire`], threading a shared tracing
-    /// context so workers (and sharded fan-out) record their queue-wait /
-    /// batch-wait / inference stages into the request's breakdown. The
-    /// default ignores the context — tracing degrades, serving does not.
+    /// context so workers record their queue-wait / batch-wait / inference
+    /// stages into the request's breakdown. The default ignores the context
+    /// — tracing degrades, serving does not.
     fn submit_wire_traced(
         &self,
         sets: Vec<ElementSet>,
@@ -148,22 +148,16 @@ pub trait WireBackend: Send + Sync {
         Err(ErrorCode::IngestUnsupported)
     }
 
-    /// `(queue_depth, queue_capacity)` across the backend's admission
-    /// queue(s), the health probe's saturation input. `(0, 0)` means the
-    /// backend does not expose a queue.
+    /// `(queue_depth, queue_capacity)` of the backend's admission queue,
+    /// the health probe's saturation input. `(0, 0)` means the backend does
+    /// not expose a queue.
     fn queue_stats(&self) -> (usize, usize) {
         (0, 0)
     }
 
-    /// Hot-swap version of the served model (0 = never swapped; sharded
-    /// backends report the newest shard).
+    /// Hot-swap version of the served model (0 = never swapped).
     fn model_version(&self) -> u64 {
         0
-    }
-
-    /// Shards behind this backend (1 when unsharded).
-    fn shards(&self) -> u32 {
-        1
     }
 
     /// Mutations awaiting compaction (compactor lag); 0 when immutable.
@@ -211,10 +205,6 @@ impl WireBackend for MutableBackend {
 
     fn model_version(&self) -> u64 {
         self.inner.model_version()
-    }
-
-    fn shards(&self) -> u32 {
-        self.inner.shards()
     }
 
     fn pending_ingest(&self) -> u64 {
@@ -274,49 +264,6 @@ where
 
     fn model_version(&self) -> u64 {
         self.model().version()
-    }
-}
-
-impl<S> WireBackend for ShardedRuntime<StructureTask<S>>
-where
-    S: LearnedSetStructure + Send + Sync + 'static,
-    S::Output: Send + 'static,
-    QueryResponse: From<QueryOutcome<S::Output>>,
-{
-    fn wire_task(&self) -> WireTask {
-        wire_task_of::<S>()
-    }
-
-    fn submit_wire(&self, sets: Vec<ElementSet>) -> Vec<WireTicket> {
-        self.submit_wire_traced(sets, None)
-    }
-
-    fn submit_wire_traced(
-        &self,
-        sets: Vec<ElementSet>,
-        ctx: Option<Arc<RequestCtx>>,
-    ) -> Vec<WireTicket> {
-        self.submit_many_traced(sets.into_iter().map(|s| (s, ctx.clone())))
-            .into_iter()
-            .map(|outcome| -> WireTicket {
-                match outcome {
-                    Ok(ticket) => Box::new(move || ticket.wait().map(QueryResponse::from)),
-                    Err(e) => Box::new(move || Err(e)),
-                }
-            })
-            .collect()
-    }
-
-    fn queue_stats(&self) -> (usize, usize) {
-        (self.queue_depth(), self.queue_capacity())
-    }
-
-    fn model_version(&self) -> u64 {
-        (0..self.num_shards()).map(|s| self.shard(s).model().version()).max().unwrap_or(0)
-    }
-
-    fn shards(&self) -> u32 {
-        self.num_shards() as u32
     }
 }
 
@@ -1018,7 +965,6 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
                         task: task.label().to_string(),
                         total_us,
                         set_size,
-                        shard_count: backend.shards(),
                         fallback,
                         bound_miss,
                         stages: ctx.breakdown(),

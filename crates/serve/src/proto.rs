@@ -788,11 +788,11 @@ pub struct HealthReport {
     pub ready: bool,
     /// A graceful drain is in progress (shutdown requested, still answering).
     pub draining: bool,
-    /// Requests buffered in the admission queue(s), summed across shards.
+    /// Requests buffered in the most saturated resident's admission queue.
     pub queue_depth: u64,
-    /// Total admission queue capacity, summed across shards.
+    /// That queue's capacity.
     pub queue_capacity: u64,
-    /// Shards behind this server (1 when unsharded).
+    /// Always 1: a field of the fixed wire layout, kept for old peers.
     pub shards: u32,
     /// WAL tail truncations observed at recovery (process lifetime).
     pub wal_truncations: u64,

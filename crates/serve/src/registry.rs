@@ -34,15 +34,14 @@ use crate::hotswap::HotSwap;
 use crate::net::{MutableBackend, WireBackend};
 use crate::proto::CollectionInfo;
 use crate::runtime::{ServeConfig, ServeRuntime};
-use crate::sharded::ShardedRuntime;
 use crate::task::StructureTask;
 use crate::telemetry::NetTele;
 use setlearn::mutable::{DeltaMergeable, MutableCollection, MutableSink};
 use setlearn::persist::{self, load_json, CheckpointFiles, CollectionEntry, COLLECTION_WAL};
 use setlearn::tasks::{
-    aggregate_bloom, aggregate_cardinality, aggregate_index, BloomConfig, CardinalityConfig,
-    IndexConfig, IndexStructure, LearnedBloom, LearnedCardinality, LearnedSetIndex,
-    ShardedBloom, ShardedCardinality, ShardedIndex, ShardedIndexStructure,
+    BloomConfig, CardinalityConfig, IndexConfig, IndexStructure, LearnedBloom,
+    LearnedCardinality, LearnedSetIndex, ShardedBloom, ShardedCardinality, ShardedIndex,
+    ShardedIndexStructure,
 };
 use setlearn::wire::{QueryResponse, WireTask};
 use setlearn::{DeepSetsConfig, ShardedCollection};
@@ -616,9 +615,7 @@ impl CollectionRegistry {
             (WireTask::Cardinality, Some(shards)) => {
                 let est: ShardedCardinality = load_checkpoint(&model)?;
                 check_shards("cardinality", est.spec().shards, shards)?;
-                let tasks: Vec<StructureTask<LearnedCardinality>> =
-                    est.into_shards().into_iter().map(StructureTask::new).collect();
-                Arc::new(ShardedRuntime::start_named(tasks, cfg, aggregate_cardinality, name))
+                Arc::new(ServeRuntime::start_named(StructureTask::new(est), cfg, name))
             }
             (WireTask::Bloom, None) => {
                 let filter: LearnedBloom = load_checkpoint(&model)?;
@@ -627,9 +624,7 @@ impl CollectionRegistry {
             (WireTask::Bloom, Some(shards)) => {
                 let filter: ShardedBloom = load_checkpoint(&model)?;
                 check_shards("bloom", filter.spec().shards, shards)?;
-                let tasks: Vec<StructureTask<LearnedBloom>> =
-                    filter.into_shards().into_iter().map(StructureTask::new).collect();
-                Arc::new(ShardedRuntime::start_named(tasks, cfg, aggregate_bloom, name))
+                Arc::new(ServeRuntime::start_named(StructureTask::new(filter), cfg, name))
             }
             (WireTask::Index, None) => {
                 let collection: SetCollection = load_checkpoint(&sets)?;
@@ -646,19 +641,7 @@ impl CollectionRegistry {
                 let sharded = ShardedCollection::partition(&collection, index.spec())
                     .map_err(|e| e.to_string())?;
                 let structure = ShardedIndexStructure::new(index, &sharded);
-                let target = structure.target();
-                let tasks: Vec<_> = structure
-                    .shard_structures()
-                    .iter()
-                    .cloned()
-                    .map(StructureTask::new)
-                    .collect();
-                Arc::new(ShardedRuntime::start_named(
-                    tasks,
-                    cfg,
-                    move |parts| aggregate_index(target, parts),
-                    name,
-                ))
+                Arc::new(ServeRuntime::start_named(StructureTask::new(structure), cfg, name))
             }
         };
         Ok(backend)
@@ -825,10 +808,10 @@ mod tests {
     use super::*;
     use crate::proto::IngestRequest;
     use setlearn::persist::{save_manifest, CollectionManifest, COLLECTION_MODEL, COLLECTION_SETS};
-    use setlearn::tasks::PositionTarget;
+    use setlearn::tasks::{LearnedSetStructure, PositionTarget, QueryOutcome};
     use setlearn::wire::QueryValue;
-    use setlearn::{GuidedConfig, Precision};
-    use setlearn_data::{is_subset, ElementSet, GeneratorConfig};
+    use setlearn::{GuidedConfig, Precision, ShardBy, ShardSpec};
+    use setlearn_data::{is_subset, ElementSet, GeneratorConfig, SubsetIndex};
     use std::time::Duration;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -863,20 +846,19 @@ mod tests {
         .generate()
     }
 
-    /// Persists a trained tenant under `root/<name>/`.
+    /// Persists a trained tenant under `root/<name>/`; `shards` is the
+    /// layout its manifest declares.
     fn write_tenant<M: serde::Serialize>(
         root: &Path,
         name: &str,
         task: &str,
+        shards: Option<usize>,
         model: &M,
         sets: &SetCollection,
     ) {
         let dir = root.join(name);
-        save_manifest(
-            &dir,
-            &CollectionManifest { task: task.into(), shards: None, shard_by: None },
-        )
-        .unwrap();
+        save_manifest(&dir, &CollectionManifest { task: task.into(), shards, shard_by: None })
+            .unwrap();
         persist::save_json(model, &dir.join(COLLECTION_MODEL)).unwrap();
         persist::save_json(sets, &dir.join(COLLECTION_SETS)).unwrap();
     }
@@ -896,7 +878,7 @@ mod tests {
             ..CardinalityConfig::new(DeepSetsConfig::lsm(sets.num_elements()))
         };
         let (est, _) = LearnedCardinality::build(&sets, &cfg);
-        write_tenant(root, name, "cardinality", &est, &sets);
+        write_tenant(root, name, "cardinality", None, &est, &sets);
         est
     }
 
@@ -919,7 +901,6 @@ mod tests {
         assert!(Arc::ptr_eq(&resident, &by_default));
 
         // Served answers match direct structure queries bit-for-bit.
-        use setlearn::tasks::LearnedSetStructure;
         let query = setlearn_data::normalize(vec![1, 2]);
         let direct = est.query(&query).value;
         let tickets = resident.backend().submit_wire(vec![query]);
@@ -1055,6 +1036,113 @@ mod tests {
             .collect()
     }
 
+    /// Asserts a resident serves exactly the structure's own `query_batch`
+    /// — compared as wire bytes, so equal means bit-equal, degradation flags
+    /// included — and returns the served values.
+    fn assert_serves<S>(resident: &Resident, structure: &S, queries: &[ElementSet]) -> Vec<QueryValue>
+    where
+        S: LearnedSetStructure,
+        QueryResponse: From<QueryOutcome<S::Output>>,
+    {
+        let served: Vec<QueryResponse> = queries
+            .chunks(32)
+            .flat_map(|batch| resident.backend().submit_wire(batch.to_vec()))
+            .map(|ticket| ticket().unwrap())
+            .collect();
+        let direct: Vec<QueryResponse> =
+            structure.query_batch(queries).into_iter().map(QueryResponse::from).collect();
+        let wire_bytes = |responses: &[QueryResponse]| {
+            let mut out = Vec::new();
+            responses.iter().for_each(|r| r.encode(&mut out));
+            out
+        };
+        assert_eq!(
+            wire_bytes(&served),
+            wire_bytes(&direct),
+            "{} serves something other than its checkpoint's answers",
+            resident.name(),
+        );
+        served.into_iter().map(|r| r.value).collect()
+    }
+
+    /// Every task × {2, 3} shards: the registry serves a sharded checkpoint
+    /// through the one runtime, and what comes back is the sharded
+    /// structure's own fold — with the paper's per-task guarantees intact
+    /// across the partition.
+    #[test]
+    fn sharded_tenants_of_every_task_serve_the_structures_own_answers() {
+        let root = tmpdir("sharded");
+        let sets = small_collection(31);
+        let model = DeepSetsConfig::lsm(sets.num_elements());
+        let card_cfg = CardinalityConfig {
+            guided: quick_guided(),
+            max_subset_size: 2,
+            ..CardinalityConfig::new(model.clone())
+        };
+        let index_cfg = IndexConfig {
+            guided: quick_guided(),
+            max_subset_size: 2,
+            ..IndexConfig::new(model.clone())
+        };
+        let bloom_cfg = BloomConfig { epochs: 2, ..BloomConfig::new(model) };
+        let workload = setlearn_data::workload::membership_queries(&sets, 80, 80, 2, 5);
+        let positives: Vec<ElementSet> =
+            workload.iter().filter(|(_, label)| *label).map(|(q, _)| q.clone()).collect();
+        // Trained subsets, then pairs no set holds.
+        let mut queries: Vec<ElementSet> =
+            SubsetIndex::build(&sets, 2).iter().map(|(s, _)| s.clone()).collect();
+        queries.extend(
+            (0..sets.num_elements())
+                .map(|e| setlearn_data::normalize(vec![e, (e + 7) % sets.num_elements()]))
+                .filter(|q| !sets.contains_subset(q)),
+        );
+        let mut config = RegistryConfig::new(&root);
+        config.serve = quick_serve();
+        let registry = CollectionRegistry::new(config);
+
+        for shards in [2usize, 3] {
+            let part =
+                ShardedCollection::partition(&sets, ShardSpec::new(shards, ShardBy::Hash)).unwrap();
+            let tenant = |task: &str| format!("{task}-{shards}");
+
+            let (card, _) = ShardedCardinality::build(&part, &card_cfg).unwrap();
+            write_tenant(&root, &tenant("card"), "cardinality", Some(shards), &card, &sets);
+            let resident = registry.resolve(Some(&tenant("card"))).unwrap();
+            for v in assert_serves(&resident, &card, &queries) {
+                assert!(matches!(v, QueryValue::Cardinality(c) if c.is_finite() && c >= 0.0));
+            }
+
+            let (bloom, _) = ShardedBloom::build(&part, &workload, &bloom_cfg).unwrap();
+            write_tenant(&root, &tenant("bloom"), "bloom", Some(shards), &bloom, &sets);
+            let resident = registry.resolve(Some(&tenant("bloom"))).unwrap();
+            assert_serves(&resident, &bloom, &queries);
+            for (q, v) in positives.iter().zip(assert_serves(&resident, &bloom, &positives)) {
+                assert_eq!(v, QueryValue::Membership(true), "false negative on {q:?}");
+            }
+
+            let (index, _) = ShardedIndex::build(&part, &index_cfg).unwrap();
+            write_tenant(&root, &tenant("index"), "index", Some(shards), &index, &sets);
+            let resident = registry.resolve(Some(&tenant("index"))).unwrap();
+            let bound = ShardedIndexStructure::new(index, &part);
+            for (q, v) in queries.iter().zip(assert_serves(&resident, &bound, &queries)) {
+                let first = sets.iter().find(|(_, s)| is_subset(q, s)).map(|(p, _)| p as u64);
+                assert_eq!(v, QueryValue::Position(first), "{q:?}, {shards} shards");
+            }
+
+            // A manifest that disagrees with its checkpoint is a typed load
+            // error, not a mispaired partition.
+            write_tenant(&root, &tenant("off"), "cardinality", Some(shards + 1), &card, &sets);
+            match registry.resolve(Some(&tenant("off"))) {
+                Err(ResolveError::Failed(_, why)) => assert!(
+                    why.contains(&format!("has {shards} shards, manifest says {}", shards + 1)),
+                    "{why}"
+                ),
+                other => panic!("expected a shard-count load error, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     /// A compaction retrains *the structure being served*: the model's
     /// dimensions, the serve precision and the index's position target carry
     /// through a forced compaction, and again through one after a reload
@@ -1079,7 +1167,7 @@ mod tests {
             },
         );
         est.set_precision(Precision::Q8);
-        write_tenant(&root, "card", "cardinality", &est, &sets);
+        write_tenant(&root, "card", "cardinality", None, &est, &sets);
         let (mut index, _) = LearnedSetIndex::build(
             &sets,
             &IndexConfig {
@@ -1090,11 +1178,11 @@ mod tests {
             },
         );
         index.set_precision(Precision::F16);
-        write_tenant(&root, "index", "index", &index, &sets);
+        write_tenant(&root, "index", "index", None, &index, &sets);
         let bloom_cfg =
             BloomConfig { model: narrow.clone(), epochs: 2, ..BloomConfig::new(narrow.clone()) };
         let (filter, _) = LearnedBloom::build_from_collection(&sets, 200, 200, 3, &bloom_cfg);
-        write_tenant(&root, "bloom", "bloom", &filter, &sets);
+        write_tenant(&root, "bloom", "bloom", None, &filter, &sets);
         let tenants = ["card", "index", "bloom"];
         let wal = |name: &str| root.join(name).join(COLLECTION_WAL);
         for name in tenants {

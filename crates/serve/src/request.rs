@@ -1,12 +1,12 @@
 //! Per-request tracing context: a trace id plus a per-[`Stage`] latency
 //! breakdown, threaded from frame decode through admission, the bounded
-//! queue, batch assembly, `serve_batch`, sharded fan-out, and response
-//! encode.
+//! queue, batch assembly, `serve_batch`, and response encode.
 //!
 //! The context is shared (`Arc`) between the connection handler and the
-//! worker(s) answering the request; stage slots are atomics written with a
-//! max so the sharded fan-out path reports the *slowest* shard's queue wait
-//! and inference time — the one that bounded the request's latency.
+//! worker(s) answering the frame's queries, which may ride different
+//! batches; stage slots are atomics written with a max so the breakdown
+//! reports the *slowest* query's queue wait and inference time — the one
+//! that bounded the frame's latency.
 
 use setlearn_obs::{Stage, StageBreakdown, STAGES};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +46,7 @@ impl RequestCtx {
     }
 
     /// Records time spent in `stage`, keeping the maximum across repeated
-    /// records (per-shard observations of the same stage under fan-out).
+    /// records (per-query observations of the same stage across a frame).
     pub fn record_stage(&self, stage: Stage, elapsed: Duration) {
         let us = elapsed.as_micros().min(u64::MAX as u128) as u64;
         self.stages[stage as usize].fetch_max(us, Ordering::Relaxed);

@@ -258,14 +258,14 @@ impl<T: ServeTask> ServeRuntime<T> {
     /// background writer (the compaction daemon, test writer threads) can
     /// publish new models while the runtime serves.
     pub fn start_shared(model: Arc<HotSwap<T>>, config: ServeConfig) -> Self {
-        Self::start_labeled(model, config, None, None)
+        Self::start_labeled(model, config, None)
     }
 
     /// [`ServeRuntime::start`] for one named collection in a registry:
     /// every metric this runtime records carries a `collection` label
     /// alongside the task label.
     pub fn start_named(task: T, config: ServeConfig, collection: &str) -> Self {
-        Self::start_labeled(Arc::new(HotSwap::new(task)), config, None, Some(collection))
+        Self::start_labeled(Arc::new(HotSwap::new(task)), config, Some(collection))
     }
 
     /// [`ServeRuntime::start_shared`] over an external slot for one named
@@ -276,17 +276,15 @@ impl<T: ServeTask> ServeRuntime<T> {
         config: ServeConfig,
         collection: &str,
     ) -> Self {
-        Self::start_labeled(model, config, None, Some(collection))
+        Self::start_labeled(model, config, Some(collection))
     }
 
     /// The constructor behind every `start*`: every metric the runtime
-    /// records carries the task label plus `shard` (one shard of a
-    /// [`ShardedRuntime`](crate::sharded::ShardedRuntime)) and `collection`
-    /// (one registry tenant) when given.
-    pub(crate) fn start_labeled(
+    /// records carries the task label plus `collection` (one registry
+    /// tenant) when given.
+    fn start_labeled(
         model: Arc<HotSwap<T>>,
         config: ServeConfig,
-        shard: Option<usize>,
         collection: Option<&str>,
     ) -> Self {
         if let Err(e) = config.validate() {
@@ -294,11 +292,9 @@ impl<T: ServeTask> ServeRuntime<T> {
         }
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let stats = Arc::new(ServeStats::default());
-        let tele = Arc::new(match (collection, shard) {
-            (Some(c), Some(s)) => RuntimeTele::named_sharded(T::NAME, c, s),
-            (Some(c), None) => RuntimeTele::named(T::NAME, c),
-            (None, Some(s)) => RuntimeTele::sharded(T::NAME, s),
-            (None, None) => RuntimeTele::new(T::NAME),
+        let tele = Arc::new(match collection {
+            Some(c) => RuntimeTele::named(T::NAME, c),
+            None => RuntimeTele::new(T::NAME),
         });
         let workers = (0..config.threads)
             .map(|_| {

@@ -43,7 +43,7 @@ pub trait ServeTask: Send + Sync + 'static {
 /// garbage — and the outcome's `fallback` flag says so.
 #[derive(Debug, Clone)]
 pub struct StructureTask<S> {
-    /// The served structure (aggregate or single shard).
+    /// The served structure.
     pub structure: S,
 }
 

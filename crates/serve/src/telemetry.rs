@@ -2,8 +2,8 @@
 //! [`setlearn_obs::MetricsRegistry`], resolved once per runtime and recorded
 //! through lock-free on the batch path.
 //!
-//! Metric families (all labeled `task="…"`; shards of a sharded runtime
-//! additionally carry `shard="…"`):
+//! Metric families (all labeled `task="…"`; a registry tenant's runtime
+//! additionally carries `collection="…"`):
 //!
 //! - `setlearn_serve_queue_depth` — requests buffered right after each
 //!   batch was taken (gauge)
@@ -31,7 +31,7 @@ pub const BATCH_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 
 
 /// Cached handles into the `setlearn_request_stage_seconds` histogram
 /// family: one series per [`Stage`], labelled `task` + `stage` (plus any
-/// extra labels the owner carries, e.g. `shard`). This is the per-stage
+/// extra labels the owner carries, e.g. `collection`). This is the per-stage
 /// latency breakdown a live scrape exposes.
 pub(crate) struct StageTele {
     handles: [Arc<Histogram>; STAGE_COUNT],
@@ -80,21 +80,6 @@ impl RuntimeTele {
     /// `MAX_SERIES_PER_FAMILY` overflow collapse.
     pub(crate) fn named(task: &'static str, collection: &str) -> Self {
         Self::with_labels(task, &[("task", task), ("collection", collection)])
-    }
-
-    /// Handles for one shard of a sharded runtime: every family gains a
-    /// `shard` label so per-shard queue depth, latency, and swap counters
-    /// stay distinguishable in the exposition.
-    pub(crate) fn sharded(task: &'static str, shard: usize) -> Self {
-        let shard = shard.to_string();
-        Self::with_labels(task, &[("task", task), ("shard", &shard)])
-    }
-
-    /// Handles for one shard of a named collection's sharded runtime:
-    /// `task` + `collection` + `shard`.
-    pub(crate) fn named_sharded(task: &'static str, collection: &str, shard: usize) -> Self {
-        let shard = shard.to_string();
-        Self::with_labels(task, &[("task", task), ("collection", collection), ("shard", &shard)])
     }
 
     fn with_labels(task: &'static str, l: &[(&str, &str)]) -> Self {

@@ -1,5 +1,7 @@
 //! Shared by the loopback suites.
 
+use setlearn::tasks::{aggregate_cardinality, LearnedSetStructure, QueryOutcome};
+use setlearn_data::ElementSet;
 use setlearn_serve::net::{NetConfig, NetServer, WireBackend};
 use setlearn_serve::{CollectionRegistry, RegistryConfig};
 use std::sync::Arc;
@@ -13,4 +15,26 @@ pub fn serve_backend(backend: Arc<dyn WireBackend>, config: NetConfig) -> NetSer
     let registry = Arc::new(CollectionRegistry::new(registry));
     registry.insert("solo", backend);
     NetServer::bind_registry("127.0.0.1:0", registry, config).unwrap()
+}
+
+/// Mock cardinality shards folded inside `query_batch`, the way
+/// `setlearn::tasks::sharded` folds real ones.
+#[allow(dead_code)] // not every suite serves a sharded mock
+pub struct SummedShards<S>(pub Vec<S>);
+
+impl<S: LearnedSetStructure<Output = f64>> LearnedSetStructure for SummedShards<S> {
+    type Output = f64;
+    const NAME: &'static str = "cardinality";
+
+    fn query(&self, q: &[u32]) -> QueryOutcome<f64> {
+        aggregate_cardinality(self.0.iter().map(|shard| shard.query(q)).collect())
+    }
+
+    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<f64>> {
+        queries.iter().map(|q| self.query(q)).collect()
+    }
+
+    fn query_batch_parallel(&self, queries: &[ElementSet], _threads: usize) -> Vec<QueryOutcome<f64>> {
+        self.query_batch(queries)
+    }
 }

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::serve_backend;
+use common::{serve_backend, SummedShards};
 use setlearn::tasks::{LearnedSetStructure, QueryOutcome};
 use setlearn::wire::{QueryRequest, QueryValue, WireTask};
 use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer};
@@ -14,7 +14,7 @@ use setlearn_serve::proto::{
     decode_response_batch, encode_frame, encode_request_batch, read_frame, ErrorCode, ProtoError,
     HEADER_LEN, VERSION_V2,
 };
-use setlearn_serve::{ServeConfig, ServeError, ServeRuntime, ShardedRuntime, StructureTask};
+use setlearn_serve::{ServeConfig, ServeError, ServeRuntime, StructureTask};
 use setlearn_data::ElementSet;
 use std::io::Write;
 use std::net::TcpStream;
@@ -311,20 +311,11 @@ fn remote_shutdown_is_gated_and_drains_when_allowed() {
 }
 
 #[test]
-fn sharded_runtime_serves_over_the_wire() {
+fn sharded_structure_serves_over_the_wire() {
     // Two mock shards, summed: a remote query answers 2 × (1.5 × |q|).
-    let runtime = Arc::new(ShardedRuntime::start(
-        vec![StructureTask::new(MockCard), StructureTask::new(MockCard)],
+    let runtime = Arc::new(ServeRuntime::start(
+        StructureTask::new(SummedShards(vec![MockCard, MockCard])),
         serve_config(),
-        |parts: Vec<QueryOutcome<f64>>| {
-            let mut total = QueryOutcome::clean(0.0);
-            for part in parts {
-                total.value += part.value;
-                total.fallback = total.fallback.or(part.fallback);
-                total.bound_miss |= part.bound_miss;
-            }
-            total
-        },
     ));
     let server = serve_backend(Arc::clone(&runtime) as _, NetConfig::default());
     let mut client = NetClient::connect(server.local_addr()).unwrap();

@@ -5,7 +5,7 @@
 //! sharded.
 
 use setlearn::prelude::{
-    aggregate_cardinality, BloomConfig, CardinalityConfig, GuidedConfig, IndexConfig,
+    BloomConfig, CardinalityConfig, GuidedConfig, IndexConfig,
     IndexStructure, LearnedBloom, LearnedCardinality, LearnedSetIndex, LearnedSetStructure,
     QueryOutcome, QueryRequest, QueryValue, ShardBy, ShardSpec, ShardedCardinality,
     ShardedCollection, WireTask,
@@ -14,7 +14,7 @@ use setlearn::model::DeepSetsConfig;
 use setlearn_data::{ElementSet, GeneratorConfig, SetCollection, SubsetIndex};
 use setlearn_serve::{
     BloomTask, CardinalityTask, CollectionRegistry, IndexTask, NetClient, NetConfig, NetServer,
-    RegistryConfig, ServeConfig, ServeRuntime, ShardedRuntime, WireBackend, WireOutcome,
+    RegistryConfig, ServeConfig, ServeRuntime, StructureTask, WireBackend, WireOutcome,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -150,8 +150,8 @@ fn bloom_over_loopback_is_bit_identical_to_query_batch() {
     Arc::try_unwrap(runtime).map_err(|_| "runtime still shared").unwrap().shutdown();
 }
 
-/// The sharded fan-out path over the wire: every query hits both shards and
-/// the aggregated answer equals the in-process sharded structure's.
+/// A sharded structure over the wire: every query hits both shards inside
+/// `serve_batch`, and the answer equals the in-process structure's.
 #[test]
 fn sharded_cardinality_over_loopback_is_bit_identical_to_query_batch() {
     let collection = small_collection();
@@ -164,10 +164,7 @@ fn sharded_cardinality_over_loopback_is_bit_identical_to_query_batch() {
     let qs = queries(&collection, 100);
     let local = estimator.query_batch(&qs);
 
-    let tasks: Vec<CardinalityTask> =
-        estimator.into_shards().into_iter().map(CardinalityTask::new).collect();
-    let runtime =
-        Arc::new(ShardedRuntime::start(tasks, serve_config(), aggregate_cardinality));
+    let runtime = Arc::new(ServeRuntime::start(StructureTask::new(estimator), serve_config()));
     let wire = over_the_wire(Arc::clone(&runtime) as _, WireTask::Cardinality, &qs);
     assert_wire_equals(&wire, &local, |got, want: &f64| match got {
         QueryValue::Cardinality(v) => assert_eq!(v.to_bits(), want.to_bits()),
