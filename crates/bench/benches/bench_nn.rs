@@ -8,12 +8,24 @@ use setlearn::model::{CompressionKind, DeepSets, DeepSetsConfig, Pooling};
 use setlearn_nn::{Activation, Dense, Matrix, Mlp};
 use std::hint::black_box;
 
+/// The dense layer shapes the ledger workloads train and serve: the default
+/// model (embedding 8, φ = ρ = [32]) and `card_kernel*`'s wide one
+/// (embedding 128, φ = ρ = [512]).
+const LEDGER_SHAPES: [(usize, usize); 6] =
+    [(8, 32), (32, 32), (32, 1), (128, 512), (512, 512), (512, 1)];
+
 fn bench_matmul(c: &mut Criterion) {
+    const ROWS: usize = 256;
+    for (k, n) in LEDGER_SHAPES {
+        // About half the inputs are zero, like post-ReLU activations.
+        let x = (0..ROWS * k).map(|i| if i % 2 == 0 { 0.0 } else { (i % 7) as f32 * 0.1 });
+        let a = Matrix::from_vec(ROWS, k, x.collect());
+        let w: Vec<f32> = (0..k * n).map(|i| (i % 5) as f32 * 0.1 - 0.2).collect();
+        c.bench_function(&format!("matmul_{ROWS}x{k}x{n}"), |bench| {
+            bench.iter(|| black_box(a.matmul(&w, n)));
+        });
+    }
     let a = Matrix::from_vec(64, 32, (0..64 * 32).map(|i| (i % 7) as f32 * 0.1).collect());
-    let b = Matrix::from_vec(32, 32, (0..32 * 32).map(|i| (i % 5) as f32 * 0.1).collect());
-    c.bench_function("matmul_64x32x32", |bench| {
-        bench.iter(|| black_box(a.matmul(&b)));
-    });
     c.bench_function("matmul_tn_64x32x32", |bench| {
         bench.iter(|| black_box(a.matmul_tn(&a)));
     });

@@ -239,7 +239,8 @@ fn main() {
     // Model-level comparison (no queueing) on the production-sized model at
     // the serve micro-batch size: the scalar `predict_batch` reference
     // against [`FrozenModel`] at each precision. f32 freezing must be
-    // bit-identical; f16/q8 report their worst score deltas.
+    // bit-identical; f16/q8 report their worst score deltas. Both f32 sides
+    // run the one shared GEMM, so f32 carries no speed floor; q8 does.
     let kmodel = DeepSets::new(heavy_cfg.model.clone());
     // Mixed 1–6 element sets: φ work scales with elements, and serve traffic
     // is not all pairs.
@@ -265,7 +266,6 @@ fn main() {
         kbatches.iter().flat_map(|b| kmodel.predict_batch(b)).collect();
     let mut kt = Table::new(vec!["forward path", "QPS", "vs scalar", "max |Δscore|"]);
     kt.row(vec!["scalar f32".into(), format!("{scalar_qps:.0}"), "1.00x".into(), "0".into()]);
-    let mut speedup_f32 = 0.0;
     let mut speedup_q8 = 0.0;
     for p in Precision::ALL {
         let frozen = FrozenModel::freeze(&kmodel, p);
@@ -278,10 +278,7 @@ fn main() {
             .fold(0.0f32, f32::max);
         let speedup = qps / scalar_qps;
         match p {
-            Precision::F32 => {
-                assert_eq!(maxd, 0.0, "frozen f32 must be bit-identical to scalar");
-                speedup_f32 = speedup;
-            }
+            Precision::F32 => assert_eq!(maxd, 0.0, "frozen f32 must be bit-identical to scalar"),
             Precision::Q8 => speedup_q8 = speedup,
             Precision::F16 => {}
         }
@@ -299,10 +296,6 @@ fn main() {
         heavy_cfg.model.phi_hidden,
         heavy_cfg.model.rho_hidden,
     ));
-    assert!(
-        speedup_f32 >= 1.5,
-        "blocked f32 kernel ({speedup_f32:.2}x) fell below the 1.5x floor over scalar"
-    );
     assert!(
         speedup_q8 >= 2.0,
         "q8 kernel ({speedup_q8:.2}x) fell below the 2x floor over scalar"

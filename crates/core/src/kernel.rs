@@ -1,40 +1,33 @@
 //! Precision-aware inference kernels: the frozen serving path.
 //!
 //! Training wants gradients; serving wants throughput. [`DeepSets`] keeps
-//! its weights inside [`setlearn_nn::ParamBuf`]s that the scalar
-//! `predict_batch` path re-wraps into freshly allocated [`Matrix`] values on
-//! every call — one weight-`Vec` clone per dense layer per batch, plus the
-//! encoder's per-table intermediates. A [`FrozenModel`] is extracted once at
-//! load time instead:
+//! its weights inside [`setlearn_nn::ParamBuf`]s and its scalar
+//! `predict_batch` path allocates fresh [`setlearn_nn::Matrix`] values per
+//! layer per call, plus the encoder's per-table intermediates. A
+//! [`FrozenModel`] is extracted once at load time instead:
 //!
 //! * embedding tables re-laid-out for contiguous per-position access — the
 //!   compressed encoder gathers each sub-table directly into its column
 //!   block of the encoded row (no `hconcat`, no per-table matrices);
-//! * dense layers applied with register-tiled inner loops: each output row
-//!   is computed in tiles of [`ACC_BLOCKS`] fixed-width [`KERNEL_BLOCK`]-lane
-//!   accumulator blocks that live in vector registers across the whole
-//!   reduction (`chunks_exact`-shaped slices, so the autovectorizer sees
-//!   exact trip counts and no bounds checks in the hot loop);
-//! * runtime ISA dispatch ([`KernelIsa`]): the same tiled loops are compiled
-//!   per instruction set (`#[target_feature]`) and selected once per process,
-//!   so a baseline build still serves AVX2/AVX-512 code on capable hosts;
+//! * f32/f16 dense layers run [`setlearn_nn::gemm::gemm`], the one
+//!   register-tiled, ISA-dispatched forward GEMM that training runs too —
+//!   so frozen f32 is bit-identical to the training path by construction;
 //! * per-thread reusable scratch arenas, so steady-state serving allocates
 //!   nothing per batch beyond the output vector.
 //!
 //! On top of the layout sits the precision choice ([`Precision`]): `f32`
-//! keeps the training weights bit-for-bit (the frozen path is bit-identical
-//! to the scalar one on every ISA — the tiled loops preserve the scalar
-//! path's per-element operation order and never introduce FMA contraction;
-//! property-tested in `tests/kernel_parity.rs`), `f16` rounds every weight
+//! keeps the training weights bit-for-bit, `f16` rounds every weight
 //! through IEEE binary16 at freeze time and serves from the dequantized f32
 //! layout (exactly [`crate::quantize::quantize_in_place`] semantics), and
 //! `q8` serves embeddings as per-row affine `u8` codes and dense layers as
 //! per-column symmetric `i8` codes with dynamically quantized `u8` inputs —
 //! an exact integer accumulation (AVX-512 VNNI `vpdpbusd` where available,
-//! bit-equal portable emulation elsewhere) finished in f32.
+//! bit-equal portable emulation elsewhere) finished in f32. The ISA items
+//! ([`KernelIsa`], [`kernel_isa`], …) live in `setlearn-nn` and are
+//! re-exported here.
 
 use crate::compress::CompressionSpec;
-use crate::model::{DeepSets, Pooling};
+use crate::model::{pool_rows, DeepSets, Pooling};
 use crate::quantize::{f16_bits_to_f32, f32_to_f16_bits};
 use serde::{Deserialize, Serialize};
 use setlearn_nn::hash_embedding::hash_bucket;
@@ -42,145 +35,10 @@ use setlearn_nn::{Activation, Dense};
 use std::cell::RefCell;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Fixed inner-loop block width of the dense kernels. Sixteen `f32` lanes
-/// fill one 512-bit vector register (two 256-bit ones on AVX2); fixed-width
-/// accumulator blocks of this size give the autovectorizer exact trip counts
-/// with no bounds checks in the hot loop.
-pub const KERNEL_BLOCK: usize = 16;
-
-/// Independent accumulator blocks kept in flight per output tile. Four
-/// [`KERNEL_BLOCK`]-lane blocks give four independent dependency chains (the
-/// vector add/`vpdpbusd` latency is ~4 cycles, so fewer chains leave the
-/// ports idle) while still fitting comfortably in the register file.
-pub const ACC_BLOCKS: usize = 4;
-
-/// Output columns computed per register tile.
-const TILE: usize = KERNEL_BLOCK * ACC_BLOCKS;
-
-/// Instruction set the dense kernels dispatch to. Detected once per process
-/// from CPUID, overridable downward via the `SETLEARN_KERNEL_ISA` environment
-/// variable or [`set_kernel_isa`] (useful for A/B benchmarks and for forcing
-/// the portable path in tests).
-///
-/// Every level computes the same result: the f32/f16 tiled loops preserve the
-/// scalar operation order exactly (bit-identical scores), and the q8 integer
-/// path is exact in i32 regardless of how it is vectorized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum KernelIsa {
-    /// Portable Rust loops, autovectorized at the build's baseline target.
-    Generic,
-    /// 256-bit AVX2 compilations of the same loops.
-    Avx2,
-    /// 512-bit AVX-512 (F/BW/VL) compilations of the same loops.
-    Avx512,
-    /// AVX-512 plus VNNI: q8 uses `vpdpbusd` u8·i8 integer dot products.
-    Avx512Vnni,
-}
-
-impl KernelIsa {
-    fn to_u8(self) -> u8 {
-        match self {
-            KernelIsa::Generic => 0,
-            KernelIsa::Avx2 => 1,
-            KernelIsa::Avx512 => 2,
-            KernelIsa::Avx512Vnni => 3,
-        }
-    }
-
-    fn from_u8(b: u8) -> Option<KernelIsa> {
-        match b {
-            0 => Some(KernelIsa::Generic),
-            1 => Some(KernelIsa::Avx2),
-            2 => Some(KernelIsa::Avx512),
-            3 => Some(KernelIsa::Avx512Vnni),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for KernelIsa {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            KernelIsa::Generic => "generic",
-            KernelIsa::Avx2 => "avx2",
-            KernelIsa::Avx512 => "avx512",
-            KernelIsa::Avx512Vnni => "avx512vnni",
-        })
-    }
-}
-
-impl FromStr for KernelIsa {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "generic" => Ok(KernelIsa::Generic),
-            "avx2" => Ok(KernelIsa::Avx2),
-            "avx512" => Ok(KernelIsa::Avx512),
-            "avx512vnni" => Ok(KernelIsa::Avx512Vnni),
-            other => Err(format!(
-                "unknown kernel ISA '{other}' (expected generic, avx2, avx512 or avx512vnni)"
-            )),
-        }
-    }
-}
-
-/// Widest [`KernelIsa`] this CPU supports.
-pub fn detect_kernel_isa() -> KernelIsa {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f")
-            && is_x86_feature_detected!("avx512bw")
-            && is_x86_feature_detected!("avx512vl")
-        {
-            if is_x86_feature_detected!("avx512vnni") {
-                return KernelIsa::Avx512Vnni;
-            }
-            return KernelIsa::Avx512;
-        }
-        if is_x86_feature_detected!("avx2") {
-            return KernelIsa::Avx2;
-        }
-    }
-    KernelIsa::Generic
-}
-
-/// Selected ISA; `u8::MAX` means "not yet resolved".
-static KERNEL_ISA: AtomicU8 = AtomicU8::new(u8::MAX);
-
-/// The ISA the dense kernels currently dispatch to. Resolved on first use:
-/// `SETLEARN_KERNEL_ISA` if set (clamped to what the CPU supports; unknown
-/// values are ignored), otherwise [`detect_kernel_isa`].
-pub fn kernel_isa() -> KernelIsa {
-    if let Some(isa) = KernelIsa::from_u8(KERNEL_ISA.load(Ordering::Relaxed)) {
-        return isa;
-    }
-    let detected = detect_kernel_isa();
-    let isa = match std::env::var("SETLEARN_KERNEL_ISA") {
-        Ok(v) => match v.parse::<KernelIsa>() {
-            Ok(requested) => requested.min(detected),
-            Err(_) => detected,
-        },
-        Err(_) => detected,
-    };
-    KERNEL_ISA.store(isa.to_u8(), Ordering::Relaxed);
-    isa
-}
-
-/// Forces the dense kernels onto `isa`. Fails if the CPU does not support it;
-/// lowering (e.g. to [`KernelIsa::Generic`] for a differential test) always
-/// succeeds.
-pub fn set_kernel_isa(isa: KernelIsa) -> Result<(), String> {
-    let detected = detect_kernel_isa();
-    if isa > detected {
-        return Err(format!("kernel ISA {isa} unavailable (CPU supports up to {detected})"));
-    }
-    KERNEL_ISA.store(isa.to_u8(), Ordering::Relaxed);
-    Ok(())
-}
+pub use setlearn_nn::gemm::{detect_kernel_isa, kernel_isa, set_kernel_isa, KernelIsa};
+use setlearn_nn::gemm::{gemm, ACC_BLOCKS, KERNEL_BLOCK};
 
 /// Numeric precision a structure serves at. Chosen at `train` time and
 /// recorded in the checkpoint; every reader serves at the recorded value.
@@ -248,36 +106,6 @@ impl FromStr for Precision {
             "q8" => Ok(Precision::Q8),
             other => Err(format!("unknown precision '{other}' (expected f32, f16 or q8)")),
         }
-    }
-}
-
-/// A batch-in, scores-out inference engine. The trait is dyn-safe so serve
-/// workers can hold precision-erased kernels; [`FrozenModel`] is the blocked
-/// implementation and [`DeepSets`] itself is the scalar reference one.
-pub trait InferenceKernel: Send + Sync {
-    /// The numeric precision this kernel serves at.
-    fn precision(&self) -> Precision;
-
-    /// Scores a batch of sets (one scalar per set, input order preserved).
-    fn infer_batch(&self, sets: &[&[u32]]) -> Vec<f32>;
-
-    /// Scores a single set.
-    fn infer_one(&self, set: &[u32]) -> f32 {
-        self.infer_batch(&[set])[0]
-    }
-}
-
-impl InferenceKernel for DeepSets {
-    fn precision(&self) -> Precision {
-        Precision::F32
-    }
-
-    fn infer_batch(&self, sets: &[&[u32]]) -> Vec<f32> {
-        self.predict_batch(sets)
-    }
-
-    fn infer_one(&self, set: &[u32]) -> f32 {
-        self.predict_one(set)
     }
 }
 
@@ -638,8 +466,7 @@ impl FrozenLayer {
 
     /// Applies the layer to `rows` input rows: `input` is `[rows x in_dim]`,
     /// `out` becomes `[rows x out_dim]`. `qx`/`idot` are the q8 path's
-    /// reusable quantization scratch; `blocks` accumulates the number of
-    /// [`KERNEL_BLOCK`]-wide inner-loop blocks executed.
+    /// reusable quantization scratch.
     fn apply(
         &self,
         input: &[f32],
@@ -647,21 +474,19 @@ impl FrozenLayer {
         out: &mut Vec<f32>,
         qx: &mut Vec<u8>,
         idot: &mut Vec<i32>,
-        blocks: &mut u64,
     ) {
         debug_assert_eq!(input.len(), rows * self.in_dim);
         out.clear();
         out.resize(rows * self.out_dim, 0.0);
         match &self.weights {
-            FrozenWeights::F32(w) => self.apply_f32(w, input, out, blocks),
+            FrozenWeights::F32(w) => {
+                gemm(input, w, self.out_dim, Some(&self.bias), self.activation, out)
+            }
             FrozenWeights::Q8(p) => {
                 qx.clear();
                 qx.resize(p.k4 * 4, 0);
                 idot.clear();
                 idot.resize(self.out_dim, 0);
-                // Integer blocks: every input quad touches every output block.
-                *blocks +=
-                    (rows * p.k4 * self.out_dim.div_ceil(KERNEL_BLOCK)) as u64;
                 match kernel_isa() {
                     #[cfg(target_arch = "x86_64")]
                     // SAFETY: dispatch is gated on CPUID detection (or an
@@ -673,99 +498,6 @@ impl FrozenLayer {
                     _ => self.rows_q8_generic(p, input, out, qx, idot),
                 }
             }
-        }
-    }
-
-    /// f32/f16 dense rows with runtime ISA dispatch. All targets run
-    /// [`FrozenLayer::rows_f32`] — `#[target_feature]` recompilations of the
-    /// identical source, so scores stay bit-identical across ISAs.
-    fn apply_f32(&self, w: &[f32], input: &[f32], out: &mut [f32], blocks: &mut u64) {
-        match kernel_isa() {
-            // SAFETY: dispatch is gated on CPUID detection (or an explicitly
-            // lowered override). AVX-512 hosts also run the AVX2 compilation:
-            // two 256-bit lanes per block measure consistently faster here
-            // than LLVM's 512-bit lowering of the same loops, and identical
-            // op order means identical bits either way.
-            #[cfg(target_arch = "x86_64")]
-            KernelIsa::Avx2 | KernelIsa::Avx512 | KernelIsa::Avx512Vnni => unsafe {
-                self.rows_f32_avx2(w, input, out, blocks)
-            },
-            _ => self.rows_f32(w, input, out, blocks),
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn rows_f32_avx2(&self, w: &[f32], input: &[f32], out: &mut [f32], blocks: &mut u64) {
-        self.rows_f32(w, input, out, blocks);
-    }
-
-    /// The f32 row kernel: output columns are walked in [`TILE`]-wide tiles
-    /// whose [`ACC_BLOCKS`] accumulator blocks stay in vector registers for
-    /// the whole input reduction (the un-tiled loop reloads the output row
-    /// once per nonzero input instead). Per output element the accumulation
-    /// order over `k` is exactly the scalar matmul's, the zero-skip mirrors
-    /// it too, and no FMA contraction is introduced — so every ISA
-    /// compilation of this body is bit-identical to the scalar path.
-    #[inline(always)]
-    fn rows_f32(&self, w: &[f32], input: &[f32], out: &mut [f32], blocks: &mut u64) {
-        let n = self.out_dim;
-        let tiles = n / TILE;
-        for (in_row, out_row) in input.chunks_exact(self.in_dim).zip(out.chunks_exact_mut(n)) {
-            let nz = in_row.iter().filter(|&&a| a != 0.0).count();
-            *blocks += (nz * n.div_ceil(KERNEL_BLOCK)) as u64;
-            for tile in 0..tiles {
-                let j0 = tile * TILE;
-                let mut acc = [[0.0f32; KERNEL_BLOCK]; ACC_BLOCKS];
-                for (k, &a) in in_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let w_tile = &w[k * n + j0..k * n + j0 + TILE];
-                    for (ab, wb) in acc.iter_mut().zip(w_tile.chunks_exact(KERNEL_BLOCK)) {
-                        for (o, &wv) in ab.iter_mut().zip(wb) {
-                            *o += a * wv;
-                        }
-                    }
-                }
-                for (ob, ab) in
-                    out_row[j0..j0 + TILE].chunks_exact_mut(KERNEL_BLOCK).zip(&acc)
-                {
-                    ob.copy_from_slice(ab);
-                }
-            }
-            // Remaining full blocks, one accumulator at a time.
-            let mut j0 = tiles * TILE;
-            while j0 + KERNEL_BLOCK <= n {
-                let mut acc = [0.0f32; KERNEL_BLOCK];
-                for (k, &a) in in_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let wb = &w[k * n + j0..k * n + j0 + KERNEL_BLOCK];
-                    for (o, &wv) in acc.iter_mut().zip(wb) {
-                        *o += a * wv;
-                    }
-                }
-                out_row[j0..j0 + KERNEL_BLOCK].copy_from_slice(&acc);
-                j0 += KERNEL_BLOCK;
-            }
-            // Sub-block tail columns: classic ikj order (still bit-identical
-            // — per-element order over k is unchanged).
-            if j0 < n {
-                for (k, &a) in in_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    for (o, &wv) in out_row[j0..].iter_mut().zip(&w[k * n + j0..(k + 1) * n]) {
-                        *o += a * wv;
-                    }
-                }
-            }
-            for (o, &bv) in out_row.iter_mut().zip(&self.bias) {
-                *o += bv;
-            }
-            self.activation.apply_slice(out_row);
         }
     }
 
@@ -925,9 +657,6 @@ pub struct FrozenModel {
     phi: Vec<FrozenLayer>,
     rho: Vec<FrozenLayer>,
     pooling: Pooling,
-    /// Inner-loop blocks executed since the last [`FrozenModel::take_blocks`]
-    /// — fed to the `setlearn_kernel_blocks_total` counter.
-    blocks: AtomicU64,
 }
 
 impl FrozenModel {
@@ -942,7 +671,6 @@ impl FrozenModel {
             phi: model.phi().map(freeze_mlp).unwrap_or_default(),
             rho: freeze_mlp(model.rho()),
             pooling: model.config().pooling,
-            blocks: AtomicU64::new(0),
         }
     }
 
@@ -956,12 +684,6 @@ impl FrozenModel {
         self.encoder.size_bytes()
             + self.phi.iter().map(FrozenLayer::size_bytes).sum::<usize>()
             + self.rho.iter().map(FrozenLayer::size_bytes).sum::<usize>()
-    }
-
-    /// Drains the inner-loop block counter accumulated since the last call
-    /// (telemetry hook for `setlearn_kernel_blocks_total`).
-    pub fn take_blocks(&self) -> u64 {
-        self.blocks.swap(0, Ordering::Relaxed)
     }
 
     /// Scores a batch of sets; output order matches input order.
@@ -1021,77 +743,29 @@ impl FrozenModel {
         }
         let n = s.ids.len();
         let b = sets.len();
-        let mut blocks = 0u64;
 
         // Encode + φ over the flat element batch, ping-ponging the two
         // scratch buffers.
         self.encoder.encode(&s.ids, &mut s.sub, &mut s.a);
         let mut h_dim = self.encoder.out_dim();
         for layer in &self.phi {
-            layer.apply(&s.a, n, &mut s.b, &mut s.qx, &mut s.idot, &mut blocks);
+            layer.apply(&s.a, n, &mut s.b, &mut s.qx, &mut s.idot);
             std::mem::swap(&mut s.a, &mut s.b);
             h_dim = layer.out_dim;
         }
 
-        // Pool per set — identical accumulation order to the scalar path.
-        s.pooled.clear();
+        // Pool per set — the training path's own pooling routine.
         s.pooled.resize(b * h_dim, 0.0);
-        match self.pooling {
-            Pooling::Sum | Pooling::Mean => {
-                for (set_i, row) in s.pooled.chunks_exact_mut(h_dim).enumerate() {
-                    let range = s.offsets[set_i]..s.offsets[set_i + 1];
-                    let count = range.len() as f32;
-                    for r in range {
-                        for (o, &v) in row.iter_mut().zip(&s.a[r * h_dim..(r + 1) * h_dim]) {
-                            *o += v;
-                        }
-                    }
-                    if self.pooling == Pooling::Mean {
-                        for o in row.iter_mut() {
-                            *o /= count;
-                        }
-                    }
-                }
-            }
-            Pooling::Max => {
-                for (set_i, row) in s.pooled.chunks_exact_mut(h_dim).enumerate() {
-                    let range = s.offsets[set_i]..s.offsets[set_i + 1];
-                    for (k, r) in range.enumerate() {
-                        for (j, &v) in s.a[r * h_dim..(r + 1) * h_dim].iter().enumerate() {
-                            if k == 0 || v > row[j] {
-                                row[j] = v;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        pool_rows(self.pooling, &s.a, h_dim, &s.offsets, &mut s.pooled, None);
 
         // ρ head over the pooled batch.
         std::mem::swap(&mut s.a, &mut s.pooled);
         for layer in &self.rho {
-            layer.apply(&s.a, b, &mut s.b, &mut s.qx, &mut s.idot, &mut blocks);
+            layer.apply(&s.a, b, &mut s.b, &mut s.qx, &mut s.idot);
             std::mem::swap(&mut s.a, &mut s.b);
         }
         debug_assert_eq!(s.a.len(), b, "ρ must end in a scalar layer");
-        if blocks > 0 {
-            self.blocks.fetch_add(blocks, Ordering::Relaxed);
-        }
         s.a.clone()
-    }
-}
-
-impl InferenceKernel for FrozenModel {
-    fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    fn infer_batch(&self, sets: &[&[u32]]) -> Vec<f32> {
-        self.predict_batch(sets)
-    }
-
-    fn infer_one(&self, set: &[u32]) -> f32 {
-        self.predict_one(set)
     }
 }
 
@@ -1242,15 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn block_counter_drains() {
-        let model = DeepSets::new(config(CompressionKind::None, Pooling::Sum));
-        let frozen = FrozenModel::freeze(&model, Precision::F32);
-        let _ = frozen.predict_one(&[1, 2, 3]);
-        assert!(frozen.take_blocks() > 0);
-        assert_eq!(frozen.take_blocks(), 0);
-    }
-
-    #[test]
     fn precision_strings_and_bytes_round_trip() {
         for p in Precision::ALL {
             assert_eq!(p.to_string().parse::<Precision>().unwrap(), p);
@@ -1305,9 +970,8 @@ mod tests {
                 bias: vec![0.0; out_dim],
             };
             let x: Vec<f32> = (0..in_dim).map(|i| i as f32 / 3.0 - 1.0).collect();
-            let (mut out, mut qx, mut idot, mut blocks) =
-                (Vec::new(), Vec::new(), Vec::new(), 0);
-            layer.apply(&x, 1, &mut out, &mut qx, &mut idot, &mut blocks);
+            let (mut out, mut qx, mut idot) = (Vec::new(), Vec::new(), Vec::new());
+            layer.apply(&x, 1, &mut out, &mut qx, &mut idot);
             for (j, o) in out.iter().enumerate() {
                 let r: f32 = (0..in_dim).map(|k| x[k] * w[k * out_dim + j]).sum();
                 assert!(
@@ -1316,18 +980,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn kernel_isa_strings_round_trip() {
-        for isa in
-            [KernelIsa::Generic, KernelIsa::Avx2, KernelIsa::Avx512, KernelIsa::Avx512Vnni]
-        {
-            assert_eq!(isa.to_string().parse::<KernelIsa>().unwrap(), isa);
-        }
-        assert!("sse9".parse::<KernelIsa>().is_err());
-        assert!(KernelIsa::Generic < KernelIsa::Avx2);
-        assert!(KernelIsa::Avx512 < KernelIsa::Avx512Vnni);
     }
 
     #[test]

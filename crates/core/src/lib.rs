@@ -70,7 +70,7 @@ pub mod wire;
 /// ```
 pub mod prelude {
     pub use crate::hybrid::{FallbackReason, GuidedConfig, LocalErrorBounds, ServeGuard};
-    pub use crate::kernel::{FrozenModel, InferenceKernel, KernelIsa, Precision};
+    pub use crate::kernel::{FrozenModel, KernelIsa, Precision};
     pub use crate::model::{CompressionKind, DeepSets, DeepSetsConfig, Pooling};
     pub use crate::monitor::{DriftMonitor, MonitorConfig, MonitorSnapshot, RetrainReason};
     pub use crate::shard::{ShardBy, ShardError, ShardRouter, ShardSpec, ShardedCollection};
@@ -91,7 +91,7 @@ pub mod prelude {
 
 pub use compress::CompressionSpec;
 pub use hybrid::{FallbackReason, GuidedConfig, LocalErrorBounds, ServeGuard};
-pub use kernel::{FrozenModel, InferenceKernel, KernelIsa, Precision};
+pub use kernel::{FrozenModel, KernelIsa, Precision};
 pub use monitor::{DriftMonitor, MonitorConfig, MonitorSnapshot, RetrainReason};
 pub use model::{CompressionKind, DeepSets, DeepSetsConfig, Pooling};
 pub use settransformer::{SetTransformer, SetTransformerConfig};

@@ -22,6 +22,57 @@ pub enum Pooling {
     Max,
 }
 
+/// Pools flat element rows into one row per set — the one pooling routine
+/// of training, `predict_batch` and the frozen kernel, so their pooled
+/// values agree by construction.
+///
+/// `h` is `[n x dim]` row-major; set `b` owns rows `offsets[b]..offsets[b+1]`
+/// and its pooled row is `out[b*dim..(b+1)*dim]` (every element written).
+/// For [`Pooling::Max`], `argmax` (same shape as `out`) receives the flat
+/// row index of each winning element when given — training's backward
+/// routes each gradient to its winner.
+pub(crate) fn pool_rows(
+    pooling: Pooling,
+    h: &[f32],
+    dim: usize,
+    offsets: &[usize],
+    out: &mut [f32],
+    mut argmax: Option<&mut [usize]>,
+) {
+    for (set_i, row) in out.chunks_exact_mut(dim).enumerate() {
+        let range = offsets[set_i]..offsets[set_i + 1];
+        match pooling {
+            Pooling::Sum | Pooling::Mean => {
+                let count = range.len() as f32;
+                row.fill(0.0);
+                for r in range {
+                    for (o, &v) in row.iter_mut().zip(&h[r * dim..(r + 1) * dim]) {
+                        *o += v;
+                    }
+                }
+                if pooling == Pooling::Mean {
+                    for o in row.iter_mut() {
+                        *o /= count;
+                    }
+                }
+            }
+            Pooling::Max => {
+                let mut am = argmax.as_deref_mut().map(|a| &mut a[set_i * dim..(set_i + 1) * dim]);
+                for (k, r) in range.enumerate() {
+                    for (j, &v) in h[r * dim..(r + 1) * dim].iter().enumerate() {
+                        if k == 0 || v > row[j] {
+                            row[j] = v;
+                            if let Some(am) = am.as_deref_mut() {
+                                am[j] = r;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Which encoder the model uses.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CompressionKind {
@@ -225,49 +276,6 @@ impl DeepSets {
         (ids, offsets)
     }
 
-    fn pool(&self, h: &Matrix, offsets: &[usize]) -> (Matrix, Vec<usize>) {
-        let b = offsets.len() - 1;
-        let dim = h.cols();
-        let mut pooled = Matrix::zeros(b, dim);
-        let mut argmax = Vec::new();
-        match self.config.pooling {
-            Pooling::Sum | Pooling::Mean => {
-                for set_i in 0..b {
-                    let range = offsets[set_i]..offsets[set_i + 1];
-                    let count = range.len() as f32;
-                    let row = pooled.row_mut(set_i);
-                    for r in range {
-                        for (o, &v) in row.iter_mut().zip(h.row(r).iter()) {
-                            *o += v;
-                        }
-                    }
-                    if self.config.pooling == Pooling::Mean {
-                        for o in row.iter_mut() {
-                            *o /= count;
-                        }
-                    }
-                }
-            }
-            Pooling::Max => {
-                argmax = vec![0usize; b * dim];
-                for set_i in 0..b {
-                    let range = offsets[set_i]..offsets[set_i + 1];
-                    let row = pooled.row_mut(set_i);
-                    let am = &mut argmax[set_i * dim..(set_i + 1) * dim];
-                    for (k, r) in range.enumerate() {
-                        for (j, &v) in h.row(r).iter().enumerate() {
-                            if k == 0 || v > row[j] {
-                                row[j] = v;
-                                am[j] = r;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        (pooled, argmax)
-    }
-
     fn unpool(&self, grad_pooled: &Matrix, offsets: &[usize], argmax: &[usize], n: usize) -> Matrix {
         let dim = grad_pooled.cols();
         let mut grad_h = Matrix::zeros(n, dim);
@@ -312,7 +320,10 @@ impl DeepSets {
             Some(phi) => phi.forward(&encoded),
             None => encoded,
         };
-        let (pooled, argmax) = self.pool(&h, &offsets);
+        let mut pooled = Matrix::zeros(offsets.len() - 1, h.cols());
+        let pooling = self.config.pooling;
+        let mut argmax = vec![0; if pooling == Pooling::Max { pooled.data().len() } else { 0 }];
+        pool_rows(pooling, h.data(), h.cols(), &offsets, pooled.data_mut(), Some(&mut argmax));
         let out = self.rho.forward(&pooled);
         self.cache = Some(BatchCache { offsets, argmax });
         out.into_vec()
@@ -342,7 +353,8 @@ impl DeepSets {
             Some(phi) => phi.predict(&encoded),
             None => encoded,
         };
-        let (pooled, _) = self.pool(&h, &offsets);
+        let mut pooled = Matrix::zeros(offsets.len() - 1, h.cols());
+        pool_rows(self.config.pooling, h.data(), h.cols(), &offsets, pooled.data_mut(), None);
         self.rho.predict(&pooled).into_vec()
     }
 

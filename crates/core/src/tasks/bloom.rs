@@ -206,9 +206,8 @@ impl LearnedBloom {
 
     /// One raw classifier score through the frozen kernel.
     fn score_one(&self, q: &[u32]) -> f32 {
-        let kernel = self.kernel();
-        let s = kernel.predict_one(q);
-        crate::telemetry::bloom_tele().record_kernel(self.precision, kernel.take_blocks());
+        let s = self.kernel().predict_one(q);
+        crate::telemetry::bloom_tele().record_kernel(self.precision);
         s
     }
 
@@ -317,9 +316,8 @@ impl LearnedSetStructure for LearnedBloom {
         if queries.is_empty() {
             return Vec::new();
         }
-        let kernel = self.kernel();
-        let scores = kernel.predict_batch(queries);
-        crate::telemetry::bloom_tele().record_kernel(self.precision, kernel.take_blocks());
+        let scores = self.kernel().predict_batch(queries);
+        crate::telemetry::bloom_tele().record_kernel(self.precision);
         self.outcomes_for_scores(queries, scores)
     }
 
@@ -331,9 +329,8 @@ impl LearnedSetStructure for LearnedBloom {
         if queries.is_empty() {
             return Vec::new();
         }
-        let kernel = self.kernel();
-        let scores = kernel.predict_batch_parallel(queries, threads);
-        crate::telemetry::bloom_tele().record_kernel(self.precision, kernel.take_blocks());
+        let scores = self.kernel().predict_batch_parallel(queries, threads);
+        crate::telemetry::bloom_tele().record_kernel(self.precision);
         self.outcomes_for_scores(queries, scores)
     }
 }

@@ -225,9 +225,8 @@ impl LearnedCardinality {
 
     /// One raw model score through the frozen kernel.
     fn score_one(&self, q: &[u32]) -> f32 {
-        let kernel = self.kernel();
-        let s = kernel.predict_one(q);
-        crate::telemetry::cardinality_tele().record_kernel(self.precision, kernel.take_blocks());
+        let s = self.kernel().predict_one(q);
+        crate::telemetry::cardinality_tele().record_kernel(self.precision);
         s
     }
 
@@ -317,9 +316,8 @@ impl LearnedSetStructure for LearnedCardinality {
         if queries.is_empty() {
             return Vec::new();
         }
-        let kernel = self.kernel();
-        let scores = kernel.predict_batch(queries);
-        crate::telemetry::cardinality_tele().record_kernel(self.precision, kernel.take_blocks());
+        let scores = self.kernel().predict_batch(queries);
+        crate::telemetry::cardinality_tele().record_kernel(self.precision);
         self.correct_batch(queries, scores)
     }
 
@@ -331,9 +329,8 @@ impl LearnedSetStructure for LearnedCardinality {
         if queries.is_empty() {
             return Vec::new();
         }
-        let kernel = self.kernel();
-        let scores = kernel.predict_batch_parallel(queries, threads);
-        crate::telemetry::cardinality_tele().record_kernel(self.precision, kernel.take_blocks());
+        let scores = self.kernel().predict_batch_parallel(queries, threads);
+        crate::telemetry::cardinality_tele().record_kernel(self.precision);
         self.correct_batch(queries, scores)
     }
 }

@@ -248,9 +248,8 @@ impl LearnedSetIndex {
 
     /// One raw model score through the frozen kernel.
     fn score_one(&self, q: &[u32]) -> f32 {
-        let kernel = self.kernel();
-        let s = kernel.predict_one(q);
-        crate::telemetry::index_tele().record_kernel(self.precision, kernel.take_blocks());
+        let s = self.kernel().predict_one(q);
+        crate::telemetry::index_tele().record_kernel(self.precision);
         s
     }
 
@@ -350,9 +349,8 @@ impl LearnedSetIndex {
         if queries.is_empty() {
             return Vec::new();
         }
-        let kernel = self.kernel();
-        let scores = kernel.predict_batch(queries);
-        crate::telemetry::index_tele().record_kernel(self.precision, kernel.take_blocks());
+        let scores = self.kernel().predict_batch(queries);
+        crate::telemetry::index_tele().record_kernel(self.precision);
         self.profiles_for_scores(collection, queries, scores)
     }
 
@@ -485,9 +483,8 @@ impl LearnedSetStructure for IndexStructure {
         if queries.is_empty() {
             return Vec::new();
         }
-        let kernel = self.index.kernel();
-        let scores = kernel.predict_batch_parallel(queries, threads);
-        crate::telemetry::index_tele().record_kernel(self.index.precision, kernel.take_blocks());
+        let scores = self.index.kernel().predict_batch_parallel(queries, threads);
+        crate::telemetry::index_tele().record_kernel(self.index.precision);
         self.index
             .profiles_for_scores(&self.collection, queries, scores)
             .into_iter()

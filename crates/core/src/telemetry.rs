@@ -15,8 +15,6 @@
 //! - `setlearn_infer_precision` — which inference kernel is live, as a
 //!   one-hot gauge family labeled `precision="f32"|"f16"|"q8"` (the live
 //!   kernel's gauge reads 1, the others 0)
-//! - `setlearn_kernel_blocks_total` — fixed-width inner-loop blocks executed
-//!   by the frozen kernels (counter; a direct measure of serve compute)
 //!
 //! Every fallback also emits a `serve_fallback` trace event; at
 //! [`setlearn_obs::TelemetryLevel::Full`] each single query additionally
@@ -38,7 +36,6 @@ pub(crate) struct ServeTele {
     bound_misses: Arc<Counter>,
     /// One-hot precision gauges, indexed by [`Precision::to_byte`].
     infer_precision: [Arc<Gauge>; 3],
-    kernel_blocks: Arc<Counter>,
 }
 
 impl ServeTele {
@@ -68,22 +65,17 @@ impl ServeTele {
                     &[("task", task), ("precision", precision_str(p))],
                 )
             }),
-            kernel_blocks: m.counter_with("setlearn_kernel_blocks_total", &[("task", task)]),
         }
     }
 
     /// Records a frozen-kernel pass: marks `precision` as the live kernel
-    /// (one-hot across the gauge family) and adds the drained inner-loop
-    /// block count.
-    pub(crate) fn record_kernel(&self, precision: Precision, blocks: u64) {
+    /// (one-hot across the gauge family).
+    pub(crate) fn record_kernel(&self, precision: Precision) {
         if !setlearn_obs::metrics_on() {
             return;
         }
         for (i, g) in self.infer_precision.iter().enumerate() {
             g.set(if i == precision.to_byte() as usize { 1.0 } else { 0.0 });
-        }
-        if blocks > 0 {
-            self.kernel_blocks.add(blocks);
         }
     }
 

@@ -3,7 +3,9 @@
 //! all three precisions must preserve ServeGuard/fallback semantics through
 //! the [`LearnedSetStructure`] trait on every task.
 
-use setlearn::kernel::{FrozenModel, Precision};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use setlearn::kernel::{detect_kernel_isa, set_kernel_isa, FrozenModel, KernelIsa, Precision};
 use setlearn::model::{CompressionKind, DeepSets, DeepSetsConfig, Pooling};
 use setlearn::tasks::{
     BloomConfig, CardinalityConfig, IndexConfig, IndexStructure, LearnedBloom,
@@ -62,6 +64,33 @@ fn frozen_f32_is_bit_identical_to_scalar_predict_batch() {
             assert!(model.predict_batch::<Vec<u32>>(&[]).is_empty());
         }
     }
+}
+
+/// Training runs the same ISA-dispatched GEMM as serving, so a few epochs
+/// under the portable loops and under the detected ISA must leave identical
+/// weights. φ is 80 wide: one register tile plus a leftover-column pass.
+#[test]
+fn training_is_bit_identical_under_every_isa() {
+    let data: Vec<(Vec<u32>, f32)> =
+        query_sets().into_iter().enumerate().map(|(i, s)| (s, (i % 7) as f32 / 7.0)).collect();
+    let train = |isa: KernelIsa| {
+        set_kernel_isa(isa).unwrap();
+        let mut config = model_config(CompressionKind::None, Pooling::Max);
+        config.phi_hidden = vec![80];
+        let mut model = DeepSets::new(config);
+        model.zero_grad();
+        let mut opt = setlearn_nn::Optimizer::adam(1e-2);
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..3 {
+            model.train_epoch(&data, setlearn_nn::Loss::Mse, &mut opt, 16, &mut rng);
+        }
+        let bits = |b: &[f32]| b.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        model.weight_buffers().into_iter().map(bits).collect::<Vec<_>>()
+    };
+    let detected = detect_kernel_isa();
+    let generic = train(KernelIsa::Generic);
+    let native = train(detected);
+    assert_eq!(generic, native, "training under {detected} diverged from generic");
 }
 
 #[test]

@@ -68,25 +68,21 @@ impl Attention {
         self.dim
     }
 
-    fn weight(&self, p: &ParamBuf) -> Matrix {
-        Matrix::from_vec(self.dim, self.dim, p.value.clone())
-    }
-
     /// `Attn(q_in, x) = softmax(q kᵀ / √d) v` with `q = q_in·Wq`,
     /// `k = x·Wk`, `v = x·Wv`. Returns `[m x d]` plus the backward cache.
     pub fn forward(&self, q_in: &Matrix, x: &Matrix) -> (Matrix, AttnCache) {
         assert_eq!(q_in.cols(), self.dim, "query width mismatch");
         assert_eq!(x.cols(), self.dim, "key/value width mismatch");
-        let q = q_in.matmul(&self.weight(&self.wq));
-        let k = x.matmul(&self.weight(&self.wk));
-        let v = x.matmul(&self.weight(&self.wv));
+        let q = q_in.matmul(&self.wq.value, self.dim);
+        let k = x.matmul(&self.wk.value, self.dim);
+        let v = x.matmul(&self.wv.value, self.dim);
         let scale = 1.0 / (self.dim as f32).sqrt();
-        let mut scores = q.matmul_nt(&k);
+        let mut scores = q.matmul_nt(k.data(), k.rows());
         for s in scores.data_mut() {
             *s *= scale;
         }
         softmax_rows(&mut scores);
-        let out = scores.matmul(&v);
+        let out = scores.matmul(v.data(), v.cols());
         (
             out,
             AttnCache { q_in: q_in.clone(), x: x.clone(), q, k, v, a: scores },
@@ -98,7 +94,7 @@ impl Attention {
     pub fn backward(&mut self, cache: &AttnCache, grad_out: &Matrix) -> (Matrix, Matrix) {
         let scale = 1.0 / (self.dim as f32).sqrt();
         // out = A·v
-        let grad_a = grad_out.matmul_nt(&cache.v);
+        let grad_a = grad_out.matmul_nt(cache.v.data(), cache.v.rows());
         let grad_v = cache.a.matmul_tn(grad_out);
         // Softmax backward per row: ds = a ⊙ (da - Σ_j da_j a_j).
         let mut grad_scores = grad_a.clone();
@@ -114,7 +110,7 @@ impl Attention {
             *gs *= scale;
         }
         // scores = q·kᵀ (pre-scale)
-        let grad_q = grad_scores.matmul(&cache.k);
+        let grad_q = grad_scores.matmul(cache.k.data(), cache.k.cols());
         let grad_k = grad_scores.matmul_tn(&cache.q);
         // Projections.
         let add = |buf: &mut ParamBuf, g: &Matrix| {
@@ -125,9 +121,9 @@ impl Attention {
         add(&mut self.wq, &cache.q_in.matmul_tn(&grad_q));
         add(&mut self.wk, &cache.x.matmul_tn(&grad_k));
         add(&mut self.wv, &cache.x.matmul_tn(&grad_v));
-        let grad_q_in = grad_q.matmul_nt(&self.weight(&self.wq));
-        let grad_x_k = grad_k.matmul_nt(&self.weight(&self.wk));
-        let grad_x_v = grad_v.matmul_nt(&self.weight(&self.wv));
+        let grad_q_in = grad_q.matmul_nt(&self.wq.value, self.dim);
+        let grad_x_k = grad_k.matmul_nt(&self.wk.value, self.dim);
+        let grad_x_v = grad_v.matmul_nt(&self.wv.value, self.dim);
         let mut grad_x = grad_x_k;
         for (a, &b) in grad_x.data_mut().iter_mut().zip(grad_x_v.data().iter()) {
             *a += b;
@@ -194,8 +190,7 @@ impl Sab {
         for (hv, &av) in h.data_mut().iter_mut().zip(a.data().iter()) {
             *hv += av;
         }
-        let w = Matrix::from_vec(self.dim, self.dim, self.ff_w.value.clone());
-        let mut ff_pre = h.matmul(&w);
+        let mut ff_pre = h.matmul(&self.ff_w.value, self.dim);
         ff_pre.add_row_vector(&self.ff_b.value);
         let mut out = h.clone();
         for (o, &p) in out.data_mut().iter_mut().zip(ff_pre.data().iter()) {
@@ -220,8 +215,7 @@ impl Sab {
         for (dst, src) in self.ff_b.grad.iter_mut().zip(grad_ff.col_sums()) {
             *dst += src;
         }
-        let w = Matrix::from_vec(self.dim, self.dim, self.ff_w.value.clone());
-        let mut grad_h = grad_ff.matmul_nt(&w);
+        let mut grad_h = grad_ff.matmul_nt(&self.ff_w.value, self.dim);
         for (g, &go) in grad_h.data_mut().iter_mut().zip(grad_out.data().iter()) {
             *g += go; // residual path
         }

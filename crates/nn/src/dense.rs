@@ -1,6 +1,7 @@
 //! Fully connected layer with manual backprop.
 
 use crate::activation::Activation;
+use crate::gemm::gemm;
 use crate::init;
 use crate::matrix::Matrix;
 use crate::param::ParamBuf;
@@ -62,22 +63,26 @@ impl Dense {
     /// Forward pass over a batch `[B x in] -> [B x out]`, caching state for
     /// the backward pass.
     pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        assert_eq!(input.cols(), self.in_dim, "dense input width mismatch");
-        let mut out = input.matmul_slice(&self.weight.value, self.in_dim, self.out_dim);
-        out.add_row_vector(&self.bias.value);
-        self.activation.apply_slice(out.data_mut());
+        let out = self.predict(input);
         self.cached_input = Some(input.clone());
         self.cached_output = Some(out.clone());
         out
     }
 
     /// Inference-only forward pass: no state is cached, `&self`, and the
-    /// weight buffer is borrowed rather than cloned per call.
+    /// weight buffer is borrowed rather than cloned per call. One call of
+    /// the shared [`gemm`] kernel, bias and activation fused.
     pub fn predict(&self, input: &Matrix) -> Matrix {
         assert_eq!(input.cols(), self.in_dim, "dense input width mismatch");
-        let mut out = input.matmul_slice(&self.weight.value, self.in_dim, self.out_dim);
-        out.add_row_vector(&self.bias.value);
-        self.activation.apply_slice(out.data_mut());
+        let mut out = Matrix::zeros(input.rows(), self.out_dim);
+        gemm(
+            input.data(),
+            &self.weight.value,
+            self.out_dim,
+            Some(&self.bias.value),
+            self.activation,
+            out.data_mut(),
+        );
         out
     }
 
@@ -108,7 +113,7 @@ impl Dense {
             *g += d;
         }
         // dX = dZ·Wᵀ
-        grad_z.matmul_nt_slice(&self.weight.value, self.in_dim, self.out_dim)
+        grad_z.matmul_nt(&self.weight.value, self.in_dim)
     }
 
     /// Mutable access to the layer's parameter buffers, optimizer-ordered.

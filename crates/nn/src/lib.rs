@@ -8,8 +8,11 @@
 //! layers of 8–256 neurons — so this crate favors simplicity and
 //! determinism over raw throughput:
 //!
-//! * [`matrix::Matrix`] — dense row-major `f32` matrices with the three GEMM
-//!   variants layers need (`AB`, `AᵀB`, `ABᵀ`).
+//! * [`gemm::gemm`] — the one f32 dense forward GEMM (register-tiled,
+//!   ISA-dispatched, bias + activation fused), shared by training and the
+//!   frozen serving kernel.
+//! * [`matrix::Matrix`] — dense row-major `f32` matrices with one multiply
+//!   per transpose case (`AB` through [`gemm::gemm`], `AᵀB`, `ABᵀ`).
 //! * [`dense::Dense`] / [`mlp::Mlp`] — fully connected layers with cached
 //!   forward state and finite-difference-tested gradients.
 //! * [`embedding::Embedding`] — the shared per-element table that gives
@@ -34,6 +37,7 @@ pub mod activation;
 pub mod attention;
 pub mod dense;
 pub mod embedding;
+pub mod gemm;
 pub mod gru;
 pub mod harness;
 pub mod hash_embedding;

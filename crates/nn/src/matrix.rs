@@ -1,11 +1,17 @@
 //! Dense row-major `f32` matrices sized for small-model training.
 //!
-//! The models in this workspace are tiny (embedding dims 2–32, hidden layers
-//! 8–256), so a straightforward cache-friendly `ikj` GEMM outperforms the
-//! overhead of pulling in a BLAS. All shapes are checked at runtime with
-//! panics, matching the internal-invariant style of the layer code that owns
-//! every call site.
+//! One multiply per transpose case. The forward product `A·W`
+//! ([`Matrix::matmul`]) is the shared register-tiled kernel
+//! [`crate::gemm::gemm`] — the same code the frozen serving path runs, so
+//! training and serving agree bit for bit by construction. The two backward
+//! products (`AᵀB` for weight gradients, `A·Wᵀ` for input gradients) are
+//! plain cache-friendly loops. Weights are borrowed slices, so layers never
+//! clone a parameter buffer into a temporary matrix. All shapes are checked
+//! at runtime with panics, matching the internal-invariant style of the
+//! layer code that owns every call site.
 
+use crate::activation::Activation;
+use crate::gemm::gemm;
 use serde::{Deserialize, Serialize};
 
 /// A dense row-major matrix of `f32`.
@@ -83,55 +89,15 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self * other` — `[m x k] * [k x n] -> [m x n]`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        // ikj order: the innermost loop walks both `other` and `out` rows
-        // contiguously, which the compiler can vectorize.
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (kk, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[kk * n..(kk + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// `self * w` where `w` is a borrowed row-major `[k x n]` buffer.
-    ///
-    /// Identical floating-point operation order to [`Matrix::matmul`]; exists
-    /// so inference paths can multiply against parameter buffers without
-    /// cloning them into a temporary [`Matrix`] per call.
+    /// `self * w` — `[m x k] * [k x n] -> [m x n]`, where `w` is a borrowed
+    /// row-major `[k x n]` buffer (a weight or another matrix's data).
     ///
     /// # Panics
-    /// If `self.cols != w_rows` or `w.len() != w_rows * w_cols`.
-    pub fn matmul_slice(&self, w: &[f32], w_rows: usize, w_cols: usize) -> Matrix {
-        assert_eq!(self.cols, w_rows, "matmul shape mismatch");
-        assert_eq!(w.len(), w_rows * w_cols, "matrix data length mismatch");
-        let (m, k, n) = (self.rows, self.cols, w_cols);
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (kk, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &w[kk * n..(kk + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
+    /// If `w.len() != self.cols * n`.
+    pub fn matmul(&self, w: &[f32], n: usize) -> Matrix {
+        assert_eq!(w.len(), self.cols * n, "matmul shape mismatch");
+        let mut out = Matrix::zeros(self.rows, n);
+        gemm(&self.data, w, n, None, Activation::Identity, &mut out.data);
         out
     }
 
@@ -158,40 +124,16 @@ impl Matrix {
         out
     }
 
-    /// `self * otherᵀ` — `[m x k] * [n x k]ᵀ -> [m x n]`.
+    /// `self * wᵀ` — `[m x k] * [n x k]ᵀ -> [m x n]`, where `w` is a borrowed
+    /// row-major `[n x k]` buffer.
     ///
     /// Used for input gradients (`dZ·Wᵀ`) without materializing a transpose.
-    pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        }
-        out
-    }
-
-    /// `self * wᵀ` where `w` is a borrowed row-major `[n x k]` buffer.
-    ///
-    /// Identical floating-point operation order to [`Matrix::matmul_nt`];
-    /// the borrowed twin used by backprop's `dZ·Wᵀ` to skip the per-call
-    /// weight clone.
     ///
     /// # Panics
-    /// If `self.cols != w_cols` or `w.len() != w_rows * w_cols`.
-    pub fn matmul_nt_slice(&self, w: &[f32], w_rows: usize, w_cols: usize) -> Matrix {
-        assert_eq!(self.cols, w_cols, "matmul_nt shape mismatch");
-        assert_eq!(w.len(), w_rows * w_cols, "matrix data length mismatch");
-        let (m, k, n) = (self.rows, self.cols, w_rows);
+    /// If `w.len() != n * self.cols`.
+    pub fn matmul_nt(&self, w: &[f32], n: usize) -> Matrix {
+        assert_eq!(w.len(), n * self.cols, "matmul_nt shape mismatch");
+        let (m, k) = (self.rows, self.cols);
         let mut out = Matrix::zeros(m, n);
         for i in 0..m {
             let a_row = &self.data[i * k..(i + 1) * k];
@@ -293,7 +235,7 @@ mod tests {
     fn matmul_small() {
         let a = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = m(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = a.matmul(&b);
+        let c = a.matmul(b.data(), 2);
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
@@ -301,7 +243,7 @@ mod tests {
     fn matmul_identity() {
         let a = m(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         let id = m(2, 2, &[1.0, 0.0, 0.0, 1.0]);
-        assert_eq!(a.matmul(&id), a);
+        assert_eq!(a.matmul(id.data(), 2), a);
     }
 
     #[test]
@@ -311,30 +253,16 @@ mod tests {
         let got = a.matmul_tn(&b);
         // aᵀ is 2x3
         let at = m(2, 3, &[1.0, 3.0, 5.0, 2.0, 4.0, 6.0]);
-        assert_eq!(got, at.matmul(&b));
+        assert_eq!(got, at.matmul(b.data(), 2));
     }
 
     #[test]
     fn matmul_nt_matches_explicit_transpose() {
         let a = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = m(4, 3, &[1.0, 0.0, 2.0, 0.5, 1.5, -1.0, 2.0, 2.0, 2.0, -3.0, 1.0, 0.0]);
-        let got = a.matmul_nt(&b);
+        let got = a.matmul_nt(b.data(), 4);
         let bt = m(3, 4, &[1.0, 0.5, 2.0, -3.0, 0.0, 1.5, 2.0, 1.0, 2.0, -1.0, 2.0, 0.0]);
-        assert_eq!(got, a.matmul(&bt));
-    }
-
-    #[test]
-    fn matmul_slice_matches_matmul() {
-        let a = m(2, 3, &[1.0, 2.0, 0.0, 4.0, 5.0, 6.0]);
-        let b = m(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        assert_eq!(a.matmul_slice(b.data(), 3, 2), a.matmul(&b));
-    }
-
-    #[test]
-    fn matmul_nt_slice_matches_matmul_nt() {
-        let a = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = m(4, 3, &[1.0, 0.0, 2.0, 0.5, 1.5, -1.0, 2.0, 2.0, 2.0, -3.0, 1.0, 0.0]);
-        assert_eq!(a.matmul_nt_slice(b.data(), 4, 3), a.matmul_nt(&b));
+        assert_eq!(got, a.matmul(bt.data(), 4));
     }
 
     #[test]
@@ -369,6 +297,6 @@ mod tests {
     fn matmul_shape_mismatch_panics() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let _ = a.matmul(b.data(), 3);
     }
 }
