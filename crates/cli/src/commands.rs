@@ -1605,7 +1605,7 @@ mod tests {
     }
 
     #[test]
-    fn query_threads_serves_the_parallel_path_with_identical_answers() {
+    fn query_threads_sizes_the_pool_with_identical_answers() {
         let root = trained_tenant("par-root", "par", "9", &[]);
         // The multi-threaded replay runs end to end…
         run(&args(&[

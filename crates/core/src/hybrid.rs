@@ -7,7 +7,6 @@
 //! this module provides the shared training loop and the error-bound table.
 
 use crate::model::DeepSets;
-use crate::monitor::DriftMonitor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -399,7 +398,7 @@ pub enum FallbackReason {
 /// by a poisoned update, drift pushing predictions far outside the trained
 /// domain. The guard checks every model output against the valid domain
 /// `[lo, hi]` established at build time and reroutes offenders to the
-/// auxiliary exact structure, counting the events so a [`DriftMonitor`] can
+/// auxiliary exact structure, counting the events so a [`crate::monitor::DriftMonitor`] can
 /// raise the retrain signal when fallbacks pile up.
 ///
 /// Counters are atomic: serving stays `&self` and thread-safe.
@@ -480,14 +479,6 @@ impl ServeGuard {
             Err(FallbackReason::OutOfBounds) => {
                 (prediction.clamp(self.lo, self.hi), Some(FallbackReason::OutOfBounds))
             }
-        }
-    }
-
-    /// Records a fallback into a drift monitor (convenience for serve paths
-    /// holding an optional monitor).
-    pub fn notify(reason: Option<FallbackReason>, monitor: Option<&mut DriftMonitor>) {
-        if let (Some(_), Some(m)) = (reason, monitor) {
-            m.record_fallback();
         }
     }
 
@@ -752,8 +743,9 @@ mod tests {
             MonitorConfig { max_fallbacks: 3, ..MonitorConfig::default() },
         );
         for _ in 0..3 {
-            let (_, reason) = g.admit_or_clamp(f64::NAN);
-            ServeGuard::notify(reason, Some(&mut monitor));
+            if g.admit_or_clamp(f64::NAN).1.is_some() {
+                monitor.record_fallback();
+            }
         }
         assert_eq!(monitor.should_retrain(), Some(RetrainReason::ServeFallbacks));
     }

@@ -700,35 +700,6 @@ impl FrozenModel {
         self.predict_batch(&[set])[0]
     }
 
-    /// Parallel batch scoring with the exact splitting rule of
-    /// [`DeepSets::predict_batch_parallel`] (so results are chunk-for-chunk
-    /// identical to the scalar path).
-    pub fn predict_batch_parallel<S: AsRef<[u32]> + Sync>(
-        &self,
-        sets: &[S],
-        threads: usize,
-    ) -> Vec<f32> {
-        assert!(threads > 0, "need at least one thread");
-        if sets.is_empty() {
-            return Vec::new();
-        }
-        if threads == 1 || sets.len() < 2 * threads {
-            return self.predict_batch(sets);
-        }
-        let chunk = sets.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = sets
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || self.predict_batch(part)))
-                .collect();
-            let mut out = Vec::with_capacity(sets.len());
-            for h in handles {
-                out.extend(h.join().expect("prediction worker panicked"));
-            }
-            out
-        })
-    }
-
     fn run<S: AsRef<[u32]>>(&self, sets: &[S], s: &mut Scratch) -> Vec<f32> {
         // Flatten into reused buffers (same contract as the scalar path:
         // empty sets are a caller bug).
@@ -887,18 +858,6 @@ mod tests {
         let wf = FrozenModel::freeze(&wide, Precision::F32);
         let wq = FrozenModel::freeze(&wide, Precision::Q8);
         assert!(wq.size_bytes() * 2 < wf.size_bytes(), "{} vs {}", wq.size_bytes(), wf.size_bytes());
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let model = DeepSets::new(config(CompressionKind::Optimal { ns: 2 }, Pooling::Sum));
-        let frozen = FrozenModel::freeze(&model, Precision::Q8);
-        let sets = sets();
-        let serial = frozen.predict_batch(&sets);
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(frozen.predict_batch_parallel(&sets, threads), serial, "{threads}");
-        }
-        assert!(frozen.predict_batch_parallel::<Vec<u32>>(&[], 4).is_empty());
     }
 
     #[test]

@@ -363,35 +363,6 @@ impl DeepSets {
         self.predict_batch(&[set])[0]
     }
 
-    /// Parallel inference: splits the batch across `threads` scoped worker
-    /// threads (the model is immutable during inference, so sharing `&self`
-    /// is free). Output order matches the input order exactly.
-    pub fn predict_batch_parallel<S: AsRef<[u32]> + Sync>(
-        &self,
-        sets: &[S],
-        threads: usize,
-    ) -> Vec<f32> {
-        assert!(threads > 0, "need at least one thread");
-        if sets.is_empty() {
-            return Vec::new();
-        }
-        if threads == 1 || sets.len() < 2 * threads {
-            return self.predict_batch(sets);
-        }
-        let chunk = sets.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = sets
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || self.predict_batch(part)))
-                .collect();
-            let mut out = Vec::with_capacity(sets.len());
-            for h in handles {
-                out.extend(h.join().expect("prediction worker panicked"));
-            }
-            out
-        })
-    }
-
     /// Immutable views of every parameter buffer's values in a stable order
     /// (encoder tables, φ layers, ρ layers) — the binary persistence layout.
     pub fn weight_buffers(&self) -> Vec<&[f32]> {
@@ -766,18 +737,6 @@ mod tests {
         assert!(loss.is_finite());
         // Parameter count is bounded by the bucket table, not the vocab.
         assert!(model.num_params() < 32 * 4 + 10_000);
-    }
-
-    #[test]
-    fn parallel_prediction_matches_serial() {
-        let model = DeepSets::new(tiny_config(CompressionKind::Optimal { ns: 2 }));
-        let sets: Vec<Vec<u32>> =
-            (0..97u32).map(|i| vec![i % 100, (i * 7) % 100]).collect();
-        let serial = model.predict_batch(&sets);
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(model.predict_batch_parallel(&sets, threads), serial, "{threads}");
-        }
-        assert!(model.predict_batch_parallel::<Vec<u32>>(&[], 4).is_empty());
     }
 
     #[test]

@@ -568,46 +568,21 @@ impl<S: DeltaMergeable> LearnedSetStructure for MutableCollection<S> {
     type Output = S::Output;
     const NAME: &'static str = S::NAME;
 
-    fn query(&self, q: &[u32]) -> QueryOutcome<S::Output> {
-        // Structure and overlay answer are captured under one read lock (a
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<S::Output>> {
+        // Structure and overlay answers are captured under one read lock (a
         // consistent snapshot); the model forward pass runs outside it.
-        let (structure, ans) = {
+        let (structure, answers) = {
             let state = self.state.read().unwrap_or_else(|e| e.into_inner());
-            (Arc::clone(&state.structure), state.overlay.answer(q))
+            let answers: Vec<OverlayAnswer> =
+                queries.iter().map(|q| state.overlay.answer(q.as_ref())).collect();
+            (Arc::clone(&state.structure), answers)
         };
-        structure.merge_delta(structure.query(q), &ans)
-    }
-
-    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<S::Output>> {
-        let (structure, answers) = self.overlay_answers(queries);
         structure
             .query_batch(queries)
             .into_iter()
             .zip(&answers)
             .map(|(model, ans)| structure.merge_delta(model, ans))
             .collect()
-    }
-
-    fn query_batch_parallel(
-        &self,
-        queries: &[ElementSet],
-        threads: usize,
-    ) -> Vec<QueryOutcome<S::Output>> {
-        let (structure, answers) = self.overlay_answers(queries);
-        structure
-            .query_batch_parallel(queries, threads)
-            .into_iter()
-            .zip(&answers)
-            .map(|(model, ans)| structure.merge_delta(model, ans))
-            .collect()
-    }
-}
-
-impl<S: DeltaMergeable> MutableCollection<S> {
-    fn overlay_answers(&self, queries: &[ElementSet]) -> (Arc<S>, Vec<OverlayAnswer>) {
-        let state = self.state.read().unwrap_or_else(|e| e.into_inner());
-        let answers = queries.iter().map(|q| state.overlay.answer(q)).collect();
-        (Arc::clone(&state.structure), answers)
     }
 }
 
@@ -702,18 +677,9 @@ mod tests {
     impl LearnedSetStructure for ExactCard {
         type Output = f64;
         const NAME: &'static str = "cardinality";
-        fn query(&self, q: &[u32]) -> QueryOutcome<f64> {
-            QueryOutcome::clean(self.0.cardinality(q) as f64)
-        }
-        fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<f64>> {
-            queries.iter().map(|q| self.query(q)).collect()
-        }
-        fn query_batch_parallel(
-            &self,
-            queries: &[ElementSet],
-            _threads: usize,
-        ) -> Vec<QueryOutcome<f64>> {
-            self.query_batch(queries)
+        fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<f64>> {
+            let count = |q: &Q| QueryOutcome::clean(self.0.cardinality(q.as_ref()) as f64);
+            queries.iter().map(count).collect()
         }
     }
     impl DeltaMergeable for ExactCard {
@@ -727,18 +693,8 @@ mod tests {
     impl LearnedSetStructure for ConstCard {
         type Output = f64;
         const NAME: &'static str = "cardinality";
-        fn query(&self, _q: &[u32]) -> QueryOutcome<f64> {
-            QueryOutcome::clean(self.0)
-        }
-        fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<f64>> {
-            queries.iter().map(|q| self.query(q)).collect()
-        }
-        fn query_batch_parallel(
-            &self,
-            queries: &[ElementSet],
-            _threads: usize,
-        ) -> Vec<QueryOutcome<f64>> {
-            self.query_batch(queries)
+        fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<f64>> {
+            vec![QueryOutcome::clean(self.0); queries.len()]
         }
     }
     impl DeltaMergeable for ConstCard {
@@ -751,19 +707,12 @@ mod tests {
     impl LearnedSetStructure for ExactFirst {
         type Output = Option<usize>;
         const NAME: &'static str = "index";
-        fn query(&self, q: &[u32]) -> QueryOutcome<Option<usize>> {
-            let pos = self.0.first_position(q);
-            QueryOutcome { value: pos, fallback: None, bound_miss: pos.is_none() }
-        }
-        fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<Option<usize>>> {
-            queries.iter().map(|q| self.query(q)).collect()
-        }
-        fn query_batch_parallel(
-            &self,
-            queries: &[ElementSet],
-            _threads: usize,
-        ) -> Vec<QueryOutcome<Option<usize>>> {
-            self.query_batch(queries)
+        fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<Option<usize>>> {
+            let answer = |q: &[u32]| {
+                let pos = self.0.first_position(q);
+                QueryOutcome { value: pos, fallback: None, bound_miss: pos.is_none() }
+            };
+            queries.iter().map(|q| answer(q.as_ref())).collect()
         }
     }
     impl DeltaMergeable for ExactFirst {
@@ -780,18 +729,9 @@ mod tests {
     impl LearnedSetStructure for ExactBloom {
         type Output = bool;
         const NAME: &'static str = "bloom";
-        fn query(&self, q: &[u32]) -> QueryOutcome<bool> {
-            QueryOutcome::clean(self.0.contains_subset(q))
-        }
-        fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<bool>> {
-            queries.iter().map(|q| self.query(q)).collect()
-        }
-        fn query_batch_parallel(
-            &self,
-            queries: &[ElementSet],
-            _threads: usize,
-        ) -> Vec<QueryOutcome<bool>> {
-            self.query_batch(queries)
+        fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<bool>> {
+            let holds = |q: &Q| QueryOutcome::clean(self.0.contains_subset(q.as_ref()));
+            queries.iter().map(holds).collect()
         }
     }
     impl DeltaMergeable for ExactBloom {

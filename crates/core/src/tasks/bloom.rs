@@ -192,10 +192,7 @@ impl LearnedBloom {
     /// alone, which still guarantees no false negatives on trained
     /// positives that the model had missed.
     pub fn contains(&self, q: &[u32]) -> bool {
-        let start = crate::telemetry::query_start();
-        let (answer, fallback) = self.decide(self.score_one(q), q);
-        crate::telemetry::bloom_tele().record_query(start, fallback);
-        answer
+        self.query(q).value
     }
 
     /// The frozen serving kernel, freezing the current weights at
@@ -223,38 +220,19 @@ impl LearnedBloom {
         self.kernel.reset();
     }
 
-    fn decide(&self, score: f32, q: &[u32]) -> (bool, Option<crate::hybrid::FallbackReason>) {
-        match self.guard.admit(score as f64) {
+    /// The guarded decision over one raw classifier score — the tail of
+    /// every probe.
+    fn decide(&self, score: f32, q: &[u32]) -> QueryOutcome<bool> {
+        let (value, fallback) = match self.guard.admit(score as f64) {
             Ok(s) => (s >= self.threshold as f64 || self.backup.contains_set(q), None),
             Err(reason) => (self.backup.contains_set(q), Some(reason)),
-        }
+        };
+        QueryOutcome { value, fallback, bound_miss: false }
     }
 
     /// The serve-time guard (fallback counters and bounds).
     pub fn serve_guard(&self) -> &ServeGuard {
         &self.guard
-    }
-
-    /// Maps pre-computed batch scores through the guarded decision, recording
-    /// batch telemetry once. Shared by the sequential and parallel batch
-    /// paths so they agree bit-for-bit.
-    fn outcomes_for_scores<S: AsRef<[u32]>>(
-        &self,
-        queries: &[S],
-        scores: Vec<f32>,
-    ) -> Vec<QueryOutcome<bool>> {
-        let mut fallbacks = Vec::new();
-        let outcomes = scores
-            .into_iter()
-            .zip(queries.iter())
-            .map(|(score, q)| {
-                let (answer, reason) = self.decide(score, q.as_ref());
-                fallbacks.extend(reason);
-                QueryOutcome { value: answer, fallback: reason, bound_miss: false }
-            })
-            .collect();
-        crate::telemetry::bloom_tele().record_batch(queries.len(), &fallbacks);
-        outcomes
     }
 
     /// Raw classifier probability (for threshold tuning / diagnostics).
@@ -305,33 +283,17 @@ impl LearnedSetStructure for LearnedBloom {
     type Output = bool;
     const NAME: &'static str = "bloom";
 
-    fn query(&self, q: &[u32]) -> QueryOutcome<bool> {
-        let start = crate::telemetry::query_start();
-        let (answer, fallback) = self.decide(self.score_one(q), q);
-        crate::telemetry::bloom_tele().record_query(start, fallback);
-        QueryOutcome { value: answer, fallback, bound_miss: false }
-    }
-
-    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<bool>> {
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<bool>> {
         if queries.is_empty() {
             return Vec::new();
         }
         let scores = self.kernel().predict_batch(queries);
-        crate::telemetry::bloom_tele().record_kernel(self.precision);
-        self.outcomes_for_scores(queries, scores)
-    }
-
-    fn query_batch_parallel(
-        &self,
-        queries: &[ElementSet],
-        threads: usize,
-    ) -> Vec<QueryOutcome<bool>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let scores = self.kernel().predict_batch_parallel(queries, threads);
-        crate::telemetry::bloom_tele().record_kernel(self.precision);
-        self.outcomes_for_scores(queries, scores)
+        let tele = crate::telemetry::bloom_tele();
+        tele.record_kernel(self.precision);
+        let outcomes: Vec<QueryOutcome<bool>> =
+            queries.iter().zip(scores).map(|(q, s)| self.decide(s, q.as_ref())).collect();
+        tele.record_batch(outcomes.len(), outcomes.iter().filter_map(|o| o.fallback), 0);
+        outcomes
     }
 }
 
@@ -437,19 +399,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_membership_equals_sequential() {
+    fn batch_membership_equals_single_probes() {
         let c = GeneratorConfig::rw(300, 7).generate();
         let workload = membership_queries(&c, 200, 200, 4, 5);
         let (filter, _) = LearnedBloom::build(&workload, &quick_cfg(c.num_elements()));
         let queries: Vec<ElementSet> = workload.iter().map(|(s, _)| s.clone()).collect();
-        // Batched answers agree with single-probe answers, sequentially and
-        // across worker counts.
         let outcomes = filter.query_batch(&queries);
         for (q, outcome) in queries.iter().zip(&outcomes) {
             assert_eq!(outcome.value, filter.contains(q));
-        }
-        for threads in [1, 2, 5] {
-            assert_eq!(outcomes, filter.query_batch_parallel(&queries, threads), "threads={threads}");
         }
     }
 

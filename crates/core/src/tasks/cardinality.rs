@@ -38,8 +38,10 @@ pub struct LearnedCardinality {
     model: DeepSets,
     scaler: LogMinMaxScaler,
     /// Exact counts for exiled outliers, keyed by set hash.
+    #[serde(serialize_with = "in_key_order")]
     outliers: HashMap<u64, u64>,
     /// Delta layer absorbing updates until retraining (§7.2).
+    #[serde(serialize_with = "in_key_order")]
     deltas: HashMap<u64, i64>,
     max_subset_size: usize,
     /// Serve-time guard over the model's output domain; absent in files
@@ -54,6 +56,15 @@ pub struct LearnedCardinality {
     /// `precision`; reset on any weight mutation).
     #[serde(skip)]
     kernel: KernelCell,
+}
+
+/// Serialises a hash-keyed map in key order, so one structure always writes
+/// the same bytes (a `HashMap` iterates in a per-process random order). The
+/// encoding is the plain map's, so either order loads.
+fn in_key_order<V: Serialize>(map: &HashMap<u64, V>) -> serde::Value {
+    let mut entries: Vec<_> = map.iter().collect();
+    entries.sort_unstable_by_key(|&(k, _)| *k);
+    serde::Value::Object(entries.into_iter().map(|(k, v)| (k.to_string(), v.serialize())).collect())
 }
 
 /// Build artifacts useful for reporting (training curves, outlier count).
@@ -135,76 +146,29 @@ impl LearnedCardinality {
     /// non-finite or out-of-domain prediction is degraded to a clamped
     /// in-domain value (and counted) instead of propagating garbage.
     pub fn estimate(&self, q: &[u32]) -> f64 {
-        self.estimate_inner(q, None)
+        self.query(q).value
     }
 
     /// [`LearnedCardinality::estimate`] that also reports fallback events to
     /// a [`DriftMonitor`], so a model gone bad raises the retrain signal.
     pub fn estimate_monitored(&self, q: &[u32], monitor: &mut DriftMonitor) -> f64 {
-        self.estimate_inner(q, Some(monitor))
-    }
-
-    fn estimate_inner(&self, q: &[u32], monitor: Option<&mut DriftMonitor>) -> f64 {
-        self.outcome_inner(q, monitor).value
-    }
-
-    fn outcome_inner(
-        &self,
-        q: &[u32],
-        monitor: Option<&mut DriftMonitor>,
-    ) -> QueryOutcome<f64> {
-        let start = crate::telemetry::query_start();
-        let h = set_hash(q);
-        let mut fallback = None;
-        let base = match self.outliers.get(&h) {
-            Some(&exact) => exact as f64,
-            None => {
-                let raw = self.scaler.unscale(self.score_one(q));
-                let (value, reason) = self.guard.admit_or_clamp(raw);
-                ServeGuard::notify(reason, monitor);
-                fallback = reason;
-                value
-            }
-        };
-        let delta = self.deltas.get(&h).copied().unwrap_or(0) as f64;
-        let answer = (base + delta).max(0.0);
-        crate::telemetry::cardinality_tele().record_query(start, fallback);
-        QueryOutcome { value: answer, fallback, bound_miss: false }
+        let outcome = self.query(q);
+        if outcome.fallback.is_some() {
+            monitor.record_fallback();
+        }
+        outcome.value
     }
 
     /// Applies the outlier-store / guard / delta-layer corrections to one
-    /// raw model score — the shared tail of every batch path.
+    /// raw model score — the tail of every query.
     fn correct_score(&self, q: &[u32], score: f32) -> QueryOutcome<f64> {
         let h = set_hash(q);
         let (base, fallback) = match self.outliers.get(&h) {
             Some(&exact) => (exact as f64, None),
-            None => {
-                let (value, reason) = self.guard.admit_or_clamp(self.scaler.unscale(score));
-                (value, reason)
-            }
+            None => self.guard.admit_or_clamp(self.scaler.unscale(score)),
         };
         let delta = self.deltas.get(&h).copied().unwrap_or(0) as f64;
         QueryOutcome { value: (base + delta).max(0.0), fallback, bound_miss: false }
-    }
-
-    /// Corrects a whole batch of raw scores and records batch telemetry.
-    fn correct_batch<S: AsRef<[u32]>>(
-        &self,
-        queries: &[S],
-        scores: Vec<f32>,
-    ) -> Vec<QueryOutcome<f64>> {
-        let mut fallbacks = Vec::new();
-        let outcomes: Vec<QueryOutcome<f64>> = queries
-            .iter()
-            .zip(scores)
-            .map(|(q, s)| {
-                let outcome = self.correct_score(q.as_ref(), s);
-                fallbacks.extend(outcome.fallback);
-                outcome
-            })
-            .collect();
-        crate::telemetry::cardinality_tele().record_batch(queries.len(), &fallbacks);
-        outcomes
     }
 
     /// The serve-time guard (fallback counters and bounds).
@@ -308,30 +272,17 @@ impl LearnedSetStructure for LearnedCardinality {
     type Output = f64;
     const NAME: &'static str = "cardinality";
 
-    fn query(&self, q: &[u32]) -> QueryOutcome<f64> {
-        self.outcome_inner(q, None)
-    }
-
-    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<f64>> {
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<f64>> {
         if queries.is_empty() {
             return Vec::new();
         }
         let scores = self.kernel().predict_batch(queries);
-        crate::telemetry::cardinality_tele().record_kernel(self.precision);
-        self.correct_batch(queries, scores)
-    }
-
-    fn query_batch_parallel(
-        &self,
-        queries: &[ElementSet],
-        threads: usize,
-    ) -> Vec<QueryOutcome<f64>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let scores = self.kernel().predict_batch_parallel(queries, threads);
-        crate::telemetry::cardinality_tele().record_kernel(self.precision);
-        self.correct_batch(queries, scores)
+        let tele = crate::telemetry::cardinality_tele();
+        tele.record_kernel(self.precision);
+        let outcomes: Vec<QueryOutcome<f64>> =
+            queries.iter().zip(scores).map(|(q, s)| self.correct_score(q.as_ref(), s)).collect();
+        tele.record_batch(outcomes.len(), outcomes.iter().filter_map(|o| o.fallback), 0);
+        outcomes
     }
 }
 
@@ -380,27 +331,6 @@ mod tests {
         }
         let avg = qe / n as f64;
         assert!(avg < 3.0, "avg q-error {avg}");
-    }
-
-    #[test]
-    fn parallel_batch_estimates_equal_sequential() {
-        let collection = GeneratorConfig::sd(300, 7).generate();
-        let (est, _) = LearnedCardinality::build(
-            &collection,
-            &quick_cfg(collection.num_elements(), CompressionKind::None),
-        );
-        let queries: Vec<_> =
-            SubsetIndex::build(&collection, 3).iter().map(|(s, _)| s.clone()).collect();
-        let sequential: Vec<f64> =
-            est.query_batch(&queries).into_iter().map(|o| o.value).collect();
-        for threads in [1, 2, 4] {
-            let parallel: Vec<f64> = est
-                .query_batch_parallel(&queries, threads)
-                .into_iter()
-                .map(|o| o.value)
-                .collect();
-            assert_eq!(parallel, sequential, "{threads}-thread answers diverged");
-        }
     }
 
     #[test]

@@ -74,6 +74,14 @@ pub struct LookupProfile {
     pub fallback: Option<FallbackReason>,
 }
 
+impl LookupProfile {
+    /// A window exhausted without a hit: the local bound did not cover the
+    /// answer, or the subset is genuinely absent.
+    pub(crate) fn bound_miss(&self) -> bool {
+        self.position.is_none() && !self.from_aux
+    }
+}
+
 /// The hybrid learned set index.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LearnedSetIndex {
@@ -222,22 +230,10 @@ impl LearnedSetIndex {
         (lo, hi, reason)
     }
 
-    /// [`LearnedSetIndex::lookup`] with scan-effort accounting.
+    /// [`LearnedSetIndex::lookup`] with scan-effort accounting: a batch of
+    /// one through [`LearnedSetIndex::lookup_batch_profiled`].
     pub fn lookup_profiled(&self, collection: &SetCollection, q: &[u32]) -> LookupProfile {
-        let start = crate::telemetry::query_start();
-        let profile = self.lookup_profiled_inner(collection, q);
-        let tele = crate::telemetry::index_tele();
-        tele.record_query(start, profile.fallback);
-        // A scan that exhausted its window without a hit means the local
-        // error bound did not cover the answer (or the subset is absent).
-        if profile.position.is_none() && !profile.from_aux {
-            tele.record_bound_miss();
-        }
-        profile
-    }
-
-    fn lookup_profiled_inner(&self, collection: &SetCollection, q: &[u32]) -> LookupProfile {
-        self.profile_from_score(collection, q, self.score_one(q))
+        self.lookup_batch_profiled(collection, &[q]).pop().expect("one profile per query")
     }
 
     /// The frozen serving kernel, freezing the current weights at
@@ -316,31 +312,9 @@ impl LearnedSetIndex {
         LookupProfile { position: None, scanned, from_aux: false, fallback }
     }
 
-    /// Maps pre-computed batch scores through the scan tail, recording batch
-    /// telemetry once. Shared by the sequential and parallel batch paths so
-    /// they agree bit-for-bit.
-    fn profiles_for_scores<S: AsRef<[u32]>>(
-        &self,
-        collection: &SetCollection,
-        queries: &[S],
-        scores: Vec<f32>,
-    ) -> Vec<LookupProfile> {
-        let mut fallbacks = Vec::new();
-        let profiles: Vec<LookupProfile> = queries
-            .iter()
-            .zip(scores)
-            .map(|(q, s)| {
-                let profile = self.profile_from_score(collection, q.as_ref(), s);
-                fallbacks.extend(profile.fallback);
-                profile
-            })
-            .collect();
-        crate::telemetry::index_tele().record_batch(queries.len(), &fallbacks);
-        profiles
-    }
-
     /// Batched lookup with scan-effort accounting: one model forward pass
-    /// for all queries, followed by per-query bounded scans.
+    /// for all queries, followed by per-query bounded scans. Records the
+    /// batch's queries, fallbacks and bound misses once.
     pub fn lookup_batch_profiled<S: AsRef<[u32]>>(
         &self,
         collection: &SetCollection,
@@ -350,8 +324,16 @@ impl LearnedSetIndex {
             return Vec::new();
         }
         let scores = self.kernel().predict_batch(queries);
-        crate::telemetry::index_tele().record_kernel(self.precision);
-        self.profiles_for_scores(collection, queries, scores)
+        let tele = crate::telemetry::index_tele();
+        tele.record_kernel(self.precision);
+        let profiles: Vec<LookupProfile> = queries
+            .iter()
+            .zip(scores)
+            .map(|(q, s)| self.profile_from_score(collection, q.as_ref(), s))
+            .collect();
+        let misses = profiles.iter().filter(|p| p.bound_miss()).count();
+        tele.record_batch(profiles.len(), profiles.iter().filter_map(|p| p.fallback), misses);
+        profiles
     }
 
     /// Raw model estimate of the position (no scan) — for accuracy metrics.
@@ -439,13 +421,7 @@ impl LearnedSetIndex {
 }
 
 fn outcome_from_profile(p: LookupProfile) -> QueryOutcome<Option<usize>> {
-    QueryOutcome {
-        value: p.position,
-        fallback: p.fallback,
-        // A window exhausted without a hit: the local bound did not cover
-        // the answer, or the subset is genuinely absent.
-        bound_miss: p.position.is_none() && !p.from_aux,
-    }
+    QueryOutcome { value: p.position, fallback: p.fallback, bound_miss: p.bound_miss() }
 }
 
 /// A [`LearnedSetIndex`] bound to its collection. Lookups need the
@@ -463,30 +439,9 @@ impl LearnedSetStructure for IndexStructure {
     type Output = Option<usize>;
     const NAME: &'static str = "index";
 
-    fn query(&self, q: &[u32]) -> QueryOutcome<Option<usize>> {
-        outcome_from_profile(self.index.lookup_profiled(&self.collection, q))
-    }
-
-    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<Option<usize>>> {
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<Option<usize>>> {
         self.index
             .lookup_batch_profiled(&self.collection, queries)
-            .into_iter()
-            .map(outcome_from_profile)
-            .collect()
-    }
-
-    fn query_batch_parallel(
-        &self,
-        queries: &[ElementSet],
-        threads: usize,
-    ) -> Vec<QueryOutcome<Option<usize>>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let scores = self.index.kernel().predict_batch_parallel(queries, threads);
-        crate::telemetry::index_tele().record_kernel(self.index.precision);
-        self.index
-            .profiles_for_scores(&self.collection, queries, scores)
             .into_iter()
             .map(outcome_from_profile)
             .collect()
@@ -619,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_lookups_equal_sequential() {
+    fn trait_batch_lookups_equal_profiled() {
         let collection = GeneratorConfig::rw(300, 21).generate();
         let (index, _) = LearnedSetIndex::build(
             &collection,
@@ -627,22 +582,11 @@ mod tests {
         );
         let subsets = SubsetIndex::build(&collection, 3);
         let queries: Vec<ElementSet> = subsets.iter().map(|(s, _)| s.clone()).collect();
-        let sequential: Vec<Option<usize>> = index
-            .lookup_batch_profiled(&collection, &queries)
-            .into_iter()
-            .map(|p| p.position)
-            .collect();
-        // The trait surface agrees with the profiled path, sequentially and
-        // across worker counts.
+        let profiles = index.lookup_batch_profiled(&collection, &queries);
+        // The trait surface agrees with the profiled path, flags included.
         let structure = IndexStructure { index, collection: Arc::new(collection) };
         let outcomes = structure.query_batch(&queries);
-        for (outcome, want) in outcomes.iter().zip(&sequential) {
-            assert_eq!(outcome.value, *want);
-        }
-        for threads in [1, 2, 5] {
-            let outcomes_par = structure.query_batch_parallel(&queries, threads);
-            assert_eq!(outcomes, outcomes_par, "threads={threads}");
-        }
+        assert_eq!(outcomes, profiles.into_iter().map(outcome_from_profile).collect::<Vec<_>>());
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! ## The unified query surface
 //!
 //! Every learned structure — sharded or not — implements
-//! [`LearnedSetStructure`]: one `query` / `query_batch` /
-//! `query_batch_parallel` triple returning [`QueryOutcome`]s, so serve
-//! adapters, the CLI, and benches dispatch through a single trait instead of
-//! three hand-rolled signatures (`estimate*` / `lookup*` / `contains*`).
-//! The per-task entry points remain for task-specific ergonomics (and
-//! back-compat), but new callers should prefer the trait; see the
-//! deprecation notes in `DESIGN.md`.
+//! [`LearnedSetStructure`], whose one required method is `query_batch`:
+//! one batched forward pass followed by the task's correction tail,
+//! returning [`QueryOutcome`]s. A single query is a batch of one (the
+//! provided `query`), so serve adapters, the CLI, and benches share one
+//! answer path per task instead of hand-rolled per-task signatures.
+//! The per-task entry points (`estimate`, `lookup`, `contains`) remain for
+//! task-specific ergonomics and answer through the same batch tail.
 
 pub mod bloom;
 pub mod cardinality;
@@ -29,7 +29,6 @@ pub use sharded::{
 };
 
 use crate::hybrid::FallbackReason;
-use setlearn_data::ElementSet;
 
 /// The answer to one query through the unified serve surface: the task's
 /// value plus the degradation flags every structure shares.
@@ -70,10 +69,8 @@ impl<T> QueryOutcome<T> {
 /// The uniform query API over every learned set structure (paper Table 1),
 /// sharded and unsharded alike.
 ///
-/// Implementations answer canonical (sorted, deduplicated) queries; batch
-/// methods must return exactly one outcome per query, in query order, and
-/// `query_batch_parallel` must agree bit-for-bit with `query_batch` (the
-/// forward pass is split across threads, the corrections are identical).
+/// Implementations answer canonical (sorted, deduplicated) queries and must
+/// return exactly one outcome per query, in query order.
 ///
 /// The index task needs the collection to scan, so its implementations live
 /// on bound adapters ([`IndexStructure`], [`ShardedIndexStructure`]) that
@@ -87,20 +84,13 @@ pub trait LearnedSetStructure {
     /// `"bloom"`); sharded and unsharded variants share it.
     const NAME: &'static str;
 
-    /// Answers one canonical query.
-    fn query(&self, q: &[u32]) -> QueryOutcome<Self::Output>;
-
     /// Answers every query in one batched forward pass, in order.
-    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<Self::Output>>;
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<Self::Output>>;
 
-    /// [`LearnedSetStructure::query_batch`] with the forward pass split
-    /// across `threads` scoped workers; answers are bit-for-bit equal to the
-    /// sequential batch path.
-    fn query_batch_parallel(
-        &self,
-        queries: &[ElementSet],
-        threads: usize,
-    ) -> Vec<QueryOutcome<Self::Output>>;
+    /// Answers one canonical query: a batch of one.
+    fn query(&self, q: &[u32]) -> QueryOutcome<Self::Output> {
+        self.query_batch(&[q]).pop().expect("one outcome per query")
+    }
 }
 
 /// Shared handles answer like what they point to, so long-lived structures
@@ -111,20 +101,8 @@ impl<S: LearnedSetStructure> LearnedSetStructure for std::sync::Arc<S> {
     type Output = S::Output;
     const NAME: &'static str = S::NAME;
 
-    fn query(&self, q: &[u32]) -> QueryOutcome<S::Output> {
-        (**self).query(q)
-    }
-
-    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<S::Output>> {
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<S::Output>> {
         (**self).query_batch(queries)
-    }
-
-    fn query_batch_parallel(
-        &self,
-        queries: &[ElementSet],
-        threads: usize,
-    ) -> Vec<QueryOutcome<S::Output>> {
-        (**self).query_batch_parallel(queries, threads)
     }
 }
 

@@ -153,22 +153,8 @@ impl LearnedSetStructure for ShardedCardinality {
     type Output = f64;
     const NAME: &'static str = "cardinality";
 
-    fn query(&self, q: &[u32]) -> QueryOutcome<f64> {
-        aggregate_cardinality(self.shards.iter().map(|m| m.query(q)).collect())
-    }
-
-    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<f64>> {
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<f64>> {
         let per_shard = self.shards.iter().map(|m| m.query_batch(queries)).collect();
-        aggregate_columns(per_shard, queries.len(), aggregate_cardinality)
-    }
-
-    fn query_batch_parallel(
-        &self,
-        queries: &[ElementSet],
-        threads: usize,
-    ) -> Vec<QueryOutcome<f64>> {
-        let per_shard =
-            self.shards.iter().map(|m| m.query_batch_parallel(queries, threads)).collect();
         aggregate_columns(per_shard, queries.len(), aggregate_cardinality)
     }
 }
@@ -283,22 +269,8 @@ impl LearnedSetStructure for ShardedBloom {
     type Output = bool;
     const NAME: &'static str = "bloom";
 
-    fn query(&self, q: &[u32]) -> QueryOutcome<bool> {
-        aggregate_bloom(self.shards.iter().map(|m| m.query(q)).collect())
-    }
-
-    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<bool>> {
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<bool>> {
         let per_shard = self.shards.iter().map(|m| m.query_batch(queries)).collect();
-        aggregate_columns(per_shard, queries.len(), aggregate_bloom)
-    }
-
-    fn query_batch_parallel(
-        &self,
-        queries: &[ElementSet],
-        threads: usize,
-    ) -> Vec<QueryOutcome<bool>> {
-        let per_shard =
-            self.shards.iter().map(|m| m.query_batch_parallel(queries, threads)).collect();
         aggregate_columns(per_shard, queries.len(), aggregate_bloom)
     }
 }
@@ -398,25 +370,9 @@ impl LearnedSetStructure for ShardIndexStructure {
     type Output = Option<usize>;
     const NAME: &'static str = "index";
 
-    fn query(&self, q: &[u32]) -> QueryOutcome<Option<usize>> {
-        self.structure.query(q).map(|v| v.map(|local| self.globals[local]))
-    }
-
-    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<Option<usize>>> {
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<Option<usize>>> {
         self.structure
             .query_batch(queries)
-            .into_iter()
-            .map(|o| o.map(|v| v.map(|local| self.globals[local])))
-            .collect()
-    }
-
-    fn query_batch_parallel(
-        &self,
-        queries: &[ElementSet],
-        threads: usize,
-    ) -> Vec<QueryOutcome<Option<usize>>> {
-        self.structure
-            .query_batch_parallel(queries, threads)
             .into_iter()
             .map(|o| o.map(|v| v.map(|local| self.globals[local])))
             .collect()
@@ -465,24 +421,8 @@ impl LearnedSetStructure for ShardedIndexStructure {
     type Output = Option<usize>;
     const NAME: &'static str = "index";
 
-    fn query(&self, q: &[u32]) -> QueryOutcome<Option<usize>> {
-        aggregate_index(self.target, self.shards.iter().map(|s| s.query(q)).collect())
-    }
-
-    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<Option<usize>>> {
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<Option<usize>>> {
         let per_shard = self.shards.iter().map(|s| s.query_batch(queries)).collect();
-        aggregate_columns(per_shard, queries.len(), |parts| {
-            aggregate_index(self.target, parts)
-        })
-    }
-
-    fn query_batch_parallel(
-        &self,
-        queries: &[ElementSet],
-        threads: usize,
-    ) -> Vec<QueryOutcome<Option<usize>>> {
-        let per_shard =
-            self.shards.iter().map(|s| s.query_batch_parallel(queries, threads)).collect();
         aggregate_columns(per_shard, queries.len(), |parts| {
             aggregate_index(self.target, parts)
         })
@@ -579,7 +519,6 @@ mod tests {
         let structure = ShardedIndexStructure::new(index, &collection);
         let queries: Vec<ElementSet> = subsets.iter().take(40).map(|(s, _)| s.clone()).collect();
         let outcomes = structure.query_batch(&queries);
-        assert_eq!(outcomes, structure.query_batch_parallel(&queries, 3));
         for (q, outcome) in queries.iter().zip(outcomes) {
             assert_eq!(outcome.value, structure.query(q).value);
             assert_eq!(outcome.value, subsets.get(q).map(|i| i.first_pos as usize));

@@ -6,8 +6,6 @@
 //! through lock-free. Metric families (all labeled `task="…"`):
 //!
 //! - `setlearn_serve_queries_total` — queries answered (counter)
-//! - `setlearn_serve_latency_seconds` — per-query serve latency (histogram;
-//!   single-query paths only, batch paths count queries without latency)
 //! - `setlearn_serve_fallbacks_total` — guard rejections, additionally
 //!   labeled `reason="non_finite"|"out_of_bounds"` (counter)
 //! - `setlearn_serve_bound_misses_total` — index scans that exhausted their
@@ -16,21 +14,19 @@
 //!   one-hot gauge family labeled `precision="f32"|"f16"|"q8"` (the live
 //!   kernel's gauge reads 1, the others 0)
 //!
-//! Every fallback also emits a `serve_fallback` trace event; at
-//! [`setlearn_obs::TelemetryLevel::Full`] each single query additionally
-//! records a `serve_query` span.
+//! Every answer path is a batch (a single query is a batch of one), so each
+//! batch records once; every fallback also emits a `serve_fallback` trace
+//! event. Serve latency is the runtime's `setlearn_serve_batch_seconds`.
 
 use crate::hybrid::FallbackReason;
 use crate::kernel::Precision;
-use setlearn_obs::{Counter, Field, Gauge, Histogram, LATENCY_BOUNDS};
+use setlearn_obs::{Counter, Field, Gauge};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// Cached serve-metric handles for one task head.
 pub(crate) struct ServeTele {
     task: &'static str,
     queries: Arc<Counter>,
-    latency: Arc<Histogram>,
     fallback_non_finite: Arc<Counter>,
     fallback_out_of_bounds: Arc<Counter>,
     bound_misses: Arc<Counter>,
@@ -44,11 +40,6 @@ impl ServeTele {
         ServeTele {
             task,
             queries: m.counter_with("setlearn_serve_queries_total", &[("task", task)]),
-            latency: m.histogram_with(
-                "setlearn_serve_latency_seconds",
-                &[("task", task)],
-                LATENCY_BOUNDS,
-            ),
             fallback_non_finite: m.counter_with(
                 "setlearn_serve_fallbacks_total",
                 &[("task", task), ("reason", "non_finite")],
@@ -79,48 +70,25 @@ impl ServeTele {
         }
     }
 
-    /// Records one single-query serve: query count, latency, any guard
-    /// fallback, and (at `Full`) a `serve_query` span. `start` comes from
-    /// [`query_start`]; when telemetry was off at query start this is a
-    /// no-op, so a query is never half-recorded.
-    pub(crate) fn record_query(&self, start: Option<Instant>, fallback: Option<FallbackReason>) {
-        let Some(start) = start else { return };
-        let elapsed = start.elapsed();
-        self.queries.inc();
-        self.latency.observe(elapsed.as_secs_f64());
-        if let Some(reason) = fallback {
-            self.count_fallback(reason);
-        }
-        if setlearn_obs::tracing_on() {
-            let tracer = setlearn_obs::tracer();
-            let dur_us = elapsed.as_micros() as u64;
-            let start_us = tracer.now_us().saturating_sub(dur_us);
-            let mut fields = vec![Field::text("task", self.task)];
-            if let Some(reason) = fallback {
-                fields.push(Field::text("fallback", reason_str(reason)));
-            }
-            tracer.push_span("serve_query", start_us, fields);
-        }
-    }
-
-    /// Records a batched serve: `n` queries without per-query latency.
-    pub(crate) fn record_batch(&self, n: usize, fallbacks: &[FallbackReason]) {
+    /// Records one answered batch: `n` queries, their guard fallbacks, and
+    /// `bound_misses` index scans that exhausted their local-error window
+    /// without a hit (the bound did not cover the true position, or the
+    /// subset is absent; true negatives should be rare for index workloads).
+    pub(crate) fn record_batch(
+        &self,
+        n: usize,
+        fallbacks: impl Iterator<Item = FallbackReason>,
+        bound_misses: usize,
+    ) {
         if !setlearn_obs::metrics_on() {
             return;
         }
         self.queries.add(n as u64);
-        for &reason in fallbacks {
+        for reason in fallbacks {
             self.count_fallback(reason);
         }
-    }
-
-    /// Records an index scan that exhausted its local-error window without
-    /// finding the query — either the bound failed to cover the true
-    /// position or the subset genuinely does not occur; both are worth
-    /// watching because true negatives should be rare for index workloads.
-    pub(crate) fn record_bound_miss(&self) {
-        if setlearn_obs::metrics_on() {
-            self.bound_misses.inc();
+        if bound_misses > 0 {
+            self.bound_misses.add(bound_misses as u64);
         }
     }
 
@@ -153,16 +121,6 @@ fn reason_str(reason: FallbackReason) -> &'static str {
     match reason {
         FallbackReason::NonFinite => "non_finite",
         FallbackReason::OutOfBounds => "out_of_bounds",
-    }
-}
-
-/// Starts timing a single query; `None` when telemetry is off so the serve
-/// hot path skips the clock read entirely.
-pub(crate) fn query_start() -> Option<Instant> {
-    if setlearn_obs::metrics_on() {
-        Some(Instant::now())
-    } else {
-        None
     }
 }
 

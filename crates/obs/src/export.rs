@@ -218,7 +218,7 @@ mod tests {
         .add(2);
         reg.gauge("setlearn_train_loss").set(0.25);
         let h = reg.histogram_with(
-            "setlearn_serve_latency_seconds",
+            "setlearn_serve_batch_seconds",
             &[("task", "cardinality")],
             &[0.001, 0.01],
         );
@@ -232,14 +232,14 @@ mod tests {
     fn golden_prometheus_exposition() {
         let text = to_prometheus(&sample_registry().snapshot());
         let expected = "\
+# TYPE setlearn_serve_batch_seconds histogram
+setlearn_serve_batch_seconds_bucket{task=\"cardinality\",le=\"0.001\"} 2
+setlearn_serve_batch_seconds_bucket{task=\"cardinality\",le=\"0.01\"} 2
+setlearn_serve_batch_seconds_bucket{task=\"cardinality\",le=\"+Inf\"} 3
+setlearn_serve_batch_seconds_sum{task=\"cardinality\"} 0.021
+setlearn_serve_batch_seconds_count{task=\"cardinality\"} 3
 # TYPE setlearn_serve_fallbacks_total counter
 setlearn_serve_fallbacks_total{reason=\"non_finite\",task=\"cardinality\"} 2
-# TYPE setlearn_serve_latency_seconds histogram
-setlearn_serve_latency_seconds_bucket{task=\"cardinality\",le=\"0.001\"} 2
-setlearn_serve_latency_seconds_bucket{task=\"cardinality\",le=\"0.01\"} 2
-setlearn_serve_latency_seconds_bucket{task=\"cardinality\",le=\"+Inf\"} 3
-setlearn_serve_latency_seconds_sum{task=\"cardinality\"} 0.021
-setlearn_serve_latency_seconds_count{task=\"cardinality\"} 3
 # TYPE setlearn_serve_queries_total counter
 setlearn_serve_queries_total{task=\"cardinality\"} 5
 # TYPE setlearn_train_loss gauge
@@ -273,7 +273,7 @@ setlearn_train_loss 0.25
             .expect("queries row");
         assert!(queries_row.trim_end().ends_with(" 5"), "got: {queries_row}");
         assert!(text.contains("histograms"));
-        assert!(text.contains("setlearn_serve_latency_seconds"));
+        assert!(text.contains("setlearn_serve_batch_seconds"));
         assert!(to_table(&RegistrySnapshot::default()).contains("no metrics recorded"));
     }
 }

@@ -84,7 +84,7 @@ impl Deserialize for RecordKind {
 pub struct TraceRecord {
     /// Span or event.
     pub kind: RecordKind,
-    /// Record name (e.g. `train_epoch`, `serve_query`, `serve_fallback`).
+    /// Record name (e.g. `train_epoch`, `serve_batch`, `serve_fallback`).
     pub name: String,
     /// Microseconds since the collector epoch (monotonic).
     pub ts_us: u64,
@@ -336,7 +336,7 @@ mod tests {
     fn jsonl_roundtrip() {
         let tc = TraceCollector::new(8);
         tc.push_event("fallback", vec![Field::text("reason", "non_finite"), Field::num("q", 2.0)]);
-        tc.span("serve_query").finish();
+        tc.span("serve_batch").finish();
         let text = to_jsonl(&tc.records());
         assert_eq!(text.lines().count(), 2);
         let back = parse_jsonl(&text).expect("parse");

@@ -174,7 +174,6 @@ mod tests {
     use super::*;
     use setlearn::mutable::OverlayAnswer;
     use setlearn::tasks::{LearnedSetStructure, QueryOutcome};
-    use setlearn_data::ElementSet;
     use std::time::Instant;
 
     /// Exact-oracle cardinality "model": retraining is just re-freezing the
@@ -183,18 +182,9 @@ mod tests {
     impl LearnedSetStructure for ExactCard {
         type Output = f64;
         const NAME: &'static str = "cardinality";
-        fn query(&self, q: &[u32]) -> QueryOutcome<f64> {
-            QueryOutcome::clean(self.0.cardinality(q) as f64)
-        }
-        fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<f64>> {
-            queries.iter().map(|q| self.query(q)).collect()
-        }
-        fn query_batch_parallel(
-            &self,
-            queries: &[ElementSet],
-            _threads: usize,
-        ) -> Vec<QueryOutcome<f64>> {
-            self.query_batch(queries)
+        fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<f64>> {
+            let count = |q: &Q| QueryOutcome::clean(self.0.cardinality(q.as_ref()) as f64);
+            queries.iter().map(count).collect()
         }
     }
     impl DeltaMergeable for ExactCard {

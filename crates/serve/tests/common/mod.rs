@@ -1,7 +1,6 @@
 //! Shared by the loopback suites.
 
 use setlearn::tasks::{aggregate_cardinality, LearnedSetStructure, QueryOutcome};
-use setlearn_data::ElementSet;
 use setlearn_serve::net::{NetConfig, NetServer, WireBackend};
 use setlearn_serve::{CollectionRegistry, RegistryConfig};
 use std::sync::Arc;
@@ -26,15 +25,10 @@ impl<S: LearnedSetStructure<Output = f64>> LearnedSetStructure for SummedShards<
     type Output = f64;
     const NAME: &'static str = "cardinality";
 
-    fn query(&self, q: &[u32]) -> QueryOutcome<f64> {
-        aggregate_cardinality(self.0.iter().map(|shard| shard.query(q)).collect())
-    }
-
-    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<f64>> {
-        queries.iter().map(|q| self.query(q)).collect()
-    }
-
-    fn query_batch_parallel(&self, queries: &[ElementSet], _threads: usize) -> Vec<QueryOutcome<f64>> {
-        self.query_batch(queries)
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<f64>> {
+        let fold = |q: &Q| {
+            aggregate_cardinality(self.0.iter().map(|shard| shard.query(q.as_ref())).collect())
+        };
+        queries.iter().map(fold).collect()
     }
 }

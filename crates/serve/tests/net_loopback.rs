@@ -31,28 +31,26 @@ impl LearnedSetStructure for MockCard {
     type Output = f64;
     const NAME: &'static str = "cardinality";
 
-    fn query(&self, q: &[u32]) -> QueryOutcome<f64> {
-        if q.contains(&666) {
-            QueryOutcome {
-                value: 0.0,
-                fallback: Some(setlearn::hybrid::FallbackReason::NonFinite),
-                bound_miss: false,
-            }
-        } else {
-            QueryOutcome::clean(q.len() as f64 * 1.5)
-        }
-    }
-
-    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<f64>> {
-        queries.iter().map(|q| self.query(q)).collect()
-    }
-
-    fn query_batch_parallel(&self, queries: &[ElementSet], _threads: usize) -> Vec<QueryOutcome<f64>> {
-        self.query_batch(queries)
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<f64>> {
+        queries
+            .iter()
+            .map(|q| {
+                let q = q.as_ref();
+                if q.contains(&666) {
+                    QueryOutcome {
+                        value: 0.0,
+                        fallback: Some(setlearn::hybrid::FallbackReason::NonFinite),
+                        bound_miss: false,
+                    }
+                } else {
+                    QueryOutcome::clean(q.len() as f64 * 1.5)
+                }
+            })
+            .collect()
     }
 }
 
-/// Sleeps per batch so a tiny queue sheds deterministically.
+/// Sleeps per query so a tiny queue sheds deterministically.
 #[derive(Clone)]
 struct SlowCard;
 
@@ -60,17 +58,14 @@ impl LearnedSetStructure for SlowCard {
     type Output = f64;
     const NAME: &'static str = "cardinality";
 
-    fn query(&self, q: &[u32]) -> QueryOutcome<f64> {
-        std::thread::sleep(Duration::from_millis(20));
-        QueryOutcome::clean(q.len() as f64)
-    }
-
-    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<f64>> {
-        queries.iter().map(|q| self.query(q)).collect()
-    }
-
-    fn query_batch_parallel(&self, queries: &[ElementSet], _threads: usize) -> Vec<QueryOutcome<f64>> {
-        self.query_batch(queries)
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<f64>> {
+        queries
+            .iter()
+            .map(|q| {
+                std::thread::sleep(Duration::from_millis(20));
+                QueryOutcome::clean(q.as_ref().len() as f64)
+            })
+            .collect()
     }
 }
 

@@ -15,7 +15,6 @@ use setlearn_serve::proto::{
     decode_response_batch, encode_frame, read_frame, ErrorCode, ProtoError, StatsFormat,
 };
 use setlearn_serve::{ServeConfig, ServeRuntime, StructureTask};
-use setlearn_data::ElementSet;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -31,25 +30,23 @@ impl LearnedSetStructure for PacedCard {
     type Output = f64;
     const NAME: &'static str = "cardinality";
 
-    fn query(&self, q: &[u32]) -> QueryOutcome<f64> {
-        std::thread::sleep(Duration::from_millis(2));
-        if q.contains(&666) {
-            QueryOutcome {
-                value: 0.0,
-                fallback: Some(setlearn::hybrid::FallbackReason::NonFinite),
-                bound_miss: false,
-            }
-        } else {
-            QueryOutcome::clean(q.len() as f64 * 2.0)
-        }
-    }
-
-    fn query_batch(&self, queries: &[ElementSet]) -> Vec<QueryOutcome<f64>> {
-        queries.iter().map(|q| self.query(q)).collect()
-    }
-
-    fn query_batch_parallel(&self, queries: &[ElementSet], _threads: usize) -> Vec<QueryOutcome<f64>> {
-        self.query_batch(queries)
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<f64>> {
+        queries
+            .iter()
+            .map(|q| {
+                std::thread::sleep(Duration::from_millis(2));
+                let q = q.as_ref();
+                if q.contains(&666) {
+                    QueryOutcome {
+                        value: 0.0,
+                        fallback: Some(setlearn::hybrid::FallbackReason::NonFinite),
+                        bound_miss: false,
+                    }
+                } else {
+                    QueryOutcome::clean(q.len() as f64 * 2.0)
+                }
+            })
+            .collect()
     }
 }
 

@@ -1,8 +1,9 @@
 //! End-to-end multi-tenant serving over loopback TCP: one registry server
 //! hosting several collections answers exactly like dedicated solo servers,
 //! v1 clients keep working against the default collection, admin frames
-//! manage residency over the wire, and per-tenant quotas shed one tenant
-//! without touching another.
+//! manage residency over the wire, per-tenant quotas shed one tenant
+//! without touching another, and a served index tenant counts its bound
+//! misses.
 
 mod common;
 
@@ -10,9 +11,9 @@ use setlearn::model::DeepSetsConfig;
 use setlearn::persist::{
     save_manifest, CollectionManifest, COLLECTION_MODEL, COLLECTION_SETS,
 };
-use setlearn::tasks::{CardinalityConfig, LearnedCardinality};
+use setlearn::tasks::{CardinalityConfig, IndexConfig, LearnedCardinality, LearnedSetIndex};
 use setlearn::wire::{QueryRequest, QueryValue, WireTask};
-use setlearn_data::{GeneratorConfig, SetCollection};
+use setlearn_data::{normalize, ElementSet, GeneratorConfig, SetCollection};
 use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer};
 use setlearn_serve::proto::{ErrorCode, ProtoError};
 use setlearn_serve::{
@@ -43,9 +44,8 @@ fn quick_serve() -> ServeConfig {
     }
 }
 
-/// Trains and persists a tiny cardinality collection under `root/<name>/`.
-fn write_collection(root: &Path, name: &str, seed: u64) {
-    let sets = GeneratorConfig {
+fn tiny_sets(seed: u64) -> SetCollection {
+    GeneratorConfig {
         num_sets: 30,
         vocab: 40,
         zipf_s: 0.0,
@@ -53,21 +53,34 @@ fn write_collection(root: &Path, name: &str, seed: u64) {
         max_set_size: 5,
         seed,
     }
-    .generate();
+    .generate()
+}
+
+/// Persists a trained `task` structure and its sets under `root/<name>/`.
+fn write_tenant<M: serde::Serialize>(
+    root: &Path,
+    name: &str,
+    task: &str,
+    model: &M,
+    sets: &SetCollection,
+) {
+    let dir = root.join(name);
+    save_manifest(&dir, &CollectionManifest { task: task.into(), shards: None, shard_by: None })
+        .unwrap();
+    setlearn::persist::save_json(model, &dir.join(COLLECTION_MODEL)).unwrap();
+    setlearn::persist::save_json(sets, &dir.join(COLLECTION_SETS)).unwrap();
+}
+
+/// Trains and persists a tiny cardinality collection under `root/<name>/`.
+fn write_collection(root: &Path, name: &str, seed: u64) {
+    let sets = tiny_sets(seed);
     let mut cfg = CardinalityConfig::new(DeepSetsConfig::lsm(sets.num_elements()));
     cfg.guided.warmup_epochs = 1;
     cfg.guided.rounds = 0;
     cfg.guided.epochs_per_round = 1;
     cfg.max_subset_size = 2;
     let (est, _) = LearnedCardinality::build(&sets, &cfg);
-    let dir = root.join(name);
-    save_manifest(
-        &dir,
-        &CollectionManifest { task: "cardinality".into(), shards: None, shard_by: None },
-    )
-    .unwrap();
-    setlearn::persist::save_json(&est, &dir.join(COLLECTION_MODEL)).unwrap();
-    setlearn::persist::save_json(&sets, &dir.join(COLLECTION_SETS)).unwrap();
+    write_tenant(root, name, "cardinality", &est, &sets);
 }
 
 /// A dedicated server for the model persisted at `root/<name>/`, loaded and
@@ -277,5 +290,46 @@ fn written_fixture_collections_load_back() {
     let sets: SetCollection =
         setlearn::persist::load_json(&root.join("tenant-a").join(COLLECTION_SETS)).unwrap();
     assert!(!sets.is_empty());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The served path counts the index's exhausted scan windows: submitting
+/// pairs no set holds to an index tenant moves
+/// `setlearn_serve_bound_misses_total{task="index"}` by exactly the number of
+/// outcomes flagged `bound_miss`. No other test in this suite serves an
+/// index, so nothing else moves the process-wide counter.
+#[test]
+fn served_index_bound_misses_are_counted() {
+    let root = tmproot("misses");
+    let sets = tiny_sets(41);
+    let mut cfg = IndexConfig::new(DeepSetsConfig::lsm(sets.num_elements()));
+    cfg.guided.warmup_epochs = 1;
+    cfg.guided.rounds = 0;
+    cfg.guided.epochs_per_round = 1;
+    cfg.max_subset_size = 2;
+    let (index, _) = LearnedSetIndex::build(&sets, &cfg);
+    write_tenant(&root, "idx", "index", &index, &sets);
+    let mut config = RegistryConfig::new(&root);
+    config.serve = quick_serve();
+    let registry = CollectionRegistry::new(config);
+    let resident = registry.resolve(Some("idx")).unwrap();
+
+    let n = sets.num_elements();
+    let absent: Vec<ElementSet> = (0..n)
+        .map(|e| normalize(vec![e, (e + 7) % n]))
+        .filter(|q| !sets.contains_subset(q))
+        .collect();
+    assert!(!absent.is_empty(), "fixture has no absent pairs");
+    let misses = setlearn_obs::metrics()
+        .counter_with("setlearn_serve_bound_misses_total", &[("task", "index")]);
+    let before = misses.get();
+    let flagged = absent
+        .chunks(32)
+        .flat_map(|batch| resident.backend().submit_wire(batch.to_vec()))
+        .map(|ticket| ticket().unwrap())
+        .filter(|response| response.bound_miss)
+        .count();
+    assert!(flagged > 0, "absent pairs exhaust their windows");
+    assert_eq!(misses.get() - before, flagged as u64);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -36,7 +36,7 @@ fn cardinality_batch_equals_singles() {
     for (q, b) in queries.iter().zip(batch) {
         assert_eq!(b.value, est.estimate(q), "query {q:?}");
     }
-    assert!(est.query_batch(&[]).is_empty());
+    assert!(est.query_batch::<ElementSet>(&[]).is_empty());
 }
 
 #[test]

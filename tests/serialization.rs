@@ -43,6 +43,38 @@ fn trained_estimator_roundtrips_through_json() {
     }
 }
 
+/// Two builds of the same cardinality structure — one model, and two shards —
+/// serialize to the same bytes: the hash-keyed outlier store and delta layer
+/// are written in key order, not in a per-process random iteration order.
+#[test]
+fn cardinality_checkpoints_serialize_to_identical_bytes() {
+    use setlearn::shard::{ShardBy, ShardSpec, ShardedCollection};
+    use setlearn::tasks::ShardedCardinality;
+
+    let collection = GeneratorConfig::sd(200, 6).generate();
+    let mut cfg = CardinalityConfig::new(DeepSetsConfig::lsm(collection.num_elements()));
+    cfg.guided = quick_guided();
+    cfg.max_subset_size = 2;
+    let inserted: Vec<u32> = collection.get(0).to_vec();
+    let build = || {
+        let (mut est, _) = LearnedCardinality::build(&collection, &cfg);
+        est.note_inserted_set(&inserted);
+        serde_json::to_vec(&est).expect("serialize")
+    };
+    let first = build();
+    let est: LearnedCardinality = serde_json::from_slice(&first).expect("deserialize");
+    assert!(est.num_outliers() > 8 && est.pending_updates() > 8, "too few keys to shuffle");
+    assert!(first == build(), "one estimator, two byte streams");
+
+    let shards = ShardedCollection::partition(&collection, ShardSpec::new(2, ShardBy::Hash))
+        .expect("partition");
+    let build_sharded = || {
+        let (model, _) = ShardedCardinality::build(&shards, &cfg).expect("build");
+        serde_json::to_vec(&model).expect("serialize")
+    };
+    assert!(build_sharded() == build_sharded(), "one sharded estimator, two byte streams");
+}
+
 mod slw2 {
     //! Corruption coverage for the checksummed `SLW2` binary weight format.
 
