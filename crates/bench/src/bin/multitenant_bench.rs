@@ -4,8 +4,8 @@
 //!
 //!   1. every tenant's answers over the registry are bit-identical to its
 //!      structure's own `query_batch`;
-//!   2. a plain v1 client (no collection id) gets the default collection's
-//!      answers bit-identically;
+//!   2. a client naming no collection (an empty collection id) gets the
+//!      default collection's answers bit-identically;
 //!   3. LRU eviction under a byte budget unloads the cold tenant and a
 //!      reload answers bit-identically;
 //!   4. with per-tenant quotas, a tenant hammering past its budget is shed
@@ -163,14 +163,14 @@ fn main() {
     let want_b = direct_bits(&root, TENANT_B, &queries);
     assert_ne!(want_a, want_b, "tenants trained genuinely different models");
 
-    // 1+2: one registry process, both tenants, plus a v1 default client.
+    // 1+2: one registry process, both tenants, plus an empty-id client.
     let (server, addr, registry) = registry_server(&root, Some(TENANT_A), None, None);
     let got_a = answer_bits(addr, Some(TENANT_A), &queries);
     let got_b = answer_bits(addr, Some(TENANT_B), &queries);
-    let got_v1 = answer_bits(addr, None, &queries);
+    let got_default = answer_bits(addr, None, &queries);
     assert_eq!(got_a, want_a, "tenant-a diverged from its structure");
     assert_eq!(got_b, want_b, "tenant-b diverged from its structure");
-    assert_eq!(got_v1, want_a, "v1 default routing diverged from tenant-a's structure");
+    assert_eq!(got_default, want_a, "empty-id default routing diverged from tenant-a's structure");
     assert_eq!(registry.resident_count(), 2);
     server.shutdown();
     drop(registry);
@@ -263,7 +263,7 @@ fn main() {
 
     let _ = std::fs::remove_dir_all(&root);
     println!(
-        "MULTITENANT BENCH OK: bit-identical={} v1-default=ok eviction-reload=ok \
+        "MULTITENANT BENCH OK: bit-identical={} empty-id-default=ok eviction-reload=ok \
          quota-sheds={shed} p99-ratio={:.2}",
         total,
         shared_p99_b.as_secs_f64() / solo_p99_b.as_secs_f64().max(1e-9),

@@ -523,7 +523,7 @@ fn resolve_tenant(
 /// connection handler does for a wire frame.
 fn answer(backend: &dyn WireBackend, sets: Vec<ElementSet>) -> Vec<WireOutcome> {
     backend
-        .submit_wire(sets)
+        .submit_wire(sets, None)
         .into_iter()
         .map(|ticket| ticket().map_err(ErrorCode::Serve))
         .collect()
@@ -642,7 +642,7 @@ fn drive(
                 std::thread::sleep(wait);
             }
         }
-        tickets.extend(backend.submit_wire(vec![request]));
+        tickets.extend(backend.submit_wire(vec![request], None));
     }
     let (mut answered, mut shed) = (0u64, 0u64);
     for ticket in tickets {
@@ -728,12 +728,12 @@ fn registry_from_args(args: &Args) -> Result<Arc<CollectionRegistry>, CliError> 
 
 /// `serve --root DIR --listen HOST:PORT`: the SLP1 front-end over the
 /// registry. Every collection directory under DIR is servable; checkpoints
-/// load lazily on the first frame that addresses them (v2 length-prefixed
-/// collection ids; v1 frames and empty ids route to `--default-collection`,
-/// which is all a solo server is), a `wal/` makes a tenant mutable,
-/// `--max-resident-bytes` LRU-evicts idle residents, and `--quota-qps`/
-/// `--quota-burst` arm a per-tenant token bucket that sheds with
-/// `TenantOverloaded`.
+/// load lazily on the first frame that addresses them (by the
+/// length-prefixed collection id every frame carries; an empty id routes to
+/// `--default-collection`, which is all a solo server is), a `wal/` makes a
+/// tenant mutable, `--max-resident-bytes` LRU-evicts idle residents, and
+/// `--quota-qps`/`--quota-burst` arm a per-tenant token bucket that sheds
+/// with `TenantOverloaded`.
 fn serve_listen_registry(
     args: &Args,
     addr: &str,
@@ -929,15 +929,17 @@ pub fn ingest(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `setlearn client --addr HOST:PORT [--task cardinality|index|bloom]
-///  [--query 1,2,3] [--batch "1,2;3,4"] [--insert "1,2;3,4"]
-///  [--delete "1,2"] [--ping] [--shutdown]`
+/// `setlearn client --addr HOST:PORT [--collection NAME]
+///  [--task cardinality|index|bloom] [--query 1,2,3] [--batch "1,2;3,4"]
+///  [--insert "1,2;3,4"] [--delete "1,2"] [--ping] [--shutdown]`
 ///
 /// Reference client for the `SLP1` wire protocol: connects to a
 /// `serve --listen` front-end and, in order, pings, sends the ad-hoc
 /// `--query` and/or the semicolon-separated `--batch`, and (with
-/// `--shutdown`) asks the server to drain. Per-query failures come back as
-/// typed error codes, not stringified I/O errors.
+/// `--shutdown`) asks the server to drain. Without `--collection` every
+/// frame carries an empty collection id, which the server answers from its
+/// `--default-collection`. Per-query failures come back as typed error
+/// codes, not stringified I/O errors.
 pub fn client(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
         "addr", "task", "collection", "query", "batch", "insert", "delete", "ping",
@@ -946,9 +948,9 @@ pub fn client(args: &Args) -> Result<(), CliError> {
     ])?;
     let addr = args.required("addr")?;
     let mut client = NetClient::connect(addr).map_err(with_path("connect to", addr))?;
-    // `--collection NAME` upgrades every frame to SLP1 v2 with that
-    // collection id; without it the client speaks v1 and a multi-tenant
-    // server routes to its default collection.
+    // `--collection NAME` addresses every frame at that collection; without
+    // it frames carry an empty id and the server routes them to its
+    // default collection.
     if let Some(name) = args.optional("collection") {
         if !setlearn::wire::valid_collection_name(name) {
             return Err(ArgError(format!(
@@ -1003,28 +1005,20 @@ pub fn client(args: &Args) -> Result<(), CliError> {
         acted = true;
     }
     if args.has_flag("health") {
-        // The extended (v2) probe also reports multi-tenant residency;
-        // single-tenant servers answer it with empty tenant fields.
-        let report = client.health_extended().map_err(|e| format!("health failed: {e}"))?;
+        let report = client.health().map_err(|e| format!("health failed: {e}"))?;
         println!(
-            "{}: draining={} queue={}/{} shards={} model_version={} wal_truncations={} \
-             compactor_pending={}",
+            "{}: draining={} queue={}/{} wal_truncations={} compactor_pending={}",
             if report.ready { "ready" } else { "not ready" },
             report.draining,
             report.queue_depth,
             report.queue_capacity,
-            report.shards,
-            report.model_version,
             report.wal_truncations,
             report.compactor_pending,
         );
-        // Multi-tenant servers also report residency and per-collection
-        // ingest lag (v1 single-tenant reports leave these empty).
-        if report.resident_collections > 0 || !report.collection_pending.is_empty() {
-            println!("resident collections: {}", report.resident_collections);
-            for (name, pending) in &report.collection_pending {
-                println!("  {name}: pending_ingest={pending}");
-            }
+        // Residency and per-collection ingest lag.
+        println!("resident collections: {}", report.resident_collections);
+        for (name, pending) in &report.collection_pending {
+            println!("  {name}: pending_ingest={pending}");
         }
         for reason in &report.reasons {
             println!("  - {reason}");
@@ -1346,13 +1340,14 @@ one queue, --threads workers, per-shard answers folded inside each batch.
 
 Every collection is resolved through the registry over --root, which reads
 the task, shard layout and serve precision from the collection's manifest
-and checkpoint. `serve --listen` serves them all over
-SLP1 v2 frames carrying a collection id; plain v1 clients are routed to
---default-collection bit-for-bit, so a solo server is `--default-collection
-NAME`. Collections load lazily on first use, --max-resident-bytes
-LRU-evicts idle ones, and --quota-qps/--quota-burst arm a per-tenant token
-bucket that sheds with TenantOverloaded. `client --collections/--attach/
---detach` administer it; all metrics carry a collection label.
+and checkpoint. `serve --listen` serves them all over SLP1 frames carrying
+a collection id; a frame with an empty id (a client without --collection)
+is routed to --default-collection, so a solo server is
+`--default-collection NAME`. Collections load lazily on first use,
+--max-resident-bytes LRU-evicts idle ones, and --quota-qps/--quota-burst
+arm a per-tenant token bucket that sheds with TenantOverloaded.
+`client --collections/--attach/--detach` administer it; all metrics carry
+a collection label.
 
 A collection whose directory has a wal/ is served *mutable*: client
 inserts/deletes are fsync'd to a write-ahead log before they are
@@ -1757,13 +1752,13 @@ mod tests {
         // A solo server is the registry with a default collection; the serve
         // loop runs until the client requests a drain.
         let (server, addr) = listen_session(&root, &["--default-collection", "solo"]);
-        // v2 frames address the tenant by name…
+        // Frames address the tenant by name…
         run(&args(&[
             "client", "--addr", &addr, "--task", "cardinality", "--collection", "solo",
             "--query", "1,2",
         ]))
         .unwrap();
-        // …and a plain v1 client rides to the default collection.
+        // …or carry an empty id and ride to the default collection.
         run(&args(&[
             "client", "--addr", &addr, "--task", "cardinality",
             "--ping", "--query", "1,2", "--batch", "1;2,3", "--shutdown",
@@ -1847,7 +1842,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// One cardinality answer as raw bits, through a v1 client.
+    /// One cardinality answer as raw bits, through a client addressing the
+    /// default collection.
     fn served_bits(addr: &str, ids: &[u32]) -> u64 {
         let mut client = NetClient::connect(addr).unwrap();
         let outcomes =
@@ -1867,7 +1863,7 @@ mod tests {
     fn await_compaction(addr: &str, server: &std::thread::JoinHandle<Result<(), String>>) {
         let mut health = NetClient::connect(addr).unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
-        while health.health_extended().unwrap().compactor_pending > 0 {
+        while health.health().unwrap().compactor_pending > 0 {
             assert!(std::time::Instant::now() < deadline, "compaction never folded the delta");
             assert!(!server.is_finished(), "server died before compacting");
             std::thread::sleep(std::time::Duration::from_millis(50));

@@ -542,12 +542,6 @@ impl<S> MutableCollection<S> {
     pub fn base(&self) -> Arc<SetCollection> {
         Arc::clone(&self.state.read().unwrap_or_else(|e| e.into_inner()).base)
     }
-
-    /// The vocabulary bound (`num_elements`) mutations are validated
-    /// against.
-    pub fn vocab(&self) -> u32 {
-        self.vocab
-    }
 }
 
 impl<S: Send + Sync> MutableSink for MutableCollection<S> {
@@ -583,6 +577,12 @@ impl<S: DeltaMergeable> LearnedSetStructure for MutableCollection<S> {
             .zip(&answers)
             .map(|(model, ans)| structure.merge_delta(model, ans))
             .collect()
+    }
+
+    /// The vocabulary bound (`num_elements`) mutations are validated
+    /// against, which is the served structure's.
+    fn vocab(&self) -> Option<u32> {
+        Some(self.vocab)
     }
 }
 
@@ -750,7 +750,7 @@ mod tests {
         assert!(mc.delete(&[1, 2]).unwrap().applied);
 
         // Oracle: retrain-equivalent — the exact merged collection.
-        let merged = merged_collection(&mc.base(), &mc.state.read().unwrap().overlay, mc.vocab());
+        let merged = merged_collection(&mc.base(), &mc.state.read().unwrap().overlay, mc.vocab);
         for q in [vec![1u32], vec![1, 2], vec![3], vec![0], vec![4]] {
             let got = mc.query(&q).value;
             let want = merged.cardinality(&q) as f64;

@@ -295,6 +295,10 @@ impl LearnedSetStructure for LearnedBloom {
         tele.record_batch(outcomes.len(), outcomes.iter().filter_map(|o| o.fallback), 0);
         outcomes
     }
+
+    fn vocab(&self) -> Option<u32> {
+        Some(self.model().config().vocab)
+    }
 }
 
 #[cfg(test)]

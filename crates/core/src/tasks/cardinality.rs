@@ -284,6 +284,10 @@ impl LearnedSetStructure for LearnedCardinality {
         tele.record_batch(outcomes.len(), outcomes.iter().filter_map(|o| o.fallback), 0);
         outcomes
     }
+
+    fn vocab(&self) -> Option<u32> {
+        Some(self.model().config().vocab)
+    }
 }
 
 #[cfg(test)]

@@ -446,6 +446,10 @@ impl LearnedSetStructure for IndexStructure {
             .map(outcome_from_profile)
             .collect()
     }
+
+    fn vocab(&self) -> Option<u32> {
+        Some(self.index.model().config().vocab)
+    }
 }
 
 #[cfg(test)]

@@ -91,6 +91,14 @@ pub trait LearnedSetStructure {
     fn query(&self, q: &[u32]) -> QueryOutcome<Self::Output> {
         self.query_batch(&[q]).pop().expect("one outcome per query")
     }
+
+    /// The element ids the model embeds are `0..vocab`. Only a non-empty
+    /// query inside that range is answerable — the model panics on any
+    /// other — so serving refuses the rest before admission. `None` (the
+    /// default) claims every query answerable.
+    fn vocab(&self) -> Option<u32> {
+        None
+    }
 }
 
 /// Shared handles answer like what they point to, so long-lived structures
@@ -103,6 +111,10 @@ impl<S: LearnedSetStructure> LearnedSetStructure for std::sync::Arc<S> {
 
     fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<S::Output>> {
         (**self).query_batch(queries)
+    }
+
+    fn vocab(&self) -> Option<u32> {
+        (**self).vocab()
     }
 }
 

@@ -157,6 +157,10 @@ impl LearnedSetStructure for ShardedCardinality {
         let per_shard = self.shards.iter().map(|m| m.query_batch(queries)).collect();
         aggregate_columns(per_shard, queries.len(), aggregate_cardinality)
     }
+
+    fn vocab(&self) -> Option<u32> {
+        self.shards.first()?.vocab()
+    }
 }
 
 /// One [`LearnedBloom`] per shard; membership is the OR across shards.
@@ -272,6 +276,10 @@ impl LearnedSetStructure for ShardedBloom {
     fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<bool>> {
         let per_shard = self.shards.iter().map(|m| m.query_batch(queries)).collect();
         aggregate_columns(per_shard, queries.len(), aggregate_bloom)
+    }
+
+    fn vocab(&self) -> Option<u32> {
+        self.shards.first()?.vocab()
     }
 }
 
@@ -426,6 +434,10 @@ impl LearnedSetStructure for ShardedIndexStructure {
         aggregate_columns(per_shard, queries.len(), |parts| {
             aggregate_index(self.target, parts)
         })
+    }
+
+    fn vocab(&self) -> Option<u32> {
+        self.shards.first()?.structure.vocab()
     }
 }
 

@@ -20,6 +20,10 @@ pub enum ServeError {
     /// The worker survives (the panic is caught) and the whole batch is
     /// failed with this error.
     TaskPanicked,
+    /// The query is outside what the served structure can answer — empty,
+    /// or naming an element id past the tenant's vocabulary — so it was
+    /// refused before admission. The rest of its frame is answered.
+    InvalidQuery,
 }
 
 impl ServeError {
@@ -30,6 +34,7 @@ impl ServeError {
             ServeError::ShuttingDown => "shutting_down",
             ServeError::WorkerLost => "worker_lost",
             ServeError::TaskPanicked => "task_panicked",
+            ServeError::InvalidQuery => "invalid_query",
         }
     }
 
@@ -43,6 +48,7 @@ impl ServeError {
             ServeError::ShuttingDown => 2,
             ServeError::WorkerLost => 3,
             ServeError::TaskPanicked => 4,
+            ServeError::InvalidQuery => 5,
         }
     }
 
@@ -53,6 +59,7 @@ impl ServeError {
             2 => Some(ServeError::ShuttingDown),
             3 => Some(ServeError::WorkerLost),
             4 => Some(ServeError::TaskPanicked),
+            5 => Some(ServeError::InvalidQuery),
             _ => None,
         }
     }
@@ -69,6 +76,7 @@ impl ServeError {
             ServeError::ShuttingDown => std::io::ErrorKind::ConnectionAborted,
             ServeError::WorkerLost => std::io::ErrorKind::BrokenPipe,
             ServeError::TaskPanicked => std::io::ErrorKind::Other,
+            ServeError::InvalidQuery => std::io::ErrorKind::InvalidInput,
         }
     }
 }
@@ -89,6 +97,9 @@ impl fmt::Display for ServeError {
             ServeError::ShuttingDown => write!(f, "runtime is shutting down"),
             ServeError::WorkerLost => write!(f, "serving worker lost before answering"),
             ServeError::TaskPanicked => write!(f, "task panicked while serving the batch"),
+            ServeError::InvalidQuery => {
+                write!(f, "query refused: empty or outside the collection's vocabulary")
+            }
         }
     }
 }
@@ -105,6 +116,7 @@ mod tests {
         assert_eq!(ServeError::ShuttingDown.label(), "shutting_down");
         assert_eq!(ServeError::WorkerLost.label(), "worker_lost");
         assert_eq!(ServeError::TaskPanicked.label(), "task_panicked");
+        assert_eq!(ServeError::InvalidQuery.label(), "invalid_query");
     }
 
     #[test]
@@ -114,6 +126,7 @@ mod tests {
             ServeError::ShuttingDown,
             ServeError::WorkerLost,
             ServeError::TaskPanicked,
+            ServeError::InvalidQuery,
         ] {
             assert_eq!(ServeError::from_code(e.code()), Some(e));
             assert!(e.code() < 16, "serve codes stay below the protocol range");

@@ -33,13 +33,12 @@ use crate::proto::{
     decode_admin_ack, decode_collection_name, decode_collections_reply, decode_health_report,
     decode_ingest_ack, decode_ingest_request, decode_request_batch, decode_response_batch,
     decode_stats_reply, decode_stats_request, encode_collection_name, encode_collections_reply,
-    encode_error_response, encode_frame, encode_frame_echoing, encode_frame_v2,
-    encode_health_report, encode_health_report_v2, encode_ingest_ack, encode_ingest_request,
-    encode_request_batch_traced, encode_response_batch, encode_stats_reply, encode_stats_request,
-    read_frame, CollectionInfo, ErrorCode, Frame, HealthReport, IngestAck, IngestRequest,
-    ProtoError, StatsFormat, WireOutcome, ADMIN_KIND_MAX, ADMIN_KIND_MIN,
-    DEFAULT_MAX_FRAME_BYTES, HEADER_LEN, KIND_ATTACH, KIND_COLLECTIONS, KIND_DETACH, KIND_HEALTH,
-    KIND_INGEST, KIND_PING, KIND_SHUTDOWN, KIND_STATS, MAGIC, VERSION, VERSION_V2,
+    encode_error_response, encode_frame_v2, encode_health_report, encode_ingest_ack,
+    encode_ingest_request, encode_request_batch_traced, encode_response_batch,
+    encode_stats_reply, encode_stats_request, read_frame, read_frame_or_reject, CollectionInfo,
+    ErrorCode, Frame, HealthReport, IngestAck, IngestRequest, ProtoError, StatsFormat,
+    WireOutcome, ADMIN_KIND_MAX, ADMIN_KIND_MIN, DEFAULT_MAX_FRAME_BYTES, KIND_ATTACH,
+    KIND_COLLECTIONS, KIND_DETACH, KIND_HEALTH, KIND_INGEST, KIND_PING, KIND_SHUTDOWN, KIND_STATS,
 };
 use crate::registry::{AdminError, CollectionRegistry, ResolveError, Resident};
 use crate::request::RequestCtx;
@@ -125,20 +124,9 @@ pub trait WireBackend: Send + Sync {
     /// Bulk-admits the batch (one queue-lock acquisition on the runtime
     /// side), returning exactly one ticket per query in order. A shed or
     /// refused query yields a ticket that resolves to its [`ServeError`].
-    fn submit_wire(&self, sets: Vec<ElementSet>) -> Vec<WireTicket>;
-
-    /// Like [`WireBackend::submit_wire`], threading a shared tracing
-    /// context so workers record their queue-wait / batch-wait / inference
-    /// stages into the request's breakdown. The default ignores the context
-    /// — tracing degrades, serving does not.
-    fn submit_wire_traced(
-        &self,
-        sets: Vec<ElementSet>,
-        ctx: Option<Arc<RequestCtx>>,
-    ) -> Vec<WireTicket> {
-        let _ = ctx;
-        self.submit_wire(sets)
-    }
+    /// With a tracing context, workers record their queue-wait /
+    /// batch-wait / inference stages into the request's breakdown.
+    fn submit_wire(&self, sets: Vec<ElementSet>, ctx: Option<Arc<RequestCtx>>) -> Vec<WireTicket>;
 
     /// Applies one durable mutation. The default refuses with
     /// [`ErrorCode::IngestUnsupported`]: plain model-serving backends are
@@ -153,11 +141,6 @@ pub trait WireBackend: Send + Sync {
     /// not expose a queue.
     fn queue_stats(&self) -> (usize, usize) {
         (0, 0)
-    }
-
-    /// Hot-swap version of the served model (0 = never swapped).
-    fn model_version(&self) -> u64 {
-        0
     }
 
     /// Mutations awaiting compaction (compactor lag); 0 when immutable.
@@ -187,24 +170,12 @@ impl WireBackend for MutableBackend {
         self.inner.wire_task()
     }
 
-    fn submit_wire(&self, sets: Vec<ElementSet>) -> Vec<WireTicket> {
-        self.inner.submit_wire(sets)
-    }
-
-    fn submit_wire_traced(
-        &self,
-        sets: Vec<ElementSet>,
-        ctx: Option<Arc<RequestCtx>>,
-    ) -> Vec<WireTicket> {
-        self.inner.submit_wire_traced(sets, ctx)
+    fn submit_wire(&self, sets: Vec<ElementSet>, ctx: Option<Arc<RequestCtx>>) -> Vec<WireTicket> {
+        self.inner.submit_wire(sets, ctx)
     }
 
     fn queue_stats(&self) -> (usize, usize) {
         self.inner.queue_stats()
-    }
-
-    fn model_version(&self) -> u64 {
-        self.inner.model_version()
     }
 
     fn pending_ingest(&self) -> u64 {
@@ -238,19 +209,35 @@ where
         wire_task_of::<S>()
     }
 
-    fn submit_wire(&self, sets: Vec<ElementSet>) -> Vec<WireTicket> {
-        self.submit_wire_traced(sets, None)
-    }
-
-    fn submit_wire_traced(
-        &self,
-        sets: Vec<ElementSet>,
-        ctx: Option<Arc<RequestCtx>>,
-    ) -> Vec<WireTicket> {
-        self.submit_many_traced(sets.into_iter().map(|s| (s, ctx.clone())))
-            .into_iter()
-            .map(|outcome| -> WireTicket {
-                match outcome {
+    /// Every reader's one door to a served structure, so the one place a
+    /// query the model cannot answer is refused: an empty set, or one
+    /// naming an id past the vocabulary (on a canonical set, its last id),
+    /// resolves to [`ServeError::InvalidQuery`] without being admitted,
+    /// and the rest of the batch is answered as if it were alone.
+    fn submit_wire(&self, sets: Vec<ElementSet>, ctx: Option<Arc<RequestCtx>>) -> Vec<WireTicket> {
+        let vocab = self.model().load().structure.vocab();
+        let answerable = |set: &ElementSet| {
+            vocab.is_none_or(|vocab| set.last().is_some_and(|&last| last < vocab))
+        };
+        let count = sets.len();
+        // Positions of the refused queries: allocated only when one is.
+        let mut refused = Vec::new();
+        let requests = sets.into_iter().enumerate().filter_map(|(i, set)| {
+            if answerable(&set) {
+                Some((set, ctx.clone()))
+            } else {
+                refused.push(i);
+                None
+            }
+        });
+        let mut admitted = self.submit_many_traced(requests).into_iter();
+        let mut refused = refused.into_iter().peekable();
+        (0..count)
+            .map(|i| -> WireTicket {
+                if refused.next_if_eq(&i).is_some() {
+                    return Box::new(|| Err(ServeError::InvalidQuery));
+                }
+                match admitted.next().expect("one admission outcome per answerable query") {
                     Ok(ticket) => Box::new(move || ticket.wait().map(QueryResponse::from)),
                     Err(e) => Box::new(move || Err(e)),
                 }
@@ -260,10 +247,6 @@ where
 
     fn queue_stats(&self) -> (usize, usize) {
         (self.queue_depth(), self.queue_capacity())
-    }
-
-    fn model_version(&self) -> u64 {
-        self.model().version()
     }
 }
 
@@ -306,9 +289,9 @@ impl fmt::Debug for NetServer {
 
 impl NetServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serves
-    /// every collection in `registry`: SLP1 v2 frames route by their
-    /// collection id (loading checkpoints lazily), v1 frames route to the
-    /// registry's default collection, and the collection admin frames
+    /// every collection in `registry`: frames route by their collection id
+    /// (loading checkpoints lazily), an empty id routes to the registry's
+    /// default collection, and the collection admin frames
     /// (list/attach/detach) are live.
     pub fn bind_registry(
         addr: impl ToSocketAddrs,
@@ -431,7 +414,7 @@ fn accept_loop(
 /// Outcome of trying to read one frame off a polled connection.
 enum FrameRead {
     /// A complete, CRC-verified frame.
-    Frame(crate::proto::Frame),
+    Frame(Frame),
     /// The connection is done: clean EOF at a frame boundary, shutdown
     /// observed while idle, idle/stall timeout, or transport error. The
     /// handler exits without a response.
@@ -448,118 +431,76 @@ enum FrameRead {
     },
 }
 
-/// Reads exactly `buf.len()` bytes with the poll-tick read timeout doing the
-/// shutdown checks. `None` means the connection is done (EOF at offset 0,
-/// shutdown while idle, idle/stall timeout, or I/O error); mid-frame EOF and
-/// stalls also land there — a half-sent frame gets no response.
-fn read_exact_polling(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
+/// A connection's read side for one frame: a [`Read`] whose blocking waits
+/// wake every poll tick, so [`crate::proto`]'s frame decoder reads a socket
+/// that still honours shutdown and the stall timeout. Before the frame's
+/// first byte, a raised shutdown flag ends the read (an idle connection
+/// closes); once a byte has arrived the frame is read to completion even
+/// during a drain — it was accepted, so it will be answered. No progress
+/// for `read_timeout` ends the read too; a half-sent frame gets no answer.
+struct PolledRead<'a> {
+    stream: &'a mut TcpStream,
+    shutdown: &'a AtomicBool,
     read_timeout: Duration,
-    may_idle_exit: bool,
-) -> Option<()> {
-    let mut off = 0;
-    let mut last_progress = Instant::now();
-    while off < buf.len() {
-        if off == 0 && may_idle_exit && shutdown.load(Ordering::SeqCst) {
-            return None;
-        }
-        match stream.read(&mut buf[off..]) {
-            Ok(0) => return None,
-            Ok(n) => {
-                off += n;
-                last_progress = Instant::now();
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if last_progress.elapsed() >= read_timeout {
-                    return None;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return None,
-        }
-    }
-    Some(())
+    last_progress: Instant,
+    bytes: usize,
 }
 
-/// Reads one frame with polling, size-cap, and CRC checks. Mirrors
-/// [`crate::proto::read_frame`] but never blocks past a poll tick without
-/// checking the shutdown flag, and maps malformed input to [`FrameRead::Refuse`]
-/// so the peer learns *why* it is being disconnected.
+impl Read for PolledRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            if self.bytes == 0 && self.shutdown.load(Ordering::SeqCst) {
+                return Err(io::ErrorKind::ConnectionAborted.into());
+            }
+            match self.stream.read(buf) {
+                Ok(n) => {
+                    self.bytes += n;
+                    self.last_progress = Instant::now();
+                    return Ok(n);
+                }
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+                        && self.last_progress.elapsed() < self.read_timeout => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// Reads one frame through the protocol's own decoder, polling for
+/// shutdown, and maps a malformed frame to [`FrameRead::Refuse`] so the
+/// peer learns *why* it is being disconnected.
 fn read_frame_polling(
     stream: &mut TcpStream,
     config: &NetConfig,
     shutdown: &AtomicBool,
     tele: &NetTele,
 ) -> FrameRead {
-    let mut header = [0u8; HEADER_LEN];
-    if read_exact_polling(stream, &mut header, shutdown, config.read_timeout, true).is_none() {
-        return FrameRead::Closed;
-    }
-    let magic: [u8; 4] = header[0..4].try_into().expect("fixed slice");
-    if magic != MAGIC {
-        tele.record_protocol_error(ErrorCode::BadFrame);
-        return FrameRead::Refuse { kind: 0, id: 0, code: ErrorCode::BadFrame };
-    }
-    let kind = header[5];
-    let id = u64::from_le_bytes(header[6..14].try_into().expect("fixed slice"));
-    let version = header[4];
-    if version != VERSION && version != VERSION_V2 {
-        tele.record_protocol_error(ErrorCode::UnsupportedVersion);
-        return FrameRead::Refuse { kind, id, code: ErrorCode::UnsupportedVersion };
-    }
-    let len = u32::from_le_bytes(header[14..18].try_into().expect("fixed slice")) as usize;
-    let declared_crc = u32::from_le_bytes(header[18..22].try_into().expect("fixed slice"));
-    if len > config.max_frame_bytes {
-        tele.record_protocol_error(ErrorCode::FrameTooLarge);
-        return FrameRead::Refuse { kind, id, code: ErrorCode::FrameTooLarge };
-    }
-    let mut payload = vec![0u8; len];
-    // A frame whose header already arrived gets read to completion even
-    // during a drain: it was accepted, so it will be answered.
-    if read_exact_polling(stream, &mut payload, shutdown, config.read_timeout, false).is_none() {
-        return FrameRead::Closed;
-    }
-    tele.record_bytes_in(HEADER_LEN + len);
-    if setlearn::persist::crc32(&payload) != declared_crc {
-        tele.record_protocol_error(ErrorCode::BadFrame);
-        return FrameRead::Refuse { kind, id, code: ErrorCode::BadFrame };
-    }
-    // A v2 payload opens with the length-prefixed collection id (covered by
-    // the CRC above); a truncated or garbled field is a typed BadFrame, not
-    // a hang or a misparse of the remaining body.
-    let collection = if version == VERSION_V2 {
-        let mut input = payload.as_slice();
-        match setlearn::wire::decode_collection_id(&mut input) {
-            Ok(collection) => {
-                payload = input.to_vec();
-                collection
-            }
-            Err(_) => {
-                tele.record_protocol_error(ErrorCode::BadFrame);
-                return FrameRead::Refuse { kind, id, code: ErrorCode::BadFrame };
-            }
-        }
-    } else {
-        None
+    let mut read = PolledRead {
+        stream,
+        shutdown,
+        read_timeout: config.read_timeout,
+        last_progress: Instant::now(),
+        bytes: 0,
     };
-    FrameRead::Frame(Frame { version, kind, id, collection, payload })
+    let result = read_frame_or_reject(&mut read, config.max_frame_bytes);
+    tele.record_bytes_in(read.bytes);
+    let rejected = match result {
+        Ok(frame) => return FrameRead::Frame(frame),
+        Err(rejected) => rejected,
+    };
+    let code = match rejected.error {
+        ProtoError::Io(_) => return FrameRead::Closed,
+        ProtoError::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
+        ProtoError::FrameTooLarge { .. } => ErrorCode::FrameTooLarge,
+        _ => ErrorCode::BadFrame,
+    };
+    tele.record_protocol_error(code);
+    FrameRead::Refuse { kind: rejected.kind, id: rejected.id, code }
 }
 
-/// Writes a v1 frame, counting the bytes. Returns `false` when the
-/// connection should close (write failure or timeout). Used for refusals
-/// where no decoded request frame exists to echo.
-fn write_response(stream: &mut TcpStream, kind: u8, id: u64, payload: &[u8], tele: &NetTele) -> bool {
-    write_bytes(stream, encode_frame(kind, id, payload), tele)
-}
-
-/// Writes a response echoing `request`'s version (and, for v2, its
-/// collection id), so v1 clients keep receiving bit-identical v1 frames
-/// while v2 clients can match responses to the collection they addressed.
+/// Writes a response addressed like `request` — its id and collection — so
+/// a client can match it to the frame it sent.
 fn write_response_to(
     stream: &mut TcpStream,
     request: &Frame,
@@ -567,7 +508,8 @@ fn write_response_to(
     payload: &[u8],
     tele: &NetTele,
 ) -> bool {
-    write_bytes(stream, encode_frame_echoing(request, kind, payload), tele)
+    let bytes = encode_frame_v2(kind, request.id, request.collection.as_deref(), payload);
+    write_bytes(stream, bytes, tele)
 }
 
 fn write_bytes(stream: &mut TcpStream, bytes: Vec<u8>, tele: &NetTele) -> bool {
@@ -584,9 +526,8 @@ fn write_bytes(stream: &mut TcpStream, bytes: Vec<u8>, tele: &NetTele) -> bool {
 ///
 /// Verdict rules (see `DESIGN.md` §13): the server is *not ready* while
 /// draining or while the most saturated resident admission queue is ≥90%
-/// full. WAL tail truncations,
-/// compactor lag, and a never-swapped model are evidence (reasons) but do
-/// not by themselves flip readiness.
+/// full. WAL tail truncations and compactor lag are evidence (reasons) but
+/// do not by themselves flip readiness.
 fn health_report(shared: &ServerShared) -> HealthReport {
     let registry = &shared.registry;
     let (depth, capacity) = registry.worst_queue();
@@ -615,11 +556,8 @@ fn health_report(shared: &ServerShared) -> HealthReport {
         draining,
         queue_depth: depth as u64,
         queue_capacity: capacity as u64,
-        // Per-collection facts; the server-wide report has no single value.
-        shards: 1,
         wal_truncations,
         compactor_pending,
-        model_version: 0,
         reasons,
         resident_collections: registry.resident_count(),
         collection_pending,
@@ -656,7 +594,8 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
             FrameRead::Frame(frame) => frame,
             FrameRead::Closed => break,
             FrameRead::Refuse { kind, id, code } => {
-                let _ = write_response(&mut stream, kind, id, &encode_error_response(code), tele);
+                let refusal = encode_frame_v2(kind, id, None, &encode_error_response(code));
+                let _ = write_bytes(&mut stream, refusal, tele);
                 break;
             }
         };
@@ -689,15 +628,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
                 }
             }
             KIND_HEALTH => {
-                let report = health_report(&shared);
-                // A v2 client gets the extended body (resident collections,
-                // per-collection pending ops); a v1 client gets the exact
-                // pre-registry byte layout.
-                let payload = if frame.version == VERSION_V2 {
-                    encode_health_report_v2(&report)
-                } else {
-                    encode_health_report(&report)
-                };
+                let payload = encode_health_report(&health_report(&shared));
                 if !write_response_to(&mut stream, &frame, KIND_HEALTH, &payload, tele) {
                     break;
                 }
@@ -926,7 +857,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
                 ctx.record_stage(Stage::Decode, decode);
                 ftele.record_stage(Stage::Decode, decode);
                 let admit_start = Instant::now();
-                let tickets = backend.submit_wire_traced(sets, Some(Arc::clone(&ctx)));
+                let tickets = backend.submit_wire(sets, Some(Arc::clone(&ctx)));
                 let admitted = admit_start.elapsed();
                 ctx.record_stage(Stage::Admission, admitted);
                 ftele.record_stage(Stage::Admission, admitted);
@@ -1073,11 +1004,10 @@ impl NetClient {
         Ok(NetClient { stream, next_id: 1, max_frame_bytes: DEFAULT_MAX_FRAME_BYTES, collection: None })
     }
 
-    /// Addresses every subsequent frame at the named collection on a
-    /// multi-tenant server: frames are encoded as `SLP1` v2 with the
-    /// collection id riding the payload. With `None` (the default) the
-    /// client speaks plain v1 — bit-for-bit what pre-registry clients sent —
-    /// and a multi-tenant server routes it to its default collection.
+    /// Addresses every subsequent frame at the named collection: the
+    /// collection id rides each frame's payload. With `None` (the default)
+    /// frames carry an empty id, which the server routes to its default
+    /// collection.
     pub fn set_collection(&mut self, collection: Option<String>) {
         self.collection = collection;
     }
@@ -1092,10 +1022,7 @@ impl NetClient {
     fn roundtrip(&mut self, kind: u8, payload: &[u8]) -> Result<Vec<u8>, NetError> {
         let id = self.next_id;
         self.next_id += 1;
-        let bytes = match &self.collection {
-            Some(collection) => encode_frame_v2(kind, id, Some(collection), payload),
-            None => encode_frame(kind, id, payload),
-        };
+        let bytes = encode_frame_v2(kind, id, self.collection.as_deref(), payload);
         self.stream.write_all(&bytes)?;
         self.stream.flush()?;
         let frame = read_frame(&mut self.stream, self.max_frame_bytes)?;
@@ -1159,27 +1086,6 @@ impl NetClient {
     pub fn health(&mut self) -> Result<HealthReport, NetError> {
         let payload = self.roundtrip(KIND_HEALTH, &[])?;
         Ok(decode_health_report(&payload)?)
-    }
-
-    /// [`NetClient::health`] over a v2 frame even when no collection is
-    /// set (an empty collection id routes to the default): the reply then
-    /// carries the tenant-state extension — resident-collection count and
-    /// per-collection pending-ingest — which v1 replies omit for byte
-    /// compatibility.
-    pub fn health_extended(&mut self) -> Result<HealthReport, NetError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let bytes = encode_frame_v2(KIND_HEALTH, id, self.collection.as_deref(), &[]);
-        self.stream.write_all(&bytes)?;
-        self.stream.flush()?;
-        let frame = read_frame(&mut self.stream, self.max_frame_bytes)?;
-        if frame.id != id {
-            return Err(NetError::IdMismatch { sent: id, got: frame.id });
-        }
-        if frame.kind != KIND_HEALTH {
-            return Err(NetError::KindMismatch { sent: KIND_HEALTH, got: frame.kind });
-        }
-        Ok(decode_health_report(&frame.payload)?)
     }
 
     /// Single-query convenience over [`NetClient::query_batch`].

@@ -5,60 +5,49 @@
 //!
 //! ```text
 //! magic   "SLP1"        4 bytes   protocol identity
-//! version u8            1 byte    protocol revision (currently 1)
+//! version u8            1 byte    protocol revision (VERSION = 2)
 //! kind    u8            1 byte    task kind or control kind (see below)
 //! id      u64           8 bytes   request id, echoed verbatim in responses
 //! len     u32           4 bytes   payload length in bytes
 //! crc32   u32           4 bytes   CRC-32 (IEEE) over the payload
-//! payload len bytes
+//! payload len bytes     collection id (u8 length + that many
+//!                       [A-Za-z0-9_-] bytes), then the kind's body
 //! ```
 //!
 //! Kinds `0..=2` are the [`WireTask`] codes (a query frame); `0xF0` is ping
-//! and `0xF1` is a shutdown request. The CRC covers the payload exactly like
-//! the `SLW2` weight format, so truncation and bit flips surface as typed
-//! [`ProtoError`]s instead of garbage queries.
-//!
-//! ## Version 2: collection addressing
-//!
-//! A v2 frame is byte-identical to v1 except the version byte is `2` and
-//! the payload *opens* with a length-prefixed collection id (`u8` length,
-//! then that many `[A-Za-z0-9_-]` bytes; length 0 = the server's default
-//! collection). The CRC covers the collection field together with the rest
-//! of the payload, so a flipped bit in the id surfaces as
-//! [`ProtoError::BadCrc`] before routing. Responses echo the request's
-//! version and collection. v1 frames remain fully decodable and route to
-//! the default collection, preserving pre-v2 clients bit-for-bit.
+//! and `0xF1` is a shutdown request. The CRC covers the whole payload —
+//! collection id included — exactly like the `SLW2` weight format, so
+//! truncation and bit flips surface as typed [`ProtoError`]s instead of
+//! garbage queries or a misrouted frame. An empty collection id (length 0)
+//! addresses the server's default collection. Responses echo the request's
+//! kind, id and collection.
 //!
 //! ## Payloads
 //!
-//! A **request** payload is a query batch: `u32` count, then that many
-//! [`QueryRequest`] bodies. A **response** payload opens with one status
+//! A **request** body is a query batch: `u32` count, then that many
+//! [`QueryRequest`] bodies. A **response** body opens with one status
 //! byte: `0` means the batch was decoded and each query gets its own
 //! `status` byte (`0` + a [`QueryResponse`] body, or a nonzero
 //! [`ErrorCode`] — so a shed query is distinguishable from a panicked one
 //! *per query*); a nonzero frame status is a frame-level [`ErrorCode`] and
-//! ends the payload. Control frames (ping/shutdown) carry empty payloads
-//! and are answered with an empty payload of the same kind.
+//! ends the payload. Control frames (ping/shutdown) carry empty bodies
+//! and are answered with an empty batch of the same kind.
 //!
 //! Versioning: the magic pins the protocol family, the version byte the
-//! revision. A server refuses frames whose version it does not speak with
-//! [`ErrorCode::UnsupportedVersion`] (see `DESIGN.md` §11 for the
-//! compatibility story).
+//! revision. There is one revision; a server refuses any other version
+//! byte with [`ErrorCode::UnsupportedVersion`] (see `DESIGN.md` §11).
 
 use crate::error::ServeError;
 use setlearn::persist::crc32;
 use setlearn::wire::{QueryRequest, QueryResponse, WireDecodeError, WireTask};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Protocol magic: `SLP1`.
 pub const MAGIC: [u8; 4] = *b"SLP1";
-/// Original protocol version: no collection addressing; frames route to
-/// the server's default collection.
-pub const VERSION: u8 = 1;
-/// Protocol version 2: every payload opens with a length-prefixed
-/// collection id (see the module docs).
-pub const VERSION_V2: u8 = 2;
+/// The protocol revision this side speaks: every payload opens with a
+/// length-prefixed collection id (see the module docs).
+pub const VERSION: u8 = 2;
 /// Header bytes before the payload.
 pub const HEADER_LEN: usize = 22;
 /// Frame kind: ingest — one durable insert/delete against a mutable
@@ -73,11 +62,9 @@ pub const KIND_INGEST: u8 = 0x10;
 pub const KIND_STATS: u8 = 0xE0;
 /// Frame kind: health probe — returns a readiness verdict
 /// ([`HealthReport`]: drain state, queue saturation, WAL truncations,
-/// compactor lag, model version).
+/// compactor lag, resident collections).
 pub const KIND_HEALTH: u8 = 0xE1;
 /// Frame kind: list the registry's collections ([`CollectionInfo`] rows).
-/// Registry servers only; single-collection servers refuse with
-/// [`ErrorCode::AdminUnsupported`].
 pub const KIND_COLLECTIONS: u8 = 0xE2;
 /// Frame kind: attach a collection by name — the server validates its
 /// directory under the collections root and registers it (the checkpoint
@@ -140,7 +127,7 @@ impl fmt::Display for ProtoError {
             ProtoError::Io(e) => write!(f, "io error: {e}"),
             ProtoError::BadMagic(m) => write!(f, "bad magic {m:02x?} (want \"SLP1\")"),
             ProtoError::UnsupportedVersion(v) => {
-                write!(f, "unsupported protocol version {v} (speak {VERSION} and {VERSION_V2})")
+                write!(f, "unsupported protocol version {v} (speak {VERSION})")
             }
             ProtoError::FrameTooLarge { len, max } => {
                 write!(f, "frame payload of {len} bytes exceeds the {max}-byte cap")
@@ -173,7 +160,8 @@ impl From<WireDecodeError> for ProtoError {
 /// [`ServeError`] codes (runtime outcomes); 16+ are protocol-level refusals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
-    /// A [`ServeError`] produced by the runtime (shed, drain, panic, lost).
+    /// A [`ServeError`] produced by the runtime (shed, drain, panic, lost,
+    /// unanswerable query).
     Serve(ServeError),
     /// The frame addressed a task this server is not serving.
     TaskMismatch,
@@ -185,8 +173,7 @@ pub enum ErrorCode {
     UnsupportedVersion,
     /// A shutdown frame arrived but remote shutdown is not allowed.
     ShutdownNotAllowed,
-    /// An ingest frame arrived but this server serves an immutable model
-    /// (no `--wal-dir`).
+    /// An ingest frame addressed an immutable collection (no `wal/`).
     IngestUnsupported,
     /// The mutation was rejected before logging (empty set, out-of-vocab
     /// element) — nothing was made durable.
@@ -197,8 +184,8 @@ pub enum ErrorCode {
     /// Distinct from [`ErrorCode::BadFrame`] so probing a newer admin kind
     /// against an older server is a typed refusal, not stream corruption.
     AdminUnsupported,
-    /// The frame addressed a collection this server does not host (or a
-    /// v2 collection id was sent to a single-collection server).
+    /// The frame addressed a collection this server does not host (or an
+    /// empty collection id reached a server with no default collection).
     UnknownCollection,
     /// The collection's per-tenant admission quota is exhausted. Distinct
     /// from [`ServeError::Overloaded`] (global queue shed): *this* tenant
@@ -281,21 +268,18 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// One decoded frame: version, kind byte, request id, collection address
-/// (v2 only), raw payload (CRC-verified, collection field stripped).
+/// One decoded frame: kind byte, request id, collection address, raw body
+/// (CRC-verified, collection field stripped).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// Protocol version the frame arrived as ([`VERSION`] or
-    /// [`VERSION_V2`]). Responders echo it.
-    pub version: u8,
     /// Task code (`0..=2`) or control kind (`0xF0` ping, `0xF1` shutdown).
     pub kind: u8,
     /// Request id, echoed verbatim by the responder.
     pub id: u64,
-    /// The collection the frame addresses. `None` for v1 frames and for
-    /// v2 frames with a zero-length id — both mean the default collection.
+    /// The collection the frame addresses; `None` for an empty id, which
+    /// means the default collection.
     pub collection: Option<String>,
-    /// CRC-verified payload bytes (v2: after the collection field).
+    /// CRC-verified body bytes (the payload after the collection field).
     pub payload: Vec<u8>,
 }
 
@@ -306,96 +290,81 @@ impl Frame {
     }
 }
 
-/// Serializes one v1 frame (header + payload) into a fresh buffer. Kept
-/// byte-for-byte identical to the pre-v2 encoding: everything a v1-only
-/// client sends goes through here.
-pub fn encode_frame(kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
-    encode_frame_with(VERSION, kind, id, payload)
-}
-
-/// Serializes one v2 frame: the payload is prefixed with the
-/// length-prefixed collection id (`None` or `Some("")` → length 0, the
-/// default collection) and the CRC covers both.
+/// Serializes one frame: the body is prefixed with the length-prefixed
+/// collection id (`None` or `Some("")` → length 0, the default collection)
+/// and the CRC covers both.
 pub fn encode_frame_v2(kind: u8, id: u64, collection: Option<&str>, payload: &[u8]) -> Vec<u8> {
     let name = collection.unwrap_or("");
     let mut full = Vec::with_capacity(1 + name.len() + payload.len());
     setlearn::wire::encode_collection_id(&mut full, name);
     full.extend_from_slice(payload);
-    encode_frame_with(VERSION_V2, kind, id, &full)
-}
-
-fn encode_frame_with(version: u8, kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    let mut out = Vec::with_capacity(HEADER_LEN + full.len());
     out.extend_from_slice(&MAGIC);
-    out.push(version);
+    out.push(VERSION);
     out.push(kind);
     out.extend_from_slice(&id.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&(full.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&full).to_le_bytes());
+    out.extend_from_slice(&full);
     out
 }
 
-/// Re-encodes a frame in the same version (and, for v2, to the same
-/// collection) as `request` — the server's way of answering a client in
-/// the dialect it spoke.
-pub fn encode_frame_echoing(request: &Frame, kind: u8, payload: &[u8]) -> Vec<u8> {
-    if request.version == VERSION_V2 {
-        encode_frame_v2(kind, request.id, request.collection.as_deref(), payload)
-    } else {
-        encode_frame(kind, request.id, payload)
-    }
-}
-
-/// Writes one v1 frame to `w` (single `write_all`, so small frames are one
-/// syscall with a buffered writer). Returns the bytes written.
-pub fn write_frame(w: &mut impl Write, kind: u8, id: u64, payload: &[u8]) -> io::Result<usize> {
-    let bytes = encode_frame(kind, id, payload);
-    w.write_all(&bytes)?;
-    Ok(bytes.len())
-}
-
 /// Reads exactly one frame from `r`, verifying magic, version, size cap and
-/// CRC. The version check happens *before* the length is trusted, and the
-/// length check before anything is allocated, so a hostile peer cannot make
-/// the server allocate unbounded memory or misparse a future revision.
-/// Speaks [`VERSION`] and [`VERSION_V2`]; a v2 frame's collection field is
-/// validated and stripped here, so a malformed id is
+/// CRC, and stripping the collection id. The version check happens
+/// *before* the length is trusted, and the length check before anything is
+/// allocated, so a hostile peer cannot make the server allocate unbounded
+/// memory or misparse another revision. A malformed collection id is
 /// [`ProtoError::BadPayload`] (or [`ProtoError::BadCrc`] if bits flipped),
 /// never a misparse of the body.
 pub fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<Frame, ProtoError> {
+    read_frame_or_reject(r, max_payload).map_err(|rejected| rejected.error)
+}
+
+/// A frame [`read_frame_or_reject`] refused, with the kind and id its
+/// header named (both 0 when the header was unreadable or not `SLP1`), so
+/// a server can address the refusal to the request.
+pub(crate) struct Rejected {
+    pub(crate) error: ProtoError,
+    pub(crate) kind: u8,
+    pub(crate) id: u64,
+}
+
+/// The one frame decoder, shared by [`read_frame`] and the server's polled
+/// connection reader: every header, CRC and collection-id check lives here.
+pub(crate) fn read_frame_or_reject(
+    r: &mut impl Read,
+    max_payload: usize,
+) -> Result<Frame, Rejected> {
     let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
+    let unaddressed = |error: ProtoError| Rejected { error, kind: 0, id: 0 };
+    r.read_exact(&mut header).map_err(|e| unaddressed(e.into()))?;
     let magic: [u8; 4] = header[0..4].try_into().expect("fixed slice");
     if magic != MAGIC {
-        return Err(ProtoError::BadMagic(magic));
-    }
-    let version = header[4];
-    if version != VERSION && version != VERSION_V2 {
-        return Err(ProtoError::UnsupportedVersion(version));
+        return Err(unaddressed(ProtoError::BadMagic(magic)));
     }
     let kind = header[5];
     let id = u64::from_le_bytes(header[6..14].try_into().expect("fixed slice"));
+    let reject = |error: ProtoError| Rejected { error, kind, id };
+    if header[4] != VERSION {
+        return Err(reject(ProtoError::UnsupportedVersion(header[4])));
+    }
     let len = u32::from_le_bytes(header[14..18].try_into().expect("fixed slice")) as usize;
     let declared = u32::from_le_bytes(header[18..22].try_into().expect("fixed slice"));
     if len > max_payload {
-        return Err(ProtoError::FrameTooLarge { len, max: max_payload });
+        return Err(reject(ProtoError::FrameTooLarge { len, max: max_payload }));
     }
     let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    r.read_exact(&mut payload).map_err(|e| reject(e.into()))?;
     let actual = crc32(&payload);
     if actual != declared {
-        return Err(ProtoError::BadCrc { declared, actual });
+        return Err(reject(ProtoError::BadCrc { declared, actual }));
     }
-    let collection = if version == VERSION_V2 {
-        let mut rest = payload.as_slice();
-        let collection = setlearn::wire::decode_collection_id(&mut rest)?;
-        payload = rest.to_vec();
-        collection
-    } else {
-        None
-    };
-    Ok(Frame { version, kind, id, collection, payload })
+    let mut body = payload.as_slice();
+    let collection =
+        setlearn::wire::decode_collection_id(&mut body).map_err(|e| reject(e.into()))?;
+    let id_len = len - body.len();
+    payload.drain(..id_len);
+    Ok(Frame { kind, id, collection, payload })
 }
 
 // ---------------------------------------------------------------------------
@@ -477,15 +446,7 @@ pub fn encode_error_response(code: ErrorCode) -> Vec<u8> {
 /// Decodes a response payload: either the per-query outcomes or the
 /// frame-level error, surfaced as [`ProtoError::Remote`].
 pub fn decode_response_batch(mut payload: &[u8]) -> Result<Vec<WireOutcome>, ProtoError> {
-    let status = take_status(&mut payload)?;
-    if status != 0 {
-        let code = ErrorCode::from_code(status)
-            .ok_or(ProtoError::BadPayload(WireDecodeError::BadTag {
-                what: "frame status",
-                tag: status,
-            }))?;
-        return Err(ProtoError::Remote(code));
-    }
+    take_reply_status(&mut payload, "frame status")?;
     let count = take_count(&mut payload, "batch")?;
     let mut outcomes = Vec::with_capacity(count);
     for _ in 0..count {
@@ -493,10 +454,7 @@ pub fn decode_response_batch(mut payload: &[u8]) -> Result<Vec<WireOutcome>, Pro
         if status == 0 {
             outcomes.push(Ok(QueryResponse::decode(&mut payload)?));
         } else {
-            let code = ErrorCode::from_code(status).ok_or(ProtoError::BadPayload(
-                WireDecodeError::BadTag { what: "query status", tag: status },
-            ))?;
-            outcomes.push(Err(code));
+            outcomes.push(Err(error_code(status, "query status")?));
         }
     }
     expect_consumed(payload)?;
@@ -572,27 +530,10 @@ pub fn encode_ingest_ack(ack: IngestAck) -> Vec<u8> {
 /// Decodes an ingest response payload; a nonzero status surfaces as
 /// [`ProtoError::Remote`].
 pub fn decode_ingest_ack(mut payload: &[u8]) -> Result<IngestAck, ProtoError> {
-    let status = take_status(&mut payload)?;
-    if status != 0 {
-        let code = ErrorCode::from_code(status).ok_or(ProtoError::BadPayload(
-            WireDecodeError::BadTag { what: "ingest status", tag: status },
-        ))?;
-        return Err(ProtoError::Remote(code));
-    }
-    let applied = match take_status(&mut payload)? {
-        0 => false,
-        1 => true,
-        tag => {
-            return Err(ProtoError::BadPayload(WireDecodeError::BadTag {
-                what: "ingest applied flag",
-                tag,
-            }))
-        }
-    };
-    if payload.len() != 8 {
-        return Err(ProtoError::BadPayload(WireDecodeError::Truncated));
-    }
-    let seq = u64::from_le_bytes(payload.try_into().expect("checked length"));
+    take_reply_status(&mut payload, "ingest status")?;
+    let applied = take_bool(&mut payload, "ingest applied flag")?;
+    let seq = take_u64(&mut payload)?;
+    expect_consumed(payload)?;
     Ok(IngestAck { seq, applied })
 }
 
@@ -661,13 +602,7 @@ pub fn encode_stats_reply(text: &str) -> Vec<u8> {
 /// Decodes a stats response payload; a nonzero status surfaces as
 /// [`ProtoError::Remote`].
 pub fn decode_stats_reply(mut payload: &[u8]) -> Result<String, ProtoError> {
-    let status = take_status(&mut payload)?;
-    if status != 0 {
-        let code = ErrorCode::from_code(status).ok_or(ProtoError::BadPayload(
-            WireDecodeError::BadTag { what: "stats status", tag: status },
-        ))?;
-        return Err(ProtoError::Remote(code));
-    }
+    take_reply_status(&mut payload, "stats status")?;
     if payload.len() < 4 {
         return Err(ProtoError::BadPayload(WireDecodeError::Truncated));
     }
@@ -720,19 +655,11 @@ pub fn encode_collections_reply(rows: &[CollectionInfo]) -> Vec<u8> {
 /// Decodes a collections-list reply; a nonzero status surfaces as
 /// [`ProtoError::Remote`].
 pub fn decode_collections_reply(mut payload: &[u8]) -> Result<Vec<CollectionInfo>, ProtoError> {
-    let status = take_status(&mut payload)?;
-    if status != 0 {
-        let code = ErrorCode::from_code(status).ok_or(ProtoError::BadPayload(
-            WireDecodeError::BadTag { what: "collections status", tag: status },
-        ))?;
-        return Err(ProtoError::Remote(code));
-    }
+    take_reply_status(&mut payload, "collections status")?;
     let count = take_count(&mut payload, "collections")?;
     let mut rows = Vec::with_capacity(count);
     for _ in 0..count {
-        let name = setlearn::wire::decode_collection_id(&mut payload)?.ok_or(
-            ProtoError::BadPayload(WireDecodeError::BadLength { what: "collection name", len: 0 }),
-        )?;
+        let name = take_collection_name(&mut payload)?;
         let code = take_status(&mut payload)?;
         let task = WireTask::from_code(code)
             .ok_or(ProtoError::BadPayload(WireDecodeError::BadTag { what: "task", tag: code }))?;
@@ -754,9 +681,7 @@ pub fn encode_collection_name(name: &str) -> Vec<u8> {
 
 /// Decodes an attach/detach request body.
 pub fn decode_collection_name(mut payload: &[u8]) -> Result<String, ProtoError> {
-    let name = setlearn::wire::decode_collection_id(&mut payload)?.ok_or(
-        ProtoError::BadPayload(WireDecodeError::BadLength { what: "collection name", len: 0 }),
-    )?;
+    let name = take_collection_name(&mut payload)?;
     expect_consumed(payload)?;
     Ok(name)
 }
@@ -764,13 +689,7 @@ pub fn decode_collection_name(mut payload: &[u8]) -> Result<String, ProtoError> 
 /// Decodes an attach/detach acknowledgement: an empty-bodied status-0
 /// payload, or a frame-level error surfaced as [`ProtoError::Remote`].
 pub fn decode_admin_ack(mut payload: &[u8]) -> Result<(), ProtoError> {
-    let status = take_status(&mut payload)?;
-    if status != 0 {
-        let code = ErrorCode::from_code(status).ok_or(ProtoError::BadPayload(
-            WireDecodeError::BadTag { what: "admin status", tag: status },
-        ))?;
-        return Err(ProtoError::Remote(code));
-    }
+    take_reply_status(&mut payload, "admin status")?;
     expect_consumed(payload)?;
     Ok(())
 }
@@ -792,64 +711,112 @@ pub struct HealthReport {
     pub queue_depth: u64,
     /// That queue's capacity.
     pub queue_capacity: u64,
-    /// Always 1: a field of the fixed wire layout, kept for old peers.
-    pub shards: u32,
     /// WAL tail truncations observed at recovery (process lifetime).
     pub wal_truncations: u64,
-    /// Mutations in the delta overlay awaiting compaction (0 when immutable).
+    /// Mutations in the delta overlays awaiting compaction, summed over
+    /// the resident collections (0 when all are immutable).
     pub compactor_pending: u64,
-    /// Hot-swap version of the served model (0 = never swapped).
-    pub model_version: u64,
     /// Human-readable degradation reasons, empty when fully healthy.
     pub reasons: Vec<String>,
-    /// Collections currently resident in the registry (1 for a
-    /// single-collection server; 0 when the peer predates this field).
+    /// Collections currently resident in the registry.
     pub resident_collections: u32,
     /// Per-collection pending-ingest depth (WAL ops awaiting compaction),
-    /// resident collections only. Empty when the peer predates this field.
+    /// resident collections only.
     pub collection_pending: Vec<(String, u64)>,
 }
 
-/// Encodes an OK health response payload in the v1 body layout — without
-/// the tenant-state extension — for byte-compatibility with pre-v2
-/// clients.
+/// Encodes an OK health response payload: status 0, the ready and
+/// draining flags, queue depth and capacity, WAL truncations, compactor
+/// lag, the count-prefixed reasons, then the resident-collection count and
+/// the count-prefixed per-collection pending ingest.
 pub fn encode_health_report(report: &HealthReport) -> Vec<u8> {
-    encode_health_body(report, false)
-}
-
-/// Encodes an OK health response payload including the tenant-state
-/// extension (resident-collection count, per-collection pending ingest).
-/// Sent to v2 clients.
-pub fn encode_health_report_v2(report: &HealthReport) -> Vec<u8> {
-    encode_health_body(report, true)
-}
-
-fn encode_health_body(report: &HealthReport, extended: bool) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.push(0);
     out.push(u8::from(report.ready));
     out.push(u8::from(report.draining));
     out.extend_from_slice(&report.queue_depth.to_le_bytes());
     out.extend_from_slice(&report.queue_capacity.to_le_bytes());
-    out.extend_from_slice(&report.shards.to_le_bytes());
     out.extend_from_slice(&report.wal_truncations.to_le_bytes());
     out.extend_from_slice(&report.compactor_pending.to_le_bytes());
-    out.extend_from_slice(&report.model_version.to_le_bytes());
     out.extend_from_slice(&(report.reasons.len() as u32).to_le_bytes());
     for reason in &report.reasons {
         let bytes = reason.as_bytes();
         out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
         out.extend_from_slice(bytes);
     }
-    if extended {
-        out.extend_from_slice(&report.resident_collections.to_le_bytes());
-        out.extend_from_slice(&(report.collection_pending.len() as u32).to_le_bytes());
-        for (name, pending) in &report.collection_pending {
-            setlearn::wire::encode_collection_id(&mut out, name);
-            out.extend_from_slice(&pending.to_le_bytes());
-        }
+    out.extend_from_slice(&report.resident_collections.to_le_bytes());
+    out.extend_from_slice(&(report.collection_pending.len() as u32).to_le_bytes());
+    for (name, pending) in &report.collection_pending {
+        setlearn::wire::encode_collection_id(&mut out, name);
+        out.extend_from_slice(&pending.to_le_bytes());
     }
     out
+}
+
+/// Decodes a health response payload; a nonzero status surfaces as
+/// [`ProtoError::Remote`].
+pub fn decode_health_report(mut payload: &[u8]) -> Result<HealthReport, ProtoError> {
+    take_reply_status(&mut payload, "health status")?;
+    let ready = take_bool(&mut payload, "health ready flag")?;
+    let draining = take_bool(&mut payload, "health draining flag")?;
+    let queue_depth = take_u64(&mut payload)?;
+    let queue_capacity = take_u64(&mut payload)?;
+    let wal_truncations = take_u64(&mut payload)?;
+    let compactor_pending = take_u64(&mut payload)?;
+    let reason_count = take_count(&mut payload, "health reasons")?;
+    let mut reasons = Vec::with_capacity(reason_count);
+    for _ in 0..reason_count {
+        let len = take_count(&mut payload, "health reason")?;
+        if payload.len() < len {
+            return Err(ProtoError::BadPayload(WireDecodeError::Truncated));
+        }
+        let (head, rest) = payload.split_at(len);
+        payload = rest;
+        reasons.push(String::from_utf8(head.to_vec()).map_err(|_| {
+            ProtoError::BadPayload(WireDecodeError::BadTag { what: "health reason utf8", tag: 0 })
+        })?);
+    }
+    let resident_collections = take_count(&mut payload, "resident collections")? as u32;
+    let count = take_count(&mut payload, "collection pending")?;
+    let mut collection_pending = Vec::with_capacity(count);
+    for _ in 0..count {
+        collection_pending.push((take_collection_name(&mut payload)?, take_u64(&mut payload)?));
+    }
+    expect_consumed(payload)?;
+    Ok(HealthReport {
+        ready,
+        draining,
+        queue_depth,
+        queue_capacity,
+        wal_truncations,
+        compactor_pending,
+        reasons,
+        resident_collections,
+        collection_pending,
+    })
+}
+
+/// Opens a reply payload: status 0 continues with the body; a nonzero
+/// status is the peer's frame-level refusal, [`ProtoError::Remote`].
+fn take_reply_status(payload: &mut &[u8], what: &'static str) -> Result<(), ProtoError> {
+    match take_status(payload)? {
+        0 => Ok(()),
+        status => Err(ProtoError::Remote(error_code(status, what)?)),
+    }
+}
+
+/// A nonzero status byte as its [`ErrorCode`]; a code this side does not
+/// know is a bad tag, so new codes fail loudly.
+fn error_code(status: u8, what: &'static str) -> Result<ErrorCode, ProtoError> {
+    ErrorCode::from_code(status)
+        .ok_or(ProtoError::BadPayload(WireDecodeError::BadTag { what, tag: status }))
+}
+
+/// A length-prefixed collection name that must not be empty.
+fn take_collection_name(payload: &mut &[u8]) -> Result<String, ProtoError> {
+    setlearn::wire::decode_collection_id(payload)?.ok_or(ProtoError::BadPayload(
+        WireDecodeError::BadLength { what: "collection name", len: 0 },
+    ))
 }
 
 fn take_bool(payload: &mut &[u8], what: &'static str) -> Result<bool, ProtoError> {
@@ -867,72 +834,6 @@ fn take_u64(payload: &mut &[u8]) -> Result<u64, ProtoError> {
     let (head, rest) = payload.split_at(8);
     *payload = rest;
     Ok(u64::from_le_bytes(head.try_into().expect("split_at(8)")))
-}
-
-/// Decodes a health response payload; a nonzero status surfaces as
-/// [`ProtoError::Remote`].
-pub fn decode_health_report(mut payload: &[u8]) -> Result<HealthReport, ProtoError> {
-    let status = take_status(&mut payload)?;
-    if status != 0 {
-        let code = ErrorCode::from_code(status).ok_or(ProtoError::BadPayload(
-            WireDecodeError::BadTag { what: "health status", tag: status },
-        ))?;
-        return Err(ProtoError::Remote(code));
-    }
-    let ready = take_bool(&mut payload, "health ready flag")?;
-    let draining = take_bool(&mut payload, "health draining flag")?;
-    let queue_depth = take_u64(&mut payload)?;
-    let queue_capacity = take_u64(&mut payload)?;
-    let shards = take_count(&mut payload, "health shards")? as u32;
-    let wal_truncations = take_u64(&mut payload)?;
-    let compactor_pending = take_u64(&mut payload)?;
-    let model_version = take_u64(&mut payload)?;
-    let reason_count = take_count(&mut payload, "health reasons")?;
-    let mut reasons = Vec::with_capacity(reason_count);
-    for _ in 0..reason_count {
-        let len = take_count(&mut payload, "health reason")?;
-        if payload.len() < len {
-            return Err(ProtoError::BadPayload(WireDecodeError::Truncated));
-        }
-        let (head, rest) = payload.split_at(len);
-        payload = rest;
-        reasons.push(String::from_utf8(head.to_vec()).map_err(|_| {
-            ProtoError::BadPayload(WireDecodeError::BadTag { what: "health reason utf8", tag: 0 })
-        })?);
-    }
-    // Tenant-state extension: absent entirely in a v1 body (old server),
-    // present in full after the reasons otherwise.
-    let (resident_collections, collection_pending) = if payload.is_empty() {
-        (0, Vec::new())
-    } else {
-        let resident = take_count(&mut payload, "resident collections")? as u32;
-        let count = take_count(&mut payload, "collection pending")?;
-        let mut pending = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name = setlearn::wire::decode_collection_id(&mut payload)?.ok_or(
-                ProtoError::BadPayload(WireDecodeError::BadLength {
-                    what: "collection name",
-                    len: 0,
-                }),
-            )?;
-            pending.push((name, take_u64(&mut payload)?));
-        }
-        (resident, pending)
-    };
-    expect_consumed(payload)?;
-    Ok(HealthReport {
-        ready,
-        draining,
-        queue_depth,
-        queue_capacity,
-        shards,
-        wal_truncations,
-        compactor_pending,
-        model_version,
-        reasons,
-        resident_collections,
-        collection_pending,
-    })
 }
 
 fn take_status(payload: &mut &[u8]) -> Result<u8, ProtoError> {
@@ -979,9 +880,7 @@ mod tests {
             QueryRequest::new(vec![]),
             QueryRequest::new(vec![u32::MAX]),
         ]);
-        let mut buf = Vec::new();
-        let n = write_frame(&mut buf, WireTask::Bloom.code(), 77, &payload).unwrap();
-        assert_eq!(n, buf.len());
+        let buf = encode_frame_v2(WireTask::Bloom.code(), 77, None, &payload);
         let frame = read_frame(&mut buf.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
         assert_eq!(frame.kind, WireTask::Bloom.code());
         assert_eq!(frame.task(), Some(WireTask::Bloom));
@@ -1037,60 +936,36 @@ mod tests {
             draining: true,
             queue_depth: 12,
             queue_capacity: 1024,
-            shards: 4,
             wal_truncations: 1,
             compactor_pending: 37,
-            model_version: 9,
             reasons: vec!["draining".to_string(), "compactor lag: 37 pending ops".to_string()],
             resident_collections: 2,
             collection_pending: vec![("tenant-a".to_string(), 37), ("tenant-b".to_string(), 0)],
         };
-        // The v2 body carries the tenant-state extension through intact.
-        let payload = encode_health_report_v2(&report);
+        let payload = encode_health_report(&report);
         assert_eq!(decode_health_report(&payload).unwrap(), report);
-        // The v1 body drops it; decoding yields the "not reported" defaults.
-        let v1_payload = encode_health_report(&report);
-        assert!(v1_payload.len() < payload.len());
-        let via_v1 = decode_health_report(&v1_payload).unwrap();
-        assert_eq!(via_v1.resident_collections, 0);
-        assert!(via_v1.collection_pending.is_empty());
-        assert_eq!(via_v1.queue_depth, report.queue_depth);
-        assert_eq!(via_v1.reasons, report.reasons);
 
         let healthy = HealthReport {
             ready: true,
             draining: false,
             queue_depth: 0,
             queue_capacity: 1024,
-            shards: 1,
             wal_truncations: 0,
             compactor_pending: 0,
-            model_version: 0,
             reasons: vec![],
             resident_collections: 1,
             collection_pending: vec![],
         };
-        let payload = encode_health_report_v2(&healthy);
-        assert_eq!(decode_health_report(&payload).unwrap(), healthy);
+        assert_eq!(decode_health_report(&encode_health_report(&healthy)).unwrap(), healthy);
 
         match decode_health_report(&encode_error_response(ErrorCode::AdminUnsupported)) {
             Err(ProtoError::Remote(ErrorCode::AdminUnsupported)) => {}
             other => panic!("expected remote admin_unsupported, got {other:?}"),
         }
-        // Truncation anywhere is a typed error or a lenient v1-body parse,
-        // never a panic. (Cuts that land exactly at the end of the reasons
-        // list *are* a valid v1 body — those decode with defaulted
-        // extension fields rather than erroring.)
-        let v1_len = encode_health_report(&healthy).len();
-        let payload = encode_health_report_v2(&report);
+        // One body layout: truncation anywhere is a typed error, never a
+        // panic or a shorter body that happens to parse.
         for cut in 0..payload.len() {
-            match decode_health_report(&payload[..cut]) {
-                Err(_) => {}
-                Ok(r) => {
-                    assert_eq!(r.resident_collections, 0, "cut {cut} parsed as v1 body");
-                    assert!(cut >= v1_len, "cut {cut} too short for any valid body");
-                }
-            }
+            assert!(decode_health_report(&payload[..cut]).is_err(), "cut {cut}");
         }
     }
 
@@ -1135,37 +1010,42 @@ mod tests {
         }
     }
 
-    #[test]
-    fn v2_frames_carry_a_collection_and_v1_frames_stay_identical() {
-        let payload = encode_request_batch(&[QueryRequest::new(vec![1, 2, 3])]);
-        // A v1 frame decodes with no collection and version 1.
-        let v1 = encode_frame(0, 7, &payload);
-        let frame = read_frame(&mut v1.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
-        assert_eq!(frame.version, VERSION);
-        assert_eq!(frame.collection, None);
-        assert_eq!(frame.payload, payload);
-        // A v2 frame round-trips its collection id and strips it from the
-        // payload the caller sees.
-        let v2 = encode_frame_v2(0, 7, Some("tenant-a"), &payload);
-        let frame = read_frame(&mut v2.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
-        assert_eq!(frame.version, VERSION_V2);
-        assert_eq!(frame.collection.as_deref(), Some("tenant-a"));
-        assert_eq!(frame.payload, payload);
-        // Empty-id v2 frames mean "default collection".
-        let v2_default = encode_frame_v2(0, 7, None, &payload);
-        let frame = read_frame(&mut v2_default.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
-        assert_eq!(frame.version, VERSION_V2);
-        assert_eq!(frame.collection, None);
-        assert_eq!(frame.payload, payload);
-        // Echoing re-encodes in the request's dialect.
-        let req = read_frame(&mut v2.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
-        assert_eq!(encode_frame_echoing(&req, 0, &payload), v2);
-        let req = read_frame(&mut v1.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
-        assert_eq!(encode_frame_echoing(&req, 0, &payload), v1);
+    /// A structurally valid frame (magic, version, CRC) around an
+    /// arbitrary payload, collection field included.
+    fn raw_frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&[VERSION, 0]);
+        out.extend_from_slice(&1u64.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
     }
 
     #[test]
-    fn corrupted_v2_collection_fields_fail_typed() {
+    fn frames_carry_a_collection_and_strip_it_from_the_payload() {
+        let payload = encode_request_batch(&[QueryRequest::new(vec![1, 2, 3])]);
+        // A named collection round-trips and is stripped from the payload
+        // the caller sees.
+        let named = encode_frame_v2(0, 7, Some("tenant-a"), &payload);
+        assert_eq!(named[4], VERSION);
+        let frame = read_frame(&mut named.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
+        assert_eq!(frame.collection.as_deref(), Some("tenant-a"));
+        assert_eq!(frame.payload, payload);
+        // An empty id means "default collection".
+        let default = encode_frame_v2(0, 7, None, &payload);
+        assert_eq!(default, encode_frame_v2(0, 7, Some(""), &payload));
+        let frame = read_frame(&mut default.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
+        assert_eq!(frame.collection, None);
+        assert_eq!(frame.payload, payload);
+        // Layout: header, a zero id length, then the body verbatim.
+        assert_eq!(default.len(), HEADER_LEN + 1 + payload.len());
+        assert_eq!(default[HEADER_LEN], 0);
+        assert_eq!(&default[HEADER_LEN + 1..], payload.as_slice());
+    }
+
+    #[test]
+    fn corrupted_collection_fields_fail_typed() {
         let payload = encode_request_batch(&[QueryRequest::new(vec![9])]);
         let good = encode_frame_v2(0, 1, Some("tenant-a"), &payload);
         // Any flipped bit in the collection field trips the CRC.
@@ -1181,24 +1061,21 @@ mod tests {
         let mut over = Vec::new();
         over.push(200u8); // declared id length > MAX_COLLECTION_ID_LEN
         over.extend_from_slice(&payload);
-        let framed = encode_frame_with(VERSION_V2, 0, 1, &over);
         assert!(matches!(
-            read_frame(&mut framed.as_slice(), DEFAULT_MAX_FRAME_BYTES),
+            read_frame(&mut raw_frame(&over).as_slice(), DEFAULT_MAX_FRAME_BYTES),
             Err(ProtoError::BadPayload(WireDecodeError::BadLength { .. }))
         ));
         // A CRC-consistent id that overruns the payload is truncation.
-        let truncated = encode_frame_with(VERSION_V2, 0, 1, &[5, b'a', b'b']);
         assert!(matches!(
-            read_frame(&mut truncated.as_slice(), DEFAULT_MAX_FRAME_BYTES),
+            read_frame(&mut raw_frame(&[5, b'a', b'b']).as_slice(), DEFAULT_MAX_FRAME_BYTES),
             Err(ProtoError::BadPayload(WireDecodeError::Truncated))
         ));
         // An id with bytes outside the alphabet is rejected.
         let mut spaced = Vec::new();
         spaced.extend_from_slice(&[3, b'a', b' ', b'b']);
         spaced.extend_from_slice(&payload);
-        let framed = encode_frame_with(VERSION_V2, 0, 1, &spaced);
         assert!(matches!(
-            read_frame(&mut framed.as_slice(), DEFAULT_MAX_FRAME_BYTES),
+            read_frame(&mut raw_frame(&spaced).as_slice(), DEFAULT_MAX_FRAME_BYTES),
             Err(ProtoError::BadPayload(WireDecodeError::BadTag { .. }))
         ));
         // Truncating the stream anywhere is Io(UnexpectedEof), not a panic.
@@ -1215,7 +1092,7 @@ mod tests {
     #[test]
     fn corrupted_frames_are_rejected_typed() {
         let payload = encode_request_batch(&[QueryRequest::new(vec![9])]);
-        let good = encode_frame(0, 1, &payload);
+        let good = encode_frame_v2(0, 1, None, &payload);
 
         // Flipped payload bit → BadCrc.
         let mut flipped = good.clone();
@@ -1233,13 +1110,15 @@ mod tests {
             Err(ProtoError::BadMagic(_))
         ));
 
-        // Future version.
-        let mut version = good.clone();
-        version[4] = 9;
-        assert!(matches!(
-            read_frame(&mut version.as_slice(), DEFAULT_MAX_FRAME_BYTES),
-            Err(ProtoError::UnsupportedVersion(9))
-        ));
+        // Any version but ours: the retired first revision and a future one.
+        for other in [1, 9] {
+            let mut version = good.clone();
+            version[4] = other;
+            match read_frame(&mut version.as_slice(), DEFAULT_MAX_FRAME_BYTES) {
+                Err(ProtoError::UnsupportedVersion(v)) => assert_eq!(v, other),
+                got => panic!("version {other}: expected unsupported, got {got:?}"),
+            }
+        }
 
         // Oversized declared payload is refused before allocation.
         assert!(matches!(

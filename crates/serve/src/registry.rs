@@ -75,8 +75,8 @@ impl QuotaConfig {
 pub struct RegistryConfig {
     /// Collections root: `<root>/<name>/manifest.json` + checkpoints.
     pub root: PathBuf,
-    /// Collection served to v1 clients and v2 frames with an empty
-    /// collection id. `None` refuses unaddressed frames with
+    /// Collection that frames with an empty collection id (clients that
+    /// name none) are routed to. `None` refuses such frames with
     /// `UnknownCollection`.
     pub default_collection: Option<String>,
     /// LRU byte budget over resident collections (on-disk checkpoint size
@@ -307,7 +307,7 @@ impl CollectionRegistry {
         &self.config.root
     }
 
-    /// The collection unaddressed (v1 or empty-id v2) frames route to.
+    /// The collection empty-id frames route to.
     pub fn default_collection(&self) -> Option<&str> {
         self.config.default_collection.as_deref()
     }
@@ -903,7 +903,7 @@ mod tests {
         // Served answers match direct structure queries bit-for-bit.
         let query = setlearn_data::normalize(vec![1, 2]);
         let direct = est.query(&query).value;
-        let tickets = resident.backend().submit_wire(vec![query]);
+        let tickets = resident.backend().submit_wire(vec![query], None);
         for ticket in tickets {
             let response = ticket().unwrap();
             match response.value {
@@ -1031,7 +1031,7 @@ mod tests {
     fn answers(resident: &Resident, queries: &[ElementSet]) -> Vec<QueryValue> {
         queries
             .chunks(32)
-            .flat_map(|batch| resident.backend().submit_wire(batch.to_vec()))
+            .flat_map(|batch| resident.backend().submit_wire(batch.to_vec(), None))
             .map(|ticket| ticket().unwrap().value)
             .collect()
     }
@@ -1046,7 +1046,7 @@ mod tests {
     {
         let served: Vec<QueryResponse> = queries
             .chunks(32)
-            .flat_map(|batch| resident.backend().submit_wire(batch.to_vec()))
+            .flat_map(|batch| resident.backend().submit_wire(batch.to_vec(), None))
             .map(|ticket| ticket().unwrap())
             .collect();
         let direct: Vec<QueryResponse> =
@@ -1203,12 +1203,18 @@ mod tests {
             let registry = CollectionRegistry::new(config);
             for name in tenants {
                 let resident = registry.resolve(Some(name)).unwrap();
+                // The compactor counts its publish after it lands.
+                let swaps = setlearn_obs::metrics().counter_with(
+                    "setlearn_serve_swaps_total",
+                    &[("task", resident.task().label()), ("collection", name)],
+                );
+                let published = swaps.get();
                 resident
                     .backend()
                     .submit_ingest(IngestRequest { delete: false, elements: inserted.clone() })
                     .unwrap();
                 let deadline = Instant::now() + Duration::from_secs(120);
-                while resident.pending_ingest() > 0 || resident.backend().model_version() == 0 {
+                while resident.pending_ingest() > 0 || swaps.get() == published {
                     assert!(Instant::now() < deadline, "{name} never compacted (round {round})");
                     std::thread::sleep(Duration::from_millis(20));
                 }

@@ -6,8 +6,8 @@ use setlearn_serve::{CollectionRegistry, RegistryConfig};
 use std::sync::Arc;
 
 /// The front-end over one injected backend: a registry (rooted nowhere)
-/// whose only collection is `backend`, made the default so that plain v1
-/// clients reach it.
+/// whose only collection is `backend`, made the default so that clients
+/// naming no collection reach it.
 pub fn serve_backend(backend: Arc<dyn WireBackend>, config: NetConfig) -> NetServer {
     let mut registry = RegistryConfig::new("/nonexistent");
     registry.default_collection = Some("solo".into());

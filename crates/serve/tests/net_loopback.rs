@@ -11,8 +11,8 @@ use setlearn::tasks::{LearnedSetStructure, QueryOutcome};
 use setlearn::wire::{QueryRequest, QueryValue, WireTask};
 use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer};
 use setlearn_serve::proto::{
-    decode_response_batch, encode_frame, encode_request_batch, read_frame, ErrorCode, ProtoError,
-    HEADER_LEN, VERSION_V2,
+    decode_response_batch, encode_frame_v2, encode_request_batch, read_frame, ErrorCode,
+    ProtoError, HEADER_LEN, VERSION,
 };
 use setlearn_serve::{ServeConfig, ServeError, ServeRuntime, StructureTask};
 use setlearn_data::ElementSet;
@@ -192,7 +192,8 @@ fn malformed_frames_get_typed_refusals() {
         let (server, runtime, addr) = start_server(config.clone());
         let mut raw = TcpStream::connect(addr).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut frame = encode_frame(0, 5, &encode_request_batch(&[QueryRequest::new(vec![1])]));
+        let mut frame =
+            encode_frame_v2(0, 5, None, &encode_request_batch(&[QueryRequest::new(vec![1])]));
         let last = frame.len() - 1;
         frame[last] ^= 0xFF;
         raw.write_all(&frame).unwrap();
@@ -205,18 +206,21 @@ fn malformed_frames_get_typed_refusals() {
         drop(runtime);
     }
 
-    // Unsupported version (one past the newest the server speaks).
-    {
+    // Unsupported versions: the retired first revision and one past the
+    // one the server speaks. The refusal is addressed to the request.
+    for version in [1, VERSION + 1] {
         let (server, runtime, addr) = start_server(config.clone());
         let mut raw = TcpStream::connect(addr).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut frame = encode_frame(0, 6, &encode_request_batch(&[QueryRequest::new(vec![1])]));
-        frame[4] = VERSION_V2 + 1;
+        let mut frame =
+            encode_frame_v2(0, 6, None, &encode_request_batch(&[QueryRequest::new(vec![1])]));
+        frame[4] = version;
         raw.write_all(&frame).unwrap();
         let resp = read_frame(&mut raw, 1 << 12).unwrap();
+        assert_eq!(resp.id, 6, "version {version} refusal echoes the request id");
         match decode_response_batch(&resp.payload) {
             Err(ProtoError::Remote(ErrorCode::UnsupportedVersion)) => {}
-            other => panic!("future version not refused typed: {other:?}"),
+            other => panic!("version {version} not refused typed: {other:?}"),
         }
         server.shutdown();
         drop(runtime);
@@ -228,7 +232,7 @@ fn malformed_frames_get_typed_refusals() {
         let (server, runtime, addr) = start_server(config.clone());
         let mut raw = TcpStream::connect(addr).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut header = encode_frame(0, 7, &[]);
+        let mut header = encode_frame_v2(0, 7, None, &[]);
         header[14..18].copy_from_slice(&(1u32 << 20).to_le_bytes());
         raw.write_all(&header[..HEADER_LEN]).unwrap();
         let resp = read_frame(&mut raw, 1 << 12).unwrap();
@@ -245,7 +249,7 @@ fn malformed_frames_get_typed_refusals() {
         let (server, runtime, addr) = start_server(config);
         let mut raw = TcpStream::connect(addr).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let frame = encode_frame(0, 8, &[0xFF; 13]);
+        let frame = encode_frame_v2(0, 8, None, &[0xFF; 13]);
         raw.write_all(&frame).unwrap();
         let resp = read_frame(&mut raw, 1 << 12).unwrap();
         match decode_response_batch(&resp.payload) {

@@ -12,7 +12,7 @@ use setlearn::wire::{QueryRequest, QueryValue, WireTask};
 use setlearn_obs::{parse_slow_jsonl, RecordKind};
 use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer};
 use setlearn_serve::proto::{
-    decode_response_batch, encode_frame, read_frame, ErrorCode, ProtoError, StatsFormat,
+    decode_response_batch, encode_frame_v2, read_frame, ErrorCode, ProtoError, StatsFormat,
 };
 use setlearn_serve::{ServeConfig, ServeRuntime, StructureTask};
 use std::io::Write;
@@ -173,7 +173,7 @@ fn health_reflects_drain_state_through_the_grace_window() {
     let report = client.health().unwrap();
     assert!(report.ready, "freshly started server is ready: {:?}", report.reasons);
     assert!(!report.draining);
-    assert_eq!(report.shards, 1);
+    assert_eq!(report.resident_collections, 1, "the injected backend is resident");
     assert!(report.queue_capacity >= report.queue_depth);
 
     client.shutdown_server().unwrap();
@@ -205,7 +205,7 @@ fn unknown_admin_kinds_are_refused_typed_and_the_connection_survives() {
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     // 0xEF is inside the reserved admin space but unknown to this server.
-    raw.write_all(&encode_frame(0xEF, 3, &[])).unwrap();
+    raw.write_all(&encode_frame_v2(0xEF, 3, None, &[])).unwrap();
     let resp = read_frame(&mut raw, 1 << 20).unwrap();
     assert_eq!(resp.kind, 0xEF, "refusal echoes the probed kind");
     match decode_response_batch(&resp.payload) {

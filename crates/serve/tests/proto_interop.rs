@@ -1,15 +1,16 @@
-//! `SLP1` v1 ⇄ v2 interop properties: v1 frames keep decoding exactly as
-//! before (no collection, byte-compatible layout), v2 frames round-trip
-//! their length-prefixed collection id, and corruption of the id region —
-//! truncation, oversized length, invalid bytes, bit flips — fails typed,
-//! never with a panic or a hang.
+//! `SLP1` collection-addressing properties: frames round-trip their
+//! length-prefixed collection id, a frame of any other protocol version
+//! (the retired first revision included) is refused typed, and corruption
+//! of the id region — truncation, oversized length, invalid bytes, bit
+//! flips — fails typed, never with a panic or a hang.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use setlearn::persist::crc32;
 use setlearn::wire::{QueryRequest, MAX_COLLECTION_ID_LEN};
 use setlearn_serve::proto::{
-    decode_request_batch, encode_frame, encode_frame_v2, encode_request_batch, read_frame,
-    ProtoError, DEFAULT_MAX_FRAME_BYTES, HEADER_LEN, VERSION, VERSION_V2,
+    decode_request_batch, encode_frame_v2, encode_request_batch, read_frame, ProtoError,
+    DEFAULT_MAX_FRAME_BYTES, MAGIC, VERSION,
 };
 
 const ID_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-";
@@ -35,8 +36,8 @@ fn v2_frames_roundtrip_collection_id_and_body() {
         let kind = rng.gen_range(0..3);
         let id = rng.gen::<u64>();
         let bytes = encode_frame_v2(kind, id, Some(&name), &body);
+        assert_eq!(bytes[4], VERSION);
         let frame = read_frame(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
-        assert_eq!(frame.version, VERSION_V2);
         assert_eq!(frame.kind, kind);
         assert_eq!(frame.id, id);
         assert_eq!(frame.collection.as_deref(), Some(name.as_str()));
@@ -51,22 +52,18 @@ fn v2_frames_roundtrip_collection_id_and_body() {
 }
 
 #[test]
-fn v1_frames_stay_bit_compatible_and_carry_no_collection() {
+fn a_version_1_frame_is_unsupported_version_1() {
     let mut rng = StdRng::seed_from_u64(0x52_02);
     for _ in 0..200 {
+        // A first-revision frame: the header, then the body verbatim, with
+        // no collection field. Nothing of it is parsed past the version.
         let body = random_body(&mut rng);
-        let kind = rng.gen_range(0..3);
-        let id = rng.gen::<u64>();
-        let bytes = encode_frame(kind, id, &body);
-        // Layout contract: header, then the body verbatim — nothing about
-        // the v2 extension leaks into v1 frames.
-        assert_eq!(bytes.len(), HEADER_LEN + body.len());
-        assert_eq!(&bytes[HEADER_LEN..], body.as_slice());
-        assert_eq!(bytes[4], VERSION);
-        let frame = read_frame(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
-        assert_eq!(frame.version, VERSION);
-        assert_eq!(frame.collection, None);
-        assert_eq!(frame.payload, body);
+        let mut bytes = raw_frame(rng.gen_range(0..3), rng.gen::<u64>(), &body);
+        bytes[4] = 1;
+        match read_frame(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES) {
+            Err(ProtoError::UnsupportedVersion(1)) => {}
+            other => panic!("version-1 frame not refused typed: {other:?}"),
+        }
     }
 }
 
@@ -75,18 +72,21 @@ fn empty_v2_collection_id_means_default_routing() {
     let body = encode_request_batch(&[QueryRequest::new(vec![1, 2, 3])]);
     let bytes = encode_frame_v2(0, 9, None, &body);
     let frame = read_frame(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
-    assert_eq!(frame.version, VERSION_V2);
     assert_eq!(frame.collection, None, "length-0 id routes to the default collection");
     assert_eq!(frame.payload, body);
 }
 
-/// Builds a structurally valid frame (magic, CRC) whose *payload* starts
-/// with arbitrary bytes, stamped with the v2 version. The CRC covers the
-/// payload only, so this isolates the collection-id validation layer from
-/// the CRC check.
-fn v2_frame_with_raw_payload(payload: &[u8]) -> Vec<u8> {
-    let mut bytes = encode_frame(0, 11, payload);
-    bytes[4] = VERSION_V2;
+/// Builds a structurally valid frame (magic, version, CRC) whose *payload*
+/// is arbitrary bytes — where the collection field belongs included. The
+/// CRC covers the payload, so this isolates the collection-id validation
+/// layer from the CRC check.
+fn raw_frame(kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend_from_slice(&[VERSION, kind]);
+    bytes.extend_from_slice(&id.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
     bytes
 }
 
@@ -96,7 +96,7 @@ fn truncated_collection_ids_fail_typed() {
     for claimed in [1usize, 5, 64] {
         let mut payload = vec![claimed as u8];
         payload.extend(std::iter::repeat_n(b'a', claimed.saturating_sub(1)));
-        let bytes = v2_frame_with_raw_payload(&payload);
+        let bytes = raw_frame(0, 11, &payload);
         match read_frame(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES) {
             Err(ProtoError::BadPayload(_)) => {}
             other => panic!("truncated id (claimed {claimed}) not refused typed: {other:?}"),
@@ -113,7 +113,7 @@ fn oversized_and_invalid_collection_ids_fail_typed() {
     let bad_char = vec![3u8, b'a', b'/', b'b'];
     let bad_utf8 = vec![2u8, 0xC3, 0x28];
     for payload in [oversized, bad_char, bad_utf8] {
-        let bytes = v2_frame_with_raw_payload(&payload);
+        let bytes = raw_frame(0, 11, &payload);
         match read_frame(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES) {
             Err(ProtoError::BadPayload(_)) => {}
             other => panic!("invalid collection id not refused typed: {other:?}"),
@@ -122,7 +122,7 @@ fn oversized_and_invalid_collection_ids_fail_typed() {
 }
 
 #[test]
-fn bit_flips_anywhere_in_a_v2_frame_never_panic() {
+fn bit_flips_anywhere_in_a_frame_never_panic() {
     let mut rng = StdRng::seed_from_u64(0x52_03);
     let body = encode_request_batch(&[QueryRequest::new(vec![7, 8, 9])]);
     let good = encode_frame_v2(0, 13, Some("tenant-a"), &body);
@@ -141,15 +141,15 @@ fn bit_flips_anywhere_in_a_v2_frame_never_panic() {
 }
 
 #[test]
-fn a_v1_body_reinterpreted_as_v2_cannot_hang_or_panic() {
-    // The failure mode this pins down: a v1 client's payload read through
-    // the v2 parser (first byte taken as an id length). Whatever the bytes,
-    // the parser must return promptly — either a typed error or a decoded
-    // frame whose body then fails batch validation — never block or panic.
+fn arbitrary_payloads_cannot_hang_or_panic() {
+    // Whatever the payload bytes — here a bare batch body, whose first byte
+    // the parser takes as an id length — the parser must return promptly:
+    // either a typed error or a decoded frame whose body then fails batch
+    // validation, never block or panic.
     let mut rng = StdRng::seed_from_u64(0x52_04);
     for _ in 0..300 {
         let body = random_body(&mut rng);
-        let bytes = v2_frame_with_raw_payload(&body);
+        let bytes = raw_frame(0, 11, &body);
         if let Ok(frame) = read_frame(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES) {
             let _ = decode_request_batch(&frame.payload);
         }

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 use setlearn::tasks::QueryOutcome;
 use setlearn::wire::{QueryRequest, QueryResponse, QueryValue};
 use setlearn_serve::proto::{
-    decode_request_batch, decode_response_batch, encode_frame, encode_request_batch,
+    decode_request_batch, decode_response_batch, encode_frame_v2, encode_request_batch,
     encode_response_batch, read_frame, ErrorCode, ProtoError, WireOutcome,
     DEFAULT_MAX_FRAME_BYTES, HEADER_LEN,
 };
@@ -101,7 +101,12 @@ fn truncated_frames_never_panic() {
     let mut rng = StdRng::seed_from_u64(0x51_b3);
     for _ in 0..50 {
         let batch: Vec<QueryRequest> = (0..rng.gen_range(1..8)).map(|_| random_request(&mut rng)).collect();
-        let frame = encode_frame(rng.gen_range(0..3), rng.gen::<u64>(), &encode_request_batch(&batch));
+        let frame = encode_frame_v2(
+            rng.gen_range(0..3),
+            rng.gen::<u64>(),
+            None,
+            &encode_request_batch(&batch),
+        );
         let cut = rng.gen_range(0..frame.len());
         match read_frame(&mut &frame[..cut], DEFAULT_MAX_FRAME_BYTES) {
             Err(ProtoError::Io(e)) => {
@@ -119,7 +124,7 @@ fn flipped_payload_bits_fail_the_crc() {
         let batch: Vec<QueryRequest> =
             (0..rng.gen_range(1..8)).map(|_| random_request(&mut rng)).collect();
         let payload = encode_request_batch(&batch);
-        let mut frame = encode_frame(0, 7, &payload);
+        let mut frame = encode_frame_v2(0, 7, None, &payload);
         // Flip one bit somewhere in the payload region.
         let idx = rng.gen_range(HEADER_LEN..frame.len());
         frame[idx] ^= 1u8 << rng.gen_range(0u32..8);
@@ -134,7 +139,7 @@ fn flipped_payload_bits_fail_the_crc() {
 fn mutated_headers_never_panic_and_oversize_is_refused_before_reading() {
     let mut rng = StdRng::seed_from_u64(0x51_b5);
     let payload = encode_request_batch(&[QueryRequest::new(vec![1, 2, 3])]);
-    let good = encode_frame(1, 9, &payload);
+    let good = encode_frame_v2(1, 9, None, &payload);
     for _ in 0..500 {
         let mut frame = good.clone();
         let idx = rng.gen_range(0..HEADER_LEN);
@@ -175,11 +180,11 @@ fn garbage_payload_in_a_valid_frame_is_rejected() {
     let mut rng = StdRng::seed_from_u64(0x51_b7);
     for _ in 0..100 {
         let len = rng.gen_range(1..128);
-        // Valid framing (magic, version, CRC all correct) around a payload
-        // that is not a well-formed batch: the frame layer accepts it, the
-        // body decoder refuses it.
+        // Valid framing (magic, version, CRC, collection id all correct)
+        // around a body that is not a well-formed batch: the frame layer
+        // accepts it, the body decoder refuses it.
         let garbage: Vec<u8> = (0..len).map(|_| rng.gen_range(0u8..=255)).collect();
-        let frame = encode_frame(0, 3, &garbage);
+        let frame = encode_frame_v2(0, 3, None, &garbage);
         let decoded = read_frame(&mut frame.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
         assert_eq!(decoded.payload, garbage);
         // Either decode fails, or (rarely) the bytes happen to parse — both

@@ -1,9 +1,9 @@
 //! End-to-end multi-tenant serving over loopback TCP: one registry server
 //! hosting several collections answers exactly like dedicated solo servers,
-//! v1 clients keep working against the default collection, admin frames
-//! manage residency over the wire, per-tenant quotas shed one tenant
-//! without touching another, and a served index tenant counts its bound
-//! misses.
+//! clients naming no collection get the default one, admin frames manage
+//! residency over the wire, per-tenant quotas shed one tenant without
+//! touching another, a query no model can answer is refused on its own,
+//! and a served index tenant counts its bound misses.
 
 mod common;
 
@@ -11,13 +11,16 @@ use setlearn::model::DeepSetsConfig;
 use setlearn::persist::{
     save_manifest, CollectionManifest, COLLECTION_MODEL, COLLECTION_SETS,
 };
-use setlearn::tasks::{CardinalityConfig, IndexConfig, LearnedCardinality, LearnedSetIndex};
-use setlearn::wire::{QueryRequest, QueryValue, WireTask};
+use setlearn::tasks::{
+    BloomConfig, CardinalityConfig, IndexConfig, IndexStructure, LearnedBloom,
+    LearnedCardinality, LearnedSetIndex, LearnedSetStructure,
+};
+use setlearn::wire::{QueryRequest, QueryResponse, QueryValue, WireTask};
 use setlearn_data::{normalize, ElementSet, GeneratorConfig, SetCollection};
 use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer};
-use setlearn_serve::proto::{ErrorCode, ProtoError};
+use setlearn_serve::proto::{ErrorCode, ProtoError, WireOutcome};
 use setlearn_serve::{
-    CardinalityTask, CollectionRegistry, QuotaConfig, RegistryConfig, ServeConfig,
+    CardinalityTask, CollectionRegistry, QuotaConfig, RegistryConfig, ServeConfig, ServeError,
     ServeRuntime,
 };
 use std::path::{Path, PathBuf};
@@ -161,13 +164,13 @@ fn registry_answers_each_tenant_bit_identically_to_solo_servers() {
     assert_eq!(got_a, want_a, "tenant-a through the registry diverged from its solo server");
     assert_eq!(got_b, want_b, "tenant-b through the registry diverged from its solo server");
 
-    // A plain v1 client (no collection set) rides to the default collection
-    // and sees tenant-a's answers unchanged.
-    let mut v1 = NetClient::connect(addr).unwrap();
-    v1.ping().unwrap();
+    // A client naming no collection sends an empty id, rides to the
+    // default collection and sees tenant-a's answers unchanged.
+    let mut unaddressed = NetClient::connect(addr).unwrap();
+    unaddressed.ping().unwrap();
     let got_default =
-        cardinalities(&v1.query_batch(WireTask::Cardinality, &queries).unwrap());
-    assert_eq!(got_default, want_a, "v1 default routing diverged from the solo server");
+        cardinalities(&unaddressed.query_batch(WireTask::Cardinality, &queries).unwrap());
+    assert_eq!(got_default, want_a, "empty-id default routing diverged from the solo server");
 
     server.shutdown();
     solo_a.shutdown();
@@ -236,8 +239,8 @@ fn admin_frames_list_attach_and_detach_over_the_wire() {
         other => panic!("attach of unknown collection: {other:?}"),
     }
 
-    // The extended health probe carries registry residency.
-    let report = admin.health_extended().unwrap();
+    // The health probe carries registry residency.
+    let report = admin.health().unwrap();
     assert!(report.resident_collections >= 1);
     assert!(report.collection_pending.iter().any(|(name, _)| name == "tenant-b"));
 
@@ -275,6 +278,89 @@ fn quota_exhaustion_sheds_one_tenant_while_the_other_answers() {
     assert!(outcomes[0].is_ok(), "tenant-b served while tenant-a is shed");
     // And it is not sticky: the refused tenant's connection still pings.
     client_a.ping().unwrap();
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+fn wire_bytes(response: &QueryResponse) -> Vec<u8> {
+    let mut out = Vec::new();
+    response.encode(&mut out);
+    out
+}
+
+/// Sends one frame mixing answerable queries with an out-of-vocabulary id,
+/// an empty set and `u32::MAX` to `name`, and checks each hostile query is
+/// refused on its own with `invalid_query` while every other query is
+/// answered bit-for-bit as `structure.query_batch` answers it alone.
+fn assert_refuses_hostile_queries<S>(addr: std::net::SocketAddr, name: &str, structure: &S)
+where
+    S: LearnedSetStructure,
+    QueryResponse: From<setlearn::tasks::QueryOutcome<S::Output>>,
+{
+    let vocab = structure.vocab().expect("a trained structure knows its vocabulary");
+    let frame = [
+        vec![1, 2],
+        vec![3, vocab],
+        vec![4],
+        vec![],
+        vec![u32::MAX, 0],
+        vec![vocab - 1, 5],
+    ];
+    let hostile = [1, 3, 4];
+    let answerable: Vec<ElementSet> = frame
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !hostile.contains(i))
+        .map(|(_, q)| normalize(q.clone()))
+        .collect();
+    let mut direct = structure.query_batch(&answerable).into_iter().map(QueryResponse::from);
+    let requests: Vec<QueryRequest> = frame.iter().cloned().map(QueryRequest::new).collect();
+    let task: WireTask = S::NAME.parse().unwrap();
+    let mut client = NetClient::connect(addr).unwrap().with_collection(name);
+    let outcomes: Vec<WireOutcome> = client.query_batch(task, &requests).unwrap();
+    for (i, outcome) in outcomes.iter().enumerate() {
+        if hostile.contains(&i) {
+            assert_eq!(outcome, &Err(ErrorCode::Serve(ServeError::InvalidQuery)), "{name} #{i}");
+        } else {
+            let served = outcome.as_ref().unwrap_or_else(|e| panic!("{name} #{i}: {e}"));
+            assert_eq!(wire_bytes(served), wire_bytes(&direct.next().unwrap()), "{name} #{i}");
+        }
+    }
+    // The refusals did not poison the connection.
+    client.ping().unwrap();
+}
+
+/// An empty query or an element id past the tenant's vocabulary would panic
+/// the model's embedding gather and fail its whole batch; instead each is
+/// refused on its own, for every task, and the rest of its frame is
+/// answered exactly.
+#[test]
+fn hostile_queries_are_refused_one_by_one_for_every_task() {
+    let root = tmproot("hostile");
+    let sets = tiny_sets(51);
+    let model = DeepSetsConfig::lsm(sets.num_elements());
+    let mut card_cfg = CardinalityConfig::new(model.clone());
+    card_cfg.guided.warmup_epochs = 1;
+    card_cfg.guided.rounds = 0;
+    card_cfg.max_subset_size = 2;
+    let (card, _) = LearnedCardinality::build(&sets, &card_cfg);
+    write_tenant(&root, "card", "cardinality", &card, &sets);
+    let bloom_cfg = BloomConfig { epochs: 2, ..BloomConfig::new(model.clone()) };
+    let (bloom, _) = LearnedBloom::build_from_collection(&sets, 80, 80, 2, &bloom_cfg);
+    write_tenant(&root, "bloom", "bloom", &bloom, &sets);
+    let mut index_cfg = IndexConfig::new(model);
+    index_cfg.guided.warmup_epochs = 1;
+    index_cfg.guided.rounds = 0;
+    index_cfg.max_subset_size = 2;
+    let (index, _) = LearnedSetIndex::build(&sets, &index_cfg);
+    write_tenant(&root, "idx", "index", &index, &sets);
+    let (server, addr, _registry) = registry_server(&root, None, None);
+
+    assert_refuses_hostile_queries(addr, "card", &card);
+    assert_refuses_hostile_queries(addr, "bloom", &bloom);
+    let index = IndexStructure { index, collection: Arc::new(sets) };
+    assert_refuses_hostile_queries(addr, "idx", &index);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
@@ -325,7 +411,7 @@ fn served_index_bound_misses_are_counted() {
     let before = misses.get();
     let flagged = absent
         .chunks(32)
-        .flat_map(|batch| resident.backend().submit_wire(batch.to_vec()))
+        .flat_map(|batch| resident.backend().submit_wire(batch.to_vec(), None))
         .map(|ticket| ticket().unwrap())
         .filter(|response| response.bound_miss)
         .count();
