@@ -21,7 +21,7 @@
 use setlearn::hybrid::GuidedConfig;
 use setlearn::kernel::{kernel_isa, FrozenModel, Precision};
 use setlearn::model::{DeepSets, DeepSetsConfig};
-use setlearn::tasks::{CardinalityConfig, LearnedCardinality, ShardedCardinality};
+use setlearn::tasks::{CardinalityConfig, LearnedCardinality, Sharded};
 use setlearn::{ShardBy, ShardSpec, ShardedCollection};
 use setlearn_bench::report::Table;
 use setlearn_data::{ElementSet, GeneratorConfig, SubsetIndex};
@@ -213,8 +213,10 @@ fn main() {
     shard_cfg.model.embedding_dim = 16;
     shard_cfg.model.phi_hidden = vec![64, 64];
     shard_cfg.model.rho_hidden = vec![64, 64];
-    let (sharded_model, _) =
-        ShardedCardinality::build(&sharded_collection, &shard_cfg).expect("sharded build");
+    let (sharded_model, _) = Sharded::build(&sharded_collection, |_, shard| {
+        Ok(LearnedCardinality::build(shard, &shard_cfg))
+    })
+    .expect("sharded build");
     let sharded_slot = Arc::new(HotSwap::new(StructureTask::new(sharded_model)));
 
     let unsharded_4t = (0..REPS)

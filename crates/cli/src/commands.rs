@@ -6,8 +6,8 @@ use setlearn::persist;
 use setlearn::prelude::{
     BloomConfig, CardinalityConfig, DeepSetsConfig, DriftMonitor, FallbackReason, GuidedConfig,
     IndexConfig, LearnedBloom, LearnedCardinality, LearnedSetIndex, MonitorConfig, Precision,
-    QueryRequest, QueryResponse, QueryValue, ShardBy, ShardSpec, ShardedBloom,
-    ShardedCardinality, ShardedCollection, ShardedIndex, Wal, WalOp, WireTask,
+    QueryRequest, QueryResponse, QueryValue, ShardBy, ShardSpec, Sharded, ShardedCollection,
+    Wal, WalOp, WireTask,
 };
 use setlearn_data::{ElementSet, GeneratorConfig, SetCollection, SubsetIndex};
 use setlearn_engine::{Engine, QueryOutput, SetTable};
@@ -250,26 +250,42 @@ fn guided_from_args(args: &Args) -> Result<GuidedConfig, CliError> {
     })
 }
 
-/// Prints the harness training summary and warns (without failing the
-/// command) when training ended in a degraded state.
-fn report_training(train: &setlearn::TrainReport) {
-    println!("training: {train}");
-    if !train.is_healthy() {
-        eprintln!("warning: training degraded ({}); consider lowering --lr", train.stop_reason);
+/// Prints the harness training summary of each run (one per shard when
+/// sharded) and warns (without failing the command) when one ended in a
+/// degraded state.
+fn report_training<'a>(sharded: bool, trains: impl IntoIterator<Item = &'a setlearn::TrainReport>) {
+    for (s, train) in trains.into_iter().enumerate() {
+        let run = if sharded { format!("shard {s} training") } else { "training".into() };
+        println!("{run}: {train}");
+        if !train.is_healthy() {
+            eprintln!("warning: {run} degraded ({}); consider lowering --lr", train.stop_reason);
+        }
     }
 }
 
-/// Per-shard variant of [`report_training`].
-fn report_sharded_training<'a, I: IntoIterator<Item = &'a setlearn::TrainReport>>(reports: I) {
-    for (s, train) in reports.into_iter().enumerate() {
-        println!("shard {s} training: {train}");
-        if !train.is_healthy() {
-            eprintln!(
-                "warning: shard {s} training degraded ({}); consider lowering --lr",
-                train.stop_reason
-            );
+/// Trains one structure over the collection with `build`, or one per shard
+/// under `spec`, and writes the checkpoint (`S`, or `Sharded<S>`) to `out`.
+/// Returns the training reports, one per shard, and the structure's bytes.
+fn fit<S: serde::Serialize, R>(
+    collection: &SetCollection,
+    spec: Option<ShardSpec>,
+    out: &str,
+    size_bytes: impl Fn(&S) -> usize,
+    mut build: impl FnMut(&SetCollection) -> (S, R),
+) -> Result<(Vec<R>, usize), CliError> {
+    Ok(match spec {
+        None => {
+            let (structure, report) = build(collection);
+            persist::save_json(&structure, Path::new(out)).map_err(with_path("write", out))?;
+            (vec![report], size_bytes(&structure))
         }
-    }
+        Some(spec) => {
+            let partition = ShardedCollection::partition(collection, spec)?;
+            let (structure, reports) = Sharded::build(&partition, |_, shard| Ok(build(shard)))?;
+            persist::save_json(&structure, Path::new(out)).map_err(with_path("write", out))?;
+            (reports, structure.shards().iter().map(size_bytes).sum())
+        }
+    })
 }
 
 fn model_from_args(args: &Args, vocab: u32) -> Result<DeepSetsConfig, CliError> {
@@ -293,8 +309,8 @@ fn model_from_args(args: &Args, vocab: u32) -> Result<DeepSetsConfig, CliError> 
 /// Trains over the tenant's current sets and writes the checkpoint plus the
 /// manifest that tells every reader the task and shard layout. With
 /// `--shards N` the collection is partitioned by the chosen router and one
-/// model is trained per shard; the persisted artifact is the sharded
-/// aggregate. A tenant with a `wal/` is mutable: pending WAL records are
+/// model is trained per shard; the persisted artifact is a `Sharded` of
+/// them. A tenant with a `wal/` is mutable: pending WAL records are
 /// folded into the training collection first, and the retrain is published
 /// the way a background compaction publishes one — model, merged sets, then
 /// the WAL watermark — so the next reader serves it.
@@ -340,6 +356,8 @@ pub fn train(args: &Args) -> Result<(), CliError> {
     let out = &*out;
     let vocab = collection.num_elements();
     let model = model_from_args(args, vocab)?;
+    let sharded = spec.is_some();
+    let layout = spec.map_or(String::new(), |s| format!(" over {} shards", s.shards));
     match task.as_str() {
         "cardinality" => {
             let cfg = CardinalityConfig {
@@ -347,34 +365,19 @@ pub fn train(args: &Args) -> Result<(), CliError> {
                 guided: guided_from_args(args)?,
                 max_subset_size: args.get_or("max-subset", 3usize)?,
             };
-            match spec {
-                None => {
-                    let (mut est, report) = LearnedCardinality::build(&collection, &cfg);
+            let (reports, bytes) =
+                fit(&collection, spec, out, LearnedCardinality::size_bytes, |shard| {
+                    let (mut est, report) = LearnedCardinality::build(shard, &cfg);
                     est.set_precision(precision);
-                    persist::save_json(&est, Path::new(out)).map_err(with_path("write", out))?;
-                    report_training(&report.train);
-                    println!(
-                        "trained cardinality estimator on {} subsets ({} outliers); saved to {out} ({:.3} MB)",
-                        report.training_subsets,
-                        report.outliers,
-                        est.size_bytes() as f64 / 1e6
-                    );
-                }
-                Some(spec) => {
-                    let sharded = ShardedCollection::partition(&collection, spec)?;
-                    let (mut est, reports) = ShardedCardinality::build(&sharded, &cfg)?;
-                    est.set_precision(precision);
-                    persist::save_json(&est, Path::new(out)).map_err(with_path("write", out))?;
-                    report_sharded_training(reports.iter().map(|r| &r.train));
-                    println!(
-                        "trained sharded cardinality estimator ({} shards, {} subsets, {} outliers); saved to {out} ({:.3} MB)",
-                        est.num_shards(),
-                        reports.iter().map(|r| r.training_subsets).sum::<usize>(),
-                        reports.iter().map(|r| r.outliers).sum::<usize>(),
-                        est.size_bytes() as f64 / 1e6
-                    );
-                }
-            }
+                    (est, report)
+                })?;
+            report_training(sharded, reports.iter().map(|r| &r.train));
+            println!(
+                "trained cardinality estimator{layout} on {} subsets ({} outliers); saved to {out} ({:.3} MB)",
+                reports.iter().map(|r| r.training_subsets).sum::<usize>(),
+                reports.iter().map(|r| r.outliers).sum::<usize>(),
+                bytes as f64 / 1e6
+            );
         }
         "index" => {
             let cfg = IndexConfig {
@@ -388,35 +391,20 @@ pub fn train(args: &Args) -> Result<(), CliError> {
                     setlearn::tasks::PositionTarget::First
                 },
             };
-            match spec {
-                None => {
-                    let (mut index, report) = LearnedSetIndex::build(&collection, &cfg);
+            let (reports, bytes) =
+                fit(&collection, spec, out, LearnedSetIndex::size_bytes, |shard| {
+                    let (mut index, report) = LearnedSetIndex::build(shard, &cfg);
                     index.set_precision(precision);
-                    persist::save_json(&index, Path::new(out)).map_err(with_path("write", out))?;
-                    report_training(&report.train);
-                    println!(
-                        "trained set index on {} subsets ({} outliers, global error {:.0}); saved to {out} ({:.3} MB)",
-                        report.training_subsets,
-                        report.outliers,
-                        report.global_error,
-                        index.size_bytes() as f64 / 1e6
-                    );
-                }
-                Some(spec) => {
-                    let sharded = ShardedCollection::partition(&collection, spec)?;
-                    let (mut index, reports) = ShardedIndex::build(&sharded, &cfg)?;
-                    index.set_precision(precision);
-                    persist::save_json(&index, Path::new(out)).map_err(with_path("write", out))?;
-                    report_sharded_training(reports.iter().map(|r| &r.train));
-                    println!(
-                        "trained sharded set index ({} shards, {} subsets, worst shard error {:.0}); saved to {out} ({:.3} MB)",
-                        index.num_shards(),
-                        reports.iter().map(|r| r.training_subsets).sum::<usize>(),
-                        reports.iter().map(|r| r.global_error).fold(0.0f64, f64::max),
-                        index.size_bytes() as f64 / 1e6
-                    );
-                }
-            }
+                    (index, report)
+                })?;
+            report_training(sharded, reports.iter().map(|r| &r.train));
+            println!(
+                "trained set index{layout} on {} subsets ({} outliers, worst global error {:.0}); saved to {out} ({:.3} MB)",
+                reports.iter().map(|r| r.training_subsets).sum::<usize>(),
+                reports.iter().map(|r| r.outliers).sum::<usize>(),
+                reports.iter().map(|r| r.global_error).fold(0.0f64, f64::max),
+                bytes as f64 / 1e6
+            );
         }
         "bloom" => {
             let mut cfg = BloomConfig::new(model);
@@ -424,36 +412,28 @@ pub fn train(args: &Args) -> Result<(), CliError> {
             cfg.learning_rate = args.get_or("lr", 5e-3f32)?;
             let n = args.get_or("samples", 2_000usize)?;
             let max_query = args.get_or("max-subset", 4usize)?;
-            match spec {
-                None => {
-                    let (mut filter, report) =
-                        LearnedBloom::build_from_collection(&collection, n, n, max_query, &cfg);
-                    filter.set_precision(precision);
-                    persist::save_json(&filter, Path::new(out)).map_err(with_path("write", out))?;
-                    report_training(&report.train);
-                    println!(
-                        "trained bloom filter (accuracy {:.4}, {} backed-up false negatives); saved to {out} ({:.1} KB)",
-                        report.training_accuracy,
-                        report.false_negatives,
-                        filter.size_bytes() as f64 / 1e3
+            let total = collection.len().max(1);
+            let (reports, bytes) =
+                fit(&collection, spec, out, LearnedBloom::size_bytes, |shard| {
+                    // A shard samples its share of the membership workload.
+                    let share = |n: usize| (n * shard.len() / total).max(1);
+                    let (mut filter, report) = LearnedBloom::build_from_collection(
+                        shard,
+                        share(n),
+                        share(n),
+                        max_query,
+                        &cfg,
                     );
-                }
-                Some(spec) => {
-                    let sharded = ShardedCollection::partition(&collection, spec)?;
-                    let (mut filter, reports) =
-                        ShardedBloom::build_from_collection(&sharded, n, n, max_query, &cfg)?;
                     filter.set_precision(precision);
-                    persist::save_json(&filter, Path::new(out)).map_err(with_path("write", out))?;
-                    report_sharded_training(reports.iter().map(|r| &r.train));
-                    println!(
-                        "trained sharded bloom filter ({} shards, worst shard accuracy {:.4}, {} backed-up false negatives); saved to {out} ({:.1} KB)",
-                        filter.num_shards(),
-                        reports.iter().map(|r| r.training_accuracy).fold(1.0f64, f64::min),
-                        reports.iter().map(|r| r.false_negatives).sum::<usize>(),
-                        filter.size_bytes() as f64 / 1e3
-                    );
-                }
-            }
+                    (filter, report)
+                })?;
+            report_training(sharded, reports.iter().map(|r| &r.train));
+            println!(
+                "trained bloom filter{layout} (worst accuracy {:.4}, {} backed-up false negatives); saved to {out} ({:.1} KB)",
+                reports.iter().map(|r| r.training_accuracy).fold(1.0f64, f64::min),
+                reports.iter().map(|r| r.false_negatives).sum::<usize>(),
+                bytes as f64 / 1e3
+            );
         }
         other => {
             return Err(
@@ -1676,6 +1656,23 @@ mod tests {
     fn telemetry_snapshot(base: &str) -> RegistrySnapshot {
         serde_json::from_str(&std::fs::read_to_string(format!("{base}.metrics.json")).unwrap())
             .unwrap()
+    }
+
+    /// A mutable collection cannot be sharded: with a wal/ in the tenant,
+    /// `train --shards` is an argument error, and nothing is written.
+    #[test]
+    fn train_refuses_to_shard_a_mutable_collection() {
+        let root = generated_tenant("wal-shard-root", "mut", "80", "4");
+        std::fs::create_dir_all(format!("{root}/mut/wal")).unwrap();
+        let err = run(&args(&[
+            "train", "--task", "cardinality", "--root", &root, "--collection", "mut",
+            "--epochs", "1", "--max-subset", "2", "--shards", "2",
+        ]))
+        .unwrap_err();
+        assert!(err.downcast_ref::<ArgError>().is_some(), "untyped: {err}");
+        assert!(err.to_string().contains("cannot be trained with --shards"), "{err}");
+        assert!(!Path::new(&format!("{root}/mut/manifest.json")).exists());
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A sharded tenant is served like any other: one runtime, so one metric

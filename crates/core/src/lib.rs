@@ -75,15 +75,12 @@ pub mod prelude {
     pub use crate::monitor::{DriftMonitor, MonitorConfig, MonitorSnapshot, RetrainReason};
     pub use crate::shard::{ShardBy, ShardError, ShardRouter, ShardSpec, ShardedCollection};
     pub use crate::tasks::{
-        aggregate_bloom, aggregate_cardinality, aggregate_index, BloomConfig,
-        CardinalityConfig, CardinalityEstimator, IndexConfig, IndexStructure, LearnedBloom,
-        LearnedCardinality,
-        LearnedSetIndex, LearnedSetStructure, PositionTarget, QueryOutcome,
-        ShardedBloom, ShardedCardinality, ShardedIndex, ShardedIndexStructure,
+        BloomConfig, CardinalityConfig, CardinalityEstimator, Fold, IndexConfig, IndexStructure,
+        LearnedBloom, LearnedCardinality, LearnedSetIndex, LearnedSetStructure, PositionTarget,
+        QueryOutcome, Sharded,
     };
     pub use crate::mutable::{
-        DeltaMergeable, DeltaStats, MutableCollection, MutableSink, MutateError, MutationAck,
-        RecoveryReport,
+        DeltaStats, MutableCollection, MutableSink, MutateError, MutationAck, RecoveryReport,
     };
     pub use crate::wal::{Wal, WalConfig, WalError, WalOp, WalRecord, WalRecovery};
     pub use crate::wire::{QueryRequest, QueryResponse, QueryValue, WireTask};
@@ -101,8 +98,7 @@ pub use tasks::{
     LearnedCardinality, LearnedSetIndex, LearnedSetStructure, QueryOutcome,
 };
 pub use mutable::{
-    DeltaMergeable, DeltaStats, MutableCollection, MutableSink, MutateError, MutationAck,
-    RecoveryReport,
+    DeltaStats, MutableCollection, MutableSink, MutateError, MutationAck, RecoveryReport,
 };
 pub use wal::{Wal, WalConfig, WalError, WalOp, WalRecord, WalRecovery};
 pub use wire::{QueryRequest, QueryResponse, QueryValue, WireTask};

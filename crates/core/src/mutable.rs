@@ -5,15 +5,17 @@
 //! a base [`SetCollection`] and accepts `insert`/`delete` at serve time.
 //! Every mutation is appended to a [`Wal`] and fsync'd **before** it is
 //! acknowledged, then applied to an in-memory exact *delta overlay*. Queries
-//! merge the learned model's [`QueryOutcome`] with the overlay's exact
-//! answer, mirroring the PR 4 shard-aggregation semantics:
+//! fold the learned model's [`QueryOutcome`] with the overlay's exact
+//! answer through the task's [`Fold`] — the rule shards are folded with:
 //!
 //! - **cardinality** — sum-correction (`model + delta`), clamped at 0: the
 //!   `LogMinMaxScaler`-backed estimate is non-negative but a delta with
 //!   deletes can push the sum below zero, which no count ever is;
 //! - **index** — first/last fold of the model position and the overlay's
 //!   exact position for appended rows (appends live at positions
-//!   `base_len + slot`, so coordinates stay stable until compaction);
+//!   `base_len + slot`, so coordinates stay stable until compaction). Base
+//!   deletes are not read: a deleted base row's position is served until
+//!   compaction;
 //! - **bloom** — OR: an inserted member must be found immediately. Deletes
 //!   cannot *unlearn* base membership until compaction (a Bloom filter has
 //!   no deletion), which only costs false positives — never a false
@@ -31,11 +33,7 @@
 //! lock across the overlay apply so overlay slot order always equals
 //! sequence order; queries take only the state read lock.
 
-use crate::tasks::{
-    aggregate_bloom, aggregate_cardinality, aggregate_index, IndexStructure, LearnedBloom,
-    LearnedCardinality, LearnedSetStructure, PositionTarget, QueryOutcome, ShardedBloom,
-    ShardedCardinality, ShardedIndexStructure,
-};
+use crate::tasks::{Fold, LearnedSetStructure, QueryOutcome};
 use crate::telemetry::wal_tele;
 use crate::wal::{Wal, WalConfig, WalError, WalOp, WalRecord};
 use setlearn_data::{is_subset, normalize, ElementSet, SetCollection};
@@ -210,98 +208,6 @@ impl DeltaOverlay {
             }
         }
         ans
-    }
-}
-
-/// Sum-correction with the satellite clamp: the model's
-/// `LogMinMaxScaler`-backed estimate is ≥ 0, but adding a delete-heavy
-/// delta can push the sum negative — and no count is. Flags aggregate
-/// exactly as across shards.
-fn merge_cardinality(model: QueryOutcome<f64>, delta: &OverlayAnswer) -> QueryOutcome<f64> {
-    let merged =
-        aggregate_cardinality(vec![model, QueryOutcome::clean(delta.cardinality_delta as f64)]);
-    merged.map(|v| v.max(0.0))
-}
-
-/// OR-merge: the overlay is exact for appended rows, so a hit there is
-/// authoritative. Base deletes are *not* subtracted — a Bloom filter cannot
-/// unlearn, so membership of deleted rows persists (as false positives,
-/// never false negatives) until compaction retrains.
-fn merge_bloom(model: QueryOutcome<bool>, delta: &OverlayAnswer) -> QueryOutcome<bool> {
-    aggregate_bloom(vec![model, QueryOutcome::clean(delta.contains)])
-}
-
-/// First/last fold of the model's base-coordinate answer with the overlay's
-/// exact appended position, exactly as across shards: an overlay hit also
-/// clears `bound_miss`, because a scan-window miss in the base is expected
-/// when the answer lives in the delta.
-fn merge_index(
-    target: PositionTarget,
-    model: QueryOutcome<Option<usize>>,
-    delta: &OverlayAnswer,
-) -> QueryOutcome<Option<usize>> {
-    let overlay = match target {
-        PositionTarget::First => delta.first,
-        PositionTarget::Last => delta.last,
-    };
-    aggregate_index(target, vec![model, QueryOutcome::clean(overlay)])
-}
-
-/// A learned structure that knows how to merge its model answer with the
-/// exact delta overlay. Implemented by every task head, sharded and
-/// unsharded alike, with the same per-task semantics the shard aggregators
-/// use (sum / first-last / OR).
-pub trait DeltaMergeable: LearnedSetStructure {
-    /// Merges the model's outcome for one query with the overlay's exact
-    /// answer for the same query.
-    fn merge_delta(
-        &self,
-        model: QueryOutcome<Self::Output>,
-        delta: &OverlayAnswer,
-    ) -> QueryOutcome<Self::Output>;
-}
-
-impl DeltaMergeable for LearnedCardinality {
-    fn merge_delta(&self, model: QueryOutcome<f64>, delta: &OverlayAnswer) -> QueryOutcome<f64> {
-        merge_cardinality(model, delta)
-    }
-}
-
-impl DeltaMergeable for ShardedCardinality {
-    fn merge_delta(&self, model: QueryOutcome<f64>, delta: &OverlayAnswer) -> QueryOutcome<f64> {
-        merge_cardinality(model, delta)
-    }
-}
-
-impl DeltaMergeable for LearnedBloom {
-    fn merge_delta(&self, model: QueryOutcome<bool>, delta: &OverlayAnswer) -> QueryOutcome<bool> {
-        merge_bloom(model, delta)
-    }
-}
-
-impl DeltaMergeable for ShardedBloom {
-    fn merge_delta(&self, model: QueryOutcome<bool>, delta: &OverlayAnswer) -> QueryOutcome<bool> {
-        merge_bloom(model, delta)
-    }
-}
-
-impl DeltaMergeable for IndexStructure {
-    fn merge_delta(
-        &self,
-        model: QueryOutcome<Option<usize>>,
-        delta: &OverlayAnswer,
-    ) -> QueryOutcome<Option<usize>> {
-        merge_index(self.index.target(), model, delta)
-    }
-}
-
-impl DeltaMergeable for ShardedIndexStructure {
-    fn merge_delta(
-        &self,
-        model: QueryOutcome<Option<usize>>,
-        delta: &OverlayAnswer,
-    ) -> QueryOutcome<Option<usize>> {
-        merge_index(self.target(), model, delta)
     }
 }
 
@@ -558,7 +464,7 @@ impl<S: Send + Sync> MutableSink for MutableCollection<S> {
     }
 }
 
-impl<S: DeltaMergeable> LearnedSetStructure for MutableCollection<S> {
+impl<S: Fold> LearnedSetStructure for MutableCollection<S> {
     type Output = S::Output;
     const NAME: &'static str = S::NAME;
 
@@ -575,7 +481,7 @@ impl<S: DeltaMergeable> LearnedSetStructure for MutableCollection<S> {
             .query_batch(queries)
             .into_iter()
             .zip(&answers)
-            .map(|(model, ans)| structure.merge_delta(model, ans))
+            .map(|(model, ans)| structure.fold(model, structure.overlay(ans)))
             .collect()
     }
 
@@ -656,6 +562,9 @@ pub fn replay_into(base: &SetCollection, records: &[WalRecord]) -> (SetCollectio
 mod tests {
     use super::*;
     use crate::hybrid::FallbackReason;
+    use crate::tasks::cardinality::sum_clamped;
+    use crate::tasks::index::fold_positions;
+    use crate::tasks::PositionTarget;
 
     fn base() -> Arc<SetCollection> {
         Arc::new(SetCollection::new(
@@ -682,9 +591,13 @@ mod tests {
             queries.iter().map(count).collect()
         }
     }
-    impl DeltaMergeable for ExactCard {
-        fn merge_delta(&self, model: QueryOutcome<f64>, d: &OverlayAnswer) -> QueryOutcome<f64> {
-            merge_cardinality(model, d)
+    /// The oracles fold with the task structures' own rules.
+    impl Fold for ExactCard {
+        fn fold(&self, acc: QueryOutcome<f64>, part: QueryOutcome<f64>) -> QueryOutcome<f64> {
+            sum_clamped(acc, part)
+        }
+        fn overlay(&self, d: &OverlayAnswer) -> QueryOutcome<f64> {
+            QueryOutcome::clean(d.cardinality_delta as f64)
         }
     }
 
@@ -697,9 +610,12 @@ mod tests {
             vec![QueryOutcome::clean(self.0); queries.len()]
         }
     }
-    impl DeltaMergeable for ConstCard {
-        fn merge_delta(&self, model: QueryOutcome<f64>, d: &OverlayAnswer) -> QueryOutcome<f64> {
-            merge_cardinality(model, d)
+    impl Fold for ConstCard {
+        fn fold(&self, acc: QueryOutcome<f64>, part: QueryOutcome<f64>) -> QueryOutcome<f64> {
+            sum_clamped(acc, part)
+        }
+        fn overlay(&self, d: &OverlayAnswer) -> QueryOutcome<f64> {
+            QueryOutcome::clean(d.cardinality_delta as f64)
         }
     }
 
@@ -715,13 +631,16 @@ mod tests {
             queries.iter().map(|q| answer(q.as_ref())).collect()
         }
     }
-    impl DeltaMergeable for ExactFirst {
-        fn merge_delta(
+    impl Fold for ExactFirst {
+        fn fold(
             &self,
-            model: QueryOutcome<Option<usize>>,
-            d: &OverlayAnswer,
+            acc: QueryOutcome<Option<usize>>,
+            part: QueryOutcome<Option<usize>>,
         ) -> QueryOutcome<Option<usize>> {
-            merge_index(PositionTarget::First, model, d)
+            fold_positions(PositionTarget::First, acc, part)
+        }
+        fn overlay(&self, d: &OverlayAnswer) -> QueryOutcome<Option<usize>> {
+            QueryOutcome::clean(d.first)
         }
     }
 
@@ -734,9 +653,12 @@ mod tests {
             queries.iter().map(holds).collect()
         }
     }
-    impl DeltaMergeable for ExactBloom {
-        fn merge_delta(&self, model: QueryOutcome<bool>, d: &OverlayAnswer) -> QueryOutcome<bool> {
-            merge_bloom(model, d)
+    impl Fold for ExactBloom {
+        fn fold(&self, acc: QueryOutcome<bool>, part: QueryOutcome<bool>) -> QueryOutcome<bool> {
+            acc.folded(&part, acc.value || part.value)
+        }
+        fn overlay(&self, d: &OverlayAnswer) -> QueryOutcome<bool> {
+            QueryOutcome::clean(d.contains)
         }
     }
 
@@ -791,6 +713,10 @@ mod tests {
         assert!(!got.bound_miss, "an overlay hit clears the expected base miss");
         // Base hits still win the first-fold.
         assert_eq!(mc.query(&[0, 1]).value, Some(0));
+        // The merge does not read base deletes: a deleted base row's
+        // position is served until compaction renumbers the collection.
+        assert!(mc.delete(&[0, 1]).unwrap().applied);
+        assert_eq!(mc.query(&[0, 1]).value, Some(0), "stale until compaction");
 
         let dir2 = tmp_dir("bloom-or");
         let (mb, _) =
@@ -813,7 +739,7 @@ mod tests {
             fallback: Some(FallbackReason::NonFinite),
             bound_miss: false,
         };
-        let merged = merge_cardinality(model, &d);
+        let merged = ConstCard(5.0).fold(model, ConstCard(5.0).overlay(&d));
         assert_eq!(merged.value, 7.0);
         assert_eq!(merged.fallback, Some(FallbackReason::NonFinite));
     }

@@ -9,8 +9,9 @@
 //! Queries over set *content* (subset membership, cardinality) cannot be
 //! routed to a single shard — any shard may hold a matching set — so the
 //! per-shard task models in [`crate::tasks::sharded`] fan a query out to
-//! every shard and aggregate (min over global positions for the index, sum
-//! for cardinality, any for membership). What sharding buys is per-shard
+//! every shard and fold the answers with the task's [`crate::tasks::Fold`]
+//! (sum for cardinality, first/last global position for the index, OR for
+//! membership). What sharding buys is per-shard
 //! builds, per-shard worker pools, and shard-by-shard rolling hot-swap.
 
 use serde::{Deserialize, Serialize};
@@ -148,6 +149,14 @@ pub enum ShardError {
         /// The shard whose routed workload had no positives.
         shard: usize,
     },
+    /// A sharded structure holds a different number of shards than its
+    /// spec names (a truncated or hand-edited checkpoint).
+    ShardCount {
+        /// The shards the structure holds.
+        shards: usize,
+        /// The shard count its spec names.
+        spec: usize,
+    },
 }
 
 impl fmt::Display for ShardError {
@@ -166,6 +175,9 @@ impl fmt::Display for ShardError {
                 f,
                 "no positive membership queries routed to shard {shard}; enlarge the workload or use fewer shards"
             ),
+            ShardError::ShardCount { shards, spec } => {
+                write!(f, "holds {shards} shards but its spec names {spec}")
+            }
         }
     }
 }

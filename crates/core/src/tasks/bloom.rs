@@ -4,7 +4,8 @@
 use crate::hybrid::ServeGuard;
 use crate::kernel::{FrozenModel, KernelCell, Precision};
 use crate::model::{DeepSets, DeepSetsConfig};
-use crate::tasks::{LearnedSetStructure, QueryOutcome};
+use crate::mutable::OverlayAnswer;
+use crate::tasks::{Fold, LearnedSetStructure, QueryOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -298,6 +299,18 @@ impl LearnedSetStructure for LearnedBloom {
 
     fn vocab(&self) -> Option<u32> {
         Some(self.model().config().vocab)
+    }
+}
+
+/// OR: a stored subset lives in some part, so each part's no-false-negative
+/// guarantee holds for the whole.
+impl Fold for LearnedBloom {
+    fn fold(&self, acc: QueryOutcome<bool>, part: QueryOutcome<bool>) -> QueryOutcome<bool> {
+        acc.folded(&part, acc.value || part.value)
+    }
+
+    fn overlay(&self, delta: &OverlayAnswer) -> QueryOutcome<bool> {
+        QueryOutcome::clean(delta.contains)
     }
 }
 

@@ -4,7 +4,8 @@ use crate::hybrid::{guided_train_hardened, GuidedConfig, GuidedOutcome, ServeGua
 use crate::kernel::{FrozenModel, KernelCell, Precision};
 use crate::model::{DeepSets, DeepSetsConfig};
 use crate::monitor::DriftMonitor;
-use crate::tasks::{LearnedSetStructure, QueryOutcome};
+use crate::mutable::OverlayAnswer;
+use crate::tasks::{Fold, LearnedSetStructure, QueryOutcome};
 use serde::{Deserialize, Serialize};
 use setlearn_baselines::set_hash;
 use setlearn_data::{ElementSet, SetCollection, SubsetIndex};
@@ -288,6 +289,29 @@ impl LearnedSetStructure for LearnedCardinality {
     fn vocab(&self) -> Option<u32> {
         Some(self.model().config().vocab)
     }
+}
+
+impl Fold for LearnedCardinality {
+    fn fold(&self, acc: QueryOutcome<f64>, part: QueryOutcome<f64>) -> QueryOutcome<f64> {
+        sum_clamped(acc, part)
+    }
+
+    fn overlay(&self, delta: &OverlayAnswer) -> QueryOutcome<f64> {
+        QueryOutcome::clean(delta.cardinality_delta as f64)
+    }
+}
+
+/// Partition counts add. The sum is clamped at 0 because an overlay part
+/// that deletes rows is negative, and no count is.
+pub(crate) fn sum_clamped(acc: QueryOutcome<f64>, part: QueryOutcome<f64>) -> QueryOutcome<f64> {
+    acc.folded(&part, (acc.value + part.value).max(0.0))
+}
+
+/// [`LearnedCardinality`]'s fold over a list of parts (0 for none). The
+/// workspace folds through [`Fold`]; this name stays for the benchmark
+/// package's oracle (`benchmark/src/workload.rs`), which is built against it.
+pub fn aggregate_cardinality(parts: Vec<QueryOutcome<f64>>) -> QueryOutcome<f64> {
+    parts.into_iter().reduce(sum_clamped).unwrap_or(QueryOutcome::clean(0.0))
 }
 
 #[cfg(test)]

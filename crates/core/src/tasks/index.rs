@@ -11,7 +11,8 @@ use crate::hybrid::{
 };
 use crate::kernel::{FrozenModel, KernelCell, Precision};
 use crate::model::{DeepSets, DeepSetsConfig};
-use crate::tasks::{LearnedSetStructure, QueryOutcome};
+use crate::mutable::OverlayAnswer;
+use crate::tasks::{Fold, LearnedSetStructure, QueryOutcome};
 use serde::{Deserialize, Serialize};
 use setlearn_baselines::{set_hash, BPlusTree};
 use setlearn_data::{is_subset, ElementSet, SetCollection, SubsetIndex};
@@ -450,6 +451,52 @@ impl LearnedSetStructure for IndexStructure {
     fn vocab(&self) -> Option<u32> {
         Some(self.index.model().config().vocab)
     }
+}
+
+/// First or last position by the index's [`PositionTarget`]. A part that
+/// does not hold the subset misses as expected, so `bound_miss` survives
+/// only when no part hit.
+impl Fold for IndexStructure {
+    fn fold(
+        &self,
+        acc: QueryOutcome<Option<usize>>,
+        part: QueryOutcome<Option<usize>>,
+    ) -> QueryOutcome<Option<usize>> {
+        fold_positions(self.index.target(), acc, part)
+    }
+
+    /// Appended rows sit at `base_len + slot`, already global.
+    fn overlay(&self, delta: &OverlayAnswer) -> QueryOutcome<Option<usize>> {
+        QueryOutcome::clean(match self.index.target() {
+            PositionTarget::First => delta.first,
+            PositionTarget::Last => delta.last,
+        })
+    }
+
+    fn lift(
+        &self,
+        part: QueryOutcome<Option<usize>>,
+        rows: &[usize],
+    ) -> QueryOutcome<Option<usize>> {
+        part.map(|position| position.map(|local| rows[local]))
+    }
+}
+
+/// [`IndexStructure`]'s fold, given its target.
+pub(crate) fn fold_positions(
+    target: PositionTarget,
+    acc: QueryOutcome<Option<usize>>,
+    part: QueryOutcome<Option<usize>>,
+) -> QueryOutcome<Option<usize>> {
+    let value = match (acc.value, part.value) {
+        (Some(a), Some(b)) => Some(match target {
+            PositionTarget::First => a.min(b),
+            PositionTarget::Last => a.max(b),
+        }),
+        (a, b) => a.or(b),
+    };
+    let folded = acc.folded(&part, value);
+    QueryOutcome { bound_miss: folded.bound_miss && value.is_none(), ..folded }
 }
 
 #[cfg(test)]

@@ -12,6 +12,16 @@
 //! answer path per task instead of hand-rolled per-task signatures.
 //! The per-task entry points (`estimate`, `lookup`, `contains`) remain for
 //! task-specific ergonomics and answer through the same batch tail.
+//!
+//! ## The one fold
+//!
+//! A structure's answer often comes from several disjoint parts of one
+//! collection: the shards of a [`Sharded`] structure, and a
+//! [`crate::mutable::MutableCollection`]'s model and write overlay. [`Fold`]
+//! is the one rule each task combines their answers with — cardinality
+//! sums (clamped at 0), the index keeps the first or last position, Bloom
+//! ORs — implemented once by [`LearnedCardinality`], [`LearnedBloom`] and
+//! [`IndexStructure`].
 
 pub mod bloom;
 pub mod cardinality;
@@ -23,12 +33,11 @@ pub use cardinality::{CardinalityBuildReport, CardinalityConfig, LearnedCardinal
 pub use index::{
     IndexBuildReport, IndexConfig, IndexStructure, LearnedSetIndex, LookupProfile, PositionTarget,
 };
-pub use sharded::{
-    aggregate_bloom, aggregate_cardinality, aggregate_index, ShardedBloom, ShardedCardinality,
-    ShardedIndex, ShardedIndexStructure,
-};
+pub use cardinality::aggregate_cardinality;
+pub use sharded::Sharded;
 
 use crate::hybrid::FallbackReason;
+use crate::mutable::OverlayAnswer;
 
 /// The answer to one query through the unified serve surface: the task's
 /// value plus the degradation flags every structure shares.
@@ -64,6 +73,16 @@ impl<T> QueryOutcome<T> {
     pub fn map<U>(self, f: impl FnOnce(T) -> U) -> QueryOutcome<U> {
         QueryOutcome { value: f(self.value), fallback: self.fallback, bound_miss: self.bound_miss }
     }
+
+    /// `value` with this outcome's and `part`'s flags folded: the first
+    /// `fallback` wins, and `bound_miss` is set if either part missed.
+    pub(crate) fn folded<U>(&self, part: &QueryOutcome<T>, value: U) -> QueryOutcome<U> {
+        QueryOutcome {
+            value,
+            fallback: self.fallback.or(part.fallback),
+            bound_miss: self.bound_miss || part.bound_miss,
+        }
+    }
 }
 
 /// The uniform query API over every learned set structure (paper Table 1),
@@ -73,7 +92,7 @@ impl<T> QueryOutcome<T> {
 /// return exactly one outcome per query, in query order.
 ///
 /// The index task needs the collection to scan, so its implementations live
-/// on bound adapters ([`IndexStructure`], [`ShardedIndexStructure`]) that
+/// on bound adapters ([`IndexStructure`], `Sharded<IndexStructure>`) that
 /// carry the collection alongside the model.
 pub trait LearnedSetStructure {
     /// The task's answer type: `f64` (cardinality), `Option<usize>`
@@ -98,6 +117,37 @@ pub trait LearnedSetStructure {
     /// default) claims every query answerable.
     fn vocab(&self) -> Option<u32> {
         None
+    }
+}
+
+/// The per-task rule for combining answers from disjoint parts of one
+/// collection: the shards of a [`Sharded`] structure, and a mutable
+/// collection's model and its exact write overlay. The OR is what carries
+/// the Bloom filter's no-false-negative guarantee across parts.
+pub trait Fold: LearnedSetStructure {
+    /// The answer for the union of two disjoint parts, from each part's
+    /// answer to the same query. Cardinality sums, clamped at 0; the index
+    /// keeps the first or last position by its [`PositionTarget`] and sets
+    /// `bound_miss` only when no part hit; Bloom ORs. The first `fallback`
+    /// wins.
+    fn fold(
+        &self,
+        acc: QueryOutcome<Self::Output>,
+        part: QueryOutcome<Self::Output>,
+    ) -> QueryOutcome<Self::Output>;
+
+    /// The write overlay's exact answer, as a part of this task.
+    fn overlay(&self, delta: &OverlayAnswer) -> QueryOutcome<Self::Output>;
+
+    /// Lifts an answer from a part's own rows to the whole collection's,
+    /// where `rows[local]` is the global row of local row `local`. Only
+    /// positions name rows, so only the index overrides the identity.
+    fn lift(
+        &self,
+        part: QueryOutcome<Self::Output>,
+        _rows: &[usize],
+    ) -> QueryOutcome<Self::Output> {
+        part
     }
 }
 
@@ -137,9 +187,9 @@ impl CardinalityEstimator for LearnedCardinality {
     }
 }
 
-impl CardinalityEstimator for ShardedCardinality {
+impl CardinalityEstimator for Sharded<LearnedCardinality> {
     fn estimate_rows(&self, q: &[u32]) -> f64 {
-        self.estimate(q)
+        self.query(q).value
     }
 }
 

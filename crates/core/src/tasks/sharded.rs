@@ -1,124 +1,78 @@
-//! Per-shard task models over a [`ShardedCollection`]: one independently
-//! trained structure per shard, answers aggregated across shards.
+//! Sharded structures: one independently trained structure per shard of a
+//! [`ShardedCollection`], answering as one.
 //!
-//! Aggregation semantics (all shards are queried — set-content queries
-//! cannot be routed to a single shard):
+//! A set-content query cannot be routed to a single shard, so every shard
+//! answers and [`Sharded`]'s `query_batch` folds each query's per-shard
+//! answers with the task's [`Fold`] — the rule a mutable collection merges
+//! its write overlay with:
 //!
-//! * **cardinality** — sum of per-shard estimates. The shards partition the
-//!   collection, so exact per-shard counts are additive; model error adds at
-//!   most the sum of per-shard errors.
-//! * **index** — per-shard local answers are lifted to global positions via
-//!   the partition's position maps, then folded (min for
-//!   [`PositionTarget::First`], max for [`PositionTarget::Last`]).
-//! * **bloom** — logical OR. A stored subset lives in some shard, so the
-//!   per-shard no-false-negative guarantee composes to the whole.
-//!
-//! Degradation flags merge conservatively: the first per-shard fallback is
-//! kept, and the index's `bound_miss` survives only when no shard found an
-//! answer.
+//! * **cardinality** — sum. The shards partition the collection, so exact
+//!   per-shard counts are additive; model error adds at most the sum of
+//!   per-shard errors.
+//! * **index** — per-shard local positions are lifted to global ones through
+//!   the partition's position maps, then the first (or last) wins.
+//! * **bloom** — OR. A stored subset lives in some shard, so the per-shard
+//!   no-false-negative guarantee composes to the whole.
 
-use crate::kernel::Precision;
 use crate::shard::{ShardError, ShardSpec, ShardedCollection};
 use crate::tasks::{
-    BloomBuildReport, BloomConfig, CardinalityBuildReport, CardinalityConfig, IndexBuildReport,
-    IndexConfig, IndexStructure, LearnedBloom, LearnedCardinality, LearnedSetIndex,
-    LearnedSetStructure, PositionTarget, QueryOutcome,
+    BloomBuildReport, BloomConfig, Fold, IndexStructure, LearnedBloom, LearnedSetIndex,
+    LearnedSetStructure, QueryOutcome,
 };
-use serde::{Deserialize, Serialize};
-use setlearn_data::ElementSet;
+use serde::{Deserialize, Serialize, Value};
+use setlearn_data::{ElementSet, SetCollection};
 use std::sync::Arc;
 
-/// Sum-aggregation for per-shard cardinality outcomes.
-pub fn aggregate_cardinality(parts: Vec<QueryOutcome<f64>>) -> QueryOutcome<f64> {
-    let value = parts.iter().map(|p| p.value).sum();
-    let fallback = parts.iter().find_map(|p| p.fallback);
-    QueryOutcome { value, fallback, bound_miss: parts.iter().any(|p| p.bound_miss) }
-}
-
-/// Any-aggregation for per-shard membership outcomes.
-pub fn aggregate_bloom(parts: Vec<QueryOutcome<bool>>) -> QueryOutcome<bool> {
-    let value = parts.iter().any(|p| p.value);
-    let fallback = parts.iter().find_map(|p| p.fallback);
-    QueryOutcome { value, fallback, bound_miss: parts.iter().any(|p| p.bound_miss) }
-}
-
-/// First/last-fold for per-shard index outcomes **already in global
-/// coordinates** (see [`ShardedIndexStructure`]). `bound_miss` survives only
-/// when no shard produced an answer — a miss in a shard that simply does not
-/// hold the subset is expected, not a degradation.
-pub fn aggregate_index(
-    target: PositionTarget,
-    parts: Vec<QueryOutcome<Option<usize>>>,
-) -> QueryOutcome<Option<usize>> {
-    let positions = parts.iter().filter_map(|p| p.value);
-    let value = match target {
-        PositionTarget::First => positions.min(),
-        PositionTarget::Last => positions.max(),
-    };
-    let fallback = parts.iter().find_map(|p| p.fallback);
-    QueryOutcome {
-        value,
-        fallback,
-        bound_miss: value.is_none() && parts.iter().any(|p| p.bound_miss),
-    }
-}
-
-/// Runs per-shard batch outcomes column-wise through an aggregator.
-fn aggregate_columns<T: Copy>(
-    per_shard: Vec<Vec<QueryOutcome<T>>>,
-    queries: usize,
-    agg: impl Fn(Vec<QueryOutcome<T>>) -> QueryOutcome<T>,
-) -> Vec<QueryOutcome<T>> {
-    (0..queries).map(|i| agg(per_shard.iter().map(|shard| shard[i]).collect())).collect()
-}
-
-fn check_non_empty(collection: &ShardedCollection) -> Result<(), ShardError> {
-    // Defense in depth: `partition` already rejects empty shards, but the
-    // builders re-check so a hand-rolled partition cannot reach the
-    // enumeration panic inside `SubsetIndex`.
-    for (s, shard) in collection.shards().iter().enumerate() {
-        if shard.is_empty() {
-            return Err(ShardError::EmptyShard { shard: s });
-        }
-    }
-    Ok(())
-}
-
-/// One [`LearnedCardinality`] per shard; estimates sum across shards.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardedCardinality {
-    shards: Vec<LearnedCardinality>,
-    /// The partition the shards were trained on; persisted so query/serve
-    /// can verify they re-derive the exact same partition.
+/// One structure per shard, trained on the partition `spec` describes.
+///
+/// Persisted as `{ "shards": [...], "spec": {...} }`: the partition is
+/// re-derived from the collection and the spec, so nothing else is stored.
+/// A persisted `Sharded<LearnedSetIndex>` [binds](Sharded::bind) to its
+/// partition the way a [`LearnedSetIndex`] binds to an [`IndexStructure`].
+#[derive(Debug, Clone)]
+pub struct Sharded<S> {
+    shards: Vec<S>,
     spec: ShardSpec,
+    /// Per shard, the shard-local → global row map its answers are lifted
+    /// through; empty unless bound to a partition (the index).
+    rows: Vec<Arc<Vec<usize>>>,
 }
 
-impl ShardedCardinality {
-    /// Trains one estimator per shard with the shared config (same seed —
-    /// a single range shard reproduces the unsharded build bit-for-bit).
-    pub fn build(
-        collection: &ShardedCollection,
-        cfg: &CardinalityConfig,
-    ) -> Result<(Self, Vec<CardinalityBuildReport>), ShardError> {
-        check_non_empty(collection)?;
-        let mut shards = Vec::with_capacity(collection.num_shards());
-        let mut reports = Vec::with_capacity(collection.num_shards());
-        for shard in collection.shards() {
-            let (model, report) = LearnedCardinality::build(shard, cfg);
-            shards.push(model);
+impl<S> Sharded<S> {
+    /// Per-shard structures, in shard order, trained on the partition
+    /// `spec` describes. Refuses an empty list and one whose length
+    /// disagrees with the spec.
+    pub fn new(shards: Vec<S>, spec: ShardSpec) -> Result<Self, ShardError> {
+        if shards.is_empty() {
+            return Err(ShardError::ZeroShards);
+        }
+        if shards.len() != spec.shards {
+            return Err(ShardError::ShardCount { shards: shards.len(), spec: spec.shards });
+        }
+        Ok(Sharded { shards, spec, rows: Vec::new() })
+    }
+
+    /// Trains one structure per shard, in shard order, with
+    /// `build(shard number, shard)`; returns the per-shard reports alongside.
+    /// Trained with a shared config (same seed), a single range shard
+    /// reproduces the unsharded build bit for bit.
+    pub fn build<R>(
+        partition: &ShardedCollection,
+        mut build: impl FnMut(usize, &SetCollection) -> Result<(S, R), ShardError>,
+    ) -> Result<(Self, Vec<R>), ShardError> {
+        let mut shards = Vec::with_capacity(partition.num_shards());
+        let mut reports = Vec::with_capacity(partition.num_shards());
+        for (s, shard) in partition.shards().iter().enumerate() {
+            // `partition` already rejects empty shards; re-checked so a
+            // hand-rolled partition cannot reach a task build's enumeration panic.
+            if shard.is_empty() {
+                return Err(ShardError::EmptyShard { shard: s });
+            }
+            let (structure, report) = build(s, shard)?;
+            shards.push(structure);
             reports.push(report);
         }
-        Ok((ShardedCardinality { shards, spec: collection.spec() }, reports))
-    }
-
-    /// Sum of per-shard estimates for a canonical query.
-    pub fn estimate(&self, q: &[u32]) -> f64 {
-        self.query(q).value
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        Ok((Sharded::new(shards, partition.spec())?, reports))
     }
 
     /// The partition spec the shards were trained on.
@@ -126,67 +80,24 @@ impl ShardedCardinality {
         self.spec
     }
 
-    /// The per-shard estimators, in shard order.
-    pub fn shards(&self) -> &[LearnedCardinality] {
+    /// The per-shard structures, in shard order.
+    pub fn shards(&self) -> &[S] {
         &self.shards
     }
-
-    /// Total structure bytes across shards.
-    pub fn size_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.size_bytes()).sum()
-    }
-
-    /// The serve precision shared by every shard.
-    pub fn precision(&self) -> Precision {
-        self.shards.first().map(|s| s.precision()).unwrap_or_default()
-    }
-
-    /// Selects the serve precision on every shard.
-    pub fn set_precision(&mut self, precision: Precision) {
-        for shard in &mut self.shards {
-            shard.set_precision(precision);
-        }
-    }
 }
 
-impl LearnedSetStructure for ShardedCardinality {
-    type Output = f64;
-    const NAME: &'static str = "cardinality";
-
-    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<f64>> {
-        let per_shard = self.shards.iter().map(|m| m.query_batch(queries)).collect();
-        aggregate_columns(per_shard, queries.len(), aggregate_cardinality)
-    }
-
-    fn vocab(&self) -> Option<u32> {
-        self.shards.first()?.vocab()
-    }
-}
-
-/// One [`LearnedBloom`] per shard; membership is the OR across shards.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardedBloom {
-    shards: Vec<LearnedBloom>,
-    /// The partition the shards were trained on; persisted so query/serve
-    /// can verify they re-derive the exact same partition.
-    spec: ShardSpec,
-}
-
-impl ShardedBloom {
-    /// Routes a globally labeled workload to every shard, relabeling each
+impl Sharded<LearnedBloom> {
+    /// Routes a globally labelled workload to every shard, relabelling each
     /// positive by *shard-level* containment (a global positive is a
     /// negative for shards that do not hold it). Each shard then trains with
-    /// its own no-false-negative guarantee, and the OR-aggregation inherits
-    /// it for every global positive.
-    pub fn build(
-        collection: &ShardedCollection,
+    /// its own no-false-negative guarantee, and the OR inherits it for every
+    /// global positive.
+    pub fn build_from_workload(
+        partition: &ShardedCollection,
         workload: &[(ElementSet, bool)],
         cfg: &BloomConfig,
     ) -> Result<(Self, Vec<BloomBuildReport>), ShardError> {
-        check_non_empty(collection)?;
-        let mut shards = Vec::with_capacity(collection.num_shards());
-        let mut reports = Vec::with_capacity(collection.num_shards());
-        for (s, shard) in collection.shards().iter().enumerate() {
+        Self::build(partition, |s, shard| {
             let local: Vec<(ElementSet, bool)> = workload
                 .iter()
                 .map(|(q, label)| (q.clone(), *label && shard.contains_subset(q)))
@@ -194,250 +105,79 @@ impl ShardedBloom {
             if !local.iter().any(|(_, l)| *l) {
                 return Err(ShardError::NoPositives { shard: s });
             }
-            let (filter, report) = LearnedBloom::build(&local, cfg);
-            shards.push(filter);
-            reports.push(report);
-        }
-        Ok((ShardedBloom { shards, spec: collection.spec() }, reports))
-    }
-
-    /// Convenience constructor mirroring
-    /// [`LearnedBloom::build_from_collection`]: samples a membership
-    /// workload per shard, sized proportionally to the shard's share of the
-    /// collection.
-    pub fn build_from_collection(
-        collection: &ShardedCollection,
-        n_pos: usize,
-        n_neg: usize,
-        max_query_size: usize,
-        cfg: &BloomConfig,
-    ) -> Result<(Self, Vec<BloomBuildReport>), ShardError> {
-        check_non_empty(collection)?;
-        let total = collection.len().max(1);
-        let mut shards = Vec::with_capacity(collection.num_shards());
-        let mut reports = Vec::with_capacity(collection.num_shards());
-        for shard in collection.shards() {
-            let scale = |n: usize| (n * shard.len() / total).max(1);
-            let (filter, report) = LearnedBloom::build_from_collection(
-                shard,
-                scale(n_pos),
-                scale(n_neg),
-                max_query_size,
-                cfg,
-            );
-            shards.push(filter);
-            reports.push(report);
-        }
-        Ok((ShardedBloom { shards, spec: collection.spec() }, reports))
-    }
-
-    /// Membership probe: true iff any shard answers true.
-    pub fn contains(&self, q: &[u32]) -> bool {
-        self.query(q).value
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The partition spec the shards were trained on.
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
-    }
-
-    /// The per-shard filters, in shard order.
-    pub fn shards(&self) -> &[LearnedBloom] {
-        &self.shards
-    }
-
-    /// Total structure bytes across shards.
-    pub fn size_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.size_bytes()).sum()
-    }
-
-    /// The serve precision shared by every shard.
-    pub fn precision(&self) -> Precision {
-        self.shards.first().map(|s| s.precision()).unwrap_or_default()
-    }
-
-    /// Selects the serve precision on every shard.
-    pub fn set_precision(&mut self, precision: Precision) {
-        for shard in &mut self.shards {
-            shard.set_precision(precision);
-        }
+            Ok(LearnedBloom::build(&local, cfg))
+        })
     }
 }
 
-impl LearnedSetStructure for ShardedBloom {
-    type Output = bool;
-    const NAME: &'static str = "bloom";
-
-    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<bool>> {
-        let per_shard = self.shards.iter().map(|m| m.query_batch(queries)).collect();
-        aggregate_columns(per_shard, queries.len(), aggregate_bloom)
-    }
-
-    fn vocab(&self) -> Option<u32> {
-        self.shards.first()?.vocab()
-    }
-}
-
-/// One [`LearnedSetIndex`] per shard. Lookups need the partitioned
-/// collection (to scan, and to lift local positions to global ones), so the
-/// trait surface lives on [`ShardedIndexStructure`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardedIndex {
-    shards: Vec<LearnedSetIndex>,
-    target: PositionTarget,
-    /// The partition the shards were trained on; persisted so query/serve
-    /// can verify they re-derive the exact same partition.
-    spec: ShardSpec,
-}
-
-impl ShardedIndex {
-    /// Trains one index per shard with the shared config.
-    pub fn build(
-        collection: &ShardedCollection,
-        cfg: &IndexConfig,
-    ) -> Result<(Self, Vec<IndexBuildReport>), ShardError> {
-        check_non_empty(collection)?;
-        let mut shards = Vec::with_capacity(collection.num_shards());
-        let mut reports = Vec::with_capacity(collection.num_shards());
-        for shard in collection.shards() {
-            let (index, report) = LearnedSetIndex::build(shard, cfg);
-            shards.push(index);
-            reports.push(report);
-        }
-        Ok((ShardedIndex { shards, target: cfg.target, spec: collection.spec() }, reports))
-    }
-
-    /// Global first/last position of `q` across shards.
-    pub fn lookup(&self, collection: &ShardedCollection, q: &[u32]) -> Option<usize> {
-        let positions = self.shards.iter().enumerate().filter_map(|(s, index)| {
-            index
-                .lookup(collection.shard(s), q)
-                .map(|local| collection.globals(s)[local])
-        });
-        match self.target {
-            PositionTarget::First => positions.min(),
-            PositionTarget::Last => positions.max(),
-        }
-    }
-
-    /// Which occurrence the index targets.
-    pub fn target(&self) -> PositionTarget {
-        self.target
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The partition spec the shards were trained on.
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
-    }
-
-    /// The per-shard indexes, in shard order.
-    pub fn shards(&self) -> &[LearnedSetIndex] {
-        &self.shards
-    }
-
-    /// Total structure bytes across shards.
-    pub fn size_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.size_bytes()).sum()
-    }
-
-    /// The serve precision shared by every shard.
-    pub fn precision(&self) -> Precision {
-        self.shards.first().map(|s| s.precision()).unwrap_or_default()
-    }
-
-    /// Selects the serve precision on every shard.
-    pub fn set_precision(&mut self, precision: Precision) {
-        for shard in &mut self.shards {
-            shard.set_precision(precision);
-        }
-    }
-}
-
-/// One shard of a sharded index, bound to its shard collection and the
-/// local → global position map: answers arrive in **global** coordinates,
-/// so [`aggregate_index`] folds them directly.
-#[derive(Debug, Clone)]
-struct ShardIndexStructure {
-    /// The shard-local index bound to the shard's collection.
-    structure: IndexStructure,
-    /// Shard-local → global position map.
-    globals: Arc<Vec<usize>>,
-}
-
-impl LearnedSetStructure for ShardIndexStructure {
-    type Output = Option<usize>;
-    const NAME: &'static str = "index";
-
-    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<Option<usize>>> {
-        self.structure
-            .query_batch(queries)
-            .into_iter()
-            .map(|o| o.map(|v| v.map(|local| self.globals[local])))
-            .collect()
-    }
-}
-
-/// A [`ShardedIndex`] bound to its partitioned collection — the sharded
-/// counterpart of [`IndexStructure`].
-#[derive(Debug, Clone)]
-pub struct ShardedIndexStructure {
-    shards: Vec<ShardIndexStructure>,
-    target: PositionTarget,
-}
-
-impl ShardedIndexStructure {
-    /// Binds per-shard indexes to their shard collections and position maps.
-    pub fn new(index: ShardedIndex, collection: &ShardedCollection) -> Self {
-        assert_eq!(
-            index.shards.len(),
-            collection.num_shards(),
-            "index shard count does not match the partition"
-        );
-        let target = index.target;
-        let shards = index
+impl Sharded<LearnedSetIndex> {
+    /// Binds each shard's index to its shard of `collection` — partitioned
+    /// with the checkpoint's own spec — and its position map, so answers
+    /// arrive in the collection's global positions.
+    pub fn bind(
+        self,
+        collection: &SetCollection,
+    ) -> Result<Sharded<IndexStructure>, ShardError> {
+        let partition = ShardedCollection::partition(collection, self.spec)?;
+        let shards = self
             .shards
             .into_iter()
-            .enumerate()
-            .map(|(s, shard_index)| ShardIndexStructure {
-                structure: IndexStructure {
-                    index: shard_index,
-                    collection: Arc::clone(collection.shard(s)),
-                },
-                globals: Arc::clone(collection.globals(s)),
-            })
+            .zip(partition.shards())
+            .map(|(index, shard)| IndexStructure { index, collection: Arc::clone(shard) })
             .collect();
-        ShardedIndexStructure { shards, target }
-    }
-
-    /// Which occurrence the index targets.
-    pub fn target(&self) -> PositionTarget {
-        self.target
+        let rows =
+            (0..partition.num_shards()).map(|s| Arc::clone(partition.globals(s))).collect();
+        Ok(Sharded { shards, spec: self.spec, rows })
     }
 }
 
-impl LearnedSetStructure for ShardedIndexStructure {
-    type Output = Option<usize>;
-    const NAME: &'static str = "index";
+impl<S: Fold> LearnedSetStructure for Sharded<S> {
+    type Output = S::Output;
+    const NAME: &'static str = S::NAME;
 
-    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<Option<usize>>> {
-        let per_shard = self.shards.iter().map(|s| s.query_batch(queries)).collect();
-        aggregate_columns(per_shard, queries.len(), |parts| {
-            aggregate_index(self.target, parts)
+    /// Every shard answers the whole batch; each query's column of
+    /// per-shard answers, lifted to global rows, folds in shard order.
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<S::Output>> {
+        let mut columns = self.shards.iter().enumerate().map(|(s, shard)| {
+            let answers = shard.query_batch(queries);
+            match self.rows.get(s) {
+                Some(rows) => answers.into_iter().map(|o| shard.lift(o, rows)).collect(),
+                None => answers,
+            }
+        });
+        let first = columns.next().expect("a sharded structure has at least one shard");
+        let task = &self.shards[0];
+        columns.fold(first, |acc, part| {
+            acc.into_iter().zip(part).map(|(a, p)| task.fold(a, p)).collect()
         })
     }
 
     fn vocab(&self) -> Option<u32> {
-        self.shards.first()?.structure.vocab()
+        self.shards[0].vocab()
+    }
+}
+
+/// Hand-written because the vendored derive takes no generics; the bytes
+/// are what the derive writes for `{ shards, spec }`.
+impl<S: Serialize> Serialize for Sharded<S> {
+    fn serialize(&self) -> Value {
+        Value::Object(vec![
+            ("shards".to_string(), self.shards.serialize()),
+            ("spec".to_string(), self.spec.serialize()),
+        ])
+    }
+}
+
+/// Refuses a shard array that is empty or disagrees with its spec, which
+/// would otherwise serve part of the collection or mispair the partition.
+/// Other fields are ignored, so an index checkpoint's old top-level
+/// `target` (every shard records its own) still loads.
+impl<S: Deserialize> Deserialize for Sharded<S> {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        let field = |name| v.get(name).ok_or_else(|| serde::Error::missing_field(name));
+        let shards = Vec::deserialize(field("shards")?)?;
+        let spec = ShardSpec::deserialize(field("spec")?)?;
+        Sharded::new(shards, spec).map_err(serde::Error::custom)
     }
 }
 
@@ -446,7 +186,8 @@ mod tests {
     use super::*;
     use crate::hybrid::GuidedConfig;
     use crate::model::DeepSetsConfig;
-    use crate::shard::{ShardBy, ShardSpec};
+    use crate::shard::ShardBy;
+    use crate::tasks::{CardinalityConfig, IndexConfig, LearnedCardinality, PositionTarget};
     use setlearn_data::GeneratorConfig;
 
     fn quick_guided() -> GuidedConfig {
@@ -472,11 +213,13 @@ mod tests {
         let mut cfg = CardinalityConfig::new(DeepSetsConfig::lsm(collection.num_elements()));
         cfg.guided = quick_guided();
         cfg.max_subset_size = 2;
-        let (model, reports) = ShardedCardinality::build(&collection, &cfg).unwrap();
+        let (model, reports) =
+            Sharded::build(&collection, |_, shard| Ok(LearnedCardinality::build(shard, &cfg)))
+                .unwrap();
         assert_eq!(reports.len(), 3);
         let q = &collection.shard(0).get(0)[..1];
         let direct: f64 = model.shards().iter().map(|m| m.estimate(q)).sum();
-        assert_eq!(model.estimate(q), direct);
+        assert_eq!(model.query(q).value, direct);
     }
 
     #[test]
@@ -488,10 +231,10 @@ mod tests {
         cfg.epochs = 6;
         let workload =
             setlearn_data::workload::membership_queries(&whole, 150, 150, 2, cfg.seed);
-        let (filter, _) = ShardedBloom::build(&collection, &workload, &cfg).unwrap();
+        let (filter, _) = Sharded::build_from_workload(&collection, &workload, &cfg).unwrap();
         for (q, label) in &workload {
             if *label {
-                assert!(filter.contains(q), "false negative on {q:?}");
+                assert!(filter.query(q).value, "false negative on {q:?}");
             }
         }
     }
@@ -518,22 +261,41 @@ mod tests {
             range_length: 16.0,
             target: PositionTarget::First,
         };
-        let (index, _) = ShardedIndex::build(&collection, &cfg).unwrap();
+        let (index, _) =
+            Sharded::build(&collection, |_, shard| Ok(LearnedSetIndex::build(shard, &cfg)))
+                .unwrap();
+        let structure = index.bind(&c).unwrap();
         let subsets = setlearn_data::SubsetIndex::build(&c, 2);
         for (s, info) in subsets.iter() {
-            assert_eq!(
-                index.lookup(&collection, s),
-                Some(info.first_pos as usize),
-                "subset {s:?}"
-            );
+            assert_eq!(structure.query(s).value, Some(info.first_pos as usize), "subset {s:?}");
         }
-        // The bound trait surface agrees with the direct lookup path.
-        let structure = ShardedIndexStructure::new(index, &collection);
+        // One batch answers what single queries do.
         let queries: Vec<ElementSet> = subsets.iter().take(40).map(|(s, _)| s.clone()).collect();
         let outcomes = structure.query_batch(&queries);
         for (q, outcome) in queries.iter().zip(outcomes) {
             assert_eq!(outcome.value, structure.query(q).value);
             assert_eq!(outcome.value, subsets.get(q).map(|i| i.first_pos as usize));
         }
+    }
+
+    #[test]
+    fn checkpoints_load_only_with_the_shards_their_spec_names() {
+        let spec = ShardSpec::new(3, ShardBy::Hash);
+        assert_eq!(
+            Sharded::new(vec![1u8, 2], spec).unwrap_err(),
+            ShardError::ShardCount { shards: 2, spec: 3 }
+        );
+        assert_eq!(Sharded::<u8>::new(Vec::new(), spec).unwrap_err(), ShardError::ZeroShards);
+        let whole = Sharded::new(vec![1u8, 2, 3], spec).unwrap();
+        let mut value = whole.serialize();
+        let Value::Object(fields) = &mut value else { unreachable!() };
+        // An index checkpoint written before the one type carries a
+        // top-level `target`; it still loads.
+        fields.insert(1, ("target".to_string(), Value::String("First".into())));
+        assert!(Sharded::<u8>::deserialize(&value).is_ok());
+        let Value::Object(fields) = &mut value else { unreachable!() };
+        fields[0].1 = vec![1u8, 2].serialize();
+        let err = Sharded::<u8>::deserialize(&value).unwrap_err();
+        assert!(err.to_string().contains("2 shards"), "{err}");
     }
 }

@@ -12,7 +12,8 @@
 use crate::hotswap::HotSwap;
 use crate::task::StructureTask;
 use crate::telemetry::RuntimeTele;
-use setlearn::mutable::{DeltaMergeable, MutableCollection};
+use setlearn::mutable::MutableCollection;
+use setlearn::tasks::Fold;
 use setlearn_data::SetCollection;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -107,7 +108,7 @@ pub fn spawn_compactor_named<S, F>(
     name: &str,
 ) -> CompactorHandle
 where
-    S: DeltaMergeable + Send + Sync + 'static,
+    S: Fold + Send + Sync + 'static,
     S::Output: Send + 'static,
     F: FnMut(&SetCollection) -> Option<S> + Send + 'static,
 {
@@ -187,9 +188,12 @@ mod tests {
             queries.iter().map(count).collect()
         }
     }
-    impl DeltaMergeable for ExactCard {
-        fn merge_delta(&self, model: QueryOutcome<f64>, d: &OverlayAnswer) -> QueryOutcome<f64> {
-            model.map(|v| (v + d.cardinality_delta as f64).max(0.0))
+    impl Fold for ExactCard {
+        fn fold(&self, acc: QueryOutcome<f64>, part: QueryOutcome<f64>) -> QueryOutcome<f64> {
+            acc.map(|v| (v + part.value).max(0.0))
+        }
+        fn overlay(&self, d: &OverlayAnswer) -> QueryOutcome<f64> {
+            QueryOutcome::clean(d.cardinality_delta as f64)
         }
     }
 

@@ -30,9 +30,10 @@
 //!   disk becomes a serving backend.
 //! * [`task`] — the [`ServeTask`] trait plus the generic [`StructureTask`]
 //!   adapter over any `setlearn::tasks::LearnedSetStructure` (serve-guard
-//!   fallbacks included). A sharded collection is one such structure — its
-//!   `query_batch` folds the per-shard answers — so it is served by the
-//!   same runtime as any other: one queue, one pool, one hot-swap slot.
+//!   fallbacks included). A sharded collection is one such structure — a
+//!   `setlearn::tasks::Sharded<S>`, whose `query_batch` folds the per-shard
+//!   answers with `S`'s `Fold` — so it is served by the same runtime as any
+//!   other: one queue, one pool, one hot-swap slot.
 //!
 //! Everything is std-only: threads, mutexes, condvars, atomics, channels.
 
@@ -82,9 +83,9 @@ const _: () = {
     assert_send_sync::<setlearn::tasks::LearnedSetIndex>();
     assert_send_sync::<setlearn::tasks::LearnedBloom>();
     assert_send_sync::<setlearn::tasks::IndexStructure>();
-    assert_send_sync::<setlearn::tasks::ShardedCardinality>();
-    assert_send_sync::<setlearn::tasks::ShardedBloom>();
-    assert_send_sync::<setlearn::tasks::ShardedIndexStructure>();
+    assert_send_sync::<setlearn::tasks::Sharded<setlearn::tasks::LearnedCardinality>>();
+    assert_send_sync::<setlearn::tasks::Sharded<setlearn::tasks::LearnedBloom>>();
+    assert_send_sync::<setlearn::tasks::Sharded<setlearn::tasks::IndexStructure>>();
     assert_send_sync::<setlearn::model::DeepSets>();
     assert_send_sync::<setlearn::ServeGuard>();
     assert_send_sync::<setlearn::ShardedCollection>();
@@ -93,7 +94,7 @@ const _: () = {
     assert_send_sync::<CardinalityTask>();
     assert_send_sync::<IndexTask>();
     assert_send_sync::<BloomTask>();
-    assert_send_sync::<StructureTask<setlearn::tasks::ShardedIndexStructure>>();
+    assert_send_sync::<StructureTask<setlearn::tasks::Sharded<setlearn::tasks::IndexStructure>>>();
     // Mutable collections shared by the ingest path, serve workers, and the
     // compaction daemon.
     assert_send_sync::<setlearn::mutable::MutableCollection<setlearn::tasks::LearnedCardinality>>();
@@ -111,8 +112,12 @@ const _: () = {
     assert_send_sync::<ServeRuntime<CardinalityTask>>();
     assert_send_sync::<ServeRuntime<IndexTask>>();
     assert_send_sync::<ServeRuntime<BloomTask>>();
-    assert_send_sync::<ServeRuntime<StructureTask<setlearn::tasks::ShardedCardinality>>>();
-    assert_send_sync::<ServeRuntime<StructureTask<setlearn::tasks::ShardedBloom>>>();
+    assert_send_sync::<
+        ServeRuntime<StructureTask<setlearn::tasks::Sharded<setlearn::tasks::LearnedCardinality>>>,
+    >();
+    assert_send_sync::<
+        ServeRuntime<StructureTask<setlearn::tasks::Sharded<setlearn::tasks::LearnedBloom>>>,
+    >();
     assert_send_sync::<ServeError>();
     // The multi-tenant registry shared across connection handlers.
     assert_send_sync::<CollectionRegistry>();

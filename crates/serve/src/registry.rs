@@ -36,15 +36,14 @@ use crate::proto::CollectionInfo;
 use crate::runtime::{ServeConfig, ServeRuntime};
 use crate::task::StructureTask;
 use crate::telemetry::NetTele;
-use setlearn::mutable::{DeltaMergeable, MutableCollection, MutableSink};
+use setlearn::mutable::{MutableCollection, MutableSink};
 use setlearn::persist::{self, load_json, CheckpointFiles, CollectionEntry, COLLECTION_WAL};
 use setlearn::tasks::{
-    BloomConfig, CardinalityConfig, IndexConfig, IndexStructure, LearnedBloom,
-    LearnedCardinality, LearnedSetIndex, ShardedBloom, ShardedCardinality, ShardedIndex,
-    ShardedIndexStructure,
+    BloomConfig, CardinalityConfig, Fold, IndexConfig, IndexStructure, LearnedBloom,
+    LearnedCardinality, LearnedSetIndex, LearnedSetStructure, QueryOutcome, Sharded,
 };
 use setlearn::wire::{QueryResponse, WireTask};
-use setlearn::{DeepSetsConfig, ShardedCollection};
+use setlearn::DeepSetsConfig;
 use setlearn_data::SetCollection;
 use setlearn_obs::Counter;
 use std::collections::{HashMap, HashSet};
@@ -606,45 +605,70 @@ impl CollectionRegistry {
         entry: &CollectionEntry,
         CheckpointFiles { model, sets }: CheckpointFiles,
     ) -> Result<Arc<dyn WireBackend>, String> {
+        let shards = entry.manifest.shards;
+        match task {
+            WireTask::Cardinality => {
+                self.start_layout::<LearnedCardinality, _, _>(name, &model, shards, Ok, Ok)
+            }
+            WireTask::Bloom => {
+                self.start_layout::<LearnedBloom, _, _>(name, &model, shards, Ok, Ok)
+            }
+            WireTask::Index => {
+                let collection: Arc<SetCollection> = Arc::new(load_checkpoint(&sets)?);
+                self.start_layout(
+                    name,
+                    &model,
+                    shards,
+                    |index: LearnedSetIndex| {
+                        Ok(IndexStructure { index, collection: Arc::clone(&collection) })
+                    },
+                    // The checkpoint's own spec routes the partition, so the
+                    // manifest only has to get the count right.
+                    |index| index.bind(&collection).map_err(|e| e.to_string()),
+                )
+            }
+        }
+    }
+
+    /// Starts the runtime over the model file as the manifest lays it out:
+    /// one `P`, or a `Sharded<P>` of the manifest's shard count. `bind` and
+    /// `bind_sharded` turn either into the structure that serves.
+    fn start_layout<P, S, T>(
+        &self,
+        name: &str,
+        model: &Path,
+        shards: Option<usize>,
+        bind: impl FnOnce(P) -> Result<S, String>,
+        bind_sharded: impl FnOnce(Sharded<P>) -> Result<Sharded<T>, String>,
+    ) -> Result<Arc<dyn WireBackend>, String>
+    where
+        P: serde::de::DeserializeOwned,
+        S: LearnedSetStructure + Send + Sync + 'static,
+        S::Output: Send + 'static,
+        QueryResponse: From<QueryOutcome<S::Output>>,
+        T: Fold + Send + Sync + 'static,
+        T::Output: Send + 'static,
+        QueryResponse: From<QueryOutcome<T::Output>>,
+    {
         let cfg = self.config.serve.clone();
-        let backend: Arc<dyn WireBackend> = match (task, entry.manifest.shards) {
-            (WireTask::Cardinality, None) => {
-                let est: LearnedCardinality = load_checkpoint(&model)?;
-                Arc::new(ServeRuntime::start_named(StructureTask::new(est), cfg, name))
+        Ok(match shards {
+            None => {
+                let structure = StructureTask::new(bind(load_checkpoint(model)?)?);
+                Arc::new(ServeRuntime::start_named(structure, cfg, name))
             }
-            (WireTask::Cardinality, Some(shards)) => {
-                let est: ShardedCardinality = load_checkpoint(&model)?;
-                check_shards("cardinality", est.spec().shards, shards)?;
-                Arc::new(ServeRuntime::start_named(StructureTask::new(est), cfg, name))
+            Some(want) => {
+                let parts: Sharded<P> = load_checkpoint(model)?;
+                let have = parts.shards().len();
+                if have != want {
+                    return Err(format!(
+                        "sharded {} checkpoint has {have} shards, manifest says {want}",
+                        T::NAME
+                    ));
+                }
+                let structure = StructureTask::new(bind_sharded(parts)?);
+                Arc::new(ServeRuntime::start_named(structure, cfg, name))
             }
-            (WireTask::Bloom, None) => {
-                let filter: LearnedBloom = load_checkpoint(&model)?;
-                Arc::new(ServeRuntime::start_named(StructureTask::new(filter), cfg, name))
-            }
-            (WireTask::Bloom, Some(shards)) => {
-                let filter: ShardedBloom = load_checkpoint(&model)?;
-                check_shards("bloom", filter.spec().shards, shards)?;
-                Arc::new(ServeRuntime::start_named(StructureTask::new(filter), cfg, name))
-            }
-            (WireTask::Index, None) => {
-                let collection: SetCollection = load_checkpoint(&sets)?;
-                let index: LearnedSetIndex = load_checkpoint(&model)?;
-                let structure = IndexStructure { index, collection: Arc::new(collection) };
-                Arc::new(ServeRuntime::start_named(StructureTask::new(structure), cfg, name))
-            }
-            (WireTask::Index, Some(shards)) => {
-                let collection: SetCollection = load_checkpoint(&sets)?;
-                let index: ShardedIndex = load_checkpoint(&model)?;
-                check_shards("index", index.spec().shards, shards)?;
-                // The model's own spec routes the partition, so the manifest
-                // only has to get the count right.
-                let sharded = ShardedCollection::partition(&collection, index.spec())
-                    .map_err(|e| e.to_string())?;
-                let structure = ShardedIndexStructure::new(index, &sharded);
-                Arc::new(ServeRuntime::start_named(StructureTask::new(structure), cfg, name))
-            }
-        };
-        Ok(backend)
+        })
     }
 
     fn load_mutable(
@@ -720,7 +744,7 @@ impl CollectionRegistry {
         rebuild: impl FnMut(&SetCollection) -> Option<S> + Send + 'static,
     ) -> Result<(Arc<dyn WireBackend>, Option<CompactorHandle>), String>
     where
-        S: DeltaMergeable + Send + Sync + 'static,
+        S: Fold + Send + Sync + 'static,
         S::Output: Send + 'static,
         QueryResponse: From<setlearn::tasks::QueryOutcome<S::Output>>,
     {
@@ -775,14 +799,6 @@ fn retrain_config(served: &DeepSetsConfig, merged: &SetCollection) -> DeepSetsCo
     DeepSetsConfig { vocab: merged.num_elements(), ..served.clone() }
 }
 
-fn check_shards(task: &str, have: usize, want: usize) -> Result<(), String> {
-    if have == want {
-        Ok(())
-    } else {
-        Err(format!("sharded {task} checkpoint has {have} shards, manifest says {want}"))
-    }
-}
-
 /// Durably publishes a compaction (retrained model, then merged collection)
 /// before the watermark advances; `None` leaves the delta pending so the
 /// compactor retries.
@@ -810,7 +826,7 @@ mod tests {
     use setlearn::persist::{save_manifest, CollectionManifest, COLLECTION_MODEL, COLLECTION_SETS};
     use setlearn::tasks::{LearnedSetStructure, PositionTarget, QueryOutcome};
     use setlearn::wire::QueryValue;
-    use setlearn::{GuidedConfig, Precision, ShardBy, ShardSpec};
+    use setlearn::{GuidedConfig, Precision, ShardBy, ShardSpec, ShardedCollection};
     use setlearn_data::{is_subset, ElementSet, GeneratorConfig, SubsetIndex};
     use std::time::Duration;
 
@@ -1105,14 +1121,17 @@ mod tests {
                 ShardedCollection::partition(&sets, ShardSpec::new(shards, ShardBy::Hash)).unwrap();
             let tenant = |task: &str| format!("{task}-{shards}");
 
-            let (card, _) = ShardedCardinality::build(&part, &card_cfg).unwrap();
+            let (card, _) = Sharded::build(&part, |_, shard| {
+                Ok(LearnedCardinality::build(shard, &card_cfg))
+            })
+            .unwrap();
             write_tenant(&root, &tenant("card"), "cardinality", Some(shards), &card, &sets);
             let resident = registry.resolve(Some(&tenant("card"))).unwrap();
             for v in assert_serves(&resident, &card, &queries) {
                 assert!(matches!(v, QueryValue::Cardinality(c) if c.is_finite() && c >= 0.0));
             }
 
-            let (bloom, _) = ShardedBloom::build(&part, &workload, &bloom_cfg).unwrap();
+            let (bloom, _) = Sharded::build_from_workload(&part, &workload, &bloom_cfg).unwrap();
             write_tenant(&root, &tenant("bloom"), "bloom", Some(shards), &bloom, &sets);
             let resident = registry.resolve(Some(&tenant("bloom"))).unwrap();
             assert_serves(&resident, &bloom, &queries);
@@ -1120,13 +1139,45 @@ mod tests {
                 assert_eq!(v, QueryValue::Membership(true), "false negative on {q:?}");
             }
 
-            let (index, _) = ShardedIndex::build(&part, &index_cfg).unwrap();
+            let (index, _) =
+                Sharded::build(&part, |_, shard| Ok(LearnedSetIndex::build(shard, &index_cfg)))
+                    .unwrap();
             write_tenant(&root, &tenant("index"), "index", Some(shards), &index, &sets);
             let resident = registry.resolve(Some(&tenant("index"))).unwrap();
-            let bound = ShardedIndexStructure::new(index, &part);
+            let index_value = serde::Serialize::serialize(&index);
+            let bound = index.bind(&sets).unwrap();
             for (q, v) in queries.iter().zip(assert_serves(&resident, &bound, &queries)) {
                 let first = sets.iter().find(|(_, s)| is_subset(q, s)).map(|(p, _)| p as u64);
                 assert_eq!(v, QueryValue::Position(first), "{q:?}, {shards} shards");
+            }
+
+            // A checkpoint that lost a shard from its array, under a
+            // manifest that still names them all, is refused — on the first
+            // resolve and every one after, never served as part of the
+            // collection or left loading.
+            let checkpoints = [
+                ("cardinality", serde::Serialize::serialize(&card)),
+                ("bloom", serde::Serialize::serialize(&bloom)),
+                ("index", index_value),
+            ];
+            for (task, mut value) in checkpoints {
+                if let Some((_, serde::Value::Array(parts))) = match &mut value {
+                    serde::Value::Object(fields) => fields.iter_mut().find(|(k, _)| k == "shards"),
+                    _ => None,
+                } {
+                    parts.pop();
+                }
+                let name = tenant(&format!("{task}-short"));
+                write_tenant(&root, &name, task, Some(shards), &value, &sets);
+                for attempt in 0..2 {
+                    match registry.resolve(Some(&name)) {
+                        Err(ResolveError::Failed(_, why)) => assert!(
+                            why.contains(&format!("holds {} shards", shards - 1)),
+                            "{task}, resolve {attempt}: {why}"
+                        ),
+                        other => panic!("{task}, resolve {attempt}: got {other:?}"),
+                    }
+                }
             }
 
             // A manifest that disagrees with its checkpoint is a typed load
@@ -1138,6 +1189,18 @@ mod tests {
                     "{why}"
                 ),
                 other => panic!("expected a shard-count load error, got {other:?}"),
+            }
+
+            // A directory with a wal/ is served mutable, and a mutable
+            // collection cannot be sharded: nothing else keeps one from
+            // being built.
+            write_tenant(&root, &tenant("wal"), "cardinality", Some(shards), &card, &sets);
+            std::fs::create_dir_all(root.join(tenant("wal")).join(COLLECTION_WAL)).unwrap();
+            match registry.resolve(Some(&tenant("wal"))) {
+                Err(ResolveError::Failed(_, why)) => {
+                    assert!(why.contains("cannot be sharded"), "{why}")
+                }
+                other => panic!("expected the mutable x sharded refusal, got {other:?}"),
             }
         }
         let _ = std::fs::remove_dir_all(&root);

@@ -1,6 +1,7 @@
 //! Shared by the loopback suites.
 
-use setlearn::tasks::{aggregate_cardinality, LearnedSetStructure, QueryOutcome};
+use setlearn::tasks::{QueryOutcome, Sharded};
+use setlearn::{ShardBy, ShardSpec};
 use setlearn_serve::net::{NetConfig, NetServer, WireBackend};
 use setlearn_serve::{CollectionRegistry, RegistryConfig};
 use std::sync::Arc;
@@ -16,19 +17,19 @@ pub fn serve_backend(backend: Arc<dyn WireBackend>, config: NetConfig) -> NetSer
     NetServer::bind_registry("127.0.0.1:0", registry, config).unwrap()
 }
 
-/// Mock cardinality shards folded inside `query_batch`, the way
-/// `setlearn::tasks::sharded` folds real ones.
+/// Two copies of a mock cardinality shard as one [`Sharded`] structure,
+/// folded inside `query_batch` the way real shards are.
 #[allow(dead_code)] // not every suite serves a sharded mock
-pub struct SummedShards<S>(pub Vec<S>);
+pub fn two_shards<S: Clone>(shard: S) -> Sharded<S> {
+    Sharded::new(vec![shard.clone(), shard], ShardSpec::new(2, ShardBy::Hash)).unwrap()
+}
 
-impl<S: LearnedSetStructure<Output = f64>> LearnedSetStructure for SummedShards<S> {
-    type Output = f64;
-    const NAME: &'static str = "cardinality";
-
-    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<f64>> {
-        let fold = |q: &Q| {
-            aggregate_cardinality(self.0.iter().map(|shard| shard.query(q.as_ref())).collect())
-        };
-        queries.iter().map(fold).collect()
+/// A mock shard's [`Fold`]: counts add, the first fallback wins.
+#[allow(dead_code)]
+pub fn sum(acc: QueryOutcome<f64>, part: QueryOutcome<f64>) -> QueryOutcome<f64> {
+    QueryOutcome {
+        value: acc.value + part.value,
+        fallback: acc.fallback.or(part.fallback),
+        bound_miss: acc.bound_miss || part.bound_miss,
     }
 }

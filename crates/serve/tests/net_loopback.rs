@@ -6,8 +6,9 @@
 
 mod common;
 
-use common::{serve_backend, SummedShards};
-use setlearn::tasks::{LearnedSetStructure, QueryOutcome};
+use common::{serve_backend, two_shards};
+use setlearn::mutable::OverlayAnswer;
+use setlearn::tasks::{Fold, LearnedSetStructure, QueryOutcome};
 use setlearn::wire::{QueryRequest, QueryValue, WireTask};
 use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer};
 use setlearn_serve::proto::{
@@ -47,6 +48,16 @@ impl LearnedSetStructure for MockCard {
                 }
             })
             .collect()
+    }
+}
+
+impl Fold for MockCard {
+    fn fold(&self, acc: QueryOutcome<f64>, part: QueryOutcome<f64>) -> QueryOutcome<f64> {
+        common::sum(acc, part)
+    }
+
+    fn overlay(&self, _: &OverlayAnswer) -> QueryOutcome<f64> {
+        unreachable!("a sharded structure is never mutable")
     }
 }
 
@@ -313,7 +324,7 @@ fn remote_shutdown_is_gated_and_drains_when_allowed() {
 fn sharded_structure_serves_over_the_wire() {
     // Two mock shards, summed: a remote query answers 2 × (1.5 × |q|).
     let runtime = Arc::new(ServeRuntime::start(
-        StructureTask::new(SummedShards(vec![MockCard, MockCard])),
+        StructureTask::new(two_shards(MockCard)),
         serve_config(),
     ));
     let server = serve_backend(Arc::clone(&runtime) as _, NetConfig::default());

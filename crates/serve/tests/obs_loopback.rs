@@ -6,8 +6,9 @@
 
 mod common;
 
-use common::{serve_backend, SummedShards};
-use setlearn::tasks::{LearnedSetStructure, QueryOutcome};
+use common::{serve_backend, two_shards};
+use setlearn::mutable::OverlayAnswer;
+use setlearn::tasks::{Fold, LearnedSetStructure, QueryOutcome};
 use setlearn::wire::{QueryRequest, QueryValue, WireTask};
 use setlearn_obs::{parse_slow_jsonl, RecordKind};
 use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer};
@@ -47,6 +48,16 @@ impl LearnedSetStructure for PacedCard {
                 }
             })
             .collect()
+    }
+}
+
+impl Fold for PacedCard {
+    fn fold(&self, acc: QueryOutcome<f64>, part: QueryOutcome<f64>) -> QueryOutcome<f64> {
+        common::sum(acc, part)
+    }
+
+    fn overlay(&self, _: &OverlayAnswer) -> QueryOutcome<f64> {
+        unreachable!("a sharded structure is never mutable")
     }
 }
 
@@ -100,7 +111,7 @@ fn client_trace_id_reaches_slow_log_and_spans_through_a_sharded_structure() {
         ..NetConfig::default()
     };
     let runtime = Arc::new(ServeRuntime::start(
-        StructureTask::new(SummedShards(vec![PacedCard, PacedCard])),
+        StructureTask::new(two_shards(PacedCard)),
         serve_config(),
     ));
     let server = serve_backend(Arc::clone(&runtime) as _, config);

@@ -7,8 +7,8 @@
 use setlearn::prelude::{
     BloomConfig, CardinalityConfig, GuidedConfig, IndexConfig,
     IndexStructure, LearnedBloom, LearnedCardinality, LearnedSetIndex, LearnedSetStructure,
-    QueryOutcome, QueryRequest, QueryValue, ShardBy, ShardSpec, ShardedCardinality,
-    ShardedCollection, WireTask,
+    QueryOutcome, QueryRequest, QueryValue, ShardBy, ShardSpec, Sharded, ShardedCollection,
+    WireTask,
 };
 use setlearn::model::DeepSetsConfig;
 use setlearn_data::{ElementSet, GeneratorConfig, SetCollection, SubsetIndex};
@@ -160,7 +160,8 @@ fn sharded_cardinality_over_loopback_is_bit_identical_to_query_batch() {
     let mut cfg = CardinalityConfig::new(DeepSetsConfig::lsm(collection.num_elements()));
     cfg.guided = quick_guided();
     cfg.max_subset_size = 2;
-    let (estimator, _) = ShardedCardinality::build(&sharded, &cfg).unwrap();
+    let (estimator, _) =
+        Sharded::build(&sharded, |_, shard| Ok(LearnedCardinality::build(shard, &cfg))).unwrap();
     let qs = queries(&collection, 100);
     let local = estimator.query_batch(&qs);
 

@@ -49,7 +49,7 @@ fn trained_estimator_roundtrips_through_json() {
 #[test]
 fn cardinality_checkpoints_serialize_to_identical_bytes() {
     use setlearn::shard::{ShardBy, ShardSpec, ShardedCollection};
-    use setlearn::tasks::ShardedCardinality;
+    use setlearn::tasks::Sharded;
 
     let collection = GeneratorConfig::sd(200, 6).generate();
     let mut cfg = CardinalityConfig::new(DeepSetsConfig::lsm(collection.num_elements()));
@@ -69,7 +69,9 @@ fn cardinality_checkpoints_serialize_to_identical_bytes() {
     let shards = ShardedCollection::partition(&collection, ShardSpec::new(2, ShardBy::Hash))
         .expect("partition");
     let build_sharded = || {
-        let (model, _) = ShardedCardinality::build(&shards, &cfg).expect("build");
+        let (model, _) =
+            Sharded::build(&shards, |_, shard| Ok(LearnedCardinality::build(shard, &cfg)))
+                .expect("build");
         serde_json::to_vec(&model).expect("serialize")
     };
     assert!(build_sharded() == build_sharded(), "one sharded estimator, two byte streams");

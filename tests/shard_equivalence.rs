@@ -9,18 +9,16 @@
 //!   triangle bound over per-shard errors), index lookups return the same
 //!   global first positions, and the bloom OR keeps the per-shard
 //!   no-false-negative guarantee for every global positive.
-//! * Parallel batch answers must be bit-for-bit the sequential ones at
-//!   every shard count.
 
 use setlearn::hybrid::GuidedConfig;
 use setlearn::model::{CompressionKind, DeepSetsConfig};
 use setlearn::tasks::{
-    BloomConfig, CardinalityConfig, IndexConfig, LearnedBloom, LearnedCardinality,
-    LearnedSetStructure, PositionTarget, ShardedBloom, ShardedCardinality, ShardedIndex,
-    ShardedIndexStructure,
+    BloomConfig, CardinalityConfig, IndexConfig, IndexStructure, LearnedBloom,
+    LearnedCardinality, LearnedSetIndex, LearnedSetStructure, PositionTarget, Sharded,
 };
 use setlearn::{ShardBy, ShardSpec, ShardedCollection};
 use setlearn_data::{ElementSet, GeneratorConfig, SetCollection, SubsetIndex};
+use std::sync::Arc;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 
@@ -47,6 +45,13 @@ fn cardinality_cfg(vocab: u32) -> CardinalityConfig {
     cfg
 }
 
+fn sharded_cardinality(
+    partition: &ShardedCollection,
+    cfg: &CardinalityConfig,
+) -> Sharded<LearnedCardinality> {
+    Sharded::build(partition, |_, shard| Ok(LearnedCardinality::build(shard, cfg))).unwrap().0
+}
+
 fn trained_subsets(c: &SetCollection) -> Vec<(ElementSet, u64)> {
     SubsetIndex::build(c, 2).iter().map(|(s, i)| (s.clone(), i.count)).collect()
 }
@@ -58,14 +63,14 @@ fn single_range_shard_reproduces_the_unsharded_cardinality_bit_for_bit() {
     let (unsharded, _) = LearnedCardinality::build(&c, &cfg);
     let one =
         ShardedCollection::partition(&c, ShardSpec::new(1, ShardBy::Range)).unwrap();
-    let (sharded, _) = ShardedCardinality::build(&one, &cfg).unwrap();
+    let sharded = sharded_cardinality(&one, &cfg);
     let queries: Vec<ElementSet> =
         trained_subsets(&c).into_iter().map(|(s, _)| s).collect();
     // Same training data + same seed ⇒ the same model: f64 equality, not
     // tolerance.
     assert_eq!(sharded.query_batch(&queries), unsharded.query_batch(&queries));
     for q in queries.iter().take(50) {
-        assert_eq!(sharded.estimate(q), unsharded.estimate(q), "query {q:?}");
+        assert_eq!(sharded.query(q).value, unsharded.estimate(q), "query {q:?}");
     }
 }
 
@@ -79,7 +84,7 @@ fn sharded_cardinality_error_composes_additively_across_shard_counts() {
         for by in [ShardBy::Hash, ShardBy::Range] {
             let sharded_c =
                 ShardedCollection::partition(&c, ShardSpec::new(n, by)).unwrap();
-            let (model, _) = ShardedCardinality::build(&sharded_c, &cfg).unwrap();
+            let model = sharded_cardinality(&sharded_c, &cfg);
             let shard_subsets: Vec<SubsetIndex> =
                 sharded_c.shards().iter().map(|s| SubsetIndex::build(s, 2)).collect();
             let outcomes = model.query_batch(&queries);
@@ -139,16 +144,18 @@ fn sharded_index_returns_the_unsharded_global_positions() {
     for n in SHARD_COUNTS {
         let sharded_c =
             ShardedCollection::partition(&c, ShardSpec::new(n, ShardBy::Range)).unwrap();
-        let (index, _) = ShardedIndex::build(&sharded_c, &cfg).unwrap();
+        let (index, _) =
+            Sharded::build(&sharded_c, |_, shard| Ok(LearnedSetIndex::build(shard, &cfg)))
+                .unwrap();
+        let structure = index.bind(&c).unwrap();
         for (q, info) in subsets.iter() {
             assert_eq!(
-                index.lookup(&sharded_c, q),
+                structure.query(q).value,
                 Some(info.first_pos as usize),
                 "N={n}: wrong global first position for {q:?}"
             );
         }
-        // The bound trait surface answers identically.
-        let structure = ShardedIndexStructure::new(index, &sharded_c);
+        // One batch answers what single queries do.
         let queries: Vec<ElementSet> =
             subsets.iter().take(60).map(|(s, _)| s.clone()).collect();
         let outcomes = structure.query_batch(&queries);
@@ -156,8 +163,22 @@ fn sharded_index_returns_the_unsharded_global_positions() {
             assert_eq!(
                 outcome.value,
                 subsets.get(q).map(|i| i.first_pos as usize),
-                "N={n}: trait surface diverged for {q:?}"
+                "N={n}: batch answer diverged for {q:?}"
             );
+        }
+        // A single range shard is the whole collection: whole outcomes
+        // (value, fallback, bound miss) are the unsharded index's, absent
+        // subsets included.
+        if n == 1 {
+            let (index, _) = LearnedSetIndex::build(&c, &cfg);
+            let unsharded = IndexStructure { index, collection: Arc::new(c.clone()) };
+            let mut probes = queries.clone();
+            probes.extend(
+                (0..c.num_elements())
+                    .map(|e| setlearn_data::normalize(vec![e, (e + 5) % c.num_elements()]))
+                    .filter(|q| !c.contains_subset(q)),
+            );
+            assert_eq!(structure.query_batch(&probes), unsharded.query_batch(&probes));
         }
     }
 }
@@ -175,16 +196,16 @@ fn sharded_bloom_has_no_false_negatives_at_any_shard_count() {
     let (unsharded, _) = LearnedBloom::build(&workload, &cfg);
     let one =
         ShardedCollection::partition(&c, ShardSpec::new(1, ShardBy::Range)).unwrap();
-    let (sharded_one, _) = ShardedBloom::build(&one, &workload, &cfg).unwrap();
+    let (sharded_one, _) = Sharded::build_from_workload(&one, &workload, &cfg).unwrap();
     assert_eq!(sharded_one.query_batch(&queries), unsharded.query_batch(&queries));
 
     for n in SHARD_COUNTS {
         let sharded_c =
             ShardedCollection::partition(&c, ShardSpec::new(n, ShardBy::Hash)).unwrap();
-        let (filter, _) = ShardedBloom::build(&sharded_c, &workload, &cfg).unwrap();
+        let (filter, _) = Sharded::build_from_workload(&sharded_c, &workload, &cfg).unwrap();
         for (q, label) in &workload {
             if *label {
-                assert!(filter.contains(q), "N={n}: false negative on {q:?}");
+                assert!(filter.query(q).value, "N={n}: false negative on {q:?}");
             }
         }
     }
