@@ -45,8 +45,8 @@ fn quick_serve() -> ServeConfig {
     ServeConfig {
         threads: 2,
         max_batch: 32,
-        max_delay: Duration::from_micros(100),
         queue_capacity: 4096,
+        ..ServeConfig::default()
     }
 }
 

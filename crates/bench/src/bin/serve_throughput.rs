@@ -29,7 +29,7 @@ use setlearn_serve::{
     CardinalityTask, HotSwap, ServeConfig, ServeRuntime, ServeTask, StructureTask,
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const BATCHED: usize = 128;
@@ -48,10 +48,10 @@ fn run<T: ServeTask<Request = ElementSet>>(
         ServeConfig {
             threads,
             max_batch,
-            max_delay: Duration::from_micros(200),
             // Sized for the whole workload: this measures service throughput,
             // not admission control.
             queue_capacity: requests.len(),
+            ..ServeConfig::default()
         },
     );
     // Stage owned requests before the clock starts: workload materialization

@@ -687,8 +687,8 @@ fn registry_from_args(args: &Args) -> Result<Arc<CollectionRegistry>, CliError> 
     rcfg.serve = ServeConfig {
         threads: args.get_or("threads", 2usize)?,
         max_batch: args.get_or("max-batch", 64usize)?,
-        max_delay: std::time::Duration::from_micros(args.get_or("max-delay-us", 200u64)?),
         queue_capacity: args.get_or("queue", 1024usize)?,
+        ..ServeConfig::default()
     };
     rcfg.serve.validate().map_err(|e| CliError::from(ArgError(e)))?;
     rcfg.default_collection = args.optional("default-collection").map(str::to_string);
@@ -791,14 +791,14 @@ fn serve_replay(args: &Args, registry: Arc<CollectionRegistry>) -> Result<(), Cl
 ///   `--target-qps` paces submissions open-loop, 0 (the default) submits as
 ///   fast as possible.
 ///
-/// Both take `[--threads N] [--max-batch N] [--max-delay-us U] [--queue N]
-/// [--compact-after N] [--telemetry PATH]`: a bounded admission queue, a
-/// worker pool with adaptive micro-batching, load shedding when the queue
-/// is full, and (for tenants with a `wal/`) background compaction once N
-/// ops are pending.
+/// Both take `[--threads N] [--max-batch N] [--queue N] [--compact-after N]
+/// [--telemetry PATH]`: a bounded admission queue, a worker pool whose
+/// batches are whatever is queued (up to `--max-batch`) when a worker frees
+/// up, load shedding when the queue is full, and (for tenants with a
+/// `wal/`) background compaction once N ops are pending.
 pub fn serve(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
-        "root", "listen", "collection", "threads", "max-batch", "max-delay-us", "queue",
+        "root", "listen", "collection", "threads", "max-batch", "queue",
         "compact-after", "telemetry",
         // Front-end (`--listen`).
         "serve-for-s", "addr-file", "allow-remote-shutdown", "slow-query-ms", "drain-grace-ms",
@@ -1282,8 +1282,8 @@ COMMANDS:
             [--quota-qps Q [--quota-burst B]]
             | --root DIR --collection NAME   (replay a workload through
             one tenant) [--requests N] [--target-qps Q] [--max-subset K]
-            both: [--threads N] [--max-batch N] [--max-delay-us U]
-            [--queue N] [--compact-after N] [--telemetry PATH]
+            both: [--threads N] [--max-batch N] [--queue N]
+            [--compact-after N] [--telemetry PATH]
   client    --addr HOST:PORT [--collection NAME]
             [--task cardinality|index|bloom] [--query 1,2,3]
             [--batch \"1,2;3,4\"] [--insert \"1,2;3,4\"] [--delete \"1,2\"]
@@ -1805,6 +1805,17 @@ mod tests {
         // `--collection` beside `--listen`, and neither mode.
         usage_error(format!("{serve} --collection solo"));
         usage_error("serve --root /nonexistent".to_string());
+    }
+
+    /// A batch closes when the queue is empty, so `serve` has no batching
+    /// window to set: the old option is a usage error naming it.
+    #[test]
+    fn serve_has_no_batching_window_option() {
+        let removed = "--max-delay-us";
+        let err = run(&args(&["serve", "--root", "R", "--listen", "127.0.0.1:0", removed, "100"]))
+            .unwrap_err();
+        assert!(err.downcast_ref::<ArgError>().is_some(), "untyped: {err}");
+        assert!(err.to_string().contains(removed), "got: {err}");
     }
 
     #[test]

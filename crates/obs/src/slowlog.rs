@@ -25,7 +25,8 @@ pub enum Stage {
     Admission = 1,
     /// Enqueued → picked up by a worker.
     QueueWait = 2,
-    /// Batch head grabbed → batch fully assembled (micro-batch window).
+    /// Batch head grabbed → batch fully assembled: the one non-blocking
+    /// drain of what is already queued (no worker waits for company).
     BatchWait = 3,
     /// `serve_batch` execution.
     Inference = 4,

@@ -2,15 +2,15 @@
 //!
 //! Concurrent serving runtime for the learned set structures in
 //! [`setlearn`]: keeps a model resident and shared across threads, amortizes
-//! inference with adaptive micro-batching, refreshes models with zero
+//! inference by batching whatever is queued, refreshes models with zero
 //! downtime, and sheds load instead of buffering without bound.
 //!
 //! ## Architecture
 //!
 //! ```text
 //!  clients ──submit──▶ BoundedQueue ──pop──▶ worker pool (N threads)
-//!              │            │                  │  collect ≤ max_batch or
-//!    queue full│            │queue_depth       │  wait ≤ max_delay
+//!              │            │                  │  take what is queued,
+//!    queue full│            │queue_depth       │  ≤ max_batch, no wait
 //!   Overloaded ▼            ▼gauge             ▼
 //!      (shed, typed)                 HotSwap<T>::refresh ─▶ serve_batch
 //!                                        ▲                     │
@@ -22,8 +22,8 @@
 //!   with [`ServeError::Overloaded`] when full (backpressure).
 //! * [`hotswap::HotSwap`] — mutex-guarded writer, atomically published
 //!   `Arc` snapshots for readers; a swap never tears or stalls a batch.
-//! * [`runtime::ServeRuntime`] — the worker pool with adaptive
-//!   micro-batching and graceful drain on shutdown.
+//! * [`runtime::ServeRuntime`] — the worker pool with natural batching (a
+//!   batch closes when the queue is empty) and graceful drain on shutdown.
 //! * [`compact`] — the one background daemon: folds a mutable collection's
 //!   pending WAL delta into a retrained checkpoint and publishes it.
 //! * [`registry`] — [`CollectionRegistry`]: the only place a checkpoint on

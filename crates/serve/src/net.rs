@@ -1,6 +1,6 @@
 //! TCP front-end for the serving runtime: remote clients speak the `SLP1`
 //! wire protocol (see [`crate::proto`]) and get the same admission paths —
-//! bounded-queue backpressure, adaptive micro-batching, typed shedding, and
+//! bounded-queue backpressure, natural batching, typed shedding, and
 //! [`setlearn::tasks::QueryOutcome`] degradation flags — as in-process
 //! callers, without linking the crate.
 //!

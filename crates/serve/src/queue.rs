@@ -2,13 +2,14 @@
 //!
 //! A `Mutex<VecDeque>` + `Condvar` pair: producers never block (a full queue
 //! sheds the push — admission control happens at the door, not by buffering
-//! without bound), consumers block until an item, the batching deadline, or
-//! shutdown. The lock is held only for O(1) push/pop, so contention stays
-//! proportional to request rate, not to serving time.
+//! without bound), consumers block until an item or shutdown, then take
+//! whatever else is already buffered in one non-blocking grab. Nothing here
+//! waits on a clock. The lock is held only for O(1) push/pop and one bulk
+//! drain, so contention stays proportional to request rate, not to serving
+//! time.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -17,17 +18,6 @@ pub enum PushError<T> {
     Full(T),
     /// The queue is closed (runtime draining); the item is handed back.
     Closed(T),
-}
-
-/// Outcome of a blocking pop.
-#[derive(Debug)]
-pub enum Pop<T> {
-    /// An item was dequeued.
-    Item(T),
-    /// The deadline passed with no item available.
-    TimedOut,
-    /// The queue is closed and fully drained — the consumer should exit.
-    Drained,
 }
 
 struct Inner<T> {
@@ -77,46 +67,19 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Blocks until an item is available or the queue is closed *and*
-    /// drained. Used by workers to fetch the head of a new batch.
-    pub fn pop_blocking(&self) -> Pop<T> {
+    /// Blocks until an item is available (`Some`) or the queue is closed
+    /// *and* drained (`None` — the consumer should exit). Used by workers to
+    /// fetch the head of a new batch.
+    pub fn pop_blocking(&self) -> Option<T> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(item) = inner.items.pop_front() {
-                return Pop::Item(item);
+                return Some(item);
             }
             if inner.closed {
-                return Pop::Drained;
+                return None;
             }
             inner = self.not_empty.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Blocks until an item is available, `deadline` passes, or the queue is
-    /// closed and drained. Used by workers to top a batch up: once the first
-    /// request of a batch is in hand, the worker is only willing to wait
-    /// until the batching deadline for more.
-    pub fn pop_until(&self, deadline: Instant) -> Pop<T> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Pop::Item(item);
-            }
-            if inner.closed {
-                return Pop::Drained;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Pop::TimedOut;
-            }
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-            if timeout.timed_out() && inner.items.is_empty() {
-                return if inner.closed { Pop::Drained } else { Pop::TimedOut };
-            }
         }
     }
 
@@ -146,11 +109,12 @@ impl<T> BoundedQueue<T> {
     /// Moves up to `max` already-buffered items into `out` under a single
     /// lock acquisition, without blocking. Returns how many were taken.
     ///
-    /// This is the batching fast path: once a worker holds the head of a
-    /// batch, topping up item-by-item would pay one lock round-trip per
-    /// request — exactly the per-request overhead batching exists to
-    /// amortize. One bulk grab keeps lock traffic per *batch*, not per
-    /// request, which matters most when several workers contend.
+    /// This is how a batch fills: once a worker holds the head of a batch,
+    /// everything that piled up while it was busy comes along in one grab.
+    /// Topping up item-by-item would pay one lock round-trip per request —
+    /// exactly the per-request overhead batching exists to amortize. One bulk
+    /// grab keeps lock traffic per *batch*, not per request, which matters
+    /// most when several workers contend.
     pub fn drain_into(&self, out: &mut Vec<T>, max: usize) -> usize {
         if max == 0 {
             return 0;
@@ -169,11 +133,6 @@ impl<T> BoundedQueue<T> {
         inner.closed = true;
         drop(inner);
         self.not_empty.notify_all();
-    }
-
-    /// True once [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).closed
     }
 
     /// Number of currently buffered items.
@@ -199,8 +158,8 @@ mod tests {
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         assert_eq!(q.len(), 2);
-        assert!(matches!(q.pop_blocking(), Pop::Item(1)));
-        assert!(matches!(q.pop_blocking(), Pop::Item(2)));
+        assert_eq!(q.pop_blocking(), Some(1));
+        assert_eq!(q.pop_blocking(), Some(2));
     }
 
     #[test]
@@ -213,7 +172,7 @@ mod tests {
             other => panic!("expected Full, got {other:?}"),
         }
         // Popping frees a slot.
-        assert!(matches!(q.pop_blocking(), Pop::Item("a")));
+        assert_eq!(q.pop_blocking(), Some("a"));
         q.try_push("c").unwrap();
     }
 
@@ -223,8 +182,8 @@ mod tests {
         q.try_push(1).unwrap();
         q.close();
         assert!(matches!(q.try_push(2), Err(PushError::Closed(2))));
-        assert!(matches!(q.pop_blocking(), Pop::Item(1)));
-        assert!(matches!(q.pop_blocking(), Pop::Drained));
+        assert_eq!(q.pop_blocking(), Some(1));
+        assert_eq!(q.pop_blocking(), None);
     }
 
     #[test]
@@ -234,7 +193,7 @@ mod tests {
         let (admitted, closed) = q.try_push_many(vec![1, 2, 3, 4]);
         assert_eq!((admitted, closed), (2, false));
         for want in 0..3 {
-            assert!(matches!(q.pop_blocking(), Pop::Item(v) if v == want));
+            assert_eq!(q.pop_blocking(), Some(want));
         }
         assert!(q.is_empty());
         q.close();
@@ -257,30 +216,20 @@ mod tests {
     }
 
     #[test]
-    fn pop_until_times_out() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(4);
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(matches!(q.pop_until(deadline), Pop::TimedOut));
-    }
-
-    #[test]
     fn blocked_consumer_wakes_on_push() {
         let q = Arc::new(BoundedQueue::new(4));
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || match q2.pop_blocking() {
-            Pop::Item(v) => v,
-            other => panic!("expected item, got {other:?}"),
-        });
+        let h = std::thread::spawn(move || q2.pop_blocking());
         std::thread::sleep(Duration::from_millis(20));
         q.try_push(42u32).unwrap();
-        assert_eq!(h.join().unwrap(), 42);
+        assert_eq!(h.join().unwrap(), Some(42));
     }
 
     #[test]
     fn blocked_consumer_wakes_on_close() {
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || matches!(q2.pop_blocking(), Pop::Drained));
+        let h = std::thread::spawn(move || q2.pop_blocking().is_none());
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert!(h.join().unwrap());

@@ -845,8 +845,8 @@ mod tests {
         ServeConfig {
             threads: 1,
             max_batch: 8,
-            max_delay: Duration::from_micros(50),
             queue_capacity: 64,
+            ..ServeConfig::default()
         }
     }
 

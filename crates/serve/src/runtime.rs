@@ -1,14 +1,16 @@
 //! The serving runtime: a worker pool draining the bounded request queue
-//! with adaptive micro-batching.
+//! with natural (work-conserving) batching.
 //!
 //! ## Batching semantics
 //!
-//! Each worker blocks for the head of a new batch, then tops the batch up
-//! until either `max_batch` requests are in hand or `max_delay` has elapsed
-//! since the head was dequeued — whichever comes first. Under light load
-//! this degrades to batches of 1 with at most `max_delay` of added latency;
-//! under heavy load batches fill instantly and the model's batched forward
-//! pass amortizes embedding lookups and matmuls across the whole batch.
+//! Each worker blocks for the head of a new batch, takes whatever else is
+//! already buffered — up to `max_batch` requests in all — in one grab, and
+//! serves that batch at once. A batch closes the moment the queue is empty:
+//! no worker ever waits for company while it could be serving. At idle a
+//! lone request is served as soon as it is popped; under load requests pile
+//! up while every worker is busy, so the next grab comes back full and the
+//! model's batched forward pass amortizes embedding lookups and matmuls
+//! across the whole batch.
 //!
 //! ## Backpressure
 //!
@@ -25,7 +27,7 @@
 
 use crate::error::ServeError;
 use crate::hotswap::HotSwap;
-use crate::queue::{BoundedQueue, Pop, PushError};
+use crate::queue::{BoundedQueue, PushError};
 use crate::request::RequestCtx;
 use crate::task::ServeTask;
 use crate::telemetry::RuntimeTele;
@@ -42,8 +44,10 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Maximum requests per batch (1 disables batching).
     pub max_batch: usize,
-    /// Maximum time a worker waits to top up a non-full batch, counted from
-    /// the moment the batch head was dequeued.
+    /// Unread: a batch closes when the queue is empty, so there is no
+    /// batching window left to configure. Kept only because the `benchmark/`
+    /// package builds a `ServeConfig` struct literal; delete it with the next
+    /// change there.
     pub max_delay: Duration,
     /// Bounded queue capacity; submissions beyond it are shed.
     pub queue_capacity: usize,
@@ -54,7 +58,7 @@ impl Default for ServeConfig {
         ServeConfig {
             threads: 4,
             max_batch: 64,
-            max_delay: Duration::from_micros(200),
+            max_delay: Duration::ZERO,
             queue_capacity: 1024,
         }
     }
@@ -157,18 +161,6 @@ impl<R> Ticket<R> {
             guard = self.slot.ready.wait(guard).unwrap_or_else(|p| p.into_inner());
         }
     }
-
-    /// Non-blocking poll; returns the ticket back while the answer is
-    /// pending.
-    pub fn try_wait(self) -> Result<Result<R, ServeError>, Ticket<R>> {
-        {
-            let mut guard = self.slot.value.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(result) = guard.take() {
-                return Ok(result);
-            }
-        }
-        Err(self)
-    }
 }
 
 /// Runtime-local counters (distinct from the process-global metrics so
@@ -207,15 +199,6 @@ impl ServeStats {
     /// [`ServeError::TaskPanicked`]).
     pub fn panicked_batches(&self) -> u64 {
         self.panicked_batches.load(Ordering::Relaxed)
-    }
-
-    /// Mean requests per executed batch.
-    pub fn mean_batch_size(&self) -> f64 {
-        let batches = self.batches();
-        if batches == 0 {
-            return 0.0;
-        }
-        self.completed() as f64 / batches as f64
     }
 }
 
@@ -296,14 +279,14 @@ impl<T: ServeTask> ServeRuntime<T> {
             Some(c) => RuntimeTele::named(T::NAME, c),
             None => RuntimeTele::new(T::NAME),
         });
+        let max_batch = config.max_batch;
         let workers = (0..config.threads)
             .map(|_| {
                 let queue = Arc::clone(&queue);
                 let model = Arc::clone(&model);
                 let stats = Arc::clone(&stats);
                 let tele = Arc::clone(&tele);
-                let config = config.clone();
-                std::thread::spawn(move || worker_loop(queue, model, stats, tele, config))
+                std::thread::spawn(move || worker_loop(queue, model, stats, tele, max_batch))
             })
             .collect();
         ServeRuntime { queue, model, stats, tele, workers }
@@ -457,36 +440,17 @@ fn worker_loop<T: ServeTask>(
     model: Arc<HotSwap<T>>,
     stats: Arc<ServeStats>,
     tele: Arc<RuntimeTele>,
-    config: ServeConfig,
+    max_batch: usize,
 ) {
     let mut cached = model.cache();
-    loop {
-        // Head of the next batch: wait indefinitely (or until drain).
-        let head = match queue.pop_blocking() {
-            Pop::Item(envelope) => envelope,
-            Pop::TimedOut => continue,
-            Pop::Drained => return,
-        };
+    // Head of the next batch: wait indefinitely, exit once closed and drained.
+    while let Some(head) = queue.pop_blocking() {
         let head_at = Instant::now();
-        let deadline = head_at + config.max_delay;
-        let mut batch = Vec::with_capacity(config.max_batch.min(64));
+        let mut batch = Vec::with_capacity(max_batch.min(64));
         batch.push(head);
-        // Bulk-grab whatever is already buffered (one lock per batch), then
-        // top up item-by-item only while the micro-batch deadline allows.
-        let room = config.max_batch - batch.len();
-        queue.drain_into(&mut batch, room);
-        while batch.len() < config.max_batch {
-            match queue.pop_until(deadline) {
-                Pop::Item(envelope) => {
-                    batch.push(envelope);
-                    let room = config.max_batch - batch.len();
-                    queue.drain_into(&mut batch, room);
-                }
-                Pop::TimedOut => break,
-                // Closed: serve what we have, then the outer loop exits.
-                Pop::Drained => break,
-            }
-        }
+        // Whatever is already buffered joins the batch (one lock per batch);
+        // an empty queue closes it, so nothing waits while a worker idles.
+        queue.drain_into(&mut batch, max_batch - 1);
 
         let dequeued = Instant::now();
         let batch_wait = dequeued.duration_since(head_at);
@@ -580,12 +544,7 @@ mod tests {
     }
 
     fn quick_config() -> ServeConfig {
-        ServeConfig {
-            threads: 2,
-            max_batch: 8,
-            max_delay: Duration::from_micros(100),
-            queue_capacity: 64,
-        }
+        ServeConfig { threads: 2, max_batch: 8, queue_capacity: 64, ..ServeConfig::default() }
     }
 
     #[test]
@@ -647,6 +606,37 @@ mod tests {
         let runtime = ServeRuntime::start(Doubler, quick_config());
         assert_eq!(runtime.call(21).unwrap(), 42);
         runtime.shutdown();
+    }
+
+    #[test]
+    fn a_lone_request_is_served_without_waiting_for_company() {
+        // Even a configured 5 s window must not delay a request that arrives
+        // to an idle pool: the batch closes when the queue is empty.
+        let runtime = ServeRuntime::start(
+            Doubler,
+            ServeConfig { threads: 1, max_delay: Duration::from_secs(5), ..quick_config() },
+        );
+        let started = Instant::now();
+        assert_eq!(runtime.call(21).unwrap(), 42);
+        assert!(started.elapsed() < Duration::from_secs(1), "took {:?}", started.elapsed());
+        assert_eq!(runtime.shutdown().batches, 1);
+    }
+
+    #[test]
+    fn a_buffered_burst_is_served_in_full_batches() {
+        // One worker, one atomic admission of 24: each grab finds the queue
+        // full enough to fill `max_batch`, so 24 requests ride in 3 batches.
+        let runtime = ServeRuntime::start(
+            Doubler,
+            ServeConfig { threads: 1, max_batch: 8, ..quick_config() },
+        );
+        let outcomes = runtime.submit_many(0..24u64);
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            assert_eq!(outcome.unwrap().wait().unwrap(), i as u64 * 2);
+        }
+        let report = runtime.shutdown();
+        assert_eq!(report.completed, 24);
+        assert_eq!(report.batches, 3);
     }
 
     #[test]

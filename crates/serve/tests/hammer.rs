@@ -131,8 +131,8 @@ fn runtime_hammer_swaps_under_load() {
         ServeConfig {
             threads: 2,
             max_batch: 16,
-            max_delay: Duration::from_micros(100),
             queue_capacity: 4096,
+            ..ServeConfig::default()
         },
     ));
     let answered = Arc::new(AtomicU64::new(0));
@@ -226,8 +226,8 @@ fn overload_sheds_are_typed_counted_and_bounded() {
         ServeConfig {
             threads: 1,
             max_batch: 2,
-            max_delay: Duration::from_micros(50),
             queue_capacity: CAPACITY,
+            ..ServeConfig::default()
         },
     );
 

@@ -65,8 +65,8 @@ fn serve_config() -> ServeConfig {
     ServeConfig {
         threads: 2,
         max_batch: 16,
-        max_delay: Duration::from_micros(100),
         queue_capacity: 256,
+        ..ServeConfig::default()
     }
 }
 

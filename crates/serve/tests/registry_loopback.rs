@@ -25,7 +25,6 @@ use setlearn_serve::{
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn tmproot(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -42,8 +41,8 @@ fn quick_serve() -> ServeConfig {
     ServeConfig {
         threads: 1,
         max_batch: 8,
-        max_delay: Duration::from_micros(50),
         queue_capacity: 64,
+        ..ServeConfig::default()
     }
 }
 

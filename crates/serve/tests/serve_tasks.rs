@@ -13,7 +13,6 @@ use setlearn_serve::{
     BloomTask, CardinalityTask, IndexTask, ServeConfig, ServeRuntime,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 fn quick_guided() -> GuidedConfig {
     GuidedConfig {
@@ -41,8 +40,8 @@ fn serve_config() -> ServeConfig {
     ServeConfig {
         threads: 2,
         max_batch: 32,
-        max_delay: Duration::from_micros(200),
         queue_capacity: 512,
+        ..ServeConfig::default()
     }
 }
 

@@ -17,7 +17,6 @@ use setlearn_serve::{
     RegistryConfig, ServeConfig, ServeRuntime, StructureTask, WireBackend, WireOutcome,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 fn quick_guided() -> GuidedConfig {
     GuidedConfig {
@@ -43,8 +42,8 @@ fn serve_config() -> ServeConfig {
     ServeConfig {
         threads: 2,
         max_batch: 32,
-        max_delay: Duration::from_micros(200),
         queue_capacity: 512,
+        ..ServeConfig::default()
     }
 }
 
