@@ -21,10 +21,15 @@
 //! layout (exactly [`crate::quantize::quantize_in_place`] semantics), and
 //! `q8` serves embeddings as per-row affine `u8` codes and dense layers as
 //! per-column symmetric `i8` codes with dynamically quantized `u8` inputs —
-//! an exact integer accumulation (AVX-512 VNNI `vpdpbusd` where available,
-//! bit-equal portable emulation elsewhere) finished in f32. The ISA items
-//! ([`KernelIsa`], [`kernel_isa`], …) live in `setlearn-nn` and are
-//! re-exported here.
+//! an exact integer accumulation finished in f32. A q8 layer takes its
+//! input rows in blocks of four: it quantizes each row once, then one pass
+//! over the packed weights feeds every row of the block (AVX-512 VNNI
+//! `vpdpbusd` with 4 rows × 4 column blocks of accumulators where
+//! available; the same integer dots as portable loops, compiled for AVX2
+//! where that is the widest the host has). The integer sums are exact, so
+//! q8 scores are bit-identical on every ISA and do not depend on which rows
+//! share a block. The ISA items ([`KernelIsa`], [`kernel_isa`], …) live in
+//! `setlearn-nn` and are re-exported here.
 
 use crate::compress::CompressionSpec;
 use crate::model::{pool_rows, DeepSets, Pooling};
@@ -381,8 +386,12 @@ impl PackedQ8 {
     }
 }
 
-/// Register-lane width of the quantizer's min/max and rounding loops.
+/// Register-lane width of the quantizer's min/max reduction.
 const Q_LANES: usize = 16;
+
+/// Input rows a q8 layer quantizes and dots as one block: every packed
+/// weight load feeds this many rows.
+const Q_ROWS: usize = 4;
 
 /// Quantizes one input row to asymmetric `u8` (`x ≈ sx·(qx − z)`), padding
 /// `qx[x.len()..]` with the zero-point so padded lanes encode 0.0. Returns
@@ -392,7 +401,12 @@ const Q_LANES: usize = 16;
 /// zero-point must represent them exactly), the min/max reduction runs
 /// [`Q_LANES`] independent compare-select lanes (plain comparisons — the
 /// NaN-propagation contract of `f32::min`/`max` would serialize it), and
-/// rounding is `+0.5`-truncate on values biased non-negative by `z`.
+/// rounding is `+0.5`-truncate on values biased non-negative by `z`. The
+/// code is clamped to `[0, 255]` in f32 (NaN falls to 0) before an
+/// unchecked truncation — the same codes as `(t as i32).clamp(0, 255)` for
+/// every input, without the saturating cast's scalar fix-ups, so the loop
+/// vectorizes at whatever ISA the caller was compiled for.
+#[inline(always)]
 fn quantize_row(x: &[f32], qx: &mut [u8]) -> (f32, i32) {
     debug_assert!(qx.len() >= x.len() && qx.len().is_multiple_of(4));
     let mut lo16 = [0.0f32; Q_LANES];
@@ -421,21 +435,133 @@ fn quantize_row(x: &[f32], qx: &mut [u8]) -> (f32, i32) {
     let inv = 1.0 / sx;
     let z = (-lo * inv + 0.5) as i32;
     let zf = z as f32;
-    // Split the zero-point padding off first: `codes` is exactly `x.len()`
-    // wide, so the chunked iterators below stay in lockstep.
     let (codes, pad) = qx.split_at_mut(x.len());
-    let mut xc = x.chunks_exact(Q_LANES);
-    let mut qc = codes.chunks_exact_mut(Q_LANES);
-    for (c, qs) in xc.by_ref().zip(qc.by_ref()) {
-        for (q, &v) in qs.iter_mut().zip(c) {
-            *q = ((v * inv + zf + 0.5) as i32).clamp(0, 255) as u8;
+    for (q, &v) in codes.iter_mut().zip(x) {
+        let t = v * inv + zf + 0.5;
+        let t = if t >= 0.0 { t } else { 0.0 };
+        let t = if t <= 255.0 { t } else { 255.0 };
+        // SAFETY: `t` is in [0, 255] — the two selects above map NaN and
+        // everything below 0 to 0 and everything above 255 to 255 — so it
+        // truncates to an in-range `i32`.
+        *q = unsafe { t.to_int_unchecked::<i32>() } as u8;
+    }
+    pad.fill(z as u8);
+    (sx, z)
+}
+
+/// Portable integer dots of a row block: for each of the `rows` quantized
+/// rows in `qx` (`k4 * 4` codes each), `idot[r * n + j] = Σ_k qx_rk·qw_kj`.
+/// The same u8·i8 → i32 quad reduction [`dots_vnni`] executes, exact in
+/// `i32`, so the two are bitwise-equal. Quad-major, so one packed quad row
+/// stays in L1 while every row of the block reads it.
+#[inline(always)]
+fn dots_generic(p: &PackedQ8, rows: usize, qx: &[u8], idot: &mut [i32]) {
+    let (n, kq) = (p.colsum.len(), p.k4 * 4);
+    let idot = &mut idot[..rows * n];
+    idot.fill(0);
+    for (t, quad) in p.pack.chunks_exact(n * 4).enumerate() {
+        for (xr, dr) in qx.chunks_exact(kq).zip(idot.chunks_exact_mut(n)) {
+            let xq = [xr[t * 4], xr[t * 4 + 1], xr[t * 4 + 2], xr[t * 4 + 3]];
+            for (acc, wq) in dr.iter_mut().zip(quad.chunks_exact(4)) {
+                let mut s = 0i32;
+                for (&xv, &wv) in xq.iter().zip(wq) {
+                    s += xv as i32 * wv as i32;
+                }
+                *acc += s;
+            }
         }
     }
-    for (q, &v) in qc.into_remainder().iter_mut().zip(xc.remainder()) {
-        *q = ((v * inv + zf + 0.5) as i32).clamp(0, 255) as u8;
+}
+
+/// VNNI integer dots of a block of exactly `R` rows: the same result as
+/// [`dots_generic`], with `R` a constant so the accumulators stay in
+/// registers. Columns go in three
+/// passes: `R` × [`ACC_BLOCKS`] register blocks (each weight load feeds
+/// `R` `vpdpbusd`, and `R · ACC_BLOCKS` independent accumulators hide the
+/// instruction's latency), then single [`KERNEL_BLOCK`]-column blocks,
+/// then the sub-block column tail as one masked block.
+///
+/// # Safety
+/// The CPU must support AVX-512F/BW/VL and AVX-512 VNNI.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vl", enable = "avx512vnni")]
+unsafe fn dots_vnni<const R: usize>(p: &PackedQ8, qx: &[u8], idot: &mut [i32]) {
+    use std::arch::x86_64::*;
+    let (n, k4) = (p.colsum.len(), p.k4);
+    let kq = k4 * 4;
+    // Every raw access below relies on these three lengths.
+    assert!(p.pack.len() == k4 * n * 4 && qx.len() >= R * kq && idot.len() >= R * n);
+    let (w, x, d) = (p.pack.as_ptr(), qx.as_ptr(), idot.as_mut_ptr());
+    let nb = n / KERNEL_BLOCK;
+    let nb4 = nb / ACC_BLOCKS * ACC_BLOCKS;
+    // SAFETY: row `r`'s quad `t` is the 4 bytes at `r*kq + 4t`, inside `qx`
+    // since `t < k4` and `r < R`.
+    let xb = |r: usize, t: usize| unsafe {
+        _mm512_set1_epi32(std::ptr::read_unaligned(x.add(r * kq + t * 4) as *const i32))
+    };
+    let mut b = 0;
+    while b < nb4 {
+        let mut acc = [[_mm512_setzero_si512(); ACC_BLOCKS]; R];
+        for t in 0..k4 {
+            // SAFETY: quad `t` of the pack is the `n*4` bytes at `t*n*4`;
+            // blocks `b .. b+ACC_BLOCKS` are its bytes `b*64 .. (b+4)*64`,
+            // inside it while `(b + ACC_BLOCKS) * KERNEL_BLOCK <= n`.
+            let base = unsafe { w.add(t * n * 4 + b * 64) };
+            let wq: [__m512i; ACC_BLOCKS] = std::array::from_fn(|c| unsafe {
+                _mm512_loadu_si512(base.add(c * 64) as *const _)
+            });
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let xq = xb(r, t);
+                for (a, &wc) in acc_r.iter_mut().zip(&wq) {
+                    *a = _mm512_dpbusd_epi32(*a, xq, wc);
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            for (c, &a) in acc_r.iter().enumerate() {
+                // SAFETY: columns `(b+c)*16 .. +16` of row `r` lie inside
+                // `idot`'s `R*n` i32, since `(b + c + 1) * 16 <= n`.
+                let dst = unsafe { d.add(r * n + (b + c) * KERNEL_BLOCK) };
+                unsafe { _mm512_storeu_si512(dst as *mut _, a) };
+            }
+        }
+        b += ACC_BLOCKS;
     }
-    pad.iter_mut().for_each(|q| *q = z as u8);
-    (sx, z)
+    while b < nb {
+        let mut acc = [_mm512_setzero_si512(); R];
+        for t in 0..k4 {
+            // SAFETY: block `b < nb` is bytes `b*64 .. b*64+64` of quad `t`.
+            let wq = unsafe { _mm512_loadu_si512(w.add(t * n * 4 + b * 64) as *const _) };
+            for (r, a) in acc.iter_mut().enumerate() {
+                *a = _mm512_dpbusd_epi32(*a, xb(r, t), wq);
+            }
+        }
+        for (r, &a) in acc.iter().enumerate() {
+            // SAFETY: `b < nb`, so the 16 columns from `b*16` are inside row `r`.
+            unsafe { _mm512_storeu_si512(d.add(r * n + b * KERNEL_BLOCK) as *mut _, a) };
+        }
+        b += 1;
+    }
+    let tail = n - nb * KERNEL_BLOCK;
+    if tail > 0 {
+        // `tail < 16`, so both masks fit: 4 code bytes and 1 i32 per column.
+        let (wmask, dmask) = ((1u64 << (tail * 4)) - 1, (1u16 << tail) - 1);
+        let mut acc = [_mm512_setzero_si512(); R];
+        for t in 0..k4 {
+            // SAFETY: the masked load touches only the `tail*4` bytes at
+            // `t*n*4 + nb*64`, the last columns of quad `t`; masked-off lanes
+            // are not accessed.
+            let wq = unsafe { _mm512_maskz_loadu_epi8(wmask, w.add(t * n * 4 + nb * 64)) };
+            for (r, a) in acc.iter_mut().enumerate() {
+                *a = _mm512_dpbusd_epi32(*a, xb(r, t), wq);
+            }
+        }
+        for (r, &a) in acc.iter().enumerate() {
+            // SAFETY: the masked store writes only row `r`'s `tail` last
+            // columns, `r*n + nb*16 .. (r+1)*n`.
+            unsafe { _mm512_mask_storeu_epi32(d.add(r * n + nb * KERNEL_BLOCK), dmask, a) };
+        }
+    }
 }
 
 /// One frozen dense layer: weights + f32 bias + activation.
@@ -484,9 +610,9 @@ impl FrozenLayer {
             }
             FrozenWeights::Q8(p) => {
                 qx.clear();
-                qx.resize(p.k4 * 4, 0);
+                qx.resize(Q_ROWS * p.k4 * 4, 0);
                 idot.clear();
-                idot.resize(self.out_dim, 0);
+                idot.resize(Q_ROWS * self.out_dim, 0);
                 match kernel_isa() {
                     #[cfg(target_arch = "x86_64")]
                     // SAFETY: dispatch is gated on CPUID detection (or an
@@ -495,16 +621,61 @@ impl FrozenLayer {
                     KernelIsa::Avx512Vnni => unsafe {
                         self.rows_q8_vnni(p, input, out, qx, idot)
                     },
-                    _ => self.rows_q8_generic(p, input, out, qx, idot),
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: as above; every level from `Avx2` up has AVX2.
+                    KernelIsa::Avx2 | KernelIsa::Avx512 => unsafe {
+                        self.rows_q8_avx2(p, input, out, qx, idot)
+                    },
+                    _ => self.rows_q8(p, input, out, qx, idot, |rows, qx, idot| {
+                        dots_generic(p, rows, qx, idot)
+                    }),
                 }
             }
         }
     }
 
-    /// Portable q8 rows: the same u8·i8 → i32 quad reduction the VNNI path
-    /// executes, expressed as plain integer loops. Exact in `i32`, so its
-    /// results are bitwise-equal to [`FrozenLayer::rows_q8_vnni`].
-    fn rows_q8_generic(
+    /// The q8 row loop, one for every ISA: per block of up to [`Q_ROWS`]
+    /// input rows, quantize each row into `qx`, run `dots` once over the
+    /// block into `idot` (a closure, so the dots inline into the caller's
+    /// `target_feature` body), then finish each row with
+    /// [`Self::q8_epilogue`].
+    /// The integer dots are exact, so a row's scores do not depend on which
+    /// rows share its block.
+    #[inline(always)]
+    fn rows_q8(
+        &self,
+        p: &PackedQ8,
+        input: &[f32],
+        out: &mut [f32],
+        qx: &mut [u8],
+        idot: &mut [i32],
+        dots: impl Fn(usize, &[u8], &mut [i32]),
+    ) {
+        let (kq, n) = (p.k4 * 4, self.out_dim);
+        for (xs, outs) in input.chunks(Q_ROWS * self.in_dim).zip(out.chunks_mut(Q_ROWS * n)) {
+            let rows = xs.len() / self.in_dim;
+            let mut params = [(0.0f32, 0i32); Q_ROWS];
+            let quantized = xs.chunks_exact(self.in_dim).zip(qx.chunks_exact_mut(kq));
+            for ((x, q), pr) in quantized.zip(&mut params) {
+                *pr = quantize_row(x, q);
+            }
+            dots(rows, qx, idot);
+            let dotted = idot.chunks_exact(n).zip(outs.chunks_exact_mut(n));
+            for ((d, o), &(sx, z)) in dotted.zip(&params) {
+                self.q8_epilogue(p, sx, z, d, o);
+            }
+        }
+    }
+
+    /// [`Self::rows_q8`] with the portable dots, compiled for AVX2 so the
+    /// quantizer, the dots and the epilogue vectorize 256 bits wide on
+    /// hosts without VNNI.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn rows_q8_avx2(
         &self,
         p: &PackedQ8,
         input: &[f32],
@@ -512,26 +683,14 @@ impl FrozenLayer {
         qx: &mut [u8],
         idot: &mut [i32],
     ) {
-        let n = self.out_dim;
-        for (x, out_row) in input.chunks_exact(self.in_dim).zip(out.chunks_exact_mut(n)) {
-            let (sx, z) = quantize_row(x, qx);
-            idot.iter_mut().for_each(|v| *v = 0);
-            for (quad, xq) in p.pack.chunks_exact(n * 4).zip(qx.chunks_exact(4)) {
-                for (acc, wq) in idot.iter_mut().zip(quad.chunks_exact(4)) {
-                    let mut s = 0i32;
-                    for (&xv, &wv) in xq.iter().zip(wq) {
-                        s += xv as i32 * wv as i32;
-                    }
-                    *acc += s;
-                }
-            }
-            self.q8_epilogue(p, sx, z, idot, out_row);
-        }
+        self.rows_q8(p, input, out, qx, idot, |rows, qx, idot| dots_generic(p, rows, qx, idot))
     }
 
-    /// VNNI q8 rows: `vpdpbusd` accumulates each input quad into 16 output
-    /// columns per lane group, [`ACC_BLOCKS`] independent accumulators deep
-    /// (the instruction's latency would serialize a single chain).
+    /// [`Self::rows_q8`] with the `vpdpbusd` dots, compiled for AVX-512 so
+    /// the quantizer and the epilogue vectorize 512 bits wide.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F/BW/VL and AVX-512 VNNI.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vl", enable = "avx512vnni")]
     unsafe fn rows_q8_vnni(
@@ -542,60 +701,14 @@ impl FrozenLayer {
         qx: &mut [u8],
         idot: &mut [i32],
     ) {
-        use std::arch::x86_64::*;
-        let n = self.out_dim;
-        let nb = n / KERNEL_BLOCK;
-        let nb4 = nb / ACC_BLOCKS * ACC_BLOCKS;
-        for (x, out_row) in input.chunks_exact(self.in_dim).zip(out.chunks_exact_mut(n)) {
-            let (sx, z) = quantize_row(x, qx);
-            let mut b = 0;
-            // SAFETY: `p.pack` is `[k4][n][4]` bytes, so for quad `t` the
-            // loads at `t*n*4 + b*64 .. +64` stay inside the quad's row while
-            // `(b + ACC_BLOCKS) * KERNEL_BLOCK <= n` (resp. `b + 1 <= nb`);
-            // `idot` holds `n` i32, covering the stores at `b*16 .. b*16+64`.
-            while b < nb4 {
-                let mut a0 = _mm512_setzero_si512();
-                let mut a1 = _mm512_setzero_si512();
-                let mut a2 = _mm512_setzero_si512();
-                let mut a3 = _mm512_setzero_si512();
-                for (t, xq) in qx.chunks_exact(4).enumerate() {
-                    let xb = _mm512_set1_epi32(i32::from_le_bytes([xq[0], xq[1], xq[2], xq[3]]));
-                    let base = p.pack.as_ptr().add(t * n * 4 + b * 64);
-                    a0 = _mm512_dpbusd_epi32(a0, xb, _mm512_loadu_si512(base as *const _));
-                    a1 = _mm512_dpbusd_epi32(a1, xb, _mm512_loadu_si512(base.add(64) as *const _));
-                    a2 = _mm512_dpbusd_epi32(a2, xb, _mm512_loadu_si512(base.add(128) as *const _));
-                    a3 = _mm512_dpbusd_epi32(a3, xb, _mm512_loadu_si512(base.add(192) as *const _));
-                }
-                let dst = idot.as_mut_ptr().add(b * KERNEL_BLOCK);
-                _mm512_storeu_si512(dst as *mut _, a0);
-                _mm512_storeu_si512(dst.add(16) as *mut _, a1);
-                _mm512_storeu_si512(dst.add(32) as *mut _, a2);
-                _mm512_storeu_si512(dst.add(48) as *mut _, a3);
-                b += ACC_BLOCKS;
-            }
-            while b < nb {
-                let mut acc = _mm512_setzero_si512();
-                for (t, xq) in qx.chunks_exact(4).enumerate() {
-                    let xb = _mm512_set1_epi32(i32::from_le_bytes([xq[0], xq[1], xq[2], xq[3]]));
-                    let wq = _mm512_loadu_si512(p.pack.as_ptr().add(t * n * 4 + b * 64) as *const _);
-                    acc = _mm512_dpbusd_epi32(acc, xb, wq);
-                }
-                _mm512_storeu_si512(idot.as_mut_ptr().add(b * KERNEL_BLOCK) as *mut _, acc);
-                b += 1;
-            }
-            // Sub-block tail columns, scalar integer (identical arithmetic).
-            for (j, d) in idot.iter_mut().enumerate().skip(nb * KERNEL_BLOCK) {
-                let mut acc = 0i32;
-                for (t, xq) in qx.chunks_exact(4).enumerate() {
-                    let wq = &p.pack[t * n * 4 + j * 4..t * n * 4 + j * 4 + 4];
-                    for (&xv, &wv) in xq.iter().zip(wq) {
-                        acc += xv as i32 * wv as i32;
-                    }
-                }
-                *d = acc;
-            }
-            self.q8_epilogue(p, sx, z, idot, out_row);
-        }
+        // SAFETY (all four arms): this function's caller guarantees the
+        // features; `dots_vnni` checks the slice lengths itself.
+        self.rows_q8(p, input, out, qx, idot, |rows, qx, idot| match rows {
+            1 => unsafe { dots_vnni::<1>(p, qx, idot) },
+            2 => unsafe { dots_vnni::<2>(p, qx, idot) },
+            3 => unsafe { dots_vnni::<3>(p, qx, idot) },
+            _ => unsafe { dots_vnni::<Q_ROWS>(p, qx, idot) },
+        })
     }
 
     /// Shared q8 epilogue: dequantize the exact integer dots, add bias,
@@ -633,9 +746,9 @@ struct Scratch {
     a: Vec<f32>,
     b: Vec<f32>,
     pooled: Vec<f32>,
-    /// q8 path: quantized input row (`k4 * 4` u8 codes).
+    /// q8 path: a row block's quantized inputs (`Q_ROWS * k4 * 4` u8 codes).
     qx: Vec<u8>,
-    /// q8 path: per-column integer dot products.
+    /// q8 path: a row block's integer dot products (`Q_ROWS * out` i32).
     idot: Vec<i32>,
 }
 
@@ -887,29 +1000,61 @@ mod tests {
     }
 
     /// Every supported ISA must produce bitwise-identical scores: f32 vs the
-    /// scalar reference, q8 vs the portable integer emulation. One test (not
-    /// one per ISA) because the selected ISA is process-global.
+    /// scalar reference, q8 vs the portable integer emulation. The widths
+    /// cover tail-only layers (φ 12 / ρ 9) and the serving hot loop's
+    /// shapes — full q8 register blocks, leftover single blocks, masked
+    /// column tails and a 1-column head — and the batch sizes fill, split
+    /// and leave over q8 row blocks. At q8 a set must also score the same
+    /// alone as inside a batch. One test (not one per ISA) because the
+    /// selected ISA is process-global.
     #[test]
     fn all_supported_isas_agree_bitwise() {
         let detected = detect_kernel_isa();
-        let model = DeepSets::new(config(CompressionKind::None, Pooling::Sum));
-        let scalar = model.predict_batch(&sets());
-        let f32k = FrozenModel::freeze(&model, Precision::F32);
-        let q8k = FrozenModel::freeze(&model, Precision::Q8);
-        set_kernel_isa(KernelIsa::Generic).unwrap();
-        let q8_reference = q8k.predict_batch(&sets());
-        for isa in [KernelIsa::Generic, KernelIsa::Avx2, KernelIsa::Avx512, KernelIsa::Avx512Vnni]
-        {
-            if isa > detected {
-                assert!(set_kernel_isa(isa).is_err(), "{isa} should be unavailable");
-                continue;
+        let narrow = config(CompressionKind::None, Pooling::Sum);
+        let wide = [(512, 512), (80, 77), (64, 1), (128, 200)].map(|(phi, rho)| DeepSetsConfig {
+            embedding_dim: 128,
+            phi_hidden: vec![phi],
+            rho_hidden: vec![rho],
+            ..narrow.clone()
+        });
+        let batches: Vec<Vec<Vec<u32>>> =
+            [1, 3, 4, 5, 7, 8, 40].iter().map(|&b| sets()[40 - b..].to_vec()).collect();
+        for cfg in std::iter::once(narrow.clone()).chain(wide) {
+            let shape = format!("φ {:?} / ρ {:?}", cfg.phi_hidden, cfg.rho_hidden);
+            let model = DeepSets::new(cfg);
+            let scalar: Vec<Vec<f32>> = batches.iter().map(|b| model.predict_batch(b)).collect();
+            let f32k = FrozenModel::freeze(&model, Precision::F32);
+            let q8k = FrozenModel::freeze(&model, Precision::Q8);
+            set_kernel_isa(KernelIsa::Generic).unwrap();
+            let q8_reference: Vec<Vec<f32>> =
+                batches.iter().map(|b| q8k.predict_batch(b)).collect();
+            for isa in
+                [KernelIsa::Generic, KernelIsa::Avx2, KernelIsa::Avx512, KernelIsa::Avx512Vnni]
+            {
+                if isa > detected {
+                    assert!(set_kernel_isa(isa).is_err(), "{isa} should be unavailable");
+                    continue;
+                }
+                set_kernel_isa(isa).unwrap();
+                assert_eq!(kernel_isa(), isa);
+                let wants = scalar.iter().zip(&q8_reference);
+                for (batch, (f32_want, q8_want)) in batches.iter().zip(wants) {
+                    let b = batch.len();
+                    let f32 = f32k.predict_batch(batch);
+                    assert_eq!(&f32, f32_want, "{isa} {shape} batch {b}: f32 diverged");
+                    let q8 = q8k.predict_batch(batch);
+                    assert_eq!(&q8, q8_want, "{isa} {shape} batch {b}: q8 diverged");
+                    for (set, &score) in batch.iter().zip(&q8) {
+                        assert_eq!(
+                            q8k.predict_one(set).to_bits(),
+                            score.to_bits(),
+                            "{isa} {shape} batch {b}: q8 {set:?} depends on its batch"
+                        );
+                    }
+                }
             }
-            set_kernel_isa(isa).unwrap();
-            assert_eq!(kernel_isa(), isa);
-            assert_eq!(f32k.predict_batch(&sets()), scalar, "{isa}: f32 diverged");
-            assert_eq!(q8k.predict_batch(&sets()), q8_reference, "{isa}: q8 diverged");
+            set_kernel_isa(detected).unwrap();
         }
-        set_kernel_isa(detected).unwrap();
     }
 
     /// Direct q8 layer check against an exact f32 matmul, at widths that
@@ -938,6 +1083,89 @@ mod tests {
                     "{in_dim}x{out_dim} col {j}: {o} vs {r}"
                 );
             }
+        }
+    }
+
+    /// The q8 score bits of a serving-sized model, pinned: any change to the
+    /// packing, the quantizer, the integer dots or the epilogue that moves
+    /// one bit of one score fails here.
+    #[test]
+    fn q8_scores_are_pinned() {
+        let model = DeepSets::new(DeepSetsConfig {
+            vocab: 1000,
+            embedding_dim: 128,
+            phi_hidden: vec![512],
+            rho_hidden: vec![512],
+            ..config(CompressionKind::None, Pooling::Sum)
+        });
+        let q8 = FrozenModel::freeze(&model, Precision::Q8);
+        let sets: Vec<Vec<u32>> = (0..64u32)
+            .map(|i| (0..2 + i % 7).map(|j| (i * 131 + j * 17 + 3) % 1000).collect())
+            .collect();
+        let scores = q8.predict_batch(&sets);
+        let mut distinct: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(distinct.len() > 48, "scores too uniform to pin: {}", distinct.len());
+        // FNV-1a over the score bits, one 32-bit word per step.
+        let fold = scores.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, s| {
+            (h ^ s.to_bits() as u64).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(fold, 15_580_012_876_577_225_122, "q8 score bits moved");
+    }
+
+    /// The q8 input quantizer as first written, with the saturating
+    /// `as i32` cast and a sequential min/max: the reference the
+    /// vectorizable [`quantize_row`] must match bit for bit.
+    fn quantize_row_reference(x: &[f32], qx: &mut [u8]) -> (f32, i32) {
+        let (mut lo, mut hi) = (0.0f32, 0.0f32);
+        for &v in x {
+            lo = if v < lo { v } else { lo };
+            hi = if v > hi { v } else { hi };
+        }
+        let sx = (hi - lo) / 255.0;
+        if sx <= 0.0 || !sx.is_finite() {
+            qx.iter_mut().for_each(|q| *q = 0);
+            return (0.0, 0);
+        }
+        let inv = 1.0 / sx;
+        let z = (-lo * inv + 0.5) as i32;
+        let zf = z as f32;
+        for (i, q) in qx.iter_mut().enumerate() {
+            *q = match x.get(i) {
+                Some(&v) => ((v * inv + zf + 0.5) as i32).clamp(0, 255) as u8,
+                None => z as u8,
+            };
+        }
+        (sx, z)
+    }
+
+    #[test]
+    fn quantizer_matches_the_saturating_cast_reference() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const SPECIAL: [f32; 9] =
+            [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1e-40, -1e-40, 1e30, -1e30];
+        let mut rng = StdRng::seed_from_u64(35);
+        for row in 0..12_000 {
+            let len = rng.gen_range(1..600usize);
+            let spread = [1e-3f32, 1.0, 1e6][row % 3];
+            let mut x: Vec<f32> =
+                (0..len).map(|_| rng.gen_range(-spread..spread)).collect();
+            // Half the rows carry specials (NaN, ±inf, ±0, subnormals,
+            // ±1e30) at random positions; many of those rows degenerate to
+            // the all-zero encoding, the rest must clamp identically.
+            if row % 2 == 1 {
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let at = rng.gen_range(0..len);
+                    x[at] = SPECIAL[rng.gen_range(0..SPECIAL.len())];
+                }
+            }
+            let padded = len.div_ceil(4) * 4;
+            let (mut got, mut want) = (vec![0u8; padded], vec![0u8; padded]);
+            let (gs, gz) = quantize_row(&x, &mut got);
+            let (ws, wz) = quantize_row_reference(&x, &mut want);
+            assert_eq!((gs.to_bits(), gz), (ws.to_bits(), wz), "row {row}: (sx, z)");
+            assert_eq!(got, want, "row {row}: codes");
         }
     }
 
