@@ -13,7 +13,7 @@
 //! model's.
 //!
 //! `SERVE_THROUGHPUT_REQUESTS` overrides the per-cell request count (CI
-//! smoke runs use a small value). `--precision <f32|f16|q8>` switches to a
+//! smoke runs use a small value). `--precision <f32|q8>` switches to a
 //! smoke mode: serve the cardinality workload at f32 and at the requested
 //! precision, assert the requested precision is not slower (with slack for
 //! noisy hosts), and skip the full tables.
@@ -72,7 +72,7 @@ fn run<T: ServeTask<Request = ElementSet>>(
     report.completed as f64 / elapsed
 }
 
-/// Parses an optional `--precision <f32|f16|q8>` CLI argument.
+/// Parses an optional `--precision <f32|q8>` CLI argument.
 fn precision_arg() -> Option<Precision> {
     let mut args = std::env::args().skip(1);
     let mut precision = None;
@@ -81,7 +81,7 @@ fn precision_arg() -> Option<Precision> {
             let v = args.next().expect("--precision needs a value");
             precision = Some(v.parse().expect("--precision value"));
         } else {
-            panic!("unknown argument '{a}' (only --precision <f32|f16|q8> is accepted)");
+            panic!("unknown argument '{a}' (only --precision <f32|q8> is accepted)");
         }
     }
     precision
@@ -241,7 +241,7 @@ fn main() {
     // Model-level comparison (no queueing) on the production-sized model at
     // the serve micro-batch size: the scalar `predict_batch` reference
     // against [`FrozenModel`] at each precision. f32 freezing must be
-    // bit-identical; f16/q8 report their worst score deltas. Both f32 sides
+    // bit-identical; q8 reports its worst score delta. Both f32 sides
     // run the one shared GEMM, so f32 carries no speed floor; q8 does.
     let kmodel = DeepSets::new(heavy_cfg.model.clone());
     // Mixed 1–6 element sets: φ work scales with elements, and serve traffic
@@ -282,7 +282,6 @@ fn main() {
         match p {
             Precision::F32 => assert_eq!(maxd, 0.0, "frozen f32 must be bit-identical to scalar"),
             Precision::Q8 => speedup_q8 = speedup,
-            Precision::F16 => {}
         }
         kt.row(vec![
             format!("frozen {p}"),

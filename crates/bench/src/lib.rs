@@ -9,6 +9,7 @@
 //!   datasets (`SETLEARN_SCALE` env var scales them up).
 //! * [`configs`] — model/training settings per task (§8.1).
 //! * [`metrics`] — q-error aggregation and Figure 6's result-size buckets.
+//! * [`half`] — f16 weight rounding, for `abl_quantize` only.
 //! * [`timing`] — one-query-at-a-time latency measurement (§8.2.3).
 //! * [`report`] — plain-text table rendering.
 //! * [`suites`] — the experiment implementations.
@@ -17,6 +18,7 @@
 
 pub mod configs;
 pub mod datasets;
+pub mod half;
 pub mod metrics;
 pub mod printers;
 pub mod report;

@@ -67,12 +67,15 @@ impl Args {
     }
 
     /// Optional typed option with a default.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
+    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError>
+    where
+        T::Err: fmt::Display,
+    {
         match self.options.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| ArgError(format!("invalid value '{v}' for --{key}"))),
+                .map_err(|e| ArgError(format!("invalid value '{v}' for --{key}: {e}"))),
         }
     }
 

@@ -303,7 +303,7 @@ fn model_from_args(args: &Args, vocab: u32) -> Result<DeepSetsConfig, CliError> 
 
 /// `setlearn train --task cardinality|index|bloom --root DIR --collection NAME
 ///  [--compressed] [--epochs N] [--percentile P] [--neurons N] [--embedding D]
-///  [--shards N] [--shard-by hash|range] [--precision f32|f16|q8]
+///  [--shards N] [--shard-by hash|range] [--precision f32|q8]
 ///  [--telemetry PATH]`
 ///
 /// Trains over the tenant's current sets and writes the checkpoint plus the
@@ -1264,7 +1264,7 @@ COMMANDS:
   train     --task cardinality|index|bloom --root DIR --collection NAME
             [--compressed] [--epochs N] [--percentile P] [--neurons N]
             [--embedding D] [--max-subset K] [--lr F] [--batch N]
-            [--shards N] [--shard-by hash|range] [--precision f32|f16|q8]
+            [--shards N] [--shard-by hash|range] [--precision f32|q8]
             [--telemetry PATH]
   ingest    --root DIR --collection NAME [--insert \"1,2;3,4\"]
             [--delete \"5,6\"]
@@ -1816,6 +1816,14 @@ mod tests {
             .unwrap_err();
         assert!(err.downcast_ref::<ArgError>().is_some(), "untyped: {err}");
         assert!(err.to_string().contains(removed), "got: {err}");
+    }
+
+    #[test]
+    fn train_refuses_the_removed_half_precision() {
+        let train = ["train", "--task", "cardinality", "--root", "R", "--collection", "c"];
+        let err = run(&args(&[&train[..], &["--precision", "f16"]].concat())).unwrap_err();
+        assert!(err.downcast_ref::<ArgError>().is_some(), "untyped: {err}");
+        assert!(err.to_string().contains("expected f32 or q8"), "got: {err}");
     }
 
     #[test]

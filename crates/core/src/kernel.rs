@@ -9,19 +9,17 @@
 //! * embedding tables re-laid-out for contiguous per-position access — the
 //!   compressed encoder gathers each sub-table directly into its column
 //!   block of the encoded row (no `hconcat`, no per-table matrices);
-//! * f32/f16 dense layers run [`setlearn_nn::gemm::gemm`], the one
+//! * f32 dense layers run [`setlearn_nn::gemm::gemm`], the one
 //!   register-tiled, ISA-dispatched forward GEMM that training runs too —
 //!   so frozen f32 is bit-identical to the training path by construction;
 //! * per-thread reusable scratch arenas, so steady-state serving allocates
 //!   nothing per batch beyond the output vector.
 //!
 //! On top of the layout sits the precision choice ([`Precision`]): `f32`
-//! keeps the training weights bit-for-bit, `f16` rounds every weight
-//! through IEEE binary16 at freeze time and serves from the dequantized f32
-//! layout (exactly [`crate::quantize::quantize_in_place`] semantics), and
-//! `q8` serves embeddings as per-row affine `u8` codes and dense layers as
-//! per-column symmetric `i8` codes with dynamically quantized `u8` inputs —
-//! an exact integer accumulation finished in f32. A q8 layer takes its
+//! keeps the training weights bit-for-bit, and `q8` serves embeddings as
+//! per-row affine `u8` codes and dense layers as per-column symmetric `i8`
+//! codes with dynamically quantized `u8` inputs — an exact integer
+//! accumulation finished in f32. A q8 layer takes its
 //! input rows in blocks of four: it quantizes each row once, then one pass
 //! over the packed weights feeds every row of the block (AVX-512 VNNI
 //! `vpdpbusd` with 4 rows × 4 column blocks of accumulators where
@@ -33,7 +31,6 @@
 
 use crate::compress::CompressionSpec;
 use crate::model::{pool_rows, DeepSets, Pooling};
-use crate::quantize::{f16_bits_to_f32, f32_to_f16_bits};
 use serde::{Deserialize, Serialize};
 use setlearn_nn::hash_embedding::hash_bucket;
 use setlearn_nn::{Activation, Dense};
@@ -47,17 +44,14 @@ use setlearn_nn::gemm::{gemm, ACC_BLOCKS, KERNEL_BLOCK};
 
 /// Numeric precision a structure serves at. Chosen at `train` time and
 /// recorded in the checkpoint; every reader serves at the recorded value.
-/// Serialized by variant name (`"F32"`/`"F16"`/`"Q8"`) in JSON checkpoints;
+/// Serialized by variant name (`"F32"`/`"Q8"`) in JSON checkpoints;
 /// the CLI-facing [`FromStr`]/[`fmt::Display`] forms are lowercase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum Precision {
     /// Serve the training weights unchanged. Bit-identical to the scalar
     /// reference path.
     #[default]
     F32,
-    /// Round every weight through IEEE binary16 at freeze time, serve from
-    /// the dequantized f32 layout. Same speed as `F32`, half the checkpoint.
-    F16,
     /// 8-bit weights: embeddings as per-row affine `u8` codes, dense layers
     /// as per-column symmetric `i8` codes driven by dynamically quantized
     /// `u8` inputs through an exact integer accumulation, finished in f32
@@ -66,27 +60,23 @@ pub enum Precision {
     Q8,
 }
 
+/// The refusal of a checkpoint naming the retired f16 (JSON `"F16"`, SLW2
+/// byte 1): serving it at f32 would move its answers without notice.
+pub(crate) const F16_REMOVED: &str =
+    "precision f16 was removed; retrain with `train --precision f32|q8`";
+
 impl Precision {
     /// All precisions, in ascending compression order.
-    pub const ALL: [Precision; 3] = [Precision::F32, Precision::F16, Precision::Q8];
+    pub const ALL: [Precision; 2] = [Precision::F32, Precision::Q8];
+}
 
-    /// Stable single-byte encoding for binary checkpoint headers.
-    pub fn to_byte(self) -> u8 {
-        match self {
-            Precision::F32 => 0,
-            Precision::F16 => 1,
-            Precision::Q8 => 2,
-        }
-    }
-
-    /// Decodes [`Precision::to_byte`]; `None` for bytes written by a future
-    /// revision.
-    pub fn from_byte(b: u8) -> Option<Precision> {
-        match b {
-            0 => Some(Precision::F32),
-            1 => Some(Precision::F16),
-            2 => Some(Precision::Q8),
-            _ => None,
+impl Deserialize for Precision {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        match v.as_str() {
+            Some("F32") => Ok(Precision::F32),
+            Some("Q8") => Ok(Precision::Q8),
+            Some("F16") => Err(serde::Error::custom(F16_REMOVED)),
+            _ => Err(serde::Error::custom(format!("unknown precision {v:?} (expected F32 or Q8)"))),
         }
     }
 }
@@ -95,7 +85,6 @@ impl fmt::Display for Precision {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Precision::F32 => "f32",
-            Precision::F16 => "f16",
             Precision::Q8 => "q8",
         })
     }
@@ -107,9 +96,8 @@ impl FromStr for Precision {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "f32" => Ok(Precision::F32),
-            "f16" => Ok(Precision::F16),
             "q8" => Ok(Precision::Q8),
-            other => Err(format!("unknown precision '{other}' (expected f32, f16 or q8)")),
+            other => Err(format!("unknown precision '{other}' (expected f32 or q8)")),
         }
     }
 }
@@ -117,7 +105,7 @@ impl FromStr for Precision {
 /// An embedding table frozen at a given precision, row-major `rows x dim`.
 #[derive(Debug)]
 enum FrozenTable {
-    /// Full-precision rows (also holds the f16 path after dequantize-on-load).
+    /// Full-precision rows.
     F32(Vec<f32>),
     /// Per-row affine codes: `value = min[r] + scale[r] * q[r*dim + j]`.
     Q8 { q: Vec<u8>, scale: Vec<f32>, min: Vec<f32> },
@@ -128,7 +116,6 @@ impl FrozenTable {
         debug_assert_eq!(values.len(), rows * dim);
         match precision {
             Precision::F32 => FrozenTable::F32(values.to_vec()),
-            Precision::F16 => FrozenTable::F32(round_f16(values)),
             Precision::Q8 => {
                 let mut q = Vec::with_capacity(values.len());
                 let mut scale = Vec::with_capacity(rows);
@@ -204,10 +191,6 @@ fn affine_params(row: &[f32]) -> (f32, f32, f32) {
     } else {
         (lo, 0.0, 0.0) // constant row
     }
-}
-
-fn round_f16(values: &[f32]) -> Vec<f32> {
-    values.iter().map(|&w| f16_bits_to_f32(f32_to_f16_bits(w))).collect()
 }
 
 /// The element encoder re-laid-out for contiguous gathering.
@@ -580,7 +563,6 @@ impl FrozenLayer {
         let (in_dim, out_dim) = (layer.in_dim(), layer.out_dim());
         let (weights, bias) = match precision {
             Precision::F32 => (FrozenWeights::F32(w.value.clone()), b.value.clone()),
-            Precision::F16 => (FrozenWeights::F32(round_f16(&w.value)), round_f16(&b.value)),
             Precision::Q8 => {
                 // Biases stay f32 — they are `out_dim` scalars, and rounding
                 // them buys nothing.
@@ -858,7 +840,7 @@ impl FrozenModel {
 /// its own first query).
 ///
 /// Holders must [`KernelCell::reset`] whenever the underlying model's
-/// weights may have changed (`model_mut`, quantization, weight hot-swap) —
+/// weights may have changed (`model_mut`, weight hot-swap) —
 /// the cell cannot observe mutations itself.
 #[derive(Default)]
 pub struct KernelCell(OnceLock<FrozenModel>);
@@ -947,16 +929,6 @@ mod tests {
     }
 
     #[test]
-    fn f16_freeze_matches_quantize_in_place() {
-        let model = DeepSets::new(config(CompressionKind::Optimal { ns: 2 }, Pooling::Sum));
-        let frozen = FrozenModel::freeze(&model, Precision::F16);
-        let mut rounded = model.clone();
-        crate::quantize::quantize_in_place(&mut rounded);
-        let sets = sets();
-        assert_eq!(frozen.predict_batch(&sets), rounded.predict_batch(&sets));
-    }
-
-    #[test]
     fn q8_stays_close_and_shrinks() {
         let model = DeepSets::new(config(CompressionKind::None, Pooling::Sum));
         let f32k = FrozenModel::freeze(&model, Precision::F32);
@@ -988,15 +960,18 @@ mod tests {
     }
 
     #[test]
-    fn precision_strings_and_bytes_round_trip() {
+    fn precision_strings_and_tags_round_trip() {
         for p in Precision::ALL {
             assert_eq!(p.to_string().parse::<Precision>().unwrap(), p);
-            assert_eq!(Precision::from_byte(p.to_byte()), Some(p));
         }
         assert!("f64".parse::<Precision>().is_err());
-        assert_eq!(Precision::from_byte(9), None);
-        // The vendored serde stub serializes unit variants by name.
+        assert!("f16".parse::<Precision>().unwrap_err().contains("expected f32 or q8"));
+        // The vendored serde stub serializes unit variants by name; the
+        // hand-written reader takes back exactly those tags and refuses F16.
         assert_eq!(serde_json::to_string(&Precision::Q8).unwrap(), "\"Q8\"");
+        assert_eq!(serde_json::from_str::<Precision>("\"Q8\"").unwrap(), Precision::Q8);
+        let err = serde_json::from_str::<Precision>("\"F16\"").unwrap_err().to_string();
+        assert!(err.contains("f32|q8"), "{err}");
     }
 
     /// Every supported ISA must produce bitwise-identical scores: f32 vs the
@@ -1173,9 +1148,9 @@ mod tests {
     fn kernel_cell_clones_empty_and_refreezes() {
         let model = DeepSets::new(config(CompressionKind::None, Pooling::Sum));
         let cell = KernelCell::new();
-        let p = cell.get_or_freeze(&model, Precision::F16).predict_one(&[1, 2]);
+        let p = cell.get_or_freeze(&model, Precision::Q8).predict_one(&[1, 2]);
         let copy = cell.clone();
         assert!(copy.get().is_none(), "clone must not share the frozen kernel");
-        assert_eq!(copy.get_or_freeze(&model, Precision::F16).predict_one(&[1, 2]), p);
+        assert_eq!(copy.get_or_freeze(&model, Precision::Q8).predict_one(&[1, 2]), p);
     }
 }

@@ -50,7 +50,6 @@ pub mod model;
 pub mod monitor;
 pub mod mutable;
 pub mod persist;
-pub mod quantize;
 pub mod settransformer;
 pub mod shard;
 pub mod tasks;

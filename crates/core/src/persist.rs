@@ -9,8 +9,8 @@
 //! version: u8              format revision within SLW2 (currently 2)
 //! crc32: u32               CRC-32 (IEEE) over the payload below
 //! payload:
-//!   precision: u8          serve precision (revision 2+; see
-//!                          [`Precision::to_byte`])
+//!   precision: u8          serve precision: 0 = f32, 2 = q8 (1 was the
+//!                          retired f16 and is refused)
 //!   json_len: u32          length of the config JSON
 //!   config JSON            model architecture (to rebuild the skeleton)
 //!   num_bufs: u32
@@ -26,7 +26,7 @@
 //! renamed over the destination, so a crash mid-save can never leave a
 //! half-written model at the target path.
 
-use crate::kernel::Precision;
+use crate::kernel::{Precision, F16_REMOVED};
 use crate::model::{DeepSets, DeepSetsConfig};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -261,7 +261,10 @@ pub fn encode_weights_with_precision(
 ) -> Result<Vec<u8>, PersistError> {
     let body = encode_payload(model)?;
     let mut payload = Vec::with_capacity(1 + body.len());
-    payload.push(precision.to_byte());
+    payload.push(match precision {
+        Precision::F32 => 0,
+        Precision::Q8 => 2,
+    });
     payload.extend_from_slice(&body);
     let mut out = Vec::with_capacity(9 + payload.len());
     out.extend_from_slice(MAGIC);
@@ -309,12 +312,15 @@ pub fn decode_weights_with_precision(
         )));
     }
     let mut body = Cursor::new(payload);
-    let precision_byte = body.u8("precision")?;
-    let precision = Precision::from_byte(precision_byte).ok_or_else(|| {
-        PersistError::Format(format!(
-            "unknown precision code {precision_byte} (this build knows f32/f16/q8)"
-        ))
-    })?;
+    let precision = match body.u8("precision")? {
+        0 => Precision::F32,
+        2 => Precision::Q8,
+        1 => return Err(PersistError::Format(F16_REMOVED.to_string())),
+        b => {
+            let why = format!("unknown precision code {b} (this build knows f32/q8)");
+            return Err(PersistError::Format(why));
+        }
+    };
     Ok((decode_payload(&payload[body.pos..])?, precision))
 }
 
@@ -576,16 +582,17 @@ mod tests {
             assert_eq!(got, p);
             assert_eq!(model.predict_one(&[3, 9]), back.predict_one(&[3, 9]));
         }
-        // An unknown precision code is refused even when the checksum holds
-        // (header is magic 4 + version 1 + crc 4 = 9 bytes).
-        let mut bad = encode_weights_with_precision(&model, Precision::F32).unwrap();
-        bad[9] = 7;
-        let crc = crc32(&bad[9..]);
-        bad[5..9].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            decode_weights_with_precision(&bad),
-            Err(PersistError::Format(_))
-        ));
+        // An unknown precision code, and the retired f16 code 1, are refused
+        // even when the checksum holds (header is magic 4 + version 1 +
+        // crc 4 = 9 bytes).
+        for (code, hint) in [(7u8, "f32/q8"), (1, "f32|q8")] {
+            let mut bad = encode_weights_with_precision(&model, Precision::F32).unwrap();
+            bad[9] = code;
+            let crc = crc32(&bad[9..]);
+            bad[5..9].copy_from_slice(&crc.to_le_bytes());
+            let err = decode_weights_with_precision(&bad).unwrap_err();
+            assert!(matches!(&err, PersistError::Format(why) if why.contains(hint)), "{err}");
+        }
     }
 
     /// Only the revision this build writes is read: a future revision, the

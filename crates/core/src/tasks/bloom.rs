@@ -128,26 +128,20 @@ impl LearnedBloom {
         );
         let loss_history = train.loss_history.clone();
 
-        // Collect false negatives among the positives and back them up.
-        let positives: Vec<&ElementSet> =
-            workload.iter().filter(|(_, l)| *l).map(|(s, _)| s).collect();
-        let missed: Vec<&ElementSet> = positives
+        // One scoring pass: back up the missed positives, count right verdicts.
+        let queries: Vec<&ElementSet> = workload.iter().map(|(s, _)| s).collect();
+        let scores = model.predict_batch(&queries);
+        let missed: Vec<&ElementSet> = workload
             .iter()
-            .copied()
-            .filter(|s| model.predict_one(s) < cfg.threshold)
+            .zip(&scores)
+            .filter(|((_, l), &p)| *l && p < cfg.threshold)
+            .map(|((s, _), _)| s)
             .collect();
         let mut backup = BloomFilter::new(missed.len().max(8), cfg.backup_fp_rate);
         for s in &missed {
             backup.insert_set(s);
         }
-
-        let correct = workload
-            .iter()
-            .filter(|(s, l)| {
-                let pred = model.predict_one(s) >= cfg.threshold;
-                pred == *l
-            })
-            .count();
+        let correct = correct_verdicts(workload, &scores, cfg.threshold);
         let report = BloomBuildReport {
             loss_history,
             false_negatives: missed.len(),
@@ -267,17 +261,19 @@ impl LearnedBloom {
         self.model.size_bytes() + self.backup.size_bytes()
     }
 
-    /// Binary accuracy over a labeled workload (Table 9's metric).
+    /// Binary accuracy over a labeled workload (Table 9's metric): classifier
+    /// verdicts at the serve precision, before the backup filter.
     pub fn binary_accuracy(&self, workload: &[(ElementSet, bool)]) -> f64 {
         assert!(!workload.is_empty());
-        let correct = workload
-            .iter()
-            .filter(|(s, l)| {
-                (self.model.predict_one(s) >= self.threshold) == *l
-            })
-            .count();
-        correct as f64 / workload.len() as f64
+        let queries: Vec<&ElementSet> = workload.iter().map(|(s, _)| s).collect();
+        let scores = self.kernel().predict_batch(&queries);
+        correct_verdicts(workload, &scores, self.threshold) as f64 / workload.len() as f64
     }
+}
+
+/// How many labels the scores get right at threshold `threshold`.
+fn correct_verdicts(workload: &[(ElementSet, bool)], scores: &[f32], threshold: f32) -> usize {
+    workload.iter().zip(scores).filter(|((_, l), &p)| (p >= threshold) == *l).count()
 }
 
 impl LearnedSetStructure for LearnedBloom {

@@ -241,14 +241,6 @@ impl LearnedCardinality {
         &mut self.model
     }
 
-    /// Rounds every model weight to f16 precision in place (see
-    /// [`crate::quantize`]): halves the storable footprint at a tiny output
-    /// perturbation. The outlier store is untouched.
-    pub fn quantize_weights(&mut self) {
-        crate::quantize::quantize_in_place(&mut self.model);
-        self.kernel.reset();
-    }
-
     /// Number of exiled outliers.
     pub fn num_outliers(&self) -> usize {
         self.outliers.len()

@@ -11,8 +11,8 @@
 //! - `setlearn_serve_bound_misses_total` — index scans that exhausted their
 //!   local-error window without a hit (counter; `task="index"` only)
 //! - `setlearn_infer_precision` — which inference kernel is live, as a
-//!   one-hot gauge family labeled `precision="f32"|"f16"|"q8"` (the live
-//!   kernel's gauge reads 1, the others 0)
+//!   one-hot gauge family labeled `precision="f32"|"q8"` (the live
+//!   kernel's gauge reads 1, the other 0)
 //!
 //! Every answer path is a batch (a single query is a batch of one), so each
 //! batch records once; every fallback also emits a `serve_fallback` trace
@@ -30,8 +30,8 @@ pub(crate) struct ServeTele {
     fallback_non_finite: Arc<Counter>,
     fallback_out_of_bounds: Arc<Counter>,
     bound_misses: Arc<Counter>,
-    /// One-hot precision gauges, indexed by [`Precision::to_byte`].
-    infer_precision: [Arc<Gauge>; 3],
+    /// One-hot precision gauges, in [`Precision::ALL`] order.
+    infer_precision: [Arc<Gauge>; 2],
 }
 
 impl ServeTele {
@@ -50,10 +50,10 @@ impl ServeTele {
             ),
             bound_misses: m
                 .counter_with("setlearn_serve_bound_misses_total", &[("task", task)]),
-            infer_precision: [Precision::F32, Precision::F16, Precision::Q8].map(|p| {
+            infer_precision: Precision::ALL.map(|p| {
                 m.gauge_with(
                     "setlearn_infer_precision",
-                    &[("task", task), ("precision", precision_str(p))],
+                    &[("task", task), ("precision", &p.to_string())],
                 )
             }),
         }
@@ -65,8 +65,8 @@ impl ServeTele {
         if !setlearn_obs::metrics_on() {
             return;
         }
-        for (i, g) in self.infer_precision.iter().enumerate() {
-            g.set(if i == precision.to_byte() as usize { 1.0 } else { 0.0 });
+        for (p, g) in Precision::ALL.iter().zip(&self.infer_precision) {
+            g.set(if *p == precision { 1.0 } else { 0.0 });
         }
     }
 
@@ -106,14 +106,6 @@ impl ServeTele {
                 Field::text("reason", reason_str(reason)),
             ],
         );
-    }
-}
-
-fn precision_str(p: Precision) -> &'static str {
-    match p {
-        Precision::F32 => "f32",
-        Precision::F16 => "f16",
-        Precision::Q8 => "q8",
     }
 }
 

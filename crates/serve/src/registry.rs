@@ -956,6 +956,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// A checkpoint tagged with the retired f16 precision is refused by
+    /// name; the root's other tenants still answer.
+    #[test]
+    fn a_tenant_tagged_f16_is_refused_and_its_sibling_still_answers() {
+        let root = tmpdir("f16-tag");
+        write_cardinality(&root, "alpha", 11);
+        write_cardinality(&root, "old", 12);
+        let model = root.join("old").join(COLLECTION_MODEL);
+        let json = std::fs::read_to_string(&model).unwrap();
+        let tagged = json.replace("\"precision\":\"F32\"", "\"precision\":\"F16\"");
+        assert_ne!(tagged, json, "the checkpoint records its precision");
+        std::fs::write(&model, tagged).unwrap();
+        let mut config = RegistryConfig::new(&root);
+        config.serve = quick_serve();
+        let registry = CollectionRegistry::new(config);
+
+        let why = registry.resolve(Some("old")).expect_err("f16 resolved").to_string();
+        assert!(why.contains("failed to load") && why.contains("f32|q8"), "{why}");
+        let query = [setlearn_data::normalize(vec![1, 2])];
+        let got = answers(&registry.resolve(Some("alpha")).unwrap(), &query);
+        assert!(matches!(got[..], [QueryValue::Cardinality(v)] if v.is_finite()), "{got:?}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn lru_eviction_respects_budget_and_reloads() {
         let root = tmpdir("lru");
@@ -1240,7 +1264,7 @@ mod tests {
                 ..IndexConfig::new(narrow.clone())
             },
         );
-        index.set_precision(Precision::F16);
+        index.set_precision(Precision::Q8);
         write_tenant(&root, "index", "index", None, &index, &sets);
         let bloom_cfg =
             BloomConfig { model: narrow.clone(), epochs: 2, ..BloomConfig::new(narrow.clone()) };
@@ -1299,7 +1323,7 @@ mod tests {
 
             let index: LearnedSetIndex = load_json(&wal("index").join("model.json")).unwrap();
             assert!(same_shape(index.model()), "round {round}: index dims drifted");
-            assert_eq!(index.precision(), Precision::F16, "round {round}");
+            assert_eq!(index.precision(), Precision::Q8, "round {round}");
             assert_eq!(index.target(), PositionTarget::Last, "round {round}");
             let pairs: Vec<ElementSet> =
                 merged.sets().iter().map(|s| s[..2].to_vec().into_boxed_slice()).collect();

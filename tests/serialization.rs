@@ -43,6 +43,24 @@ fn trained_estimator_roundtrips_through_json() {
     }
 }
 
+/// A checkpoint tagged with the retired f16 precision is refused with a
+/// message naming the precisions a retrain can pick, not served at another
+/// precision.
+#[test]
+fn checkpoint_tagged_f16_is_refused_with_a_retrain_hint() {
+    let collection = GeneratorConfig::sd(200, 6).generate();
+    let mut cfg = CardinalityConfig::new(DeepSetsConfig::lsm(collection.num_elements()));
+    cfg.guided = quick_guided();
+    cfg.max_subset_size = 2;
+    let (est, _) = LearnedCardinality::build(&collection, &cfg);
+    let json = serde_json::to_string(&est).expect("serialize");
+    let tagged = json.replace("\"precision\":\"F32\"", "\"precision\":\"F16\"");
+    assert_ne!(tagged, json, "the checkpoint records its precision");
+    let err = serde_json::from_str::<LearnedCardinality>(&tagged)
+        .expect_err("an f16 checkpoint deserialized");
+    assert!(err.to_string().contains("f32|q8"), "{err}");
+}
+
 /// Two builds of the same cardinality structure — one model, and two shards —
 /// serialize to the same bytes: the hash-keyed outlier store and delta layer
 /// are written in key order, not in a per-process random iteration order.
