@@ -31,7 +31,7 @@ fn main() {
         let cfg = cardinality_config(collection.num_elements(), Variant::Lsm, 1.0);
         let mut model = DeepSets::new(cfg.model.clone());
         let gcfg = GuidedConfig { percentile: 1.0, ..cfg.guided.clone() };
-        guided_train(&mut model, &data, loss, &gcfg);
+        let _ = guided_train(&mut model, &data, loss, &gcfg);
         let p: Vec<(f64, f64)> = eval
             .iter()
             .map(|(s, c)| (scaler.unscale(model.predict_one(s)), *c as f64))

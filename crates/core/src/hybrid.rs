@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use setlearn_data::ElementSet;
-use setlearn_nn::{Decision, Loss, Optimizer, TrainHarness, TrainPolicy, TrainReport};
+use setlearn_nn::{Loss, Optimizer, TrainHarness, TrainPolicy, TrainReport};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the guided-learning process.
@@ -59,14 +59,20 @@ pub struct GuidedOutcome {
     pub loss_history: Vec<f32>,
 }
 
-/// Trains `model` on `data` with iterative outlier removal; returns which
-/// samples were exiled. `data` targets must already be scaled.
+/// Trains `model` on `data` with iterative outlier removal under a
+/// [`TrainHarness`]: warm-up, then per round an error sweep that exiles the
+/// samples above `cfg.percentile` and a fine-tune on the rest. `data`
+/// targets must already be scaled.
+///
+/// The model ends on its final weights when the last epoch was accepted;
+/// a run the harness stops on a rejected epoch ends on its best snapshot,
+/// and later sweeps score those weights.
 pub fn guided_train(
     model: &mut DeepSets,
     data: &[(ElementSet, f32)],
     loss: Loss,
     cfg: &GuidedConfig,
-) -> GuidedOutcome {
+) -> (GuidedOutcome, TrainReport) {
     assert!(!data.is_empty(), "guided training needs data");
     assert!(
         (0.0..=1.0).contains(&cfg.percentile),
@@ -75,37 +81,29 @@ pub fn guided_train(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut opt = Optimizer::adam(cfg.learning_rate);
     model.zero_grad();
+    let total_epochs = cfg.warmup_epochs + cfg.rounds * cfg.epochs_per_round;
+    let mut harness =
+        TrainHarness::new(TrainPolicy::epochs(total_epochs.max(1)), opt.learning_rate());
 
     // Active sample indices; shrinks as outliers are exiled.
     let mut active: Vec<usize> = (0..data.len()).collect();
     let mut outliers: Vec<usize> = Vec::new();
-    let mut history = Vec::new();
-
-    let run_epochs = |model: &mut DeepSets,
-                          active: &[usize],
-                          epochs: usize,
-                          history: &mut Vec<f32>,
-                          rng: &mut StdRng,
-                          opt: &mut Optimizer| {
-        let view: Vec<(&[u32], f32)> =
-            active.iter().map(|&i| (&*data[i].0, data[i].1)).collect();
-        for _ in 0..epochs {
-            history.push(model.train_epoch(&view, loss, opt, cfg.batch_size, rng));
-        }
+    let view = |active: &[usize]| -> Vec<(&[u32], f32)> {
+        active.iter().map(|&i| (&*data[i].0, data[i].1)).collect()
+    };
+    let mut epochs = |model: &mut DeepSets, active: &[usize], n: usize| {
+        let view = view(active);
+        model.train_harnessed(&mut harness, n, &view, loss, &mut opt, cfg.batch_size, &mut rng)
     };
 
-    run_epochs(model, &active, cfg.warmup_epochs, &mut history, &mut rng, &mut opt);
-
+    let mut running = epochs(model, &active, cfg.warmup_epochs);
     for _ in 0..cfg.rounds {
         if cfg.percentile < 1.0 && active.len() > 1 {
             // Error sweep over the active samples.
-            let view: Vec<(&[u32], f32)> =
-                active.iter().map(|&i| (&*data[i].0, data[i].1)).collect();
-            let errors = model.per_sample_losses(&view, loss);
+            let errors = model.per_sample_losses(&view(&active), loss);
             let mut sorted = errors.clone();
             sorted.sort_by(|a, b| a.total_cmp(b));
-            let cut_idx =
-                ((sorted.len() as f64 - 1.0) * cfg.percentile).floor() as usize;
+            let cut_idx = ((sorted.len() as f64 - 1.0) * cfg.percentile).floor() as usize;
             let threshold = sorted[cut_idx];
             let (keep, exile): (Vec<usize>, Vec<usize>) = active
                 .iter()
@@ -118,178 +116,13 @@ pub fn guided_train(
                 active = keep;
             }
         }
-        run_epochs(model, &active, cfg.epochs_per_round, &mut history, &mut rng, &mut opt);
+        running = running && epochs(model, &active, cfg.epochs_per_round);
     }
 
-    GuidedOutcome { outlier_indices: outliers, loss_history: history }
-}
-
-/// Fault-tolerant variant of [`guided_train`]: the same guided-learning
-/// schedule (warm-up, outlier sweeps, fine-tuning) driven through a
-/// [`TrainHarness`], so non-finite losses/gradients are skipped, divergence
-/// restores the last-good snapshot and backs the learning rate off, and the
-/// caller gets a structured [`TrainReport`] next to the usual outcome.
-///
-/// `policy.max_epochs` is overridden with the schedule's total epoch count;
-/// every other knob (recovery budget, backoff, patience) is honored. On a
-/// clean run the training trajectory is identical to [`guided_train`]'s.
-pub fn guided_train_hardened(
-    model: &mut DeepSets,
-    data: &[(ElementSet, f32)],
-    loss: Loss,
-    cfg: &GuidedConfig,
-    policy: &TrainPolicy,
-) -> (GuidedOutcome, TrainReport) {
-    assert!(!data.is_empty(), "guided training needs data");
-    assert!(
-        (0.0..=1.0).contains(&cfg.percentile),
-        "percentile must be within [0, 1]"
-    );
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut opt = Optimizer::adam(cfg.learning_rate);
-    model.zero_grad();
-
-    let total_epochs = cfg.warmup_epochs + cfg.rounds * cfg.epochs_per_round;
-    let mut policy = policy.clone();
-    policy.max_epochs = total_epochs.max(1);
-    let mut harness = TrainHarness::new(policy, opt.learning_rate());
-
-    let mut active: Vec<usize> = (0..data.len()).collect();
-    let mut outliers: Vec<usize> = Vec::new();
-    let mut stopped = false;
-
-    let run_epochs = |model: &mut DeepSets,
-                          active: &[usize],
-                          epochs: usize,
-                          harness: &mut TrainHarness,
-                          rng: &mut StdRng,
-                          opt: &mut Optimizer,
-                          stopped: &mut bool| {
-        if *stopped {
-            return;
-        }
-        let view: Vec<(&[u32], f32)> =
-            active.iter().map(|&i| (&*data[i].0, data[i].1)).collect();
-        for _ in 0..epochs {
-            opt.set_learning_rate(harness.lr());
-            let stats = model.train_epoch_guarded(&view, loss, opt, cfg.batch_size, rng, None);
-            match harness.end_epoch(&stats, || model.snapshot_weights()) {
-                Decision::Continue => {}
-                Decision::Restore(snapshot) => {
-                    if !snapshot.is_empty() {
-                        model
-                            .load_weight_buffers(&snapshot)
-                            .expect("snapshot matches model");
-                    }
-                    model.reset_optimizer_state();
-                    model.zero_grad();
-                }
-                Decision::Stop(_) => {
-                    *stopped = true;
-                    return;
-                }
-            }
-        }
-    };
-
-    run_epochs(model, &active, cfg.warmup_epochs, &mut harness, &mut rng, &mut opt, &mut stopped);
-
-    for _ in 0..cfg.rounds {
-        if cfg.percentile < 1.0 && active.len() > 1 {
-            let view: Vec<(&[u32], f32)> =
-                active.iter().map(|&i| (&*data[i].0, data[i].1)).collect();
-            let errors = model.per_sample_losses(&view, loss);
-            let mut sorted = errors.clone();
-            sorted.sort_by(|a, b| a.total_cmp(b));
-            let cut_idx = ((sorted.len() as f64 - 1.0) * cfg.percentile).floor() as usize;
-            let threshold = sorted[cut_idx];
-            let (keep, exile): (Vec<usize>, Vec<usize>) = active
-                .iter()
-                .zip(errors.iter())
-                .partition_map(|(&i, &e)| if e <= threshold { Ok(i) } else { Err(i) });
-            outliers.extend(exile);
-            if !keep.is_empty() {
-                active = keep;
-            }
-        }
-        run_epochs(
-            model,
-            &active,
-            cfg.epochs_per_round,
-            &mut harness,
-            &mut rng,
-            &mut opt,
-            &mut stopped,
-        );
-    }
-
-    let (report, best) = harness.finish_with_best();
-    // Guided learning wants the *final* weights (they reflect the last
-    // retained set), but a run whose tail diverged must not ship poisoned
-    // weights — fall back to the best snapshot.
-    if model.has_non_finite_weights() {
-        if let Some(best) = best {
-            model.load_weight_buffers(&best).expect("snapshot matches model");
-        }
-    }
-    let history = report.loss_history.clone();
-    (GuidedOutcome { outlier_indices: outliers, loss_history: history }, report)
-}
-
-/// Automatic outlier-threshold selection (paper §6: "the threshold is guided
-/// by a defined error that we want to reach and can be set manually or
-/// automatically", targeting a q-error in `[1, 1.4]` for the index task).
-///
-/// Trains with the warm-up schedule, then — instead of a fixed percentile —
-/// finds the *largest* retained fraction whose mean per-sample loss meets
-/// `target_mean_loss`, exiles the rest, and fine-tunes on the retained set.
-/// Returns the outcome plus the fraction that was kept.
-pub fn guided_train_auto(
-    model: &mut DeepSets,
-    data: &[(ElementSet, f32)],
-    loss: Loss,
-    cfg: &GuidedConfig,
-    target_mean_loss: f32,
-) -> (GuidedOutcome, f64) {
-    assert!(!data.is_empty(), "guided training needs data");
-    assert!(target_mean_loss > 0.0, "target loss must be positive");
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut opt = Optimizer::adam(cfg.learning_rate);
-    model.zero_grad();
-
-    let view: Vec<(&[u32], f32)> = data.iter().map(|(s, t)| (&**s, *t)).collect();
-    let mut history = Vec::new();
-    for _ in 0..cfg.warmup_epochs {
-        history.push(model.train_epoch(&view, loss, &mut opt, cfg.batch_size, &mut rng));
-    }
-
-    // One error sweep; sort ascending so prefix means are monotone, then
-    // take the longest prefix whose mean meets the target.
-    let errors = model.per_sample_losses(&view, loss);
-    let mut order: Vec<usize> = (0..errors.len()).collect();
-    order.sort_by(|&a, &b| errors[a].total_cmp(&errors[b]));
-    let mut keep = 0usize;
-    let mut running = 0.0f64;
-    for (count, &i) in order.iter().enumerate() {
-        running += errors[i] as f64;
-        if running / (count + 1) as f64 <= target_mean_loss as f64 {
-            keep = count + 1;
-        }
-    }
-    // Never train on nothing; at worst keep the single best sample (the
-    // structure then effectively degenerates to its auxiliary part).
-    keep = keep.max(1);
-    let (kept, exiled) = order.split_at(keep);
-    let outliers: Vec<usize> = exiled.to_vec();
-
-    let retained: Vec<(&[u32], f32)> =
-        kept.iter().map(|&i| (&*data[i].0, data[i].1)).collect();
-    for _ in 0..cfg.epochs_per_round.max(1) * cfg.rounds.max(1) {
-        history.push(model.train_epoch(&retained, loss, &mut opt, cfg.batch_size, &mut rng));
-    }
-
-    let fraction = keep as f64 / data.len() as f64;
-    (GuidedOutcome { outlier_indices: outliers, loss_history: history }, fraction)
+    let report = harness.finish();
+    let outcome =
+        GuidedOutcome { outlier_indices: outliers, loss_history: report.loss_history.clone() };
+    (outcome, report)
 }
 
 /// Tiny local partition helper (avoids pulling in itertools).
@@ -573,7 +406,7 @@ mod tests {
             learning_rate: 0.01,
             seed: 1,
         };
-        let outcome = guided_train(&mut model, &data, Loss::Mse, &gcfg);
+        let (outcome, _) = guided_train(&mut model, &data, Loss::Mse, &gcfg);
         assert!(!outcome.outlier_indices.is_empty());
         // The poisoned samples (last four) should be among the exiles.
         let poisoned: Vec<usize> = (data.len() - 4..data.len()).collect();
@@ -586,77 +419,19 @@ mod tests {
         assert_eq!(outcome.loss_history.len(), 40);
     }
 
-    #[test]
-    fn auto_threshold_meets_the_target_on_retained_samples() {
-        // Mixed data: a learnable rule plus poisoned samples.
-        let mut data: Vec<(ElementSet, f32)> = Vec::new();
-        for i in 1..50u32 {
-            data.push((normalize(vec![0, i]), 0.9));
-            data.push((normalize(vec![i, i + 64]), 0.1));
-        }
-        for i in 0..6u32 {
-            data.push((normalize(vec![0, (i * 7) % 49 + 1, 120 + i]), 0.1));
-        }
-        let mut model = DeepSets::new(DeepSetsConfig {
-            vocab: 256,
-            embedding_dim: 4,
-            phi_hidden: vec![16],
-            rho_hidden: vec![16],
-            pooling: crate::model::Pooling::Sum,
-            hidden_activation: setlearn_nn::Activation::Tanh,
-            output_activation: setlearn_nn::Activation::Sigmoid,
-            compression: CompressionKind::None,
-            seed: 3,
-        });
-        let cfg = GuidedConfig {
-            warmup_epochs: 40,
-            rounds: 1,
-            epochs_per_round: 15,
-            percentile: 0.9, // ignored by the auto variant
-            batch_size: 16,
-            learning_rate: 0.01,
-            seed: 1,
-        };
-        let target = 0.02; // mean MSE target
-        let (outcome, fraction) = guided_train_auto(&mut model, &data, Loss::Mse, &cfg, target);
-        assert!(fraction > 0.5, "kept only {fraction}");
-        // The retained samples actually meet the target at sweep time.
-        let retained: Vec<(ElementSet, f32)> = data
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !outcome.outlier_indices.contains(i))
-            .map(|(_, d)| d.clone())
-            .collect();
-        let mean: f32 = model
-            .per_sample_losses(&retained, Loss::Mse)
-            .iter()
-            .sum::<f32>()
-            / retained.len() as f32;
-        // Fine-tuning only improves the retained set; allow slack for drift.
-        assert!(mean < target * 2.0, "retained mean loss {mean}");
+    /// FNV-1a over a training run's bits — every weight, every accepted
+    /// epoch's loss, every exiled index — one word per step.
+    fn trajectory_hash(model: &DeepSets, history: &[f32], outliers: &[usize]) -> u64 {
+        let weights = model.weight_buffers().into_iter().flatten().map(|w| w.to_bits() as u64);
+        let losses = history.iter().map(|l| l.to_bits() as u64);
+        weights
+            .chain(losses)
+            .chain(outliers.iter().map(|&i| i as u64))
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, w| (h ^ w).wrapping_mul(0x100_0000_01b3))
     }
 
     #[test]
-    fn auto_threshold_with_impossible_target_exiles_almost_everything() {
-        let data: Vec<(ElementSet, f32)> =
-            (1..40u32).map(|i| (normalize(vec![i]), (i % 2) as f32)).collect();
-        let mut model = DeepSets::new(DeepSetsConfig::lsm(64));
-        let cfg = GuidedConfig {
-            warmup_epochs: 2,
-            rounds: 1,
-            epochs_per_round: 1,
-            percentile: 1.0,
-            batch_size: 8,
-            learning_rate: 0.01,
-            seed: 2,
-        };
-        let (outcome, fraction) = guided_train_auto(&mut model, &data, Loss::Mse, &cfg, 1e-9);
-        assert!(fraction <= 0.1, "fraction {fraction}");
-        assert!(outcome.outlier_indices.len() >= data.len() - 2);
-    }
-
-    #[test]
-    fn hardened_guided_training_matches_plain_on_clean_data() {
+    fn training_trajectories_are_pinned() {
         let mut data: Vec<(ElementSet, f32)> = Vec::new();
         for i in 1..40u32 {
             data.push((normalize(vec![0, i]), 0.9));
@@ -682,23 +457,87 @@ mod tests {
             learning_rate: 0.01,
             seed: 1,
         };
-        let mut plain = DeepSets::new(cfg.clone());
-        let plain_outcome = guided_train(&mut plain, &data, Loss::Mse, &gcfg);
-        let mut hardened = DeepSets::new(cfg);
-        let (outcome, report) = guided_train_hardened(
-            &mut hardened,
-            &data,
-            Loss::Mse,
-            &gcfg,
-            &setlearn_nn::TrainPolicy::default(),
-        );
-        // A clean run is bit-identical to the unhardened path.
-        assert_eq!(outcome.loss_history, plain_outcome.loss_history);
-        assert_eq!(outcome.outlier_indices, plain_outcome.outlier_indices);
-        assert_eq!(hardened.weight_buffers(), plain.weight_buffers());
+        // Guided learning (cardinality, index): warm-up, one sweep, fine-tune.
+        let mut model = DeepSets::new(cfg.clone());
+        let (outcome, report) = guided_train(&mut model, &data, Loss::Mse, &gcfg);
         assert_eq!(report.recoveries, 0);
         assert_eq!(report.epochs_run, 15);
-        assert!(report.is_healthy());
+        assert_eq!(outcome.outlier_indices.len(), 8);
+        assert_eq!(
+            trajectory_hash(&model, &outcome.loss_history, &outcome.outlier_indices),
+            16_945_127_757_615_866_031,
+            "guided trajectory moved"
+        );
+
+        // Plain harnessed training (Bloom), clean and through recoveries.
+        let sets: Vec<(ElementSet, f32)> =
+            data.iter().map(|(s, t)| (s.clone(), (*t > 0.5) as u32 as f32)).collect();
+        let mut model = DeepSets::new(cfg.clone());
+        model.zero_grad();
+        let report = model.train_with_harness(
+            &sets,
+            Loss::BinaryCrossEntropy,
+            &mut Optimizer::adam(0.01),
+            16,
+            &mut StdRng::seed_from_u64(1),
+            &TrainPolicy::epochs(20),
+        );
+        assert_eq!(report.recoveries, 0);
+        assert_eq!(
+            trajectory_hash(&model, &report.loss_history, &[]),
+            14_489_861_128_086_288_154,
+            "harness trajectory moved"
+        );
+
+        let mut model = DeepSets::new(DeepSetsConfig {
+            output_activation: setlearn_nn::Activation::Identity,
+            ..cfg
+        });
+        model.zero_grad();
+        let mut policy = TrainPolicy::epochs(25);
+        policy.max_recoveries = 20;
+        let report = model.train_with_harness(
+            &data,
+            Loss::Mse,
+            &mut Optimizer::Sgd { lr: 5e4, clip: None },
+            16,
+            &mut StdRng::seed_from_u64(2),
+            &policy,
+        );
+        assert!(report.recoveries > 0, "report: {report}");
+        assert_eq!(
+            trajectory_hash(&model, &report.loss_history, &[]),
+            15_160_220_522_503_942_274,
+            "recovering trajectory moved"
+        );
+    }
+
+    #[test]
+    fn diverging_guided_run_ships_weights_that_score_finite() {
+        // Adam at an absurd learning rate moves every weight by ~lr per
+        // step: one step in, the rest of the epoch's batches go non-finite.
+        // Such an epoch is rejected, not kept as the best snapshot, and the
+        // sweep and the shipped model never see its weights.
+        let data: Vec<(ElementSet, f32)> = (1..120u32)
+            .map(|i| (normalize(vec![i % 40, (i * 7) % 40 + 40]), (i % 10) as f32 / 10.0))
+            .collect();
+        let mut model = DeepSets::new(DeepSetsConfig {
+            output_activation: setlearn_nn::Activation::Identity,
+            ..DeepSetsConfig::lsm(128)
+        });
+        let gcfg = GuidedConfig {
+            warmup_epochs: 10,
+            rounds: 1,
+            epochs_per_round: 5,
+            percentile: 0.9,
+            batch_size: 16,
+            learning_rate: 5e4,
+            seed: 1,
+        };
+        let (_, report) = guided_train(&mut model, &data, Loss::Mse, &gcfg);
+        let losses = model.per_sample_losses(&data, Loss::Mse);
+        let mean = losses.iter().sum::<f32>() / losses.len() as f32;
+        assert!(mean.is_finite(), "shipped weights score mean loss {mean}; report: {report}");
     }
 
     #[test]
@@ -783,7 +622,7 @@ mod tests {
             learning_rate: 0.01,
             seed: 2,
         };
-        let outcome = guided_train(&mut model, &data, Loss::Mse, &cfg);
+        let (outcome, _) = guided_train(&mut model, &data, Loss::Mse, &cfg);
         assert!(outcome.outlier_indices.is_empty());
     }
 }

@@ -9,7 +9,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use setlearn_nn::{Activation, EpochStats, Loss, Matrix, Mlp, Optimizer};
+use setlearn_nn::{
+    Activation, Decision, EpochStats, Loss, Matrix, Mlp, Optimizer, TrainHarness, TrainPolicy,
+    TrainReport, WeightSnapshot,
+};
 
 /// Permutation-invariant pooling over the φ-transformed elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -429,8 +432,9 @@ impl DeepSets {
         }
     }
 
-    /// Runs one shuffled mini-batch epoch over `(set, scaled target)` pairs,
-    /// returning the mean batch loss.
+    /// Runs one shuffled mini-batch epoch over `(set, scaled target)` pairs.
+    /// A batch whose loss or gradient goes non-finite is skipped instead of
+    /// poisoning the weights; the returned stats count it.
     pub fn train_epoch<S: AsRef<[u32]>>(
         &mut self,
         data: &[(S, f32)],
@@ -438,39 +442,6 @@ impl DeepSets {
         opt: &mut Optimizer,
         batch_size: usize,
         rng: &mut StdRng,
-    ) -> f32 {
-        assert!(!data.is_empty(), "empty training data");
-        assert!(batch_size > 0, "batch size must be positive");
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        order.shuffle(rng);
-        let mut total = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in order.chunks(batch_size) {
-            let sets: Vec<&[u32]> = chunk.iter().map(|&i| data[i].0.as_ref()).collect();
-            let targets: Vec<f32> = chunk.iter().map(|&i| data[i].1).collect();
-            let pred = self.forward_batch(&sets);
-            let (l, grad) = loss.loss_and_grad(&pred, &targets);
-            self.backward_batch(&grad);
-            self.step(opt);
-            total += l as f64;
-            batches += 1;
-        }
-        (total / batches as f64) as f32
-    }
-
-    /// Guarded variant of [`DeepSets::train_epoch`] for use under a
-    /// [`setlearn_nn::TrainHarness`]: batches whose loss or gradient goes
-    /// non-finite are skipped instead of poisoning the weights, and the
-    /// global gradient norm is clipped to `clip_norm` before each step.
-    /// Returns per-epoch accounting instead of a bare mean loss.
-    pub fn train_epoch_guarded<S: AsRef<[u32]>>(
-        &mut self,
-        data: &[(S, f32)],
-        loss: Loss,
-        opt: &mut Optimizer,
-        batch_size: usize,
-        rng: &mut StdRng,
-        clip_norm: Option<f32>,
     ) -> EpochStats {
         assert!(!data.is_empty(), "empty training data");
         assert!(batch_size > 0, "batch size must be positive");
@@ -497,12 +468,6 @@ impl DeepSets {
                 continue;
             }
             stats.max_grad_norm = stats.max_grad_norm.max(norm);
-            if let Some(max_norm) = clip_norm {
-                if norm > max_norm {
-                    self.scale_grads(max_norm / norm);
-                    stats.clipped_batches += 1;
-                }
-            }
             self.step(opt);
             total += l as f64;
             stats.batches += 1;
@@ -521,19 +486,6 @@ impl DeepSets {
         }
         grads.extend(self.rho.params().into_iter().map(|p| p.grad.as_slice()));
         setlearn_nn::harness::global_grad_norm(grads)
-    }
-
-    fn scale_grads(&mut self, factor: f32) {
-        let mut params: Vec<&mut setlearn_nn::ParamBuf> = self.encoder.params_mut();
-        if let Some(phi) = &mut self.phi {
-            params.extend(phi.params_mut());
-        }
-        params.extend(self.rho.params_mut());
-        for p in params {
-            for g in &mut p.grad {
-                *g *= factor;
-            }
-        }
     }
 
     /// True when any weight is NaN or infinite — the model must not serve
@@ -563,12 +515,60 @@ impl DeepSets {
         }
     }
 
-    /// Full fault-tolerant training loop under a
-    /// [`setlearn_nn::TrainHarness`]: guarded epochs, divergence recovery
-    /// (snapshot restore + learning-rate backoff), early stopping, and
-    /// best-weight restoration at the end. The optimizer's learning rate is
-    /// taken as the starting rate and is mutated as the harness backs off.
+    /// Runs up to `epochs` epochs of `data` under `harness` — the one loop
+    /// that acts on its decisions. A rejected epoch restores the last-good
+    /// snapshot and clears the optimizer's moments; a stop after a rejected
+    /// epoch loads the best snapshot at once. Until an epoch is accepted,
+    /// the weights this call started from stand in for both. The optimizer
+    /// trains at the harness's (possibly backed-off) rate. Returns `false`
+    /// once the harness has stopped.
     #[allow(clippy::too_many_arguments)]
+    pub(crate) fn train_harnessed<S: AsRef<[u32]>>(
+        &mut self,
+        harness: &mut TrainHarness,
+        epochs: usize,
+        data: &[(S, f32)],
+        loss: Loss,
+        opt: &mut Optimizer,
+        batch_size: usize,
+        rng: &mut StdRng,
+    ) -> bool {
+        let initial = harness.best_weights().is_none().then(|| self.snapshot_weights());
+        let load = |model: &mut Self, snapshot: Option<&WeightSnapshot>| {
+            if let Some(snapshot) = snapshot {
+                model.load_weight_buffers(snapshot).expect("snapshot matches model");
+            }
+        };
+        for _ in 0..epochs {
+            opt.set_learning_rate(harness.lr());
+            let stats = self.train_epoch(data, loss, opt, batch_size, rng);
+            let mut accepted = false;
+            let decision = harness.end_epoch(&stats, || {
+                accepted = true;
+                self.snapshot_weights()
+            });
+            match decision {
+                Decision::Continue => {}
+                Decision::Restore(snapshot) => {
+                    load(self, if snapshot.is_empty() { initial.as_ref() } else { Some(&snapshot) });
+                    self.reset_optimizer_state();
+                    self.zero_grad();
+                }
+                Decision::Stop(_) => {
+                    if !accepted {
+                        load(self, harness.best_weights().or(initial.as_ref()));
+                    }
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Trains `policy.max_epochs` epochs under a [`TrainHarness`] (divergence
+    /// recovery, learning-rate backoff) and ends on the best epoch's
+    /// weights. The optimizer's learning rate is taken as the starting rate
+    /// and is mutated as the harness backs off.
     pub fn train_with_harness<S: AsRef<[u32]>>(
         &mut self,
         data: &[(S, f32)],
@@ -576,26 +576,10 @@ impl DeepSets {
         opt: &mut Optimizer,
         batch_size: usize,
         rng: &mut StdRng,
-        policy: &setlearn_nn::TrainPolicy,
-        clip_norm: Option<f32>,
-    ) -> setlearn_nn::TrainReport {
-        use setlearn_nn::Decision;
-        let mut harness = setlearn_nn::TrainHarness::new(policy.clone(), opt.learning_rate());
-        loop {
-            opt.set_learning_rate(harness.lr());
-            let stats = self.train_epoch_guarded(data, loss, opt, batch_size, rng, clip_norm);
-            match harness.end_epoch(&stats, || self.snapshot_weights()) {
-                Decision::Continue => {}
-                Decision::Restore(snapshot) => {
-                    if !snapshot.is_empty() {
-                        self.load_weight_buffers(&snapshot).expect("snapshot matches model");
-                    }
-                    self.reset_optimizer_state();
-                    self.zero_grad();
-                }
-                Decision::Stop(_) => break,
-            }
-        }
+        policy: &TrainPolicy,
+    ) -> TrainReport {
+        let mut harness = TrainHarness::new(policy.clone(), opt.learning_rate());
+        self.train_harnessed(&mut harness, policy.max_epochs, data, loss, opt, batch_size, rng);
         let (report, best) = harness.finish_with_best();
         if let Some(best) = best {
             self.load_weight_buffers(&best).expect("snapshot matches model");
@@ -694,10 +678,12 @@ mod tests {
         }
         let mut opt = Optimizer::adam(0.01);
         let mut rng = StdRng::seed_from_u64(1);
-        let first = model.train_epoch(&data, Loss::BinaryCrossEntropy, &mut opt, 16, &mut rng);
+        let mut epoch =
+            || model.train_epoch(&data, Loss::BinaryCrossEntropy, &mut opt, 16, &mut rng).mean_loss;
+        let first = epoch();
         let mut last = first;
         for _ in 0..30 {
-            last = model.train_epoch(&data, Loss::BinaryCrossEntropy, &mut opt, 16, &mut rng);
+            last = epoch();
         }
         assert!(last < first * 0.5, "loss did not drop: {first} -> {last}");
         assert!(model.predict_one(&[0, 5]) > 0.5);
@@ -733,8 +719,8 @@ mod tests {
         let data = vec![(vec![1u32, 2], 0.8f32), (vec![3u32, 999_999], 0.2)];
         let mut opt = Optimizer::adam(0.01);
         let mut rng = StdRng::seed_from_u64(1);
-        let loss = model.train_epoch(&data, Loss::Mse, &mut opt, 2, &mut rng);
-        assert!(loss.is_finite());
+        let stats = model.train_epoch(&data, Loss::Mse, &mut opt, 2, &mut rng);
+        assert!(stats.mean_loss.is_finite());
         // Parameter count is bounded by the bucket table, not the vocab.
         assert!(model.num_params() < 32 * 4 + 10_000);
     }
@@ -757,45 +743,41 @@ mod tests {
     }
 
     #[test]
-    fn guarded_epoch_matches_plain_epoch_on_clean_data() {
-        let data = separable_data();
-        let mut plain = DeepSets::new(tiny_config(CompressionKind::None));
-        let mut guarded = plain.clone();
-        plain.zero_grad();
-        guarded.zero_grad();
-        let (mut opt_a, mut opt_b) = (Optimizer::adam(0.01), Optimizer::adam(0.01));
-        let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
-        let l = plain.train_epoch(&data, Loss::BinaryCrossEntropy, &mut opt_a, 16, &mut rng_a);
-        let stats = guarded.train_epoch_guarded(
-            &data,
-            Loss::BinaryCrossEntropy,
-            &mut opt_b,
-            16,
-            &mut rng_b,
-            None, // no clipping: updates must be bit-identical
-        );
-        assert_eq!(stats.mean_loss, l);
-        assert_eq!(stats.skipped_batches, 0);
-        assert_eq!(guarded.weight_buffers(), plain.weight_buffers());
+    fn train_epoch_skips_non_finite_batches() {
+        let mut data = separable_data();
+        data[0].1 = f32::NAN;
+        let mut model = DeepSets::new(tiny_config(CompressionKind::None));
+        model.zero_grad();
+        let mut opt = Optimizer::adam(0.01);
+        let mut rng = StdRng::seed_from_u64(5);
+        let stats = model.train_epoch(&data, Loss::Mse, &mut opt, 16, &mut rng);
+        assert_eq!(stats.skipped_batches, 1);
+        assert_eq!(stats.batches, data.len().div_ceil(16) - 1);
+        assert!(stats.mean_loss.is_finite());
+        assert!(!model.has_non_finite_weights());
     }
 
     #[test]
-    fn grad_norm_clipping_caps_the_global_norm() {
-        let data = separable_data();
-        let mut model = DeepSets::new(tiny_config(CompressionKind::None));
+    fn stop_on_a_rejected_epoch_loads_the_best_snapshot() {
+        let mut cfg = tiny_config(CompressionKind::None);
+        cfg.output_activation = Activation::Identity;
+        let mut model = DeepSets::new(cfg);
         model.zero_grad();
-        let mut opt = Optimizer::sgd(0.5);
-        let mut rng = StdRng::seed_from_u64(5);
-        let stats = model.train_epoch_guarded(
-            &data,
-            Loss::BinaryCrossEntropy,
-            &mut opt,
-            data.len(), // one big batch so clipping is observable
-            &mut rng,
-            Some(1e-4),
-        );
-        assert_eq!(stats.clipped_batches, 1);
-        assert!(stats.mean_loss.is_finite());
+        let mut policy = setlearn_nn::TrainPolicy::epochs(10);
+        policy.max_recoveries = 0;
+        let mut harness = TrainHarness::new(policy, 0.01);
+        let mut opt = Optimizer::adam(0.01);
+        let mut rng = StdRng::seed_from_u64(4);
+        let data = separable_data();
+        assert!(model.train_harnessed(&mut harness, 2, &data, Loss::Mse, &mut opt, 16, &mut rng));
+        // Targets far outside the range: a finite loss a thousandfold the
+        // best, so the harness rejects the epoch after it stepped the model.
+        let wild: Vec<(Vec<u32>, f32)> = data.iter().map(|(s, _)| (s.clone(), 1e12)).collect();
+        assert!(!model.train_harnessed(&mut harness, 1, &wild, Loss::Mse, &mut opt, 16, &mut rng));
+        assert_eq!(Some(&model.snapshot_weights()), harness.best_weights());
+        let report = harness.finish();
+        assert_eq!(report.stop_reason, setlearn_nn::StopReason::RecoveryExhausted);
+        assert_eq!(report.epochs_run, 3);
     }
 
     #[test]
@@ -844,7 +826,6 @@ mod tests {
             16,
             &mut rng,
             &policy,
-            None, // no clipping: let it blow up so recovery has to fire
         );
         assert!(report.best_loss.is_finite(), "report: {report}");
         assert!(!model.has_non_finite_weights());
@@ -867,7 +848,6 @@ mod tests {
             16,
             &mut rng,
             &policy,
-            Some(5.0),
         );
         assert_eq!(report.recoveries, 0);
         assert_eq!(report.epochs_run, 30);

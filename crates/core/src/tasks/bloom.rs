@@ -124,7 +124,6 @@ impl LearnedBloom {
             cfg.batch_size,
             &mut rng,
             &TrainPolicy::epochs(cfg.epochs.max(1)),
-            None,
         );
         let loss_history = train.loss_history.clone();
 

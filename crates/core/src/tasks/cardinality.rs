@@ -1,6 +1,6 @@
 //! Learned set cardinality estimation (paper §4.2) and its hybrid variant.
 
-use crate::hybrid::{guided_train_hardened, GuidedConfig, GuidedOutcome, ServeGuard};
+use crate::hybrid::{guided_train, GuidedConfig, GuidedOutcome, ServeGuard};
 use crate::kernel::{FrozenModel, KernelCell, Precision};
 use crate::model::{DeepSets, DeepSetsConfig};
 use crate::monitor::DriftMonitor;
@@ -9,7 +9,7 @@ use crate::tasks::{Fold, LearnedSetStructure, QueryOutcome};
 use serde::{Deserialize, Serialize};
 use setlearn_baselines::set_hash;
 use setlearn_data::{ElementSet, SetCollection, SubsetIndex};
-use setlearn_nn::{Loss, LogMinMaxScaler, TrainPolicy, TrainReport};
+use setlearn_nn::{Loss, LogMinMaxScaler, TrainReport};
 use std::collections::HashMap;
 
 /// Training configuration for the cardinality estimator.
@@ -111,7 +111,7 @@ impl LearnedCardinality {
         let mut model = DeepSets::new(cfg.model.clone());
         let loss = Loss::QError { span: scaler.span() };
         let (GuidedOutcome { outlier_indices, loss_history }, train) =
-            guided_train_hardened(&mut model, &data, loss, &cfg.guided, &TrainPolicy::default());
+            guided_train(&mut model, &data, loss, &cfg.guided);
 
         let outliers: HashMap<u64, u64> = outlier_indices
             .iter()

@@ -6,7 +6,7 @@
 //! outliers the model could not fit.
 
 use crate::hybrid::{
-    guided_train_hardened, FallbackReason, GuidedConfig, GuidedOutcome, LocalErrorBounds,
+    guided_train, FallbackReason, GuidedConfig, GuidedOutcome, LocalErrorBounds,
     ServeGuard,
 };
 use crate::kernel::{FrozenModel, KernelCell, Precision};
@@ -16,7 +16,7 @@ use crate::tasks::{Fold, LearnedSetStructure, QueryOutcome};
 use serde::{Deserialize, Serialize};
 use setlearn_baselines::{set_hash, BPlusTree};
 use setlearn_data::{is_subset, ElementSet, SetCollection, SubsetIndex};
-use setlearn_nn::{Loss, LogMinMaxScaler, TrainPolicy, TrainReport};
+use setlearn_nn::{Loss, LogMinMaxScaler, TrainReport};
 use std::sync::Arc;
 
 /// Which occurrence the index targets (paper §4.1 supports either).
@@ -150,7 +150,7 @@ impl LearnedSetIndex {
         let mut model = DeepSets::new(cfg.model.clone());
         let loss = Loss::QError { span: scaler.span() };
         let (GuidedOutcome { outlier_indices, loss_history }, train) =
-            guided_train_hardened(&mut model, &data, loss, &cfg.guided, &TrainPolicy::default());
+            guided_train(&mut model, &data, loss, &cfg.guided);
 
         // Exile outliers into the auxiliary B+ tree.
         let mut aux = BPlusTree::new(100);

@@ -2,17 +2,17 @@
 //!
 //! Wraps an epoch loop with the guard rails production training needs:
 //!
-//! * **Non-finite detection** — an epoch reporting NaN/∞ loss (or a model
-//!   whose weights went non-finite) triggers recovery instead of silently
-//!   poisoning every later epoch.
+//! * **Non-finite detection** — an epoch reporting NaN/∞ loss, or skipping
+//!   at least as many non-finite batches as it stepped, triggers recovery
+//!   instead of silently poisoning every later epoch.
 //! * **Divergence detection** — a finite loss that explodes past
 //!   `divergence_factor × best` is treated the same way.
 //! * **Automatic recovery** — restore the last-good weight snapshot, halve
 //!   the learning rate (`lr_backoff`), and retry, up to `max_recoveries`
 //!   times and never below `min_lr`.
-//! * **Best-model tracking and early stopping** — the harness keeps the
-//!   weights of the best epoch seen and stops after `patience` epochs
-//!   without a `min_delta` improvement.
+//! * **Best-model tracking** — the harness keeps the weights of the best
+//!   epoch seen; a run that stops on a rejected epoch ships them, never the
+//!   diverged weights.
 //!
 //! The harness is model-agnostic: it never touches a network directly. The
 //! caller drives it one epoch at a time —
@@ -52,11 +52,6 @@ pub type WeightSnapshot = Vec<Vec<f32>>;
 pub struct TrainPolicy {
     /// Hard cap on total epochs (including retried ones).
     pub max_epochs: usize,
-    /// Epochs without improvement before early stopping. `0` disables
-    /// early stopping.
-    pub patience: usize,
-    /// Minimum loss decrease that counts as an improvement.
-    pub min_delta: f32,
     /// How many divergence recoveries to attempt before giving up.
     pub max_recoveries: usize,
     /// Learning-rate multiplier applied on each recovery (e.g. `0.5`).
@@ -72,8 +67,6 @@ impl Default for TrainPolicy {
     fn default() -> Self {
         TrainPolicy {
             max_epochs: 200,
-            patience: 0,
-            min_delta: 1e-5,
             max_recoveries: 4,
             lr_backoff: 0.5,
             min_lr: 1e-6,
@@ -83,8 +76,8 @@ impl Default for TrainPolicy {
 }
 
 impl TrainPolicy {
-    /// Policy running exactly `max_epochs` epochs (no early stopping) with
-    /// the default recovery budget.
+    /// Policy running exactly `max_epochs` epochs with the default recovery
+    /// budget.
     pub fn epochs(max_epochs: usize) -> Self {
         TrainPolicy { max_epochs, ..Self::default() }
     }
@@ -109,7 +102,10 @@ impl TrainPolicy {
     }
 }
 
-/// Outcome of one observed epoch, as seen by a guarded epoch runner.
+/// Outcome of one observed epoch, as seen by a guarded epoch runner. An
+/// epoch that skipped at least as many batches as it stepped is rejected
+/// like a non-finite one: its mean loss covers only the steps before the
+/// weights went bad.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EpochStats {
     /// Mean loss over the batches that actually stepped the model. NaN when
@@ -119,8 +115,6 @@ pub struct EpochStats {
     pub batches: usize,
     /// Batches dropped because their loss or gradient was non-finite.
     pub skipped_batches: usize,
-    /// Batches whose global gradient norm was clipped.
-    pub clipped_batches: usize,
     /// Largest global gradient norm observed across the epoch's batches
     /// (`0.0` when the runner does not track gradients).
     #[serde(default)]
@@ -128,8 +122,8 @@ pub struct EpochStats {
 }
 
 impl EpochStats {
-    /// Stats for an epoch summarized only by its mean loss (plain
-    /// `train_epoch` without guarded batch accounting).
+    /// Stats for an epoch summarized only by its mean loss, one batch and
+    /// nothing skipped.
     pub fn from_loss(mean_loss: f32) -> Self {
         EpochStats { mean_loss, batches: 1, ..Self::default() }
     }
@@ -140,8 +134,6 @@ impl EpochStats {
 pub enum StopReason {
     /// `max_epochs` epochs ran.
     MaxEpochs,
-    /// `patience` epochs elapsed without a `min_delta` improvement.
-    EarlyStopping,
     /// Divergence persisted through `max_recoveries` restore attempts.
     RecoveryExhausted,
     /// Backing off the learning rate hit `min_lr`.
@@ -154,7 +146,6 @@ impl fmt::Display for StopReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             StopReason::MaxEpochs => "reached max epochs",
-            StopReason::EarlyStopping => "early stopping (no improvement)",
             StopReason::RecoveryExhausted => "recovery budget exhausted",
             StopReason::LrFloor => "learning rate hit its floor",
             StopReason::Aborted => "aborted by caller",
@@ -168,11 +159,14 @@ impl fmt::Display for StopReason {
 pub enum Decision {
     /// Keep training with the current weights.
     Continue,
-    /// The epoch diverged: load this snapshot back into the model, apply
+    /// The epoch diverged: load this snapshot back into the model (when it
+    /// is empty, no epoch was accepted yet: load the starting weights), apply
     /// [`TrainHarness::lr`] (already backed off) to the optimizer, reset any
     /// optimizer moment state, and continue.
     Restore(WeightSnapshot),
-    /// Stop training and load [`TrainHarness::best_weights`] if present.
+    /// Stop training. When the epoch just reported was rejected (its
+    /// snapshot was not taken), the model holds diverged weights: load
+    /// [`TrainHarness::best_weights`] if present.
     Stop(StopReason),
 }
 
@@ -193,8 +187,6 @@ pub struct TrainReport {
     pub recoveries: usize,
     /// Total batches skipped for non-finite loss/gradients.
     pub skipped_batches: usize,
-    /// Total batches whose gradient norm was clipped.
-    pub clipped_batches: usize,
     /// Final (possibly backed-off) learning rate.
     pub final_lr: f32,
     /// Why training stopped.
@@ -214,18 +206,20 @@ impl fmt::Display for TrainReport {
         write!(
             f,
             "{} epochs, best loss {:.6} at epoch {}, {} recoveries, \
-             {} skipped / {} clipped batches, final lr {:.2e} ({})",
+             {} skipped batches, final lr {:.2e} ({})",
             self.epochs_run,
             self.best_loss,
             self.best_epoch,
             self.recoveries,
             self.skipped_batches,
-            self.clipped_batches,
             self.final_lr,
             self.stop_reason,
         )
     }
 }
+
+/// Smallest loss decrease that counts as a new best epoch.
+const MIN_DELTA: f32 = 1e-5;
 
 /// Epoch wall-clock histogram bounds in seconds (1 ms … 60 s).
 const EPOCH_SECONDS_BOUNDS: &[f64] =
@@ -237,7 +231,6 @@ struct TrainTele {
     epochs: Arc<Counter>,
     recoveries: Arc<Counter>,
     skipped: Arc<Counter>,
-    clipped: Arc<Counter>,
     loss: Arc<Gauge>,
     lr: Arc<Gauge>,
     grad_norm: Arc<Gauge>,
@@ -252,7 +245,6 @@ fn train_tele() -> &'static TrainTele {
             epochs: m.counter("setlearn_train_epochs_total"),
             recoveries: m.counter("setlearn_train_recoveries_total"),
             skipped: m.counter("setlearn_train_skipped_batches_total"),
-            clipped: m.counter("setlearn_train_clipped_batches_total"),
             loss: m.gauge("setlearn_train_loss"),
             lr: m.gauge("setlearn_train_lr"),
             grad_norm: m.gauge("setlearn_train_grad_norm"),
@@ -273,10 +265,8 @@ pub struct TrainHarness {
     best_epoch: usize,
     best_weights: Option<WeightSnapshot>,
     last_good: Option<WeightSnapshot>,
-    stale_epochs: usize,
     recoveries: usize,
     skipped_batches: usize,
-    clipped_batches: usize,
     stopped: Option<StopReason>,
     epoch_started: Instant,
 }
@@ -305,10 +295,8 @@ impl TrainHarness {
             best_epoch: 0,
             best_weights: None,
             last_good: None,
-            stale_epochs: 0,
             recoveries: 0,
             skipped_batches: 0,
-            clipped_batches: 0,
             stopped: None,
             epoch_started: Instant::now(),
         }
@@ -324,8 +312,8 @@ impl TrainHarness {
         self.best_weights.as_ref()
     }
 
-    /// Reports one finished epoch. `snapshot` is only invoked when the
-    /// harness needs to capture the current (healthy) weights.
+    /// Reports one finished epoch. `snapshot` is invoked exactly when the
+    /// epoch is accepted, to capture its (healthy) weights.
     pub fn end_epoch<F>(&mut self, stats: &EpochStats, snapshot: F) -> Decision
     where
         F: FnOnce() -> WeightSnapshot,
@@ -337,11 +325,10 @@ impl TrainHarness {
         self.epoch_started = Instant::now();
         self.epochs_run += 1;
         self.skipped_batches += stats.skipped_batches;
-        self.clipped_batches += stats.clipped_batches;
 
         let loss = stats.mean_loss;
         let diverged = !loss.is_finite()
-            || stats.batches == 0
+            || stats.batches <= stats.skipped_batches
             || self
                 .policy
                 .divergence_factor
@@ -354,19 +341,9 @@ impl TrainHarness {
         }
 
         self.history.push(loss);
-        let improved = loss < self.best_loss - self.policy.min_delta;
         let weights = snapshot();
-        if improved {
-            self.best_loss = loss;
-            self.best_epoch = self.history.len() - 1;
-            self.best_weights = Some(weights.clone());
-            self.stale_epochs = 0;
-        } else {
-            self.stale_epochs += 1;
-        }
-        // First accepted epoch also seeds best-tracking even if `improved`
-        // was false against an infinite best minus delta rounding.
-        if self.best_weights.is_none() {
+        // The first accepted epoch always seeds best-tracking.
+        if loss < self.best_loss - MIN_DELTA || self.best_weights.is_none() {
             self.best_loss = loss;
             self.best_epoch = self.history.len() - 1;
             self.best_weights = Some(weights.clone());
@@ -375,9 +352,6 @@ impl TrainHarness {
 
         if self.epochs_run >= self.policy.max_epochs {
             return self.stop(StopReason::MaxEpochs);
-        }
-        if self.policy.patience > 0 && self.stale_epochs >= self.policy.patience {
-            return self.stop(StopReason::EarlyStopping);
         }
         Decision::Continue
     }
@@ -390,7 +364,6 @@ impl TrainHarness {
             let t = train_tele();
             t.epochs.inc();
             t.skipped.add(stats.skipped_batches as u64);
-            t.clipped.add(stats.clipped_batches as u64);
             t.lr.set(self.lr as f64);
             if !diverged {
                 t.loss.set(stats.mean_loss as f64);
@@ -413,7 +386,6 @@ impl TrainHarness {
                     Field::num("lr", self.lr as f64),
                     Field::num("batches", stats.batches as f64),
                     Field::num("skipped_batches", stats.skipped_batches as f64),
-                    Field::num("clipped_batches", stats.clipped_batches as f64),
                     Field::num("max_grad_norm", stats.max_grad_norm as f64),
                     Field::text("outcome", if diverged { "diverged" } else { "accepted" }),
                 ],
@@ -426,8 +398,9 @@ impl TrainHarness {
             return self.stop(StopReason::RecoveryExhausted);
         }
         let Some(snapshot) = self.last_good.clone().or_else(|| self.best_weights.clone()) else {
-            // Divergence before any good epoch: nothing to restore, so the
-            // caller keeps the fresh initialization and retries at lower lr.
+            // Divergence before any good epoch: the harness holds no
+            // snapshot, so the caller restores the weights it started from
+            // and retries at lower lr.
             return self.backoff_or_stop(Vec::new());
         };
         self.backoff_or_stop(snapshot)
@@ -471,7 +444,6 @@ impl TrainHarness {
             best_epoch: self.best_epoch,
             recoveries: self.recoveries,
             skipped_batches: self.skipped_batches,
-            clipped_batches: self.clipped_batches,
             final_lr: self.lr,
             stop_reason: self.stopped.unwrap_or(StopReason::Aborted),
             loss_history: self.history,
@@ -582,21 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_fires_after_patience() {
-        let mut policy = TrainPolicy::epochs(100);
-        policy.patience = 2;
-        policy.min_delta = 0.01;
-        let mut h = TrainHarness::new(policy, 0.1);
-        let _ = h.end_epoch(&EpochStats::from_loss(0.5), || w(0.0));
-        let _ = h.end_epoch(&EpochStats::from_loss(0.499), || w(1.0)); // < min_delta: stale
-        let d = h.end_epoch(&EpochStats::from_loss(0.498), || w(2.0)); // stale again
-        assert!(matches!(d, Decision::Stop(StopReason::EarlyStopping)));
-        let report = h.finish();
-        assert_eq!(report.best_loss, 0.5);
-        assert_eq!(report.best_epoch, 0);
-    }
-
-    #[test]
     fn divergence_before_any_good_epoch_restores_empty_snapshot() {
         let mut h = TrainHarness::new(TrainPolicy::epochs(10), 0.2);
         match h.end_epoch(&EpochStats::from_loss(f32::INFINITY), || unreachable!()) {
@@ -612,7 +569,13 @@ mod tests {
         let _ = h.end_epoch(&EpochStats::from_loss(0.5), || w(1.0));
         let stats = EpochStats { mean_loss: 0.0, batches: 0, skipped_batches: 7, ..Default::default() };
         assert!(matches!(h.end_epoch(&stats, || unreachable!()), Decision::Restore(_)));
-        assert_eq!(h.finish().skipped_batches, 7);
+        // Half skipped: the mean covers only the steps before the weights
+        // went bad, so it says nothing about the weights the epoch ended on.
+        let half = EpochStats { mean_loss: 0.3, batches: 4, skipped_batches: 4, ..stats };
+        assert!(matches!(h.end_epoch(&half, || unreachable!()), Decision::Restore(_)));
+        let few = EpochStats { batches: 5, ..half };
+        assert!(matches!(h.end_epoch(&few, || w(1.0)), Decision::Continue));
+        assert_eq!(h.finish().skipped_batches, 15);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   §4.1.
 //! * [`harness::TrainHarness`] — fault-tolerant epoch supervision:
 //!   non-finite detection, snapshot/restore recovery with learning-rate
-//!   backoff, best-model tracking and early stopping.
+//!   backoff and best-model tracking.
 //!
 //! Every layer follows the same contract: `forward` caches what `backward`
 //! needs, `backward` accumulates into `ParamBuf::grad`, and the optimizer

@@ -181,7 +181,6 @@ fn adversarial_learning_rate_finishes_finite_through_harness_recovery() {
         32,
         &mut rng,
         &policy,
-        None,
     );
     assert!(report.best_loss.is_finite(), "harness never found a finite epoch");
     assert!(report.recoveries > 0, "the hot learning rate should have tripped recovery");

@@ -173,6 +173,6 @@ fn deserialized_model_can_keep_training() {
     let data = vec![(vec![1u32, 2], 0.7f32), (vec![3u32], 0.2)];
     let mut opt = setlearn_nn::Optimizer::adam(0.01);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
-    let loss = back.train_epoch(&data, setlearn_nn::Loss::Mse, &mut opt, 2, &mut rng);
-    assert!(loss.is_finite());
+    let stats = back.train_epoch(&data, setlearn_nn::Loss::Mse, &mut opt, 2, &mut rng);
+    assert!(stats.mean_loss.is_finite());
 }
