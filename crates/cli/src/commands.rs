@@ -1548,7 +1548,9 @@ mod tests {
         let prom = std::fs::read_to_string(format!("{base}.prom")).unwrap();
         setlearn_obs::validate_prometheus(&prom).expect("valid exposition");
         assert!(prom.contains("setlearn_serve_batch_seconds_bucket"), "prom:\n{prom}");
-        assert!(prom.contains("setlearn_serve_queries_total{task=\"cardinality\"}"));
+        assert!(prom.contains(
+            "setlearn_serve_completed_total{collection=\"tele\",task=\"cardinality\"}"
+        ));
         assert!(prom.contains("setlearn_train_epochs_total"));
         assert!(prom.contains("setlearn_monitor_rolling_q_error"));
 
@@ -1560,7 +1562,10 @@ mod tests {
 
         // The metrics snapshot round-trips and the query counter is nonzero.
         let queries = telemetry_snapshot(&base)
-            .counter_value("setlearn_serve_queries_total", &[("task", "cardinality")])
+            .counter_value(
+                "setlearn_serve_completed_total",
+                &[("task", "cardinality"), ("collection", "tele")],
+            )
             .expect("query counter");
         assert!(queries >= 40, "served {queries}");
 

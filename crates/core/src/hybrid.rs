@@ -12,7 +12,6 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use setlearn_data::ElementSet;
 use setlearn_nn::{Loss, Optimizer, TrainHarness, TrainPolicy, TrainReport};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the guided-learning process.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -204,11 +203,6 @@ impl LocalErrorBounds {
         self.errors.iter().sum::<f64>() / self.errors.len() as f64
     }
 
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.errors.len()
-    }
-
     /// Serialized size in bytes (one `f64` per bucket plus the header).
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.errors.len() * std::mem::size_of::<f64>()
@@ -231,45 +225,20 @@ pub enum FallbackReason {
 /// by a poisoned update, drift pushing predictions far outside the trained
 /// domain. The guard checks every model output against the valid domain
 /// `[lo, hi]` established at build time and reroutes offenders to the
-/// auxiliary exact structure, counting the events so a [`crate::monitor::DriftMonitor`] can
-/// raise the retrain signal when fallbacks pile up.
-///
-/// Counters are atomic: serving stays `&self` and thread-safe.
-#[derive(Debug, Serialize, Deserialize)]
+/// auxiliary exact structure. It counts nothing: the rejection reason rides
+/// on the answer's [`crate::tasks::QueryOutcome`], which the serve runtime
+/// counts per collection and a [`crate::monitor::DriftMonitor`] can be fed.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServeGuard {
     lo: f64,
     hi: f64,
-    #[serde(skip)]
-    served: AtomicU64,
-    #[serde(skip)]
-    non_finite: AtomicU64,
-    #[serde(skip)]
-    out_of_bounds: AtomicU64,
-}
-
-impl Clone for ServeGuard {
-    fn clone(&self) -> Self {
-        ServeGuard {
-            lo: self.lo,
-            hi: self.hi,
-            served: AtomicU64::new(self.served.load(Ordering::Relaxed)),
-            non_finite: AtomicU64::new(self.non_finite.load(Ordering::Relaxed)),
-            out_of_bounds: AtomicU64::new(self.out_of_bounds.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl Default for ServeGuard {
     /// A permissive guard that only rejects non-finite predictions (used
     /// when deserializing structures persisted before guards existed).
     fn default() -> Self {
-        ServeGuard {
-            lo: f64::NEG_INFINITY,
-            hi: f64::INFINITY,
-            served: AtomicU64::new(0),
-            non_finite: AtomicU64::new(0),
-            out_of_bounds: AtomicU64::new(0),
-        }
+        ServeGuard { lo: f64::NEG_INFINITY, hi: f64::INFINITY }
     }
 }
 
@@ -281,19 +250,16 @@ impl ServeGuard {
     pub fn new(lo: f64, hi: f64) -> Self {
         assert!(!lo.is_nan() && !hi.is_nan(), "guard bounds must not be NaN");
         assert!(lo <= hi, "inverted guard bounds: [{lo}, {hi}]");
-        ServeGuard { lo, hi, ..Self::default() }
+        ServeGuard { lo, hi }
     }
 
     /// Checks a prediction: `Ok` passes it through, `Err` means the caller
-    /// must answer from the auxiliary structure. Counts both outcomes.
+    /// must answer from the auxiliary structure.
     pub fn admit(&self, prediction: f64) -> Result<f64, FallbackReason> {
-        self.served.fetch_add(1, Ordering::Relaxed);
         if !prediction.is_finite() {
-            self.non_finite.fetch_add(1, Ordering::Relaxed);
             return Err(FallbackReason::NonFinite);
         }
         if prediction < self.lo || prediction > self.hi {
-            self.out_of_bounds.fetch_add(1, Ordering::Relaxed);
             return Err(FallbackReason::OutOfBounds);
         }
         Ok(prediction)
@@ -302,7 +268,7 @@ impl ServeGuard {
     /// Like [`ServeGuard::admit`], but degrades instead of failing: an
     /// out-of-bound prediction is clamped into the domain and a non-finite
     /// one becomes the domain's lower bound. The reason (if any) still
-    /// reports the event so the caller can feed a monitor.
+    /// reports the event so the caller can flag the answer.
     pub fn admit_or_clamp(&self, prediction: f64) -> (f64, Option<FallbackReason>) {
         match self.admit(prediction) {
             Ok(p) => (p, None),
@@ -313,36 +279,6 @@ impl ServeGuard {
                 (prediction.clamp(self.lo, self.hi), Some(FallbackReason::OutOfBounds))
             }
         }
-    }
-
-    /// Total predictions checked.
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    /// Non-finite rejections.
-    pub fn non_finite_fallbacks(&self) -> u64 {
-        self.non_finite.load(Ordering::Relaxed)
-    }
-
-    /// Out-of-bounds rejections.
-    pub fn out_of_bounds_fallbacks(&self) -> u64 {
-        self.out_of_bounds.load(Ordering::Relaxed)
-    }
-
-    /// Total rejections of either kind.
-    pub fn fallbacks(&self) -> u64 {
-        self.non_finite_fallbacks() + self.out_of_bounds_fallbacks()
-    }
-
-    /// Fraction of served predictions that fell back (`0.0` before any
-    /// serve).
-    pub fn fallback_fraction(&self) -> f64 {
-        let served = self.served();
-        if served == 0 {
-            return 0.0;
-        }
-        self.fallbacks() as f64 / served as f64
     }
 }
 
@@ -546,22 +482,23 @@ mod tests {
         assert_eq!(g.admit(42.0), Ok(42.0));
         assert_eq!(g.admit(0.0), Ok(0.0));
         assert_eq!(g.admit(100.0), Ok(100.0));
-        assert_eq!(g.served(), 3);
-        assert_eq!(g.fallbacks(), 0);
-        assert_eq!(g.fallback_fraction(), 0.0);
     }
 
     #[test]
-    fn serve_guard_rejects_and_counts_bad_predictions() {
+    fn serve_guard_rejects_bad_predictions_by_reason() {
         let g = ServeGuard::new(0.0, 100.0);
-        assert_eq!(g.admit(f64::NAN), Err(FallbackReason::NonFinite));
-        assert_eq!(g.admit(f64::INFINITY), Err(FallbackReason::NonFinite));
-        assert_eq!(g.admit(-5.0), Err(FallbackReason::OutOfBounds));
-        assert_eq!(g.admit(1e9), Err(FallbackReason::OutOfBounds));
-        assert_eq!(g.admit(50.0), Ok(50.0));
-        assert_eq!(g.non_finite_fallbacks(), 2);
-        assert_eq!(g.out_of_bounds_fallbacks(), 2);
-        assert_eq!(g.fallback_fraction(), 0.8);
+        let verdicts: Vec<_> =
+            [f64::NAN, f64::INFINITY, -5.0, 1e9, 50.0].map(|p| g.admit(p)).to_vec();
+        assert_eq!(
+            verdicts,
+            [
+                Err(FallbackReason::NonFinite),
+                Err(FallbackReason::NonFinite),
+                Err(FallbackReason::OutOfBounds),
+                Err(FallbackReason::OutOfBounds),
+                Ok(50.0),
+            ]
+        );
     }
 
     #[test]
@@ -590,16 +527,13 @@ mod tests {
     }
 
     #[test]
-    fn serve_guard_counters_survive_cloning_but_not_serialization() {
+    fn serve_guard_serializes_as_its_bounds() {
         let g = ServeGuard::new(0.0, 1.0);
-        let _ = g.admit(f64::NAN);
-        let clone = g.clone();
-        assert_eq!(clone.fallbacks(), 1);
         let json = serde_json::to_string(&g).unwrap();
+        assert_eq!(json, r#"{"lo":0.0,"hi":1.0}"#);
         let back: ServeGuard = serde_json::from_str(&json).unwrap();
-        // Bounds persist; counters are runtime-only.
+        assert_eq!(back, g);
         assert_eq!(back.admit(2.0), Err(FallbackReason::OutOfBounds));
-        assert_eq!(back.fallbacks(), 1);
     }
 
     #[test]

@@ -60,8 +60,8 @@ pub enum Precision {
     Q8,
 }
 
-/// The refusal of a checkpoint naming the retired f16 (JSON `"F16"`, SLW2
-/// byte 1): serving it at f32 would move its answers without notice.
+/// The refusal of a checkpoint naming the retired f16 (JSON `"F16"`):
+/// serving it at f32 would move its answers without notice.
 pub(crate) const F16_REMOVED: &str =
     "precision f16 was removed; retrain with `train --precision f32|q8`";
 

@@ -33,6 +33,7 @@
 //! lock across the overlay apply so overlay slot order always equals
 //! sequence order; queries take only the state read lock.
 
+use crate::kernel::Precision;
 use crate::tasks::{Fold, LearnedSetStructure, QueryOutcome};
 use crate::telemetry::wal_tele;
 use crate::wal::{Wal, WalConfig, WalError, WalOp, WalRecord};
@@ -489,6 +490,12 @@ impl<S: Fold> LearnedSetStructure for MutableCollection<S> {
     /// against, which is the served structure's.
     fn vocab(&self) -> Option<u32> {
         Some(self.vocab)
+    }
+
+    /// A compaction retrains at the served precision, so this holds across
+    /// swaps.
+    fn kernel_precision(&self) -> Option<Precision> {
+        self.state.read().unwrap_or_else(|e| e.into_inner()).structure.kernel_precision()
     }
 }
 

@@ -182,7 +182,7 @@ impl LearnedBloom {
 
     /// Membership probe: classifier score, with the backup filter rescuing
     /// model false negatives. A non-finite score is rejected by the serve
-    /// guard (and counted); the probe then degrades to the backup filter
+    /// guard (and flagged); the probe then degrades to the backup filter
     /// alone, which still guarantees no false negatives on trained
     /// positives that the model had missed.
     pub fn contains(&self, q: &[u32]) -> bool {
@@ -193,13 +193,6 @@ impl LearnedBloom {
     /// [`LearnedBloom::precision`] on first use.
     pub fn kernel(&self) -> &FrozenModel {
         self.kernel.get_or_freeze(&self.model, self.precision)
-    }
-
-    /// One raw classifier score through the frozen kernel.
-    fn score_one(&self, q: &[u32]) -> f32 {
-        let s = self.kernel().predict_one(q);
-        crate::telemetry::bloom_tele().record_kernel(self.precision);
-        s
     }
 
     /// The precision probes are served at (recorded in checkpoints).
@@ -224,14 +217,9 @@ impl LearnedBloom {
         QueryOutcome { value, fallback, bound_miss: false }
     }
 
-    /// The serve-time guard (fallback counters and bounds).
-    pub fn serve_guard(&self) -> &ServeGuard {
-        &self.guard
-    }
-
     /// Raw classifier probability (for threshold tuning / diagnostics).
     pub fn score(&self, q: &[u32]) -> f32 {
-        self.score_one(q)
+        self.kernel().predict_one(q)
     }
 
     /// The underlying model.
@@ -284,16 +272,15 @@ impl LearnedSetStructure for LearnedBloom {
             return Vec::new();
         }
         let scores = self.kernel().predict_batch(queries);
-        let tele = crate::telemetry::bloom_tele();
-        tele.record_kernel(self.precision);
-        let outcomes: Vec<QueryOutcome<bool>> =
-            queries.iter().zip(scores).map(|(q, s)| self.decide(s, q.as_ref())).collect();
-        tele.record_batch(outcomes.len(), outcomes.iter().filter_map(|o| o.fallback), 0);
-        outcomes
+        queries.iter().zip(scores).map(|(q, s)| self.decide(s, q.as_ref())).collect()
     }
 
     fn vocab(&self) -> Option<u32> {
         Some(self.model().config().vocab)
+    }
+
+    fn kernel_precision(&self) -> Option<Precision> {
+        Some(self.precision)
     }
 }
 
@@ -378,7 +365,7 @@ mod tests {
     }
 
     #[test]
-    fn nan_model_degrades_to_backup_filter_and_counts_fallbacks() {
+    fn nan_model_degrades_to_backup_filter_and_flags_fallbacks() {
         let c = GeneratorConfig::rw(300, 31).generate();
         let workload = membership_queries(&c, 200, 200, 4, 3);
         let (mut filter, report) = LearnedBloom::build(&workload, &quick_cfg(c.num_elements()));
@@ -403,10 +390,10 @@ mod tests {
             assert!(filter.contains(s), "backup-covered positive lost");
         }
         let batch_queries: Vec<ElementSet> = workload.iter().map(|(s, _)| s.clone()).collect();
-        let _ = filter.query_batch(&batch_queries);
+        let outcomes = filter.query_batch(&batch_queries);
         assert!(
-            filter.serve_guard().non_finite_fallbacks() > 0,
-            "poisoned scores must be counted as fallbacks"
+            outcomes.iter().all(|o| o.fallback == Some(crate::hybrid::FallbackReason::NonFinite)),
+            "every poisoned score must be flagged as a fallback"
         );
     }
 

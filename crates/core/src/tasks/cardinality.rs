@@ -145,7 +145,7 @@ impl LearnedCardinality {
     ///
     /// Model predictions pass through the serve-time [`ServeGuard`]: a
     /// non-finite or out-of-domain prediction is degraded to a clamped
-    /// in-domain value (and counted) instead of propagating garbage.
+    /// in-domain value (and flagged) instead of propagating garbage.
     pub fn estimate(&self, q: &[u32]) -> f64 {
         self.query(q).value
     }
@@ -172,27 +172,15 @@ impl LearnedCardinality {
         QueryOutcome { value: (base + delta).max(0.0), fallback, bound_miss: false }
     }
 
-    /// The serve-time guard (fallback counters and bounds).
-    pub fn serve_guard(&self) -> &ServeGuard {
-        &self.guard
-    }
-
     /// Model-only estimate, bypassing the outlier store (for ablations).
     pub fn estimate_model_only(&self, q: &[u32]) -> f64 {
-        self.scaler.unscale(self.score_one(q))
+        self.scaler.unscale(self.kernel().predict_one(q))
     }
 
     /// The frozen serving kernel, freezing the current weights at
     /// [`LearnedCardinality::precision`] on first use.
     pub fn kernel(&self) -> &FrozenModel {
         self.kernel.get_or_freeze(&self.model, self.precision)
-    }
-
-    /// One raw model score through the frozen kernel.
-    fn score_one(&self, q: &[u32]) -> f32 {
-        let s = self.kernel().predict_one(q);
-        crate::telemetry::cardinality_tele().record_kernel(self.precision);
-        s
     }
 
     /// The precision queries are served at (recorded in checkpoints).
@@ -270,16 +258,15 @@ impl LearnedSetStructure for LearnedCardinality {
             return Vec::new();
         }
         let scores = self.kernel().predict_batch(queries);
-        let tele = crate::telemetry::cardinality_tele();
-        tele.record_kernel(self.precision);
-        let outcomes: Vec<QueryOutcome<f64>> =
-            queries.iter().zip(scores).map(|(q, s)| self.correct_score(q.as_ref(), s)).collect();
-        tele.record_batch(outcomes.len(), outcomes.iter().filter_map(|o| o.fallback), 0);
-        outcomes
+        queries.iter().zip(scores).map(|(q, s)| self.correct_score(q.as_ref(), s)).collect()
     }
 
     fn vocab(&self) -> Option<u32> {
         Some(self.model().config().vocab)
+    }
+
+    fn kernel_precision(&self) -> Option<Precision> {
+        Some(self.precision)
     }
 }
 
@@ -309,6 +296,7 @@ pub fn aggregate_cardinality(parts: Vec<QueryOutcome<f64>>) -> QueryOutcome<f64>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hybrid::FallbackReason;
     use crate::model::CompressionKind;
     use setlearn_data::GeneratorConfig;
     use setlearn_nn::q_error;
@@ -420,10 +408,17 @@ mod tests {
             served += 1;
         }
         assert!(served > 8);
-        // Outlier-store answers bypass the model, so only model-served
-        // queries count as fallbacks — but with NaN weights every one does.
-        assert!(est.serve_guard().non_finite_fallbacks() > 0);
         assert_eq!(monitor.should_retrain(), Some(RetrainReason::ServeFallbacks));
+        // Outlier-store answers bypass the model, so only model-served
+        // queries fall back — but with NaN weights every one does, and each
+        // answer says so.
+        let queries: Vec<&ElementSet> = subsets.iter().take(50).map(|(s, _)| s).collect();
+        let model_served =
+            queries.iter().filter(|q| !est.outliers.contains_key(&set_hash(q))).count();
+        assert!(model_served > 0);
+        let flagged: Vec<_> = est.query_batch(&queries).iter().map(|o| o.fallback).collect();
+        assert!(flagged.iter().all(|f| f.is_none() || *f == Some(FallbackReason::NonFinite)));
+        assert_eq!(flagged.iter().filter(|f| f.is_some()).count(), model_served);
     }
 
     #[test]

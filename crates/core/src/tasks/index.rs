@@ -243,13 +243,6 @@ impl LearnedSetIndex {
         self.kernel.get_or_freeze(&self.model, self.precision)
     }
 
-    /// One raw model score through the frozen kernel.
-    fn score_one(&self, q: &[u32]) -> f32 {
-        let s = self.kernel().predict_one(q);
-        crate::telemetry::index_tele().record_kernel(self.precision);
-        s
-    }
-
     /// The precision lookups are served at (recorded in checkpoints).
     pub fn precision(&self) -> Precision {
         self.precision
@@ -314,8 +307,7 @@ impl LearnedSetIndex {
     }
 
     /// Batched lookup with scan-effort accounting: one model forward pass
-    /// for all queries, followed by per-query bounded scans. Records the
-    /// batch's queries, fallbacks and bound misses once.
+    /// for all queries, followed by per-query bounded scans.
     pub fn lookup_batch_profiled<S: AsRef<[u32]>>(
         &self,
         collection: &SetCollection,
@@ -325,16 +317,11 @@ impl LearnedSetIndex {
             return Vec::new();
         }
         let scores = self.kernel().predict_batch(queries);
-        let tele = crate::telemetry::index_tele();
-        tele.record_kernel(self.precision);
-        let profiles: Vec<LookupProfile> = queries
+        queries
             .iter()
             .zip(scores)
             .map(|(q, s)| self.profile_from_score(collection, q.as_ref(), s))
-            .collect();
-        let misses = profiles.iter().filter(|p| p.bound_miss()).count();
-        tele.record_batch(profiles.len(), profiles.iter().filter_map(|p| p.fallback), misses);
-        profiles
+            .collect()
     }
 
     /// Raw model estimate of the position (no scan) — for accuracy metrics.
@@ -346,7 +333,7 @@ impl LearnedSetIndex {
         if let Some(pos) = self.aux_position(q) {
             return pos as f64;
         }
-        self.scaler.unscale(self.score_one(q))
+        self.scaler.unscale(self.kernel().predict_one(q))
     }
 
     /// Registers a §7.2 update: the set now (also) appears at `pos`. Queries
@@ -388,11 +375,6 @@ impl LearnedSetIndex {
     /// Which occurrence (first/last) this index was trained to return.
     pub fn target(&self) -> PositionTarget {
         self.target
-    }
-
-    /// The serve-time guard (fallback counters and bounds).
-    pub fn serve_guard(&self) -> &ServeGuard {
-        &self.guard
     }
 
     /// Number of entries in the auxiliary tree.
@@ -450,6 +432,10 @@ impl LearnedSetStructure for IndexStructure {
 
     fn vocab(&self) -> Option<u32> {
         Some(self.index.model().config().vocab)
+    }
+
+    fn kernel_precision(&self) -> Option<Precision> {
+        Some(self.index.precision)
     }
 }
 
@@ -602,7 +588,7 @@ mod tests {
         index.model.load_weight_buffers(&poisoned).unwrap();
 
         let subsets = SubsetIndex::build(&collection, 2);
-        let mut fallbacks = 0;
+        let (mut fallbacks, mut model_served) = (0, 0);
         for (s, info) in subsets.iter().take(100) {
             let prof = index.lookup_profiled(&collection, s);
             assert_eq!(
@@ -613,9 +599,11 @@ mod tests {
             if prof.fallback == Some(FallbackReason::NonFinite) {
                 fallbacks += 1;
             }
+            model_served += usize::from(!prof.from_aux);
         }
         assert!(fallbacks > 0, "expected non-finite fallbacks from a NaN model");
-        assert_eq!(index.serve_guard().non_finite_fallbacks(), fallbacks);
+        // Every lookup the model served fell back, and says so.
+        assert_eq!(fallbacks, model_served);
         // Batched lookups degrade identically.
         let queries: Vec<&[u32]> = subsets.iter().take(20).map(|(s, _)| &**s).collect();
         let batch = index.lookup_batch_profiled(&collection, &queries);

@@ -37,6 +37,7 @@ pub use cardinality::aggregate_cardinality;
 pub use sharded::Sharded;
 
 use crate::hybrid::FallbackReason;
+use crate::kernel::Precision;
 use crate::mutable::OverlayAnswer;
 
 /// The answer to one query through the unified serve surface: the task's
@@ -118,6 +119,12 @@ pub trait LearnedSetStructure {
     fn vocab(&self) -> Option<u32> {
         None
     }
+
+    /// The precision of the kernel that answers, which serving publishes
+    /// per collection. `None` (the default) for a structure with no model.
+    fn kernel_precision(&self) -> Option<Precision> {
+        None
+    }
 }
 
 /// The per-task rule for combining answers from disjoint parts of one
@@ -165,6 +172,10 @@ impl<S: LearnedSetStructure> LearnedSetStructure for std::sync::Arc<S> {
 
     fn vocab(&self) -> Option<u32> {
         (**self).vocab()
+    }
+
+    fn kernel_precision(&self) -> Option<Precision> {
+        (**self).kernel_precision()
     }
 }
 

@@ -14,6 +14,7 @@
 //! * **bloom** — OR. A stored subset lives in some shard, so the per-shard
 //!   no-false-negative guarantee composes to the whole.
 
+use crate::kernel::Precision;
 use crate::shard::{ShardError, ShardSpec, ShardedCollection};
 use crate::tasks::{
     BloomBuildReport, BloomConfig, Fold, IndexStructure, LearnedBloom, LearnedSetIndex,
@@ -154,6 +155,10 @@ impl<S: Fold> LearnedSetStructure for Sharded<S> {
 
     fn vocab(&self) -> Option<u32> {
         self.shards[0].vocab()
+    }
+
+    fn kernel_precision(&self) -> Option<Precision> {
+        self.shards[0].kernel_precision()
     }
 }
 

@@ -1,138 +1,15 @@
-//! Serve-path telemetry: cached metric handles and recording helpers.
-//!
-//! Each task head (cardinality, index, bloom) owns one lazily initialized
-//! [`ServeTele`] bundle of handles into the global
+//! WAL telemetry: one lazily initialized bundle of handles into the global
 //! [`setlearn_obs::MetricsRegistry`], resolved once and then recorded
-//! through lock-free. Metric families (all labeled `task="…"`):
+//! through lock-free.
 //!
-//! - `setlearn_serve_queries_total` — queries answered (counter)
-//! - `setlearn_serve_fallbacks_total` — guard rejections, additionally
-//!   labeled `reason="non_finite"|"out_of_bounds"` (counter)
-//! - `setlearn_serve_bound_misses_total` — index scans that exhausted their
-//!   local-error window without a hit (counter; `task="index"` only)
-//! - `setlearn_infer_precision` — which inference kernel is live, as a
-//!   one-hot gauge family labeled `precision="f32"|"q8"` (the live
-//!   kernel's gauge reads 1, the other 0)
-//!
-//! Every answer path is a batch (a single query is a batch of one), so each
-//! batch records once; every fallback also emits a `serve_fallback` trace
-//! event. Serve latency is the runtime's `setlearn_serve_batch_seconds`.
+//! The serve-path families (`setlearn_serve_fallbacks_total`,
+//! `setlearn_serve_bound_misses_total`, `setlearn_infer_precision`) are not
+//! here: the serve runtime records each answer's degradation flags once,
+//! per collection, off the outcomes it returns, so a structure and its
+//! guard count nothing.
 
-use crate::hybrid::FallbackReason;
-use crate::kernel::Precision;
-use setlearn_obs::{Counter, Field, Gauge};
+use setlearn_obs::{Counter, Field};
 use std::sync::{Arc, OnceLock};
-
-/// Cached serve-metric handles for one task head.
-pub(crate) struct ServeTele {
-    task: &'static str,
-    queries: Arc<Counter>,
-    fallback_non_finite: Arc<Counter>,
-    fallback_out_of_bounds: Arc<Counter>,
-    bound_misses: Arc<Counter>,
-    /// One-hot precision gauges, in [`Precision::ALL`] order.
-    infer_precision: [Arc<Gauge>; 2],
-}
-
-impl ServeTele {
-    fn new(task: &'static str) -> Self {
-        let m = setlearn_obs::metrics();
-        ServeTele {
-            task,
-            queries: m.counter_with("setlearn_serve_queries_total", &[("task", task)]),
-            fallback_non_finite: m.counter_with(
-                "setlearn_serve_fallbacks_total",
-                &[("task", task), ("reason", "non_finite")],
-            ),
-            fallback_out_of_bounds: m.counter_with(
-                "setlearn_serve_fallbacks_total",
-                &[("task", task), ("reason", "out_of_bounds")],
-            ),
-            bound_misses: m
-                .counter_with("setlearn_serve_bound_misses_total", &[("task", task)]),
-            infer_precision: Precision::ALL.map(|p| {
-                m.gauge_with(
-                    "setlearn_infer_precision",
-                    &[("task", task), ("precision", &p.to_string())],
-                )
-            }),
-        }
-    }
-
-    /// Records a frozen-kernel pass: marks `precision` as the live kernel
-    /// (one-hot across the gauge family).
-    pub(crate) fn record_kernel(&self, precision: Precision) {
-        if !setlearn_obs::metrics_on() {
-            return;
-        }
-        for (p, g) in Precision::ALL.iter().zip(&self.infer_precision) {
-            g.set(if *p == precision { 1.0 } else { 0.0 });
-        }
-    }
-
-    /// Records one answered batch: `n` queries, their guard fallbacks, and
-    /// `bound_misses` index scans that exhausted their local-error window
-    /// without a hit (the bound did not cover the true position, or the
-    /// subset is absent; true negatives should be rare for index workloads).
-    pub(crate) fn record_batch(
-        &self,
-        n: usize,
-        fallbacks: impl Iterator<Item = FallbackReason>,
-        bound_misses: usize,
-    ) {
-        if !setlearn_obs::metrics_on() {
-            return;
-        }
-        self.queries.add(n as u64);
-        for reason in fallbacks {
-            self.count_fallback(reason);
-        }
-        if bound_misses > 0 {
-            self.bound_misses.add(bound_misses as u64);
-        }
-    }
-
-    fn count_fallback(&self, reason: FallbackReason) {
-        match reason {
-            FallbackReason::NonFinite => self.fallback_non_finite.inc(),
-            FallbackReason::OutOfBounds => self.fallback_out_of_bounds.inc(),
-        }
-        // Fallbacks are rare by construction, so the event is recorded at
-        // the default Metrics level, not just Full.
-        setlearn_obs::tracer().push_event(
-            "serve_fallback",
-            vec![
-                Field::text("task", self.task),
-                Field::text("reason", reason_str(reason)),
-            ],
-        );
-    }
-}
-
-fn reason_str(reason: FallbackReason) -> &'static str {
-    match reason {
-        FallbackReason::NonFinite => "non_finite",
-        FallbackReason::OutOfBounds => "out_of_bounds",
-    }
-}
-
-/// Serve telemetry for the cardinality estimator.
-pub(crate) fn cardinality_tele() -> &'static ServeTele {
-    static TELE: OnceLock<ServeTele> = OnceLock::new();
-    TELE.get_or_init(|| ServeTele::new("cardinality"))
-}
-
-/// Serve telemetry for the learned set index.
-pub(crate) fn index_tele() -> &'static ServeTele {
-    static TELE: OnceLock<ServeTele> = OnceLock::new();
-    TELE.get_or_init(|| ServeTele::new("index"))
-}
-
-/// Serve telemetry for the learned Bloom filter.
-pub(crate) fn bloom_tele() -> &'static ServeTele {
-    static TELE: OnceLock<ServeTele> = OnceLock::new();
-    TELE.get_or_init(|| ServeTele::new("bloom"))
-}
 
 /// Cached WAL metric handles (unlabeled; the WAL is shared across tasks).
 ///

@@ -19,7 +19,7 @@
 //! ```
 //!
 //! Each record is length-prefixed and individually checksummed, reusing
-//! [`crate::persist::crc32`] (the `SLW2` checksum — no second CRC
+//! [`crate::persist::crc32`] (the SLP1 frame checksum — no second CRC
 //! implementation):
 //!
 //! ```text
@@ -120,11 +120,6 @@ impl WalOp {
         match self {
             WalOp::Insert(ids) | WalOp::Delete(ids) => ids,
         }
-    }
-
-    /// Whether this op is a delete.
-    pub fn is_delete(&self) -> bool {
-        matches!(self, WalOp::Delete(_))
     }
 
     fn encode(&self) -> Vec<u8> {

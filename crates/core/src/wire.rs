@@ -10,12 +10,11 @@
 //!   [`crate::tasks::QueryOutcome`]: the task's value plus the shared
 //!   degradation flags (guard fallback, index bound miss).
 //!
-//! Encoding is hand-rolled little-endian (like the `SLW2` weight format in
-//! [`crate::persist`]) rather than JSON: the serving hot path decodes one of
-//! these per query, and the fixed layout keeps that free of allocation and
-//! parsing ambiguity. Floats travel as raw IEEE-754 bits so a value decoded
-//! on the client is **bit-identical** to the server's [`QueryOutcome`] —
-//! the loopback equivalence tests rely on that.
+//! Encoding is hand-rolled little-endian rather than JSON: the serving hot
+//! path decodes one of these per query, and the fixed layout keeps that free
+//! of allocation and parsing ambiguity. Floats travel as raw IEEE-754 bits
+//! so a value decoded on the client is **bit-identical** to the server's
+//! [`QueryOutcome`] — the loopback equivalence tests rely on that.
 //!
 //! Framing (magic, version, request ids, CRC) is deliberately *not* here:
 //! that is transport concern and lives in `setlearn-serve::proto`. These

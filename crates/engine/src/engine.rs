@@ -145,10 +145,6 @@ impl TableEntry {
         self.columns.first().map_or(0, |(_, c)| c.collection.len())
     }
 
-    fn column_mut(&mut self, column: &str) -> Option<&mut ColumnEntry> {
-        self.columns.iter_mut().find(|(n, _)| n == column).map(|(_, c)| c)
-    }
-
     fn ctx<'a>(&'a self, table: &'a str) -> PlanCtx<'a> {
         PlanCtx {
             table,
@@ -243,19 +239,6 @@ impl Engine {
         Ok(())
     }
 
-    /// Builds the inverted index on one column only.
-    pub fn create_index_on(&self, table: &str, column: &str) -> Result<(), EngineError> {
-        let mut tables = self.tables.write();
-        let entry =
-            tables.get_mut(table).ok_or_else(|| EngineError::NoSuchTable(table.into()))?;
-        let col = entry.column_mut(column).ok_or_else(|| EngineError::NoSuchColumn {
-            table: table.into(),
-            column: column.into(),
-        })?;
-        col.index = Some(InvertedIndex::build(&col.collection));
-        Ok(())
-    }
-
     /// Registers a learned cardinality estimator on the table's primary
     /// column. Accepts anything implementing
     /// [`setlearn::tasks::CardinalityEstimator`].
@@ -305,24 +288,6 @@ impl Engine {
             tables.get_mut(table).ok_or_else(|| EngineError::NoSuchTable(table.into()))?;
         let col = entry.columns.first_mut().expect("tables always have a primary column");
         col.1.estimator = Some(udf);
-        Ok(())
-    }
-
-    /// Registers an estimator UDF on a specific column.
-    pub fn register_estimator_udf_on(
-        &self,
-        table: &str,
-        column: &str,
-        udf: EstimatorUdf,
-    ) -> Result<(), EngineError> {
-        let mut tables = self.tables.write();
-        let entry =
-            tables.get_mut(table).ok_or_else(|| EngineError::NoSuchTable(table.into()))?;
-        let col = entry.column_mut(column).ok_or_else(|| EngineError::NoSuchColumn {
-            table: table.into(),
-            column: column.into(),
-        })?;
-        col.estimator = Some(udf);
         Ok(())
     }
 

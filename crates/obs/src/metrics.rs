@@ -330,7 +330,7 @@ pub struct Label {
 /// Fully qualified metric identity: family name plus sorted labels.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricKey {
-    /// Metric family name (e.g. `setlearn_serve_queries_total`).
+    /// Metric family name (e.g. `setlearn_serve_completed_total`).
     pub name: String,
     /// Labels, sorted by key.
     pub labels: Vec<Label>,

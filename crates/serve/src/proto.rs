@@ -16,8 +16,8 @@
 //!
 //! Kinds `0..=2` are the [`WireTask`] codes (a query frame); `0xF0` is ping
 //! and `0xF1` is a shutdown request. The CRC covers the whole payload —
-//! collection id included — exactly like the `SLW2` weight format, so
-//! truncation and bit flips surface as typed [`ProtoError`]s instead of
+//! collection id included — with the `persist::crc32` the WAL records use,
+//! so truncation and bit flips surface as typed [`ProtoError`]s instead of
 //! garbage queries or a misrouted frame. An empty collection id (length 0)
 //! addresses the server's default collection. Responses echo the request's
 //! kind, id and collection.

@@ -28,6 +28,9 @@
 //! - `setlearn_registry_resident` — resident collections (gauge, unlabeled)
 //! - `setlearn_registry_resident_bytes` — bytes resident (gauge, unlabeled)
 //! - `setlearn_serve_tenant_shed_total` — quota refusals (counter)
+//! - `setlearn_infer_precision` — the kernel precision a tenant serves at,
+//!   one-hot over `precision="f32"|"q8"` (gauge, also labeled `task`), set
+//!   once when the tenant becomes resident
 
 use crate::compact::{spawn_compactor_named, CompactorConfig, CompactorHandle};
 use crate::hotswap::HotSwap;
@@ -35,7 +38,7 @@ use crate::net::{MutableBackend, WireBackend};
 use crate::proto::CollectionInfo;
 use crate::runtime::{ServeConfig, ServeRuntime};
 use crate::task::StructureTask;
-use crate::telemetry::NetTele;
+use crate::telemetry::{record_precision, NetTele};
 use setlearn::mutable::{MutableCollection, MutableSink};
 use setlearn::persist::{self, load_json, CheckpointFiles, CollectionEntry, COLLECTION_WAL};
 use setlearn::tasks::{
@@ -60,13 +63,6 @@ pub struct QuotaConfig {
     pub rate: f64,
     /// Bucket capacity: the largest burst admitted at once.
     pub burst: f64,
-}
-
-impl QuotaConfig {
-    /// A quota admitting `rate` requests/second with a burst of the same.
-    pub fn per_second(rate: f64) -> Self {
-        QuotaConfig { rate, burst: rate }
-    }
 }
 
 /// Tuning for a [`CollectionRegistry`].
@@ -653,8 +649,9 @@ impl CollectionRegistry {
         let cfg = self.config.serve.clone();
         Ok(match shards {
             None => {
-                let structure = StructureTask::new(bind(load_checkpoint(model)?)?);
-                Arc::new(ServeRuntime::start_named(structure, cfg, name))
+                let structure = bind(load_checkpoint(model)?)?;
+                record_precision(name, &structure);
+                Arc::new(ServeRuntime::start_named(StructureTask::new(structure), cfg, name))
             }
             Some(want) => {
                 let parts: Sharded<P> = load_checkpoint(model)?;
@@ -665,8 +662,9 @@ impl CollectionRegistry {
                         T::NAME
                     ));
                 }
-                let structure = StructureTask::new(bind_sharded(parts)?);
-                Arc::new(ServeRuntime::start_named(structure, cfg, name))
+                let structure = bind_sharded(parts)?;
+                record_precision(name, &structure);
+                Arc::new(ServeRuntime::start_named(StructureTask::new(structure), cfg, name))
             }
         })
     }
@@ -750,6 +748,7 @@ impl CollectionRegistry {
     {
         let (collection, _report) =
             MutableCollection::open(structure, base, wal_dir).map_err(|e| e.to_string())?;
+        record_precision(name, &collection);
         let collection = Arc::new(collection);
         let slot = Arc::new(HotSwap::new(StructureTask::new(Arc::clone(&collection))));
         let runtime = Arc::new(ServeRuntime::start_shared_named(

@@ -492,6 +492,7 @@ fn worker_loop<T: ServeTask>(
             Ok(responses) if responses.len() == requests.len() => {
                 stats.completed.fetch_add(responses.len() as u64, Ordering::Relaxed);
                 tele.record_batch(responses.len(), queue.len(), &waits, batch_wait, duration, version);
+                tele.record_degraded(responses.iter().map(T::degradation));
                 for (responder, response) in responders.into_iter().zip(responses) {
                     // A caller that dropped its ticket is not an error.
                     responder.send(Ok(response));

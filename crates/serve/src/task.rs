@@ -11,8 +11,9 @@
 //! [`StructureTask`] instantiated per structure: every learned structure —
 //! sharded or not — serves through `query_batch`, and responses carry the
 //! shared [`QueryOutcome`] degradation flags (guard fallbacks, index bound
-//! misses) instead of a bare value.
+//! misses) instead of a bare value; the runtime counts those flags.
 
+use setlearn::hybrid::FallbackReason;
 use setlearn::tasks::{
     IndexStructure, LearnedBloom, LearnedCardinality, LearnedSetStructure, QueryOutcome,
 };
@@ -34,6 +35,13 @@ pub trait ServeTask: Send + Sync + 'static {
 
     /// Answers every request in the batch, in order.
     fn serve_batch(&self, requests: &[Self::Request]) -> Vec<Self::Response>;
+
+    /// The degradation flags one response carries — the guard's fallback
+    /// reason, and whether an index scan window was exhausted — which the
+    /// runtime counts per collection. The default is no flags.
+    fn degradation(_response: &Self::Response) -> (Option<FallbackReason>, bool) {
+        (None, false)
+    }
 }
 
 /// The one serve adapter: any [`LearnedSetStructure`] becomes a
@@ -65,6 +73,10 @@ where
 
     fn serve_batch(&self, requests: &[ElementSet]) -> Vec<QueryOutcome<S::Output>> {
         self.structure.query_batch(requests)
+    }
+
+    fn degradation(response: &QueryOutcome<S::Output>) -> (Option<FallbackReason>, bool) {
+        (response.fallback, response.bound_miss)
     }
 }
 

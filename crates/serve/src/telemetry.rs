@@ -13,15 +13,30 @@
 //! - `setlearn_serve_batch_seconds` — `serve_batch` execution time
 //!   (histogram)
 //! - `setlearn_serve_completed_total` — requests answered (counter)
+//! - `setlearn_serve_fallbacks_total` — answers whose model output the
+//!   serve guard rejected, additionally labeled
+//!   `reason="non_finite"|"out_of_bounds"` (counter)
+//! - `setlearn_serve_bound_misses_total` — index answers whose scan window
+//!   was exhausted without a hit (counter)
 //! - `setlearn_serve_shed_total` — requests refused at admission (counter)
 //! - `setlearn_serve_batches_total` — batches executed (counter)
 //! - `setlearn_serve_swaps_total` — model hot-swaps published (counter)
 //!
+//! The fallback and bound-miss counters are read off the answers the worker
+//! returns, so each answer counts once however many shards or overlay parts
+//! it folds. A registry tenant also gets `setlearn_infer_precision` — which
+//! kernel serves it, as a one-hot gauge labeled `precision="f32"|"q8"` —
+//! set once when the tenant becomes resident ([`record_precision`]).
+//!
 //! At [`setlearn_obs::TelemetryLevel::Full`] every executed batch records a
 //! `serve_batch` span (fields: `task`, `batch`, `version`); every hot-swap
-//! records a `model_swap` event at the default `Metrics` level (swaps are
-//! rare and operationally interesting).
+//! records a `model_swap` event and every fallback a `serve_fallback` event
+//! (fields: `task`, `reason`, plus `collection`) at the default `Metrics`
+//! level (both are rare and operationally interesting).
 
+use setlearn::hybrid::FallbackReason;
+use setlearn::tasks::LearnedSetStructure;
+use setlearn::Precision;
 use setlearn_obs::{Counter, Field, Gauge, Histogram, Stage, LATENCY_BOUNDS, STAGES, STAGE_COUNT};
 use std::sync::Arc;
 use std::time::Duration;
@@ -58,6 +73,7 @@ impl StageTele {
 /// Cached metric handles for one serving runtime.
 pub(crate) struct RuntimeTele {
     task: &'static str,
+    collection: Option<String>,
     queue_depth: Arc<Gauge>,
     batch_size: Arc<Histogram>,
     queue_wait: Arc<Histogram>,
@@ -66,12 +82,18 @@ pub(crate) struct RuntimeTele {
     shed: Arc<Counter>,
     batches: Arc<Counter>,
     swaps: Arc<Counter>,
+    /// Guard fallbacks, indexed by `FallbackReason as usize`.
+    fallbacks: [Arc<Counter>; 2],
+    bound_misses: Arc<Counter>,
     stages: StageTele,
 }
 
+/// The `reason` label of each [`FallbackReason`], indexed by `reason as usize`.
+const REASON_LABELS: [&str; 2] = ["non_finite", "out_of_bounds"];
+
 impl RuntimeTele {
     pub(crate) fn new(task: &'static str) -> Self {
-        Self::with_labels(task, &[("task", task)])
+        Self::build(task, None)
     }
 
     /// Handles for a runtime serving one named collection in a registry:
@@ -79,13 +101,17 @@ impl RuntimeTele {
     /// is bounded by the registry's resident budget plus the obs registry's
     /// `MAX_SERIES_PER_FAMILY` overflow collapse.
     pub(crate) fn named(task: &'static str, collection: &str) -> Self {
-        Self::with_labels(task, &[("task", task), ("collection", collection)])
+        Self::build(task, Some(collection))
     }
 
-    fn with_labels(task: &'static str, l: &[(&str, &str)]) -> Self {
+    fn build(task: &'static str, collection: Option<&str>) -> Self {
         let m = setlearn_obs::metrics();
+        let mut labels = vec![("task", task)];
+        labels.extend(collection.map(|c| ("collection", c)));
+        let l = labels.as_slice();
         RuntimeTele {
             task,
+            collection: collection.map(str::to_string),
             queue_depth: m.gauge_with("setlearn_serve_queue_depth", l),
             batch_size: m.histogram_with("setlearn_serve_batch_size", l, BATCH_BOUNDS),
             queue_wait: m.histogram_with("setlearn_serve_queue_wait_seconds", l, LATENCY_BOUNDS),
@@ -94,6 +120,12 @@ impl RuntimeTele {
             shed: m.counter_with("setlearn_serve_shed_total", l),
             batches: m.counter_with("setlearn_serve_batches_total", l),
             swaps: m.counter_with("setlearn_serve_swaps_total", l),
+            fallbacks: REASON_LABELS.map(|reason| {
+                let mut with_reason = labels.clone();
+                with_reason.push(("reason", reason));
+                m.counter_with("setlearn_serve_fallbacks_total", &with_reason)
+            }),
+            bound_misses: m.counter_with("setlearn_serve_bound_misses_total", l),
             stages: StageTele::new(l),
         }
     }
@@ -140,6 +172,28 @@ impl RuntimeTele {
         }
     }
 
+    /// Counts one batch's degraded answers, each once: a guard fallback by
+    /// reason (plus a `serve_fallback` event) and an exhausted index window.
+    pub(crate) fn record_degraded(
+        &self,
+        flags: impl Iterator<Item = (Option<FallbackReason>, bool)>,
+    ) {
+        if !setlearn_obs::metrics_on() {
+            return;
+        }
+        for (fallback, bound_miss) in flags {
+            if bound_miss {
+                self.bound_misses.inc();
+            }
+            let Some(reason) = fallback else { continue };
+            self.fallbacks[reason as usize].inc();
+            let label = REASON_LABELS[reason as usize];
+            let mut fields = vec![Field::text("task", self.task), Field::text("reason", label)];
+            fields.extend(self.collection.as_deref().map(|c| Field::text("collection", c)));
+            setlearn_obs::tracer().push_event("serve_fallback", fields);
+        }
+    }
+
     /// Records one request refused at admission.
     pub(crate) fn record_shed(&self) {
         if setlearn_obs::metrics_on() {
@@ -163,6 +217,23 @@ impl RuntimeTele {
         );
     }
 
+}
+
+/// Publishes the kernel precision `structure` serves tenant `collection`
+/// at: one-hot across `setlearn_infer_precision{task, collection,
+/// precision}`. The registry calls it once, as the tenant becomes resident;
+/// a compaction retrains at the same precision.
+pub(crate) fn record_precision<S: LearnedSetStructure>(collection: &str, structure: &S) {
+    let Some(live) = structure.kernel_precision() else { return };
+    if !setlearn_obs::metrics_on() {
+        return;
+    }
+    let m = setlearn_obs::metrics();
+    for p in Precision::ALL {
+        let label = p.to_string();
+        let l = [("task", S::NAME), ("collection", collection), ("precision", label.as_str())];
+        m.gauge_with("setlearn_infer_precision", &l).set(if p == live { 1.0 } else { 0.0 });
+    }
 }
 
 /// Cached metric handles for the TCP front-end. Every family carries

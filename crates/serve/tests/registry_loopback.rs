@@ -3,7 +3,8 @@
 //! clients naming no collection get the default one, admin frames manage
 //! residency over the wire, per-tenant quotas shed one tenant without
 //! touching another, a query no model can answer is refused on its own,
-//! and a served index tenant counts its bound misses.
+//! a served index tenant counts each answer's bound miss once, and each
+//! tenant's precision gauge names its own kernel.
 
 mod common;
 
@@ -13,10 +14,11 @@ use setlearn::persist::{
 };
 use setlearn::tasks::{
     BloomConfig, CardinalityConfig, IndexConfig, IndexStructure, LearnedBloom,
-    LearnedCardinality, LearnedSetIndex, LearnedSetStructure,
+    LearnedCardinality, LearnedSetIndex, LearnedSetStructure, Sharded,
 };
+use setlearn::{Precision, ShardBy, ShardSpec, ShardedCollection};
 use setlearn::wire::{QueryRequest, QueryResponse, QueryValue, WireTask};
-use setlearn_data::{normalize, ElementSet, GeneratorConfig, SetCollection};
+use setlearn_data::{normalize, ElementSet, GeneratorConfig, SetCollection, SubsetIndex};
 use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer};
 use setlearn_serve::proto::{ErrorCode, ProtoError, WireOutcome};
 use setlearn_serve::{
@@ -58,31 +60,39 @@ fn tiny_sets(seed: u64) -> SetCollection {
     .generate()
 }
 
-/// Persists a trained `task` structure and its sets under `root/<name>/`.
+/// Persists a trained `task` structure (of `shards` parts, when sharded)
+/// and its sets under `root/<name>/`.
 fn write_tenant<M: serde::Serialize>(
     root: &Path,
     name: &str,
     task: &str,
+    shards: Option<usize>,
     model: &M,
     sets: &SetCollection,
 ) {
     let dir = root.join(name);
-    save_manifest(&dir, &CollectionManifest { task: task.into(), shards: None, shard_by: None })
-        .unwrap();
+    let shard_by = shards.map(|_| "hash".to_string());
+    save_manifest(&dir, &CollectionManifest { task: task.into(), shards, shard_by }).unwrap();
     setlearn::persist::save_json(model, &dir.join(COLLECTION_MODEL)).unwrap();
     setlearn::persist::save_json(sets, &dir.join(COLLECTION_SETS)).unwrap();
 }
 
 /// Trains and persists a tiny cardinality collection under `root/<name>/`.
 fn write_collection(root: &Path, name: &str, seed: u64) {
+    write_collection_at(root, name, seed, Precision::F32);
+}
+
+/// [`write_collection`] serving at `precision`.
+fn write_collection_at(root: &Path, name: &str, seed: u64, precision: Precision) {
     let sets = tiny_sets(seed);
     let mut cfg = CardinalityConfig::new(DeepSetsConfig::lsm(sets.num_elements()));
     cfg.guided.warmup_epochs = 1;
     cfg.guided.rounds = 0;
     cfg.guided.epochs_per_round = 1;
     cfg.max_subset_size = 2;
-    let (est, _) = LearnedCardinality::build(&sets, &cfg);
-    write_tenant(root, name, "cardinality", &est, &sets);
+    let (mut est, _) = LearnedCardinality::build(&sets, &cfg);
+    est.set_precision(precision);
+    write_tenant(root, name, "cardinality", None, &est, &sets);
 }
 
 /// A dedicated server for the model persisted at `root/<name>/`, loaded and
@@ -344,16 +354,16 @@ fn hostile_queries_are_refused_one_by_one_for_every_task() {
     card_cfg.guided.rounds = 0;
     card_cfg.max_subset_size = 2;
     let (card, _) = LearnedCardinality::build(&sets, &card_cfg);
-    write_tenant(&root, "card", "cardinality", &card, &sets);
+    write_tenant(&root, "card", "cardinality", None, &card, &sets);
     let bloom_cfg = BloomConfig { epochs: 2, ..BloomConfig::new(model.clone()) };
     let (bloom, _) = LearnedBloom::build_from_collection(&sets, 80, 80, 2, &bloom_cfg);
-    write_tenant(&root, "bloom", "bloom", &bloom, &sets);
+    write_tenant(&root, "bloom", "bloom", None, &bloom, &sets);
     let mut index_cfg = IndexConfig::new(model);
     index_cfg.guided.warmup_epochs = 1;
     index_cfg.guided.rounds = 0;
     index_cfg.max_subset_size = 2;
     let (index, _) = LearnedSetIndex::build(&sets, &index_cfg);
-    write_tenant(&root, "idx", "index", &index, &sets);
+    write_tenant(&root, "idx", "index", None, &index, &sets);
     let (server, addr, _registry) = registry_server(&root, None, None);
 
     assert_refuses_hostile_queries(addr, "card", &card);
@@ -378,11 +388,13 @@ fn written_fixture_collections_load_back() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The served path counts the index's exhausted scan windows: submitting
-/// pairs no set holds to an index tenant moves
-/// `setlearn_serve_bound_misses_total{task="index"}` by exactly the number of
-/// outcomes flagged `bound_miss`. No other test in this suite serves an
-/// index, so nothing else moves the process-wide counter.
+/// The served path counts each answer's exhausted scan window once, per
+/// collection: `setlearn_serve_bound_misses_total{task="index",collection=…}`
+/// moves by exactly the number of responses flagged `bound_miss`. Pairs no
+/// set holds, sent to an index tenant, exhaust their windows. The same
+/// fixture in two shards, sent pairs the collection holds, is the case a
+/// per-part count gets wrong: the shard without the pair exhausts its own
+/// window, but the folded answer found it, so it is no miss.
 #[test]
 fn served_index_bound_misses_are_counted() {
     let root = tmproot("misses");
@@ -393,11 +405,36 @@ fn served_index_bound_misses_are_counted() {
     cfg.guided.epochs_per_round = 1;
     cfg.max_subset_size = 2;
     let (index, _) = LearnedSetIndex::build(&sets, &cfg);
-    write_tenant(&root, "idx", "index", &index, &sets);
+    write_tenant(&root, "idx", "index", None, &index, &sets);
+    let part = ShardedCollection::partition(&sets, ShardSpec::new(2, ShardBy::Hash)).unwrap();
+    let (sharded, _) =
+        Sharded::build(&part, |_, shard| Ok(LearnedSetIndex::build(shard, &cfg))).unwrap();
+    write_tenant(&root, "shidx", "index", Some(2), &sharded, &sets);
     let mut config = RegistryConfig::new(&root);
     config.serve = quick_serve();
     let registry = CollectionRegistry::new(config);
-    let resident = registry.resolve(Some("idx")).unwrap();
+
+    // Serves `queries` to `tenant`; returns (responses flagged, counter delta).
+    let serve = |tenant: &str, queries: &[ElementSet]| {
+        let resident = registry.resolve(Some(tenant)).unwrap();
+        let misses = || {
+            setlearn_obs::metrics()
+                .snapshot()
+                .counter_value(
+                    "setlearn_serve_bound_misses_total",
+                    &[("task", "index"), ("collection", tenant)],
+                )
+                .expect("the resident tenant's runtime registered its counter")
+        };
+        let before = misses();
+        let flagged = queries
+            .chunks(32)
+            .flat_map(|batch| resident.backend().submit_wire(batch.to_vec(), None))
+            .map(|ticket| ticket().unwrap())
+            .filter(|response| response.bound_miss)
+            .count() as u64;
+        (flagged, misses() - before)
+    };
 
     let n = sets.num_elements();
     let absent: Vec<ElementSet> = (0..n)
@@ -405,16 +442,59 @@ fn served_index_bound_misses_are_counted() {
         .filter(|q| !sets.contains_subset(q))
         .collect();
     assert!(!absent.is_empty(), "fixture has no absent pairs");
-    let misses = setlearn_obs::metrics()
-        .counter_with("setlearn_serve_bound_misses_total", &[("task", "index")]);
-    let before = misses.get();
-    let flagged = absent
-        .chunks(32)
-        .flat_map(|batch| resident.backend().submit_wire(batch.to_vec(), None))
-        .map(|ticket| ticket().unwrap())
-        .filter(|response| response.bound_miss)
-        .count();
+    let (flagged, counted) = serve("idx", &absent);
     assert!(flagged > 0, "absent pairs exhaust their windows");
-    assert_eq!(misses.get() - before, flagged as u64);
+    assert_eq!(counted, flagged);
+
+    let present: Vec<ElementSet> = SubsetIndex::build(&sets, 2)
+        .iter()
+        .map(|(s, _)| s.clone())
+        .filter(|s| s.len() == 2)
+        .collect();
+    let bound = sharded.bind(&sets).unwrap();
+    let part_misses: usize = bound
+        .shards()
+        .iter()
+        .map(|shard| shard.query_batch(&present).iter().filter(|o| o.bound_miss).count())
+        .sum();
+    let (flagged, counted) = serve("shidx", &present);
+    assert!(part_misses as u64 > flagged, "the shards miss more than the answers do");
+    assert_eq!(counted, flagged);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `setlearn_infer_precision` is per collection: an f32 and a q8 tenant of
+/// the same task each read their own kernel, however their batches
+/// interleave, and so does a mutable (WAL-backed) q8 tenant.
+#[test]
+fn each_tenant_reports_its_own_precision() {
+    let root = tmproot("precision");
+    write_collection_at(&root, "card-f32", 51, Precision::F32);
+    write_collection_at(&root, "card-q8", 52, Precision::Q8);
+    write_collection_at(&root, "card-q8-live", 53, Precision::Q8);
+    std::fs::create_dir_all(root.join("card-q8-live").join("wal")).unwrap();
+    let mut config = RegistryConfig::new(&root);
+    config.serve = quick_serve();
+    let registry = CollectionRegistry::new(config);
+    for tenant in ["card-f32", "card-q8", "card-q8-live", "card-f32"] {
+        let resident = registry.resolve(Some(tenant)).unwrap();
+        for ticket in resident.backend().submit_wire(vec![normalize(vec![1, 2])], None) {
+            ticket().unwrap();
+        }
+    }
+    let snapshot = setlearn_obs::metrics().snapshot();
+    let tenants =
+        [("card-f32", Precision::F32), ("card-q8", Precision::Q8), ("card-q8-live", Precision::Q8)];
+    for (tenant, live) in tenants {
+        for p in Precision::ALL {
+            let label = p.to_string();
+            let gauge = snapshot.gauge_value(
+                "setlearn_infer_precision",
+                &[("task", "cardinality"), ("collection", tenant), ("precision", &label)],
+            );
+            let want = if p == live { 1.0 } else { 0.0 };
+            assert_eq!(gauge, Some(want), "{tenant} at {p}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&root);
 }

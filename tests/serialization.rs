@@ -95,75 +95,6 @@ fn cardinality_checkpoints_serialize_to_identical_bytes() {
     assert!(build_sharded() == build_sharded(), "one sharded estimator, two byte streams");
 }
 
-mod slw2 {
-    //! Corruption coverage for the checksummed `SLW2` binary weight format.
-
-    use setlearn::model::{DeepSets, DeepSetsConfig};
-    use setlearn::persist::{
-        decode_weights, encode_weights, load_weights, save_weights, PersistError,
-    };
-
-    fn model() -> DeepSets {
-        DeepSets::new(DeepSetsConfig::lsm(64))
-    }
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("setlearn-slw2-{name}-{}", std::process::id()));
-        p
-    }
-
-    #[test]
-    fn binary_weights_roundtrip_through_a_file() {
-        let m = model();
-        let path = tmp("roundtrip.slw");
-        save_weights(&m, &path).expect("save");
-        let back = load_weights(&path).expect("load");
-        for q in [&[1u32][..], &[2u32, 3][..], &[10u32, 20, 30][..]] {
-            assert_eq!(m.predict_one(q), back.predict_one(q));
-        }
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn truncated_file_is_corrupt_not_a_panic() {
-        let bytes = encode_weights(&model()).expect("encode");
-        // Every truncation point must fail cleanly — never panic, never
-        // yield a model built from partial data.
-        for cut in [4, 5, 9, bytes.len() / 2, bytes.len() - 1] {
-            match decode_weights(&bytes[..cut]) {
-                Err(PersistError::Corrupt(_)) | Err(PersistError::Format(_)) => {}
-                other => panic!("truncation at {cut} gave {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn every_single_bit_flip_in_the_payload_is_detected() {
-        let bytes = encode_weights(&model()).expect("encode");
-        // Flip one bit in each of a spread of payload bytes (past the
-        // 9-byte header); CRC-32 must catch all single-bit errors.
-        let header = 9;
-        let step = ((bytes.len() - header) / 50).max(1);
-        for i in (header..bytes.len()).step_by(step) {
-            let mut evil = bytes.clone();
-            evil[i] ^= 0x10;
-            match decode_weights(&evil) {
-                Err(PersistError::Corrupt(_)) | Err(PersistError::Format(_)) => {}
-                other => panic!("bit flip at byte {i} gave {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn wrong_magic_is_rejected() {
-        let mut bytes = encode_weights(&model()).expect("encode");
-        bytes[..4].copy_from_slice(b"NOPE");
-        assert!(matches!(decode_weights(&bytes), Err(PersistError::Format(_))));
-        assert!(matches!(decode_weights(b""), Err(PersistError::Format(_))));
-    }
-}
-
 #[test]
 fn deserialized_model_can_keep_training() {
     let model = DeepSets::new(DeepSetsConfig::lsm(100));
