@@ -1497,6 +1497,25 @@ mod tests {
         assert!(err.to_string().contains("cannot open /nonexistent/nope"), "got: {err}");
     }
 
+    /// A collection file that breaks a rule is an error (exit 1) naming the
+    /// set and the rule, not a panic (exit 101) or a silently wrong answer.
+    #[test]
+    fn stats_refuses_a_broken_collection_file() {
+        let root = tmp("broken");
+        std::fs::create_dir_all(&root).unwrap();
+        for (body, why) in [
+            (r#"{"sets":[[0,1],[2,4000000000]],"num_elements":7}"#, "set 1 holds id 4000000000"),
+            (r#"{"sets":[[2,1,0]],"num_elements":7}"#, "set 0 is not strictly ascending"),
+            (r#"{"sets":[[1],[]],"num_elements":7}"#, "set 1 is empty"),
+        ] {
+            let file = format!("{root}/collection.json");
+            std::fs::write(&file, body).unwrap();
+            let err = run(&args(&["stats", "--collection", &file])).unwrap_err();
+            assert!(err.to_string().contains(why), "got: {err}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn corrupt_model_file_errors_instead_of_panicking() {
         let root = trained_tenant("garbage-root", "garbage", "2", &[]);

@@ -15,8 +15,9 @@ use crate::mutable::OverlayAnswer;
 use crate::tasks::{Fold, LearnedSetStructure, QueryOutcome};
 use serde::{Deserialize, Serialize};
 use setlearn_baselines::{set_hash, BPlusTree};
-use setlearn_data::{is_subset, ElementSet, SetCollection, SubsetIndex};
+use setlearn_data::{is_subset, signature, ElementSet, SetCollection, SubsetIndex};
 use setlearn_nn::{Loss, LogMinMaxScaler, TrainReport};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which occurrence the index targets (paper §4.1 supports either).
@@ -214,21 +215,26 @@ impl LearnedSetIndex {
         }
     }
 
-    /// Scan window for a guarded estimate: `[lo, hi]` positions plus the
-    /// fallback reason (if the guard rejected the raw estimate). A
-    /// non-finite estimate widens the window to the whole collection — the
-    /// exact, model-free degradation; an out-of-bound estimate is clamped
-    /// into the position domain first.
-    fn scan_window(&self, collection: &SetCollection, raw_est: f64) -> (usize, usize, Option<FallbackReason>) {
-        let last = collection.len().saturating_sub(1);
+    /// Scan window for a guarded estimate: the positions to scan (empty when
+    /// the bound lies wholly past the collection's end) plus the fallback
+    /// reason (if the guard rejected the raw estimate). A non-finite
+    /// estimate widens the window to the whole collection — the exact,
+    /// model-free degradation; an out-of-bound estimate is clamped into the
+    /// position domain first.
+    fn scan_window(
+        &self,
+        collection: &SetCollection,
+        raw_est: f64,
+    ) -> (Range<usize>, Option<FallbackReason>) {
+        let len = collection.len();
         let (est, reason) = self.guard.admit_or_clamp(raw_est);
         if reason == Some(FallbackReason::NonFinite) {
-            return (0, last, reason);
+            return (0..len, reason);
         }
         let e_r = self.bounds.bound_for(est);
         let lo = ((est - e_r).floor().max(0.0)) as usize;
-        let hi = ((est + e_r).ceil() as usize).min(last);
-        (lo, hi, reason)
+        let end = ((est + e_r).ceil() as usize).saturating_add(1).min(len);
+        (lo.min(end)..end, reason)
     }
 
     /// [`LearnedSetIndex::lookup`] with scan-effort accounting: a batch of
@@ -273,37 +279,29 @@ impl LearnedSetIndex {
                 fallback: None,
             };
         }
-        let (lo, hi, fallback) = self.scan_window(collection, self.scaler.unscale(score));
-        let mut scanned = 0;
+        let (window, fallback) = self.scan_window(collection, self.scaler.unscale(score));
         // First-occurrence queries scan the window upward; last-occurrence
         // queries downward. In both directions the first match is the true
         // endpoint whenever it lies inside the window (nothing beyond the
-        // endpoint matches, by definition).
-        let mut probe = |i: usize| -> Option<LookupProfile> {
-            scanned += 1;
-            if is_subset(q, collection.get(i)) {
-                Some(LookupProfile { position: Some(i), scanned, from_aux: false, fallback })
-            } else {
-                None
-            }
+        // endpoint matches, by definition). A set is read only when its
+        // signature holds every bit of the query's: `q ⊆ S` implies
+        // `sig(q) ⊆ sig(S)`, so the filter drops no match.
+        let want = signature(q);
+        let lo = window.start;
+        let sigs = &collection.signatures()[window.clone()];
+        let sets = &collection.sets()[window];
+        let hit = |k: &usize| sigs[*k] & want == want && is_subset(q, &sets[*k]);
+        let found = match self.target {
+            PositionTarget::First => (0..sigs.len()).find(hit),
+            PositionTarget::Last => (0..sigs.len()).rev().find(hit),
         };
-        match self.target {
-            PositionTarget::First => {
-                for i in lo..=hi {
-                    if let Some(hit) = probe(i) {
-                        return hit;
-                    }
-                }
-            }
-            PositionTarget::Last => {
-                for i in (lo..=hi).rev() {
-                    if let Some(hit) = probe(i) {
-                        return hit;
-                    }
-                }
-            }
-        }
-        LookupProfile { position: None, scanned, from_aux: false, fallback }
+        // `scanned` counts the window positions passed, filtered or read.
+        let scanned = match (found, self.target) {
+            (None, _) => sigs.len(),
+            (Some(k), PositionTarget::First) => k + 1,
+            (Some(k), PositionTarget::Last) => sigs.len() - k,
+        };
+        LookupProfile { position: found.map(|k| lo + k), scanned, from_aux: false, fallback }
     }
 
     /// Batched lookup with scan-effort accounting: one model forward pass
@@ -489,7 +487,8 @@ pub(crate) fn fold_positions(
 mod tests {
     use super::*;
     use crate::model::CompressionKind;
-    use setlearn_data::GeneratorConfig;
+    use proptest::prelude::*;
+    use setlearn_data::{normalize, GeneratorConfig};
 
     fn quick_cfg(vocab: u32, compression: CompressionKind) -> IndexConfig {
         let mut model = DeepSetsConfig::lsm(vocab);
@@ -643,5 +642,159 @@ mod tests {
         for (s, info) in subsets.iter() {
             assert_eq!(clsm.lookup(&collection, s), Some(info.first_pos as usize));
         }
+    }
+
+    /// The lookup a plain set-by-set merge walk gives over the inclusive
+    /// `[lo, hi]` window: the reference the signature-filtered scan must
+    /// agree with, profile for profile.
+    fn merge_walk_profile(
+        index: &LearnedSetIndex,
+        collection: &SetCollection,
+        q: &[u32],
+        score: f32,
+    ) -> LookupProfile {
+        if let Some(pos) = index.aux_position(q) {
+            return LookupProfile {
+                position: Some(pos as usize),
+                scanned: 0,
+                from_aux: true,
+                fallback: None,
+            };
+        }
+        let last = collection.len() - 1;
+        let (est, fallback) = index.guard.admit_or_clamp(index.scaler.unscale(score));
+        let (lo, hi) = if fallback == Some(FallbackReason::NonFinite) {
+            (0, last)
+        } else {
+            let e_r = index.bounds.bound_for(est);
+            (((est - e_r).floor().max(0.0)) as usize, ((est + e_r).ceil() as usize).min(last))
+        };
+        let order: Vec<usize> = match index.target {
+            PositionTarget::First => (lo..=hi).collect(),
+            PositionTarget::Last => (lo..=hi).rev().collect(),
+        };
+        let mut scanned = 0;
+        for i in order {
+            scanned += 1;
+            if is_subset(q, collection.get(i)) {
+                return LookupProfile { position: Some(i), scanned, from_aux: false, fallback };
+            }
+        }
+        LookupProfile { position: None, scanned, from_aux: false, fallback }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The signature-filtered scan returns the merge walk's profile for
+        /// present and absent queries of 1–4 elements, both targets, aux
+        /// hits, windows clamped by the guard or cut by the collection's
+        /// end, and the full-collection window of a non-finite score. The
+        /// index is hand-assembled (untrained model, random bounds, a guard
+        /// domain that need not match the collection) because the scan only
+        /// sees the score.
+        #[test]
+        fn signature_scan_equals_a_merge_walk(
+            shape in (1u32..200, 1usize..160, 1usize..400),
+            raw in proptest::collection::vec(proptest::collection::vec(0u32..u32::MAX, 1..9), 1..300),
+            errors in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..40),
+            picks in proptest::collection::vec(
+                (0usize..usize::MAX, proptest::collection::vec(0u32..u32::MAX, 1..5), 0u8..8, -0.25f32..1.25),
+                1..24,
+            ),
+        ) {
+            let (vocab, range_length, guard_len) = shape;
+            let raw = raw.iter().map(|s| s.iter().map(|e| e % vocab).collect()).collect();
+            let collection = SetCollection::new(raw, vocab);
+            // Estimates reach 1.5x the guard's domain, so some are clamped.
+            let domain = (guard_len - 1) as f64;
+            let pairs: Vec<(f64, f64)> =
+                errors.iter().map(|&(est, truth)| (est * domain, truth * domain)).collect();
+            let mut index = LearnedSetIndex {
+                model: DeepSets::new(DeepSetsConfig::lsm(vocab)),
+                scaler: LogMinMaxScaler::from_range(0.0, 1.5 * domain),
+                aux: BPlusTree::new(8),
+                bounds: LocalErrorBounds::compute(&pairs, range_length as f64),
+                max_subset_size: 4,
+                target: PositionTarget::First,
+                guard: ServeGuard::new(0.0, domain),
+                precision: Precision::default(),
+                kernel: KernelCell::new(),
+            };
+            // kind: even = a subset of a set in the collection, odd = random
+            // ids (mostly absent); 0 = NaN score, 1 = +inf, 6 = an aux entry.
+            let mut queries = Vec::new();
+            for (pick, ids, kind, score) in &picks {
+                let set = collection.get(pick % collection.len());
+                let q = if kind % 2 == 0 {
+                    normalize(ids.iter().map(|&e| set[e as usize % set.len()]).collect())
+                } else {
+                    normalize(ids.iter().map(|&e| e % vocab).collect())
+                };
+                let score = match kind {
+                    0 => f32::NAN,
+                    1 => f32::INFINITY,
+                    _ => *score,
+                };
+                if *kind == 6 {
+                    index.aux.insert(set_hash(&q), (pick % collection.len()) as u32);
+                }
+                queries.push((q, score));
+            }
+            for target in [PositionTarget::First, PositionTarget::Last] {
+                index.target = target;
+                for (q, score) in &queries {
+                    prop_assert_eq!(
+                        index.profile_from_score(&collection, q, *score),
+                        merge_walk_profile(&index, &collection, q, *score)
+                    );
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over the little-endian bytes of each word.
+    fn fnv1a(mut h: u64, words: &[u64]) -> u64 {
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Every profile of a fixed index — position, scan length, aux hit and
+    /// fallback — over its whole training enumeration plus 200 absent pairs,
+    /// pinned as one hash, so a faster scan that moves any of them fails here.
+    #[test]
+    fn lookup_profiles_are_pinned() {
+        let collection = GeneratorConfig::rw(300, 21).generate();
+        let (index, _) = LearnedSetIndex::build(
+            &collection,
+            &quick_cfg(collection.num_elements(), CompressionKind::None),
+        );
+        let mut queries: Vec<Vec<u32>> =
+            SubsetIndex::build(&collection, 3).iter().map(|(s, _)| s.to_vec()).collect();
+        queries.sort();
+        let n = collection.num_elements();
+        let absent: Vec<Vec<u32>> = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| vec![a, b]))
+            .filter(|q| !collection.contains_subset(q))
+            .take(200)
+            .collect();
+        assert_eq!(absent.len(), 200);
+        queries.extend(absent);
+        let profiles = index.lookup_batch_profiled(&collection, &queries);
+        let hash = profiles.iter().fold(0xcbf2_9ce4_8422_2325, |h, p| {
+            let fallback = match p.fallback {
+                None => 0,
+                Some(FallbackReason::NonFinite) => 1,
+                Some(FallbackReason::OutOfBounds) => 2,
+            };
+            let position = p.position.map_or(u64::MAX, |i| i as u64);
+            fnv1a(h, &[position, p.scanned as u64, u64::from(p.from_aux), fallback])
+        });
+        let scanned: usize = profiles.iter().map(|p| p.scanned).sum();
+        assert_eq!((queries.len(), scanned, hash), (3_748, 345_446, 0x3758_f618_c5d2_a224));
     }
 }

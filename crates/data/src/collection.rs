@@ -1,7 +1,7 @@
 //! The central data object: an ordered collection of sets.
 
-use crate::set::{is_subset, normalize, ElementSet};
-use serde::{Deserialize, Serialize};
+use crate::set::{is_subset, normalize, signature, ElementSet};
+use serde::{Deserialize, Serialize, Value};
 
 /// An ordered collection `S = [X_1, ..., X_N]` of sets of element ids
 /// (the paper's §1.1 problem statement). The collection may contain
@@ -16,10 +16,18 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(tweets.cardinality(&[0, 1]), 3);      // {#pizza, #dinner}
 /// assert_eq!(tweets.first_position(&[3]), Some(1));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Serialized as `{sets, num_elements}`; deserializing runs the same checks
+/// as [`SetCollection::new`] (minus the canonicalization, which a stored
+/// set must already satisfy) and refuses a file that fails one.
+#[derive(Debug, Clone, Serialize)]
 pub struct SetCollection {
     sets: Vec<ElementSet>,
     num_elements: u32,
+    /// One [`signature`] per set, built with the collection, so a scan can
+    /// rule a set out with one AND before reading its elements.
+    #[serde(skip)]
+    signatures: Box<[u64]>,
 }
 
 /// Summary statistics mirroring the paper's Table 2.
@@ -38,6 +46,16 @@ pub struct CollectionStats {
     pub max_set_size: usize,
 }
 
+impl Deserialize for SetCollection {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        let field = |name| v.get(name).ok_or_else(|| serde::Error::missing_field(name));
+        let sets = Vec::deserialize(field("sets")?)?;
+        let num_elements = u32::deserialize(field("num_elements")?)?;
+        SetCollection::from_canonical(sets, num_elements)
+            .map_err(|e| serde::Error::custom(format!("invalid collection: {e}")))
+    }
+}
+
 impl SetCollection {
     /// Builds a collection from raw sets, canonicalizing each one.
     /// `num_elements` is the vocabulary bound; every id must be below it.
@@ -45,15 +63,33 @@ impl SetCollection {
     /// # Panics
     /// If a set references an id `>= num_elements` or any set is empty.
     pub fn new(raw: Vec<Vec<u32>>, num_elements: u32) -> Self {
-        let sets: Vec<ElementSet> = raw.into_iter().map(normalize).collect();
+        let sets = raw.into_iter().map(normalize).collect();
+        Self::from_canonical(sets, num_elements).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The one validated constructor, behind [`SetCollection::new`] and
+    /// deserialization: refuses, naming the first offending set and the
+    /// rule, an empty set, a set whose ids are not strictly ascending, and
+    /// an id `>= num_elements`; then builds the per-set signatures.
+    fn from_canonical(sets: Vec<ElementSet>, num_elements: u32) -> Result<Self, String> {
         for (i, s) in sets.iter().enumerate() {
-            assert!(!s.is_empty(), "set {i} is empty after normalization");
-            assert!(
-                s.iter().all(|&e| e < num_elements),
-                "set {i} references id >= vocabulary bound {num_elements}"
-            );
+            let Some(&max) = s.last() else {
+                return Err(format!("set {i} is empty (every set holds at least one element)"));
+            };
+            if s.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!(
+                    "set {i} is not strictly ascending (a stored set is sorted and duplicate-free)"
+                ));
+            }
+            if max >= num_elements {
+                return Err(format!(
+                    "set {i} holds id {max}, outside the vocabulary bound {num_elements} \
+                     (every id is below num_elements)"
+                ));
+            }
         }
-        SetCollection { sets, num_elements }
+        let signatures = sets.iter().map(|s| signature(s)).collect();
+        Ok(SetCollection { sets, num_elements, signatures })
     }
 
     /// Number of sets.
@@ -79,6 +115,13 @@ impl SetCollection {
     /// All sets in collection order.
     pub fn sets(&self) -> &[ElementSet] {
         &self.sets
+    }
+
+    /// Each set's [`signature`], in collection order: `q ⊆ S[i]` implies
+    /// `signature(q) & signatures()[i] == signature(q)`, so a scan reads
+    /// the elements of only the sets whose signature passes.
+    pub fn signatures(&self) -> &[u64] {
+        &self.signatures
     }
 
     /// Iterator over `(position, set)`.
@@ -125,13 +168,14 @@ impl SetCollection {
         }
     }
 
-    /// Approximate resident bytes of the stored sets (for competitor-memory
-    /// comparisons).
+    /// Approximate resident bytes of the stored sets and their signatures
+    /// (for competitor-memory comparisons).
     pub fn size_bytes(&self) -> usize {
         self.sets
             .iter()
             .map(|s| s.len() * std::mem::size_of::<u32>() + std::mem::size_of::<ElementSet>())
-            .sum()
+            .sum::<usize>()
+            + std::mem::size_of_val(&*self.signatures)
     }
 }
 
@@ -189,7 +233,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty after normalization")]
+    #[should_panic(expected = "set 0 is empty")]
     fn empty_set_rejected() {
         let _ = SetCollection::new(vec![vec![]], 3);
     }
@@ -198,5 +242,49 @@ mod tests {
     #[should_panic(expected = "vocabulary bound")]
     fn out_of_vocab_rejected() {
         let _ = SetCollection::new(vec![vec![5]], 3);
+    }
+
+    fn stored(sets: &[&[u64]], num_elements: u64) -> Value {
+        let sets = sets.iter().map(|s| Value::Array(s.iter().map(|&e| Value::UInt(e)).collect()));
+        Value::Object(vec![
+            ("sets".to_string(), Value::Array(sets.collect())),
+            ("num_elements".to_string(), Value::UInt(num_elements)),
+        ])
+    }
+
+    fn refusal(v: &Value) -> String {
+        SetCollection::deserialize(v).expect_err("a broken collection must be refused").to_string()
+    }
+
+    #[test]
+    fn a_stored_collection_is_validated_on_load() {
+        assert_eq!(
+            refusal(&stored(&[&[0, 1], &[2, 1]], 3)),
+            "invalid collection: set 1 is not strictly ascending \
+             (a stored set is sorted and duplicate-free)"
+        );
+        assert!(refusal(&stored(&[&[1, 1]], 3)).contains("set 0 is not strictly ascending"));
+        assert_eq!(
+            refusal(&stored(&[&[0], &[1, 4_000_000_000]], 7)),
+            "invalid collection: set 1 holds id 4000000000, outside the vocabulary bound 7 \
+             (every id is below num_elements)"
+        );
+        assert_eq!(
+            refusal(&stored(&[&[0], &[], &[2]], 3)),
+            "invalid collection: set 1 is empty (every set holds at least one element)"
+        );
+        assert!(refusal(&stored(&[&[0]], 1 << 40)).contains("out of range for u32"));
+    }
+
+    #[test]
+    fn a_valid_collection_round_trips_with_its_signatures() {
+        let c = sample();
+        let v = c.serialize();
+        assert_eq!(v, stored(&[&[0, 1, 2], &[3, 4, 5], &[0, 1, 3], &[0, 1, 6]], 7));
+        let back = SetCollection::deserialize(&v).unwrap();
+        assert_eq!(back.sets(), c.sets());
+        assert_eq!(back.num_elements(), 7);
+        assert_eq!(back.signatures(), &[0b111, 0b111000, 0b1011, 0b1000011]);
+        assert_eq!(back.signatures(), c.signatures());
     }
 }

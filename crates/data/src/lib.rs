@@ -25,6 +25,6 @@ pub mod zipf;
 pub use collection::{CollectionStats, SetCollection};
 pub use dictionary::Dictionary;
 pub use generators::{Dataset, GeneratorConfig};
-pub use set::{is_subset, normalize, ElementSet};
+pub use set::{is_subset, normalize, signature, ElementSet};
 pub use subsets::{SubsetIndex, SubsetInfo};
 pub use zipf::Zipf;

@@ -35,6 +35,14 @@ pub fn is_subset(sub: &[u32], sup: &[u32]) -> bool {
     true
 }
 
+/// A 64-bit summary of `set`: bit `e % 64` is set for each element `e`.
+/// `sub ⊆ sup` implies `signature(sub) & !signature(sup) == 0`, so a set
+/// whose signature lacks a bit of the query's cannot contain the query, and
+/// only the sets that pass need an [`is_subset`] walk.
+pub fn signature(set: &[u32]) -> u64 {
+    set.iter().fold(0, |sig, &e| sig | 1 << (e % 64))
+}
+
 /// Iterates all non-empty subsets of `set` with size at most `max_size`,
 /// invoking `f` on each (as a canonical sorted slice).
 ///
@@ -108,6 +116,17 @@ mod tests {
         assert!(is_subset(&[], &[1]));
         assert!(!is_subset(&[1, 2, 3], &[1, 2]));
         assert!(is_subset(&[2], &[2]));
+    }
+
+    #[test]
+    fn signature_sets_one_bit_per_residue() {
+        assert_eq!(signature(&[]), 0);
+        assert_eq!(signature(&[0, 3]), 0b1001);
+        // 1 and 65 share bit 1; 64 wraps to bit 0.
+        assert_eq!(signature(&[1, 64, 65]), 0b11);
+        let (sub, sup) = ([2, 70], [1, 2, 6, 70, 99]);
+        assert!(is_subset(&sub, &sup));
+        assert_eq!(signature(&sub) & !signature(&sup), 0);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! clients naming no collection get the default one, admin frames manage
 //! residency over the wire, per-tenant quotas shed one tenant without
 //! touching another, a query no model can answer is refused on its own,
-//! a served index tenant counts each answer's bound miss once, and each
+//! a served index tenant counts each answer's bound miss once, an index
+//! tenant whose sets were tampered with is refused at load, and each
 //! tenant's precision gauge names its own kernel.
 
 mod common;
@@ -22,8 +23,8 @@ use setlearn_data::{normalize, ElementSet, GeneratorConfig, SetCollection, Subse
 use setlearn_serve::net::{NetClient, NetConfig, NetError, NetServer};
 use setlearn_serve::proto::{ErrorCode, ProtoError, WireOutcome};
 use setlearn_serve::{
-    CardinalityTask, CollectionRegistry, QuotaConfig, RegistryConfig, ServeConfig, ServeError,
-    ServeRuntime,
+    CardinalityTask, CollectionRegistry, QuotaConfig, RegistryConfig, ResolveError, ServeConfig,
+    ServeError, ServeRuntime,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -460,6 +461,52 @@ fn served_index_bound_misses_are_counted() {
     let (flagged, counted) = serve("shidx", &present);
     assert!(part_misses as u64 > flagged, "the shards miss more than the answers do");
     assert_eq!(counted, flagged);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// An index tenant whose `collection.json` was edited after training —
+/// one set's ids reversed, which the merge walk would silently miss — is
+/// refused at load, plain and sharded, naming the set and the rule.
+#[test]
+fn tampered_index_collection_is_refused_at_load() {
+    #[derive(serde::Serialize)]
+    struct Stored {
+        sets: Vec<Vec<u32>>,
+        num_elements: u32,
+    }
+    let root = tmproot("tampered");
+    let sets = tiny_sets(43);
+    let mut cfg = IndexConfig::new(DeepSetsConfig::lsm(sets.num_elements()));
+    cfg.guided.warmup_epochs = 1;
+    cfg.guided.rounds = 0;
+    cfg.guided.epochs_per_round = 1;
+    cfg.max_subset_size = 2;
+    let (index, _) = LearnedSetIndex::build(&sets, &cfg);
+    write_tenant(&root, "idx", "index", None, &index, &sets);
+    let part = ShardedCollection::partition(&sets, ShardSpec::new(2, ShardBy::Hash)).unwrap();
+    let (sharded, _) =
+        Sharded::build(&part, |_, shard| Ok(LearnedSetIndex::build(shard, &cfg))).unwrap();
+    write_tenant(&root, "shidx", "index", Some(2), &sharded, &sets);
+    let mut tampered = Stored {
+        sets: sets.sets().iter().map(|s| s.to_vec()).collect(),
+        num_elements: sets.num_elements(),
+    };
+    tampered.sets[0].reverse();
+    let mut config = RegistryConfig::new(&root);
+    config.serve = quick_serve();
+    let registry = CollectionRegistry::new(config);
+    for tenant in ["idx", "shidx"] {
+        setlearn::persist::save_json(&tampered, &root.join(tenant).join(COLLECTION_SETS))
+            .unwrap();
+        match registry.resolve(Some(tenant)) {
+            Err(ResolveError::Failed(name, why)) => {
+                assert_eq!(name, tenant);
+                assert!(why.contains("set 0 is not strictly ascending"), "{why}");
+            }
+            Err(other) => panic!("{tenant}: expected a load failure, got {other}"),
+            Ok(_) => panic!("{tenant}: a tampered collection was served"),
+        }
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

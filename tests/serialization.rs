@@ -4,7 +4,7 @@
 use setlearn::hybrid::GuidedConfig;
 use setlearn::model::{DeepSets, DeepSetsConfig};
 use setlearn::tasks::{CardinalityConfig, LearnedCardinality};
-use setlearn_data::GeneratorConfig;
+use setlearn_data::{GeneratorConfig, SetCollection};
 
 fn quick_guided() -> GuidedConfig {
     GuidedConfig {
@@ -106,4 +106,32 @@ fn deserialized_model_can_keep_training() {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
     let stats = back.train_epoch(&data, setlearn_nn::Loss::Mse, &mut opt, 2, &mut rng);
     assert!(stats.mean_loss.is_finite());
+}
+
+/// `persist::load_json` refuses a collection file that breaks one of the
+/// collection's rules — a set out of order, an id past the vocabulary, an
+/// empty set — naming the set and the rule; a valid file loads unchanged.
+#[test]
+fn hostile_collection_files_are_refused_on_load() {
+    let dir = std::env::temp_dir().join(format!("setlearn-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("collection.json");
+    for (body, why) in [
+        (r#"{"sets":[[3,2,1],[1,2]],"num_elements":4}"#, "set 0 is not strictly ascending"),
+        (r#"{"sets":[[1,2],[4000000000]],"num_elements":4}"#, "set 1 holds id 4000000000"),
+        (r#"{"sets":[[1,2],[]],"num_elements":4}"#, "set 1 is empty"),
+    ] {
+        std::fs::write(&path, body).unwrap();
+        let err = setlearn::persist::load_json::<SetCollection>(&path).unwrap_err();
+        assert!(err.to_string().contains(why), "{body}: {err}");
+    }
+    let valid = GeneratorConfig::rw(50, 3).generate();
+    setlearn::persist::save_json(&valid, &path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let back: SetCollection = setlearn::persist::load_json(&path).unwrap();
+    assert_eq!(back.sets(), valid.sets());
+    assert_eq!(back.signatures(), valid.signatures());
+    setlearn::persist::save_json(&back, &path).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    let _ = std::fs::remove_dir_all(&dir);
 }
