@@ -68,6 +68,7 @@ fn bench_deepsets(c: &mut Criterion) {
         output_activation: Activation::Sigmoid,
         compression: CompressionKind::None,
         seed: 3,
+        precision: setlearn::Precision::F32,
     };
     let lsm = DeepSets::new(cfg.clone());
     let clsm = DeepSets::new(DeepSetsConfig {

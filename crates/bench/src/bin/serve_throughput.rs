@@ -24,7 +24,7 @@ use setlearn::model::{DeepSets, DeepSetsConfig};
 use setlearn::tasks::{CardinalityConfig, LearnedCardinality, Sharded};
 use setlearn::{ShardBy, ShardSpec, ShardedCollection};
 use setlearn_bench::report::Table;
-use setlearn_data::{ElementSet, GeneratorConfig, SubsetIndex};
+use setlearn_data::{ElementSet, GeneratorConfig, SetCollection, SubsetIndex};
 use setlearn_serve::{
     CardinalityTask, HotSwap, ServeConfig, ServeRuntime, ServeTask, StructureTask,
 };
@@ -87,15 +87,23 @@ fn precision_arg() -> Option<Precision> {
     precision
 }
 
-/// Smoke mode: serve the same workload at f32 and at `precision` through the
-/// real runtime, and assert the reduced precision is not slower. The 0.8
+/// Smoke mode: build the estimator at f32 and at `precision` (training is
+/// f32 and seeded, so both serve the same weights), serve the same workload
+/// through the real runtime, and assert the reduced precision is not
+/// slower. The 0.8
 /// slack absorbs scheduler noise on loaded CI hosts — the point is catching
 /// a quantized path that quietly falls off the kernel (q8 measures well
 /// above 1x when healthy).
-fn precision_smoke(estimator: &LearnedCardinality, requests: &[ElementSet], precision: Precision) {
+fn precision_smoke(
+    collection: &SetCollection,
+    cfg: &CardinalityConfig,
+    requests: &[ElementSet],
+    precision: Precision,
+) {
     let serve_at = |p: Precision| {
-        let mut model = estimator.clone();
-        model.set_precision(p);
+        let mut cfg = cfg.clone();
+        cfg.model.precision = p;
+        let (model, _) = LearnedCardinality::build(collection, &cfg);
         let slot = Arc::new(HotSwap::new(CardinalityTask::new(model)));
         run(&slot, &requests[..requests.len().min(512)], 1, BATCHED); // warm-up
         (0..REPS).map(|_| run(&slot, requests, 1, BATCHED)).fold(0.0, f64::max)
@@ -132,7 +140,6 @@ fn main() {
         seed: 7,
     };
     cfg.max_subset_size = 2;
-    let (estimator, _) = LearnedCardinality::build(&collection, &cfg);
 
     let pool: Vec<ElementSet> =
         SubsetIndex::build(&collection, 2).iter().map(|(s, _)| s.clone()).collect();
@@ -140,9 +147,10 @@ fn main() {
         (0..requests_per_cell).map(|i| pool[i % pool.len()].clone()).collect();
 
     if let Some(precision) = precision_arg() {
-        precision_smoke(&estimator, &requests, precision);
+        precision_smoke(&collection, &cfg, &requests, precision);
         return;
     }
+    let (estimator, _) = LearnedCardinality::build(&collection, &cfg);
 
     // One resident model shared by every runtime under test.
     let slot = Arc::new(HotSwap::new(CardinalityTask::new(estimator)));

@@ -46,6 +46,7 @@ pub fn model_config(vocab: u32, embedding_dim: usize, neurons: usize, variant: V
         output_activation: Activation::Sigmoid,
         compression: variant.compression(),
         seed: 0xC0FFEE,
+        precision: setlearn::Precision::F32,
     }
 }
 

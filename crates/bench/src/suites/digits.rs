@@ -104,6 +104,7 @@ fn deepsets_config(cfg: &DigitSuiteConfig, compressed: bool) -> DeepSetsConfig {
             CompressionKind::None
         },
         seed: 3,
+        precision: setlearn::Precision::F32,
     }
 }
 

@@ -288,16 +288,20 @@ fn fit<S: serde::Serialize, R>(
     })
 }
 
-fn model_from_args(args: &Args, vocab: u32) -> Result<DeepSetsConfig, CliError> {
+/// The model options of `train`, read before any file is touched; the
+/// vocabulary is the tenant's, set once its sets are read.
+fn model_from_args(args: &Args) -> Result<DeepSetsConfig, CliError> {
     let mut model = if args.has_flag("compressed") {
-        DeepSetsConfig::clsm(vocab)
+        DeepSetsConfig::clsm(0)
     } else {
-        DeepSetsConfig::lsm(vocab)
+        DeepSetsConfig::lsm(0)
     };
     let neurons = args.get_or("neurons", 32usize)?;
     model.phi_hidden = vec![neurons];
     model.rho_hidden = vec![neurons];
     model.embedding_dim = args.get_or("embedding", 8usize)?;
+    // Recorded in the checkpoint's model config; every reader serves at it.
+    model.precision = args.get_or("precision", Precision::default())?;
     Ok(model)
 }
 
@@ -322,8 +326,7 @@ pub fn train(args: &Args) -> Result<(), CliError> {
     ])?;
     let sink = telemetry::begin(args)?;
     let task = args.required("task")?.to_string();
-    // Recorded in the checkpoint; every reader then serves at it.
-    let precision = args.get_or("precision", Precision::default())?;
+    let model = model_from_args(args)?;
     let spec = shard_spec_from_args(args)?;
     let tenant = tenant_paths(args)?;
     let mut collection = tenant.current_sets()?;
@@ -354,8 +357,7 @@ pub fn train(args: &Args) -> Result<(), CliError> {
     }
     let out = out.to_string_lossy();
     let out = &*out;
-    let vocab = collection.num_elements();
-    let model = model_from_args(args, vocab)?;
+    let model = DeepSetsConfig { vocab: collection.num_elements(), ..model };
     let sharded = spec.is_some();
     let layout = spec.map_or(String::new(), |s| format!(" over {} shards", s.shards));
     match task.as_str() {
@@ -367,9 +369,7 @@ pub fn train(args: &Args) -> Result<(), CliError> {
             };
             let (reports, bytes) =
                 fit(&collection, spec, out, LearnedCardinality::size_bytes, |shard| {
-                    let (mut est, report) = LearnedCardinality::build(shard, &cfg);
-                    est.set_precision(precision);
-                    (est, report)
+                    LearnedCardinality::build(shard, &cfg)
                 })?;
             report_training(sharded, reports.iter().map(|r| &r.train));
             println!(
@@ -393,9 +393,7 @@ pub fn train(args: &Args) -> Result<(), CliError> {
             };
             let (reports, bytes) =
                 fit(&collection, spec, out, LearnedSetIndex::size_bytes, |shard| {
-                    let (mut index, report) = LearnedSetIndex::build(shard, &cfg);
-                    index.set_precision(precision);
-                    (index, report)
+                    LearnedSetIndex::build(shard, &cfg)
                 })?;
             report_training(sharded, reports.iter().map(|r| &r.train));
             println!(
@@ -417,15 +415,13 @@ pub fn train(args: &Args) -> Result<(), CliError> {
                 fit(&collection, spec, out, LearnedBloom::size_bytes, |shard| {
                     // A shard samples its share of the membership workload.
                     let share = |n: usize| (n * shard.len() / total).max(1);
-                    let (mut filter, report) = LearnedBloom::build_from_collection(
+                    LearnedBloom::build_from_collection(
                         shard,
                         share(n),
                         share(n),
                         max_query,
                         &cfg,
-                    );
-                    filter.set_precision(precision);
-                    (filter, report)
+                    )
                 })?;
             report_training(sharded, reports.iter().map(|r| &r.train));
             println!(
@@ -513,16 +509,26 @@ fn answer(backend: &dyn WireBackend, sets: Vec<ElementSet>) -> Vec<WireOutcome> 
 /// replay is never shed, and several micro-batches, so `--threads` shows.
 const REPLAY_FRAME: usize = 512;
 
-/// The replay mode of `query`: enumerates subset queries (with their true
-/// counts) from the tenant's current sets, answers them through `resident`,
-/// and prints the task's summary, with a [`DriftMonitor`] watching accuracy
-/// and fallbacks.
+/// The `limit` smallest subsets of at most `max_subset` elements of
+/// `sets`, in ascending order, with their true counts: the replay sample,
+/// the same in every run.
+fn replay_sample(
+    sets: &SetCollection,
+    max_subset: usize,
+    limit: usize,
+) -> (Vec<ElementSet>, Vec<f64>) {
+    let mut pairs = SubsetIndex::build(sets, max_subset).cardinality_pairs();
+    pairs.truncate(limit);
+    pairs.into_iter().unzip()
+}
+
+/// The replay mode of `query`: answers [`replay_sample`] of the tenant's
+/// current sets through `resident` and prints the task's summary, with a
+/// [`DriftMonitor`] watching accuracy and fallbacks.
 fn query_replay(args: &Args, tenant: &TenantPaths, resident: &Resident) -> Result<(), CliError> {
     let limit = args.get_or("limit", 500usize)?;
     let max_subset = args.get_or("max-subset", 2usize)?;
-    let subsets = SubsetIndex::build(&tenant.current_sets()?, max_subset);
-    let (queries, counts): (Vec<ElementSet>, Vec<u64>) =
-        subsets.iter().take(limit).map(|(s, i)| (s.clone(), i.count)).unzip();
+    let (queries, counts) = replay_sample(&tenant.current_sets()?, max_subset, limit);
     let mut monitor = DriftMonitor::try_new(1.0, MonitorConfig::default())?;
     let (mut hits, mut bound_misses, mut fallbacks) = (0usize, 0usize, 0usize);
     let backend = resident.backend().as_ref();
@@ -535,7 +541,7 @@ fn query_replay(args: &Args, tenant: &TenantPaths, resident: &Resident) -> Resul
         }
         bound_misses += usize::from(response.bound_miss);
         match response.value {
-            QueryValue::Cardinality(v) => monitor.observe(v, *count as f64),
+            QueryValue::Cardinality(v) => monitor.observe(v, *count),
             QueryValue::Position(p) => hits += usize::from(p.is_some()),
             QueryValue::Membership(m) => hits += usize::from(m),
         }
@@ -1840,6 +1846,22 @@ mod tests {
             .unwrap_err();
         assert!(err.downcast_ref::<ArgError>().is_some(), "untyped: {err}");
         assert!(err.to_string().contains(removed), "got: {err}");
+    }
+
+    /// The replay sample is the `limit` smallest enumerated subsets with
+    /// their true counts, so two runs over one tenant print the same summary.
+    #[test]
+    fn replay_samples_the_limit_smallest_subsets() {
+        let sets = GeneratorConfig::rw(300, 3).generate();
+        let subsets = SubsetIndex::build(&sets, 2);
+        let mut smallest: Vec<&ElementSet> = subsets.iter().map(|(s, _)| s).collect();
+        smallest.sort();
+        smallest.truncate(200);
+        let (queries, counts) = replay_sample(&sets, 2, 200);
+        assert_eq!(queries.iter().collect::<Vec<_>>(), smallest);
+        for (q, count) in queries.iter().zip(counts) {
+            assert_eq!(count, subsets.get(q).unwrap().count as f64, "{q:?}");
+        }
     }
 
     #[test]

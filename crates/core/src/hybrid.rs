@@ -234,14 +234,6 @@ pub struct ServeGuard {
     hi: f64,
 }
 
-impl Default for ServeGuard {
-    /// A permissive guard that only rejects non-finite predictions (used
-    /// when deserializing structures persisted before guards existed).
-    fn default() -> Self {
-        ServeGuard { lo: f64::NEG_INFINITY, hi: f64::INFINITY }
-    }
-}
-
 impl ServeGuard {
     /// Builds a guard for the valid output domain `[lo, hi]`.
     ///
@@ -331,6 +323,7 @@ mod tests {
             output_activation: setlearn_nn::Activation::Sigmoid,
             compression: CompressionKind::None,
             seed: 3,
+            precision: crate::kernel::Precision::F32,
         };
         let mut model = DeepSets::new(cfg);
         let gcfg = GuidedConfig {
@@ -383,6 +376,7 @@ mod tests {
             output_activation: setlearn_nn::Activation::Sigmoid,
             compression: CompressionKind::None,
             seed: 3,
+            precision: crate::kernel::Precision::F32,
         };
         let gcfg = GuidedConfig {
             warmup_epochs: 10,

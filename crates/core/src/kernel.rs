@@ -37,13 +37,14 @@ use setlearn_nn::{Activation, Dense};
 use std::cell::RefCell;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::OnceLock;
 
 pub use setlearn_nn::gemm::{detect_kernel_isa, kernel_isa, set_kernel_isa, KernelIsa};
 use setlearn_nn::gemm::{gemm, ACC_BLOCKS, KERNEL_BLOCK};
 
-/// Numeric precision a structure serves at. Chosen at `train` time and
-/// recorded in the checkpoint; every reader serves at the recorded value.
+/// Numeric precision a structure serves at: the
+/// [`DeepSetsConfig::precision`](crate::model::DeepSetsConfig::precision)
+/// it is built with, recorded in the checkpoint's model config; every
+/// reader serves at the recorded value.
 /// Serialized by variant name (`"F32"`/`"Q8"`) in JSON checkpoints;
 /// the CLI-facing [`FromStr`]/[`fmt::Display`] forms are lowercase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
@@ -103,7 +104,7 @@ impl FromStr for Precision {
 }
 
 /// An embedding table frozen at a given precision, row-major `rows x dim`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum FrozenTable {
     /// Full-precision rows.
     F32(Vec<f32>),
@@ -194,7 +195,7 @@ fn affine_params(row: &[f32]) -> (f32, f32, f32) {
 }
 
 /// The element encoder re-laid-out for contiguous gathering.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum FrozenEncoder {
     /// One `vocab x dim` table.
     Plain { vocab: usize, dim: usize, table: FrozenTable },
@@ -292,7 +293,7 @@ impl FrozenEncoder {
 
 /// Dense-layer weights frozen at a given precision, `[in x out]` row-major
 /// (one row per *input* feature — the hot loop streams whole rows).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum FrozenWeights {
     /// Full-precision rows.
     F32(Vec<f32>),
@@ -311,7 +312,7 @@ enum FrozenWeights {
 /// `y_j = scale[j]·sx·(Σ_k qx_k·qw_kj − z·colsum[j]) + bias_j`
 /// with the whole reduction carried exactly in `i32` — every ISA produces
 /// bitwise-identical q8 scores.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PackedQ8 {
     /// `k4 * out * 4` codes, `[k4][out][4]`; input quads past `in_dim` are
     /// zero so zero-point-padded inputs contribute nothing.
@@ -548,7 +549,7 @@ unsafe fn dots_vnni<const R: usize>(p: &PackedQ8, qx: &[u8], idot: &mut [i32]) {
 }
 
 /// One frozen dense layer: weights + f32 bias + activation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct FrozenLayer {
     in_dim: usize,
     out_dim: usize,
@@ -743,9 +744,9 @@ thread_local! {
 ///
 /// Freezing is read-only (`&DeepSets`) and the frozen model is immutable —
 /// every inference method takes `&self` and is safe to share across serve
-/// workers. It intentionally does *not* track later mutations of the source
-/// model; holders (the task wrappers) re-freeze after weight changes.
-#[derive(Debug)]
+/// workers. A structure freezes its weights once, when it is built or
+/// loaded, and never changes them afterwards.
+#[derive(Debug, Clone)]
 pub struct FrozenModel {
     precision: Precision,
     encoder: FrozenEncoder,
@@ -835,53 +836,53 @@ impl FrozenModel {
     }
 }
 
-/// Lazily frozen kernel slot for a task wrapper: freezes on first use, is
-/// skipped by serde, and clones to an empty slot (the clone re-freezes on
-/// its own first query).
-///
-/// Holders must [`KernelCell::reset`] whenever the underlying model's
-/// weights may have changed (`model_mut`, weight hot-swap) —
-/// the cell cannot observe mutations itself.
-#[derive(Default)]
-pub struct KernelCell(OnceLock<FrozenModel>);
+/// A structure's model as it serves: the trained weights and the kernel
+/// frozen from them at their config's precision, fixed together at
+/// construction, so guarantees computed from [`ServedModel::kernel`] at
+/// build time hold for every answer. Serialized as the weights alone;
+/// loading freezes them again, to the same scores.
+#[derive(Debug, Clone)]
+pub(crate) struct ServedModel {
+    weights: DeepSets,
+    kernel: FrozenModel,
+}
 
-impl KernelCell {
-    /// An empty (not yet frozen) cell.
-    pub fn new() -> KernelCell {
-        KernelCell(OnceLock::new())
+/// The refusal of a checkpoint whose model config names no precision: it
+/// was written when the precision sat beside the model, and its guarantees
+/// were computed from f32 scores whatever it served at.
+const PRECISION_MISSING: &str = "the model config names no serve precision (written before \
+     the guarantees were computed at it); retrain with `train --precision f32|q8`";
+
+impl ServedModel {
+    /// Freezes `weights` at `weights.config().precision`.
+    pub(crate) fn new(weights: DeepSets) -> ServedModel {
+        let kernel = FrozenModel::freeze(&weights, weights.config().precision);
+        ServedModel { weights, kernel }
     }
 
-    /// The frozen kernel, freezing `model` at `precision` on first use.
-    pub fn get_or_freeze(&self, model: &DeepSets, precision: Precision) -> &FrozenModel {
-        self.0.get_or_init(|| FrozenModel::freeze(model, precision))
+    /// The trained weights.
+    pub(crate) fn weights(&self) -> &DeepSets {
+        &self.weights
     }
 
-    /// Drops any frozen kernel so the next query re-freezes from the current
-    /// weights.
-    pub fn reset(&mut self) {
-        self.0 = OnceLock::new();
-    }
-
-    /// The frozen kernel, if one exists.
-    pub fn get(&self) -> Option<&FrozenModel> {
-        self.0.get()
+    /// The kernel that answers.
+    pub(crate) fn kernel(&self) -> &FrozenModel {
+        &self.kernel
     }
 }
 
-impl Clone for KernelCell {
-    fn clone(&self) -> KernelCell {
-        // A frozen model is a pure function of (weights, precision); the
-        // clone re-freezes lazily instead of copying the layout.
-        KernelCell::new()
+impl Serialize for ServedModel {
+    fn serialize(&self) -> serde::Value {
+        self.weights.serialize()
     }
 }
 
-impl fmt::Debug for KernelCell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0.get() {
-            Some(k) => write!(f, "KernelCell(frozen {})", k.precision()),
-            None => f.write_str("KernelCell(empty)"),
+impl Deserialize for ServedModel {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        if v.get("config").is_some_and(|c| c.get("precision").is_none()) {
+            return Err(serde::Error::custom(PRECISION_MISSING));
         }
+        DeepSets::deserialize(v).map(ServedModel::new)
     }
 }
 
@@ -901,6 +902,7 @@ mod tests {
             output_activation: Activation::Sigmoid,
             compression,
             seed: 11,
+            precision: Precision::F32,
         }
     }
 
@@ -1142,15 +1144,5 @@ mod tests {
             assert_eq!((gs.to_bits(), gz), (ws.to_bits(), wz), "row {row}: (sx, z)");
             assert_eq!(got, want, "row {row}: codes");
         }
-    }
-
-    #[test]
-    fn kernel_cell_clones_empty_and_refreezes() {
-        let model = DeepSets::new(config(CompressionKind::None, Pooling::Sum));
-        let cell = KernelCell::new();
-        let p = cell.get_or_freeze(&model, Precision::Q8).predict_one(&[1, 2]);
-        let copy = cell.clone();
-        assert!(copy.get().is_none(), "clone must not share the frozen kernel");
-        assert_eq!(copy.get_or_freeze(&model, Precision::Q8).predict_one(&[1, 2]), p);
     }
 }

@@ -5,6 +5,7 @@
 
 use crate::compress::CompressionSpec;
 use crate::encoder::ElementEncoder;
+use crate::kernel::Precision;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -125,6 +126,9 @@ pub struct DeepSetsConfig {
     pub compression: CompressionKind,
     /// Weight-initialization seed.
     pub seed: u64,
+    /// The precision a structure built on this model serves at (training is
+    /// f32 whatever it names). Fixed at build, with the guarantees.
+    pub precision: Precision,
 }
 
 impl DeepSetsConfig {
@@ -141,6 +145,7 @@ impl DeepSetsConfig {
             output_activation: Activation::Sigmoid,
             compression: CompressionKind::None,
             seed: 42,
+            precision: Precision::F32,
         }
     }
 
@@ -611,6 +616,7 @@ mod tests {
             output_activation: Activation::Sigmoid,
             compression,
             seed: 7,
+            precision: Precision::F32,
         }
     }
 

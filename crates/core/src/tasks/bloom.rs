@@ -2,7 +2,7 @@
 //! membership with a backup Bloom filter eliminating false negatives.
 
 use crate::hybrid::ServeGuard;
-use crate::kernel::{FrozenModel, KernelCell, Precision};
+use crate::kernel::{FrozenModel, Precision, ServedModel};
 use crate::model::{DeepSets, DeepSetsConfig};
 use crate::mutable::OverlayAnswer;
 use crate::tasks::{Fold, LearnedSetStructure, QueryOutcome};
@@ -71,20 +71,11 @@ impl BloomConfig {
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LearnedBloom {
-    model: DeepSets,
+    model: ServedModel,
     threshold: f32,
     backup: BloomFilter,
-    /// Serve-time guard over classifier scores; absent in files persisted
-    /// before guards existed (falls back to non-finite-only).
-    #[serde(default)]
+    /// Serve-time guard over classifier scores.
     guard: ServeGuard,
-    /// Serve precision, recorded in checkpoints; files persisted before
-    /// precision-aware kernels default to full precision.
-    #[serde(default)]
-    precision: Precision,
-    /// Lazily frozen serving kernel (reset on any weight mutation).
-    #[serde(skip)]
-    kernel: KernelCell,
 }
 
 /// Build artifacts for reporting.
@@ -92,9 +83,10 @@ pub struct LearnedBloom {
 pub struct BloomBuildReport {
     /// Loss per epoch.
     pub loss_history: Vec<f32>,
-    /// Positives the model missed (inserted into the backup filter).
+    /// Positives the serving kernel misses (inserted into the backup
+    /// filter).
     pub false_negatives: usize,
-    /// Binary accuracy over the training workload after the final epoch.
+    /// Binary accuracy of the serving kernel over the training workload.
     pub training_accuracy: f64,
     /// Structured summary of the harnessed training run (recoveries,
     /// skipped batches, stop reason).
@@ -103,8 +95,9 @@ pub struct BloomBuildReport {
 
 impl LearnedBloom {
     /// Trains the classifier on a labeled workload of `(query, present)`
-    /// pairs and builds the backup filter from the resulting false
-    /// negatives.
+    /// pairs, freezes it at `cfg.model.precision` and builds the backup
+    /// filter from that kernel's false negatives — so no trained positive is
+    /// rejected at the precision the filter serves.
     pub fn build(workload: &[(ElementSet, bool)], cfg: &BloomConfig) -> (Self, BloomBuildReport) {
         assert!(!workload.is_empty(), "empty training workload");
         assert!(workload.iter().any(|(_, l)| *l), "need positive samples");
@@ -126,10 +119,12 @@ impl LearnedBloom {
             &TrainPolicy::epochs(cfg.epochs.max(1)),
         );
         let loss_history = train.loss_history.clone();
+        let model = ServedModel::new(model);
 
-        // One scoring pass: back up the missed positives, count right verdicts.
+        // One scoring pass of the serving kernel: back up the positives it
+        // misses, count right verdicts.
         let queries: Vec<&ElementSet> = workload.iter().map(|(s, _)| s).collect();
-        let scores = model.predict_batch(&queries);
+        let scores = model.kernel().predict_batch(&queries);
         let missed: Vec<&ElementSet> = workload
             .iter()
             .zip(&scores)
@@ -154,8 +149,6 @@ impl LearnedBloom {
                 backup,
                 // Classifier scores are probabilities.
                 guard: ServeGuard::new(0.0, 1.0),
-                precision: Precision::default(),
-                kernel: KernelCell::new(),
             },
             report,
         )
@@ -189,22 +182,10 @@ impl LearnedBloom {
         self.query(q).value
     }
 
-    /// The frozen serving kernel, freezing the current weights at
-    /// [`LearnedBloom::precision`] on first use.
+    /// The serving kernel, frozen at the model config's precision when the
+    /// filter was built or loaded.
     pub fn kernel(&self) -> &FrozenModel {
-        self.kernel.get_or_freeze(&self.model, self.precision)
-    }
-
-    /// The precision probes are served at (recorded in checkpoints).
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Selects the serve precision; the kernel re-freezes from the current
-    /// weights on the next probe.
-    pub fn set_precision(&mut self, precision: Precision) {
-        self.precision = precision;
-        self.kernel.reset();
+        self.model.kernel()
     }
 
     /// The guarded decision over one raw classifier score — the tail of
@@ -224,28 +205,19 @@ impl LearnedBloom {
 
     /// The underlying model.
     pub fn model(&self) -> &DeepSets {
-        &self.model
-    }
-
-    /// Mutable access to the underlying model, for weight hot-swapping
-    /// (e.g. loading weights restored via [`crate::persist`]) and fault
-    /// injection in tests. Serve-time guards keep answers finite even if the
-    /// swapped weights are corrupt.
-    pub fn model_mut(&mut self) -> &mut DeepSets {
-        self.kernel.reset();
-        &mut self.model
+        self.model.weights()
     }
 
     /// Model weight bytes (the paper's LSM/CLSM memory columns; the backup
     /// is reported as negligible in §8.4.2 but we count it in
     /// [`LearnedBloom::size_bytes`]).
     pub fn model_size_bytes(&self) -> usize {
-        self.model.size_bytes()
+        self.model().size_bytes()
     }
 
     /// Total bytes: model + backup filter.
     pub fn size_bytes(&self) -> usize {
-        self.model.size_bytes() + self.backup.size_bytes()
+        self.model().size_bytes() + self.backup.size_bytes()
     }
 
     /// Binary accuracy over a labeled workload (Table 9's metric): classifier
@@ -280,7 +252,7 @@ impl LearnedSetStructure for LearnedBloom {
     }
 
     fn kernel_precision(&self) -> Option<Precision> {
-        Some(self.precision)
+        Some(self.kernel().precision())
     }
 }
 
@@ -368,22 +340,16 @@ mod tests {
     fn nan_model_degrades_to_backup_filter_and_flags_fallbacks() {
         let c = GeneratorConfig::rw(300, 31).generate();
         let workload = membership_queries(&c, 200, 200, 4, 3);
-        let (mut filter, report) = LearnedBloom::build(&workload, &quick_cfg(c.num_elements()));
+        let (filter, report) = LearnedBloom::build(&workload, &quick_cfg(c.num_elements()));
         // Remember which positives the backup filter covers (model misses).
         let backup_covered: Vec<ElementSet> = workload
             .iter()
-            .filter(|(s, l)| *l && filter.model.predict_one(s) < filter.threshold)
+            .filter(|(s, l)| *l && filter.score(s) < filter.threshold)
             .map(|(s, _)| s.clone())
             .collect();
         assert_eq!(backup_covered.len(), report.false_negatives);
 
-        let poisoned: Vec<Vec<f32>> = filter
-            .model
-            .snapshot_weights()
-            .into_iter()
-            .map(|b| vec![f32::NAN; b.len()])
-            .collect();
-        filter.model.load_weight_buffers(&poisoned).unwrap();
+        let filter = crate::tasks::with_nan_weights(&filter);
 
         // Probes must not panic and must still honor the backup filter.
         for s in &backup_covered {

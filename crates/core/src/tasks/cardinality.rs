@@ -1,7 +1,7 @@
 //! Learned set cardinality estimation (paper §4.2) and its hybrid variant.
 
 use crate::hybrid::{guided_train, GuidedConfig, GuidedOutcome, ServeGuard};
-use crate::kernel::{FrozenModel, KernelCell, Precision};
+use crate::kernel::{FrozenModel, Precision, ServedModel};
 use crate::model::{DeepSets, DeepSetsConfig};
 use crate::monitor::DriftMonitor;
 use crate::mutable::OverlayAnswer;
@@ -36,7 +36,7 @@ impl CardinalityConfig {
 /// `LSM`/`CLSM`(`-Hybrid`) depending on the model config and percentile.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LearnedCardinality {
-    model: DeepSets,
+    model: ServedModel,
     scaler: LogMinMaxScaler,
     /// Exact counts for exiled outliers, keyed by set hash.
     #[serde(serialize_with = "in_key_order")]
@@ -45,18 +45,8 @@ pub struct LearnedCardinality {
     #[serde(serialize_with = "in_key_order")]
     deltas: HashMap<u64, i64>,
     max_subset_size: usize,
-    /// Serve-time guard over the model's output domain; absent in files
-    /// persisted before guards existed (falls back to non-finite-only).
-    #[serde(default)]
+    /// Serve-time guard over the model's output domain.
     guard: ServeGuard,
-    /// Serve precision, recorded in checkpoints; files persisted before
-    /// precision-aware kernels default to full precision.
-    #[serde(default)]
-    precision: Precision,
-    /// Lazily frozen serving kernel (a pure function of the weights and
-    /// `precision`; reset on any weight mutation).
-    #[serde(skip)]
-    kernel: KernelCell,
 }
 
 /// Serialises a hash-keyed map in key order, so one structure always writes
@@ -125,7 +115,7 @@ impl LearnedCardinality {
         };
         (
             LearnedCardinality {
-                model,
+                model: ServedModel::new(model),
                 scaler,
                 outliers,
                 deltas: HashMap::new(),
@@ -133,8 +123,6 @@ impl LearnedCardinality {
                 // Valid model outputs live in [0, max observed cardinality];
                 // anything else degrades to the guard's fallback path.
                 guard: ServeGuard::new(0.0, subsets.max_cardinality() as f64),
-                precision: Precision::default(),
-                kernel: KernelCell::new(),
             },
             report,
         )
@@ -177,22 +165,10 @@ impl LearnedCardinality {
         self.scaler.unscale(self.kernel().predict_one(q))
     }
 
-    /// The frozen serving kernel, freezing the current weights at
-    /// [`LearnedCardinality::precision`] on first use.
+    /// The serving kernel, frozen at the model config's precision when the
+    /// estimator was built or loaded.
     pub fn kernel(&self) -> &FrozenModel {
-        self.kernel.get_or_freeze(&self.model, self.precision)
-    }
-
-    /// The precision queries are served at (recorded in checkpoints).
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Selects the serve precision; the kernel re-freezes from the current
-    /// weights on the next query.
-    pub fn set_precision(&mut self, precision: Precision) {
-        self.precision = precision;
-        self.kernel.reset();
+        self.model.kernel()
     }
 
     /// Registers an inserted set (§7.2): all its subsets gain one occurrence
@@ -217,16 +193,7 @@ impl LearnedCardinality {
 
     /// The underlying model.
     pub fn model(&self) -> &DeepSets {
-        &self.model
-    }
-
-    /// Mutable access to the underlying model, for weight hot-swapping
-    /// (e.g. loading weights restored via [`crate::persist`]) and fault
-    /// injection in tests. Serve-time guards keep answers finite even if the
-    /// swapped weights are corrupt.
-    pub fn model_mut(&mut self) -> &mut DeepSets {
-        self.kernel.reset();
-        &mut self.model
+        self.model.weights()
     }
 
     /// Number of exiled outliers.
@@ -236,14 +203,14 @@ impl LearnedCardinality {
 
     /// Model weight bytes only (the paper's `LSM`/`CLSM` memory columns).
     pub fn model_size_bytes(&self) -> usize {
-        self.model.size_bytes()
+        self.model().size_bytes()
     }
 
     /// Total structure bytes: model + outlier store + delta layer (the
     /// `-Hybrid` memory columns).
     pub fn size_bytes(&self) -> usize {
         let map_entry = 8 + 8 + 1; // key + value + control byte
-        self.model.size_bytes()
+        self.model().size_bytes()
             + (self.outliers.len() as f64 / 0.875) as usize * map_entry
             + (self.deltas.len() as f64 / 0.875) as usize * map_entry
     }
@@ -266,7 +233,7 @@ impl LearnedSetStructure for LearnedCardinality {
     }
 
     fn kernel_precision(&self) -> Option<Precision> {
-        Some(self.precision)
+        Some(self.kernel().precision())
     }
 }
 
@@ -381,19 +348,13 @@ mod tests {
     fn nan_model_degrades_to_guard_and_raises_retrain_signal() {
         use crate::monitor::{MonitorConfig, RetrainReason};
         let collection = GeneratorConfig::sd(200, 9).generate();
-        let (mut est, _) = LearnedCardinality::build(
+        let (est, _) = LearnedCardinality::build(
             &collection,
             &quick_cfg(collection.num_elements(), CompressionKind::None),
         );
-        // Inject NaN into every weight buffer (simulating corruption).
-        let poisoned: Vec<Vec<f32>> = est
-            .model
-            .snapshot_weights()
-            .into_iter()
-            .map(|b| vec![f32::NAN; b.len()])
-            .collect();
-        est.model.load_weight_buffers(&poisoned).unwrap();
-        assert!(est.model.has_non_finite_weights());
+        // Load NaN into every weight buffer (simulating corruption).
+        let est = crate::tasks::with_nan_weights(&est);
+        assert!(est.model().has_non_finite_weights());
 
         let mut monitor = DriftMonitor::new(
             1.1,

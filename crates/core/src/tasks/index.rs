@@ -9,7 +9,7 @@ use crate::hybrid::{
     guided_train, FallbackReason, GuidedConfig, GuidedOutcome, LocalErrorBounds,
     ServeGuard,
 };
-use crate::kernel::{FrozenModel, KernelCell, Precision};
+use crate::kernel::{FrozenModel, Precision, ServedModel};
 use crate::model::{DeepSets, DeepSetsConfig};
 use crate::mutable::OverlayAnswer;
 use crate::tasks::{Fold, LearnedSetStructure, QueryOutcome};
@@ -87,24 +87,15 @@ impl LookupProfile {
 /// The hybrid learned set index.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LearnedSetIndex {
-    model: DeepSets,
+    model: ServedModel,
     scaler: LogMinMaxScaler,
     /// Outlier subsets (and §7.2 updates), keyed by set hash.
     aux: BPlusTree,
     bounds: LocalErrorBounds,
     max_subset_size: usize,
     target: PositionTarget,
-    /// Serve-time guard over position estimates; absent in files persisted
-    /// before guards existed (falls back to non-finite-only).
-    #[serde(default)]
+    /// Serve-time guard over position estimates.
     guard: ServeGuard,
-    /// Serve precision, recorded in checkpoints; files persisted before
-    /// precision-aware kernels default to full precision.
-    #[serde(default)]
-    precision: Precision,
-    /// Lazily frozen serving kernel (reset on any weight mutation).
-    #[serde(skip)]
-    kernel: KernelCell,
 }
 
 /// Build artifacts for reporting.
@@ -127,7 +118,9 @@ pub struct IndexBuildReport {
 
 impl LearnedSetIndex {
     /// Enumerates subsets, trains with guided learning, exiles outliers to a
-    /// B+ tree and computes local error bounds over the retained subsets.
+    /// B+ tree, freezes the model at `cfg.model.precision` and computes local
+    /// error bounds from that kernel's estimates of the retained subsets —
+    /// so every retained subset is found at the precision the index serves.
     pub fn build(collection: &SetCollection, cfg: &IndexConfig) -> (Self, IndexBuildReport) {
         let subsets = SubsetIndex::build(collection, cfg.max_subset_size);
         Self::build_from_subsets(collection, &subsets, cfg)
@@ -161,14 +154,19 @@ impl LearnedSetIndex {
             aux.insert(set_hash(&pairs[i].0), pairs[i].1 as u32);
         }
 
-        // Error bounds over the *retained* subsets: outliers are answered by
-        // the tree, so they must not widen the scan windows.
-        let retained: Vec<(f64, f64)> = pairs
+        // Error bounds over the *retained* subsets, from the serving
+        // kernel's estimates: outliers are answered by the tree, so they
+        // must not widen the scan windows.
+        let model = ServedModel::new(model);
+        let (kept, truths): (Vec<&ElementSet>, Vec<f64>) = pairs
             .iter()
             .enumerate()
             .filter(|(i, _)| !outlier_set.contains(i))
-            .map(|(_, (s, p))| (scaler.unscale(model.predict_one(s)), *p))
-            .collect();
+            .map(|(_, (s, p))| (s, *p))
+            .unzip();
+        let scores = model.kernel().predict_batch(&kept);
+        let retained: Vec<(f64, f64)> =
+            scores.iter().zip(truths).map(|(&s, p)| (scaler.unscale(s), p)).collect();
         let bounds = if retained.is_empty() {
             // Degenerate hybrid: everything is in the tree.
             LocalErrorBounds::compute(&[(0.0, 0.0)], cfg.range_length)
@@ -195,8 +193,6 @@ impl LearnedSetIndex {
                 // Positions live in [0, len-1]; estimates outside are
                 // clamped, non-finite ones trigger an exact full scan.
                 guard: ServeGuard::new(0.0, collection.len().saturating_sub(1) as f64),
-                precision: Precision::default(),
-                kernel: KernelCell::new(),
             },
             report,
         )
@@ -243,22 +239,10 @@ impl LearnedSetIndex {
         self.lookup_batch_profiled(collection, &[q]).pop().expect("one profile per query")
     }
 
-    /// The frozen serving kernel, freezing the current weights at
-    /// [`LearnedSetIndex::precision`] on first use.
+    /// The serving kernel, frozen at the model config's precision when the
+    /// index was built or loaded.
     pub fn kernel(&self) -> &FrozenModel {
-        self.kernel.get_or_freeze(&self.model, self.precision)
-    }
-
-    /// The precision lookups are served at (recorded in checkpoints).
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Selects the serve precision; the kernel re-freezes from the current
-    /// weights on the next lookup.
-    pub fn set_precision(&mut self, precision: Precision) {
-        self.precision = precision;
-        self.kernel.reset();
+        self.model.kernel()
     }
 
     /// The shared tail of every lookup path: auxiliary structure first
@@ -353,16 +337,7 @@ impl LearnedSetIndex {
 
     /// The underlying model.
     pub fn model(&self) -> &DeepSets {
-        &self.model
-    }
-
-    /// Mutable access to the underlying model, for weight hot-swapping
-    /// (e.g. loading weights restored via [`crate::persist`]) and fault
-    /// injection in tests. Serve-time guards keep answers finite even if the
-    /// swapped weights are corrupt.
-    pub fn model_mut(&mut self) -> &mut DeepSets {
-        self.kernel.reset();
-        &mut self.model
+        self.model.weights()
     }
 
     /// The local error bounds.
@@ -382,7 +357,7 @@ impl LearnedSetIndex {
 
     /// Model weight bytes.
     pub fn model_size_bytes(&self) -> usize {
-        self.model.size_bytes()
+        self.model().size_bytes()
     }
 
     /// Auxiliary-tree bytes.
@@ -433,7 +408,7 @@ impl LearnedSetStructure for IndexStructure {
     }
 
     fn kernel_precision(&self) -> Option<Precision> {
-        Some(self.index.precision)
+        Some(self.index.kernel().precision())
     }
 }
 
@@ -574,17 +549,11 @@ mod tests {
     #[test]
     fn nan_model_lookups_stay_correct_via_full_scan_fallback() {
         let collection = GeneratorConfig::rw(150, 21).generate();
-        let (mut index, _) = LearnedSetIndex::build(
+        let (index, _) = LearnedSetIndex::build(
             &collection,
             &quick_cfg(collection.num_elements(), CompressionKind::None),
         );
-        let poisoned: Vec<Vec<f32>> = index
-            .model
-            .snapshot_weights()
-            .into_iter()
-            .map(|b| vec![f32::NAN; b.len()])
-            .collect();
-        index.model.load_weight_buffers(&poisoned).unwrap();
+        let index = crate::tasks::with_nan_weights(&index);
 
         let subsets = SubsetIndex::build(&collection, 2);
         let (mut fallbacks, mut model_served) = (0, 0);
@@ -711,15 +680,13 @@ mod tests {
             let pairs: Vec<(f64, f64)> =
                 errors.iter().map(|&(est, truth)| (est * domain, truth * domain)).collect();
             let mut index = LearnedSetIndex {
-                model: DeepSets::new(DeepSetsConfig::lsm(vocab)),
+                model: ServedModel::new(DeepSets::new(DeepSetsConfig::lsm(vocab))),
                 scaler: LogMinMaxScaler::from_range(0.0, 1.5 * domain),
                 aux: BPlusTree::new(8),
                 bounds: LocalErrorBounds::compute(&pairs, range_length as f64),
                 max_subset_size: 4,
                 target: PositionTarget::First,
                 guard: ServeGuard::new(0.0, domain),
-                precision: Precision::default(),
-                kernel: KernelCell::new(),
             };
             // kind: even = a subset of a set in the collection, odd = random
             // ids (mostly absent); 0 = NaN score, 1 = +inf, 6 = an aux entry.

@@ -210,6 +210,22 @@ impl<E: CardinalityEstimator> CardinalityEstimator for std::sync::Arc<E> {
     }
 }
 
+/// `structure` loaded back with every weight NaN in its serialized
+/// `"model"`, so its kernel is frozen from the poisoned weights. JSON cannot
+/// carry NaN; the in-memory [`serde::Value`] can.
+#[cfg(test)]
+pub(crate) fn with_nan_weights<S: serde::Serialize + serde::Deserialize>(structure: &S) -> S {
+    use serde::{Deserialize, Serialize, Value};
+    let mut value = structure.serialize();
+    let Value::Object(fields) = &mut value else { panic!("a structure is an object") };
+    let model = &mut fields.iter_mut().find(|(k, _)| k == "model").expect("a model").1;
+    let mut weights = crate::model::DeepSets::deserialize(model).expect("a DeepSets");
+    let nan: Vec<_> = weights.weight_buffers().iter().map(|b| vec![f32::NAN; b.len()]).collect();
+    weights.load_weight_buffers(&nan).expect("same shapes");
+    *model = weights.serialize();
+    S::deserialize(&value).expect("the poisoned structure loads")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -175,8 +175,6 @@ impl<S: Serialize> Serialize for Sharded<S> {
 
 /// Refuses a shard array that is empty or disagrees with its spec, which
 /// would otherwise serve part of the collection or mispair the partition.
-/// Other fields are ignored, so an index checkpoint's old top-level
-/// `target` (every shard records its own) still loads.
 impl<S: Deserialize> Deserialize for Sharded<S> {
     fn deserialize(v: &Value) -> Result<Self, serde::Error> {
         let field = |name| v.get(name).ok_or_else(|| serde::Error::missing_field(name));
@@ -293,10 +291,6 @@ mod tests {
         assert_eq!(Sharded::<u8>::new(Vec::new(), spec).unwrap_err(), ShardError::ZeroShards);
         let whole = Sharded::new(vec![1u8, 2, 3], spec).unwrap();
         let mut value = whole.serialize();
-        let Value::Object(fields) = &mut value else { unreachable!() };
-        // An index checkpoint written before the one type carries a
-        // top-level `target`; it still loads.
-        fields.insert(1, ("target".to_string(), Value::String("First".into())));
         assert!(Sharded::<u8>::deserialize(&value).is_ok());
         let Value::Object(fields) = &mut value else { unreachable!() };
         fields[0].1 = vec![1u8, 2].serialize();

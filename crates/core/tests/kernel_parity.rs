@@ -1,7 +1,10 @@
 //! Kernel/scalar parity: the frozen f32 kernel must be bit-identical to the
 //! scalar forward pass, q8 must stay within its stated tolerances, and
 //! both precisions must preserve ServeGuard/fallback semantics through the
-//! [`LearnedSetStructure`] trait on every task.
+//! [`LearnedSetStructure`] trait on every task. A structure built at q8
+//! keeps the paper's guarantees at q8: its index bounds and Bloom backup are
+//! computed from the q8 kernel, so it finds every trained subset and rejects
+//! no trained key.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,6 +32,7 @@ fn model_config(compression: CompressionKind, pooling: Pooling) -> DeepSetsConfi
         output_activation: setlearn_nn::Activation::Sigmoid,
         compression,
         seed: 17,
+        precision: Precision::F32,
     }
 }
 
@@ -143,6 +147,15 @@ fn quick_guided() -> GuidedConfig {
     }
 }
 
+/// Training is f32 and seeded whatever precision a structure serves at, so
+/// the f32 and the q8 build of one config hold bit-equal weights.
+fn assert_same_weights(a: &DeepSets, b: &DeepSets) {
+    let bits = |m: &DeepSets| -> Vec<Vec<u32>> {
+        m.snapshot_weights().iter().map(|w| w.iter().map(|x| x.to_bits()).collect()).collect()
+    };
+    assert!(bits(a) == bits(b), "the q8 build trained different weights");
+}
+
 #[test]
 fn cardinality_trait_parity_across_precisions() {
     let collection = GeneratorConfig::sd(300, 7).generate();
@@ -159,9 +172,11 @@ fn cardinality_trait_parity_across_precisions() {
     let base_degraded = baseline.iter().filter(|o| o.degraded()).count();
 
     let (precision, max_qerr) = (Precision::Q8, 2.0);
-    let mut alt = est.clone();
-    alt.set_precision(precision);
-    assert_eq!(alt.precision(), precision);
+    let model = DeepSetsConfig { precision, ..cfg.model.clone() };
+    let q8_cfg = CardinalityConfig { model, ..cfg.clone() };
+    let (alt, _) = LearnedCardinality::build(&collection, &q8_cfg);
+    assert_same_weights(est.model(), alt.model());
+    assert_eq!(alt.kernel().precision(), precision);
     let outcomes = assert_paths_agree(&alt, &queries);
     let degraded = outcomes.iter().filter(|o| o.degraded()).count();
     let slack = 2.max(queries.len() / 50);
@@ -176,41 +191,41 @@ fn cardinality_trait_parity_across_precisions() {
     }
 }
 
+/// On each seed of the collection, the index built at q8 finds every
+/// enumerated subset at the position the f32 index finds it. An f32 index
+/// switched to q8 after its bounds were computed missed 6, 3 and 4 of
+/// them on these three seeds.
 #[test]
 fn index_trait_parity_across_precisions() {
-    let collection = GeneratorConfig::rw(300, 21).generate();
-    let cfg = IndexConfig {
-        model: DeepSetsConfig::lsm(collection.num_elements()),
-        guided: quick_guided(),
-        max_subset_size: 3,
-        range_length: 16.0,
-        target: PositionTarget::First,
-    };
-    let (index, _) = LearnedSetIndex::build(&collection, &cfg);
-    let queries: Vec<ElementSet> =
-        SubsetIndex::build(&collection, 3).iter().map(|(s, _)| s.clone()).collect();
-    let structure = IndexStructure { index, collection: Arc::new(collection) };
+    for seed in [21, 5, 9] {
+        let collection = Arc::new(GeneratorConfig::rw(300, seed).generate());
+        let cfg = IndexConfig {
+            model: DeepSetsConfig::lsm(collection.num_elements()),
+            guided: quick_guided(),
+            max_subset_size: 3,
+            range_length: 16.0,
+            target: PositionTarget::First,
+        };
+        let queries: Vec<ElementSet> =
+            SubsetIndex::build(&collection, 3).iter().map(|(s, _)| s.clone()).collect();
+        let build = |cfg: &IndexConfig| {
+            let (index, _) = LearnedSetIndex::build(&collection, cfg);
+            IndexStructure { index, collection: Arc::clone(&collection) }
+        };
+        let structure = build(&cfg);
+        let baseline = assert_paths_agree(&structure, &queries);
+        let base_hits = baseline.iter().filter(|o| o.value.is_some()).count();
+        assert_eq!(base_hits, queries.len(), "seed {seed}: f32 must find every trained subset");
 
-    let baseline = assert_paths_agree(&structure, &queries);
-    let base_hits = baseline.iter().filter(|o| o.value.is_some()).count();
-    assert_eq!(base_hits, queries.len(), "f32 baseline must find every trained subset");
-
-    let precision = Precision::Q8;
-    let mut alt = structure.clone();
-    alt.index.set_precision(precision);
-    let outcomes = assert_paths_agree(&alt, &queries);
-    let mut hits = 0;
-    for (b, o) in baseline.iter().zip(outcomes.iter()) {
-        if let Some(pos) = o.value {
-            // Any hit is the true position, so it must agree with f32.
-            assert_eq!(Some(pos), b.value, "{precision}: position diverged");
-            hits += 1;
+        let precision = Precision::Q8;
+        let model = DeepSetsConfig { precision, ..cfg.model.clone() };
+        let alt = build(&IndexConfig { model, ..cfg.clone() });
+        assert_same_weights(structure.index.model(), alt.index.model());
+        let outcomes = assert_paths_agree(&alt, &queries);
+        for ((q, b), o) in queries.iter().zip(&baseline).zip(&outcomes) {
+            assert_eq!(o.value, b.value, "seed {seed}, {precision}: subset {q:?}");
         }
     }
-    assert!(
-        hits * 10 >= base_hits * 9,
-        "{precision}: hit rate collapsed ({hits}/{base_hits})"
-    );
 }
 
 #[test]
@@ -223,37 +238,38 @@ fn bloom_trait_parity_across_precisions() {
     let (filter, _) = LearnedBloom::build(&workload, &cfg);
     let queries: Vec<ElementSet> = workload.iter().map(|(q, _)| q.clone()).collect();
 
-    let baseline = assert_paths_agree(&filter, &queries);
+    assert_paths_agree(&filter, &queries);
 
-    let (precision, max_flips) = (Precision::Q8, 15usize);
-    let mut alt = filter.clone();
-    alt.set_precision(precision);
+    let precision = Precision::Q8;
+    let q8_cfg = BloomConfig { model: DeepSetsConfig { precision, ..cfg.model.clone() }, ..cfg };
+    let (alt, _) = LearnedBloom::build(&workload, &q8_cfg);
+    assert_same_weights(filter.model(), alt.model());
     let outcomes = assert_paths_agree(&alt, &queries);
-    let flips = baseline
-        .iter()
-        .zip(outcomes.iter())
-        .filter(|(b, o)| b.value != o.value)
-        .count();
-    assert!(
-        flips <= max_flips,
-        "{precision}: {flips} membership verdicts flipped (allowed {max_flips})"
-    );
+    for ((q, present), o) in workload.iter().zip(&outcomes) {
+        assert!(!present || o.value, "{precision}: trained key {q:?} rejected");
+    }
 }
 
-/// Table 9's metric scores the classifier the structure serves: at q8 it is
-/// the share of served scores on the right side of τ, not the f32 model's.
+/// Three epochs leave the classifier weak, so the backup filter carries
+/// many positives: built at q8, it carries the ones the q8 kernel misses,
+/// and no trained key is rejected. Table 9's metric scores the classifier
+/// the structure serves: at q8 it is the share of served scores on the
+/// right side of τ, not the f32 model's.
 #[test]
-fn bloom_binary_accuracy_scores_the_serve_precision() {
+fn q8_bloom_rejects_no_trained_key_and_scores_its_own_verdicts() {
     let collection = GeneratorConfig::rw(400, 31).generate();
     let workload = membership_queries(&collection, 300, 300, 4, 3);
     let mut cfg = BloomConfig::new(DeepSetsConfig::lsm(collection.num_elements()));
+    cfg.model.precision = Precision::Q8;
     cfg.epochs = 3;
     cfg.learning_rate = 1e-2;
-    let (mut filter, _) = LearnedBloom::build(&workload, &cfg);
-    filter.set_precision(Precision::Q8);
+    let (filter, _) = LearnedBloom::build(&workload, &cfg);
     let served = workload
         .iter()
         .filter(|(q, label)| (filter.score(q) >= cfg.threshold) == *label)
         .count();
     assert_eq!(filter.binary_accuracy(&workload), served as f64 / workload.len() as f64);
+    for (q, present) in &workload {
+        assert!(!present || filter.contains(q), "trained key {q:?} rejected");
+    }
 }

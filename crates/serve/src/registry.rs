@@ -683,46 +683,42 @@ impl CollectionRegistry {
         let base: Arc<SetCollection> = Arc::new(load_checkpoint(&sets)?);
         let retrain = persist::retrain_files(&entry.dir);
         // Each rebuild retrains the structure it replaces: the served
-        // model's dimensions and encoder, its serve precision, and (index)
+        // model's config (dimensions, encoder, serve precision) and (index)
         // its position target carry over, so a compaction changes the data a
         // tenant was trained on and nothing else about it.
         match task {
             WireTask::Cardinality => {
                 let est: LearnedCardinality = load_checkpoint(&model)?;
-                let (served, precision) = (est.model().config().clone(), est.precision());
+                let served = est.model().config().clone();
                 self.start_mutable(name, est, base, &wal_dir, move |merged| {
                     let cfg = CardinalityConfig::new(retrain_config(&served, merged));
-                    let (mut est, _) = LearnedCardinality::build(merged, &cfg);
-                    est.set_precision(precision);
+                    let (est, _) = LearnedCardinality::build(merged, &cfg);
                     persist_compaction(&retrain, &est, merged)?;
                     Some(est)
                 })
             }
             WireTask::Bloom => {
                 let filter: LearnedBloom = load_checkpoint(&model)?;
-                let (served, precision) = (filter.model().config().clone(), filter.precision());
+                let served = filter.model().config().clone();
                 self.start_mutable(name, filter, base, &wal_dir, move |merged| {
                     // `BloomConfig::new` pins the paper's model widths;
                     // the served widths win.
                     let model = retrain_config(&served, merged);
                     let cfg = BloomConfig { model: model.clone(), ..BloomConfig::new(model) };
-                    let (mut filter, _) =
+                    let (filter, _) =
                         LearnedBloom::build_from_collection(merged, 2_000, 2_000, 4, &cfg);
-                    filter.set_precision(precision);
                     persist_compaction(&retrain, &filter, merged)?;
                     Some(filter)
                 })
             }
             WireTask::Index => {
                 let index: LearnedSetIndex = load_checkpoint(&model)?;
-                let (served, precision, target) =
-                    (index.model().config().clone(), index.precision(), index.target());
+                let (served, target) = (index.model().config().clone(), index.target());
                 let structure = IndexStructure { index, collection: Arc::clone(&base) };
                 self.start_mutable(name, structure, base, &wal_dir, move |merged| {
                     let cfg =
                         IndexConfig { target, ..IndexConfig::new(retrain_config(&served, merged)) };
-                    let (mut index, _) = LearnedSetIndex::build(merged, &cfg);
-                    index.set_precision(precision);
+                    let (index, _) = LearnedSetIndex::build(merged, &cfg);
                     persist_compaction(&retrain, &index, merged)?;
                     Some(IndexStructure { index, collection: Arc::new(merged.clone()) })
                 })
@@ -955,27 +951,91 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// A checkpoint tagged with the retired f16 precision is refused by
-    /// name; the root's other tenants still answer.
+    /// A checkpoint tagged with the retired f16 precision, and one written
+    /// before the serve precision moved into the model config (`"precision"`
+    /// beside the model, none inside it), are refused with a retrain hint;
+    /// the root's other tenants still answer.
     #[test]
-    fn a_tenant_tagged_f16_is_refused_and_its_sibling_still_answers() {
-        let root = tmpdir("f16-tag");
+    fn refused_checkpoints_name_a_retrain_and_their_sibling_still_answers() {
+        let root = tmpdir("refused");
         write_cardinality(&root, "alpha", 11);
-        write_cardinality(&root, "old", 12);
-        let model = root.join("old").join(COLLECTION_MODEL);
-        let json = std::fs::read_to_string(&model).unwrap();
-        let tagged = json.replace("\"precision\":\"F32\"", "\"precision\":\"F16\"");
-        assert_ne!(tagged, json, "the checkpoint records its precision");
-        std::fs::write(&model, tagged).unwrap();
+        let rewrite = |name: &str, seed: u64, edit: &dyn Fn(&str) -> String| {
+            write_cardinality(&root, name, seed);
+            let model = root.join(name).join(COLLECTION_MODEL);
+            let json = std::fs::read_to_string(&model).unwrap();
+            assert_ne!(edit(&json), json, "the model config records its precision");
+            std::fs::write(&model, edit(&json)).unwrap();
+        };
+        rewrite("f16", 12, &|json| {
+            json.replace("\"precision\":\"F32\"", "\"precision\":\"F16\"")
+        });
+        rewrite("moved", 13, &|json| {
+            let untagged = json.replacen(",\"precision\":\"F32\"", "", 1);
+            untagged.replacen('{', "{\"precision\":\"Q8\",", 1)
+        });
         let mut config = RegistryConfig::new(&root);
         config.serve = quick_serve();
         let registry = CollectionRegistry::new(config);
 
-        let why = registry.resolve(Some("old")).expect_err("f16 resolved").to_string();
-        assert!(why.contains("failed to load") && why.contains("f32|q8"), "{why}");
+        for name in ["f16", "moved"] {
+            let why = registry.resolve(Some(name)).expect_err(name).to_string();
+            assert!(why.contains("failed to load") && why.contains("f32|q8"), "{name}: {why}");
+        }
         let query = [setlearn_data::normalize(vec![1, 2])];
         let got = answers(&registry.resolve(Some("alpha")).unwrap(), &query);
         assert!(matches!(got[..], [QueryValue::Cardinality(v)] if v.is_finite()), "{got:?}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// An index and a Bloom filter built at q8 keep their guarantees across
+    /// save and reload: the reloaded tenants find every trained subset and
+    /// reject no trained key. q8 scores are the same bits on every ISA, so
+    /// the bounds and the backup computed at build time hold on any host.
+    #[test]
+    fn q8_tenants_keep_their_guarantees_across_reload() {
+        let root = tmpdir("q8-guarantees");
+        let q8 = |sets: &SetCollection| DeepSetsConfig {
+            precision: Precision::Q8,
+            ..DeepSetsConfig::lsm(sets.num_elements())
+        };
+        let sets = GeneratorConfig::rw(300, 5).generate();
+        let cfg = IndexConfig {
+            guided: GuidedConfig {
+                warmup_epochs: 25,
+                epochs_per_round: 15,
+                learning_rate: 5e-3,
+                seed: 5,
+                ..GuidedConfig::default()
+            },
+            max_subset_size: 3,
+            range_length: 16.0,
+            ..IndexConfig::new(q8(&sets))
+        };
+        let (index, _) = LearnedSetIndex::build(&sets, &cfg);
+        write_tenant(&root, "index", "index", None, &index, &sets);
+        let bloom_sets = GeneratorConfig::rw(400, 31).generate();
+        let workload = setlearn_data::workload::membership_queries(&bloom_sets, 300, 300, 4, 3);
+        let bloom_cfg =
+            BloomConfig { epochs: 3, learning_rate: 1e-2, ..BloomConfig::new(q8(&bloom_sets)) };
+        let (filter, _) = LearnedBloom::build(&workload, &bloom_cfg);
+        write_tenant(&root, "bloom", "bloom", None, &filter, &bloom_sets);
+
+        let mut config = RegistryConfig::new(&root);
+        config.serve = quick_serve();
+        let registry = CollectionRegistry::new(config);
+        let subsets = SubsetIndex::build(&sets, 3);
+        let queries: Vec<ElementSet> = subsets.iter().map(|(s, _)| s.clone()).collect();
+        let got = answers(&registry.resolve(Some("index")).unwrap(), &queries);
+        for (q, value) in queries.iter().zip(got) {
+            let first = subsets.get(q).unwrap().first_pos as u64;
+            assert_eq!(value, QueryValue::Position(Some(first)), "subset {q:?}");
+        }
+        let positives: Vec<ElementSet> =
+            workload.iter().filter(|(_, present)| *present).map(|(q, _)| q.clone()).collect();
+        let got = answers(&registry.resolve(Some("bloom")).unwrap(), &positives);
+        for (q, value) in positives.iter().zip(got) {
+            assert_eq!(value, QueryValue::Membership(true), "trained key {q:?}");
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1244,26 +1304,25 @@ mod tests {
             rho_hidden: vec![12],
             ..DeepSetsConfig::lsm(sets.num_elements())
         };
-        let (mut est, _) = LearnedCardinality::build(
+        let narrow_q8 = DeepSetsConfig { precision: Precision::Q8, ..narrow.clone() };
+        let (est, _) = LearnedCardinality::build(
             &sets,
             &CardinalityConfig {
                 guided: quick_guided(),
                 max_subset_size: 2,
-                ..CardinalityConfig::new(narrow.clone())
+                ..CardinalityConfig::new(narrow_q8.clone())
             },
         );
-        est.set_precision(Precision::Q8);
         write_tenant(&root, "card", "cardinality", None, &est, &sets);
-        let (mut index, _) = LearnedSetIndex::build(
+        let (index, _) = LearnedSetIndex::build(
             &sets,
             &IndexConfig {
                 guided: quick_guided(),
                 max_subset_size: 2,
                 target: PositionTarget::Last,
-                ..IndexConfig::new(narrow.clone())
+                ..IndexConfig::new(narrow_q8)
             },
         );
-        index.set_precision(Precision::Q8);
         write_tenant(&root, "index", "index", None, &index, &sets);
         let bloom_cfg =
             BloomConfig { model: narrow.clone(), epochs: 2, ..BloomConfig::new(narrow.clone()) };
@@ -1311,7 +1370,7 @@ mod tests {
 
             let est: LearnedCardinality = load_json(&wal("card").join("model.json")).unwrap();
             assert!(same_shape(est.model()), "round {round}: cardinality dims drifted");
-            assert_eq!(est.precision(), Precision::Q8, "round {round}");
+            assert_eq!(est.kernel().precision(), Precision::Q8, "round {round}");
             for value in answers(&registry.resolve(Some("card")).unwrap(), merged.sets())
             {
                 assert!(
@@ -1322,7 +1381,7 @@ mod tests {
 
             let index: LearnedSetIndex = load_json(&wal("index").join("model.json")).unwrap();
             assert!(same_shape(index.model()), "round {round}: index dims drifted");
-            assert_eq!(index.precision(), Precision::Q8, "round {round}");
+            assert_eq!(index.kernel().precision(), Precision::Q8, "round {round}");
             assert_eq!(index.target(), PositionTarget::Last, "round {round}");
             let pairs: Vec<ElementSet> =
                 merged.sets().iter().map(|s| s[..2].to_vec().into_boxed_slice()).collect();

@@ -83,16 +83,16 @@ fn write_collection(root: &Path, name: &str, seed: u64) {
     write_collection_at(root, name, seed, Precision::F32);
 }
 
-/// [`write_collection`] serving at `precision`.
+/// [`write_collection`] built to serve at `precision`.
 fn write_collection_at(root: &Path, name: &str, seed: u64, precision: Precision) {
     let sets = tiny_sets(seed);
     let mut cfg = CardinalityConfig::new(DeepSetsConfig::lsm(sets.num_elements()));
+    cfg.model.precision = precision;
     cfg.guided.warmup_epochs = 1;
     cfg.guided.rounds = 0;
     cfg.guided.epochs_per_round = 1;
     cfg.max_subset_size = 2;
-    let (mut est, _) = LearnedCardinality::build(&sets, &cfg);
-    est.set_precision(precision);
+    let (est, _) = LearnedCardinality::build(&sets, &cfg);
     write_tenant(root, name, "cardinality", None, &est, &sets);
 }
 

@@ -2,7 +2,8 @@
 //! NaN models fall back to exact auxiliary structures, flag each such
 //! answer (the serve runtime counts and traces it) and raise a retrain
 //! signal, and adversarial training configurations finish with finite
-//! weights via the harness recovery loop.
+//! weights via the harness recovery loop. Poisoned weights go in the one
+//! way weights reach a built structure: through the loader.
 
 use setlearn::hybrid::{FallbackReason, GuidedConfig};
 use setlearn::model::{DeepSets, DeepSetsConfig};
@@ -11,6 +12,7 @@ use setlearn::tasks::{
     CardinalityConfig, IndexConfig, LearnedCardinality, LearnedSetIndex, LearnedSetStructure,
 };
 use setlearn::TrainPolicy;
+use serde::{Deserialize, Serialize};
 use setlearn_data::{ElementSet, GeneratorConfig, SubsetIndex};
 use setlearn_serve::{ServeConfig, ServeRuntime, StructureTask};
 
@@ -26,14 +28,19 @@ fn quick_guided(seed: u64) -> GuidedConfig {
     }
 }
 
-fn poison(model: &mut DeepSets) {
-    let poisoned: Vec<Vec<f32>> = model
-        .snapshot_weights()
-        .into_iter()
-        .map(|b| vec![f32::NAN; b.len()])
-        .collect();
-    model.load_weight_buffers(&poisoned).expect("same shapes");
-    assert!(model.has_non_finite_weights());
+/// `structure` loaded back with every weight NaN in its serialized
+/// `"model"`, so its kernel is frozen from the poisoned weights. JSON cannot
+/// carry NaN; the in-memory `serde::Value` can.
+fn poisoned<S: Serialize + Deserialize>(structure: &S) -> S {
+    let mut value = structure.serialize();
+    let serde::Value::Object(fields) = &mut value else { panic!("a structure is an object") };
+    let model = &mut fields.iter_mut().find(|(k, _)| k == "model").expect("a model").1;
+    let mut weights = DeepSets::deserialize(model).expect("a DeepSets");
+    let nan: Vec<_> = weights.weight_buffers().iter().map(|b| vec![f32::NAN; b.len()]).collect();
+    weights.load_weight_buffers(&nan).expect("same shapes");
+    assert!(weights.has_non_finite_weights());
+    *model = weights.serialize();
+    S::deserialize(&value).expect("the poisoned structure loads")
 }
 
 #[test]
@@ -42,8 +49,8 @@ fn nan_cardinality_model_serves_finite_and_requests_retrain() {
     let mut cfg = CardinalityConfig::new(DeepSetsConfig::lsm(collection.num_elements()));
     cfg.guided = quick_guided(3);
     cfg.max_subset_size = 2;
-    let (mut est, _) = LearnedCardinality::build(&collection, &cfg);
-    poison(est.model_mut());
+    let (est, _) = LearnedCardinality::build(&collection, &cfg);
+    let est = poisoned(&est);
 
     let mut monitor = DriftMonitor::new(
         1.2,
@@ -72,8 +79,8 @@ fn nan_index_model_still_answers_membership_exactly() {
     let mut cfg = IndexConfig::new(DeepSetsConfig::lsm(collection.num_elements()));
     cfg.guided = quick_guided(5);
     cfg.max_subset_size = 2;
-    let (mut index, _) = LearnedSetIndex::build(&collection, &cfg);
-    poison(index.model_mut());
+    let (index, _) = LearnedSetIndex::build(&collection, &cfg);
+    let index = poisoned(&index);
 
     // Every indexed subset must still resolve (via the guard's full-scan
     // fallback); the answers are checked against the exact subset index.
@@ -93,8 +100,8 @@ fn guard_fallbacks_are_counted_and_traced() {
     let mut cfg = CardinalityConfig::new(DeepSetsConfig::lsm(collection.num_elements()));
     cfg.guided = quick_guided(7);
     cfg.max_subset_size = 2;
-    let (mut est, _) = LearnedCardinality::build(&collection, &cfg);
-    poison(est.model_mut());
+    let (est, _) = LearnedCardinality::build(&collection, &cfg);
+    let est = poisoned(&est);
 
     // The registry and tracer are process-global, but no other runtime
     // serves this collection name, so its series and events are this

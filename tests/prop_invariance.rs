@@ -20,6 +20,7 @@ fn model(vocab: u32, compression: CompressionKind, pooling: Pooling, seed: u64) 
         output_activation: Activation::Sigmoid,
         compression,
         seed,
+        precision: setlearn::Precision::F32,
     })
 }
 

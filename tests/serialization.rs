@@ -61,6 +61,32 @@ fn checkpoint_tagged_f16_is_refused_with_a_retrain_hint() {
     assert!(err.to_string().contains("f32|q8"), "{err}");
 }
 
+/// A checkpoint written before the serve precision moved into the model
+/// config — `"precision"` beside the model, none inside it — is refused
+/// with a retrain hint: its index bounds were computed from f32 scores
+/// whatever precision it named, so serving it at q8 could miss trained
+/// subsets.
+#[test]
+fn checkpoint_without_a_model_precision_is_refused_with_a_retrain_hint() {
+    use setlearn::tasks::{IndexConfig, LearnedSetIndex};
+    let collection = GeneratorConfig::sd(200, 6).generate();
+    let mut cfg = IndexConfig::new(DeepSetsConfig::lsm(collection.num_elements()));
+    cfg.guided = quick_guided();
+    cfg.max_subset_size = 2;
+    let (index, _) = LearnedSetIndex::build(&collection, &cfg);
+    let json = serde_json::to_string(&index).expect("serialize");
+    let moved = json.replacen(",\"precision\":\"F32\"", "", 1);
+    assert_ne!(moved, json, "the model config records its precision");
+    let old = moved.replacen('{', "{\"precision\":\"Q8\",", 1);
+    let path = std::env::temp_dir()
+        .join(format!("setlearn-old-layout-{}.json", std::process::id()));
+    std::fs::write(&path, old).expect("write");
+    let err = setlearn::persist::load_json::<LearnedSetIndex>(&path)
+        .expect_err("an old-layout checkpoint loaded");
+    let _ = std::fs::remove_file(&path);
+    assert!(err.to_string().contains("retrain with `train --precision f32|q8`"), "{err}");
+}
+
 /// Two builds of the same cardinality structure — one model, and two shards —
 /// serialize to the same bytes: the hash-keyed outlier store and delta layer
 /// are written in key order, not in a per-process random iteration order.
