@@ -21,13 +21,11 @@
 use setlearn::hybrid::GuidedConfig;
 use setlearn::kernel::{kernel_isa, FrozenModel, Precision};
 use setlearn::model::{DeepSets, DeepSetsConfig};
-use setlearn::tasks::{CardinalityConfig, LearnedCardinality, Sharded};
+use setlearn::tasks::{CardinalityConfig, LearnedCardinality, LearnedSetStructure, Sharded};
 use setlearn::{ShardBy, ShardSpec, ShardedCollection};
 use setlearn_bench::report::Table;
 use setlearn_data::{ElementSet, GeneratorConfig, SetCollection, SubsetIndex};
-use setlearn_serve::{
-    CardinalityTask, HotSwap, ServeConfig, ServeRuntime, ServeTask, StructureTask,
-};
+use setlearn_serve::{ServeConfig, ServeRuntime, StructureTask};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,14 +35,15 @@ const SHARDS: usize = 4;
 /// Repetitions per cell; the max is reported (capacity, not scheduler luck).
 const REPS: usize = 3;
 
-fn run<T: ServeTask<Request = ElementSet>>(
-    slot: &Arc<HotSwap<T>>,
-    requests: &[ElementSet],
-    threads: usize,
-    max_batch: usize,
-) -> f64 {
-    let runtime = ServeRuntime::start_shared(
-        Arc::clone(slot),
+/// Serves `requests` through a fresh runtime over `structure`, which every
+/// run shares through its `Arc` (one resident model, however many runs).
+fn run<S>(structure: &Arc<S>, requests: &[ElementSet], threads: usize, max_batch: usize) -> f64
+where
+    S: LearnedSetStructure + Send + Sync + 'static,
+    S::Output: Send + 'static,
+{
+    let runtime = ServeRuntime::start(
+        StructureTask::new(Arc::clone(structure)),
         ServeConfig {
             threads,
             max_batch,
@@ -104,9 +103,9 @@ fn precision_smoke(
         let mut cfg = cfg.clone();
         cfg.model.precision = p;
         let (model, _) = LearnedCardinality::build(collection, &cfg);
-        let slot = Arc::new(HotSwap::new(CardinalityTask::new(model)));
-        run(&slot, &requests[..requests.len().min(512)], 1, BATCHED); // warm-up
-        (0..REPS).map(|_| run(&slot, requests, 1, BATCHED)).fold(0.0, f64::max)
+        let model = Arc::new(model);
+        run(&model, &requests[..requests.len().min(512)], 1, BATCHED); // warm-up
+        (0..REPS).map(|_| run(&model, requests, 1, BATCHED)).fold(0.0, f64::max)
     };
     let f32_qps = serve_at(Precision::F32);
     let alt_qps = serve_at(precision);
@@ -153,17 +152,17 @@ fn main() {
     let (estimator, _) = LearnedCardinality::build(&collection, &cfg);
 
     // One resident model shared by every runtime under test.
-    let slot = Arc::new(HotSwap::new(CardinalityTask::new(estimator)));
+    let estimator = Arc::new(estimator);
 
     // Warm-up pass (page in the model, settle allocator state).
-    run(&slot, &requests[..requests.len().min(512)], 2, BATCHED);
+    run(&estimator, &requests[..requests.len().min(512)], 2, BATCHED);
 
     let mut unbatched_1t = 0.0;
     let mut batched_best = 0.0;
     let mut batched_8t = 0.0;
     let mut t = Table::new(vec!["threads", "unbatched QPS", "batched QPS", "batching gain"]);
     let best = |threads: usize, max_batch: usize| {
-        (0..REPS).map(|_| run(&slot, &requests, threads, max_batch)).fold(0.0, f64::max)
+        (0..REPS).map(|_| run(&estimator, &requests, threads, max_batch)).fold(0.0, f64::max)
     };
     for threads in THREADS {
         let unbatched = best(threads, 1);
@@ -212,7 +211,7 @@ fn main() {
     heavy_cfg.model.phi_hidden = vec![256, 256];
     heavy_cfg.model.rho_hidden = vec![256, 256];
     let (heavy, _) = LearnedCardinality::build(&collection, &heavy_cfg);
-    let heavy_slot = Arc::new(HotSwap::new(CardinalityTask::new(heavy)));
+    let heavy = Arc::new(heavy);
 
     let sharded_collection =
         ShardedCollection::partition(&collection, ShardSpec::new(SHARDS, ShardBy::Hash))
@@ -225,13 +224,13 @@ fn main() {
         Ok(LearnedCardinality::build(shard, &shard_cfg))
     })
     .expect("sharded build");
-    let sharded_slot = Arc::new(HotSwap::new(StructureTask::new(sharded_model)));
+    let sharded_model = Arc::new(sharded_model);
 
     let unsharded_4t = (0..REPS)
-        .map(|_| run(&heavy_slot, &requests, 4, BATCHED))
+        .map(|_| run(&heavy, &requests, 4, BATCHED))
         .fold(0.0, f64::max);
     let sharded_4t = (0..REPS)
-        .map(|_| run(&sharded_slot, &requests, 4, BATCHED))
+        .map(|_| run(&sharded_model, &requests, 4, BATCHED))
         .fold(0.0, f64::max);
     println!(
         "\nsharded N={SHARDS} (capacity-proportional shards) vs unsharded, 4 threads, \

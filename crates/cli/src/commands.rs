@@ -1341,7 +1341,7 @@ acknowledged and answered from an exact in-memory delta merged with the
 model, so a kill -9 loses no acknowledged write (restart replays the WAL
 over the checkpoint). `--compact-after N` retrains the served structure
 (same model shape, precision and index target) in the background once N ops
-are pending, checkpoints atomically, and hot-swaps without dropping
+are pending, checkpoints atomically, and swaps it in without dropping
 requests; `train` over the same collection does the same fold offline and
 publishes to the same place, so the next reader serves it.
 
@@ -2074,7 +2074,7 @@ mod tests {
                 &[("task", "cardinality"), ("collection", "live")],
             )
             .expect("swap counter");
-        assert!(swaps >= 1, "the compaction published through the hot-swap slot");
+        assert!(swaps >= 1, "the compaction installed its retrained model");
         let _ = std::fs::remove_dir_all(&root);
     }
 

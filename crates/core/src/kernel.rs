@@ -291,12 +291,51 @@ impl FrozenEncoder {
     }
 }
 
+/// Bytes in one cache line: where frozen dense weights start.
+const CACHE_LINE: usize = 64;
+
+/// A copy of a slice that starts on a [`CACHE_LINE`] boundary: the buffer
+/// over-allocates by one line and the slice begins at its first aligned
+/// element. Frozen dense weights live in one, so their rows meet cache
+/// lines (and 512-bit loads) the same way wherever the allocator put the
+/// block — a large allocation made while a checkpoint's value tree is
+/// still alive lands in an mmap'd chunk at 16 mod 64. A clone re-aligns.
+#[derive(Debug)]
+struct CacheAligned<T> {
+    buf: Vec<T>,
+    start: usize,
+    len: usize,
+}
+
+impl<T: Copy + Default> CacheAligned<T> {
+    fn new(values: &[T]) -> Self {
+        let pad = CACHE_LINE / std::mem::size_of::<T>();
+        let mut buf = vec![T::default(); values.len() + pad];
+        let start = buf.as_ptr().align_offset(CACHE_LINE).min(pad);
+        buf[start..start + values.len()].copy_from_slice(values);
+        CacheAligned { buf, start, len: values.len() }
+    }
+}
+
+impl<T: Copy + Default> Clone for CacheAligned<T> {
+    fn clone(&self) -> Self {
+        CacheAligned::new(self)
+    }
+}
+
+impl<T> std::ops::Deref for CacheAligned<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.buf[self.start..self.start + self.len]
+    }
+}
+
 /// Dense-layer weights frozen at a given precision, `[in x out]` row-major
 /// (one row per *input* feature — the hot loop streams whole rows).
 #[derive(Debug, Clone)]
 enum FrozenWeights {
     /// Full-precision rows.
-    F32(Vec<f32>),
+    F32(CacheAligned<f32>),
     /// Per-column symmetric `i8` codes packed for integer dot products.
     Q8(PackedQ8),
 }
@@ -316,7 +355,7 @@ enum FrozenWeights {
 struct PackedQ8 {
     /// `k4 * out * 4` codes, `[k4][out][4]`; input quads past `in_dim` are
     /// zero so zero-point-padded inputs contribute nothing.
-    pack: Vec<i8>,
+    pack: CacheAligned<i8>,
     /// Per-column dequantization scale `max_k |w[k][j]| / 127`.
     scale: Vec<f32>,
     /// Per-column code sums `Σ_k qw[k][j]`, the zero-point correction term.
@@ -362,7 +401,7 @@ impl PackedQ8 {
                 }
             }
         }
-        PackedQ8 { pack, scale, colsum, k4 }
+        PackedQ8 { pack: CacheAligned::new(&pack), scale, colsum, k4 }
     }
 
     fn size_bytes(&self) -> usize {
@@ -563,7 +602,7 @@ impl FrozenLayer {
         let [w, b] = layer.params();
         let (in_dim, out_dim) = (layer.in_dim(), layer.out_dim());
         let (weights, bias) = match precision {
-            Precision::F32 => (FrozenWeights::F32(w.value.clone()), b.value.clone()),
+            Precision::F32 => (FrozenWeights::F32(CacheAligned::new(&w.value)), b.value.clone()),
             Precision::Q8 => {
                 // Biases stay f32 — they are `out_dim` scalars, and rounding
                 // them buys nothing.
@@ -926,6 +965,49 @@ mod tests {
                     model.predict_batch(&sets),
                     "{compression:?}/{pooling:?}"
                 );
+            }
+        }
+    }
+
+    /// A checkpoint shaped like the wide serving model (embedding 128, 512
+    /// neurons), loaded from JSON while its value tree is alive, freezes
+    /// every dense weight slice on a cache line, at both precisions.
+    #[test]
+    fn frozen_dense_weights_loaded_from_json_start_on_a_cache_line() {
+        use crate::hybrid::GuidedConfig;
+        use crate::persist::{load_json, save_json};
+        use crate::tasks::{CardinalityConfig, LearnedCardinality};
+        let collection = setlearn_data::SetCollection::new(sets(), 500);
+        for precision in Precision::ALL {
+            let model = DeepSetsConfig {
+                embedding_dim: 128,
+                phi_hidden: vec![512],
+                rho_hidden: vec![512],
+                precision,
+                ..DeepSetsConfig::lsm(500)
+            };
+            let guided = GuidedConfig {
+                warmup_epochs: 1,
+                rounds: 0,
+                epochs_per_round: 0,
+                ..Default::default()
+            };
+            let cfg =
+                CardinalityConfig { guided, max_subset_size: 1, ..CardinalityConfig::new(model) };
+            let (est, _) = LearnedCardinality::build(&collection, &cfg);
+            let path = std::env::temp_dir()
+                .join(format!("setlearn-aligned-{precision}-{}.json", std::process::id()));
+            save_json(&est, &path).unwrap();
+            let loaded: LearnedCardinality = load_json(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            let kernel = loaded.kernel();
+            for layer in kernel.phi.iter().chain(&kernel.rho) {
+                let ptr = match &layer.weights {
+                    FrozenWeights::F32(w) => w.as_ptr() as usize,
+                    FrozenWeights::Q8(p) => p.pack.as_ptr() as usize,
+                };
+                let shape = (layer.in_dim, layer.out_dim);
+                assert_eq!(ptr % CACHE_LINE, 0, "{precision} {shape:?} layer at {ptr:#x}");
             }
         }
     }

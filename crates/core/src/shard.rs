@@ -11,8 +11,8 @@
 //! per-shard task models in [`crate::tasks::sharded`] fan a query out to
 //! every shard and fold the answers with the task's [`crate::tasks::Fold`]
 //! (sum for cardinality, first/last global position for the index, OR for
-//! membership). What sharding buys is per-shard
-//! builds, per-shard worker pools, and shard-by-shard rolling hot-swap.
+//! membership). What sharding buys is per-shard builds, each over its own
+//! share of the collection.
 
 use serde::{Deserialize, Serialize};
 use setlearn_data::SetCollection;

@@ -186,6 +186,12 @@ impl LearnedCardinality {
         });
     }
 
+    /// The largest subset size this estimator was trained on, which the
+    /// delta layer also tracks.
+    pub fn max_subset_size(&self) -> usize {
+        self.max_subset_size
+    }
+
     /// Number of pending update deltas; large values suggest retraining.
     pub fn pending_updates(&self) -> usize {
         self.deltas.len()

@@ -350,6 +350,11 @@ impl LearnedSetIndex {
         self.target
     }
 
+    /// The largest subset size this index was trained to find.
+    pub fn max_subset_size(&self) -> usize {
+        self.max_subset_size
+    }
+
     /// Number of entries in the auxiliary tree.
     pub fn aux_len(&self) -> usize {
         self.aux.len()

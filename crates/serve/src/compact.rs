@@ -1,16 +1,17 @@
 //! Background WAL compaction: a daemon thread that watches a
 //! [`MutableCollection`]'s pending delta and, once it crosses a size or age
 //! threshold, retrains on the merged collection, folds the delta into a new
-//! checkpoint, and publishes through the runtime's [`HotSwap`] slot. The
-//! scheduler is interruptible condvar-timed polling behind a stop-on-drop
-//! handle.
+//! checkpoint, and installs the retrained structure with
+//! [`MutableCollection::complete_compaction`] — the one swap: it replaces
+//! structure, base and overlay under one write lock, and every query batch
+//! reads them under one read lock, so the runtime serving the collection
+//! needs no swap of its own. The scheduler is interruptible condvar-timed
+//! polling behind a stop-on-drop handle.
 //!
 //! The daemon holds no lock while retraining: mutations and queries keep
 //! flowing, land above the compaction watermark, and survive the swap in
 //! the overlay (see [`MutableCollection::begin_compaction`]).
 
-use crate::hotswap::HotSwap;
-use crate::task::StructureTask;
 use crate::telemetry::RuntimeTele;
 use setlearn::mutable::MutableCollection;
 use setlearn::tasks::Fold;
@@ -53,12 +54,12 @@ pub struct CompactorHandle {
 }
 
 impl CompactorHandle {
-    /// Number of compactions the daemon has completed and published.
+    /// Number of compactions the daemon has completed and installed.
     pub fn compactions(&self) -> u64 {
         self.compactions.load(Ordering::Relaxed)
     }
 
-    /// Whether a compaction (snapshot → retrain → fold → publish) is in
+    /// Whether a compaction (snapshot → retrain → fold → install) is in
     /// flight right now. The registry's eviction pass checks this: a
     /// collection mid-compaction is never evicted.
     pub fn is_compacting(&self) -> bool {
@@ -86,9 +87,8 @@ impl Drop for CompactorHandle {
     }
 }
 
-/// Spawns the compaction daemon for the collection `name`, publishing each
-/// completed compaction through `slot` (the swap counter it bumps carries a
-/// `collection` label).
+/// Spawns the compaction daemon for the collection `name` (the swap counter
+/// it bumps carries a `collection` label).
 ///
 /// Every `config.poll_interval` the daemon compares
 /// [`MutableCollection::delta_stats`] against the thresholds; when one
@@ -96,13 +96,11 @@ impl Drop for CompactorHandle {
 /// (which must retrain **and durably checkpoint** the new model+collection
 /// — the WAL watermark only advances afterwards, so a crash mid-retrain
 /// replays the full delta against the old checkpoint), folds the delta via
-/// [`MutableCollection::complete_compaction`], and publishes the collection
-/// handle through `slot` so serve workers observe the version bump. A
-/// `None` from `rebuild` (declined or failed) leaves the delta pending and
-/// the old model serving; the next poll retries.
+/// [`MutableCollection::complete_compaction`], whose install the next query
+/// batch reads. A `None` from `rebuild` (declined or failed) leaves the
+/// delta pending and the old model serving; the next poll retries.
 pub fn spawn_compactor_named<S, F>(
     collection: Arc<MutableCollection<S>>,
-    slot: Arc<HotSwap<StructureTask<Arc<MutableCollection<S>>>>>,
     mut rebuild: F,
     config: CompactorConfig,
     name: &str,
@@ -141,11 +139,11 @@ where
                 continue;
             }
             // The in-flight flag pins the collection against registry
-            // eviction from snapshot to publish; a scope guard would be
+            // eviction from snapshot to install; a scope guard would be
             // overkill since every early exit below funnels through one
             // `store(false)`.
             compacting2.store(true, Ordering::SeqCst);
-            let published = (|| {
+            let installed = (|| {
                 let Ok(Some(snapshot)) = collection.begin_compaction() else { return None };
                 if snapshot.merged.is_empty() {
                     // Nothing to train on (every row deleted): leave the
@@ -154,17 +152,14 @@ where
                     return None;
                 }
                 let structure = rebuild(&snapshot.merged)?;
-                if collection.complete_compaction(structure, snapshot).is_err() {
-                    // The watermark did not advance; replay still covers
-                    // the delta, the retrained model is simply dropped.
-                    return None;
-                }
-                Some(slot.publish(StructureTask::new(Arc::clone(&collection))))
+                // On an error the watermark did not advance; replay still
+                // covers the delta, the retrained model is simply dropped.
+                collection.complete_compaction(structure, snapshot).ok()
             })();
             compacting2.store(false, Ordering::SeqCst);
-            let Some(version) = published else { continue };
-            compactions2.fetch_add(1, Ordering::Relaxed);
-            tele.record_swap(version, "compaction");
+            if installed.is_some() {
+                tele.record_swap(compactions2.fetch_add(1, Ordering::Relaxed) + 1);
+            }
         }
     });
     CompactorHandle { stop, compactions, compacting, thread: Some(thread) }
@@ -216,16 +211,14 @@ mod tests {
     }
 
     #[test]
-    fn threshold_crossing_compacts_and_publishes() {
+    fn threshold_crossing_compacts_and_installs() {
         let dir = tmp_dir("threshold");
         let base = Arc::new(SetCollection::new(vec![vec![0, 1], vec![1, 2]], 4));
         let (mc, _) =
             MutableCollection::open(ExactCard(Arc::clone(&base)), base, &dir).unwrap();
         let collection = Arc::new(mc);
-        let slot = Arc::new(HotSwap::new(StructureTask::new(Arc::clone(&collection))));
         let handle = spawn_compactor_named(
             Arc::clone(&collection),
-            Arc::clone(&slot),
             |merged| Some(ExactCard(Arc::new(SetCollection::new(
                 merged.sets().iter().map(|s| s.to_vec()).collect(),
                 merged.num_elements(),
@@ -253,7 +246,6 @@ mod tests {
             collection.delta_stats().pending_ops == 0
         }));
         assert_eq!(collection.delta_stats().base_len, 4, "delta folded into the base");
-        assert!(slot.version() >= 1, "published through the hot-swap slot");
         // Answers survive the fold.
         assert_eq!(collection.query(&[3]).value, 2.0);
         handle.stop();
@@ -267,10 +259,8 @@ mod tests {
         let (mc, _) =
             MutableCollection::open(ExactCard(Arc::clone(&base)), base, &dir).unwrap();
         let collection = Arc::new(mc);
-        let slot = Arc::new(HotSwap::new(StructureTask::new(Arc::clone(&collection))));
         let handle = spawn_compactor_named(
             Arc::clone(&collection),
-            slot,
             |merged| Some(ExactCard(Arc::new(SetCollection::new(
                 merged.sets().iter().map(|s| s.to_vec()).collect(),
                 merged.num_elements(),
@@ -298,10 +288,8 @@ mod tests {
         let (mc, _) =
             MutableCollection::open(ExactCard(Arc::clone(&base)), base, &dir).unwrap();
         let collection = Arc::new(mc);
-        let slot = Arc::new(HotSwap::new(StructureTask::new(Arc::clone(&collection))));
         let handle = spawn_compactor_named(
             Arc::clone(&collection),
-            Arc::clone(&slot),
             |_| None,
             CompactorConfig {
                 poll_interval: Duration::from_millis(5),
@@ -314,7 +302,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(handle.compactions(), 0);
         assert_eq!(collection.delta_stats().pending_ops, 1, "delta stays pending");
-        assert_eq!(slot.version(), 0, "nothing published");
         assert_eq!(collection.query(&[1, 2]).value, 1.0, "overlay still answers");
         handle.stop();
         let _ = std::fs::remove_dir_all(&dir);
@@ -326,11 +313,8 @@ mod tests {
         let base = Arc::new(SetCollection::new(vec![vec![0, 1]], 4));
         let (mc, _) =
             MutableCollection::open(ExactCard(Arc::clone(&base)), base, &dir).unwrap();
-        let collection = Arc::new(mc);
-        let slot = Arc::new(HotSwap::new(StructureTask::new(Arc::clone(&collection))));
         let handle = spawn_compactor_named(
-            collection,
-            slot,
+            Arc::new(mc),
             |_| None,
             CompactorConfig { poll_interval: Duration::from_secs(3600), ..Default::default() },
             "test",

@@ -2,8 +2,9 @@
 //!
 //! Concurrent serving runtime for the learned set structures in
 //! [`setlearn`]: keeps a model resident and shared across threads, amortizes
-//! inference by batching whatever is queued, refreshes models with zero
-//! downtime, and sheds load instead of buffering without bound.
+//! inference by batching whatever is queued, retrains a mutable collection
+//! in the background without pausing its readers, and sheds load instead of
+//! buffering without bound.
 //!
 //! ## Architecture
 //!
@@ -12,20 +13,22 @@
 //!              │            │                  │  take what is queued,
 //!    queue full│            │queue_depth       │  ≤ max_batch, no wait
 //!   Overloaded ▼            ▼gauge             ▼
-//!      (shed, typed)                 HotSwap<T>::refresh ─▶ serve_batch
-//!                                        ▲                     │
-//!   WAL delta ──threshold──▶ compactor (retrain+publish)       ▼
-//!                                                     Ticket::wait (client)
+//!      (shed, typed)                   Arc<T>::serve_batch
+//!                                              │  (a mutable collection
+//!   WAL delta ──threshold──▶ compactor         │   reads its structure +
+//!      retrain ──▶ complete_compaction ────────┤   overlay under one lock)
+//!                                              ▼
+//!                                      Ticket::wait (client)
 //! ```
 //!
 //! * [`queue::BoundedQueue`] — bounded MPMC queue; admission control sheds
 //!   with [`ServeError::Overloaded`] when full (backpressure).
-//! * [`hotswap::HotSwap`] — mutex-guarded writer, atomically published
-//!   `Arc` snapshots for readers; a swap never tears or stalls a batch.
 //! * [`runtime::ServeRuntime`] — the worker pool with natural batching (a
-//!   batch closes when the queue is empty) and graceful drain on shutdown.
+//!   batch closes when the queue is empty) and graceful drain on shutdown;
+//!   every worker borrows the one task the runtime owns.
 //! * [`compact`] — the one background daemon: folds a mutable collection's
-//!   pending WAL delta into a retrained checkpoint and publishes it.
+//!   pending WAL delta into a retrained checkpoint and installs it with
+//!   `MutableCollection::complete_compaction`, the one model swap.
 //! * [`registry`] — [`CollectionRegistry`]: the only place a checkpoint on
 //!   disk becomes a serving backend.
 //! * [`task`] — the [`ServeTask`] trait plus the generic [`StructureTask`]
@@ -33,7 +36,7 @@
 //!   fallbacks included). A sharded collection is one such structure — a
 //!   `setlearn::tasks::Sharded<S>`, whose `query_batch` folds the per-shard
 //!   answers with `S`'s `Fold` — so it is served by the same runtime as any
-//!   other: one queue, one pool, one hot-swap slot.
+//!   other: one queue, one pool, one task.
 //!
 //! Everything is std-only: threads, mutexes, condvars, atomics, channels.
 
@@ -41,7 +44,6 @@
 
 pub mod compact;
 pub mod error;
-pub mod hotswap;
 pub mod net;
 pub mod proto;
 pub mod queue;
@@ -57,7 +59,6 @@ pub use net::{MutableBackend, NetClient, NetConfig, NetError, NetServer, WireBac
 pub use proto::{
     ErrorCode, HealthReport, IngestAck, IngestRequest, ProtoError, StatsFormat, WireOutcome,
 };
-pub use hotswap::{Cached, HotSwap};
 pub use queue::BoundedQueue;
 pub use registry::{
     AdminError, CollectionRegistry, QuotaConfig, RegistryConfig, ResolveError, Resident,
@@ -69,8 +70,7 @@ pub use telemetry::BATCH_BOUNDS;
 
 /// Compile-time assertion that `T` is safe to share across serve workers.
 ///
-/// Every type published through [`HotSwap`] or moved into the worker pool is
-/// pinned down in the `const` block below; introducing an `Rc`, `RefCell`,
+/// Every type shared by the worker pool is pinned down in the `const` block below; introducing an `Rc`, `RefCell`,
 /// or raw pointer into any of them fails the build right here instead of
 /// erupting as a cryptic trait-bound error (or worse, an unsound workaround)
 /// at a distant use site.
@@ -90,7 +90,7 @@ const _: () = {
     assert_send_sync::<setlearn::ServeGuard>();
     assert_send_sync::<setlearn::ShardedCollection>();
     assert_send_sync::<setlearn_data::SetCollection>();
-    // The task adapters published through HotSwap.
+    // The task adapters the workers share.
     assert_send_sync::<CardinalityTask>();
     assert_send_sync::<IndexTask>();
     assert_send_sync::<BloomTask>();
@@ -104,9 +104,6 @@ const _: () = {
         >,
     >();
     // The runtime plumbing shared between submitters and workers.
-    assert_send_sync::<HotSwap<CardinalityTask>>();
-    assert_send_sync::<HotSwap<IndexTask>>();
-    assert_send_sync::<HotSwap<BloomTask>>();
     assert_send_sync::<BoundedQueue<u64>>();
     assert_send_sync::<ServeStats>();
     assert_send_sync::<ServeRuntime<CardinalityTask>>();

@@ -215,7 +215,7 @@ where
     /// resolves to [`ServeError::InvalidQuery`] without being admitted,
     /// and the rest of the batch is answered as if it were alone.
     fn submit_wire(&self, sets: Vec<ElementSet>, ctx: Option<Arc<RequestCtx>>) -> Vec<WireTicket> {
-        let vocab = self.model().load().structure.vocab();
+        let vocab = self.task().structure.vocab();
         let answerable = |set: &ElementSet| {
             vocab.is_none_or(|vocab| set.last().is_some_and(|&last| last < vocab))
         };

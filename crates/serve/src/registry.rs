@@ -33,7 +33,6 @@
 //!   once when the tenant becomes resident
 
 use crate::compact::{spawn_compactor_named, CompactorConfig, CompactorHandle};
-use crate::hotswap::HotSwap;
 use crate::net::{MutableBackend, WireBackend};
 use crate::proto::CollectionInfo;
 use crate::runtime::{ServeConfig, ServeRuntime};
@@ -683,15 +682,21 @@ impl CollectionRegistry {
         let base: Arc<SetCollection> = Arc::new(load_checkpoint(&sets)?);
         let retrain = persist::retrain_files(&entry.dir);
         // Each rebuild retrains the structure it replaces: the served
-        // model's config (dimensions, encoder, serve precision) and (index)
-        // its position target carry over, so a compaction changes the data a
-        // tenant was trained on and nothing else about it.
+        // model's config (dimensions, encoder, serve precision), the subset
+        // cap (cardinality, index) and the index's position target carry
+        // over. The rest of the training recipe is not in the checkpoint and
+        // comes from the `::new` defaults: the guided schedule, the index's
+        // range length, and Bloom's epochs and sample counts.
         match task {
             WireTask::Cardinality => {
                 let est: LearnedCardinality = load_checkpoint(&model)?;
-                let served = est.model().config().clone();
+                let (served, max_subset_size) =
+                    (est.model().config().clone(), est.max_subset_size());
                 self.start_mutable(name, est, base, &wal_dir, move |merged| {
-                    let cfg = CardinalityConfig::new(retrain_config(&served, merged));
+                    let cfg = CardinalityConfig {
+                        max_subset_size,
+                        ..CardinalityConfig::new(retrain_config(&served, merged))
+                    };
                     let (est, _) = LearnedCardinality::build(merged, &cfg);
                     persist_compaction(&retrain, &est, merged)?;
                     Some(est)
@@ -713,11 +718,15 @@ impl CollectionRegistry {
             }
             WireTask::Index => {
                 let index: LearnedSetIndex = load_checkpoint(&model)?;
-                let (served, target) = (index.model().config().clone(), index.target());
+                let served = index.model().config().clone();
+                let (target, max_subset_size) = (index.target(), index.max_subset_size());
                 let structure = IndexStructure { index, collection: Arc::clone(&base) };
                 self.start_mutable(name, structure, base, &wal_dir, move |merged| {
-                    let cfg =
-                        IndexConfig { target, ..IndexConfig::new(retrain_config(&served, merged)) };
+                    let cfg = IndexConfig {
+                        target,
+                        max_subset_size,
+                        ..IndexConfig::new(retrain_config(&served, merged))
+                    };
                     let (index, _) = LearnedSetIndex::build(merged, &cfg);
                     persist_compaction(&retrain, &index, merged)?;
                     Some(IndexStructure { index, collection: Arc::new(merged.clone()) })
@@ -726,9 +735,9 @@ impl CollectionRegistry {
         }
     }
 
-    /// Opens the WAL-backed collection, starts its runtime over a shared
-    /// hot-swap slot, and (when configured) the compaction daemon that
-    /// publishes into that slot.
+    /// Opens the WAL-backed collection, starts its runtime, and (when
+    /// configured) the compaction daemon, which installs each retrained
+    /// structure in the collection the runtime serves.
     fn start_mutable<S>(
         &self,
         name: &str,
@@ -746,16 +755,14 @@ impl CollectionRegistry {
             MutableCollection::open(structure, base, wal_dir).map_err(|e| e.to_string())?;
         record_precision(name, &collection);
         let collection = Arc::new(collection);
-        let slot = Arc::new(HotSwap::new(StructureTask::new(Arc::clone(&collection))));
-        let runtime = Arc::new(ServeRuntime::start_shared_named(
-            Arc::clone(&slot),
+        let runtime = Arc::new(ServeRuntime::start_named(
+            StructureTask::new(Arc::clone(&collection)),
             self.config.serve.clone(),
             name,
         ));
         let compactor = (self.config.compact_after > 0).then(|| {
             spawn_compactor_named(
                 Arc::clone(&collection),
-                slot,
                 rebuild,
                 CompactorConfig {
                     max_delta_ops: self.config.compact_after,
@@ -1348,7 +1355,7 @@ mod tests {
             let registry = CollectionRegistry::new(config);
             for name in tenants {
                 let resident = registry.resolve(Some(name)).unwrap();
-                // The compactor counts its publish after it lands.
+                // The compactor counts its swap after it lands.
                 let swaps = setlearn_obs::metrics().counter_with(
                     "setlearn_serve_swaps_total",
                     &[("task", resident.task().label()), ("collection", name)],
@@ -1371,6 +1378,7 @@ mod tests {
             let est: LearnedCardinality = load_json(&wal("card").join("model.json")).unwrap();
             assert!(same_shape(est.model()), "round {round}: cardinality dims drifted");
             assert_eq!(est.kernel().precision(), Precision::Q8, "round {round}");
+            assert_eq!(est.max_subset_size(), 2, "round {round}: cardinality subset cap");
             for value in answers(&registry.resolve(Some("card")).unwrap(), merged.sets())
             {
                 assert!(
@@ -1383,6 +1391,7 @@ mod tests {
             assert!(same_shape(index.model()), "round {round}: index dims drifted");
             assert_eq!(index.kernel().precision(), Precision::Q8, "round {round}");
             assert_eq!(index.target(), PositionTarget::Last, "round {round}");
+            assert_eq!(index.max_subset_size(), 2, "round {round}: index subset cap");
             let pairs: Vec<ElementSet> =
                 merged.sets().iter().map(|s| s[..2].to_vec().into_boxed_slice()).collect();
             let got = answers(&registry.resolve(Some("index")).unwrap(), &pairs);

@@ -26,7 +26,6 @@
 //! already admitted, then joins them — admitted requests are never dropped.
 
 use crate::error::ServeError;
-use crate::hotswap::HotSwap;
 use crate::queue::{BoundedQueue, PushError};
 use crate::request::RequestCtx;
 use crate::task::ServeTask;
@@ -215,14 +214,14 @@ pub struct ServeReport {
     pub batches: u64,
     /// Batches that panicked (caught).
     pub panicked_batches: u64,
-    /// Model hot-swaps observed over the runtime's life.
-    pub swaps: u64,
 }
 
-/// A concurrent serving runtime over one hot-swappable [`ServeTask`].
+/// A concurrent serving runtime over one [`ServeTask`], which every worker
+/// borrows. A task that changes under load (a mutable collection's
+/// compaction) installs the change itself, behind its own lock.
 pub struct ServeRuntime<T: ServeTask> {
     queue: Arc<BoundedQueue<Envelope<T>>>,
-    model: Arc<HotSwap<T>>,
+    task: Arc<T>,
     stats: Arc<ServeStats>,
     tele: Arc<RuntimeTele>,
     workers: Vec<JoinHandle<()>>,
@@ -234,42 +233,20 @@ impl<T: ServeTask> ServeRuntime<T> {
     /// # Panics
     /// If the configuration is degenerate (see [`ServeConfig::validate`]).
     pub fn start(task: T, config: ServeConfig) -> Self {
-        Self::start_shared(Arc::new(HotSwap::new(task)), config)
-    }
-
-    /// Starts a runtime over an externally-owned [`HotSwap`] slot, so a
-    /// background writer (the compaction daemon, test writer threads) can
-    /// publish new models while the runtime serves.
-    pub fn start_shared(model: Arc<HotSwap<T>>, config: ServeConfig) -> Self {
-        Self::start_labeled(model, config, None)
+        Self::start_labeled(task, config, None)
     }
 
     /// [`ServeRuntime::start`] for one named collection in a registry:
     /// every metric this runtime records carries a `collection` label
     /// alongside the task label.
     pub fn start_named(task: T, config: ServeConfig, collection: &str) -> Self {
-        Self::start_labeled(Arc::new(HotSwap::new(task)), config, Some(collection))
+        Self::start_labeled(task, config, Some(collection))
     }
 
-    /// [`ServeRuntime::start_shared`] over an external slot for one named
-    /// collection (the registry's mutable-serving path, where the compactor
-    /// publishes into the slot).
-    pub fn start_shared_named(
-        model: Arc<HotSwap<T>>,
-        config: ServeConfig,
-        collection: &str,
-    ) -> Self {
-        Self::start_labeled(model, config, Some(collection))
-    }
-
-    /// The constructor behind every `start*`: every metric the runtime
+    /// The constructor behind both `start*`: every metric the runtime
     /// records carries the task label plus `collection` (one registry
     /// tenant) when given.
-    fn start_labeled(
-        model: Arc<HotSwap<T>>,
-        config: ServeConfig,
-        collection: Option<&str>,
-    ) -> Self {
+    fn start_labeled(task: T, config: ServeConfig, collection: Option<&str>) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid serve config: {e}");
         }
@@ -279,17 +256,18 @@ impl<T: ServeTask> ServeRuntime<T> {
             Some(c) => RuntimeTele::named(T::NAME, c),
             None => RuntimeTele::new(T::NAME),
         });
+        let task = Arc::new(task);
         let max_batch = config.max_batch;
         let workers = (0..config.threads)
             .map(|_| {
                 let queue = Arc::clone(&queue);
-                let model = Arc::clone(&model);
+                let task = Arc::clone(&task);
                 let stats = Arc::clone(&stats);
                 let tele = Arc::clone(&tele);
-                std::thread::spawn(move || worker_loop(queue, model, stats, tele, max_batch))
+                std::thread::spawn(move || worker_loop(queue, task, stats, tele, max_batch))
             })
             .collect();
-        ServeRuntime { queue, model, stats, tele, workers }
+        ServeRuntime { queue, task, stats, tele, workers }
     }
 
     /// Admits a request, returning a [`Ticket`] to redeem for the answer.
@@ -375,17 +353,9 @@ impl<T: ServeTask> ServeRuntime<T> {
         self.submit(request)?.wait()
     }
 
-    /// Publishes a new task version; in-flight batches finish on the old
-    /// snapshot, subsequent batches serve the new one. Returns the version.
-    pub fn swap(&self, task: T) -> u64 {
-        let version = self.model.publish(task);
-        self.tele.record_swap(version, "manual");
-        version
-    }
-
-    /// The hot-swap slot (share it with a background writer).
-    pub fn model(&self) -> &Arc<HotSwap<T>> {
-        &self.model
+    /// The served task.
+    pub(crate) fn task(&self) -> &T {
+        &self.task
     }
 
     /// Live runtime counters.
@@ -418,7 +388,6 @@ impl<T: ServeTask> ServeRuntime<T> {
             shed: self.stats.shed(),
             batches: self.stats.batches(),
             panicked_batches: self.stats.panicked_batches(),
-            swaps: self.model.swap_count(),
         }
     }
 }
@@ -434,15 +403,14 @@ impl<T: ServeTask> Drop for ServeRuntime<T> {
     }
 }
 
-/// One worker: collect a batch, refresh the model snapshot, serve, respond.
+/// One worker: collect a batch, serve, respond.
 fn worker_loop<T: ServeTask>(
     queue: Arc<BoundedQueue<Envelope<T>>>,
-    model: Arc<HotSwap<T>>,
+    task: Arc<T>,
     stats: Arc<ServeStats>,
     tele: Arc<RuntimeTele>,
     max_batch: usize,
 ) {
-    let mut cached = model.cache();
     // Head of the next batch: wait indefinitely, exit once closed and drained.
     while let Some(head) = queue.pop_blocking() {
         let head_at = Instant::now();
@@ -471,16 +439,11 @@ fn worker_loop<T: ServeTask>(
             }
         }
 
-        // Refresh the snapshot once per batch: one atomic load when no swap
-        // happened, one mutex-guarded Arc clone when one did.
-        let snapshot = Arc::clone(model.refresh(&mut cached));
-        let version = cached.version();
         let started = Instant::now();
         // A panicking task fails its batch but never kills the worker: the
         // queue keeps draining and other batches are unaffected.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            snapshot.serve_batch(&requests)
-        }));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.serve_batch(&requests)));
         let duration = started.elapsed();
 
         for ctx in ctxs.iter().flatten() {
@@ -491,7 +454,7 @@ fn worker_loop<T: ServeTask>(
         match outcome {
             Ok(responses) if responses.len() == requests.len() => {
                 stats.completed.fetch_add(responses.len() as u64, Ordering::Relaxed);
-                tele.record_batch(responses.len(), queue.len(), &waits, batch_wait, duration, version);
+                tele.record_batch(responses.len(), queue.len(), &waits, batch_wait, duration);
                 tele.record_degraded(responses.iter().map(T::degradation));
                 for (responder, response) in responders.into_iter().zip(responses) {
                     // A caller that dropped its ticket is not an error.
@@ -672,26 +635,6 @@ mod tests {
         let report = runtime.shutdown();
         assert_eq!(report.panicked_batches, 1);
         assert_eq!(report.completed, 1);
-    }
-
-    #[test]
-    fn swap_changes_subsequent_answers() {
-        struct Plus(u64);
-        impl ServeTask for Plus {
-            type Request = u64;
-            type Response = u64;
-            const NAME: &'static str = "test_plus";
-            fn serve_batch(&self, requests: &[u64]) -> Vec<u64> {
-                requests.iter().map(|r| r + self.0).collect()
-            }
-        }
-        let runtime = ServeRuntime::start(Plus(1), quick_config());
-        assert_eq!(runtime.call(10).unwrap(), 11);
-        let version = runtime.swap(Plus(100));
-        assert_eq!(version, 1);
-        assert_eq!(runtime.call(10).unwrap(), 110);
-        let report = runtime.shutdown();
-        assert_eq!(report.swaps, 1);
     }
 
     #[test]

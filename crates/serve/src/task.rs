@@ -1,7 +1,7 @@
 //! The [`ServeTask`] abstraction and the generic adapter over
 //! [`LearnedSetStructure`].
 //!
-//! A task is the unit the runtime hot-swaps and batches over: it consumes a
+//! A task is the unit the runtime batches over: it consumes a
 //! slice of requests and answers all of them in one call, so the model's
 //! batched forward pass (one embedding gather + matmul for the whole batch)
 //! amortizes per-query overhead.
@@ -47,7 +47,7 @@ pub trait ServeTask: Send + Sync + 'static {
 /// The one serve adapter: any [`LearnedSetStructure`] becomes a
 /// [`ServeTask`] answering canonical query sets with [`QueryOutcome`]s.
 /// Serve guards, outlier stores, and backup filters all ride inside the
-/// structure, so a hot-swapped model gone bad degrades instead of serving
+/// structure, so a retrained model gone bad degrades instead of serving
 /// garbage — and the outcome's `fallback` flag says so.
 #[derive(Debug, Clone)]
 pub struct StructureTask<S> {
@@ -84,7 +84,7 @@ where
 pub type CardinalityTask = StructureTask<LearnedCardinality>;
 
 /// Set-index position lookup. [`IndexStructure`] carries the collection in
-/// an `Arc`, so hot-swapping the index does not copy the data.
+/// an `Arc`, so replacing the index does not copy the data.
 pub type IndexTask = StructureTask<IndexStructure>;
 
 /// Approximate membership.

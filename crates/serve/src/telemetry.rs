@@ -20,7 +20,8 @@
 //!   was exhausted without a hit (counter)
 //! - `setlearn_serve_shed_total` — requests refused at admission (counter)
 //! - `setlearn_serve_batches_total` — batches executed (counter)
-//! - `setlearn_serve_swaps_total` — model hot-swaps published (counter)
+//! - `setlearn_serve_swaps_total` — retrained models a compaction
+//!   installed (counter)
 //!
 //! The fallback and bound-miss counters are read off the answers the worker
 //! returns, so each answer counts once however many shards or overlay parts
@@ -29,7 +30,7 @@
 //! set once when the tenant becomes resident ([`record_precision`]).
 //!
 //! At [`setlearn_obs::TelemetryLevel::Full`] every executed batch records a
-//! `serve_batch` span (fields: `task`, `batch`, `version`); every hot-swap
+//! `serve_batch` span (fields: `task`, `batch`); every compaction swap
 //! records a `model_swap` event and every fallback a `serve_fallback` event
 //! (fields: `task`, `reason`, plus `collection`) at the default `Metrics`
 //! level (both are rare and operationally interesting).
@@ -140,7 +141,6 @@ impl RuntimeTele {
         waits: &[Duration],
         batch_wait: Duration,
         duration: Duration,
-        version: u64,
     ) {
         if !setlearn_obs::metrics_on() {
             return;
@@ -166,7 +166,6 @@ impl RuntimeTele {
                 vec![
                     Field::text("task", self.task),
                     Field::num("batch", batch as f64),
-                    Field::num("version", version as f64),
                 ],
             );
         }
@@ -201,8 +200,9 @@ impl RuntimeTele {
         }
     }
 
-    /// Records one model hot-swap (rare: event at the default level).
-    pub(crate) fn record_swap(&self, version: u64, reason: &str) {
+    /// Records compaction number `version` installing its retrained model
+    /// (rare: event at the default level).
+    pub(crate) fn record_swap(&self, version: u64) {
         if !setlearn_obs::metrics_on() {
             return;
         }
@@ -212,7 +212,7 @@ impl RuntimeTele {
             vec![
                 Field::text("task", self.task),
                 Field::num("version", version as f64),
-                Field::text("reason", reason),
+                Field::text("reason", "compaction"),
             ],
         );
     }

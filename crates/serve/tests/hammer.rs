@@ -1,207 +1,154 @@
-//! Concurrent-correctness hammer tests: writer swaps racing reader threads,
-//! and overload behavior under sustained pressure.
+//! Concurrent-correctness hammer tests: compactions installing retrained
+//! models while reader threads query, and overload behavior under sustained
+//! pressure.
 
-use setlearn_serve::{
-    HotSwap, ServeConfig, ServeError, ServeRuntime, ServeTask,
-};
+use setlearn::mutable::{MutableCollection, OverlayAnswer};
+use setlearn::tasks::{Fold, LearnedSetStructure, QueryOutcome};
+use setlearn_data::SetCollection;
+use setlearn_serve::{ServeConfig, ServeError, ServeRuntime, ServeTask, StructureTask};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A snapshot whose payload is derived from its version: any torn or
-/// half-published read shows up as a checksum mismatch.
-struct VersionedModel {
-    version: u64,
-    payload: Vec<u64>,
-    checksum: u64,
-}
+/// Exact-count cardinality "model": retraining is re-freezing the merged
+/// collection, so every answer names the state it was read from.
+struct ExactCard(Arc<SetCollection>);
 
-fn checksum(payload: &[u64]) -> u64 {
-    payload.iter().fold(0xcbf2_9ce4_8422_2325u64, |acc, &v| {
-        (acc ^ v).wrapping_mul(0x1000_0000_01b3)
-    })
-}
-
-impl VersionedModel {
-    fn new(version: u64) -> Self {
-        // A non-trivial payload so a torn publish would have many chances to
-        // expose a mixed state.
-        let payload: Vec<u64> = (0..1024).map(|i| version.wrapping_mul(1_000_003) + i).collect();
-        let checksum = checksum(&payload);
-        VersionedModel { version, payload, checksum }
-    }
-
-    fn verify(&self) {
-        assert_eq!(
-            checksum(&self.payload),
-            self.checksum,
-            "torn snapshot at version {}",
-            self.version
-        );
-        assert_eq!(self.payload[0], self.version.wrapping_mul(1_000_003));
+impl LearnedSetStructure for ExactCard {
+    type Output = f64;
+    const NAME: &'static str = "cardinality";
+    fn query_batch<Q: AsRef<[u32]>>(&self, queries: &[Q]) -> Vec<QueryOutcome<f64>> {
+        let count = |q: &Q| QueryOutcome::clean(self.0.cardinality(q.as_ref()) as f64);
+        queries.iter().map(count).collect()
     }
 }
 
-impl ServeTask for VersionedModel {
-    type Request = u64;
-    type Response = (u64, u64);
-    const NAME: &'static str = "hammer_versioned";
-
-    fn serve_batch(&self, requests: &[u64]) -> Vec<(u64, u64)> {
-        // Recompute the checksum on every batch: a torn snapshot fails here,
-        // inside the worker, as well as at the caller.
-        self.verify();
-        // The oracle function is version-independent; the version tag rides
-        // along so callers can check swap visibility.
-        requests.iter().map(|&r| (oracle(r), self.version)).collect()
+impl Fold for ExactCard {
+    fn fold(&self, acc: QueryOutcome<f64>, part: QueryOutcome<f64>) -> QueryOutcome<f64> {
+        acc.map(|v| (v + part.value).max(0.0))
+    }
+    fn overlay(&self, d: &OverlayAnswer) -> QueryOutcome<f64> {
+        QueryOutcome::clean(d.cardinality_delta as f64)
     }
 }
 
-/// Version-independent request function — the sequential oracle.
-fn oracle(r: u64) -> u64 {
-    r.wrapping_mul(2654435761).rotate_left(17) ^ 0xdead_beef
-}
-
-/// N writer swaps race M direct readers on the HotSwap slot itself: every
-/// observed snapshot must be fully consistent and versions must never move
-/// backwards for any single reader.
+/// The one model swap, hammered: readers query a collection served by a
+/// 2-worker runtime while a writer, for ≥100 rounds, inserts a set X,
+/// compacts it into a retrained base, deletes X and compacts again. Every
+/// state the collection passes through counts X zero or one times, so each
+/// answer must be one of the two exact counts; an install that paired the
+/// new structure with the old overlay (or the reverse) would count X twice
+/// or minus once. No request is lost and none panics.
 #[test]
-fn hotswap_hammer_direct_readers() {
-    const SWAPS: u64 = 150;
-    const READERS: usize = 4;
+fn compaction_swaps_race_readers_and_every_answer_is_a_real_state() {
+    const ROUNDS: usize = 120;
+    const READERS: usize = 3;
 
-    let swap = Arc::new(HotSwap::new(VersionedModel::new(0)));
-    let stop = Arc::new(AtomicBool::new(false));
+    let dir =
+        std::env::temp_dir().join(format!("setlearn-hammer-compaction-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let x: Vec<u32> = vec![1, 2, 3];
+    // X sits in the base too, so each of its subsets counts ≥ 1 and an
+    // answer one below the "without" state is still a visible count.
+    let raw = vec![vec![0, 1], vec![1, 2, 3], vec![2, 3, 4], vec![1, 3], vec![0, 4, 5]];
+    let base = Arc::new(SetCollection::new(raw.clone(), 6));
+    let with_x = SetCollection::new(raw.into_iter().chain([x.clone()]).collect(), 6);
+    // Every nonempty subset of X, plus a query X's elements miss.
+    let queries: Vec<Vec<u32>> =
+        vec![vec![1], vec![2], vec![3], vec![1, 2], vec![1, 3], vec![2, 3], x.clone(), vec![4, 5]];
+    let allowed: Vec<[f64; 2]> = queries
+        .iter()
+        .map(|q| [base.cardinality(q) as f64, with_x.cardinality(q) as f64])
+        .collect();
 
-    std::thread::scope(|s| {
-        let mut readers = Vec::new();
-        for _ in 0..READERS {
-            let swap = Arc::clone(&swap);
-            let stop = Arc::clone(&stop);
-            readers.push(s.spawn(move || {
-                let mut cached = swap.cache();
-                let mut last_version = 0u64;
-                let mut observed = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let snapshot = swap.refresh(&mut cached);
-                    snapshot.verify();
-                    assert!(
-                        snapshot.version >= last_version,
-                        "version went backwards: {} -> {}",
-                        last_version,
-                        snapshot.version
-                    );
-                    last_version = snapshot.version;
-                    observed += 1;
+    let (collection, _) =
+        MutableCollection::open(ExactCard(Arc::clone(&base)), base, &dir).unwrap();
+    let collection = Arc::new(collection);
+    let runtime = ServeRuntime::start(
+        StructureTask::new(Arc::clone(&collection)),
+        ServeConfig { threads: 2, max_batch: 16, queue_capacity: 4096, ..ServeConfig::default() },
+    );
+    let done = AtomicBool::new(false);
+    let answered = AtomicU64::new(0);
+    let insert = || {
+        collection.insert(&x).unwrap();
+    };
+    let delete = || {
+        collection.delete(&x).unwrap();
+    };
+    let compact = || {
+        let snapshot = collection.begin_compaction().unwrap().expect("a pending delta");
+        let rebuilt = ExactCard(Arc::new(snapshot.merged.clone()));
+        collection.complete_compaction(rebuilt, snapshot).unwrap();
+    };
+
+    let seen = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut seen = [false; 2];
+                    while !done.load(Ordering::Relaxed) {
+                        for (q, allowed) in queries.iter().zip(&allowed) {
+                            let answer = loop {
+                                match runtime.call(q.clone().into_boxed_slice()) {
+                                    Ok(answer) => break answer,
+                                    Err(ServeError::Overloaded) => std::thread::yield_now(),
+                                    Err(e) => panic!("query {q:?}: {e}"),
+                                }
+                            };
+                            let state = allowed.iter().position(|&v| v == answer.value);
+                            let Some(state) = state else {
+                                panic!(
+                                    "query {q:?} answered {} — neither without X ({}) nor with \
+                                     X ({}): a torn install",
+                                    answer.value, allowed[0], allowed[1]
+                                )
+                            };
+                            if allowed[0] != allowed[1] {
+                                seen[state] = true;
+                            }
+                            answered.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    seen
+                })
+            })
+            .collect();
+
+        // Every state the writer leaves is read before the next replaces
+        // it; a reader that stopped (it panicked) ends the rounds early.
+        let settle = || {
+            let from = answered.load(Ordering::Relaxed);
+            while answered.load(Ordering::Relaxed) < from + (READERS * queries.len()) as u64 {
+                if readers.iter().any(|r| r.is_finished()) {
+                    return false;
                 }
-                observed
-            }));
-        }
-
-        // Writer: publish SWAPS fully-built models as fast as possible.
-        for v in 1..=SWAPS {
-            swap.publish(VersionedModel::new(v));
-            if v % 16 == 0 {
-                // Brief yield so readers interleave on small machines.
                 std::thread::yield_now();
             }
-        }
-        stop.store(true, Ordering::Relaxed);
-
-        for reader in readers {
-            let observed = reader.join().expect("reader panicked (torn snapshot?)");
-            assert!(observed > 0, "reader never observed a snapshot");
-        }
-    });
-    assert_eq!(swap.swap_count(), SWAPS);
-    assert_eq!(swap.load().version, SWAPS);
-}
-
-/// ≥100 swaps race a live runtime under concurrent request load: no request
-/// is lost or torn, every answer matches the sequential oracle, and the
-/// version tags are drawn from published versions only.
-#[test]
-fn runtime_hammer_swaps_under_load() {
-    const SWAPS: u64 = 120;
-    const SUBMITTERS: usize = 3;
-    const REQUESTS_PER_SUBMITTER: u64 = 400;
-
-    let runtime = Arc::new(ServeRuntime::start(
-        VersionedModel::new(0),
-        ServeConfig {
-            threads: 2,
-            max_batch: 16,
-            queue_capacity: 4096,
-            ..ServeConfig::default()
-        },
-    ));
-    let answered = Arc::new(AtomicU64::new(0));
-
-    std::thread::scope(|s| {
-        let mut submitters = Vec::new();
-        for t in 0..SUBMITTERS as u64 {
-            let runtime = Arc::clone(&runtime);
-            let answered = Arc::clone(&answered);
-            submitters.push(s.spawn(move || {
-                let mut max_seen_version = 0u64;
-                for i in 0..REQUESTS_PER_SUBMITTER {
-                    let request = t * REQUESTS_PER_SUBMITTER + i;
-                    // The queue is sized generously, but a 1-core scheduler
-                    // can still starve workers: retry sheds, they are the
-                    // documented client contract.
-                    let answer = loop {
-                        match runtime.call(request) {
-                            Ok(answer) => break answer,
-                            Err(ServeError::Overloaded) => std::thread::yield_now(),
-                            Err(e) => panic!("unexpected serve error: {e}"),
-                        }
-                    };
-                    let (value, version) = answer;
-                    assert_eq!(value, oracle(request), "answer diverged from the oracle");
-                    // Versions are not monotone per submitter (two workers
-                    // can momentarily serve different snapshots); they must
-                    // only ever come from actually-published models —
-                    // per-reader monotonicity is the direct-reader hammer's
-                    // job.
-                    assert!(version <= SWAPS, "answer from a never-published version");
-                    max_seen_version = max_seen_version.max(version);
-                    answered.fetch_add(1, Ordering::Relaxed);
-                }
-                max_seen_version
-            }));
-        }
-
-        // Writer thread: publish swaps while requests are in flight.
-        let writer = {
-            let runtime = Arc::clone(&runtime);
-            let answered = Arc::clone(&answered);
-            s.spawn(move || {
-                for v in 1..=SWAPS {
-                    runtime.swap(VersionedModel::new(v));
-                    // Pace swaps against progress so they overlap the load.
-                    while answered.load(Ordering::Relaxed)
-                        < v * (SUBMITTERS as u64 * REQUESTS_PER_SUBMITTER) / (SWAPS + 1)
-                    {
-                        std::thread::yield_now();
-                    }
-                }
-            })
+            true
         };
-
-        for submitter in submitters {
-            submitter.join().expect("submitter panicked");
+        'rounds: for _ in 0..ROUNDS {
+            for step in [&insert as &dyn Fn(), &compact, &delete, &compact] {
+                step();
+                if !settle() {
+                    break 'rounds;
+                }
+            }
         }
-        writer.join().expect("writer panicked");
+        done.store(true, Ordering::Relaxed);
+        readers.into_iter().map(|r| r.join().expect("reader panicked")).collect::<Vec<_>>()
     });
 
-    let total = SUBMITTERS as u64 * REQUESTS_PER_SUBMITTER;
-    assert_eq!(answered.load(Ordering::Relaxed), total, "requests lost");
-    let runtime = Arc::try_unwrap(runtime).unwrap_or_else(|_| panic!("runtime still shared"));
+    assert!(
+        seen.iter().any(|s| s[0]) && seen.iter().any(|s| s[1]),
+        "the readers never saw both states: {seen:?}"
+    );
+    assert_eq!(collection.base().len(), 5, "X was compacted out again");
     let report = runtime.shutdown();
-    assert_eq!(report.swaps, SWAPS);
     assert_eq!(report.completed, report.submitted, "admitted ≠ answered");
-    assert!(report.completed >= total, "every oracle-checked request was admitted");
-    assert_eq!(report.panicked_batches, 0, "no torn snapshot reached serve_batch");
+    assert_eq!(report.completed, answered.load(Ordering::Relaxed), "requests lost");
+    assert_eq!(report.panicked_batches, 0, "a batch panicked mid-install");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A deliberately slow task so the queue backs up.

@@ -118,45 +118,3 @@ fn bloom_through_the_runtime_matches_direct_serving() {
     assert_eq!(report.completed, qs.len() as u64);
     assert!(report.batches > 0);
 }
-
-/// Hot-swapping a retrained cardinality model mid-stream: answers always
-/// come from exactly one of the two published estimators, never a blend.
-#[test]
-fn cardinality_hot_swap_never_blends_models() {
-    let collection = small_collection();
-    let mut cfg = CardinalityConfig::new(DeepSetsConfig::lsm(collection.num_elements()));
-    cfg.guided = quick_guided();
-    cfg.max_subset_size = 2;
-    let (first, _) = LearnedCardinality::build(&collection, &cfg);
-    cfg.guided.seed = 99; // a genuinely different model
-    cfg.guided.warmup_epochs = 5;
-    let (second, _) = LearnedCardinality::build(&collection, &cfg);
-
-    let qs = queries(&collection, 60);
-    let from_first: Vec<f64> = first.query_batch(&qs).into_iter().map(|o| o.value).collect();
-    let from_second: Vec<f64> =
-        second.query_batch(&qs).into_iter().map(|o| o.value).collect();
-
-    let runtime = ServeRuntime::start(
-        CardinalityTask::new(first),
-        ServeConfig { threads: 2, max_batch: 4, ..serve_config() },
-    );
-    // Interleave submissions with the swap.
-    let before: Vec<_> = qs.iter().take(30).map(|q| runtime.submit(q.clone()).unwrap()).collect();
-    runtime.swap(CardinalityTask::new(second));
-    let after: Vec<_> =
-        qs.iter().skip(30).map(|q| runtime.submit(q.clone()).unwrap()).collect();
-
-    for (i, ticket) in before.into_iter().chain(after).enumerate() {
-        let got = ticket.wait().unwrap().value;
-        assert!(
-            got == from_first[i] || got == from_second[i],
-            "query {i}: answer {got} matches neither model ({} / {})",
-            from_first[i],
-            from_second[i]
-        );
-    }
-    let report = runtime.shutdown();
-    assert_eq!(report.swaps, 1);
-    assert_eq!(report.completed, 60);
-}
