@@ -57,8 +57,8 @@ pub fn run_dataset(dataset: Dataset, n_pos: usize, n_neg: usize) -> BloomDataset
             std::hint::black_box(filter.contains(s));
         });
         latency.push((variant.name().into(), ms));
-        seconds_per_epoch
-            .push((variant.name().into(), secs / report.loss_history.len().max(1) as f64));
+        let epochs = report.train.loss_history.len().max(1);
+        seconds_per_epoch.push((variant.name().into(), secs / epochs as f64));
     }
 
     let bloom = FP_RATES

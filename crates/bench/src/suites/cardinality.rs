@@ -70,7 +70,7 @@ pub fn run_dataset(dataset: Dataset, num_queries: usize) -> CardinalityDatasetRe
             let cfg = cardinality_config(vocab, variant, percentile);
             let ((est, report), secs) =
                 timed(|| LearnedCardinality::build_from_subsets(&subsets, &cfg));
-            let epochs = report.loss_history.len().max(1);
+            let epochs = report.train.loss_history.len().max(1);
             let pairs: Vec<(f64, f64)> =
                 eval.iter().map(|(s, c)| (est.estimate(s), *c as f64)).collect();
             let buckets = q_error_by_result_size(&pairs);

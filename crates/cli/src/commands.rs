@@ -4,13 +4,14 @@ use crate::args::{ArgError, Args};
 use crate::telemetry;
 use setlearn::persist;
 use setlearn::prelude::{
-    BloomConfig, CardinalityConfig, DeepSetsConfig, DriftMonitor, FallbackReason, GuidedConfig,
-    IndexConfig, LearnedBloom, LearnedCardinality, LearnedSetIndex, MonitorConfig, Precision,
+    BloomConfig, CardinalityConfig, DeepSetsConfig, FallbackReason, GuidedConfig, IndexConfig,
+    LearnedBloom, LearnedCardinality, LearnedSetIndex, Precision,
     QueryRequest, QueryResponse, QueryValue, ShardBy, ShardSpec, Sharded, ShardedCollection,
     Wal, WalOp, WireTask,
 };
 use setlearn_data::{ElementSet, GeneratorConfig, SetCollection, SubsetIndex};
 use setlearn_engine::{Engine, QueryOutput, SetTable};
+use setlearn_nn::q_error;
 use setlearn_obs::RegistrySnapshot;
 use setlearn_serve::{
     CollectionRegistry, ErrorCode, NetClient, NetConfig, NetServer, QuotaConfig, RegistryConfig,
@@ -523,35 +524,36 @@ fn replay_sample(
 }
 
 /// The replay mode of `query`: answers [`replay_sample`] of the tenant's
-/// current sets through `resident` and prints the task's summary, with a
-/// [`DriftMonitor`] watching accuracy and fallbacks.
+/// current sets through `resident` and prints the task's summary. The
+/// sample's true counts are the checkpoint's, and the answers fold the WAL
+/// overlay in, so a cardinality tenant with writes pending is not scored.
 fn query_replay(args: &Args, tenant: &TenantPaths, resident: &Resident) -> Result<(), CliError> {
     let limit = args.get_or("limit", 500usize)?;
     let max_subset = args.get_or("max-subset", 2usize)?;
     let (queries, counts) = replay_sample(&tenant.current_sets()?, max_subset, limit);
-    let mut monitor = DriftMonitor::try_new(1.0, MonitorConfig::default())?;
     let (mut hits, mut bound_misses, mut fallbacks) = (0usize, 0usize, 0usize);
+    let mut q_error_sum = 0.0;
     let backend = resident.backend().as_ref();
     let outcomes = queries.chunks(REPLAY_FRAME).flat_map(|frame| answer(backend, frame.to_vec()));
     for (outcome, count) in outcomes.zip(&counts) {
         let response = outcome.map_err(|code| format!("query failed: {code}"))?;
-        if response.fallback.is_some() {
-            monitor.record_fallback();
-            fallbacks += 1;
-        }
+        fallbacks += usize::from(response.fallback.is_some());
         bound_misses += usize::from(response.bound_miss);
         match response.value {
-            QueryValue::Cardinality(v) => monitor.observe(v, *count),
+            QueryValue::Cardinality(v) => q_error_sum += q_error(v, *count, 1.0),
             QueryValue::Position(p) => hits += usize::from(p.is_some()),
             QueryValue::Membership(m) => hits += usize::from(m),
         }
     }
     let served = queries.len();
     match resident.task() {
-        WireTask::Cardinality => println!(
-            "served {served} cardinality queries: rolling q-error {:.3}, {fallbacks} guard fallbacks",
-            monitor.rolling_q_error(),
-        ),
+        WireTask::Cardinality => {
+            let score = match resident.pending_ingest() {
+                0 => format!("mean q-error {:.3}", q_error_sum / served.max(1) as f64),
+                n => format!("q-error not scored: {n} writes pending (train folds them)"),
+            };
+            println!("served {served} cardinality queries: {score}, {fallbacks} guard fallbacks")
+        }
         WireTask::Index => println!(
             "served {served} index lookups: {hits} found, {bound_misses} bound misses, \
              {fallbacks} guard fallbacks",
@@ -561,10 +563,6 @@ fn query_replay(args: &Args, tenant: &TenantPaths, resident: &Resident) -> Resul
              (recall {:.3} — trained subsets must all be present), {fallbacks} guard fallbacks",
             hits as f64 / served.max(1) as f64,
         ),
-    }
-    monitor.publish_metrics();
-    if let Some(reason) = monitor.should_retrain() {
-        eprintln!("warning: drift monitor raised the retrain signal ({reason:?})");
     }
     Ok(())
 }
@@ -1569,7 +1567,7 @@ mod tests {
 
         // The Prometheus export is parseable and holds what the server path
         // leaves — the batch histogram and a nonzero query counter — beside
-        // the train and monitor families.
+        // the train family.
         let prom = std::fs::read_to_string(format!("{base}.prom")).unwrap();
         setlearn_obs::validate_prometheus(&prom).expect("valid exposition");
         assert!(prom.contains("setlearn_serve_batch_seconds_bucket"), "prom:\n{prom}");
@@ -1577,7 +1575,6 @@ mod tests {
             "setlearn_serve_completed_total{collection=\"tele\",task=\"cardinality\"}"
         ));
         assert!(prom.contains("setlearn_train_epochs_total"));
-        assert!(prom.contains("setlearn_monitor_rolling_q_error"));
 
         // The trace holds both train-epoch and serve-batch spans.
         let trace = std::fs::read_to_string(format!("{base}.jsonl")).unwrap();

@@ -48,20 +48,12 @@ impl Default for GuidedConfig {
     }
 }
 
-/// Outcome of guided training.
-#[derive(Debug, Clone)]
-pub struct GuidedOutcome {
-    /// Indices (into the original training data) moved to the auxiliary
-    /// structure.
-    pub outlier_indices: Vec<usize>,
-    /// Mean training loss after every epoch.
-    pub loss_history: Vec<f32>,
-}
-
 /// Trains `model` on `data` with iterative outlier removal under a
 /// [`TrainHarness`]: warm-up, then per round an error sweep that exiles the
 /// samples above `cfg.percentile` and a fine-tune on the rest. `data`
-/// targets must already be scaled.
+/// targets must already be scaled. Returns the indices (into `data`) moved
+/// to the auxiliary structure, and the run's report (loss per epoch
+/// included).
 ///
 /// The model ends on its final weights when the last epoch was accepted;
 /// a run the harness stops on a rejected epoch ends on its best snapshot,
@@ -71,7 +63,7 @@ pub fn guided_train(
     data: &[(ElementSet, f32)],
     loss: Loss,
     cfg: &GuidedConfig,
-) -> (GuidedOutcome, TrainReport) {
+) -> (Vec<usize>, TrainReport) {
     assert!(!data.is_empty(), "guided training needs data");
     assert!(
         (0.0..=1.0).contains(&cfg.percentile),
@@ -118,10 +110,7 @@ pub fn guided_train(
         running = running && epochs(model, &active, cfg.epochs_per_round);
     }
 
-    let report = harness.finish();
-    let outcome =
-        GuidedOutcome { outlier_indices: outliers, loss_history: report.loss_history.clone() };
-    (outcome, report)
+    (outliers, harness.finish())
 }
 
 /// Tiny local partition helper (avoids pulling in itertools).
@@ -227,7 +216,7 @@ pub enum FallbackReason {
 /// `[lo, hi]` established at build time and reroutes offenders to the
 /// auxiliary exact structure. It counts nothing: the rejection reason rides
 /// on the answer's [`crate::tasks::QueryOutcome`], which the serve runtime
-/// counts per collection and a [`crate::monitor::DriftMonitor`] can be fed.
+/// counts per collection.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServeGuard {
     lo: f64,
@@ -335,17 +324,17 @@ mod tests {
             learning_rate: 0.01,
             seed: 1,
         };
-        let (outcome, _) = guided_train(&mut model, &data, Loss::Mse, &gcfg);
-        assert!(!outcome.outlier_indices.is_empty());
+        let (outliers, report) = guided_train(&mut model, &data, Loss::Mse, &gcfg);
+        assert!(!outliers.is_empty());
         // The poisoned samples (last four) should be among the exiles.
         let poisoned: Vec<usize> = (data.len() - 4..data.len()).collect();
         let caught = poisoned
             .iter()
-            .filter(|i| outcome.outlier_indices.contains(i))
+            .filter(|i| outliers.contains(i))
             .count();
         assert!(caught >= 3, "caught only {caught} of 4 poisoned samples");
         // Loss history recorded for every epoch.
-        assert_eq!(outcome.loss_history.len(), 40);
+        assert_eq!(report.loss_history.len(), 40);
     }
 
     /// FNV-1a over a training run's bits — every weight, every accepted
@@ -389,12 +378,12 @@ mod tests {
         };
         // Guided learning (cardinality, index): warm-up, one sweep, fine-tune.
         let mut model = DeepSets::new(cfg.clone());
-        let (outcome, report) = guided_train(&mut model, &data, Loss::Mse, &gcfg);
+        let (outliers, report) = guided_train(&mut model, &data, Loss::Mse, &gcfg);
         assert_eq!(report.recoveries, 0);
         assert_eq!(report.epochs_run, 15);
-        assert_eq!(outcome.outlier_indices.len(), 8);
+        assert_eq!(outliers.len(), 8);
         assert_eq!(
-            trajectory_hash(&model, &outcome.loss_history, &outcome.outlier_indices),
+            trajectory_hash(&model, &report.loss_history, &outliers),
             16_945_127_757_615_866_031,
             "guided trajectory moved"
         );
@@ -505,22 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_guard_feeds_the_drift_monitor() {
-        use crate::monitor::{MonitorConfig, RetrainReason};
-        let g = ServeGuard::new(0.0, 1.0);
-        let mut monitor = crate::monitor::DriftMonitor::new(
-            1.1,
-            MonitorConfig { max_fallbacks: 3, ..MonitorConfig::default() },
-        );
-        for _ in 0..3 {
-            if g.admit_or_clamp(f64::NAN).1.is_some() {
-                monitor.record_fallback();
-            }
-        }
-        assert_eq!(monitor.should_retrain(), Some(RetrainReason::ServeFallbacks));
-    }
-
-    #[test]
     fn serve_guard_serializes_as_its_bounds() {
         let g = ServeGuard::new(0.0, 1.0);
         let json = serde_json::to_string(&g).unwrap();
@@ -550,7 +523,7 @@ mod tests {
             learning_rate: 0.01,
             seed: 2,
         };
-        let (outcome, _) = guided_train(&mut model, &data, Loss::Mse, &cfg);
-        assert!(outcome.outlier_indices.is_empty());
+        let (outliers, _) = guided_train(&mut model, &data, Loss::Mse, &cfg);
+        assert!(outliers.is_empty());
     }
 }

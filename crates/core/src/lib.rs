@@ -47,7 +47,6 @@ pub mod hybrid;
 pub mod kernel;
 pub mod memory;
 pub mod model;
-pub mod monitor;
 pub mod mutable;
 pub mod persist;
 pub mod settransformer;
@@ -71,7 +70,6 @@ pub mod prelude {
     pub use crate::hybrid::{FallbackReason, GuidedConfig, LocalErrorBounds, ServeGuard};
     pub use crate::kernel::{FrozenModel, KernelIsa, Precision};
     pub use crate::model::{CompressionKind, DeepSets, DeepSetsConfig, Pooling};
-    pub use crate::monitor::{DriftMonitor, MonitorConfig, MonitorSnapshot, RetrainReason};
     pub use crate::shard::{ShardBy, ShardError, ShardRouter, ShardSpec, ShardedCollection};
     pub use crate::tasks::{
         BloomConfig, CardinalityConfig, CardinalityEstimator, Fold, IndexConfig, IndexStructure,
@@ -88,7 +86,6 @@ pub mod prelude {
 pub use compress::CompressionSpec;
 pub use hybrid::{FallbackReason, GuidedConfig, LocalErrorBounds, ServeGuard};
 pub use kernel::{FrozenModel, KernelIsa, Precision};
-pub use monitor::{DriftMonitor, MonitorConfig, MonitorSnapshot, RetrainReason};
 pub use model::{CompressionKind, DeepSets, DeepSetsConfig, Pooling};
 pub use settransformer::{SetTransformer, SetTransformerConfig};
 pub use shard::{ShardBy, ShardError, ShardRouter, ShardSpec, ShardedCollection};

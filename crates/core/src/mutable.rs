@@ -42,7 +42,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
 
 /// Why a mutation was rejected. WAL failures surface as-is; validation
 /// failures are rejected *before* anything is logged, so a rejected
@@ -109,7 +108,7 @@ pub struct RecoveryReport {
     pub next_seq: u64,
 }
 
-/// Size/age of the pending delta, for compaction triggers.
+/// Size of the pending delta; `pending_ops` is the compaction trigger.
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaStats {
     /// WAL records not yet folded into a checkpoint.
@@ -118,8 +117,6 @@ pub struct DeltaStats {
     pub live_inserts: usize,
     /// Base rows logically deleted.
     pub deleted_base_rows: usize,
-    /// Age of the oldest pending mutation.
-    pub oldest_pending: Option<Duration>,
     /// Rows in the checkpointed base.
     pub base_len: usize,
 }
@@ -251,7 +248,6 @@ struct MutableState<S> {
     /// Pending records (`seq >= applied watermark`), the replay source for
     /// the next compaction's overlay rebuild.
     tail: Vec<WalRecord>,
-    first_op_at: Option<Instant>,
 }
 
 /// A learned structure plus a durable, queryable delta: the full mutable
@@ -314,7 +310,6 @@ impl<S> MutableCollection<S> {
             applied_seq: recovery.applied_seq,
             next_seq: recovery.wal.next_seq(),
         };
-        let first_op_at = if tail.is_empty() { None } else { Some(Instant::now()) };
         let collection = MutableCollection {
             vocab,
             wal: Mutex::new(recovery.wal),
@@ -323,7 +318,6 @@ impl<S> MutableCollection<S> {
                 base,
                 overlay,
                 tail,
-                first_op_at,
             }),
         };
         Ok((collection, report))
@@ -364,18 +358,16 @@ impl<S> MutableCollection<S> {
         let applied = apply_op(&mut state.overlay, &state.base, &op, self.vocab)
             .expect("validated before append");
         state.tail.push(WalRecord { seq, op });
-        state.first_op_at.get_or_insert_with(Instant::now);
         Ok(MutationAck { seq, applied })
     }
 
-    /// Size and age of the pending delta.
+    /// Size of the pending delta.
     pub fn delta_stats(&self) -> DeltaStats {
         let state = self.state.read().unwrap_or_else(|e| e.into_inner());
         DeltaStats {
             pending_ops: state.tail.len(),
             live_inserts: state.overlay.live_inserts,
             deleted_base_rows: state.overlay.deleted_base_rows,
-            oldest_pending: state.first_op_at.map(|t| t.elapsed()),
             base_len: state.base.len(),
         }
     }
@@ -431,7 +423,6 @@ impl<S> MutableCollection<S> {
                 tail.push(record);
             }
         }
-        state.first_op_at = if tail.is_empty() { None } else { state.first_op_at };
         state.structure = Arc::new(structure);
         state.base = base;
         state.overlay = overlay;

@@ -81,15 +81,13 @@ pub struct LearnedBloom {
 /// Build artifacts for reporting.
 #[derive(Debug, Clone)]
 pub struct BloomBuildReport {
-    /// Loss per epoch.
-    pub loss_history: Vec<f32>,
     /// Positives the serving kernel misses (inserted into the backup
     /// filter).
     pub false_negatives: usize,
     /// Binary accuracy of the serving kernel over the training workload.
     pub training_accuracy: f64,
-    /// Structured summary of the harnessed training run (recoveries,
-    /// skipped batches, stop reason).
+    /// Structured summary of the harnessed training run (loss per epoch,
+    /// recoveries, skipped batches, stop reason).
     pub train: TrainReport,
 }
 
@@ -118,7 +116,6 @@ impl LearnedBloom {
             &mut rng,
             &TrainPolicy::epochs(cfg.epochs.max(1)),
         );
-        let loss_history = train.loss_history.clone();
         let model = ServedModel::new(model);
 
         // One scoring pass of the serving kernel: back up the positives it
@@ -137,7 +134,6 @@ impl LearnedBloom {
         }
         let correct = correct_verdicts(workload, &scores, cfg.threshold);
         let report = BloomBuildReport {
-            loss_history,
             false_negatives: missed.len(),
             training_accuracy: correct as f64 / workload.len() as f64,
             train,
@@ -310,8 +306,8 @@ mod tests {
         let c = GeneratorConfig::rw(300, 2).generate();
         let workload = membership_queries(&c, 200, 200, 4, 5);
         let (_, report) = LearnedBloom::build(&workload, &quick_cfg(c.num_elements()));
-        let first = report.loss_history[0];
-        let last = *report.loss_history.last().unwrap();
+        let first = report.train.loss_history[0];
+        let last = *report.train.loss_history.last().unwrap();
         assert!(last < first, "loss {first} -> {last}");
     }
 

@@ -1,9 +1,8 @@
 //! Learned set cardinality estimation (paper §4.2) and its hybrid variant.
 
-use crate::hybrid::{guided_train, GuidedConfig, GuidedOutcome, ServeGuard};
+use crate::hybrid::{guided_train, GuidedConfig, ServeGuard};
 use crate::kernel::{FrozenModel, Precision, ServedModel};
 use crate::model::{DeepSets, DeepSetsConfig};
-use crate::monitor::DriftMonitor;
 use crate::mutable::OverlayAnswer;
 use crate::tasks::{Fold, LearnedSetStructure, QueryOutcome};
 use serde::{Deserialize, Serialize};
@@ -41,18 +40,15 @@ pub struct LearnedCardinality {
     /// Exact counts for exiled outliers, keyed by set hash.
     #[serde(serialize_with = "in_key_order")]
     outliers: HashMap<u64, u64>,
-    /// Delta layer absorbing updates until retraining (§7.2).
-    #[serde(serialize_with = "in_key_order")]
-    deltas: HashMap<u64, i64>,
     max_subset_size: usize,
     /// Serve-time guard over the model's output domain.
     guard: ServeGuard,
 }
 
-/// Serialises a hash-keyed map in key order, so one structure always writes
-/// the same bytes (a `HashMap` iterates in a per-process random order). The
-/// encoding is the plain map's, so either order loads.
-fn in_key_order<V: Serialize>(map: &HashMap<u64, V>) -> serde::Value {
+/// Serialises the hash-keyed outlier store in key order, so one structure
+/// always writes the same bytes (a `HashMap` iterates in a per-process
+/// random order). The encoding is the plain map's, so either order loads.
+fn in_key_order(map: &HashMap<u64, u64>) -> serde::Value {
     let mut entries: Vec<_> = map.iter().collect();
     entries.sort_unstable_by_key(|&(k, _)| *k);
     serde::Value::Object(entries.into_iter().map(|(k, v)| (k.to_string(), v.serialize())).collect())
@@ -61,14 +57,12 @@ fn in_key_order<V: Serialize>(map: &HashMap<u64, V>) -> serde::Value {
 /// Build artifacts useful for reporting (training curves, outlier count).
 #[derive(Debug, Clone)]
 pub struct CardinalityBuildReport {
-    /// Loss per epoch.
-    pub loss_history: Vec<f32>,
     /// Number of training subsets enumerated.
     pub training_subsets: usize,
     /// Number of subsets moved to the outlier store.
     pub outliers: usize,
-    /// Structured summary of the harnessed training run (recoveries,
-    /// skipped batches, stop reason).
+    /// Structured summary of the harnessed training run (loss per epoch,
+    /// recoveries, skipped batches, stop reason).
     pub train: TrainReport,
 }
 
@@ -100,15 +94,13 @@ impl LearnedCardinality {
 
         let mut model = DeepSets::new(cfg.model.clone());
         let loss = Loss::QError { span: scaler.span() };
-        let (GuidedOutcome { outlier_indices, loss_history }, train) =
-            guided_train(&mut model, &data, loss, &cfg.guided);
+        let (outlier_indices, train) = guided_train(&mut model, &data, loss, &cfg.guided);
 
         let outliers: HashMap<u64, u64> = outlier_indices
             .iter()
             .map(|&i| (set_hash(&pairs[i].0), pairs[i].1 as u64))
             .collect();
         let report = CardinalityBuildReport {
-            loss_history,
             training_subsets: pairs.len(),
             outliers: outliers.len(),
             train,
@@ -118,7 +110,6 @@ impl LearnedCardinality {
                 model: ServedModel::new(model),
                 scaler,
                 outliers,
-                deltas: HashMap::new(),
                 max_subset_size: cfg.max_subset_size,
                 // Valid model outputs live in [0, max observed cardinality];
                 // anything else degrades to the guard's fallback path.
@@ -129,7 +120,8 @@ impl LearnedCardinality {
     }
 
     /// Estimates the cardinality of a canonical query set: outlier store
-    /// first, then the model (Figure 5's query path), plus any update deltas.
+    /// first, then the model (Figure 5's query path). Updates are absorbed
+    /// by [`crate::mutable::MutableCollection`]'s overlay, not here.
     ///
     /// Model predictions pass through the serve-time [`ServeGuard`]: a
     /// non-finite or out-of-domain prediction is degraded to a clamped
@@ -138,26 +130,14 @@ impl LearnedCardinality {
         self.query(q).value
     }
 
-    /// [`LearnedCardinality::estimate`] that also reports fallback events to
-    /// a [`DriftMonitor`], so a model gone bad raises the retrain signal.
-    pub fn estimate_monitored(&self, q: &[u32], monitor: &mut DriftMonitor) -> f64 {
-        let outcome = self.query(q);
-        if outcome.fallback.is_some() {
-            monitor.record_fallback();
-        }
-        outcome.value
-    }
-
-    /// Applies the outlier-store / guard / delta-layer corrections to one
-    /// raw model score — the tail of every query.
+    /// Applies the outlier-store / guard corrections to one raw model
+    /// score — the tail of every query.
     fn correct_score(&self, q: &[u32], score: f32) -> QueryOutcome<f64> {
-        let h = set_hash(q);
-        let (base, fallback) = match self.outliers.get(&h) {
+        let (value, fallback) = match self.outliers.get(&set_hash(q)) {
             Some(&exact) => (exact as f64, None),
             None => self.guard.admit_or_clamp(self.scaler.unscale(score)),
         };
-        let delta = self.deltas.get(&h).copied().unwrap_or(0) as f64;
-        QueryOutcome { value: (base + delta).max(0.0), fallback, bound_miss: false }
+        QueryOutcome { value, fallback, bound_miss: false }
     }
 
     /// Model-only estimate, bypassing the outlier store (for ablations).
@@ -171,30 +151,9 @@ impl LearnedCardinality {
         self.model.kernel()
     }
 
-    /// Registers an inserted set (§7.2): all its subsets gain one occurrence
-    /// in the delta layer until the model is retrained.
-    pub fn note_inserted_set(&mut self, set: &[u32]) {
-        setlearn_data::set::for_each_subset(set, self.max_subset_size, |sub| {
-            *self.deltas.entry(set_hash(sub)).or_insert(0) += 1;
-        });
-    }
-
-    /// Registers a deleted set (§7.2).
-    pub fn note_deleted_set(&mut self, set: &[u32]) {
-        setlearn_data::set::for_each_subset(set, self.max_subset_size, |sub| {
-            *self.deltas.entry(set_hash(sub)).or_insert(0) -= 1;
-        });
-    }
-
-    /// The largest subset size this estimator was trained on, which the
-    /// delta layer also tracks.
+    /// The largest subset size this estimator was trained on.
     pub fn max_subset_size(&self) -> usize {
         self.max_subset_size
-    }
-
-    /// Number of pending update deltas; large values suggest retraining.
-    pub fn pending_updates(&self) -> usize {
-        self.deltas.len()
     }
 
     /// The underlying model.
@@ -212,13 +171,11 @@ impl LearnedCardinality {
         self.model().size_bytes()
     }
 
-    /// Total structure bytes: model + outlier store + delta layer (the
-    /// `-Hybrid` memory columns).
+    /// Total structure bytes: model + outlier store (the `-Hybrid` memory
+    /// columns).
     pub fn size_bytes(&self) -> usize {
         let map_entry = 8 + 8 + 1; // key + value + control byte
-        self.model().size_bytes()
-            + (self.outliers.len() as f64 / 0.875) as usize * map_entry
-            + (self.deltas.len() as f64 / 0.875) as usize * map_entry
+        self.model().size_bytes() + (self.outliers.len() as f64 / 0.875) as usize * map_entry
     }
 }
 
@@ -351,8 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn nan_model_degrades_to_guard_and_raises_retrain_signal() {
-        use crate::monitor::{MonitorConfig, RetrainReason};
+    fn nan_model_flags_every_model_served_answer_non_finite() {
         let collection = GeneratorConfig::sd(200, 9).generate();
         let (est, _) = LearnedCardinality::build(
             &collection,
@@ -362,46 +318,22 @@ mod tests {
         let est = crate::tasks::with_nan_weights(&est);
         assert!(est.model().has_non_finite_weights());
 
-        let mut monitor = DriftMonitor::new(
-            1.1,
-            MonitorConfig { max_fallbacks: 8, ..MonitorConfig::default() },
-        );
         let subsets = SubsetIndex::build(&collection, 2);
-        let mut served = 0;
-        for (s, _) in subsets.iter().take(50) {
-            let v = est.estimate_monitored(s, &mut monitor);
-            assert!(v.is_finite(), "guard must never serve a non-finite estimate");
-            assert!(v >= 0.0);
-            served += 1;
+        let queries: Vec<&ElementSet> = subsets.iter().take(50).map(|(s, _)| s).collect();
+        let outcomes = est.query_batch(&queries);
+        assert!(outcomes.len() > 8);
+        for o in &outcomes {
+            assert!(o.value.is_finite(), "guard must never serve a non-finite estimate");
+            assert!(o.value >= 0.0);
         }
-        assert!(served > 8);
-        assert_eq!(monitor.should_retrain(), Some(RetrainReason::ServeFallbacks));
         // Outlier-store answers bypass the model, so only model-served
         // queries fall back — but with NaN weights every one does, and each
         // answer says so.
-        let queries: Vec<&ElementSet> = subsets.iter().take(50).map(|(s, _)| s).collect();
         let model_served =
             queries.iter().filter(|q| !est.outliers.contains_key(&set_hash(q))).count();
-        assert!(model_served > 0);
-        let flagged: Vec<_> = est.query_batch(&queries).iter().map(|o| o.fallback).collect();
+        assert!(model_served >= 8, "only {model_served} model-served queries");
+        let flagged: Vec<_> = outcomes.iter().map(|o| o.fallback).collect();
         assert!(flagged.iter().all(|f| f.is_none() || *f == Some(FallbackReason::NonFinite)));
         assert_eq!(flagged.iter().filter(|f| f.is_some()).count(), model_served);
-    }
-
-    #[test]
-    fn updates_adjust_estimates() {
-        let collection = GeneratorConfig::sd(200, 9).generate();
-        let (mut est, _) = LearnedCardinality::build(
-            &collection,
-            &quick_cfg(collection.num_elements(), CompressionKind::None),
-        );
-        let q = &collection.get(0)[..2];
-        let before = est.estimate(q);
-        let inserted: Vec<u32> = q.to_vec();
-        est.note_inserted_set(&inserted);
-        assert_eq!(est.estimate(q), before + 1.0);
-        est.note_deleted_set(&inserted);
-        assert_eq!(est.estimate(q), before);
-        assert!(est.pending_updates() > 0);
     }
 }

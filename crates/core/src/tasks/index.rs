@@ -5,10 +5,7 @@
 //! estimate into a bounded scan window, and an auxiliary B+ tree answers the
 //! outliers the model could not fit.
 
-use crate::hybrid::{
-    guided_train, FallbackReason, GuidedConfig, GuidedOutcome, LocalErrorBounds,
-    ServeGuard,
-};
+use crate::hybrid::{guided_train, FallbackReason, GuidedConfig, LocalErrorBounds, ServeGuard};
 use crate::kernel::{FrozenModel, Precision, ServedModel};
 use crate::model::{DeepSets, DeepSetsConfig};
 use crate::mutable::OverlayAnswer;
@@ -101,8 +98,6 @@ pub struct LearnedSetIndex {
 /// Build artifacts for reporting.
 #[derive(Debug, Clone)]
 pub struct IndexBuildReport {
-    /// Loss per epoch.
-    pub loss_history: Vec<f32>,
     /// Number of training subsets.
     pub training_subsets: usize,
     /// Subsets moved to the auxiliary tree.
@@ -111,8 +106,8 @@ pub struct IndexBuildReport {
     pub global_error: f64,
     /// Mean local bound (what the scan actually pays, §8.3.3).
     pub mean_local_error: f64,
-    /// Structured summary of the harnessed training run (recoveries,
-    /// skipped batches, stop reason).
+    /// Structured summary of the harnessed training run (loss per epoch,
+    /// recoveries, skipped batches, stop reason).
     pub train: TrainReport,
 }
 
@@ -143,8 +138,7 @@ impl LearnedSetIndex {
 
         let mut model = DeepSets::new(cfg.model.clone());
         let loss = Loss::QError { span: scaler.span() };
-        let (GuidedOutcome { outlier_indices, loss_history }, train) =
-            guided_train(&mut model, &data, loss, &cfg.guided);
+        let (outlier_indices, train) = guided_train(&mut model, &data, loss, &cfg.guided);
 
         // Exile outliers into the auxiliary B+ tree.
         let mut aux = BPlusTree::new(100);
@@ -175,7 +169,6 @@ impl LearnedSetIndex {
         };
 
         let report = IndexBuildReport {
-            loss_history,
             training_subsets: pairs.len(),
             outliers: outlier_indices.len(),
             global_error: bounds.global_bound(),

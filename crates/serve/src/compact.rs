@@ -1,6 +1,7 @@
 //! Background WAL compaction: a daemon thread that watches a
-//! [`MutableCollection`]'s pending delta and, once it crosses a size or age
-//! threshold, retrains on the merged collection, folds the delta into a new
+//! [`MutableCollection`]'s pending delta and, once its pending-op count
+//! reaches [`CompactorConfig::max_delta_ops`] — the one retrain trigger —
+//! retrains on the merged collection, folds the delta into a new
 //! checkpoint, and installs the retrained structure with
 //! [`MutableCollection::complete_compaction`] — the one swap: it replaces
 //! structure, base and overlay under one write lock, and every query batch
@@ -24,14 +25,10 @@ use std::time::Duration;
 /// Compaction-daemon tuning.
 #[derive(Debug, Clone)]
 pub struct CompactorConfig {
-    /// How often the pending delta is checked against the thresholds.
+    /// How often the pending delta is checked against the threshold.
     pub poll_interval: Duration,
     /// Compact once this many WAL records are pending.
     pub max_delta_ops: usize,
-    /// Also compact once the oldest pending record is this old (off when
-    /// `None`): bounds replay time after a crash even under a trickle of
-    /// writes that never reaches `max_delta_ops`.
-    pub max_delta_age: Option<Duration>,
 }
 
 impl Default for CompactorConfig {
@@ -39,7 +36,6 @@ impl Default for CompactorConfig {
         CompactorConfig {
             poll_interval: Duration::from_millis(500),
             max_delta_ops: 1024,
-            max_delta_age: None,
         }
     }
 }
@@ -91,11 +87,12 @@ impl Drop for CompactorHandle {
 /// it bumps carries a `collection` label).
 ///
 /// Every `config.poll_interval` the daemon compares
-/// [`MutableCollection::delta_stats`] against the thresholds; when one
-/// trips it snapshots the merged collection, calls `rebuild(&merged)`
-/// (which must retrain **and durably checkpoint** the new model+collection
-/// — the WAL watermark only advances afterwards, so a crash mid-retrain
-/// replays the full delta against the old checkpoint), folds the delta via
+/// [`MutableCollection::delta_stats`]'s `pending_ops` against
+/// `config.max_delta_ops`; once it is reached it snapshots the merged
+/// collection, calls `rebuild(&merged)` (which must retrain **and durably
+/// checkpoint** the new model+collection — the WAL watermark only advances
+/// afterwards, so a crash mid-retrain replays the full delta against the
+/// old checkpoint), folds the delta via
 /// [`MutableCollection::complete_compaction`], whose install the next query
 /// batch reads. A `None` from `rebuild` (declined or failed) leaves the
 /// delta pending and the old model serving; the next poll retries.
@@ -129,13 +126,8 @@ where
                     return;
                 }
             }
-            let stats = collection.delta_stats();
-            let over_size = stats.pending_ops >= config.max_delta_ops;
-            let over_age = match (config.max_delta_age, stats.oldest_pending) {
-                (Some(max), Some(age)) => age >= max,
-                _ => false,
-            };
-            if stats.pending_ops == 0 || !(over_size || over_age) {
+            let pending = collection.delta_stats().pending_ops;
+            if pending == 0 || pending < config.max_delta_ops {
                 continue;
             }
             // The in-flight flag pins the collection against registry
@@ -226,7 +218,6 @@ mod tests {
             CompactorConfig {
                 poll_interval: Duration::from_millis(5),
                 max_delta_ops: 2,
-                max_delta_age: None,
             },
             "test",
         );
@@ -253,35 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn age_threshold_compacts_a_trickle() {
-        let dir = tmp_dir("age");
-        let base = Arc::new(SetCollection::new(vec![vec![0, 1]], 4));
-        let (mc, _) =
-            MutableCollection::open(ExactCard(Arc::clone(&base)), base, &dir).unwrap();
-        let collection = Arc::new(mc);
-        let handle = spawn_compactor_named(
-            Arc::clone(&collection),
-            |merged| Some(ExactCard(Arc::new(SetCollection::new(
-                merged.sets().iter().map(|s| s.to_vec()).collect(),
-                merged.num_elements(),
-            )))),
-            CompactorConfig {
-                poll_interval: Duration::from_millis(5),
-                max_delta_ops: usize::MAX,
-                max_delta_age: Some(Duration::from_millis(30)),
-            },
-            "test",
-        );
-        collection.insert(&[1, 2]).unwrap();
-        assert!(
-            wait_until(Duration::from_secs(5), || handle.compactions() >= 1),
-            "age trigger never fired"
-        );
-        handle.stop();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn declined_rebuild_leaves_the_delta_pending() {
         let dir = tmp_dir("declined");
         let base = Arc::new(SetCollection::new(vec![vec![0, 1]], 4));
@@ -294,7 +256,6 @@ mod tests {
             CompactorConfig {
                 poll_interval: Duration::from_millis(5),
                 max_delta_ops: 1,
-                max_delta_age: None,
             },
             "test",
         );

@@ -1,13 +1,15 @@
-//! §7.2 lifecycle: a deployed estimator absorbs updates through its delta
-//! layer, the drift monitor watches accuracy and the update budget, and a
-//! rebuild restores the baseline.
+//! §7.2 lifecycle on the path that serves: a deployed estimator absorbs
+//! updates in its collection's exact WAL-backed overlay, the pending-op
+//! count is what triggers a retrain, and a compaction (snapshot → rebuild →
+//! install) restores the baseline.
 
 use setlearn::hybrid::GuidedConfig;
 use setlearn::model::DeepSetsConfig;
-use setlearn::monitor::{DriftMonitor, MonitorConfig, RetrainReason};
-use setlearn::tasks::{CardinalityConfig, LearnedCardinality};
-use setlearn_data::{GeneratorConfig, SetCollection, SubsetIndex};
+use setlearn::mutable::MutableCollection;
+use setlearn::tasks::{CardinalityConfig, LearnedCardinality, LearnedSetStructure};
+use setlearn_data::{ElementSet, GeneratorConfig, SetCollection, SubsetIndex};
 use setlearn_nn::q_error;
+use std::sync::Arc;
 
 fn build(collection: &SetCollection) -> LearnedCardinality {
     let mut cfg = CardinalityConfig::new(DeepSetsConfig::lsm(collection.num_elements()));
@@ -24,96 +26,64 @@ fn build(collection: &SetCollection) -> LearnedCardinality {
     LearnedCardinality::build(collection, &cfg).0
 }
 
-fn baseline_q_error(est: &LearnedCardinality, collection: &SetCollection) -> f64 {
+/// Mean q-error of `structure`'s answers over every subset of at most two
+/// elements of `collection`.
+fn mean_q_error<S: LearnedSetStructure<Output = f64>>(
+    structure: &S,
+    collection: &SetCollection,
+) -> f64 {
     let subsets = SubsetIndex::build(collection, 2);
-    let mut total = 0.0;
-    let mut n = 0;
-    for (s, info) in subsets.iter() {
-        total += q_error(est.estimate(s), info.count as f64, 1.0);
-        n += 1;
-    }
-    total / n as f64
+    let (queries, truths): (Vec<&ElementSet>, Vec<f64>) =
+        subsets.iter().map(|(s, info)| (s, info.count as f64)).unzip();
+    let answers = structure.query_batch(&queries);
+    let total: f64 = answers.iter().zip(&truths).map(|(a, &t)| q_error(a.value, t, 1.0)).sum();
+    total / queries.len() as f64
 }
 
 #[test]
-fn updates_monitor_and_rebuild_close_the_loop() {
-    // Phase 1: build on the initial collection and record the baseline.
-    let initial = GeneratorConfig::sd(500, 21).generate();
-    let mut est = build(&initial);
-    let baseline = baseline_q_error(&est, &initial);
-    let mut monitor = DriftMonitor::new(
-        baseline.max(1.0),
-        MonitorConfig {
-            window: 128,
-            degradation_factor: 1.5,
-            max_updates: 400,
-            min_observations: 32,
-            max_fallbacks: 256,
-        },
-    );
-    assert!(monitor.should_retrain().is_none());
+fn overlay_absorbs_updates_and_compaction_closes_the_loop() {
+    let wal_dir = std::env::temp_dir().join(format!("setlearn-lifecycle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
 
-    // Phase 2: the collection grows — new sets arrive, routed through the
-    // delta layer; the application also feeds back observed truths.
+    // Phase 1: build on the initial collection and serve it mutably.
+    let initial = Arc::new(GeneratorConfig::sd(500, 21).generate());
+    let (collection, _) =
+        MutableCollection::open(build(&initial), Arc::clone(&initial), &wal_dir).unwrap();
+
+    // Phase 2: the collection grows — new sets arrive as durable inserts.
     let arrivals = GeneratorConfig::sd(400, 77).generate();
     let mut grown_sets: Vec<Vec<u32>> = initial.sets().iter().map(|s| s.to_vec()).collect();
     for (_, set) in arrivals.iter() {
         // Remap arrivals into the existing vocabulary.
-        let remapped: Vec<u32> =
-            set.iter().map(|&e| e % initial.num_elements()).collect();
+        let remapped: Vec<u32> = set.iter().map(|&e| e % initial.num_elements()).collect();
         let remapped = setlearn_data::normalize(remapped);
-        if remapped.is_empty() {
-            continue;
-        }
-        est.note_inserted_set(&remapped);
-        monitor.record_update();
+        assert!(collection.insert(&remapped).unwrap().applied);
         grown_sets.push(remapped.to_vec());
     }
     let grown = SetCollection::new(grown_sets, initial.num_elements());
+    assert_eq!(collection.delta_stats().pending_ops, 400);
 
-    // The delta layer keeps single-element estimates exactly in sync.
-    let subsets_after = SubsetIndex::build(&grown, 1);
-    for (s, info) in subsets_after.iter().take(200) {
-        monitor.observe(est.estimate(s), info.count as f64);
+    // The overlay adds the exact count change to the model's estimate.
+    let model = collection.structure();
+    let singles = SubsetIndex::build(&grown, 1);
+    let queries: Vec<&ElementSet> = singles.iter().map(|(s, _)| s).collect();
+    let merged = collection.query_batch(&queries);
+    for (q, answer) in queries.iter().zip(&merged) {
+        let change = grown.cardinality(q) as f64 - initial.cardinality(q) as f64;
+        assert_eq!(answer.value, (model.estimate(q) + change).max(0.0), "query {q:?}");
     }
-    // Deltas make the estimator track the grown collection well...
-    let drifted = baseline_q_error(&est, &grown);
-    // ...but the update budget (400 arrivals) has been exhausted.
-    assert_eq!(monitor.pending_updates(), 400);
-    assert_eq!(monitor.should_retrain(), Some(RetrainReason::UpdateBudget));
+    let drifted = mean_q_error(&collection, &grown);
 
-    // Phase 3: rebuild on the grown collection and reset the monitor.
-    let rebuilt = build(&grown);
-    let rebuilt_q = baseline_q_error(&rebuilt, &grown);
-    monitor.reset(rebuilt_q.max(1.0));
-    assert!(monitor.should_retrain().is_none());
-    assert_eq!(rebuilt.pending_updates(), 0);
+    // Phase 3: compact — retrain on the merged collection and install it.
+    let snapshot = collection.begin_compaction().unwrap().expect("a delta is pending");
+    assert_eq!(snapshot.merged.len(), grown.len());
+    let rebuilt = build(&snapshot.merged);
+    collection.complete_compaction(rebuilt, snapshot).unwrap();
+    assert_eq!(collection.delta_stats().pending_ops, 0);
+    let rebuilt_q = mean_q_error(&collection, &grown);
     assert!(
         rebuilt_q <= drifted * 1.5,
         "rebuild should not be worse than the drifted structure: {rebuilt_q} vs {drifted}"
     );
-}
-
-#[test]
-fn accuracy_drop_alone_also_triggers() {
-    let collection = GeneratorConfig::sd(300, 9).generate();
-    let est = build(&collection);
-    let baseline = baseline_q_error(&est, &collection);
-    let mut monitor = DriftMonitor::new(
-        baseline.max(1.0),
-        MonitorConfig {
-            window: 64,
-            degradation_factor: 1.5,
-            max_updates: usize::MAX,
-            min_observations: 16,
-            max_fallbacks: 0,
-        },
-    );
-    // Feed estimates against *wrong* truths (simulating a distribution the
-    // model has never seen).
-    for (_, set) in collection.iter().take(64) {
-        let q = &set[..1];
-        monitor.observe(est.estimate(q), 10_000.0);
-    }
-    assert_eq!(monitor.should_retrain(), Some(RetrainReason::AccuracyDrop));
+    let _ = std::fs::remove_dir_all(&wal_dir);
 }
