@@ -12,6 +12,15 @@
 //! * f32 dense layers run [`setlearn_nn::gemm::gemm`], the one
 //!   register-tiled, ISA-dispatched forward GEMM that training runs too —
 //!   so frozen f32 is bit-identical to the training path by construction;
+//! * φ tabulated where it pays: φ sees one element at a time and both
+//!   kernels compute a row from that row alone, so φ(e) is a function of
+//!   the id. When φ exists, the encoder's ids are finitely many (plain
+//!   `0..vocab`, compressed `0..=max_id`; never hashed, which accepts every
+//!   `u32`) and the f32 `ids × φ_out` table is no larger than the encoder +
+//!   φ bytes at the serve precision, freezing computes that table in
+//!   bounded blocks and keeps it *instead of* the encoder and φ. A batch is
+//!   then gather → pool → ρ, bit-identical to encode → φ → pool → ρ; no
+//!   flag chooses it;
 //! * per-thread reusable scratch arenas, so steady-state serving allocates
 //!   nothing per batch beyond the output vector.
 //!
@@ -289,6 +298,157 @@ impl FrozenEncoder {
             FrozenEncoder::Hashed { table, seeds, .. } => table.size_bytes() + seeds.len() * 8,
         }
     }
+
+    /// The ids this encoder accepts, when they are finitely many: `0..vocab`
+    /// (plain) or `0..=max_id` (compressed, when every sub-table holds its
+    /// sub-vocabulary). A hashed encoder accepts every `u32`.
+    fn domain(&self) -> Option<IdDomain> {
+        match self {
+            FrozenEncoder::Plain { vocab, .. } => Some(IdDomain::Vocab(*vocab)),
+            FrozenEncoder::Compressed { spec, tables, .. } => {
+                let complete =
+                    tables.iter().enumerate().all(|(i, (v, _))| *v >= spec.sub_vocab(i) as usize);
+                complete.then_some(IdDomain::MaxId(spec.max_id))
+            }
+            FrozenEncoder::Hashed { .. } => None,
+        }
+    }
+}
+
+/// A finite id domain, which also says how the encoder refuses an id
+/// outside it.
+#[derive(Debug, Clone, Copy)]
+enum IdDomain {
+    /// The plain encoder's ids `0..vocab`.
+    Vocab(usize),
+    /// The compressed encoder's ids `0..=max_id`.
+    MaxId(u32),
+}
+
+impl IdDomain {
+    fn len(self) -> usize {
+        match self {
+            IdDomain::Vocab(vocab) => vocab,
+            IdDomain::MaxId(max_id) => max_id as usize + 1,
+        }
+    }
+
+    /// Panics on an id outside the domain with the encoder's own message.
+    #[inline]
+    fn check(self, id: u32) {
+        match self {
+            IdDomain::Vocab(vocab) => {
+                assert!((id as usize) < vocab, "embedding id {id} out of vocab {vocab}")
+            }
+            IdDomain::MaxId(max_id) => {
+                assert!(id <= max_id, "element {id} exceeds max_id {max_id}")
+            }
+        }
+    }
+}
+
+/// Ids encoded and passed through φ at once while a table is built: the
+/// freeze works in bounded blocks, not one vocabulary-sized batch.
+const TABLE_BLOCK: usize = 256;
+
+/// φ(encode(id)) for every id of a finite domain, computed at freeze time
+/// at the serve precision: row `id` of a `domain.len() x width` f32 table.
+#[derive(Debug, Clone)]
+struct PhiTable {
+    values: CacheAligned<f32>,
+    width: usize,
+    domain: IdDomain,
+}
+
+impl PhiTable {
+    #[inline]
+    fn row(&self, id: u32) -> &[f32] {
+        self.domain.check(id);
+        let at = id as usize * self.width;
+        &self.values[at..at + self.width]
+    }
+}
+
+/// How a set's element ids become the rows that are pooled.
+#[derive(Debug, Clone)]
+enum Elements {
+    /// Encode each id, then apply φ (if any) to the encoded rows.
+    Layers { encoder: FrozenEncoder, phi: Vec<FrozenLayer> },
+    /// Gather each id's precomputed φ row.
+    Table(PhiTable),
+}
+
+impl Elements {
+    /// Writes the rows of `s.ids`, in order, into `s.a` and returns their
+    /// width. Both variants give the same bits: each kernel computes a row
+    /// from that row's input alone.
+    fn rows(&self, s: &mut Scratch) -> usize {
+        match self {
+            Elements::Layers { encoder, phi } => {
+                encoder.encode(&s.ids, &mut s.sub, &mut s.a);
+                let mut width = encoder.out_dim();
+                for layer in phi {
+                    layer.apply(&s.a, s.ids.len(), &mut s.b, &mut s.qx, &mut s.idot);
+                    std::mem::swap(&mut s.a, &mut s.b);
+                    width = layer.out_dim;
+                }
+                width
+            }
+            Elements::Table(table) => {
+                s.a.clear();
+                for &id in &s.ids {
+                    s.a.extend_from_slice(table.row(id));
+                }
+                table.width
+            }
+        }
+    }
+
+    fn size_bytes(&self) -> usize {
+        match self {
+            Elements::Layers { encoder, phi } => {
+                encoder.size_bytes() + phi.iter().map(FrozenLayer::size_bytes).sum::<usize>()
+            }
+            Elements::Table(table) => table.values.len() * 4,
+        }
+    }
+
+    /// The table's id domain and width, where φ exists (with a non-empty
+    /// output) and the encoder's domain is finite.
+    fn table_shape(&self) -> Option<(IdDomain, usize)> {
+        match self {
+            Elements::Layers { encoder, phi } => {
+                let width = phi.last()?.out_dim;
+                Some((encoder.domain()?, width)).filter(|_| width > 0)
+            }
+            Elements::Table(_) => None,
+        }
+    }
+
+    /// The rule that decides tabulation: a table exists for these elements
+    /// and its f32 bytes are no more than the encoder + φ bytes it replaces
+    /// at their precision, so tabulating never grows the weights.
+    fn table_fits(&self) -> bool {
+        self.table_shape().is_some_and(|(domain, width)| {
+            domain.len().saturating_mul(width).saturating_mul(4) <= self.size_bytes()
+        })
+    }
+
+    /// φ over the whole id domain, [`TABLE_BLOCK`] ids at a time, written
+    /// straight into the table's buffer; `None` where no table exists.
+    fn tabulate(&self) -> Option<PhiTable> {
+        let (domain, width) = self.table_shape()?;
+        let mut values = CacheAligned::zeroed(domain.len() * width);
+        let mut s = Scratch::default();
+        for (block, out) in values.chunks_mut(TABLE_BLOCK * width).enumerate() {
+            let start = block * TABLE_BLOCK;
+            s.ids.clear();
+            s.ids.extend((start..start + out.len() / width).map(|id| id as u32));
+            self.rows(&mut s);
+            out.copy_from_slice(&s.a);
+        }
+        Some(PhiTable { values, width, domain })
+    }
 }
 
 /// Bytes in one cache line: where frozen dense weights start.
@@ -308,12 +468,17 @@ struct CacheAligned<T> {
 }
 
 impl<T: Copy + Default> CacheAligned<T> {
-    fn new(values: &[T]) -> Self {
+    fn zeroed(len: usize) -> Self {
         let pad = CACHE_LINE / std::mem::size_of::<T>();
-        let mut buf = vec![T::default(); values.len() + pad];
+        let buf = vec![T::default(); len + pad];
         let start = buf.as_ptr().align_offset(CACHE_LINE).min(pad);
-        buf[start..start + values.len()].copy_from_slice(values);
-        CacheAligned { buf, start, len: values.len() }
+        CacheAligned { buf, start, len }
+    }
+
+    fn new(values: &[T]) -> Self {
+        let mut aligned = CacheAligned::zeroed(values.len());
+        aligned.copy_from_slice(values);
+        aligned
     }
 }
 
@@ -327,6 +492,12 @@ impl<T> std::ops::Deref for CacheAligned<T> {
     type Target = [T];
     fn deref(&self) -> &[T] {
         &self.buf[self.start..self.start + self.len]
+    }
+}
+
+impl<T> std::ops::DerefMut for CacheAligned<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.buf[self.start..self.start + self.len]
     }
 }
 
@@ -788,22 +959,44 @@ thread_local! {
 #[derive(Debug, Clone)]
 pub struct FrozenModel {
     precision: Precision,
-    encoder: FrozenEncoder,
-    phi: Vec<FrozenLayer>,
+    elements: Elements,
     rho: Vec<FrozenLayer>,
     pooling: Pooling,
 }
 
 impl FrozenModel {
-    /// Extracts a frozen serving model from `model` at `precision`.
+    /// Extracts a frozen serving model from `model` at `precision`. Where
+    /// [`Elements::table_fits`], φ is tabulated over the encoder's ids and
+    /// the table replaces the encoder and φ layers.
     pub fn freeze(model: &DeepSets, precision: Precision) -> FrozenModel {
+        FrozenModel::freeze_with(model, precision, Elements::table_fits)
+    }
+
+    /// `model` frozen at `precision`, with φ replaced by its table where
+    /// `tabulate` says so and a table exists. The elements are settled
+    /// before ρ is frozen, so the layers a table replaces are freed before
+    /// ρ's weights are allocated and the freeze's peak memory stays below
+    /// the untabulated model's.
+    fn freeze_with(
+        model: &DeepSets,
+        precision: Precision,
+        tabulate: impl FnOnce(&Elements) -> bool,
+    ) -> FrozenModel {
         let freeze_mlp = |mlp: &setlearn_nn::Mlp| {
             mlp.layers().iter().map(|l| FrozenLayer::freeze(l, precision)).collect::<Vec<_>>()
         };
-        FrozenModel {
-            precision,
+        let mut elements = Elements::Layers {
             encoder: FrozenEncoder::freeze(model.encoder(), precision),
             phi: model.phi().map(freeze_mlp).unwrap_or_default(),
+        };
+        if tabulate(&elements) {
+            if let Some(table) = elements.tabulate() {
+                elements = Elements::Table(table);
+            }
+        }
+        FrozenModel {
+            precision,
+            elements,
             rho: freeze_mlp(model.rho()),
             pooling: model.config().pooling,
         }
@@ -816,9 +1009,7 @@ impl FrozenModel {
 
     /// Frozen weight footprint in bytes (tables + dense layers).
     pub fn size_bytes(&self) -> usize {
-        self.encoder.size_bytes()
-            + self.phi.iter().map(FrozenLayer::size_bytes).sum::<usize>()
-            + self.rho.iter().map(FrozenLayer::size_bytes).sum::<usize>()
+        self.elements.size_bytes() + self.rho.iter().map(FrozenLayer::size_bytes).sum::<usize>()
     }
 
     /// Scores a batch of sets; output order matches input order.
@@ -847,18 +1038,10 @@ impl FrozenModel {
             s.ids.extend_from_slice(set);
             s.offsets.push(s.ids.len());
         }
-        let n = s.ids.len();
         let b = sets.len();
 
-        // Encode + φ over the flat element batch, ping-ponging the two
-        // scratch buffers.
-        self.encoder.encode(&s.ids, &mut s.sub, &mut s.a);
-        let mut h_dim = self.encoder.out_dim();
-        for layer in &self.phi {
-            layer.apply(&s.a, n, &mut s.b, &mut s.qx, &mut s.idot);
-            std::mem::swap(&mut s.a, &mut s.b);
-            h_dim = layer.out_dim;
-        }
+        // One row per element: encode + φ, or a gather from φ's table.
+        let h_dim = self.elements.rows(s);
 
         // Pool per set — the training path's own pooling routine.
         s.pooled.resize(b * h_dim, 0.0);
@@ -971,17 +1154,18 @@ mod tests {
 
     /// A checkpoint shaped like the wide serving model (embedding 128, 512
     /// neurons), loaded from JSON while its value tree is alive, freezes
-    /// every dense weight slice on a cache line, at both precisions.
+    /// every dense weight slice on a cache line, at both precisions; with a
+    /// φ of 16 the rule tabulates φ, and the table starts on a cache line.
     #[test]
     fn frozen_dense_weights_loaded_from_json_start_on_a_cache_line() {
         use crate::hybrid::GuidedConfig;
         use crate::persist::{load_json, save_json};
         use crate::tasks::{CardinalityConfig, LearnedCardinality};
         let collection = setlearn_data::SetCollection::new(sets(), 500);
-        for precision in Precision::ALL {
+        for (phi_width, precision) in [512, 16].into_iter().flat_map(|w| Precision::ALL.map(|p| (w, p))) {
             let model = DeepSetsConfig {
                 embedding_dim: 128,
-                phi_hidden: vec![512],
+                phi_hidden: vec![phi_width],
                 rho_hidden: vec![512],
                 precision,
                 ..DeepSetsConfig::lsm(500)
@@ -995,13 +1179,27 @@ mod tests {
             let cfg =
                 CardinalityConfig { guided, max_subset_size: 1, ..CardinalityConfig::new(model) };
             let (est, _) = LearnedCardinality::build(&collection, &cfg);
-            let path = std::env::temp_dir()
-                .join(format!("setlearn-aligned-{precision}-{}.json", std::process::id()));
+            let path = std::env::temp_dir().join(format!(
+                "setlearn-aligned-{phi_width}-{precision}-{}.json",
+                std::process::id()
+            ));
             save_json(&est, &path).unwrap();
             let loaded: LearnedCardinality = load_json(&path).unwrap();
             let _ = std::fs::remove_file(&path);
             let kernel = loaded.kernel();
-            for layer in kernel.phi.iter().chain(&kernel.rho) {
+            let phi = match &kernel.elements {
+                Elements::Layers { phi, .. } => {
+                    assert_eq!(phi_width, 512, "{precision}: φ {phi_width} was not tabulated");
+                    phi.as_slice()
+                }
+                Elements::Table(table) => {
+                    assert_eq!(phi_width, 16, "{precision}: φ {phi_width} was tabulated");
+                    let ptr = table.values.as_ptr() as usize;
+                    assert_eq!(ptr % CACHE_LINE, 0, "{precision} φ table at {ptr:#x}");
+                    &[]
+                }
+            };
+            for layer in phi.iter().chain(&kernel.rho) {
                 let ptr = match &layer.weights {
                     FrozenWeights::F32(w) => w.as_ptr() as usize,
                     FrozenWeights::Q8(p) => p.pack.as_ptr() as usize,
@@ -1024,8 +1222,10 @@ mod tests {
         // codes, so the shrink is < 4x here; it approaches 4x as dims grow.
         assert!(q8.size_bytes() < f32k.size_bytes());
         let wide = DeepSets::new(DeepSetsConfig { embedding_dim: 32, ..config(CompressionKind::None, Pooling::Sum) });
-        let wf = FrozenModel::freeze(&wide, Precision::F32);
-        let wq = FrozenModel::freeze(&wide, Precision::Q8);
+        // The same layers at both precisions: at this shape f32 tabulates φ
+        // (a 12-wide row per id replaces a 32-wide embedding) and q8 does not.
+        let wf = layers(&wide, Precision::F32);
+        let wq = layers(&wide, Precision::Q8);
         assert!(wq.size_bytes() * 2 < wf.size_bytes(), "{} vs {}", wq.size_bytes(), wf.size_bytes());
     }
 
@@ -1113,6 +1313,158 @@ mod tests {
                 }
             }
             set_kernel_isa(detected).unwrap();
+        }
+    }
+
+    fn is_tabulated(k: &FrozenModel) -> bool {
+        matches!(k.elements, Elements::Table(_))
+    }
+
+    /// `model` frozen with its encoder and φ layers, whatever the rule says.
+    fn layers(model: &DeepSets, precision: Precision) -> FrozenModel {
+        FrozenModel::freeze_with(model, precision, |_| false)
+    }
+
+    /// `model` frozen with φ's table wherever one exists, whatever its size.
+    fn forced(model: &DeepSets, precision: Precision) -> FrozenModel {
+        FrozenModel::freeze_with(model, precision, |_| true)
+    }
+
+    /// φ's table, forced onto plain and compressed encoders whatever the
+    /// rule says, answers with the same bits as the layers it replaces: at
+    /// f32 and q8, under every pooling, on every ISA the host supports, at
+    /// batch sizes that fill, split and leave over q8 row blocks. At q8 a
+    /// set scores the same alone as inside a batch, and an empty set or an
+    /// id outside the encoder's domain panics with the encoder's message.
+    #[test]
+    fn forced_table_is_bit_identical_to_the_layers() {
+        let detected = detect_kernel_isa();
+        let batches: Vec<Vec<Vec<u32>>> =
+            [1, 3, 4, 5, 40].iter().map(|&b| sets()[40 - b..].to_vec()).collect();
+        let panic_message = |k: &FrozenModel, set: &[u32]| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k.predict_one(set)))
+                .expect_err("the kernel accepted the set");
+            err.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap()
+        };
+        for compression in [CompressionKind::None, CompressionKind::Optimal { ns: 2 }] {
+            for pooling in [Pooling::Sum, Pooling::Mean, Pooling::Max] {
+                let narrow = config(compression.clone(), pooling);
+                let wide =
+                    DeepSetsConfig { embedding_dim: 32, phi_hidden: vec![80], ..narrow.clone() };
+                for cfg in [narrow, wide] {
+                    let shape = format!("{compression:?}/{pooling:?} φ {:?}", cfg.phi_hidden);
+                    let model = DeepSets::new(cfg);
+                    for precision in Precision::ALL {
+                        let layers = layers(&model, precision);
+                        let table = forced(&model, precision);
+                        assert!(!is_tabulated(&layers) && is_tabulated(&table), "{shape}");
+                        for bad in [&[][..], &[500], &[3, 501]] {
+                            assert_eq!(
+                                panic_message(&table, bad),
+                                panic_message(&layers, bad),
+                                "{shape} {precision}: {bad:?}"
+                            );
+                        }
+                        let want: Vec<Vec<f32>> =
+                            batches.iter().map(|b| layers.predict_batch(b)).collect();
+                        if precision == Precision::F32 {
+                            for (batch, w) in batches.iter().zip(&want) {
+                                assert_eq!(&model.predict_batch(batch), w, "{shape}: scalar");
+                            }
+                        }
+                        for isa in [
+                            KernelIsa::Generic,
+                            KernelIsa::Avx2,
+                            KernelIsa::Avx512,
+                            KernelIsa::Avx512Vnni,
+                        ] {
+                            if isa > detected {
+                                continue;
+                            }
+                            set_kernel_isa(isa).unwrap();
+                            for (batch, w) in batches.iter().zip(&want) {
+                                let b = batch.len();
+                                let got = table.predict_batch(batch);
+                                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                                assert_eq!(bits(&got), bits(w), "{isa} {shape} {precision} batch {b}");
+                                if precision == Precision::Q8 {
+                                    for (set, &score) in batch.iter().zip(&got) {
+                                        assert_eq!(
+                                            table.predict_one(set).to_bits(),
+                                            score.to_bits(),
+                                            "{isa} {shape} batch {b}: q8 {set:?} depends on its batch"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                        set_kernel_isa(detected).unwrap();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Each case of the table rule: a table only where φ exists, the id
+    /// domain is finite and the f32 table is no larger than the encoder + φ
+    /// it replaces at the serve precision.
+    #[test]
+    fn the_table_rule_tabulates_only_where_the_weights_shrink() {
+        let shaped = |vocab: u32, embedding_dim: usize, phi: Vec<usize>, rho: Vec<usize>| {
+            DeepSets::new(DeepSetsConfig {
+                vocab,
+                embedding_dim,
+                phi_hidden: phi,
+                rho_hidden: rho,
+                ..config(CompressionKind::None, Pooling::Sum)
+            })
+        };
+        // The wide benchmark tenant (vocabulary 80, embedding 128, 512
+        // neurons): a 160 KiB table replaces 298 KiB of f32 encoder + φ, but
+        // not the 81 KiB q8 ones.
+        let card = shaped(80, 128, vec![512], vec![512]);
+        let f32k = FrozenModel::freeze(&card, Precision::F32);
+        assert!(is_tabulated(&f32k));
+        assert!(!is_tabulated(&FrozenModel::freeze(&card, Precision::Q8)));
+        let untabulated = layers(&card, Precision::F32).size_bytes();
+        assert_eq!((untabulated, f32k.size_bytes()), (1_357_828, 1_216_516));
+        for cfg in [config(CompressionKind::None, Pooling::Sum), config(CompressionKind::Optimal { ns: 2 }, Pooling::Max)] {
+            let model = DeepSets::new(cfg);
+            for precision in Precision::ALL {
+                assert_eq!(
+                    is_tabulated(&FrozenModel::freeze(&model, precision)),
+                    forced(&model, precision).size_bytes() <= layers(&model, precision).size_bytes(),
+                    "{precision}: the rule is the byte comparison"
+                );
+            }
+        }
+        // The CLI's default shape (embedding 8, 32 neurons) at vocabulary
+        // 3,000 keeps its layers; so does a model without φ.
+        for model in [shaped(3000, 8, vec![32], vec![32]), shaped(80, 128, vec![], vec![512])] {
+            for precision in Precision::ALL {
+                assert!(!is_tabulated(&FrozenModel::freeze(&model, precision)));
+            }
+        }
+        // The parity suite's tabulated fixture (embedding 128, φ 16, a small
+        // vocabulary) tabulates at both precisions, and shrinks.
+        let fixture = shaped(45, 128, vec![16], vec![32]);
+        for precision in Precision::ALL {
+            let k = FrozenModel::freeze(&fixture, precision);
+            assert!(is_tabulated(&k), "{precision}");
+            assert!(k.size_bytes() < layers(&fixture, precision).size_bytes());
+        }
+        // A hashed encoder accepts every u32: no table, even when forced.
+        let hashed = DeepSets::new(DeepSetsConfig {
+            embedding_dim: 128,
+            phi_hidden: vec![4],
+            ..config(CompressionKind::Hashed { buckets: 32, num_hashes: 2 }, Pooling::Sum)
+        });
+        for precision in Precision::ALL {
+            assert!(!is_tabulated(&FrozenModel::freeze(&hashed, precision)));
+            assert!(!is_tabulated(&forced(&hashed, precision)));
         }
     }
 

@@ -77,7 +77,7 @@ pub mod prelude {
         QueryOutcome, Sharded,
     };
     pub use crate::mutable::{
-        DeltaStats, MutableCollection, MutableSink, MutateError, MutationAck, RecoveryReport,
+        MutableCollection, MutableSink, MutateError, MutationAck, RecoveryReport,
     };
     pub use crate::wal::{Wal, WalConfig, WalError, WalOp, WalRecord, WalRecovery};
     pub use crate::wire::{QueryRequest, QueryResponse, QueryValue, WireTask};
@@ -94,7 +94,7 @@ pub use tasks::{
     LearnedCardinality, LearnedSetIndex, LearnedSetStructure, QueryOutcome,
 };
 pub use mutable::{
-    DeltaStats, MutableCollection, MutableSink, MutateError, MutationAck, RecoveryReport,
+    MutableCollection, MutableSink, MutateError, MutationAck, RecoveryReport,
 };
 pub use wal::{Wal, WalConfig, WalError, WalOp, WalRecord, WalRecovery};
 pub use wire::{QueryRequest, QueryResponse, QueryValue, WireTask};

@@ -108,19 +108,6 @@ pub struct RecoveryReport {
     pub next_seq: u64,
 }
 
-/// Size of the pending delta; `pending_ops` is the compaction trigger.
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaStats {
-    /// WAL records not yet folded into a checkpoint.
-    pub pending_ops: usize,
-    /// Appended rows currently live (inserted, not re-deleted).
-    pub live_inserts: usize,
-    /// Base rows logically deleted.
-    pub deleted_base_rows: usize,
-    /// Rows in the checkpointed base.
-    pub base_len: usize,
-}
-
 /// The overlay's exact answer for one query, produced by a linear scan of
 /// the (small, pre-compaction) delta.
 #[derive(Debug, Clone, Copy, Default)]
@@ -147,26 +134,17 @@ struct DeltaOverlay {
     base_len: usize,
     /// Appended rows in commit order; `false` marks a tombstone.
     inserts: Vec<(ElementSet, bool)>,
-    live_inserts: usize,
     /// Canonical set → occurrences logically deleted from the base.
     base_deletes: HashMap<ElementSet, usize>,
-    deleted_base_rows: usize,
 }
 
 impl DeltaOverlay {
     fn new(base_len: usize) -> Self {
-        DeltaOverlay {
-            base_len,
-            inserts: Vec::new(),
-            live_inserts: 0,
-            base_deletes: HashMap::new(),
-            deleted_base_rows: 0,
-        }
+        DeltaOverlay { base_len, inserts: Vec::new(), base_deletes: HashMap::new() }
     }
 
     fn insert(&mut self, set: ElementSet) {
         self.inserts.push((set, true));
-        self.live_inserts += 1;
     }
 
     /// Deletes one occurrence: the most recent live appended copy first
@@ -177,13 +155,11 @@ impl DeltaOverlay {
             self.inserts.iter().rposition(|(s, live)| *live && s.as_ref() == set)
         {
             self.inserts[slot].1 = false;
-            self.live_inserts -= 1;
             return true;
         }
         let count = self.base_deletes.entry(set.to_vec().into_boxed_slice()).or_insert(0);
         if *count < base_occurrences {
             *count += 1;
-            self.deleted_base_rows += 1;
             return true;
         }
         false
@@ -260,11 +236,10 @@ pub struct MutableCollection<S> {
 
 impl<S> fmt::Debug for MutableCollection<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let stats = self.delta_stats();
         f.debug_struct("MutableCollection")
             .field("vocab", &self.vocab)
-            .field("base_len", &stats.base_len)
-            .field("pending_ops", &stats.pending_ops)
+            .field("base_len", &self.base().len())
+            .field("pending_ops", &self.pending_ops())
             .finish_non_exhaustive()
     }
 }
@@ -361,15 +336,10 @@ impl<S> MutableCollection<S> {
         Ok(MutationAck { seq, applied })
     }
 
-    /// Size of the pending delta.
-    pub fn delta_stats(&self) -> DeltaStats {
-        let state = self.state.read().unwrap_or_else(|e| e.into_inner());
-        DeltaStats {
-            pending_ops: state.tail.len(),
-            live_inserts: state.overlay.live_inserts,
-            deleted_base_rows: state.overlay.deleted_base_rows,
-            base_len: state.base.len(),
-        }
+    /// WAL records not yet folded into a checkpoint: the compaction
+    /// trigger.
+    pub fn pending_ops(&self) -> usize {
+        self.state.read().unwrap_or_else(|e| e.into_inner()).tail.len()
     }
 
     /// Starts a compaction: rotates the WAL and snapshots the merged
@@ -452,7 +422,7 @@ impl<S: Send + Sync> MutableSink for MutableCollection<S> {
     }
 
     fn pending_ops(&self) -> u64 {
-        self.delta_stats().pending_ops as u64
+        MutableCollection::pending_ops(self) as u64
     }
 }
 
@@ -522,8 +492,7 @@ fn apply_op(
 fn merged_collection(base: &SetCollection, overlay: &DeltaOverlay, vocab: u32) -> SetCollection {
     let mut remaining: HashMap<&[u32], usize> =
         overlay.base_deletes.iter().map(|(s, &c)| (s.as_ref(), c)).collect();
-    let mut rows: Vec<Vec<u32>> =
-        Vec::with_capacity(base.len() + overlay.live_inserts - overlay.deleted_base_rows);
+    let mut rows: Vec<Vec<u32>> = Vec::with_capacity(base.len() + overlay.inserts.len());
     for set in base.sets() {
         if let Some(count) = remaining.get_mut(set.as_ref()) {
             if *count > 0 {
@@ -762,10 +731,14 @@ mod tests {
         assert_eq!(report.skipped, 0);
         assert_eq!(mc.query(&[3]).value, 2.0, "both appended supersets of [3] survive");
         assert_eq!(mc.query(&[0, 1]).value, 1.0, "delete of one of two [0,*] rows survives");
-        let stats = mc.delta_stats();
-        assert_eq!(stats.pending_ops, 3);
-        assert_eq!(stats.live_inserts, 2);
-        assert_eq!(stats.deleted_base_rows, 1);
+        assert_eq!(mc.pending_ops(), 3);
+        // Two live inserts and one deleted base row: the merged collection
+        // is the base minus that row plus both appends, in commit order.
+        let merged = mc.begin_compaction().unwrap().expect("delta pending").merged;
+        assert_eq!(merged.len(), base().len() + 2 - 1);
+        let appended: Vec<&[u32]> =
+            merged.sets()[merged.len() - 2..].iter().map(|s| s.as_ref()).collect();
+        assert_eq!(appended, [&[1, 2, 3][..], &[3, 4]]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -811,9 +784,8 @@ mod tests {
 
         assert_eq!(mc.query(&[1]).value, before, "answers unchanged across the fold");
         assert_eq!(mc.query(&[2, 3]).value, 1.0, "the racing [2,3] insert survived the swap");
-        let stats = mc.delta_stats();
-        assert_eq!(stats.pending_ops, 1, "only the racing insert is still pending");
-        assert_eq!(stats.base_len, 4);
+        assert_eq!(mc.pending_ops(), 1, "only the racing insert is still pending");
+        assert_eq!(mc.base().len(), 4);
 
         // The WAL dropped the replayed segments: a fresh open replays only
         // the racing insert.
@@ -840,7 +812,7 @@ mod tests {
             mc.insert(&[1, 99]),
             Err(MutateError::OutOfVocab { id: 99, bound: 5 })
         ));
-        assert_eq!(mc.delta_stats().pending_ops, 0, "rejected mutations never hit the WAL");
+        assert_eq!(mc.pending_ops(), 0, "rejected mutations never hit the WAL");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -273,3 +273,71 @@ fn q8_bloom_rejects_no_trained_key_and_scores_its_own_verdicts() {
         assert!(!present || filter.contains(q), "trained key {q:?} rejected");
     }
 }
+
+/// A shape the φ-table rule tabulates at both precisions (embedding 128,
+/// φ 16, vocabularies of 45 and 60 ids): φ answers from its table, and every
+/// task keeps its guarantees at f32 and q8. The f32 kernel equals the scalar
+/// forward bit for bit, the index finds every enumerated subset (at q8 where
+/// f32 finds it) and the Bloom filter rejects no trained key.
+#[test]
+fn tabulated_phi_keeps_every_guarantee_at_both_precisions() {
+    let tabulated = |vocab: u32, precision: Precision| DeepSetsConfig {
+        embedding_dim: 128,
+        phi_hidden: vec![16],
+        precision,
+        ..DeepSetsConfig::lsm(vocab)
+    };
+    let collection = Arc::new(GeneratorConfig::rw(300, 21).generate());
+    let queries: Vec<ElementSet> =
+        SubsetIndex::build(&collection, 3).iter().map(|(s, _)| s.clone()).collect();
+    let bloom_sets = GeneratorConfig::rw(400, 31).generate();
+    let workload = membership_queries(&bloom_sets, 300, 300, 4, 3);
+    let keys: Vec<ElementSet> = workload.iter().map(|(q, _)| q.clone()).collect();
+    let mut f32_positions = None;
+    for precision in Precision::ALL {
+        let model = tabulated(collection.num_elements(), precision);
+        let f32_exact = |kernel: &FrozenModel, weights: &DeepSets, sets: &[ElementSet]| {
+            if precision == Precision::F32 {
+                assert_eq!(kernel.predict_batch(sets), weights.predict_batch(sets));
+            }
+        };
+
+        let card_cfg =
+            CardinalityConfig { model: model.clone(), guided: quick_guided(), max_subset_size: 3 };
+        let (est, _) = LearnedCardinality::build(&collection, &card_cfg);
+        f32_exact(est.kernel(), est.model(), &queries);
+        for o in assert_paths_agree(&est, &queries) {
+            assert!(o.value.is_finite() && o.value > 0.0, "{precision}: bad estimate {}", o.value);
+        }
+
+        let index_cfg = IndexConfig {
+            model,
+            guided: quick_guided(),
+            max_subset_size: 3,
+            range_length: 16.0,
+            target: PositionTarget::First,
+        };
+        let (index, _) = LearnedSetIndex::build(&collection, &index_cfg);
+        f32_exact(index.kernel(), index.model(), &queries);
+        let structure = IndexStructure { index, collection: Arc::clone(&collection) };
+        let positions: Vec<Option<usize>> =
+            assert_paths_agree(&structure, &queries).into_iter().map(|o| o.value).collect();
+        for (q, p) in queries.iter().zip(&positions) {
+            assert!(p.is_some(), "{precision}: trained subset {q:?} not found");
+        }
+        match &f32_positions {
+            None => f32_positions = Some(positions),
+            Some(want) => assert!(&positions == want, "{precision}: positions moved"),
+        }
+
+        let mut bloom_cfg = BloomConfig::new(tabulated(bloom_sets.num_elements(), precision));
+        bloom_cfg.epochs = 3;
+        bloom_cfg.learning_rate = 1e-2;
+        let (filter, _) = LearnedBloom::build(&workload, &bloom_cfg);
+        f32_exact(filter.kernel(), filter.model(), &keys);
+        let outcomes = assert_paths_agree(&filter, &keys);
+        for ((q, present), o) in workload.iter().zip(&outcomes) {
+            assert!(!present || o.value, "{precision}: trained key {q:?} rejected");
+        }
+    }
+}

@@ -87,7 +87,7 @@ impl Drop for CompactorHandle {
 /// it bumps carries a `collection` label).
 ///
 /// Every `config.poll_interval` the daemon compares
-/// [`MutableCollection::delta_stats`]'s `pending_ops` against
+/// [`MutableCollection::pending_ops`] against
 /// `config.max_delta_ops`; once it is reached it snapshots the merged
 /// collection, calls `rebuild(&merged)` (which must retrain **and durably
 /// checkpoint** the new model+collection — the WAL watermark only advances
@@ -126,7 +126,7 @@ where
                     return;
                 }
             }
-            let pending = collection.delta_stats().pending_ops;
+            let pending = collection.pending_ops();
             if pending == 0 || pending < config.max_delta_ops {
                 continue;
             }
@@ -225,7 +225,7 @@ mod tests {
         collection.insert(&[2, 3]).unwrap();
         std::thread::sleep(Duration::from_millis(40));
         assert_eq!(handle.compactions(), 0);
-        assert_eq!(collection.delta_stats().pending_ops, 1);
+        assert_eq!(collection.pending_ops(), 1);
 
         // Second op crosses the threshold.
         collection.insert(&[0, 3]).unwrap();
@@ -234,9 +234,9 @@ mod tests {
             "compaction never fired"
         );
         assert!(wait_until(Duration::from_secs(5), || {
-            collection.delta_stats().pending_ops == 0
+            collection.pending_ops() == 0
         }));
-        assert_eq!(collection.delta_stats().base_len, 4, "delta folded into the base");
+        assert_eq!(collection.base().len(), 4, "delta folded into the base");
         // Answers survive the fold.
         assert_eq!(collection.query(&[3]).value, 2.0);
         handle.stop();
@@ -262,7 +262,7 @@ mod tests {
         collection.insert(&[1, 2]).unwrap();
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(handle.compactions(), 0);
-        assert_eq!(collection.delta_stats().pending_ops, 1, "delta stays pending");
+        assert_eq!(collection.pending_ops(), 1, "delta stays pending");
         assert_eq!(collection.query(&[1, 2]).value, 1.0, "overlay still answers");
         handle.stop();
         let _ = std::fs::remove_dir_all(&dir);

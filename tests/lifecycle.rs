@@ -61,7 +61,7 @@ fn overlay_absorbs_updates_and_compaction_closes_the_loop() {
         grown_sets.push(remapped.to_vec());
     }
     let grown = SetCollection::new(grown_sets, initial.num_elements());
-    assert_eq!(collection.delta_stats().pending_ops, 400);
+    assert_eq!(collection.pending_ops(), 400);
 
     // The overlay adds the exact count change to the model's estimate.
     let model = collection.structure();
@@ -79,7 +79,7 @@ fn overlay_absorbs_updates_and_compaction_closes_the_loop() {
     assert_eq!(snapshot.merged.len(), grown.len());
     let rebuilt = build(&snapshot.merged);
     collection.complete_compaction(rebuilt, snapshot).unwrap();
-    assert_eq!(collection.delta_stats().pending_ops, 0);
+    assert_eq!(collection.pending_ops(), 0);
     let rebuilt_q = mean_q_error(&collection, &grown);
     assert!(
         rebuilt_q <= drifted * 1.5,
